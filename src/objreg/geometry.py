@@ -1,7 +1,10 @@
 """Pose parameterizations and basic 3D geometry.
 
-Euler convention used everywhere in this package: extrinsic X-Y-Z, i.e.
-``R = Rz(gz) @ Ry(gy) @ Rx(gx)``. All lengths are meters, all angles radians.
+Euler angles, extrinsic X-Y-Z (``R = Rz(gz) @ Ry(gy) @ Rx(gx)``), are the I/O
+representation (problem and report JSON, ``RigidPose.angles``; TUM goes via
+quaternions). The solvers work on rotation matrices with local increments
+``R @ Exp(phi)`` (Sola et al., arXiv 1812.01537) through :func:`skew`,
+:func:`so3_exp` and :func:`so3_log`. All lengths are meters, angles radians.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 __all__ = [
     "RigidPose",
@@ -16,6 +20,9 @@ __all__ = [
     "Intrinsics",
     "rotation_from_euler",
     "euler_from_rotation",
+    "skew",
+    "so3_exp",
+    "so3_log",
     "compose",
     "invert",
     "apply_rigid",
@@ -47,20 +54,24 @@ def rotation_from_euler(angles) -> np.ndarray:
     return _rz(gz) @ _ry(gy) @ _rx(gx)
 
 
-def rotation_derivatives(angles):
-    """R and its partial derivatives wrt the three Euler angles.
+def skew(v) -> np.ndarray:
+    """Cross-product matrices [v]x of (..., 3) vectors, shape (..., 3, 3)."""
+    # row k of [v]x is e_k x v
+    return np.cross(np.eye(3), np.asarray(v, dtype=float)[..., None, :])
 
-    Returns (R, [dR/dgx, dR/dgy, dR/dgz]) for R = Rz @ Ry @ Rx.
-    """
-    gx, gy, gz = np.asarray(angles, dtype=float)
-    rx, ry, rz = _rx(gx), _ry(gy), _rz(gz)
-    cx, sx = np.cos(gx), np.sin(gx)
-    cy, sy = np.cos(gy), np.sin(gy)
-    cz, sz = np.cos(gz), np.sin(gz)
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sx, -cx], [0.0, cx, -sx]])
-    dry = np.array([[-sy, 0.0, cy], [0.0, 0.0, 0.0], [-cy, 0.0, -sy]])
-    drz = np.array([[-sz, -cz, 0.0], [cz, -sz, 0.0], [0.0, 0.0, 0.0]])
-    return rz @ ry @ rx, [rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx]
+
+def so3_exp(phi) -> np.ndarray:
+    """Rotation matrices Exp(phi) of (..., 3) rotation vectors, shape (..., 3, 3)."""
+    phi = np.asarray(phi, dtype=float)
+    mats = Rotation.from_rotvec(phi.reshape(-1, 3)).as_matrix()
+    return mats.reshape(phi.shape[:-1] + (3, 3))
+
+
+def so3_log(rot) -> np.ndarray:
+    """Rotation vectors Log(R) of (..., 3, 3) rotation matrices, norms in [0, pi]."""
+    rot = np.asarray(rot, dtype=float)
+    vecs = Rotation.from_matrix(rot.reshape(-1, 3, 3)).as_rotvec()
+    return vecs.reshape(rot.shape[:-2] + (3,))
 
 
 def euler_from_rotation(rot: np.ndarray) -> np.ndarray:

@@ -18,10 +18,13 @@ from .geometry import (
     apply_object,
     apply_rigid,
     compose,
+    euler_from_rotation,
     invert,
-    rotation_derivatives,
+    skew,
+    so3_exp,
 )
 from .matching import MatchConfig, ObjectTrack, PairMatch, match_pair
+from .metrics import pose_error
 from .observations import FrameSet
 from .procrustes import (
     DegenerateAlignmentError,
@@ -279,23 +282,62 @@ def keypoint_residuals(cameras, block: KeypointBlock, active=None) -> np.ndarray
     return apply_rigid(cameras[block.frame_i], pi) - apply_rigid(cameras[block.frame_j], pj)
 
 
-class _State:
-    """Packed free variables: 6 per camera (frames 1..K-1) + 9 per object."""
+def damped_step(jtj, jtr, lam, cost, trial, tries):
+    """Levenberg-damped Gauss-Newton step shared by both solvers: solve
+    ``(J^T J + lam I) delta = -J^T r``, score ``trial(delta) -> (candidate,
+    cost)``, grow lam 10x on a singular system or a cost increase. Returns
+    ``(candidate, cost, lam / 10)``, or ``(None, None, lam)`` after ``tries``."""
+    eye = np.eye(len(jtr))
+    for _ in range(tries):
+        try:
+            delta = np.linalg.solve(jtj + lam * eye, -jtr)
+        except np.linalg.LinAlgError:
+            lam *= 10
+            continue
+        candidate, cost_new = trial(delta)
+        if np.isfinite(cost_new) and cost_new <= cost + 1e-15:
+            return candidate, cost_new, max(lam / 10, 1e-12)
+        lam *= 10
+    return None, None, lam
 
-    def __init__(self, problem: RegistrationProblem):
-        self.num_frames = problem.num_frames
-        self.track_ids = [b.track_id for b in problem.object_blocks]
-        self.n_cam = 6 * (problem.num_frames - 1)
-        self.x = np.zeros(self.n_cam + 9 * len(self.track_ids))
-        for i in range(1, problem.num_frames):
-            pose = problem.initial_cameras[i]
-            self.x[6 * (i - 1) : 6 * (i - 1) + 3] = pose.angles
-            self.x[6 * (i - 1) + 3 : 6 * i] = pose.translation
-        for k, blk in enumerate(problem.object_blocks):
-            off = self.n_cam + 9 * k
-            self.x[off : off + 3] = blk.init_pose.angles
-            self.x[off + 3 : off + 6] = blk.init_pose.translation
-            self.x[off + 6 : off + 9] = np.log(blk.init_pose.scale)
+
+class _State:
+    """Camera poses (frame 0 stays the identity) and object rotations,
+    translations and log-scales. Rotations are matrices retracted by
+    right-multiplied increments ``R @ Exp(phi)``; the rest is additive,
+    log-scales clamped from below. A tangent vector packs (phi, dt) per
+    camera 1..K-1, then (phi, dt, d log s) per object."""
+
+    def __init__(self, cam_rot, cam_t, obj_rot, obj_t, obj_logs):
+        self.cam_rot, self.cam_t = cam_rot, cam_t
+        self.obj_rot, self.obj_t, self.obj_logs = obj_rot, obj_t, obj_logs
+        self.obj_scale = np.exp(obj_logs)
+        self.n_cam = 6 * (len(cam_rot) - 1)
+        self.size = self.n_cam + 9 * len(obj_rot)
+
+    @classmethod
+    def initial(cls, problem: RegistrationProblem) -> "_State":
+        cams = [RigidPose.identity()] + problem.initial_cameras[1:]  # frame 0 is the gauge
+        objs = [b.init_pose for b in problem.object_blocks]
+        return cls(
+            np.array([c.rotation for c in cams]),
+            np.array([c.translation for c in cams]),
+            np.array([o.rotation for o in objs]).reshape(-1, 3, 3),
+            np.array([o.translation for o in objs]).reshape(-1, 3),
+            np.log(np.array([o.scale for o in objs]).reshape(-1, 3)),
+        )
+
+    def retract(self, delta) -> "_State":
+        cam, obj = delta[: self.n_cam].reshape(-1, 6), delta[self.n_cam :].reshape(-1, 9)
+        rot = so3_exp(np.vstack([np.zeros(3), cam[:, :3], obj[:, :3]]))
+        k = len(self.cam_rot)
+        return _State(
+            self.cam_rot @ rot[:k],
+            self.cam_t + np.vstack([np.zeros(3), cam[:, 3:]]),
+            self.obj_rot @ rot[k:],
+            self.obj_t + obj[:, 3:6],
+            np.maximum(self.obj_logs + obj[:, 6:], _LOG_SCALE_FLOOR),
+        )
 
     def cam_offset(self, frame: int) -> int | None:
         return None if frame == 0 else 6 * (frame - 1)
@@ -303,34 +345,29 @@ class _State:
     def obj_offset(self, block_index: int) -> int:
         return self.n_cam + 9 * block_index
 
-    def cameras(self, x=None) -> list[RigidPose]:
-        x = self.x if x is None else x
-        poses = [RigidPose.identity()]
-        for i in range(1, self.num_frames):
-            off = 6 * (i - 1)
-            poses.append(RigidPose(x[off : off + 3], x[off + 3 : off + 6]))
-        return poses
+    def to_world(self, frame: int, pts: np.ndarray) -> np.ndarray:
+        return pts @ self.cam_rot[frame].T + self.cam_t[frame]
 
-    def objects(self, x=None) -> list[ObjectPose]:
-        x = self.x if x is None else x
-        out = []
-        for k in range(len(self.track_ids)):
-            off = self.n_cam + 9 * k
-            out.append(
-                ObjectPose(x[off : off + 3], x[off + 3 : off + 6], np.exp(x[off + 6 : off + 9]))
-            )
-        return out
+    def object_points(self, b: int, noc: np.ndarray) -> np.ndarray:
+        return (noc * self.obj_scale[b]) @ self.obj_rot[b].T + self.obj_t[b]
+
+    def cameras(self) -> list[RigidPose]:
+        return [RigidPose(euler_from_rotation(r), t) for r, t in zip(self.cam_rot, self.cam_t)]
+
+    def objects(self) -> list[ObjectPose]:
+        return [
+            ObjectPose(euler_from_rotation(r), t, s)
+            for r, t, s in zip(self.obj_rot, self.obj_t, self.obj_scale)
+        ]
 
 
-def _assemble(problem: RegistrationProblem, state: _State, x, active_kp, active_obj, jac: bool):
-    """Weighted residual vector and (optionally) its Jacobian."""
+def _assemble(problem: RegistrationProblem, state: _State, active_kp, active_obj, jac: bool):
+    """Weighted residual vector and (optionally) its Jacobian with respect to
+    the state's tangent vector: d(R Exp(phi) p)/dphi = -R [p]x."""
     cfg = problem.config
-    cams = state.cameras(x)
-    objs = state.objects(x)
-    cam_rd = [rotation_derivatives(c.angles) for c in cams]
-
     r_parts, j_parts = [], []
-    nvar = len(x)
+    nvar = state.size
+    eye = np.eye(3)
 
     for b, blk in enumerate(problem.keypoint_blocks):
         mask = active_kp[b]
@@ -339,30 +376,22 @@ def _assemble(problem: RegistrationProblem, state: _State, x, active_kp, active_
             continue
         w = np.sqrt(cfg.w_c / len(blk))
         pi, pj = blk.points_i[mask], blk.points_j[mask]
-        ri, rj = cam_rd[blk.frame_i], cam_rd[blk.frame_j]
-        res = w * (pi @ ri[0].T + cams[blk.frame_i].translation
-                   - pj @ rj[0].T - cams[blk.frame_j].translation)
+        res = w * (state.to_world(blk.frame_i, pi) - state.to_world(blk.frame_j, pj))
         r_parts.append(res.ravel())
         if jac:
-            jb = np.zeros((3 * n, nvar))
-            for frame, pts, sign, rd in (
-                (blk.frame_i, pi, 1.0, ri),
-                (blk.frame_j, pj, -1.0, rj),
-            ):
+            jb = np.zeros((n, 3, nvar))
+            for frame, pts, sign in ((blk.frame_i, pi, w), (blk.frame_j, pj, -w)):
                 off = state.cam_offset(frame)
                 if off is None:
                     continue
-                for a in range(3):
-                    jb[:, off + a] += sign * w * (pts @ rd[1][a].T).ravel()
-                eye = sign * w * np.tile(np.eye(3), (n, 1))
-                jb[:, off + 3 : off + 6] += eye
-            j_parts.append(jb)
+                jb[:, :, off : off + 3] = -sign * (state.cam_rot[frame] @ skew(pts))
+                jb[:, :, off + 3 : off + 6] = sign * eye
+            j_parts.append(jb.reshape(3 * n, nvar))
 
     for b, blk in enumerate(problem.object_blocks):
         if cfg.w_o == 0:
             continue
-        obj = objs[b]
-        ro, dro = rotation_derivatives(obj.angles)
+        ro = state.obj_rot[b]
         w = np.sqrt(cfg.w_o / blk.total_pairs())
         ooff = state.obj_offset(b)
         for k, frame in enumerate(blk.frames):
@@ -372,25 +401,20 @@ def _assemble(problem: RegistrationProblem, state: _State, x, active_kp, active_
                 continue
             depth = blk.depth_points[k][mask]
             noc = blk.noc_points[k][mask]
-            scaled = noc * obj.scale
-            rc = cam_rd[frame]
-            res = w * (depth @ rc[0].T + cams[frame].translation
-                       - scaled @ ro.T - obj.translation)
+            res = w * (state.to_world(frame, depth) - state.object_points(b, noc))
             r_parts.append(res.ravel())
             if jac:
-                jb = np.zeros((3 * n, nvar))
+                scaled = noc * state.obj_scale[b]
+                jb = np.zeros((n, 3, nvar))
                 coff = state.cam_offset(frame)
                 if coff is not None:
-                    for a in range(3):
-                        jb[:, coff + a] = w * (depth @ rc[1][a].T).ravel()
-                    jb[:, coff + 3 : coff + 6] = w * np.tile(np.eye(3), (n, 1))
-                for a in range(3):
-                    jb[:, ooff + a] = -w * (scaled @ dro[a].T).ravel()
-                jb[:, ooff + 3 : ooff + 6] = -w * np.tile(np.eye(3), (n, 1))
+                    jb[:, :, coff : coff + 3] = -w * (state.cam_rot[frame] @ skew(depth))
+                    jb[:, :, coff + 3 : coff + 6] = w * eye
+                jb[:, :, ooff : ooff + 3] = w * (ro @ skew(scaled))
+                jb[:, :, ooff + 3 : ooff + 6] = -w * eye
                 # d/d log(s_a) of -R (p * s) = -s_a p_a R[:, a]
-                for a in range(3):
-                    jb[:, ooff + 6 + a] = -w * np.outer(scaled[:, a], ro[:, a]).ravel()
-                j_parts.append(jb)
+                jb[:, :, ooff + 6 : ooff + 9] = -w * scaled[:, None, :] * ro
+                j_parts.append(jb.reshape(3 * n, nvar))
 
     r = np.concatenate(r_parts) if r_parts else np.zeros(0)
     if not jac:
@@ -399,26 +423,23 @@ def _assemble(problem: RegistrationProblem, state: _State, x, active_kp, active_
     return r, j
 
 
-def _prune(problem, state, x, active_kp, active_obj, threshold):
+def _prune(problem, state, active_kp, active_obj, threshold):
     """Deactivate correspondences whose current residual norm exceeds the
     threshold. Returns the number newly pruned; sets are monotone."""
-    cams = state.cameras(x)
-    objs = state.objects(x)
     pruned = 0
     for b, blk in enumerate(problem.keypoint_blocks):
-        norms = np.linalg.norm(keypoint_residuals(cams, blk), axis=1)
-        bad = active_kp[b] & (norms > threshold)
+        res = state.to_world(blk.frame_i, blk.points_i) - state.to_world(blk.frame_j, blk.points_j)
+        bad = active_kp[b] & (np.linalg.norm(res, axis=1) > threshold)
         # never let a block drop below the survivable minimum
         if (active_kp[b].sum() - bad.sum()) >= MIN_KEYPOINT_PAIRS:
             pruned += int(bad.sum())
             active_kp[b] &= ~bad
     for b, blk in enumerate(problem.object_blocks):
-        for k in range(len(blk.frames)):
-            res = apply_rigid(cams[blk.frames[k]], blk.depth_points[k]) - apply_object(
-                objs[b], blk.noc_points[k]
+        for k, frame in enumerate(blk.frames):
+            res = state.to_world(frame, blk.depth_points[k]) - state.object_points(
+                b, blk.noc_points[k]
             )
-            norms = np.linalg.norm(res, axis=1)
-            bad = active_obj[b][k] & (norms > threshold)
+            bad = active_obj[b][k] & (np.linalg.norm(res, axis=1) > threshold)
             if (active_obj[b][k].sum() - bad.sum()) >= MIN_NOC_PAIRS:
                 pruned += int(bad.sum())
                 active_obj[b][k] &= ~bad
@@ -435,61 +456,45 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
         problem = replace(problem, keypoint_blocks=[])
     if not problem.keypoint_blocks and not problem.object_blocks:
         raise UnsolvableProblemError("problem has no blocks")
-    state = _State(problem)
+    state = _State.initial(problem)
     active_kp = [np.ones(len(b), dtype=bool) for b in problem.keypoint_blocks]
     active_obj = [
         [np.ones(len(p), dtype=bool) for p in b.noc_points] for b in problem.object_blocks
     ]
 
-    x = state.x.copy()
+    def trial(delta):
+        new = state.retract(delta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_new, _ = _assemble(problem, new, active_kp, active_obj, jac=False)
+        return new, float(r_new @ r_new)
+
     lam = 1e-6
     total_pruned = 0
     iterations = 0
     cost = None
     for it in range(cfg.max_iterations):
         iterations = it + 1
-        total_pruned += _prune(problem, state, x, active_kp, active_obj, cfg.residual_prune)
-        r, j = _assemble(problem, state, x, active_kp, active_obj, jac=True)
+        total_pruned += _prune(problem, state, active_kp, active_obj, cfg.residual_prune)
+        r, j = _assemble(problem, state, active_kp, active_obj, jac=True)
         cost = float(r @ r)
         if cost < 1e-28:
             break
-        jtj = j.T @ j
-        jtr = j.T @ r
-        accepted = False
-        for _ in range(cfg.step_halvings):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.eye(len(x)), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            x_new = x + delta
-            # clamp log-scales from below
-            for k in range(len(state.track_ids)):
-                off = state.obj_offset(k) + 6
-                x_new[off : off + 3] = np.maximum(x_new[off : off + 3], _LOG_SCALE_FLOOR)
-            with np.errstate(over="ignore", invalid="ignore"):
-                r_new, _ = _assemble(problem, state, x_new, active_kp, active_obj, jac=False)
-                cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost + 1e-15:
-                accepted = True
-                break
-            lam *= 10
-        if not accepted:
+        new, cost_new, lam = damped_step(j.T @ j, j.T @ r, lam, cost, trial, cfg.step_halvings)
+        if new is None:
             break
-        x = x_new
-        lam = max(lam / 10, 1e-12)
+        state = new
         if cost - cost_new <= cfg.convergence_tol * max(cost, 1e-30):
             cost = cost_new
             break
         cost = cost_new
 
     if cost is None:
-        r, _ = _assemble(problem, state, x, active_kp, active_obj, jac=False)
+        r, _ = _assemble(problem, state, active_kp, active_obj, jac=False)
         cost = float(r @ r)
 
-    state.x = x
     cams = state.cameras()
     objs = state.objects()
+    track_ids = [b.track_id for b in problem.object_blocks]
     stats = []
     for b, blk in enumerate(problem.keypoint_blocks):
         norms = np.linalg.norm(keypoint_residuals(cams, blk, active_kp[b]), axis=1)
@@ -517,27 +522,26 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
             }
         )
     return SolveReport(
-        cams, objs, state.track_ids, iterations, cost, total_pruned, stats
+        cams, objs, track_ids, iterations, cost, total_pruned, stats
     )
 
 
 def numeric_jacobian_check(problem: RegistrationProblem, h: float = 1e-6) -> float:
     """Max relative error between analytic and central finite-difference
-    Jacobians at the problem's initial state."""
-    state = _State(problem)
+    Jacobians at the problem's initial state, perturbing through the
+    solver's retraction."""
+    state = _State.initial(problem)
     active_kp = [np.ones(len(b), dtype=bool) for b in problem.keypoint_blocks]
     active_obj = [
         [np.ones(len(p), dtype=bool) for p in b.noc_points] for b in problem.object_blocks
     ]
-    x = state.x.copy()
-    _, j_analytic = _assemble(problem, state, x, active_kp, active_obj, jac=True)
+    _, j_analytic = _assemble(problem, state, active_kp, active_obj, jac=True)
     j_num = np.zeros_like(j_analytic)
-    for k in range(len(x)):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        rp, _ = _assemble(problem, state, xp, active_kp, active_obj, jac=False)
-        rm, _ = _assemble(problem, state, xm, active_kp, active_obj, jac=False)
+    for k in range(state.size):
+        step = np.zeros(state.size)
+        step[k] = h
+        rp, _ = _assemble(problem, state.retract(step), active_kp, active_obj, jac=False)
+        rm, _ = _assemble(problem, state.retract(-step), active_kp, active_obj, jac=False)
         j_num[:, k] = (rp - rm) / (2 * h)
     mag = np.maximum(np.abs(j_analytic), np.abs(j_num))
     mask = mag > 1e-8
@@ -605,18 +609,7 @@ def register_pair(
             # pose beyond the association radius means ICP slid disjoint
             # surfaces onto each other (common at near-zero overlap)
             if res.converged:
-                drot = np.degrees(
-                    np.arccos(
-                        np.clip(
-                            (np.trace(res.pose.rotation.T @ report.camera_poses[1].rotation) - 1) / 2,
-                            -1.0,
-                            1.0,
-                        )
-                    )
-                )
-                dtrans = float(
-                    np.linalg.norm(res.pose.translation - report.camera_poses[1].translation)
-                )
+                drot, dtrans = pose_error(res.pose, report.camera_poses[1])
                 if dtrans <= scfg.residual_prune and drot <= 10.0:
                     report.camera_poses[1] = res.pose
     return PairResult(True, None, report, matches)

@@ -116,8 +116,12 @@ class FrameSet:
             if not (np.all(np.isfinite(km.points_i)) and np.all(np.isfinite(km.points_j))):
                 raise ValidationError(f"keypoint match {m}: non-finite point")
         embed_dim = None
+        seen = set()
         for o in self.observations:
             name = f"observation (frame={o.frame}, detection_id={o.detection_id})"
+            if (o.frame, o.detection_id) in seen:
+                raise ValidationError(f"{name}: duplicate (frame, detection_id)")
+            seen.add((o.frame, o.detection_id))
             if not 0 <= o.frame < n:
                 raise ValidationError(f"{name}: dangling frame index")
             if len(o.noc_points) != len(o.depth_points):

@@ -8,13 +8,22 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .geometry import RigidPose, apply_rigid, compose, invert, rotation_from_euler
+from .geometry import (
+    RigidPose,
+    apply_rigid,
+    compose,
+    euler_from_rotation,
+    invert,
+    skew,
+    so3_exp,
+    so3_log,
+)
 from .joint_solver import (
     PairResult,
     SolverConfig,
     SolveReport,
+    damped_step,
     default_keypoint_filter,
     default_object_filter,
     register_pair,
@@ -163,11 +172,57 @@ def build_graph(
     return PoseGraph(num_frames, edges)
 
 
-def _edge_residual(pose_i: RigidPose, pose_j: RigidPose, delta: RigidPose) -> np.ndarray:
-    err = compose(invert(pose_j), compose(pose_i, delta))
-    return np.concatenate(
-        [Rotation.from_matrix(err.rotation).as_rotvec(), err.translation]
-    )
+def _edge_arrays(graph: PoseGraph):
+    """Node indices i, j and relative rotations/translations of all edges."""
+    ii = np.array([e.i for e in graph.edges])
+    jj = np.array([e.j for e in graph.edges])
+    d_rot = np.array([e.relative_pose.rotation for e in graph.edges]).reshape(-1, 3, 3)
+    d_trans = np.array([e.relative_pose.translation for e in graph.edges]).reshape(-1, 3)
+    return ii, jj, d_rot, d_trans
+
+
+def _edge_errors(rot, trans, edges):
+    """Errors of all edges at node poses (rot (n, 3, 3), trans (n, 3)).
+
+    Edge k's error is T_j^-1 T_i T_delta, returned as the rows
+    ``[Log(R_j^T R_i R_delta), R_j^T (R_i t_delta + t_i - t_j)]`` of an
+    (E, 6) array, together with the error rotations (E, 3, 3).
+    """
+    ii, jj, d_rot, d_trans = edges
+    rj_t = np.swapaxes(rot[jj], 1, 2)
+    err_rot = rj_t @ rot[ii] @ d_rot
+    moved = (rot[ii] @ d_trans[:, :, None])[:, :, 0] + trans[ii] - trans[jj]
+    err_trans = (rj_t @ moved[:, :, None])[:, :, 0]
+    return np.hstack([so3_log(err_rot), err_trans]), err_rot
+
+
+def _edge_jacobians(rot, edges, err, err_rot):
+    """Closed-form (E, 6, 6) derivatives of the edge errors with respect to
+    (phi, dt) of node i and of node j, for the retraction
+    ``R <- R Exp(phi), t <- t + dt``.
+
+    With rho = Log(E_R) and tau the translation error:
+    d rho/d phi_i = J_r^-1(rho) R_delta^T, d rho/d phi_j = -J_r^-1(rho) E_R^T,
+    d tau/d phi_i = -R_j^T R_i [t_delta]x, d tau/d phi_j = [tau]x,
+    d tau/d t_i = R_j^T = -d tau/d t_j.
+    """
+    ii, jj, d_rot, d_trans = edges
+    rho, tau = err[:, :3], err[:, 3:]
+    # J_r^-1 = I + [rho]x / 2 + c [rho]x^2, with c -> 1/12 as theta -> 0
+    theta = np.linalg.norm(rho, axis=1)
+    big = np.where(theta < 1e-4, 1.0, theta)
+    c = np.where(theta < 1e-4, 1 / 12, 1 / big**2 - np.cos(big / 2) / (2 * big * np.sin(big / 2)))
+    k = skew(rho)
+    jr_inv = np.eye(3) + 0.5 * k + c[:, None, None] * (k @ k)
+    rj_t = np.swapaxes(rot[jj], 1, 2)
+    jac_i, jac_j = np.zeros((2, len(err), 6, 6))
+    jac_i[:, :3, :3] = jr_inv @ np.swapaxes(d_rot, 1, 2)
+    jac_j[:, :3, :3] = -jr_inv @ np.swapaxes(err_rot, 1, 2)
+    jac_i[:, 3:, :3] = -rj_t @ rot[ii] @ skew(d_trans)
+    jac_j[:, 3:, :3] = skew(tau)
+    jac_i[:, 3:, 3:] = rj_t
+    jac_j[:, 3:, 3:] = -rj_t
+    return jac_i, jac_j
 
 
 def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
@@ -178,127 +233,58 @@ def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
     return poses
 
 
-def _pose_matrix(params: np.ndarray) -> np.ndarray:
-    mat = np.eye(4)
-    mat[:3, :3] = rotation_from_euler(params[:3])
-    mat[:3, 3] = params[3:6]
-    return mat
-
-
-def _mat_residual(mat_i, mat_j, delta_mat) -> np.ndarray:
-    err = np.linalg.solve(mat_j, mat_i @ delta_mat)
-    return np.concatenate([Rotation.from_matrix(err[:3, :3]).as_rotvec(), err[:3, 3]])
-
-
-def _solve_poses(graph, poses, switches, cfg) -> tuple[list[RigidPose], float]:
+def _solve_poses(graph, rot, trans, switches, cfg):
     """Damped GN over node poses with fixed switch weights; node 0 pinned.
 
-    Jacobians are finite-differenced per edge over the 12 variables the edge
-    actually touches."""
-    n = graph.num_nodes
-    nvar = 6 * (n - 1)
-    x = np.zeros(nvar)
-    for i in range(1, n):
-        x[6 * (i - 1) : 6 * (i - 1) + 3] = poses[i].angles
-        x[6 * (i - 1) + 3 : 6 * i] = poses[i].translation
-
-    mean_w = np.mean([max(e.information_weight, 1.0) for e in graph.edges])
-    deltas = [e.relative_pose.to_matrix() for e in graph.edges]
-    sqrt_w = np.array(
-        [
-            np.sqrt(
-                max(e.information_weight, 1.0) / mean_w * switches.get((e.i, e.j), 1.0)
-            )
-            for e in graph.edges
-        ]
+    Node rotations are retracted by right-multiplied increments, translations
+    additively; the tangent vector packs (phi, dt) per node 1..n-1."""
+    n, m = graph.num_nodes, len(graph.edges)
+    edges = _edge_arrays(graph)
+    weights = np.array([max(e.information_weight, 1.0) for e in graph.edges])
+    sqrt_w = np.sqrt(
+        weights / weights.mean() * np.array([switches.get((e.i, e.j), 1.0) for e in graph.edges])
     )
+    # row/column indices of each edge's two 6x6 Jacobian blocks
+    rows = 6 * np.arange(m)[:, None, None] + np.arange(6)[None, :, None]
+    cols = [6 * (node - 1)[:, None, None] + np.arange(6)[None, None, :] for node in edges[:2]]
 
-    def node_mats(xv):
-        mats = [np.eye(4)]
-        for i in range(1, n):
-            mats.append(_pose_matrix(xv[6 * (i - 1) : 6 * i]))
-        return mats
+    def evaluate(rot, trans):
+        err, err_rot = _edge_errors(rot, trans, edges)
+        r = (sqrt_w[:, None] * err).ravel()
+        return (rot, trans, err, err_rot, r), float(r @ r)
 
-    def residuals(xv):
-        mats = node_mats(xv)
-        return np.concatenate(
-            [
-                sqrt_w[k] * _mat_residual(mats[e.i], mats[e.j], deltas[k])
-                for k, e in enumerate(graph.edges)
-            ]
-        )
+    def trial(delta):
+        step = np.vstack([np.zeros(6), delta.reshape(-1, 6)])  # node 0 stays put
+        return evaluate(rot @ so3_exp(step[:, :3]), trans + step[:, 3:])
 
-    def unpack(xv):
-        out = [RigidPose.identity()]
-        for i in range(1, n):
-            off = 6 * (i - 1)
-            out.append(RigidPose(xv[off : off + 3], xv[off + 3 : off + 6]))
-        return out
-
-    h = 1e-6
     lam = 1e-6
-    r = residuals(x)
-    cost = float(r @ r)
+    (rot, trans, err, err_rot, r), cost = evaluate(rot, trans)
     for _ in range(cfg.max_inner_iterations):
-        mats = node_mats(x)
-        jac = np.zeros((len(r), nvar))
-        for k, e in enumerate(graph.edges):
-            base = r[6 * k : 6 * k + 6]
-            for node, other, first in ((e.i, e.j, True), (e.j, e.i, False)):
-                if node == 0:
-                    continue
-                off = 6 * (node - 1)
-                params = x[off : off + 6]
-                for a in range(6):
-                    pp = params.copy()
-                    pp[a] += h
-                    mp = _pose_matrix(pp)
-                    if first:
-                        res = _mat_residual(mp, mats[other], deltas[k])
-                    else:
-                        res = _mat_residual(mats[other], mp, deltas[k])
-                    jac[6 * k : 6 * k + 6, off + a] = (sqrt_w[k] * res - base) / h
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.eye(nvar), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            x_new = x + delta
-            r_new = residuals(x_new)
-            cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost + 1e-15:
-                accepted = True
-                break
-            lam *= 10
-        if not accepted:
+        jac = np.zeros((6 * m, 6 * (n - 1)))
+        for node, col, block in zip(edges[:2], cols, _edge_jacobians(rot, edges, err, err_rot)):
+            sel = node > 0
+            jac[rows[sel], col[sel]] = sqrt_w[sel, None, None] * block[sel]
+        new, cost_new, lam = damped_step(jac.T @ jac, jac.T @ r, lam, cost, trial, 8)
+        if new is None:
             break
         rel_decrease = (cost - cost_new) / max(cost, 1e-30)
-        x, r, cost = x_new, r_new, cost_new
-        lam = max(lam / 10, 1e-12)
+        (rot, trans, err, err_rot, r), cost = new, cost_new
         if rel_decrease < 1e-10:
             break
-    return unpack(x), cost
+    return rot, trans, cost
 
 
-def _update_switches(graph, poses, cfg) -> dict:
+def _update_switches(graph, rot, trans, cfg) -> dict:
     # closed-form minimizer of s * w * ||r||^2 + mu * (sqrt(s) - 1)^2; the
     # weight is the raw correspondence count, which sets the scale mu = 100
     # is calibrated against
     mu = cfg.line_process_mu
+    err, _ = _edge_errors(rot, trans, _edge_arrays(graph))
     switches = {}
-    for e in graph.edges:
-        if not e.uncertain:
-            continue
-        w = max(e.information_weight, 1.0)
-        err = w * float(
-            np.sum(_edge_residual(poses[e.i], poses[e.j], e.relative_pose) ** 2)
-        )
-        u = mu / (err + mu)
-        switches[(e.i, e.j)] = float(u * u)
+    for e, row in zip(graph.edges, err):
+        if e.uncertain:
+            u = mu / (max(e.information_weight, 1.0) * float(row @ row) + mu)
+            switches[(e.i, e.j)] = u * u
     return switches
 
 
@@ -326,23 +312,23 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
     if not _certain_connected(graph):
         raise ValueError("graph is not connected via certain edges")
 
-    def robust_solve(g: PoseGraph, init_poses):
-        poses = init_poses
+    def robust_solve(g: PoseGraph, rot, trans):
         # seed switches from the initial trajectory (closed form given poses)
         # so edges wildly inconsistent with the init start down-weighted
-        switches = _update_switches(g, poses, cfg)
+        switches = _update_switches(g, rot, trans, cfg)
         cost = np.inf
         for _ in range(cfg.max_outer_iterations):
-            poses, new_cost = _solve_poses(g, poses, switches, cfg)
-            switches = _update_switches(g, poses, cfg)
+            rot, trans, new_cost = _solve_poses(g, rot, trans, switches, cfg)
+            switches = _update_switches(g, rot, trans, cfg)
             if abs(cost - new_cost) < 1e-12 * max(cost, 1.0):
                 cost = new_cost
                 break
             cost = new_cost
-        return poses, switches
+        return rot, trans, switches
 
     init = _chain_odometry(graph)
-    poses, switches = robust_solve(graph, init)
+    rot, trans = np.array([p.rotation for p in init]), np.array([p.translation for p in init])
+    rot, trans, switches = robust_solve(graph, rot, trans)
 
     pruned = [
         (e.i, e.j)
@@ -353,7 +339,8 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
         survivors = PoseGraph(
             graph.num_nodes, [e for e in graph.edges if (e.i, e.j) not in set(pruned)]
         )
-        poses, switches = robust_solve(survivors, poses)
+        rot, trans, switches = robust_solve(survivors, rot, trans)
+    poses = [RigidPose(euler_from_rotation(r), t) for r, t in zip(rot, trans)]
     return GraphSolution(poses, switches, pruned)
 
 

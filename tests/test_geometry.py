@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from objreg.geometry import (
     Intrinsics,
@@ -12,6 +14,9 @@ from objreg.geometry import (
     invert,
     rotation_from_euler,
     euler_from_rotation,
+    skew,
+    so3_exp,
+    so3_log,
 )
 
 RNG = np.random.default_rng(42)
@@ -163,6 +168,34 @@ class TestApplyObject:
             ObjectPose(scale=np.array([1.0, np.inf, 1.0]))
         with pytest.raises(ValueError):
             ObjectPose(scale=np.array([1.0, -0.1, 1.0]))
+
+
+rotation_vectors = st.lists(
+    st.floats(-np.pi, np.pi, allow_nan=False), min_size=3, max_size=3
+).map(np.array)
+
+
+class TestSO3:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rotation_vectors)
+    def test_log_inverts_exp(self, w):
+        # Log is the principal branch: an exact inverse only inside the pi-ball
+        assume(np.linalg.norm(w) < np.pi - 1e-6)
+        assert np.abs(so3_log(so3_exp(w)) - w).max() < 1e-9
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=3, max_size=3).map(np.array))
+    def test_exp_is_proper_rotation(self, w):
+        r = so3_exp(w)
+        assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
+        assert abs(np.linalg.det(r) - 1.0) < 1e-12
+
+    def test_batched_shapes_and_axis_oracle(self):
+        w = np.array([[0.0, 0.0, np.pi / 2], [0.3, -0.2, 0.1]])
+        r = so3_exp(w)
+        assert r.shape == (2, 3, 3) and so3_log(r).shape == (2, 3)
+        assert np.allclose(r[0], rot_z(np.pi / 2).rotation, atol=1e-15)
+        assert np.allclose(skew(w[1]) @ w[0], np.cross(w[1], w[0]))
 
 
 class TestBackProject:

@@ -86,6 +86,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match="embedding length"):
             FrameSet([Frame(0)], observations=[a, b]).validate()
 
+    def test_duplicate_observation_rejected_at_load(self, tmp_path):
+        obs = [make_obs(frame=1, det=4), make_obs(frame=1, det=5), make_obs(frame=0, det=4)]
+        path = tmp_path / "dup.json"
+        save_problem(FrameSet([Frame(0), Frame(1)], observations=obs), path)
+        doc = json.loads(path.read_text())
+        doc["observations"][1]["detection_id"] = 4
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ValidationError, match=r"observation \(frame=1, detection_id=4\): duplicate"
+        ):
+            load_problem(path)
+
     def test_bad_symmetry(self):
         with pytest.raises(ValidationError, match="symmetry"):
             FrameSet([Frame(0)], observations=[make_obs(symmetry="weird")]).validate()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert
+from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert, so3_exp
 from objreg.joint_solver import PairResult, SolveReport
 from objreg.metrics import Trajectory, ate_rmse
 from objreg.posegraph import (
@@ -13,6 +13,9 @@ from objreg.posegraph import (
     optimize_graph,
     register_sequence,
     reject_loop_closure,
+    _edge_arrays,
+    _edge_errors,
+    _edge_jacobians,
 )
 from objreg.synth import SynthConfig, generate
 
@@ -192,6 +195,54 @@ class TestOptimizeGraph:
         edges = [GraphEdge(0, 1, RigidPose.identity(), 1.0, True, "odometry")]
         with pytest.raises(ValueError, match="not connected"):
             optimize_graph(PoseGraph(2, edges))
+
+
+def random_rotations(rng, count, max_angle=3.0):
+    axes = rng.normal(size=(count, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return so3_exp(axes * rng.uniform(0, max_angle, (count, 1)))
+
+
+class TestEdgeJacobian:
+    def test_matches_central_differences(self):
+        # every node perturbed through the solver's retraction
+        # R <- R Exp(phi), t <- t + dt; same error measure as criterion 03
+        h, worst = 1e-6, 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(900 + seed)
+            n, m = 8, 14
+            rot, trans = random_rotations(rng, n), rng.uniform(-2, 2, (n, 3))
+            pairs = [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(m)]
+            rel = [
+                RigidPose.from_matrix(np.block([[r, rng.uniform(-1, 1, (3, 1))], [0, 0, 0, 1]]))
+                for r in random_rotations(rng, m)
+            ]
+            graph = PoseGraph(
+                n, [GraphEdge(i, j, d, 1.0, False, "odometry") for (i, j), d in zip(pairs, rel)]
+            )
+            edges = _edge_arrays(graph)
+            err, err_rot = _edge_errors(rot, trans, edges)
+            jac_i, jac_j = _edge_jacobians(rot, edges, err, err_rot)
+            analytic = np.zeros((6 * m, 6 * n))
+            for k, (i, j) in enumerate(pairs):
+                analytic[6 * k : 6 * k + 6, 6 * i : 6 * i + 6] = jac_i[k]
+                analytic[6 * k : 6 * k + 6, 6 * j : 6 * j + 6] = jac_j[k]
+            numeric = np.zeros_like(analytic)
+            for node in range(n):
+                for a in range(6):
+                    out = []
+                    for sign in (1.0, -1.0):
+                        r, t = rot.copy(), trans.copy()
+                        step = np.zeros(6)
+                        step[a] = sign * h
+                        r[node] = r[node] @ so3_exp(step[:3])
+                        t[node] += step[3:]
+                        out.append(_edge_errors(r, t, edges)[0].ravel())
+                    numeric[:, 6 * node + a] = (out[0] - out[1]) / (2 * h)
+            mag = np.maximum(np.abs(analytic), np.abs(numeric))
+            mask = mag > 1e-8
+            worst = max(worst, float(np.max(np.abs(analytic - numeric)[mask] / mag[mask])))
+        assert worst < 1e-5
 
 
 class TestCandidateLoopPairs:
