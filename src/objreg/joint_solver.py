@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .matching import MatchConfig, ObjectTrack, PairMatch, match_pair
 from .metrics import pose_error
-from .observations import FrameSet
+from .observations import NOC_FILTER, FrameSet
 from .procrustes import (
     DegenerateAlignmentError,
     FilterConfig,
@@ -48,7 +48,6 @@ __all__ = [
     "register_pair",
 ]
 
-MIN_NOC_PAIRS = 15
 MIN_KEYPOINT_PAIRS = 5
 _LOG_SCALE_FLOOR = np.log(1e-3)
 
@@ -132,27 +131,21 @@ def default_keypoint_filter(threshold: float = 0.20) -> FilterConfig:
     return FilterConfig(threshold, min_pairs=MIN_KEYPOINT_PAIRS)
 
 
-def default_object_filter(threshold: float = 0.20) -> FilterConfig:
-    return FilterConfig(threshold, min_pairs=MIN_NOC_PAIRS)
-
-
 def build_problem(
     fs: FrameSet,
     tracks: list[ObjectTrack],
     cfg: SolverConfig | None = None,
     keypoint_filter: FilterConfig | None = None,
-    object_filter: FilterConfig | None = None,
 ) -> RegistrationProblem:
     """Filter raw constraints into solver blocks and initialize variables.
 
     Keypoint matches are Kabsch-filtered per frame pair (dropped below 5
-    survivors); each object observation's NOC-depth pairs are Kabsch-filtered
-    intra-frame (dropped below 15 survivors); tracks observed in fewer than 2
-    surviving frames are dropped.
+    survivors); each object observation contributes the inliers of its
+    intra-frame ``noc_fit`` (dropped below 15 survivors); tracks observed in
+    fewer than 2 surviving frames are dropped.
     """
     cfg = cfg or SolverConfig()
     keypoint_filter = keypoint_filter or default_keypoint_filter()
-    object_filter = object_filter or default_object_filter()
 
     kp_blocks = []
     grouped: dict[tuple[int, int], list] = {}
@@ -180,21 +173,14 @@ def build_problem(
         frames, nocs, depths, local_poses, scales = [], [], [], [], []
         for frame, det in sorted(track.members):
             obs = obs_index[(frame, det)]
-            if len(obs) < MIN_NOC_PAIRS:
+            fit = obs.noc_fit
+            if fit is None:
                 continue
-            try:
-                res = kabsch_filter(
-                    obs.noc_points * obs.scale_estimate, obs.depth_points, object_filter
-                )
-            except DegenerateAlignmentError:
-                continue
-            keep = res.inlier_flags
-            if keep.sum() < MIN_NOC_PAIRS:
-                continue
+            keep = fit.inlier_flags
             frames.append(frame)
             nocs.append(obs.noc_points[keep])
             depths.append(obs.depth_points[keep])
-            local_poses.append(res.pose)
+            local_poses.append(fit.pose)
             scales.append(obs.scale_estimate)
         if len(frames) < 2:
             continue
@@ -440,7 +426,7 @@ def _prune(problem, state, active_kp, active_obj, threshold):
                 b, blk.noc_points[k]
             )
             bad = active_obj[b][k] & (np.linalg.norm(res, axis=1) > threshold)
-            if (active_obj[b][k].sum() - bad.sum()) >= MIN_NOC_PAIRS:
+            if (active_obj[b][k].sum() - bad.sum()) >= NOC_FILTER.min_pairs:
                 pruned += int(bad.sum())
                 active_obj[b][k] &= ~bad
     return pruned
@@ -558,21 +544,19 @@ def register_pair(
     use_objects: bool = True,
     use_keypoints: bool = True,
     keypoint_filter: FilterConfig | None = None,
-    object_filter: FilterConfig | None = None,
 ) -> PairResult:
     """Full pairwise registration: object matching, joint solve, optional ICP."""
     if fs.num_frames != 2:
         raise ValueError("register_pair expects exactly 2 frames")
     mcfg = mcfg or MatchConfig()
     scfg = scfg or SolverConfig()
-    object_filter = object_filter or default_object_filter()
 
     keypoints = [km for km in fs.keypoint_matches if len(km)] if use_keypoints else []
     obs_a = fs.observations_in_frame(0)
     obs_b = fs.observations_in_frame(1)
     matches = []
     if use_objects:
-        matches = match_pair(obs_a, obs_b, mcfg, bool(keypoints), object_filter)
+        matches = match_pair(obs_a, obs_b, mcfg, bool(keypoints))
     if not keypoints and not matches:
         return PairResult(False, "no keypoint matches and no object matches")
 
@@ -587,7 +571,7 @@ def register_pair(
         )
     sub = FrameSet(fs.frames, keypoints, fs.observations, fs.ground_truth)
     try:
-        problem = build_problem(sub, tracks, scfg, keypoint_filter, object_filter)
+        problem = build_problem(sub, tracks, scfg, keypoint_filter)
         report = gauss_newton_solve(problem)
     except (UnsolvableProblemError, DegenerateAlignmentError) as e:
         return PairResult(False, str(e), matches=matches)

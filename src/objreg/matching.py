@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .observations import ObjectObservation
-from .procrustes import DegenerateAlignmentError, FilterConfig, kabsch_filter
+from .procrustes import kabsch_filter  # noqa: F401  (bench/tracing.py patches this name)
 
 __all__ = [
     "MatchConfig",
@@ -84,23 +84,11 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()))
 
 
-def _surviving_noc_pairs(obs: ObjectObservation, filter_cfg: FilterConfig) -> int:
-    """Inlier count of the intra-frame NOC-depth Kabsch filter (scale applied)."""
-    if len(obs) < filter_cfg.min_pairs:
-        return 0
-    try:
-        res = kabsch_filter(obs.noc_points * obs.scale_estimate, obs.depth_points, filter_cfg)
-    except DegenerateAlignmentError:
-        return 0
-    return res.num_inliers
-
-
 def match_pair(
     frame_a_obs: list[ObjectObservation],
     frame_b_obs: list[ObjectObservation],
     cfg: MatchConfig | None = None,
     keypoints_present: bool = False,
-    filter_cfg: FilterConfig | None = None,
 ) -> list[PairMatch]:
     """Match object observations between two frames.
 
@@ -109,10 +97,10 @@ def match_pair(
     distances, then gated by the distance threshold and per-axis scale ratio.
     If nothing passes the strict threshold and no keypoints exist, the looser
     fallback threshold is tried. With top_k = 1 only the candidate with the
-    most surviving NOC-depth constraints is kept.
+    most surviving NOC-depth constraints (inliers of both observations'
+    ``noc_fit``) is kept.
     """
     cfg = cfg or MatchConfig()
-    filter_cfg = filter_cfg or FilterConfig(min_pairs=15)
 
     def eligible(obs_list):
         return [
@@ -158,9 +146,8 @@ def match_pair(
         matches = assign(cfg.fallback_threshold)
 
     for m in matches:
-        m.surviving_pairs = _surviving_noc_pairs(
-            frame_a_obs[m.index_a], filter_cfg
-        ) + _surviving_noc_pairs(frame_b_obs[m.index_b], filter_cfg)
+        fits = (frame_a_obs[m.index_a].noc_fit, frame_b_obs[m.index_b].noc_fit)
+        m.surviving_pairs = sum(f.num_inliers for f in fits if f is not None)
 
     if cfg.top_k >= 1 and len(matches) > cfg.top_k:
         matches = sorted(

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .geometry import RigidPose, euler_from_rotation
+from .procrustes import _kabsch
 
 __all__ = [
     "Trajectory",
@@ -95,12 +96,8 @@ def ate_rmse(est: Trajectory, gt: Trajectory, max_time_diff: float = 0.02) -> fl
         raise ValueError(f"only {len(pairs)} timestamp associations (need >= 2)")
     a = est.translations[[i for i, _ in pairs]]
     b = gt.translations[[j for _, j in pairs]]
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    cov = (b - mu_b).T @ (a - mu_a)
-    u, _, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(u @ vt))
-    rot = u @ np.diag([1.0, 1.0, d]) @ vt
-    t = mu_b - rot @ mu_a
+    # the raw fit: collinear trajectories still have a unique optimal residual
+    rot, t, _ = _kabsch(a, b)
     res = a @ rot.T + t - b
     return float(np.sqrt(np.mean(np.sum(res**2, axis=1))))
 

@@ -12,14 +12,20 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import Intrinsics, RigidPose
+from .procrustes import AlignmentResult, DegenerateAlignmentError, FilterConfig, kabsch_filter
 
 SCHEMA_VERSION = "objreg-problem/1"
 
 SYMMETRY_CLASSES = ("round", "square", "rectangle", "non_symmetric")
+
+# Intra-frame NOC-depth filter: an observation counts only with at least
+# min_pairs survivors of the 0.20 m Kabsch filter.
+NOC_FILTER = FilterConfig(0.20, min_pairs=15)
 
 __all__ = [
     "KeypointMatch",
@@ -30,6 +36,7 @@ __all__ = [
     "save_problem",
     "SYMMETRY_CLASSES",
     "SCHEMA_VERSION",
+    "NOC_FILTER",
 ]
 
 
@@ -75,6 +82,17 @@ class ObjectObservation:
 
     def __len__(self):
         return len(self.noc_points)
+
+    @cached_property
+    def noc_fit(self) -> AlignmentResult | None:
+        """Kabsch fit of the scaled NOC points onto the depth points under
+        NOC_FILTER, or None when too few pairs survive or the geometry is
+        degenerate. Computed once; shallow copies made later share it."""
+        try:
+            scaled = self.noc_points * self.scale_estimate
+            return kabsch_filter(scaled, self.depth_points, NOC_FILTER)
+        except DegenerateAlignmentError:
+            return None
 
 
 @dataclass
@@ -130,8 +148,10 @@ class FrameSet:
                 raise ValidationError(f"{name}: non-finite point")
             if np.any(np.abs(o.noc_points) > 0.5):
                 raise ValidationError(f"{name}: NOC outside [-0.5, 0.5]^3")
-            if np.any(o.scale_estimate <= 0):
-                raise ValidationError(f"{name}: non-positive scale estimate")
+            if not np.all(np.isfinite(o.scale_estimate) & (o.scale_estimate > 0)):
+                raise ValidationError(f"{name}: non-positive or non-finite scale estimate")
+            if not np.all(np.isfinite(o.embedding)):
+                raise ValidationError(f"{name}: non-finite embedding")
             if o.symmetry not in SYMMETRY_CLASSES:
                 raise ValidationError(f"{name}: unknown symmetry class {o.symmetry!r}")
             if embed_dim is None:

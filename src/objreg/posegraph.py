@@ -4,6 +4,7 @@ switches (Choi-style), and the result is a gauge-fixed trajectory."""
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,12 +26,11 @@ from .joint_solver import (
     SolveReport,
     damped_step,
     default_keypoint_filter,
-    default_object_filter,
     register_pair,
 )
 from .matching import MatchConfig
 from .metrics import Trajectory
-from .observations import Frame, FrameSet, KeypointMatch, ObjectObservation
+from .observations import Frame, FrameSet, KeypointMatch
 
 __all__ = [
     "GraphEdge",
@@ -64,8 +64,6 @@ class GraphEdge:
 @dataclass
 class GraphConfig:
     edge_prune_threshold: float = 0.45
-    loop_preference: float = 1.0  # 1.0 ScanNet-style, 0.35 TUM-style
-    max_corr_dist: float = 0.1  # ICP association radius during edge refinement
     restructure_uncertain_dist: float = 0.50  # 0.40 TUM / 0.50 ScanNet
     restructure_certain_dist: float = 0.045
     lc_near_window: int = 20
@@ -357,18 +355,10 @@ def _pair_frameset(fs: FrameSet, i: int, j: int) -> FrameSet:
     obs = []
     for o in fs.observations:
         if o.frame in (i, j):
-            obs.append(
-                ObjectObservation(
-                    0 if o.frame == i else 1,
-                    o.detection_id,
-                    o.class_label,
-                    o.noc_points,
-                    o.depth_points,
-                    o.scale_estimate,
-                    o.embedding,
-                    o.symmetry,
-                )
-            )
+            # shallow copy: shares the arrays and any cached noc_fit
+            pair_obs = copy.copy(o)
+            pair_obs.frame = 0 if o.frame == i else 1
+            obs.append(pair_obs)
     return FrameSet(frames, matches, obs)
 
 
@@ -413,6 +403,10 @@ def register_sequence(
     loop_pairs = candidate_loop_pairs(fs.num_frames)
 
     loop_mcfg = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold)
+    # fit every observation once, before the pair copies share it; worker
+    # threads then only read the cached fits
+    for o in fs.observations:
+        o.noc_fit
 
     def solve_one(pair):
         i, j = pair

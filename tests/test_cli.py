@@ -115,6 +115,14 @@ class TestEvalCommands:
 
 
 class TestRegisterSequenceCommand:
+    @pytest.mark.parametrize("key", ["loop_preference", "max_corr_dist"])
+    def test_removed_graph_config_keys_rejected(self, pair_problem, tmp_path, key):
+        cfg = tmp_path / "graph.json"
+        cfg.write_text(json.dumps({key: 1.0}))
+        with pytest.raises(SystemExit, match=key):
+            run("register-sequence", "--problem", pair_problem,
+                "--out-traj", str(tmp_path / "t.tum"), "--graph-config", str(cfg))
+
     def test_sequence_and_jobs_determinism(self, tmp_path):
         result = generate(
             SynthConfig(num_frames=6, num_objects=2, trajectory="line",

@@ -1,10 +1,15 @@
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from objreg import procrustes
 from objreg.geometry import RigidPose
+from objreg.joint_solver import register_pair
 from objreg.observations import (
+    NOC_FILTER,
     Frame,
     FrameSet,
     KeypointMatch,
@@ -13,6 +18,8 @@ from objreg.observations import (
     load_problem,
     save_problem,
 )
+from objreg.posegraph import register_sequence
+from objreg.synth import SynthConfig, generate
 
 
 def make_obs(frame=0, det=0, cls=1, n=20, rng=None, **kwargs):
@@ -103,10 +110,72 @@ class TestValidation:
             FrameSet([Frame(0)], observations=[make_obs(symmetry="weird")]).validate()
 
     def test_nonpositive_scale(self):
-        with pytest.raises(ValidationError, match="scale"):
-            FrameSet(
-                [Frame(0)], observations=[make_obs(scale_estimate=np.array([1.0, 0.0, 1.0]))]
-            ).validate()
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="scale"):
+                FrameSet(
+                    [Frame(0)], observations=[make_obs(scale_estimate=np.array([1.0, bad, 1.0]))]
+                ).validate()
+
+    def test_nonfinite_embedding_rejected_at_load(self, tmp_path):
+        path = tmp_path / "nan.json"
+        save_problem(FrameSet([Frame(0)], observations=[make_obs(det=3)]), path)
+        doc = json.loads(path.read_text())
+        doc["observations"][0]["embedding"][2] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ValidationError, match=r"observation \(frame=0, detection_id=3\): non-finite embedding"
+        ):
+            load_problem(path)
+
+
+@pytest.fixture
+def fit_counts(monkeypatch):
+    """kabsch_filter calls per target point set (by bytes), counted at every
+    objreg module that looks the function up."""
+    counts = Counter()
+    real = procrustes.kabsch_filter
+
+    def counting(source, target, cfg=None):
+        counts[np.asarray(target).tobytes()] += 1
+        return real(source, target, cfg)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("objreg") and hasattr(mod, "kabsch_filter"):
+            monkeypatch.setattr(mod, "kabsch_filter", counting)
+    return counts
+
+
+class TestNocFit:
+    def test_cached_and_none_below_min_pairs(self):
+        rng = np.random.default_rng(5)
+        noc = rng.uniform(-0.5, 0.5, (NOC_FILTER.min_pairs, 3))
+        scale = np.array([1.0, 0.8, 1.2])
+        obs = make_obs(noc_points=noc, depth_points=noc * scale + [0.1, 0.2, 2.0], scale_estimate=scale)
+        assert obs.noc_fit.num_inliers == NOC_FILTER.min_pairs
+        assert obs.noc_fit is obs.noc_fit
+        short = make_obs(noc_points=noc[1:], depth_points=obs.depth_points[1:])
+        assert short.noc_fit is None
+
+    def test_register_pair_fits_each_observation_at_most_once(self, fit_counts):
+        fs, _ = generate(SynthConfig(num_frames=2, num_objects=3, keypoints_per_pair=40,
+                                     noise_sigma_depth=0.003, rng_seed=7))
+        assert register_pair(fs).success
+        fits = [fit_counts[o.depth_points.tobytes()] for o in fs.observations]
+        assert max(fits) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_register_sequence_fits_each_observation_once(self, fit_counts, jobs):
+        fs, _ = generate(SynthConfig(num_frames=6, num_objects=2, trajectory="line",
+                                     orbit_radius=1.8, keypoints_per_pair=40,
+                                     noise_sigma_depth=0.003, rng_seed=44))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the pair-solving threads finely
+        try:
+            register_sequence(fs, jobs=jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        fits = [fit_counts[o.depth_points.tobytes()] for o in fs.observations]
+        assert fits == [1] * len(fs.observations)
 
 
 class TestSerialization:
