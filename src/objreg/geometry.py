@@ -54,10 +54,19 @@ def rotation_from_euler(angles) -> np.ndarray:
     return _rz(gz) @ _ry(gy) @ _rx(gx)
 
 
+# Row k of [v]x is e_k x v. Entry (r, c) is a - b, with a and b picked from
+# the 6-vector (v, 0 * v) by these indices: the same products and differences,
+# signed zeros included, that np.cross(np.eye(3), v) computes, without its
+# per-call cost.
+_SKEW_A = np.array([5, 3, 1, 2, 3, 4, 5, 0, 4])
+_SKEW_B = np.array([4, 2, 3, 4, 5, 0, 1, 5, 3])
+
+
 def skew(v) -> np.ndarray:
     """Cross-product matrices [v]x of (..., 3) vectors, shape (..., 3, 3)."""
-    # row k of [v]x is e_k x v
-    return np.cross(np.eye(3), np.asarray(v, dtype=float)[..., None, :])
+    v = np.asarray(v, dtype=float)
+    ext = np.concatenate([v, 0.0 * v], axis=-1)
+    return (ext[..., _SKEW_A] - ext[..., _SKEW_B]).reshape(v.shape[:-1] + (3, 3))
 
 
 def so3_exp(phi) -> np.ndarray:
@@ -108,7 +117,7 @@ class RigidPose:
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=float).reshape(3)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(self.angles)) and np.all(np.isfinite(self.translation))):
+        if not (np.isfinite(self.angles).all() and np.isfinite(self.translation).all()):
             raise ValueError("non-finite pose parameters")
 
     @classmethod
@@ -186,9 +195,10 @@ class Intrinsics:
 
 def compose(a: RigidPose, b: RigidPose) -> RigidPose:
     """Pose whose matrix is ``a.to_matrix() @ b.to_matrix()``."""
-    rot = a.rotation @ b.rotation
-    t = a.rotation @ b.translation + a.translation
-    return RigidPose(euler_from_rotation(rot), t)
+    rot_a = a.rotation
+    return RigidPose(
+        euler_from_rotation(rot_a @ b.rotation), rot_a @ b.translation + a.translation
+    )
 
 
 def invert(p: RigidPose) -> RigidPose:

@@ -219,7 +219,7 @@ def build_problem(
                 changed = True
         for blk in obj_blocks:
             anchored = [k for k, f in enumerate(blk.frames) if f in known]
-            if not anchored:
+            if not anchored or len(anchored) == len(blk.frames):
                 continue
             a = anchored[0]
             obj_world = compose(cams[blk.frames[a]], blk.local_poses[a])
@@ -347,66 +347,92 @@ class _State:
         ]
 
 
-def _assemble(problem: RegistrationProblem, state: _State, active_kp, active_obj, jac: bool):
-    """Weighted residual vector and (optionally) its Jacobian with respect to
-    the state's tangent vector: d(R Exp(phi) p)/dphi = -R [p]x."""
-    cfg = problem.config
-    r_parts, j_parts = [], []
-    nvar = state.size
-    eye = np.eye(3)
+class _Terms:
+    """The active correspondences of a problem, gathered once per active-set
+    change. Per keypoint block, and per object block and frame, a term holds
+    its masked points, weight and residual rows, the skew matrices of its
+    fixed camera-side points, and a view into one shared Jacobian buffer
+    whose constant translation entries are written here; an evaluation
+    rewrites only the rotation and scale entries."""
 
-    for b, blk in enumerate(problem.keypoint_blocks):
-        mask = active_kp[b]
-        n = mask.sum()
-        if n == 0 or cfg.w_c == 0:
-            continue
-        w = np.sqrt(cfg.w_c / len(blk))
-        pi, pj = blk.points_i[mask], blk.points_j[mask]
-        res = w * (state.to_world(blk.frame_i, pi) - state.to_world(blk.frame_j, pj))
-        r_parts.append(res.ravel())
-        if jac:
-            jb = np.zeros((n, 3, nvar))
-            for frame, pts, sign in ((blk.frame_i, pi, w), (blk.frame_j, pj, -w)):
-                off = state.cam_offset(frame)
-                if off is None:
-                    continue
-                jb[:, :, off : off + 3] = -sign * (state.cam_rot[frame] @ skew(pts))
-                jb[:, :, off + 3 : off + 6] = sign * eye
-            j_parts.append(jb.reshape(3 * n, nvar))
+    def __init__(self, problem: RegistrationProblem, state: _State, active_kp, active_obj):
+        cfg = problem.config
+        kp_blocks = problem.keypoint_blocks if cfg.w_c != 0 else []
+        obj_blocks = problem.object_blocks if cfg.w_o != 0 else []
+        masks = active_kp[: len(kp_blocks)]
+        masks += [m for frame_masks in active_obj[: len(obj_blocks)] for m in frame_masks]
+        self.jac = np.zeros((3 * sum(int(m.sum()) for m in masks), state.size))
+        self.keypoint, self.object = [], []
+        eye = np.eye(3)
+        taken = 0
 
-    for b, blk in enumerate(problem.object_blocks):
-        if cfg.w_o == 0:
-            continue
-        ro = state.obj_rot[b]
-        w = np.sqrt(cfg.w_o / blk.total_pairs())
-        ooff = state.obj_offset(b)
-        for k, frame in enumerate(blk.frames):
-            mask = active_obj[b][k]
-            n = mask.sum()
+        def claim(n):
+            """Residual rows and Jacobian view of the next n correspondences."""
+            nonlocal taken
+            rows = slice(3 * taken, 3 * (taken + n))
+            taken += n
+            return rows, self.jac[rows].reshape(n, 3, state.size)
+
+        for b, blk in enumerate(kp_blocks):
+            mask = active_kp[b]
+            n = int(mask.sum())
             if n == 0:
                 continue
-            depth = blk.depth_points[k][mask]
-            noc = blk.noc_points[k][mask]
-            res = w * (state.to_world(frame, depth) - state.object_points(b, noc))
-            r_parts.append(res.ravel())
-            if jac:
-                scaled = noc * state.obj_scale[b]
-                jb = np.zeros((n, 3, nvar))
+            rows, view = claim(n)
+            w = np.sqrt(cfg.w_c / len(blk))
+            pi, pj = blk.points_i[mask], blk.points_j[mask]
+            cams = []  # (frame, sign, column, skew) of each non-gauge camera
+            for frame, pts, sign in ((blk.frame_i, pi, w), (blk.frame_j, pj, -w)):
+                off = state.cam_offset(frame)
+                if off is not None:
+                    view[:, :, off + 3 : off + 6] = sign * eye
+                    cams.append((frame, sign, off, skew(pts)))
+            self.keypoint.append((rows, w, blk.frame_i, pi, blk.frame_j, pj, view, cams))
+
+        for b, blk in enumerate(obj_blocks):
+            w = np.sqrt(cfg.w_o / blk.total_pairs())
+            ooff = state.obj_offset(b)
+            for k, frame in enumerate(blk.frames):
+                mask = active_obj[b][k]
+                n = int(mask.sum())
+                if n == 0:
+                    continue
+                rows, view = claim(n)
+                depth, noc = blk.depth_points[k][mask], blk.noc_points[k][mask]
                 coff = state.cam_offset(frame)
                 if coff is not None:
-                    jb[:, :, coff : coff + 3] = -w * (state.cam_rot[frame] @ skew(depth))
-                    jb[:, :, coff + 3 : coff + 6] = w * eye
-                jb[:, :, ooff : ooff + 3] = w * (ro @ skew(scaled))
-                jb[:, :, ooff + 3 : ooff + 6] = -w * eye
-                # d/d log(s_a) of -R (p * s) = -s_a p_a R[:, a]
-                jb[:, :, ooff + 6 : ooff + 9] = -w * scaled[:, None, :] * ro
-                j_parts.append(jb.reshape(3 * n, nvar))
+                    view[:, :, coff + 3 : coff + 6] = w * eye
+                view[:, :, ooff + 3 : ooff + 6] = -w * eye
+                skew_depth = None if coff is None else skew(depth)
+                self.object.append((rows, w, b, frame, depth, noc, view, coff, ooff, skew_depth))
 
-    r = np.concatenate(r_parts) if r_parts else np.zeros(0)
-    if not jac:
-        return r, None
-    j = np.vstack(j_parts) if j_parts else np.zeros((0, nvar))
-    return r, j
+
+def _residual(terms: _Terms, state: _State) -> np.ndarray:
+    """Weighted residual vector of the active correspondences."""
+    r = np.empty(len(terms.jac))
+    for rows, w, fi, pi, fj, pj, *_ in terms.keypoint:
+        r[rows] = (w * (state.to_world(fi, pi) - state.to_world(fj, pj))).ravel()
+    for rows, w, b, frame, depth, noc, *_ in terms.object:
+        r[rows] = (w * (state.to_world(frame, depth) - state.object_points(b, noc))).ravel()
+    return r
+
+
+def _jacobian(terms: _Terms, state: _State) -> np.ndarray:
+    """Jacobian of :func:`_residual` with respect to the state's tangent
+    vector, d(R Exp(phi) p)/dphi = -R [p]x, written into the terms' shared
+    buffer (valid until the next call)."""
+    for *_, view, cams in terms.keypoint:
+        for frame, sign, off, skew_pts in cams:
+            view[:, :, off : off + 3] = -sign * (state.cam_rot[frame] @ skew_pts)
+    for _, w, b, frame, _, noc, view, coff, ooff, skew_depth in terms.object:
+        ro = state.obj_rot[b]
+        scaled = noc * state.obj_scale[b]
+        if coff is not None:
+            view[:, :, coff : coff + 3] = -w * (state.cam_rot[frame] @ skew_depth)
+        view[:, :, ooff : ooff + 3] = w * (ro @ skew(scaled))
+        # d/d log(s_a) of -R (p * s) = -s_a p_a R[:, a]
+        view[:, :, ooff + 6 : ooff + 9] = -w * scaled[:, None, :] * ro
+    return terms.jac
 
 
 def _prune(problem, state, active_kp, active_obj, threshold):
@@ -451,31 +477,37 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
     def trial(delta):
         new = state.retract(delta)
         with np.errstate(over="ignore", invalid="ignore"):
-            r_new, _ = _assemble(problem, new, active_kp, active_obj, jac=False)
-        return new, float(r_new @ r_new)
+            r_new = _residual(terms, new)
+        return (new, r_new), float(r_new @ r_new)
 
     lam = 1e-6
     total_pruned = 0
     iterations = 0
     cost = None
+    terms = None
     for it in range(cfg.max_iterations):
         iterations = it + 1
-        total_pruned += _prune(problem, state, active_kp, active_obj, cfg.residual_prune)
-        r, j = _assemble(problem, state, active_kp, active_obj, jac=True)
+        pruned = _prune(problem, state, active_kp, active_obj, cfg.residual_prune)
+        total_pruned += pruned
+        if pruned or terms is None:
+            terms = _Terms(problem, state, active_kp, active_obj)
+            r = _residual(terms, state)
+        # else r is still the residual at state, from the accepted trial
+        j = _jacobian(terms, state)
         cost = float(r @ r)
         if cost < 1e-28:
             break
         new, cost_new, lam = damped_step(j.T @ j, j.T @ r, lam, cost, trial, cfg.step_halvings)
         if new is None:
             break
-        state = new
+        state, r = new
         if cost - cost_new <= cfg.convergence_tol * max(cost, 1e-30):
             cost = cost_new
             break
         cost = cost_new
 
     if cost is None:
-        r, _ = _assemble(problem, state, active_kp, active_obj, jac=False)
+        r = _residual(_Terms(problem, state, active_kp, active_obj), state)
         cost = float(r @ r)
 
     cams = state.cameras()
@@ -521,13 +553,14 @@ def numeric_jacobian_check(problem: RegistrationProblem, h: float = 1e-6) -> flo
     active_obj = [
         [np.ones(len(p), dtype=bool) for p in b.noc_points] for b in problem.object_blocks
     ]
-    _, j_analytic = _assemble(problem, state, active_kp, active_obj, jac=True)
+    terms = _Terms(problem, state, active_kp, active_obj)
+    j_analytic = _jacobian(terms, state)
     j_num = np.zeros_like(j_analytic)
     for k in range(state.size):
         step = np.zeros(state.size)
         step[k] = h
-        rp, _ = _assemble(problem, state.retract(step), active_kp, active_obj, jac=False)
-        rm, _ = _assemble(problem, state.retract(-step), active_kp, active_obj, jac=False)
+        rp = _residual(terms, state.retract(step))
+        rm = _residual(terms, state.retract(-step))
         j_num[:, k] = (rp - rm) / (2 * h)
     mag = np.maximum(np.abs(j_analytic), np.abs(j_num))
     mask = mag > 1e-8
@@ -545,7 +578,9 @@ def register_pair(
     use_keypoints: bool = True,
     keypoint_filter: FilterConfig | None = None,
 ) -> PairResult:
-    """Full pairwise registration: object matching, joint solve, optional ICP."""
+    """Full pairwise registration: object matching, joint solve, optional ICP.
+    Raises ValidationError, naming the bad record, on malformed input."""
+    fs.validate()
     if fs.num_frames != 2:
         raise ValueError("register_pair expects exactly 2 frames")
     mcfg = mcfg or MatchConfig()

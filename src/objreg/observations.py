@@ -131,7 +131,7 @@ class FrameSet:
                     raise ValidationError(f"keypoint match {m}: dangling frame index {fr}")
             if len(km.points_i) != len(km.points_j):
                 raise ValidationError(f"keypoint match {m}: point count mismatch")
-            if not (np.all(np.isfinite(km.points_i)) and np.all(np.isfinite(km.points_j))):
+            if not (np.isfinite(km.points_i).all() and np.isfinite(km.points_j).all()):
                 raise ValidationError(f"keypoint match {m}: non-finite point")
         embed_dim = None
         seen = set()
@@ -144,13 +144,13 @@ class FrameSet:
                 raise ValidationError(f"{name}: dangling frame index")
             if len(o.noc_points) != len(o.depth_points):
                 raise ValidationError(f"{name}: NOC/depth count mismatch")
-            if not np.all(np.isfinite(o.noc_points)) or not np.all(np.isfinite(o.depth_points)):
+            if not (np.isfinite(o.noc_points).all() and np.isfinite(o.depth_points).all()):
                 raise ValidationError(f"{name}: non-finite point")
-            if np.any(np.abs(o.noc_points) > 0.5):
+            if (np.abs(o.noc_points) > 0.5).any():
                 raise ValidationError(f"{name}: NOC outside [-0.5, 0.5]^3")
-            if not np.all(np.isfinite(o.scale_estimate) & (o.scale_estimate > 0)):
+            if not (np.isfinite(o.scale_estimate) & (o.scale_estimate > 0)).all():
                 raise ValidationError(f"{name}: non-positive or non-finite scale estimate")
-            if not np.all(np.isfinite(o.embedding)):
+            if not np.isfinite(o.embedding).all():
                 raise ValidationError(f"{name}: non-finite embedding")
             if o.symmetry not in SYMMETRY_CLASSES:
                 raise ValidationError(f"{name}: unknown symmetry class {o.symmetry!r}")

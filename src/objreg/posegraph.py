@@ -231,13 +231,13 @@ def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
     return poses
 
 
-def _solve_poses(graph, rot, trans, switches, cfg):
+def _solve_poses(graph, edges, rot, trans, switches, cfg):
     """Damped GN over node poses with fixed switch weights; node 0 pinned.
+    ``edges`` is ``_edge_arrays(graph)``.
 
     Node rotations are retracted by right-multiplied increments, translations
     additively; the tangent vector packs (phi, dt) per node 1..n-1."""
     n, m = graph.num_nodes, len(graph.edges)
-    edges = _edge_arrays(graph)
     weights = np.array([max(e.information_weight, 1.0) for e in graph.edges])
     sqrt_w = np.sqrt(
         weights / weights.mean() * np.array([switches.get((e.i, e.j), 1.0) for e in graph.edges])
@@ -272,18 +272,43 @@ def _solve_poses(graph, rot, trans, switches, cfg):
     return rot, trans, cost
 
 
-def _update_switches(graph, rot, trans, cfg) -> dict:
+def _update_switches(graph, edges, rot, trans, cfg) -> dict:
     # closed-form minimizer of s * w * ||r||^2 + mu * (sqrt(s) - 1)^2; the
     # weight is the raw correspondence count, which sets the scale mu = 100
     # is calibrated against
     mu = cfg.line_process_mu
-    err, _ = _edge_errors(rot, trans, _edge_arrays(graph))
+    err, _ = _edge_errors(rot, trans, edges)
     switches = {}
     for e, row in zip(graph.edges, err):
         if e.uncertain:
             u = mu / (max(e.information_weight, 1.0) * float(row @ row) + mu)
             switches[(e.i, e.j)] = u * u
     return switches
+
+
+def _keep_bridges_certain(graph: PoseGraph) -> tuple[PoseGraph, list[tuple[int, int]]]:
+    """Make certain each uncertain odometry edge that joins two components of
+    the certain edges, so that one long step cannot cut the graph apart.
+    Returns the graph (unchanged when it has no such edge) and those edges."""
+    root = list(range(graph.num_nodes))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for e in graph.edges:
+        if not e.uncertain:
+            root[find(e.i)] = find(e.j)
+    edges, bridges = [], []
+    for e in graph.edges:
+        if e.uncertain and e.kind == "odometry" and find(e.i) != find(e.j):
+            root[find(e.i)] = find(e.j)
+            e = replace(e, uncertain=False)
+            bridges.append((e.i, e.j))
+        edges.append(e)
+    return (PoseGraph(graph.num_nodes, edges) if bridges else graph), bridges
 
 
 def _certain_connected(graph: PoseGraph) -> bool:
@@ -313,11 +338,12 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
     def robust_solve(g: PoseGraph, rot, trans):
         # seed switches from the initial trajectory (closed form given poses)
         # so edges wildly inconsistent with the init start down-weighted
-        switches = _update_switches(g, rot, trans, cfg)
+        edges = _edge_arrays(g)
+        switches = _update_switches(g, edges, rot, trans, cfg)
         cost = np.inf
         for _ in range(cfg.max_outer_iterations):
-            rot, trans, new_cost = _solve_poses(g, rot, trans, switches, cfg)
-            switches = _update_switches(g, rot, trans, cfg)
+            rot, trans, new_cost = _solve_poses(g, edges, rot, trans, switches, cfg)
+            switches = _update_switches(g, edges, rot, trans, cfg)
             if abs(cost - new_cost) < 1e-12 * max(cost, 1.0):
                 cost = new_cost
                 break
@@ -342,16 +368,26 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
     return GraphSolution(poses, switches, pruned)
 
 
-def _pair_frameset(fs: FrameSet, i: int, j: int) -> FrameSet:
+def _match_index(fs: FrameSet) -> dict:
+    """Keypoint matches keyed by unordered frame pair ``(lo, hi)``, each list
+    in file order."""
+    index = {}
+    for km in fs.keypoint_matches:
+        index.setdefault(tuple(sorted((km.frame_i, km.frame_j))), []).append(km)
+    return index
+
+
+def _pair_frameset(fs: FrameSet, i: int, j: int, match_index: dict) -> FrameSet:
+    """Frames i, j of ``fs`` as a 2-frame set (i becomes 0, j becomes 1);
+    ``match_index`` is ``_match_index(fs)``."""
     frames = [Frame(0, fs.frames[i].intrinsics, fs.frames[i].timestamp),
               Frame(1, fs.frames[j].intrinsics, fs.frames[j].timestamp)]
     matches = []
-    for km in fs.keypoint_matches:
-        if {km.frame_i, km.frame_j} == {i, j}:
-            if km.frame_i == i:
-                matches.append(KeypointMatch(0, 1, km.points_i, km.points_j))
-            else:
-                matches.append(KeypointMatch(0, 1, km.points_j, km.points_i))
+    for km in match_index.get(tuple(sorted((i, j))), ()):
+        if km.frame_i == i:
+            matches.append(KeypointMatch(0, 1, km.points_i, km.points_j))
+        else:
+            matches.append(KeypointMatch(0, 1, km.points_j, km.points_i))
     obs = []
     for o in fs.observations:
         if o.frame in (i, j):
@@ -392,7 +428,11 @@ def register_sequence(
 ) -> SequenceResult:
     """Register a sequence: pairwise solves on consecutive pairs (0.30 m
     keypoint filter) and candidate loop pairs (0.15 m filter, 0.04 object
-    match threshold), then robust graph optimization."""
+    match threshold), then robust graph optimization. An odometry step too
+    long to be certain stays certain where it is the only certain link
+    between two parts of the graph; ``diagnostics["certain_bridges"]``
+    lists those steps."""
+    fs.validate()
     if fs.num_frames < 2:
         raise ValueError("need at least 2 frames")
     mcfg = mcfg or MatchConfig()
@@ -407,10 +447,11 @@ def register_sequence(
     # threads then only read the cached fits
     for o in fs.observations:
         o.noc_fit
+    match_index = _match_index(fs)
 
     def solve_one(pair):
         i, j = pair
-        sub = _pair_frameset(fs, i, j)
+        sub = _pair_frameset(fs, i, j, match_index)
         if j == i + 1:
             return pair, register_pair(
                 sub, mcfg, scfg, icp=icp, keypoint_filter=default_keypoint_filter(0.30)
@@ -437,7 +478,7 @@ def register_sequence(
             + ", ".join(f"{p}: {results[p].reason}" for p in failed_odo)
         )
 
-    graph = build_graph(results, fs.num_frames, gcfg)
+    graph, bridges = _keep_bridges_certain(build_graph(results, fs.num_frames, gcfg))
     solution = optimize_graph(graph, gcfg)
     timestamps = np.array(
         [f.timestamp if f.timestamp is not None else float(f.index) for f in fs.frames]
@@ -447,6 +488,7 @@ def register_sequence(
         "num_edges": len(graph.edges),
         "num_loop_edges": sum(1 for e in graph.edges if e.kind == "loop_closure"),
         "pruned_edges": solution.pruned,
+        "certain_bridges": bridges,
         "failed_pairs": {p: r.reason for p, r in results.items() if not r.success},
     }
     return SequenceResult(traj, graph, solution, results, diag)

@@ -75,14 +75,8 @@ def _kabsch(source, target, weights=None):
     return rot, t, s
 
 
-def kabsch_solve(source, target, weights=None) -> AlignmentResult:
-    """Least-squares rigid alignment of paired point sets (source onto target).
-
-    Raises DegenerateAlignmentError for < 3 pairs or (near-)collinear
-    configurations where the rotation is not unique.
-    """
-    source = np.asarray(source, dtype=float).reshape(-1, 3)
-    target = np.asarray(target, dtype=float).reshape(-1, 3)
+def _kabsch_pose(source, target, weights=None) -> RigidPose:
+    """The pose of :func:`kabsch_solve`, without its residual."""
     if len(source) != len(target):
         raise ValueError("source/target length mismatch")
     if len(source) < 3:
@@ -92,7 +86,18 @@ def kabsch_solve(source, target, weights=None) -> AlignmentResult:
     scale_ref = max(svals[0], 1e-30)
     if svals[1] / scale_ref < 1e-9:
         raise DegenerateAlignmentError("rank-deficient cross-covariance (collinear points)")
-    pose = RigidPose(euler_from_rotation(rot), t)
+    return RigidPose(euler_from_rotation(rot), t)
+
+
+def kabsch_solve(source, target, weights=None) -> AlignmentResult:
+    """Least-squares rigid alignment of paired point sets (source onto target).
+
+    Raises DegenerateAlignmentError for < 3 pairs or (near-)collinear
+    configurations where the rotation is not unique.
+    """
+    source = np.asarray(source, dtype=float).reshape(-1, 3)
+    target = np.asarray(target, dtype=float).reshape(-1, 3)
+    pose = _kabsch_pose(source, target, weights)
     res = apply_rigid(pose, source) - target
     rms = float(np.sqrt(np.mean(np.sum(res**2, axis=1))))
     return AlignmentResult(pose, rms, np.ones(len(source), dtype=bool))
@@ -114,11 +119,11 @@ def kabsch_filter(source, target, cfg: FilterConfig | None = None) -> AlignmentR
             raise DegenerateAlignmentError(
                 f"{int(inliers.sum())} surviving pairs < min_pairs={cfg.min_pairs}"
             )
-        sol = kabsch_solve(source[inliers], target[inliers])
-        res = np.linalg.norm(apply_rigid(sol.pose, source) - target, axis=1)
+        pose = _kabsch_pose(source[inliers], target[inliers])
+        res = np.linalg.norm(apply_rigid(pose, source) - target, axis=1)
         keep = inliers & (res <= cfg.distance_threshold)
         result = AlignmentResult(
-            sol.pose,
+            pose,
             float(np.sqrt(np.mean(res[keep] ** 2))) if keep.any() else 0.0,
             keep.copy(),
         )
@@ -172,11 +177,11 @@ def icp_refine(
         best_pose = pose
         flags = matched
         try:
-            upd = kabsch_solve(moved[matched], target[idx[matched]])
+            upd = _kabsch_pose(moved[matched], target[idx[matched]])
         except DegenerateAlignmentError:
             break
-        pose = compose(upd.pose, pose)
-        step = np.linalg.norm(upd.pose.angles) + np.linalg.norm(upd.pose.translation)
+        pose = compose(upd, pose)
+        step = np.linalg.norm(upd.angles) + np.linalg.norm(upd.translation)
         if step < 1e-6:
             best_pose = pose
             break

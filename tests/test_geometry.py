@@ -242,3 +242,17 @@ def test_intrinsics_validation():
         Intrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
     with pytest.raises(ValueError):
         Intrinsics(fx=1.0, fy=1.0, cx=20.0, cy=0.0, width=10, height=10)
+
+
+class TestSkew:
+    def test_bitwise_equal_to_cross_reference(self):
+        rng = np.random.default_rng(12)
+        for shape in [(3,), (50, 3), (4, 5, 3)]:
+            v = rng.normal(size=shape)
+            # exact and negative zeros, where np.cross yields signed zeros
+            v.flat[::4] = 0.0
+            v.flat[1::7] = -0.0
+            reference = np.cross(np.eye(3), v[..., None, :])
+            got = skew(v)
+            assert got.shape == reference.shape == shape[:-1] + (3, 3)
+            assert got.tobytes() == reference.tobytes()

@@ -5,6 +5,11 @@ from objreg.geometry import RigidPose, apply_rigid, compose, invert
 from objreg.joint_solver import (
     SolverConfig,
     UnsolvableProblemError,
+    _jacobian,
+    _prune,
+    _residual,
+    _State,
+    _Terms,
     build_problem,
     gauss_newton_solve,
     numeric_jacobian_check,
@@ -181,6 +186,111 @@ class TestJacobian:
             both = FrameSet(fs.frames, [km], fs.observations)
             problem = build_problem(both, tracks)
             assert numeric_jacobian_check(problem) < 1e-5
+
+
+def reference_assembly(problem, state, active_kp, active_obj):
+    """Weighted residuals and Jacobian the plain way: each block in its own
+    zero-filled (n, 3, nvar) array, skew matrices from np.cross, everything
+    stacked at the end."""
+    cfg = problem.config
+    nvar = state.size
+    eye = np.eye(3)
+
+    def skew(p):
+        return np.cross(np.eye(3), p[:, None, :])
+
+    r_parts, j_parts = [], []
+    for b, blk in enumerate(problem.keypoint_blocks):
+        mask = active_kp[b]
+        n = mask.sum()
+        if n == 0 or cfg.w_c == 0:
+            continue
+        w = np.sqrt(cfg.w_c / len(blk))
+        pi, pj = blk.points_i[mask], blk.points_j[mask]
+        r_parts.append((w * (state.to_world(blk.frame_i, pi) - state.to_world(blk.frame_j, pj))).ravel())
+        jb = np.zeros((n, 3, nvar))
+        for frame, pts, sign in ((blk.frame_i, pi, w), (blk.frame_j, pj, -w)):
+            off = state.cam_offset(frame)
+            if off is not None:
+                jb[:, :, off : off + 3] = -sign * (state.cam_rot[frame] @ skew(pts))
+                jb[:, :, off + 3 : off + 6] = sign * eye
+        j_parts.append(jb.reshape(3 * n, nvar))
+    for b, blk in enumerate(problem.object_blocks):
+        ro = state.obj_rot[b]
+        w = np.sqrt(cfg.w_o / blk.total_pairs())
+        ooff = state.obj_offset(b)
+        for k, frame in enumerate(blk.frames):
+            mask = active_obj[b][k]
+            n = mask.sum()
+            if n == 0:
+                continue
+            depth, noc = blk.depth_points[k][mask], blk.noc_points[k][mask]
+            r_parts.append((w * (state.to_world(frame, depth) - state.object_points(b, noc))).ravel())
+            scaled = noc * state.obj_scale[b]
+            jb = np.zeros((n, 3, nvar))
+            coff = state.cam_offset(frame)
+            if coff is not None:
+                jb[:, :, coff : coff + 3] = -w * (state.cam_rot[frame] @ skew(depth))
+                jb[:, :, coff + 3 : coff + 6] = w * eye
+            jb[:, :, ooff : ooff + 3] = w * (ro @ skew(scaled))
+            jb[:, :, ooff + 3 : ooff + 6] = -w * eye
+            jb[:, :, ooff + 6 : ooff + 9] = -w * scaled[:, None, :] * ro
+            j_parts.append(jb.reshape(3 * n, nvar))
+    return np.concatenate(r_parts), np.vstack(j_parts)
+
+
+def tracked_problem(num_frames, seed):
+    """Synthetic problem with keypoints, 10% NOC outliers and two objects
+    seen in every frame, tracked by detection id."""
+    fs, _ = generate(
+        SynthConfig(num_frames=num_frames, num_objects=2, keypoints_per_pair=40,
+                    orbit_span=np.pi / 8, noise_sigma_depth=0.003,
+                    outlier_fraction=0.10, rng_seed=seed)
+    )
+    per_frame = [fs.observations_in_frame(f) for f in range(num_frames)]
+    assert all(len(obs) == 2 for obs in per_frame)  # detection id = object
+    tracks = [
+        ObjectTrack(t, per_frame[0][t].class_label, [(f, t) for f in range(num_frames)])
+        for t in range(2)
+    ]
+    return build_problem(fs, tracks)
+
+
+class TestAssemble:
+    """The in-place assembly against the per-block reference, bit for bit,
+    over several evaluations of one set of terms, as in the solver."""
+
+    def check(self, problem, active_kp, active_obj, states):
+        terms = _Terms(problem, states[0], active_kp, active_obj)
+        for state in states:
+            r_ref, j_ref = reference_assembly(problem, state, active_kp, active_obj)
+            j = _jacobian(terms, state)
+            assert j.shape == j_ref.shape and j.tobytes() == j_ref.tobytes()
+            assert _residual(terms, state).tobytes() == r_ref.tobytes()
+
+    def all_active(self, problem):
+        return (
+            [np.ones(len(b), dtype=bool) for b in problem.keypoint_blocks],
+            [[np.ones(len(p), dtype=bool) for p in b.noc_points] for b in problem.object_blocks],
+        )
+
+    def test_pruned_masks(self):
+        problem = tracked_problem(2, seed=21)
+        state = _State.initial(problem)
+        moved = state.retract(np.random.default_rng(0).normal(0, 0.02, state.size))
+        active_kp, active_obj = self.all_active(problem)
+        assert _prune(problem, moved, active_kp, active_obj, threshold=0.05) > 0
+        masks = active_kp + [m for block in active_obj for m in block]
+        assert any(0 < m.sum() < len(m) for m in masks)
+        active_obj[1][0][:] = False  # a frame with no active pairs left
+        self.check(problem, active_kp, active_obj, [state, moved])
+
+    def test_three_frames(self):
+        problem = tracked_problem(3, seed=22)
+        assert problem.num_frames == 3 and len(problem.object_blocks) == 2
+        state = _State.initial(problem)
+        moved = state.retract(np.random.default_rng(1).normal(0, 0.02, state.size))
+        self.check(problem, *self.all_active(problem), [state, moved])
 
 
 class TestRegisterPair:

@@ -1,9 +1,13 @@
+import copy
 import json
 import sys
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objreg import procrustes
 from objreg.geometry import RigidPose
@@ -126,6 +130,74 @@ class TestValidation:
             ValidationError, match=r"observation \(frame=0, detection_id=3\): non-finite embedding"
         ):
             load_problem(path)
+
+
+@lru_cache(maxsize=None)
+def valid_pair():
+    fs, _ = generate(SynthConfig(num_frames=2, num_objects=2, keypoints_per_pair=40, rng_seed=7))
+    return fs
+
+
+class TestInMemoryValidation:
+    """register_pair and register_sequence validate a FrameSet built in
+    memory, as load_problem does a file."""
+
+    def test_register_pair_names_bad_observation(self):
+        fs = copy.deepcopy(valid_pair())
+        obs = fs.observations[0]
+        obs.scale_estimate[1] = np.nan
+        with pytest.raises(
+            ValidationError,
+            match=rf"observation \(frame={obs.frame}, detection_id={obs.detection_id}\): .*scale",
+        ):
+            register_pair(fs)
+
+    def test_register_sequence_names_bad_observation(self):
+        fs, _ = generate(SynthConfig(num_frames=4, num_objects=2, trajectory="line",
+                                     orbit_radius=1.8, keypoints_per_pair=40, rng_seed=44))
+        obs = fs.observations[-1]
+        obs.depth_points[3, 0] = np.inf
+        with pytest.raises(
+            ValidationError,
+            match=rf"observation \(frame={obs.frame}, detection_id={obs.detection_id}\): non-finite point",
+        ):
+            register_sequence(fs)
+
+
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+corruptions = st.one_of(
+    st.tuples(
+        st.just("set"),
+        st.sampled_from(
+            ["points_i", "points_j", "noc_points", "depth_points", "scale_estimate", "embedding"]
+        ),
+        non_finite,
+    ),
+    st.tuples(st.just("set"), st.just("scale_estimate"), st.floats(-2.0, 0.0)),
+    st.tuples(
+        st.just("drop"), st.sampled_from(["points_j", "noc_points", "depth_points"]), st.integers(1, 5)
+    ),
+)
+
+
+class TestCorruptedInput:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(corruptions, st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_register_pair_raises_validation_error(self, corruption, record, element):
+        """NaN/inf in points, scales or embeddings, a non-positive scale or
+        mismatched point counts end in ValidationError, never in a raw numpy
+        or scipy exception."""
+        action, name, value = corruption
+        fs = copy.deepcopy(valid_pair())
+        records = fs.keypoint_matches if name.startswith("points_") else fs.observations
+        rec = records[record % len(records)]
+        arr = getattr(rec, name)
+        if action == "set":
+            arr.flat[element % arr.size] = value
+        else:
+            setattr(rec, name, arr[:-value])
+        with pytest.raises(ValidationError):
+            register_pair(fs)
 
 
 @pytest.fixture

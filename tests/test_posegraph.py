@@ -16,7 +16,12 @@ from objreg.posegraph import (
     _edge_arrays,
     _edge_errors,
     _edge_jacobians,
+    _keep_bridges_certain,
+    _match_index,
+    _pair_frameset,
 )
+from objreg.metrics import pose_error
+from objreg.observations import KeypointMatch
 from objreg.synth import SynthConfig, generate
 
 CFG = GraphConfig()
@@ -128,6 +133,24 @@ class TestBuildGraph:
         results[(0, 2)] = fake_result(RigidPose(np.zeros(3), np.array([2.0, 0, 0])))
         graph = build_graph(results, 3)
         assert all(e.kind == "odometry" for e in graph.edges)
+
+    def test_certain_connected_graph_unchanged(self):
+        graph = build_graph(self.small(), 3)
+        kept, bridges = _keep_bridges_certain(graph)
+        assert bridges == [] and kept.edges == graph.edges
+
+    def test_long_steps_kept_certain_only_as_bridges(self):
+        results = self.small(rel=0.6)
+        # a certain loop closure (under 4.5 cm) already joins frames 0 and 2
+        results[(0, 2)] = fake_result(
+            RigidPose(np.zeros(3), np.array([0.04, 0, 0])), [obj_at([0, 0, 1.0])]
+        )
+        graph = build_graph(results, 3)
+        kept, bridges = _keep_bridges_certain(graph)
+        assert bridges == [(0, 1)]
+        assert {(e.i, e.j): e.uncertain for e in kept.edges} == {
+            (0, 1): False, (0, 2): False, (1, 2): True
+        }
 
     def test_edge_validation(self):
         with pytest.raises(ValueError):
@@ -281,8 +304,61 @@ class TestRegisterSequence:
         for pa, pb in zip(a.trajectory.poses, b.trajectory.poses):
             assert np.array_equal(pa.to_matrix(), pb.to_matrix())
 
+    def test_large_odometry_steps_registered(self):
+        # steps of 0.65 m, over restructure_uncertain_dist: every odometry
+        # edge is a bridge between certain components
+        fs, gt = generate(SynthConfig(num_frames=24, trajectory="loop", num_objects=3,
+                                      keypoints_per_pair=40, noise_sigma_depth=0.003,
+                                      rng_seed=3))
+        result = register_sequence(fs)
+        assert result.diagnostics["certain_bridges"]
+        for est, truth in zip(result.trajectory.poses, gt):
+            rot, trans = pose_error(est, truth)
+            assert rot <= 15.0 and trans <= 0.30
+
     def test_too_few_frames(self):
         fs, _ = generate(SynthConfig(num_frames=2, orbit_span=0.3, rng_seed=1))
         sub = type(fs)(fs.frames[:1])
         with pytest.raises(ValueError):
             register_sequence(sub)
+
+
+def scanned_matches(fs, i, j):
+    """(points in frame i, points in frame j) of every match between i and j,
+    by a scan over all matches."""
+    out = []
+    for km in fs.keypoint_matches:
+        if {km.frame_i, km.frame_j} == {i, j}:
+            out.append((km.points_i, km.points_j) if km.frame_i == i else (km.points_j, km.points_i))
+    return out
+
+
+def test_indexed_pair_frameset_equals_full_scan():
+    fs, _ = generate(SynthConfig(num_frames=5, num_objects=2, trajectory="line",
+                                 orbit_radius=1.8, keypoints_per_pair=20, rng_seed=8))
+    # store every other match with frame_i > frame_j, and give (0, 1) a second one
+    matches = [
+        KeypointMatch(km.frame_j, km.frame_i, km.points_j, km.points_i) if m % 2 else km
+        for m, km in enumerate(fs.keypoint_matches)
+    ]
+    first = fs.keypoint_matches[0]
+    matches.append(KeypointMatch(1, 0, first.points_j[:7] + 0.1, first.points_i[:7]))
+    fs.keypoint_matches = matches
+    assert any(km.frame_i > km.frame_j for km in fs.keypoint_matches)
+    index = _match_index(fs)
+    assert len(index[(0, 1)]) == 2
+    for i in range(fs.num_frames):
+        for j in range(fs.num_frames):
+            if i == j:
+                continue
+            sub = _pair_frameset(fs, i, j, index)
+            expected = scanned_matches(fs, i, j)
+            assert len(sub.keypoint_matches) == len(expected)
+            for km, (pi, pj) in zip(sub.keypoint_matches, expected):
+                assert (km.frame_i, km.frame_j) == (0, 1)
+                assert np.array_equal(km.points_i, pi) and np.array_equal(km.points_j, pj)
+            assert [(o.frame, o.detection_id) for o in sub.observations] == [
+                (0 if o.frame == i else 1, o.detection_id)
+                for o in fs.observations
+                if o.frame in (i, j)
+            ]
