@@ -2,8 +2,9 @@
 
 Registers an 8-frame trajectory: consecutive pairs give odometry edges,
 non-consecutive pairs are tested as loop-closure candidates (stricter
-matching threshold, plausibility rejection), and a robust pose graph with
-a line process down-weights and prunes inconsistent closures.
+matching threshold, plausibility rejection; pairs whose matched objects are
+all out of depth range are screened out before solving), and a robust pose
+graph with a line process down-weights and prunes inconsistent closures.
 
 The demo then poisons the graph with a fabricated loop closure displaced
 by one meter and shows the line process pruning it while the trajectory
@@ -50,7 +51,8 @@ def main():
     print(f"Registered {fs.num_frames} frames: "
           f"{num_odo} odometry edges, "
           f"{d['num_loop_edges']} loop-closure edges, "
-          f"{len(d['failed_pairs'])} candidate pairs failed")
+          f"{len(d['failed_pairs'])} candidate pairs failed, "
+          f"{len(d['screened_pairs'])} loop pairs screened out before solving")
     print(f"ATE RMSE vs ground truth: {ate * 1000:.2f} mm")
 
     # --- replace one genuine closure with a corrupted copy (1 m off) and

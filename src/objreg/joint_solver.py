@@ -45,6 +45,7 @@ __all__ = [
     "keypoint_residuals",
     "gauss_newton_solve",
     "numeric_jacobian_check",
+    "pair_matches",
     "register_pair",
 ]
 
@@ -569,6 +570,18 @@ def numeric_jacobian_check(problem: RegistrationProblem, h: float = 1e-6) -> flo
     return float(np.max(np.abs(j_analytic - j_num)[mask] / mag[mask]))
 
 
+def pair_matches(
+    fs: FrameSet, mcfg: MatchConfig | None = None, use_keypoints: bool = True
+) -> list[PairMatch]:
+    """Object matches between frames 0 and 1 of a 2-frame set, indexing
+    ``fs.observations_in_frame(0)`` and ``(1)``. The looser fallback
+    threshold applies only when no non-empty keypoint match is used."""
+    keypoints_present = use_keypoints and any(len(km) for km in fs.keypoint_matches)
+    return match_pair(
+        fs.observations_in_frame(0), fs.observations_in_frame(1), mcfg, keypoints_present
+    )
+
+
 def register_pair(
     fs: FrameSet,
     mcfg: MatchConfig | None = None,
@@ -577,9 +590,13 @@ def register_pair(
     use_objects: bool = True,
     use_keypoints: bool = True,
     keypoint_filter: FilterConfig | None = None,
+    matches: list[PairMatch] | None = None,
 ) -> PairResult:
     """Full pairwise registration: object matching, joint solve, optional ICP.
-    Raises ValidationError, naming the bad record, on malformed input."""
+    ``matches`` are the pair's object matches if already made by
+    :func:`pair_matches` with the same ``mcfg`` and ``use_keypoints``; None
+    matches here. Raises ValidationError, naming the bad record, on malformed
+    input."""
     fs.validate()
     if fs.num_frames != 2:
         raise ValueError("register_pair expects exactly 2 frames")
@@ -589,9 +606,8 @@ def register_pair(
     keypoints = [km for km in fs.keypoint_matches if len(km)] if use_keypoints else []
     obs_a = fs.observations_in_frame(0)
     obs_b = fs.observations_in_frame(1)
-    matches = []
-    if use_objects:
-        matches = match_pair(obs_a, obs_b, mcfg, bool(keypoints))
+    if matches is None:
+        matches = pair_matches(fs, mcfg, use_keypoints) if use_objects else []
     if not keypoints and not matches:
         return PairResult(False, "no keypoint matches and no object matches")
 

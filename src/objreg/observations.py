@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -122,6 +123,8 @@ class FrameSet:
         for k, f in enumerate(self.frames):
             if f.index != k:
                 raise ValidationError(f"frame indices must be dense 0..K-1, got {f.index} at {k}")
+            if f.timestamp is not None and not np.isfinite(f.timestamp):
+                raise ValidationError(f"frame {k}: non-finite timestamp")
         n = self.num_frames
         for m, km in enumerate(self.keypoint_matches):
             if km.frame_i == km.frame_j:
@@ -241,44 +244,80 @@ def save_problem(fs: FrameSet, path: str | os.PathLike) -> None:
     os.replace(tmp, path)
 
 
+@contextmanager
+def _record(name: str):
+    """Re-raise a parse error of the record ``name`` (a missing key, a wrong
+    type, a ragged or non-numeric array) as a ValidationError naming it."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ValidationError(f"{name}: malformed record ({type(e).__name__}: {e})") from e
+
+
+def _records(doc: dict, key: str, name: str, parse) -> list:
+    """``parse(rec)`` of each record in ``doc[key]``, named ``f"{name} {k}"``
+    in errors."""
+    out = []
+    with _record(key):
+        for k, rec in enumerate(doc[key]):
+            with _record(f"{name} {k}"):
+                out.append(parse(rec))
+    return out
+
+
+def _points(rec: dict, key: str) -> np.ndarray:
+    return np.array(rec[key], dtype=float).reshape(-1, 3)
+
+
+def _frame(rec: dict) -> Frame:
+    intr = None
+    if "intrinsics" in rec:
+        ir = rec["intrinsics"]
+        intr = Intrinsics(ir["fx"], ir["fy"], ir["cx"], ir["cy"], ir["width"], ir["height"])
+    ts = rec.get("timestamp")
+    return Frame(rec["index"], intr, None if ts is None else float(ts))
+
+
 def _frameset_from_dict(doc: dict) -> FrameSet:
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema {doc.get('schema')!r}")
-    frames = []
-    for rec in doc["frames"]:
-        intr = None
-        if "intrinsics" in rec:
-            ir = rec["intrinsics"]
-            intr = Intrinsics(ir["fx"], ir["fy"], ir["cx"], ir["cy"], ir["width"], ir["height"])
-        frames.append(Frame(rec["index"], intr, rec.get("timestamp")))
-    matches = [
-        KeypointMatch(
-            rec["frame_i"],
-            rec["frame_j"],
-            np.array(rec["points_i"], dtype=float).reshape(-1, 3),
-            np.array(rec["points_j"], dtype=float).reshape(-1, 3),
-        )
-        for rec in doc["keypoint_matches"]
-    ]
-    obs = [
-        ObjectObservation(
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise ValidationError(f"unsupported schema {schema!r}")
+    frames = _records(doc, "frames", "frame", _frame)
+    matches = _records(
+        doc,
+        "keypoint_matches",
+        "keypoint match",
+        lambda rec: KeypointMatch(
+            rec["frame_i"], rec["frame_j"], _points(rec, "points_i"), _points(rec, "points_j")
+        ),
+    )
+    obs = _records(
+        doc,
+        "observations",
+        "observation",
+        lambda rec: ObjectObservation(
             rec["frame"],
             rec["detection_id"],
             rec["class_label"],
-            np.array(rec["noc_points"], dtype=float).reshape(-1, 3),
-            np.array(rec["depth_points"], dtype=float).reshape(-1, 3),
+            _points(rec, "noc_points"),
+            _points(rec, "depth_points"),
             np.array(rec["scale_estimate"], dtype=float),
             np.array(rec["embedding"], dtype=float),
             rec["symmetry"],
-        )
-        for rec in doc["observations"]
-    ]
+        ),
+    )
     gt = None
     if "ground_truth" in doc:
-        gt = [
-            RigidPose(np.array(rec["angles"], dtype=float), np.array(rec["translation"], dtype=float))
-            for rec in doc["ground_truth"]
-        ]
+        gt = _records(
+            doc,
+            "ground_truth",
+            "ground_truth pose",
+            lambda rec: RigidPose(
+                np.array(rec["angles"], dtype=float), np.array(rec["translation"], dtype=float)
+            ),
+        )
     return FrameSet(frames, matches, obs, gt).validate()
 
 

@@ -26,6 +26,7 @@ from .joint_solver import (
     SolveReport,
     damped_step,
     default_keypoint_filter,
+    pair_matches,
     register_pair,
 )
 from .matching import MatchConfig
@@ -90,16 +91,21 @@ class GraphSolution:
     warning: str | None = None
 
 
+def _depth_in_range(zs, cfg: GraphConfig, margin: float = 0.0) -> bool:
+    """Whether an object's camera-local depths put it in range of a camera:
+    some depth in (-margin, lc_object_max_depth + margin)."""
+    return any(-margin < z < cfg.lc_object_max_depth + margin for z in zs)
+
+
 def reject_loop_closure(
     result: PairResult, pair: tuple[int, int], cfg: GraphConfig
 ) -> tuple[bool, str]:
     """Vet a non-consecutive pairwise registration for use as a loop edge.
 
-    Object-supported closures must have a matched object whose camera-local
-    depth is < 2.15 m in at least one frame, positive z in at least one
-    frame, and no near-zero optimized scale dimension. Keypoint-only
-    closures must keep their relative translation under 0.60 m (within 20
-    frames) or 1.5 m (farther apart).
+    Object-supported closures must have a matched object, with no near-zero
+    optimized scale dimension, whose camera-local depth lies in (0, 2.15) m
+    in at least one frame. Keypoint-only closures must keep their relative
+    translation under 0.60 m (within 20 frames) or 1.5 m (farther apart).
     """
     i, j = pair
     if not result.success or result.report is None:
@@ -116,7 +122,7 @@ def reject_loop_closure(
             zs = [
                 float(apply_rigid(ci, obj.translation[None, :])[0, 2]) for ci in cam_invs
             ]
-            if any(z > 0 for z in zs) and any(0 < z < cfg.lc_object_max_depth for z in zs):
+            if _depth_in_range(zs, cfg):
                 return True, "object_supported"
         return False, "object_depth_out_of_range"
     trans = float(np.linalg.norm(report.camera_poses[1].translation))
@@ -398,6 +404,24 @@ def _pair_frameset(fs: FrameSet, i: int, j: int, match_index: dict) -> FrameSet:
     return FrameSet(frames, matches, obs)
 
 
+def _screened_out(sub: FrameSet, matches, scfg: SolverConfig, gcfg: GraphConfig) -> bool:
+    """Whether loop pair ``sub`` can be rejected before it is solved: every
+    matched object's ``noc_fit`` depth in both frames lies outside the range
+    ``reject_loop_closure`` accepts, by the margin ``scfg.residual_prune``.
+    Decides only pairs whose solve would be vetted on objects: objects
+    weighted, some matched, and every matched observation fitted."""
+    if scfg.w_o == 0 or not matches:
+        return False
+    obs_a, obs_b = sub.observations_in_frame(0), sub.observations_in_frame(1)
+    fits = [(obs_a[m.index_a].noc_fit, obs_b[m.index_b].noc_fit) for m in matches]
+    if any(f is None for pair in fits for f in pair):
+        return False
+    return not any(
+        _depth_in_range([f.pose.translation[2] for f in pair], gcfg, scfg.residual_prune)
+        for pair in fits
+    )
+
+
 @dataclass
 class SequenceResult:
     trajectory: Trajectory
@@ -428,10 +452,14 @@ def register_sequence(
 ) -> SequenceResult:
     """Register a sequence: pairwise solves on consecutive pairs (0.30 m
     keypoint filter) and candidate loop pairs (0.15 m filter, 0.04 object
-    match threshold), then robust graph optimization. An odometry step too
-    long to be certain stays certain where it is the only certain link
-    between two parts of the graph; ``diagnostics["certain_bridges"]``
-    lists those steps."""
+    match threshold), then robust graph optimization. A loop pair whose
+    matched objects are all out of depth range by ``scfg.residual_prune``
+    on their cached ``noc_fit`` poses is not solved; such pairs have no
+    ``pair_results`` entry and are listed in
+    ``diagnostics["screened_pairs"]``. An odometry step too long to be
+    certain stays certain where it is the only certain link between two
+    parts of the graph; ``diagnostics["certain_bridges"]`` lists those
+    steps."""
     fs.validate()
     if fs.num_frames < 2:
         raise ValueError("need at least 2 frames")
@@ -456,20 +484,26 @@ def register_sequence(
             return pair, register_pair(
                 sub, mcfg, scfg, icp=icp, keypoint_filter=default_keypoint_filter(0.30)
             )
+        matches = pair_matches(sub, loop_mcfg)
+        if _screened_out(sub, matches, scfg, gcfg):
+            return pair, None
         return pair, register_pair(
             sub,
             loop_mcfg,
             scfg,
             icp=icp,
             keypoint_filter=default_keypoint_filter(0.15),
+            matches=matches,
         )
 
     all_pairs = odo_pairs + loop_pairs
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(solve_one, all_pairs))
+            solved = list(pool.map(solve_one, all_pairs))
     else:
-        results = dict(map(solve_one, all_pairs))
+        solved = list(map(solve_one, all_pairs))
+    results = {p: r for p, r in solved if r is not None}
+    screened = sorted(p for p, r in solved if r is None)
 
     failed_odo = [p for p in odo_pairs if not results[p].success]
     if failed_odo:
@@ -490,5 +524,6 @@ def register_sequence(
         "pruned_edges": solution.pruned,
         "certain_bridges": bridges,
         "failed_pairs": {p: r.reason for p, r in results.items() if not r.success},
+        "screened_pairs": screened,
     }
     return SequenceResult(traj, graph, solution, results, diag)

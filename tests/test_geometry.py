@@ -242,6 +242,9 @@ def test_intrinsics_validation():
         Intrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
     with pytest.raises(ValueError):
         Intrinsics(fx=1.0, fy=1.0, cx=20.0, cy=0.0, width=10, height=10)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="focal"):
+            Intrinsics(fx=bad, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
 
 
 class TestSkew:

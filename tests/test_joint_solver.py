@@ -15,7 +15,7 @@ from objreg.joint_solver import (
     numeric_jacobian_check,
     register_pair,
 )
-from objreg.matching import ObjectTrack
+from objreg.matching import MatchConfig, ObjectTrack, match_pair
 from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation
 from objreg.procrustes import kabsch_solve
@@ -339,3 +339,39 @@ class TestRegisterPair:
         _, t_icp = pose_error(with_icp.report.camera_poses[1], gt[1])
         _, t_raw = pose_error(without.report.camera_poses[1], gt[1])
         assert t_icp < t_raw + 0.01
+
+
+def solve_bits(result):
+    """Exact bytes of a pair result's poses, with its iterations and block stats."""
+    rep = result.report
+    return (
+        [p.angles.tobytes() + p.translation.tobytes() for p in rep.camera_poses],
+        [o.angles.tobytes() + o.translation.tobytes() + o.scale.tobytes() for o in rep.object_poses],
+        rep.track_ids,
+        rep.iterations,
+        rep.block_stats,
+    )
+
+
+class TestPrecomputedMatches:
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24, 25, 26])
+    def test_bit_identical_to_matching_inside(self, seed):
+        """register_pair given match_pair's matches solves exactly what it
+        solves when it matches itself; odd seeds are object-only scenes."""
+        object_only = seed % 2 == 1
+        cfg = SynthConfig(
+            num_frames=2, num_objects=3, noise_sigma_depth=0.003, outlier_fraction=0.10,
+            keypoints_per_pair=0 if object_only else 40,
+            orbit_span=(0.7 if object_only else 0.3) * np.pi, rng_seed=seed,
+        )
+        fs, _ = generate(cfg)
+        reference = register_pair(fs)
+        fs, _ = generate(cfg)  # fresh observations, no cached fits
+        matches = match_pair(
+            fs.observations_in_frame(0), fs.observations_in_frame(1), MatchConfig(),
+            keypoints_present=not object_only,
+        )
+        given = register_pair(fs, matches=matches)
+        assert reference.success and given.success
+        assert given.matches is matches and given.matches == reference.matches
+        assert solve_bits(given) == solve_bits(reference)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objreg import procrustes
-from objreg.geometry import RigidPose
+from objreg.geometry import Intrinsics, RigidPose
 from objreg.joint_solver import register_pair
 from objreg.observations import (
     NOC_FILTER,
@@ -321,4 +321,129 @@ class TestSerialization:
         ]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="detection_id=9"):
+            load_problem(path)
+
+
+# corruptions of a saved problem document: (kind, record list, field)
+FILE_CORRUPTIONS = st.one_of(
+    st.tuples(st.just("valid"), st.just(None), st.just(None)),
+    st.tuples(
+        st.just("non_finite"),
+        st.sampled_from([
+            ("keypoint_matches", "points_i"), ("keypoint_matches", "points_j"),
+            ("observations", "noc_points"), ("observations", "depth_points"),
+            ("observations", "scale_estimate"), ("observations", "embedding"),
+            ("frames", "timestamp"), ("frames", "fx"),
+            ("ground_truth", "angles"), ("ground_truth", "translation"),
+        ]),
+        non_finite,
+    ),
+    st.tuples(
+        st.just("drop_row"),
+        st.sampled_from([
+            ("keypoint_matches", "points_j"), ("observations", "noc_points"),
+            ("observations", "depth_points"), ("observations", "scale_estimate"),
+            ("ground_truth", None),
+        ]),
+        st.just(None),
+    ),
+    st.tuples(
+        st.just("ragged_row"),
+        st.sampled_from([("keypoint_matches", "points_i"), ("observations", "depth_points")]),
+        st.just(None),
+    ),
+    st.tuples(st.just("schema"), st.just(None), st.sampled_from(["objreg-problem/2", None, 1, "drop"])),
+    st.tuples(
+        st.just("dangling"),
+        st.sampled_from([
+            ("keypoint_matches", "frame_i"), ("keypoint_matches", "frame_j"),
+            ("observations", "frame"),
+        ]),
+        st.sampled_from([-1, 0, 3]),  # -1, or K + this
+    ),
+    st.tuples(
+        st.just("missing_key"),
+        st.sampled_from([
+            ("frames", "index"), ("keypoint_matches", "points_j"),
+            ("observations", "frame"), ("observations", "embedding"),
+            ("observations", "symmetry"), ("ground_truth", "translation"),
+            (None, "observations"),
+        ]),
+        st.just(None),
+    ),
+)
+
+
+def corrupt(doc, corruption, pick):
+    """Apply one corruption to a saved problem document. Returns a regex for
+    the name of the corrupted record, or None when the document is still
+    valid (also when it has no record of the chosen kind)."""
+    kind, target, value = corruption
+    if kind == "valid":
+        return None
+    if kind == "schema":
+        if value == "drop":
+            del doc["schema"]
+        else:
+            doc["schema"] = value
+        return "schema"
+    records, key = target
+    if records is None:
+        del doc[key]
+        return key
+    if not doc[records]:
+        return None
+    k = pick % len(doc[records])
+    rec = doc[records][k]
+    if kind == "non_finite":
+        if key == "fx":
+            rec["intrinsics"]["fx"] = value
+        elif key == "timestamp":
+            rec["timestamp"] = value
+        else:
+            arr = rec[key]
+            row = arr[pick % len(arr)]
+            if isinstance(row, list):
+                row[pick % 3] = value
+            else:
+                arr[pick % len(arr)] = value
+    elif kind == "drop_row":
+        if records == "ground_truth":
+            doc["ground_truth"].pop(k)
+        else:
+            rec[key].pop(pick % len(rec[key]))
+    elif kind == "ragged_row":
+        rec[key][pick % len(rec[key])].pop()
+    elif kind == "dangling":
+        rec[key] = -1 if value == -1 else len(doc["frames"]) + value
+    elif kind == "missing_key":
+        del rec[key]
+    if records == "observations":  # named by position, or by its ids once parsed
+        return rf"observation ({k}:|\(frame={rec.get('frame')}, detection_id={rec.get('detection_id')}\))"
+    return {"frames": rf"frame {k}\b", "keypoint_matches": rf"keypoint match {k}\b"}.get(
+        records, records
+    )
+
+
+class TestLoadProblemFiles:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), FILE_CORRUPTIONS, st.integers(0, 10**6))
+    def test_file_loads_or_names_bad_record(self, tmp_path_factory, seed, corruption, pick):
+        """A problem file written by save_problem, then corrupted (NaN/inf,
+        a dropped or ragged row, a bad schema, a dangling frame index, a
+        missing key), loads or raises a ValidationError naming the corrupted
+        record, never a raw numpy, scipy or KeyError exception."""
+        rng = np.random.default_rng(seed)
+        fs = random_frameset(rng)
+        for f in fs.frames:
+            f.intrinsics = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+        path = tmp_path_factory.mktemp("files") / "p.json"
+        save_problem(fs, path)
+        doc = json.loads(path.read_text())
+        expected = corrupt(doc, corruption, pick)
+        path.write_text(json.dumps(doc))
+        if expected is None:
+            assert load_problem(path).num_frames == fs.num_frames
+            return
+        with pytest.raises(ValidationError, match=expected):
             load_problem(path)

@@ -1,9 +1,20 @@
+import copy
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert, so3_exp
-from objreg.joint_solver import PairResult, SolveReport
-from objreg.metrics import Trajectory, ate_rmse
+from objreg.joint_solver import (
+    PairResult,
+    SolveReport,
+    SolverConfig,
+    default_keypoint_filter,
+    register_pair,
+)
+from objreg.matching import MatchConfig
+from objreg.metrics import Trajectory, ate_rmse, write_tum
 from objreg.posegraph import (
     GraphConfig,
     GraphEdge,
@@ -21,7 +32,7 @@ from objreg.posegraph import (
     _pair_frameset,
 )
 from objreg.metrics import pose_error
-from objreg.observations import KeypointMatch
+from objreg.observations import FrameSet, KeypointMatch
 from objreg.synth import SynthConfig, generate
 
 CFG = GraphConfig()
@@ -362,3 +373,101 @@ def test_indexed_pair_frameset_equals_full_scan():
                 for o in fs.observations
                 if o.frame in (i, j)
             ]
+
+
+@pytest.fixture(scope="module")
+def loop16():
+    """A 16-frame loop and its registration; some loop pairs are screened."""
+    fs, _ = generate(SynthConfig(num_frames=16, trajectory="loop", num_objects=3,
+                                 keypoints_per_pair=40, noise_sigma_depth=0.003, rng_seed=3))
+    return fs, register_sequence(fs)
+
+
+def tum_bytes(traj, tmp_path):
+    path = tmp_path / "traj.tum"
+    write_tum(traj, path)
+    return path.read_bytes()
+
+
+def edge_bits(graph):
+    return [
+        (e.i, e.j, e.kind, e.uncertain, e.information_weight,
+         e.relative_pose.angles.tobytes(), e.relative_pose.translation.tobytes())
+        for e in graph.edges
+    ]
+
+
+def solve_all_pairs(fs):
+    """Every candidate pair of ``fs`` solved with register_sequence's settings."""
+    index = _match_index(fs)
+    loop_mcfg = replace(MatchConfig(), embed_threshold=MatchConfig().sequence_loop_threshold)
+    results = {}
+    for i in range(fs.num_frames - 1):
+        results[(i, i + 1)] = register_pair(
+            _pair_frameset(fs, i, i + 1, index), keypoint_filter=default_keypoint_filter(0.30)
+        )
+    for i, j in candidate_loop_pairs(fs.num_frames):
+        results[(i, j)] = register_pair(
+            _pair_frameset(fs, i, j, index), loop_mcfg, keypoint_filter=default_keypoint_filter(0.15)
+        )
+    return results
+
+
+def busiest_screened_frame(result):
+    """The frame that most screened pairs share, and those pairs."""
+    screened = result.diagnostics["screened_pairs"]
+    frame = Counter(f for pair in screened for f in pair).most_common(1)[0][0]
+    return frame, [pair for pair in screened if frame in pair]
+
+
+class TestLoopPairScreen:
+    def test_screened_pairs_equal_solving_every_pair(self, loop16, tmp_path):
+        """Each screened pair, solved anyway, is rejected for object depth;
+        the graph and trajectory equal those built from every pair solved."""
+        fs, result = loop16
+        screened = result.diagnostics["screened_pairs"]
+        assert screened == sorted(screened) and len(screened) >= 10
+        assert not set(screened) & set(result.diagnostics["failed_pairs"])
+        everything = solve_all_pairs(fs)
+        assert sorted([*result.pair_results, *screened]) == sorted(everything)
+        for pair in screened:
+            assert reject_loop_closure(everything[pair], pair, CFG) == (
+                False, "object_depth_out_of_range",
+            )
+        graph, _ = _keep_bridges_certain(build_graph(everything, fs.num_frames))
+        assert edge_bits(result.graph) == edge_bits(graph)
+        reference = Trajectory(result.trajectory.timestamps, optimize_graph(graph).poses)
+        assert tum_bytes(result.trajectory, tmp_path) == tum_bytes(reference, tmp_path)
+
+    def test_keypoint_only_pairs_not_screened(self, loop16):
+        fs, base = loop16
+        frame, was_screened = busiest_screened_frame(base)
+        kept = [o for o in fs.observations if o.frame != frame]
+        result = register_sequence(FrameSet(fs.frames, fs.keypoint_matches, kept))
+        assert was_screened
+        assert not [p for p in result.diagnostics["screened_pairs"] if frame in p]
+        assert all(p in result.pair_results for p in was_screened)
+
+    def test_pairs_with_unfitted_observation_not_screened(self, loop16):
+        fs, base = loop16
+        frame, was_screened = busiest_screened_frame(base)
+        fs = copy.deepcopy(fs)
+        for o in fs.observations_in_frame(frame):
+            o.noc_fit = None  # overrides the cached fit
+        result = register_sequence(fs)
+        assert was_screened
+        assert not [p for p in result.diagnostics["screened_pairs"] if frame in p]
+        assert all(p in result.pair_results for p in was_screened)
+
+    def test_unweighted_objects_not_screened(self, loop16):
+        fs, base = loop16
+        result = register_sequence(fs, scfg=SolverConfig(w_o=0))
+        assert base.diagnostics["screened_pairs"]
+        assert result.diagnostics["screened_pairs"] == []
+        assert len(result.pair_results) == 15 + len(candidate_loop_pairs(16))
+
+    def test_jobs_identical(self, loop16, tmp_path):
+        fs, base = loop16
+        result = register_sequence(fs, jobs=4)
+        assert result.diagnostics["screened_pairs"] == base.diagnostics["screened_pairs"]
+        assert tum_bytes(result.trajectory, tmp_path) == tum_bytes(base.trajectory, tmp_path)
