@@ -273,11 +273,15 @@ def damped_step(jtj, jtr, lam, cost, trial, tries):
     """Levenberg-damped Gauss-Newton step shared by both solvers: solve
     ``(J^T J + lam I) delta = -J^T r``, score ``trial(delta) -> (candidate,
     cost)``, grow lam 10x on a singular system or a cost increase. Returns
-    ``(candidate, cost, lam / 10)``, or ``(None, None, lam)`` after ``tries``."""
-    eye = np.eye(len(jtr))
+    ``(candidate, cost, lam / 10)``, or ``(None, None, lam)`` after ``tries``.
+
+    The damping is added to ``jtj`` in place: pass a temporary, whose
+    diagonal is overwritten."""
+    diag = jtj.diagonal().copy()
     for _ in range(tries):
+        np.fill_diagonal(jtj, diag + lam)
         try:
-            delta = np.linalg.solve(jtj + lam * eye, -jtr)
+            delta = np.linalg.solve(jtj, -jtr)
         except np.linalg.LinAlgError:
             lam *= 10
             continue

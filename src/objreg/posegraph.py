@@ -31,7 +31,7 @@ from .joint_solver import (
 )
 from .matching import MatchConfig
 from .metrics import Trajectory
-from .observations import Frame, FrameSet, KeypointMatch
+from .observations import Frame, FrameSet, KeypointMatch, ValidationError
 
 __all__ = [
     "GraphEdge",
@@ -178,8 +178,8 @@ def build_graph(
 
 def _edge_arrays(graph: PoseGraph):
     """Node indices i, j and relative rotations/translations of all edges."""
-    ii = np.array([e.i for e in graph.edges])
-    jj = np.array([e.j for e in graph.edges])
+    ii = np.array([e.i for e in graph.edges], dtype=int)
+    jj = np.array([e.j for e in graph.edges], dtype=int)
     d_rot = np.array([e.relative_pose.rotation for e in graph.edges]).reshape(-1, 3, 3)
     d_trans = np.array([e.relative_pose.translation for e in graph.edges]).reshape(-1, 3)
     return ii, jj, d_rot, d_trans
@@ -229,6 +229,35 @@ def _edge_jacobians(rot, edges, err, err_rot):
     return jac_i, jac_j
 
 
+def _normal_index(edges, num_nodes):
+    """Flat indices that scatter each edge's (12, 12) block of J^T W J and
+    (12,) block of J^T W e into the normal equations over the tangent of
+    nodes 1..n-1. An edge's 12 columns are (phi, dt) of node i, then of node
+    j; entries on node 0 (the gauge) go to one bin past the end. Returns
+    ``(h_index, g_index, size)``."""
+    ii, jj = edges[:2]
+    size = 6 * (num_nodes - 1)
+    node = np.repeat(np.stack([ii, jj], axis=1), 6, axis=1)  # (E, 12)
+    coord = 6 * (node - 1) + np.tile(np.arange(6), 2)
+    gauge = node == 0
+    h_index = coord[:, :, None] * size + coord[:, None, :]
+    h_index[gauge[:, :, None] | gauge[:, None, :]] = size * size
+    g_index = np.where(gauge, size, coord)
+    return h_index.ravel(), g_index.ravel(), size
+
+
+def _normal_equations(jac_i, jac_j, err, w, index):
+    """``(J^T W J, J^T W e)`` over nodes 1..n-1, summed one edge at a time:
+    edge k adds ``[A B]^T w_k [A B]`` and ``[A B]^T w_k e_k`` for its blocks
+    A = ``jac_i[k]``, B = ``jac_j[k]``. ``index`` is ``_normal_index``."""
+    h_index, g_index, size = index
+    jac = np.concatenate([jac_i, jac_j], axis=2)  # (E, 6, 12)
+    jac_tw = np.swapaxes(jac, 1, 2) * w[:, None, None]
+    h = np.bincount(h_index, (jac_tw @ jac).ravel(), size * size + 1)[:-1]
+    g = np.bincount(g_index, (jac_tw @ err[:, :, None]).ravel(), size + 1)[:-1]
+    return h.reshape(size, size), g
+
+
 def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
     poses = [RigidPose.identity() for _ in range(graph.num_nodes)]
     odo = {(e.i, e.j): e for e in graph.edges if e.kind == "odometry"}
@@ -237,53 +266,49 @@ def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
     return poses
 
 
-def _solve_poses(graph, edges, rot, trans, switches, cfg):
+def _solve_poses(graph, edges, index, rot, trans, err, err_rot, switches, cfg):
     """Damped GN over node poses with fixed switch weights; node 0 pinned.
-    ``edges`` is ``_edge_arrays(graph)``.
+    ``edges`` is ``_edge_arrays(graph)``, ``index`` is ``_normal_index`` of
+    them, and ``(err, err_rot)`` are the edge errors at ``(rot, trans)``.
+    Returns the final poses, their cost and their edge errors.
 
     Node rotations are retracted by right-multiplied increments, translations
     additively; the tangent vector packs (phi, dt) per node 1..n-1."""
-    n, m = graph.num_nodes, len(graph.edges)
+    if not graph.edges:  # a lone node, pinned
+        return rot, trans, 0.0, err, err_rot
     weights = np.array([max(e.information_weight, 1.0) for e in graph.edges])
-    sqrt_w = np.sqrt(
-        weights / weights.mean() * np.array([switches.get((e.i, e.j), 1.0) for e in graph.edges])
-    )
-    # row/column indices of each edge's two 6x6 Jacobian blocks
-    rows = 6 * np.arange(m)[:, None, None] + np.arange(6)[None, :, None]
-    cols = [6 * (node - 1)[:, None, None] + np.arange(6)[None, None, :] for node in edges[:2]]
+    w = weights / weights.mean() * np.array([switches.get((e.i, e.j), 1.0) for e in graph.edges])
+    sqrt_w = np.sqrt(w)
 
-    def evaluate(rot, trans):
-        err, err_rot = _edge_errors(rot, trans, edges)
+    def cost_of(err):
         r = (sqrt_w[:, None] * err).ravel()
-        return (rot, trans, err, err_rot, r), float(r @ r)
+        return float(r @ r)
 
     def trial(delta):
         step = np.vstack([np.zeros(6), delta.reshape(-1, 6)])  # node 0 stays put
-        return evaluate(rot @ so3_exp(step[:, :3]), trans + step[:, 3:])
+        rot_new, trans_new = rot @ so3_exp(step[:, :3]), trans + step[:, 3:]
+        err_new, err_rot_new = _edge_errors(rot_new, trans_new, edges)
+        return (rot_new, trans_new, err_new, err_rot_new), cost_of(err_new)
 
     lam = 1e-6
-    (rot, trans, err, err_rot, r), cost = evaluate(rot, trans)
+    cost = cost_of(err)
     for _ in range(cfg.max_inner_iterations):
-        jac = np.zeros((6 * m, 6 * (n - 1)))
-        for node, col, block in zip(edges[:2], cols, _edge_jacobians(rot, edges, err, err_rot)):
-            sel = node > 0
-            jac[rows[sel], col[sel]] = sqrt_w[sel, None, None] * block[sel]
-        new, cost_new, lam = damped_step(jac.T @ jac, jac.T @ r, lam, cost, trial, 8)
+        h, g = _normal_equations(*_edge_jacobians(rot, edges, err, err_rot), err, w, index)
+        new, cost_new, lam = damped_step(h, g, lam, cost, trial, 8)
         if new is None:
             break
         rel_decrease = (cost - cost_new) / max(cost, 1e-30)
-        (rot, trans, err, err_rot, r), cost = new, cost_new
+        (rot, trans, err, err_rot), cost = new, cost_new
         if rel_decrease < 1e-10:
             break
-    return rot, trans, cost
+    return rot, trans, cost, err, err_rot
 
 
-def _update_switches(graph, edges, rot, trans, cfg) -> dict:
-    # closed-form minimizer of s * w * ||r||^2 + mu * (sqrt(s) - 1)^2; the
-    # weight is the raw correspondence count, which sets the scale mu = 100
-    # is calibrated against
+def _update_switches(graph, err, cfg) -> dict:
+    # closed-form minimizer of s * w * ||r||^2 + mu * (sqrt(s) - 1)^2 at edge
+    # errors ``err``; the weight is the raw correspondence count, which sets
+    # the scale mu = 100 is calibrated against
     mu = cfg.line_process_mu
-    err, _ = _edge_errors(rot, trans, edges)
     switches = {}
     for e, row in zip(graph.edges, err):
         if e.uncertain:
@@ -345,11 +370,15 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
         # seed switches from the initial trajectory (closed form given poses)
         # so edges wildly inconsistent with the init start down-weighted
         edges = _edge_arrays(g)
-        switches = _update_switches(g, edges, rot, trans, cfg)
+        index = _normal_index(edges, g.num_nodes)
+        err, err_rot = _edge_errors(rot, trans, edges)
+        switches = _update_switches(g, err, cfg)
         cost = np.inf
         for _ in range(cfg.max_outer_iterations):
-            rot, trans, new_cost = _solve_poses(g, edges, rot, trans, switches, cfg)
-            switches = _update_switches(g, edges, rot, trans, cfg)
+            rot, trans, new_cost, err, err_rot = _solve_poses(
+                g, edges, index, rot, trans, err, err_rot, switches, cfg
+            )
+            switches = _update_switches(g, err, cfg)
             if abs(cost - new_cost) < 1e-12 * max(cost, 1.0):
                 cost = new_cost
                 break
@@ -459,10 +488,23 @@ def register_sequence(
     ``diagnostics["screened_pairs"]``. An odometry step too long to be
     certain stays certain where it is the only certain link between two
     parts of the graph; ``diagnostics["certain_bridges"]`` lists those
-    steps."""
+    steps. Frame timestamps (the frame index where missing) must strictly
+    increase; a frame that breaks this raises a ``ValidationError`` before
+    any pair is solved."""
     fs.validate()
     if fs.num_frames < 2:
         raise ValueError("need at least 2 frames")
+    timestamps = np.array(
+        [f.timestamp if f.timestamp is not None else float(f.index) for f in fs.frames]
+    )
+    stalled = np.flatnonzero(np.diff(timestamps) <= 0)
+    if len(stalled):
+        k = int(stalled[0]) + 1
+        now, before = float(timestamps[k]), float(timestamps[k - 1])
+        raise ValidationError(
+            f"frame {k}: timestamp {now!r} does not exceed frame {k - 1}'s {before!r}; "
+            "timestamps must strictly increase"
+        )
     mcfg = mcfg or MatchConfig()
     scfg = scfg or SolverConfig()
     gcfg = gcfg or GraphConfig()
@@ -514,9 +556,6 @@ def register_sequence(
 
     graph, bridges = _keep_bridges_certain(build_graph(results, fs.num_frames, gcfg))
     solution = optimize_graph(graph, gcfg)
-    timestamps = np.array(
-        [f.timestamp if f.timestamp is not None else float(f.index) for f in fs.frames]
-    )
     traj = Trajectory(timestamps, solution.poses)
     diag = {
         "num_edges": len(graph.edges),

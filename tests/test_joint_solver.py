@@ -11,6 +11,7 @@ from objreg.joint_solver import (
     _State,
     _Terms,
     build_problem,
+    damped_step,
     gauss_newton_solve,
     numeric_jacobian_check,
     register_pair,
@@ -375,3 +376,76 @@ class TestPrecomputedMatches:
         assert reference.success and given.success
         assert given.matches is matches and given.matches == reference.matches
         assert solve_bits(given) == solve_bits(reference)
+
+
+def reference_damped_step(jtj, jtr, lam, cost, trial, tries):
+    """damped_step as it read with a fresh ``jtj + lam I`` on every try."""
+    eye = np.eye(len(jtr))
+    for _ in range(tries):
+        try:
+            delta = np.linalg.solve(jtj + lam * eye, -jtr)
+        except np.linalg.LinAlgError:
+            lam *= 10
+            continue
+        candidate, cost_new = trial(delta)
+        if np.isfinite(cost_new) and cost_new <= cost + 1e-15:
+            return candidate, cost_new, max(lam / 10, 1e-12)
+        lam *= 10
+    return None, None, lam
+
+
+class TestDampedStep:
+    def run_both(self, jtj, jtr, lam, costs, tries=8):
+        """Both versions on the same system; the trial returns ``costs`` in
+        turn (the last repeated). Returns (result, deltas tried) of each."""
+        out = []
+        for step in (damped_step, reference_damped_step):
+            tried = []
+
+            def trial(delta):
+                tried.append(delta)
+                return len(tried), costs[min(len(tried), len(costs)) - 1]
+
+            out.append((step(jtj.copy(), jtr, lam, 1.0, trial, tries), tried))
+        return out
+
+    def assert_identical(self, got, ref):
+        (result, tried), (result_ref, tried_ref) = got, ref
+        assert result == result_ref
+        assert len(tried) == len(tried_ref)
+        for a, b in zip(tried, tried_ref):
+            assert a.tobytes() == b.tobytes()
+
+    def test_bitwise_equal_to_fresh_damping(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            j = rng.normal(size=(40, 12)) * rng.uniform(1e-3, 1e3, 12)
+            got, ref = self.run_both(j.T @ j, rng.normal(size=12), 10 ** rng.uniform(-8, 2), [0.5])
+            assert got[0][0] == 1
+            self.assert_identical(got, ref)
+
+    def test_singular_first_try(self):
+        # lam cancels the last diagonal entry exactly: the first solve is
+        # singular, the second (lam 10x) is not
+        rng = np.random.default_rng(32)
+        j = rng.normal(size=(20, 5))
+        jtj = np.zeros((6, 6))
+        jtj[:5, :5] = j.T @ j
+        jtj[5, 5] = -1e-6
+        got, ref = self.run_both(jtj, rng.normal(size=6), 1e-6, [0.5])
+        assert len(got[1]) == 1 and got[0][2] == pytest.approx(1e-6)  # one trial, at lam 1e-5
+        self.assert_identical(got, ref)
+
+    def test_rejected_trial(self):
+        rng = np.random.default_rng(33)
+        j = rng.normal(size=(30, 9))
+        got, ref = self.run_both(j.T @ j, rng.normal(size=9), 1e-4, [2.0, np.nan, 0.25])
+        assert len(got[1]) == 3 and got[0][:2] == (3, 0.25)
+        self.assert_identical(got, ref)
+
+    def test_every_try_rejected(self):
+        rng = np.random.default_rng(34)
+        j = rng.normal(size=(30, 9))
+        got, ref = self.run_both(j.T @ j, rng.normal(size=9), 1e-4, [2.0], tries=4)
+        assert got[0][:2] == (None, None) and len(got[1]) == 4
+        self.assert_identical(got, ref)

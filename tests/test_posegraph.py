@@ -29,10 +29,14 @@ from objreg.posegraph import (
     _edge_jacobians,
     _keep_bridges_certain,
     _match_index,
+    _normal_equations,
+    _normal_index,
     _pair_frameset,
+    _solve_poses,
+    _update_switches,
 )
 from objreg.metrics import pose_error
-from objreg.observations import FrameSet, KeypointMatch
+from objreg.observations import FrameSet, KeypointMatch, ValidationError
 from objreg.synth import SynthConfig, generate
 
 CFG = GraphConfig()
@@ -230,6 +234,37 @@ class TestOptimizeGraph:
         with pytest.raises(ValueError, match="not connected"):
             optimize_graph(PoseGraph(2, edges))
 
+    def test_single_node_graph_is_identity(self):
+        sol = optimize_graph(PoseGraph(1, []))
+        assert len(sol.poses) == 1
+        assert np.array_equal(sol.poses[0].to_matrix(), np.eye(4))
+        assert sol.switches == {} and sol.pruned == []
+
+    def test_switches_from_returned_errors(self):
+        # _solve_poses hands back the edge errors at the poses it returns;
+        # switches computed from them equal switches at recomputed errors
+        rng = np.random.default_rng(4)
+        graph, gt = noisy_graph(rng)
+        false_rel = compose(
+            compose(invert(gt[3]), gt[13]), RigidPose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        )
+        graph.edges.append(GraphEdge(3, 13, false_rel, 1000.0, True, "loop_closure"))
+        edges = _edge_arrays(graph)
+        index = _normal_index(edges, graph.num_nodes)
+        rot = np.array([p.rotation for p in gt])
+        trans = np.array([p.translation for p in gt]) + rng.normal(0, 0.05, (graph.num_nodes, 3))
+        err, err_rot = _edge_errors(rot, trans, edges)
+        switches = _update_switches(graph, err, CFG)
+        assert switches[(3, 13)] < CFG.edge_prune_threshold
+        for _ in range(3):
+            rot, trans, _, err, err_rot = _solve_poses(
+                graph, edges, index, rot, trans, err, err_rot, switches, CFG
+            )
+            fresh, fresh_rot = _edge_errors(rot, trans, edges)
+            assert np.array_equal(err, fresh) and np.array_equal(err_rot, fresh_rot)
+            switches = _update_switches(graph, err, CFG)
+            assert switches == _update_switches(graph, fresh, CFG)
+
 
 def random_rotations(rng, count, max_angle=3.0):
     axes = rng.normal(size=(count, 3))
@@ -279,6 +314,50 @@ class TestEdgeJacobian:
         assert worst < 1e-5
 
 
+class TestNormalEquations:
+    def test_block_accumulation_matches_dense_reference(self):
+        # J^T W J and J^T W e summed edge by edge against the dense (6E, 6n)
+        # Jacobian with node 0's columns dropped
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(950 + seed)
+            n, m = 8, 14
+            rot, trans = random_rotations(rng, n), rng.uniform(-2, 2, (n, 3))
+            pairs = [(0, int(rng.integers(1, n)))]  # node 0 (the gauge) is always touched
+            pairs += [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(m - 1)]
+            rel = [
+                RigidPose.from_matrix(np.block([[r, rng.uniform(-1, 1, (3, 1))], [0, 0, 0, 1]]))
+                for r in random_rotations(rng, m)
+            ]
+            info = rng.uniform(1, 500, m)
+            switches = rng.uniform(0.01, 1, m)
+            graph = PoseGraph(
+                n,
+                [GraphEdge(i, j, d, wt, True, "loop_closure") for (i, j), d, wt in zip(pairs, rel, info)],
+            )
+            w = info / info.mean() * switches
+            edges = _edge_arrays(graph)
+            err, err_rot = _edge_errors(rot, trans, edges)
+            jac_i, jac_j = _edge_jacobians(rot, edges, err, err_rot)
+            h, g = _normal_equations(jac_i, jac_j, err, w, _normal_index(edges, n))
+
+            jac = np.zeros((6 * m, 6 * n))
+            for k, (i, j) in enumerate(pairs):
+                jac[6 * k : 6 * k + 6, 6 * i : 6 * i + 6] = jac_i[k]
+                jac[6 * k : 6 * k + 6, 6 * j : 6 * j + 6] = jac_j[k]
+            jac = jac[:, 6:]
+            weight = np.repeat(w, 6)
+            h_ref = jac.T @ (weight[:, None] * jac)
+            g_ref = jac.T @ (weight * err.ravel())
+            assert h.shape == h_ref.shape and g.shape == g_ref.shape
+            worst = max(
+                worst,
+                float(np.abs(h - h_ref).max() / np.abs(h_ref).max()),
+                float(np.abs(g - g_ref).max() / np.abs(g_ref).max()),
+            )
+        assert worst <= 1e-12
+
+
 class TestCandidateLoopPairs:
     def test_small_all_pairs(self):
         pairs = candidate_loop_pairs(5)
@@ -326,6 +405,17 @@ class TestRegisterSequence:
         for est, truth in zip(result.trajectory.poses, gt):
             rot, trans = pose_error(est, truth)
             assert rot <= 15.0 and trans <= 0.30
+
+    def test_stalled_timestamp_rejected_before_pair_solves(self, monkeypatch):
+        fs, _ = generate(SynthConfig(num_frames=4, trajectory="line", rng_seed=44))
+        fs.frames[2].timestamp = fs.frames[1].timestamp
+        solved = []
+        monkeypatch.setattr(
+            "objreg.posegraph.register_pair", lambda *a, **k: solved.append(a) or register_pair(*a, **k)
+        )
+        with pytest.raises(ValidationError, match="frame 2"):
+            register_sequence(fs)
+        assert solved == []
 
     def test_too_few_frames(self):
         fs, _ = generate(SynthConfig(num_frames=2, orbit_span=0.3, rng_seed=1))
