@@ -1,18 +1,18 @@
 """Pose parameterizations and basic 3D geometry.
 
-Euler angles, extrinsic X-Y-Z (``R = Rz(gz) @ Ry(gy) @ Rx(gx)``), are the I/O
-representation (problem and report JSON, ``RigidPose.angles``; TUM goes via
-quaternions). The solvers work on rotation matrices with local increments
-``R @ Exp(phi)`` (Sola et al., arXiv 1812.01537) through :func:`skew`,
-:func:`so3_exp` and :func:`so3_log`. All lengths are meters, angles radians.
+Poses hold rotation matrices. Euler angles, extrinsic X-Y-Z
+(``R = Rz(gz) @ Ry(gy) @ Rx(gx)``), are computed only where a pose is read or
+written (problem and report JSON, ``RigidPose.angles``); TUM files go via
+quaternions. The solvers update rotations by local increments ``R @ Exp(phi)``
+(Sola et al., arXiv 1812.01537) through :func:`skew`, :func:`so3_exp` and
+:func:`so3_log`. All lengths are meters, angles radians.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 __all__ = [
     "RigidPose",
@@ -69,18 +69,67 @@ def skew(v) -> np.ndarray:
     return (ext[..., _SKEW_A] - ext[..., _SKEW_B]).reshape(v.shape[:-1] + (3, 3))
 
 
+_EYE3 = np.eye(3)
+
+
 def so3_exp(phi) -> np.ndarray:
-    """Rotation matrices Exp(phi) of (..., 3) rotation vectors, shape (..., 3, 3)."""
+    """Rotation matrices Exp(phi) of (..., 3) rotation vectors, shape (..., 3, 3).
+
+    Rodrigues' formula ``I + a [phi]x + b [phi]x^2`` with ``a = sin(t) / t``
+    and ``b = (1 - cos t) / t^2 = 2 (sin(t / 2) / t)^2``, t = |phi|; below
+    1e-4 rad both come from their Taylor series.
+    """
     phi = np.asarray(phi, dtype=float)
-    mats = Rotation.from_rotvec(phi.reshape(-1, 3)).as_matrix()
-    return mats.reshape(phi.shape[:-1] + (3, 3))
+    t2 = np.add.reduce(phi * phi, axis=-1)[..., None, None]
+    small = t2 < 1e-8
+    t = np.sqrt(np.where(small, 1.0, t2))
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
+    half = np.sin(0.5 * t) / t
+    b = np.where(small, 0.5 - t2 / 24.0, 2.0 * half * half)
+    k = skew(phi)
+    return _EYE3 + a * k + b * (k @ k)
+
+
+# Markley's method: row c gives the unnormalized quaternion (x, y, z, w)
+# used when entry c of (R00, R11, R22, tr) is the largest, as indices into
+# [1 - tr + 2 R00, 1 - tr + 2 R11, 1 - tr + 2 R22, R01 + R10, R02 + R20,
+#  R12 + R21, R21 - R12, R02 - R20, R10 - R01, 1 + tr]
+_MARKLEY = np.array([[0, 3, 4, 6], [3, 1, 5, 7], [4, 5, 2, 8], [6, 7, 8, 9]])
 
 
 def so3_log(rot) -> np.ndarray:
-    """Rotation vectors Log(R) of (..., 3, 3) rotation matrices, norms in [0, pi]."""
+    """Rotation vectors Log(R) of (..., 3, 3) rotation matrices, norms in [0, pi].
+
+    The unit quaternion (x, y, z, w >= 0) of R comes from Markley's method,
+    which builds it from the largest of the trace and the three diagonal
+    entries. With ``angle = 2 atan2(|xyz|, w)`` the result is
+    ``xyz * angle / sin(angle / 2)``, that factor taken from its Taylor
+    series at or below 1e-3 rad.
+    """
     rot = np.asarray(rot, dtype=float)
-    vecs = Rotation.from_matrix(rot.reshape(-1, 3, 3)).as_rotvec()
-    return vecs.reshape(rot.shape[:-2] + (3,))
+    m = rot.reshape(-1, 9)
+    diag = m[:, ::4]
+    trace = diag.sum(axis=1, keepdims=True)
+    entries = np.concatenate(
+        [
+            1.0 - trace + 2.0 * diag,
+            m[:, [1, 2, 5]] + m[:, [3, 6, 7]],
+            m[:, [7, 2, 3]] - m[:, [5, 6, 1]],
+            1.0 + trace,
+        ],
+        axis=1,
+    )
+    choice = np.concatenate([diag, trace], axis=1).argmax(axis=1)
+    quat = np.take_along_axis(entries, _MARKLEY[choice], axis=1)
+    norm = np.sqrt(np.add.reduce(quat * quat, axis=1, keepdims=True))
+    quat /= np.where(quat[:, 3:] < 0, -norm, norm)  # unit, w >= 0
+    xyz = quat[:, :3]
+    angle = 2.0 * np.arctan2(np.sqrt(np.add.reduce(xyz * xyz, axis=1)), quat[:, 3])
+    small = angle <= 1e-3
+    a2 = angle * angle
+    series = 2.0 + a2 / 12.0 + 7.0 * a2 * a2 / 2880.0
+    scale = np.where(small, series, angle / np.sin(np.where(small, 1.0, angle / 2.0)))
+    return (scale[:, None] * xyz).reshape(rot.shape[:-2] + (3,))
 
 
 def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
@@ -107,31 +156,83 @@ def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
     return np.array([gx, gy, gz])
 
 
-@dataclass
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` marked read-only, so that a pose and its cached angles agree."""
+    a.flags.writeable = False
+    return a
+
+
+def _cached_angles(pose) -> np.ndarray:
+    """Extrinsic X-Y-Z Euler angles of ``pose.rotation``, computed once
+    (read-only). Threads that race here store equal arrays."""
+    if pose._angles is None:
+        pose._angles = _frozen(euler_from_rotation(pose.rotation))
+    return pose._angles
+
+
+def _rotation_block(rotation) -> np.ndarray:
+    """A finite 3x3 rotation block, copied and read-only."""
+    rot = _frozen(np.asarray(rotation, dtype=float).reshape(3, 3).copy())
+    if not np.isfinite(rot).all():
+        raise ValueError("non-finite rotation")
+    return rot
+
+
 class RigidPose:
-    """6-DoF rigid transform: 3 Euler angles (radians) + translation (meters)."""
+    """6-DoF rigid transform ``x -> R x + t``: a 3x3 rotation matrix and a
+    translation (meters).
 
-    angles: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    ``RigidPose(angles, translation)`` builds the rotation from Euler angles
+    (radians); :meth:`from_rotation` stores a matrix as given. ``angles`` is
+    derived from the matrix on first use and cached; ``rotation`` and
+    ``angles`` are read-only arrays.
+    """
 
-    def __post_init__(self):
-        self.angles = np.asarray(self.angles, dtype=float).reshape(3)
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        if not (np.isfinite(self.angles).all() and np.isfinite(self.translation).all()):
+    __slots__ = ("rotation", "translation", "_angles")
+
+    def __init__(self, angles=(0.0, 0.0, 0.0), translation=(0.0, 0.0, 0.0)):
+        angles = np.asarray(angles, dtype=float).reshape(3)
+        translation = np.asarray(translation, dtype=float).reshape(3)
+        if not (np.isfinite(angles).all() and np.isfinite(translation).all()):
             raise ValueError("non-finite pose parameters")
+        self.rotation = _frozen(rotation_from_euler(angles))
+        self.translation = translation
+        self._angles = _frozen(angles.copy())
+
+    @classmethod
+    def _of(cls, rotation: np.ndarray, translation: np.ndarray, angles=None) -> "RigidPose":
+        """Pose that takes ownership of a fresh or read-only rotation array, unchecked."""
+        pose = cls.__new__(cls)
+        pose.rotation = _frozen(rotation)
+        pose.translation = translation
+        pose._angles = angles
+        return pose
+
+    @classmethod
+    def from_rotation(cls, rotation, translation) -> "RigidPose":
+        """Pose with the 3x3 ``rotation`` stored as given."""
+        rot = _rotation_block(rotation)
+        translation = np.asarray(translation, dtype=float).reshape(3)
+        if not np.isfinite(translation).all():
+            raise ValueError("non-finite pose parameters")
+        return cls._of(rot, translation)
 
     @classmethod
     def identity(cls) -> "RigidPose":
-        return cls()
+        return cls._of(np.eye(3), np.zeros(3))
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "RigidPose":
+        """Pose of a 4x4 homogeneous matrix whose upper-left block is a
+        rotation: orthonormal to 1e-9 (largest entry of R^T R - I) with a
+        positive determinant, else ValueError."""
         mat = np.asarray(mat, dtype=float)
-        return cls(euler_from_rotation(mat[:3, :3]), mat[:3, 3].copy())
+        rot = mat[:3, :3]
+        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9 or np.linalg.det(rot) <= 0:
+            raise ValueError(f"not a rotation matrix: {rot.tolist()}")
+        return cls.from_rotation(rot, mat[:3, 3].copy())
 
-    @property
-    def rotation(self) -> np.ndarray:
-        return rotation_from_euler(self.angles)
+    angles = property(_cached_angles)
 
     def to_matrix(self) -> np.ndarray:
         mat = np.eye(4)
@@ -140,39 +241,66 @@ class RigidPose:
         return mat
 
     def copy(self) -> "RigidPose":
-        return RigidPose(self.angles.copy(), self.translation.copy())
+        return RigidPose._of(self.rotation, self.translation.copy(), self._angles)
+
+    def __repr__(self) -> str:
+        return (
+            f"RigidPose(rotation={self.rotation.tolist()}, "
+            f"translation={self.translation.tolist()})"
+        )
 
 
-@dataclass
 class ObjectPose:
     """9-DoF object pose: rotation, translation and anisotropic positive scale.
 
-    Maps a canonical point p to ``R @ (p * scale) + t``.
+    Maps a canonical point p to ``R @ (p * scale) + t``. The rotation is held
+    as a matrix, as in :class:`RigidPose`: built from Euler angles by the
+    constructor, stored as given by :meth:`from_rotation`.
     """
 
-    angles: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    scale: np.ndarray = field(default_factory=lambda: np.ones(3))
+    __slots__ = ("rotation", "translation", "scale", "_angles")
 
-    def __post_init__(self):
-        self.angles = np.asarray(self.angles, dtype=float).reshape(3)
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        self.scale = np.asarray(self.scale, dtype=float).reshape(3)
+    def __init__(
+        self, angles=(0.0, 0.0, 0.0), translation=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0)
+    ):
+        angles = np.asarray(angles, dtype=float).reshape(3)
+        self._init(_frozen(rotation_from_euler(angles)), translation, scale)
+        self._angles = _frozen(angles.copy())
+
+    def _init(self, rotation, translation, scale):
+        self.rotation = rotation
+        self.translation = np.asarray(translation, dtype=float).reshape(3)
+        self.scale = np.asarray(scale, dtype=float).reshape(3)
+        self._angles = None
         if not np.all(np.isfinite(self.scale)):
             raise ValueError("non-finite object scale")
         if np.any(self.scale <= 0):
             raise ValueError("object scale must be positive")
 
-    @property
-    def rotation(self) -> np.ndarray:
-        return rotation_from_euler(self.angles)
+    @classmethod
+    def from_rotation(cls, rotation, translation, scale) -> "ObjectPose":
+        """Object pose with the 3x3 ``rotation`` stored as given."""
+        pose = cls.__new__(cls)
+        pose._init(_rotation_block(rotation), translation, scale)
+        return pose
+
+    angles = property(_cached_angles)
 
     @property
     def rigid(self) -> RigidPose:
-        return RigidPose(self.angles.copy(), self.translation.copy())
+        return RigidPose._of(self.rotation, self.translation.copy(), self._angles)
 
     def copy(self) -> "ObjectPose":
-        return ObjectPose(self.angles.copy(), self.translation.copy(), self.scale.copy())
+        pose = ObjectPose.__new__(ObjectPose)
+        pose._init(self.rotation, self.translation.copy(), self.scale.copy())
+        pose._angles = self._angles
+        return pose
+
+    def __repr__(self) -> str:
+        return (
+            f"ObjectPose(rotation={self.rotation.tolist()}, "
+            f"translation={self.translation.tolist()}, scale={self.scale.tolist()})"
+        )
 
 
 @dataclass
@@ -196,14 +324,12 @@ class Intrinsics:
 def compose(a: RigidPose, b: RigidPose) -> RigidPose:
     """Pose whose matrix is ``a.to_matrix() @ b.to_matrix()``."""
     rot_a = a.rotation
-    return RigidPose(
-        euler_from_rotation(rot_a @ b.rotation), rot_a @ b.translation + a.translation
-    )
+    return RigidPose._of(rot_a @ b.rotation, rot_a @ b.translation + a.translation)
 
 
 def invert(p: RigidPose) -> RigidPose:
     rot_inv = p.rotation.T
-    return RigidPose(euler_from_rotation(rot_inv), -rot_inv @ p.translation)
+    return RigidPose._of(rot_inv.copy(), -rot_inv @ p.translation)
 
 
 def apply_rigid(p: RigidPose, pts: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from .geometry import (
     apply_object,
     apply_rigid,
     compose,
-    euler_from_rotation,
     invert,
     skew,
     so3_exp,
@@ -192,7 +191,9 @@ def build_problem(
                 nocs,
                 depths,
                 # global pose seeded below once camera initialization is known
-                ObjectPose(local_poses[0].angles, local_poses[0].translation, scales[0]),
+                ObjectPose.from_rotation(
+                    local_poses[0].rotation, local_poses[0].translation, scales[0]
+                ),
                 local_poses,
             )
         )
@@ -231,9 +232,10 @@ def build_problem(
                     changed = True
 
     for blk in obj_blocks:
-        local = RigidPose(blk.init_pose.angles, blk.init_pose.translation)
-        world = compose(cams[blk.frames[0]], local)
-        blk.init_pose = ObjectPose(world.angles, world.translation, blk.init_pose.scale)
+        world = compose(cams[blk.frames[0]], blk.init_pose.rigid)
+        blk.init_pose = ObjectPose.from_rotation(
+            world.rotation, world.translation, blk.init_pose.scale
+        )
 
     constrained = {0}
     for blk in kp_blocks:
@@ -343,11 +345,11 @@ class _State:
         return (noc * self.obj_scale[b]) @ self.obj_rot[b].T + self.obj_t[b]
 
     def cameras(self) -> list[RigidPose]:
-        return [RigidPose(euler_from_rotation(r), t) for r, t in zip(self.cam_rot, self.cam_t)]
+        return [RigidPose.from_rotation(r, t) for r, t in zip(self.cam_rot, self.cam_t)]
 
     def objects(self) -> list[ObjectPose]:
         return [
-            ObjectPose(euler_from_rotation(r), t, s)
+            ObjectPose.from_rotation(r, t, s)
             for r, t, s in zip(self.obj_rot, self.obj_t, self.obj_scale)
         ]
 
@@ -355,10 +357,12 @@ class _State:
 class _Terms:
     """The active correspondences of a problem, gathered once per active-set
     change. Per keypoint block, and per object block and frame, a term holds
-    its masked points, weight and residual rows, the skew matrices of its
-    fixed camera-side points, and a view into one shared Jacobian buffer
-    whose constant translation entries are written here; an evaluation
-    rewrites only the rotation and scale entries."""
+    its masked points, weight and span of correspondences, the skew matrices
+    of its fixed camera-side points, and a view into one shared Jacobian
+    buffer whose constant translation entries are written here; an
+    evaluation rewrites only the rotation and scale entries. ``weight``
+    holds each correspondence's weight on its three rows, and ``spans`` the
+    ``(block, frame or None, span)`` of each term, for :func:`_prune`."""
 
     def __init__(self, problem: RegistrationProblem, state: _State, active_kp, active_obj):
         cfg = problem.config
@@ -366,25 +370,29 @@ class _Terms:
         obj_blocks = problem.object_blocks if cfg.w_o != 0 else []
         masks = active_kp[: len(kp_blocks)]
         masks += [m for frame_masks in active_obj[: len(obj_blocks)] for m in frame_masks]
-        self.jac = np.zeros((3 * sum(int(m.sum()) for m in masks), state.size))
-        self.keypoint, self.object = [], []
+        size = sum(int(m.sum()) for m in masks)
+        self.jac = np.zeros((3 * size, state.size))
+        self.weight = np.empty((size, 3))
+        self.keypoint, self.object, self.spans = [], [], []
         eye = np.eye(3)
         taken = 0
 
-        def claim(n):
-            """Residual rows and Jacobian view of the next n correspondences."""
+        def claim(n, w, block, frame):
+            """Span and Jacobian view of the next n correspondences."""
             nonlocal taken
-            rows = slice(3 * taken, 3 * (taken + n))
+            span = slice(taken, taken + n)
             taken += n
-            return rows, self.jac[rows].reshape(n, 3, state.size)
+            self.weight[span] = w
+            self.spans.append((block, frame, span))
+            return span, self.jac[3 * span.start : 3 * span.stop].reshape(n, 3, state.size)
 
         for b, blk in enumerate(kp_blocks):
             mask = active_kp[b]
             n = int(mask.sum())
             if n == 0:
                 continue
-            rows, view = claim(n)
             w = np.sqrt(cfg.w_c / len(blk))
+            span, view = claim(n, w, b, None)
             pi, pj = blk.points_i[mask], blk.points_j[mask]
             cams = []  # (frame, sign, column, skew) of each non-gauge camera
             for frame, pts, sign in ((blk.frame_i, pi, w), (blk.frame_j, pj, -w)):
@@ -392,7 +400,7 @@ class _Terms:
                 if off is not None:
                     view[:, :, off + 3 : off + 6] = sign * eye
                     cams.append((frame, sign, off, skew(pts)))
-            self.keypoint.append((rows, w, blk.frame_i, pi, blk.frame_j, pj, view, cams))
+            self.keypoint.append((span, blk.frame_i, pi, blk.frame_j, pj, view, cams))
 
         for b, blk in enumerate(obj_blocks):
             w = np.sqrt(cfg.w_o / blk.total_pairs())
@@ -402,24 +410,26 @@ class _Terms:
                 n = int(mask.sum())
                 if n == 0:
                     continue
-                rows, view = claim(n)
+                span, view = claim(n, w, b, k)
                 depth, noc = blk.depth_points[k][mask], blk.noc_points[k][mask]
                 coff = state.cam_offset(frame)
                 if coff is not None:
                     view[:, :, coff + 3 : coff + 6] = w * eye
                 view[:, :, ooff + 3 : ooff + 6] = -w * eye
                 skew_depth = None if coff is None else skew(depth)
-                self.object.append((rows, w, b, frame, depth, noc, view, coff, ooff, skew_depth))
+                self.object.append((span, w, b, frame, depth, noc, view, coff, ooff, skew_depth))
 
 
-def _residual(terms: _Terms, state: _State) -> np.ndarray:
-    """Weighted residual vector of the active correspondences."""
-    r = np.empty(len(terms.jac))
-    for rows, w, fi, pi, fj, pj, *_ in terms.keypoint:
-        r[rows] = (w * (state.to_world(fi, pi) - state.to_world(fj, pj))).ravel()
-    for rows, w, b, frame, depth, noc, *_ in terms.object:
-        r[rows] = (w * (state.to_world(frame, depth) - state.object_points(b, noc))).ravel()
-    return r
+def _residual(terms: _Terms, state: _State) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the active correspondences at ``state``: the weighted
+    vector r and the unweighted rows d, one per correspondence, with
+    ``r = (weight * d).ravel()``."""
+    d = np.empty_like(terms.weight)
+    for span, fi, pi, fj, pj, *_ in terms.keypoint:
+        d[span] = state.to_world(fi, pi) - state.to_world(fj, pj)
+    for span, _, b, frame, depth, noc, *_ in terms.object:
+        d[span] = state.to_world(frame, depth) - state.object_points(b, noc)
+    return (terms.weight * d).ravel(), d
 
 
 def _jacobian(terms: _Terms, state: _State) -> np.ndarray:
@@ -440,26 +450,27 @@ def _jacobian(terms: _Terms, state: _State) -> np.ndarray:
     return terms.jac
 
 
-def _prune(problem, state, active_kp, active_obj, threshold):
-    """Deactivate correspondences whose current residual norm exceeds the
-    threshold. Returns the number newly pruned; sets are monotone."""
+def _prune(terms: _Terms, d, active_kp, active_obj, threshold):
+    """Deactivate active correspondences whose residual norm exceeds the
+    threshold, reading the norms from ``d``, the unweighted rows that
+    :func:`_residual` gave for ``terms`` at the current state. A keypoint
+    block, or an object block's frame, that would drop below its minimum
+    keeps all of its pairs. Returns the number newly pruned; sets are
+    monotone, and ``terms`` is stale once any is pruned."""
+    over = np.linalg.norm(d, axis=1) > threshold
+    if not over.any():
+        return 0
     pruned = 0
-    for b, blk in enumerate(problem.keypoint_blocks):
-        res = state.to_world(blk.frame_i, blk.points_i) - state.to_world(blk.frame_j, blk.points_j)
-        bad = active_kp[b] & (np.linalg.norm(res, axis=1) > threshold)
-        # never let a block drop below the survivable minimum
-        if (active_kp[b].sum() - bad.sum()) >= MIN_KEYPOINT_PAIRS:
-            pruned += int(bad.sum())
-            active_kp[b] &= ~bad
-    for b, blk in enumerate(problem.object_blocks):
-        for k, frame in enumerate(blk.frames):
-            res = state.to_world(frame, blk.depth_points[k]) - state.object_points(
-                b, blk.noc_points[k]
-            )
-            bad = active_obj[b][k] & (np.linalg.norm(res, axis=1) > threshold)
-            if (active_obj[b][k].sum() - bad.sum()) >= NOC_FILTER.min_pairs:
-                pruned += int(bad.sum())
-                active_obj[b][k] &= ~bad
+    for b, k, span in terms.spans:
+        bad = over[span]
+        n_bad = int(np.count_nonzero(bad))
+        if k is None:
+            mask, floor = active_kp[b], MIN_KEYPOINT_PAIRS
+        else:
+            mask, floor = active_obj[b][k], NOC_FILTER.min_pairs
+        if n_bad and mask.sum() - n_bad >= floor:
+            mask[np.flatnonzero(mask)[bad]] = False
+            pruned += n_bad
     return pruned
 
 
@@ -482,38 +493,36 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
     def trial(delta):
         new = state.retract(delta)
         with np.errstate(over="ignore", invalid="ignore"):
-            r_new = _residual(terms, new)
-        return (new, r_new), float(r_new @ r_new)
+            r_new, d_new = _residual(terms, new)
+        return (new, r_new, d_new), float(r_new @ r_new)
 
     lam = 1e-6
     total_pruned = 0
     iterations = 0
-    cost = None
-    terms = None
+    terms = _Terms(problem, state, active_kp, active_obj)
+    r, d = _residual(terms, state)
+    cost = float(r @ r)
     for it in range(cfg.max_iterations):
         iterations = it + 1
-        pruned = _prune(problem, state, active_kp, active_obj, cfg.residual_prune)
-        total_pruned += pruned
-        if pruned or terms is None:
+        # d is the unweighted residual at state: from the evaluation above
+        # or from the accepted trial
+        pruned = _prune(terms, d, active_kp, active_obj, cfg.residual_prune)
+        if pruned:
+            total_pruned += pruned
             terms = _Terms(problem, state, active_kp, active_obj)
-            r = _residual(terms, state)
-        # else r is still the residual at state, from the accepted trial
-        j = _jacobian(terms, state)
-        cost = float(r @ r)
+            r, d = _residual(terms, state)
+            cost = float(r @ r)
         if cost < 1e-28:
             break
+        j = _jacobian(terms, state)
         new, cost_new, lam = damped_step(j.T @ j, j.T @ r, lam, cost, trial, cfg.step_halvings)
         if new is None:
             break
-        state, r = new
-        if cost - cost_new <= cfg.convergence_tol * max(cost, 1e-30):
-            cost = cost_new
-            break
+        state, r, d = new
+        converged = cost - cost_new <= cfg.convergence_tol * max(cost, 1e-30)
         cost = cost_new
-
-    if cost is None:
-        r = _residual(_Terms(problem, state, active_kp, active_obj), state)
-        cost = float(r @ r)
+        if converged:
+            break
 
     cams = state.cameras()
     objs = state.objects()
@@ -564,8 +573,8 @@ def numeric_jacobian_check(problem: RegistrationProblem, h: float = 1e-6) -> flo
     for k in range(state.size):
         step = np.zeros(state.size)
         step[k] = h
-        rp = _residual(terms, state.retract(step))
-        rm = _residual(terms, state.retract(-step))
+        rp = _residual(terms, state.retract(step))[0]
+        rm = _residual(terms, state.retract(-step))[0]
         j_num[:, k] = (rp - rm) / (2 * h)
     mag = np.maximum(np.abs(j_analytic), np.abs(j_num))
     mask = mag > 1e-8

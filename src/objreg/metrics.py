@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .geometry import RigidPose, euler_from_rotation
+from .geometry import RigidPose
 from .procrustes import _kabsch
 
 __all__ = [
@@ -57,9 +57,15 @@ class RecallThreshold:
 
 
 def pose_error(est: RigidPose, gt: RigidPose) -> tuple[float, float]:
-    """(rotation error in degrees, translation error in meters)."""
-    cos_angle = (np.trace(est.rotation.T @ gt.rotation) - 1.0) / 2.0
-    rot = float(np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0))))
+    """(rotation error in degrees, translation error in meters).
+
+    The angle of A = est^T gt is ``atan2(|vee(A - A^T)|, tr(A) - 1)``, which
+    keeps full precision at small and near-pi angles, unlike the arccos of
+    ``(tr(A) - 1) / 2``.
+    """
+    a = est.rotation.T @ gt.rotation
+    vee = np.linalg.norm([a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]])
+    rot = float(np.degrees(np.arctan2(vee, np.trace(a) - 1.0)))
     trans = float(np.linalg.norm(est.translation - gt.translation))
     return rot, trans
 
@@ -106,7 +112,8 @@ def read_tum(path: str | os.PathLike) -> Trajectory:
     """Read 'timestamp tx ty tz qx qy qz qw' lines; '#' starts a comment.
 
     Quaternions are normalized; a norm deviating by more than 1e-3 from 1 is
-    rejected as malformed.
+    rejected as malformed, and so is a timestamp that does not exceed the
+    one before it. Errors name ``path:lineno``.
     """
     timestamps, poses = [], []
     with open(path) as f:
@@ -121,13 +128,18 @@ def read_tum(path: str | os.PathLike) -> Trajectory:
                 vals = [float(v) for v in fields]
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from e
+            if timestamps and not vals[0] > timestamps[-1]:
+                raise ValueError(
+                    f"{path}:{lineno}: timestamp {vals[0]!r} does not exceed the previous "
+                    f"{timestamps[-1]!r}; timestamps must strictly increase"
+                )
             q = np.array(vals[4:8])
             norm = np.linalg.norm(q)
             if abs(norm - 1.0) > 1e-3:
                 raise ValueError(f"{path}:{lineno}: quaternion norm {norm:.6f} too far from 1")
             rot = Rotation.from_quat(q / norm).as_matrix()
             timestamps.append(vals[0])
-            poses.append(RigidPose(euler_from_rotation(rot), np.array(vals[1:4])))
+            poses.append(RigidPose.from_rotation(rot, np.array(vals[1:4])))
     return Trajectory(np.array(timestamps), poses)
 
 

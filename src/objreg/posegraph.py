@@ -14,7 +14,6 @@ from .geometry import (
     RigidPose,
     apply_rigid,
     compose,
-    euler_from_rotation,
     invert,
     skew,
     so3_exp,
@@ -399,7 +398,7 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
             graph.num_nodes, [e for e in graph.edges if (e.i, e.j) not in set(pruned)]
         )
         rot, trans, switches = robust_solve(survivors, rot, trans)
-    poses = [RigidPose(euler_from_rotation(r), t) for r, t in zip(rot, trans)]
+    poses = [RigidPose.from_rotation(r, t) for r, t in zip(rot, trans)]
     return GraphSolution(poses, switches, pruned)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import RigidPose, apply_rigid, compose, euler_from_rotation
+from .geometry import RigidPose, apply_rigid, compose
 
 __all__ = [
     "AlignmentResult",
@@ -61,16 +61,19 @@ def _kabsch(source, target, weights=None):
     source = np.asarray(source, dtype=float).reshape(-1, 3)
     target = np.asarray(target, dtype=float).reshape(-1, 3)
     if weights is None:
-        w = np.ones(len(source))
+        n = float(len(source))
+        mu_s = source.sum(axis=0) / n
+        mu_t = target.sum(axis=0) / n
+        cov = (target - mu_t).T @ (source - mu_s)
     else:
         w = np.asarray(weights, dtype=float)
-    wsum = w.sum()
-    mu_s = (w[:, None] * source).sum(axis=0) / wsum
-    mu_t = (w[:, None] * target).sum(axis=0) / wsum
-    cov = (w[:, None] * (target - mu_t)).T @ (source - mu_s)
+        wsum = w.sum()
+        mu_s = (w[:, None] * source).sum(axis=0) / wsum
+        mu_t = (w[:, None] * target).sum(axis=0) / wsum
+        cov = (w[:, None] * (target - mu_t)).T @ (source - mu_s)
     u, s, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(u @ vt))
-    rot = u @ np.diag([1.0, 1.0, d]) @ vt
+    u[:, 2] *= np.sign(np.linalg.det(u @ vt))  # u @ diag(1, 1, d)
+    rot = u @ vt
     t = mu_t - rot @ mu_s
     return rot, t, s
 
@@ -86,7 +89,7 @@ def _kabsch_pose(source, target, weights=None) -> RigidPose:
     scale_ref = max(svals[0], 1e-30)
     if svals[1] / scale_ref < 1e-9:
         raise DegenerateAlignmentError("rank-deficient cross-covariance (collinear points)")
-    return RigidPose(euler_from_rotation(rot), t)
+    return RigidPose.from_rotation(rot, t)
 
 
 def kabsch_solve(source, target, weights=None) -> AlignmentResult:
@@ -120,7 +123,7 @@ def kabsch_filter(source, target, cfg: FilterConfig | None = None) -> AlignmentR
                 f"{int(inliers.sum())} surviving pairs < min_pairs={cfg.min_pairs}"
             )
         pose = _kabsch_pose(source[inliers], target[inliers])
-        res = np.linalg.norm(apply_rigid(pose, source) - target, axis=1)
+        res = np.linalg.norm(source @ pose.rotation.T + pose.translation - target, axis=1)
         keep = inliers & (res <= cfg.distance_threshold)
         result = AlignmentResult(
             pose,
@@ -162,7 +165,7 @@ def icp_refine(
     flags = np.zeros(len(source), dtype=bool)
     history = []
     for _ in range(max_iters):
-        moved = apply_rigid(pose, source)
+        moved = source @ pose.rotation.T + pose.translation
         dist, idx = tree.query(moved, distance_upper_bound=max_corr_dist)
         matched = np.isfinite(dist)
         if matched.sum() < 3:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Intrinsics, RigidPose, apply_rigid, compose, euler_from_rotation, invert
+from .geometry import Intrinsics, RigidPose, apply_rigid, compose, invert
 from .observations import Frame, FrameSet, KeypointMatch, ObjectObservation
 
 __all__ = ["SynthConfig", "SynthResult", "generate", "overlap", "make_pair_suite"]
@@ -58,6 +58,14 @@ class SynthResult:
         return iter((self.frameset, self.gt_poses))
 
 
+def _euler_exact(pose: RigidPose) -> RigidPose:
+    """``pose`` rebuilt from its Euler angles. Every pose the generator
+    composes, inverts or applies goes through this, so that each rotation
+    is ``rotation_from_euler(pose.angles)`` and a seed's problem files stay
+    byte-identical whatever rounding ``compose`` and ``invert`` do."""
+    return RigidPose(pose.angles, pose.translation)
+
+
 def _look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
     """Camera-to-world pose with the camera +z axis pointing at target."""
     eye = np.asarray(eye, dtype=float)
@@ -69,8 +77,7 @@ def _look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
         x = np.cross((1.0, 0.0, 0.0), f)
     x = x / np.linalg.norm(x)
     y = np.cross(f, x)
-    rot = np.column_stack([x, y, f])
-    return RigidPose(euler_from_rotation(rot), eye)
+    return _euler_exact(RigidPose.from_rotation(np.column_stack([x, y, f]), eye))
 
 
 def _trajectory(cfg: SynthConfig) -> list[RigidPose]:
@@ -130,7 +137,7 @@ def _symmetry_rotation(rng, symmetry: str) -> np.ndarray:
 
 
 def _visible(world_pts, normals_world, cam: RigidPose, k: Intrinsics) -> np.ndarray:
-    local = apply_rigid(invert(cam), world_pts)
+    local = apply_rigid(_euler_exact(invert(cam)), world_pts)
     z = local[:, 2]
     ok = z > 0.1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,8 +210,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     bg_pts, bg_normals = _background_shell(rng, cfg)
 
-    t0_inv = invert(cams_abs[0])
-    gt_rel = [compose(t0_inv, c) for c in cams_abs]
+    t0_inv = _euler_exact(invert(cams_abs[0]))
+    gt_rel = [_euler_exact(compose(t0_inv, c)) for c in cams_abs]
 
     frames = [Frame(i, intr, float(i)) for i in range(cfg.num_frames)]
     observations = []
@@ -219,7 +226,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
             obj_seen[o] = True
             world = rec["world"][vis]
             noc = rec["canonical"][vis] @ _symmetry_rotation(rng, rec["symmetry"]).T
-            depth = apply_rigid(invert(cam), world)
+            depth = apply_rigid(_euler_exact(invert(cam)), world)
             if cfg.noise_sigma_noc > 0:
                 noc = np.clip(noc + rng.normal(0, cfg.noise_sigma_noc, noc.shape), -0.5, 0.5)
             if cfg.noise_sigma_depth > 0:
@@ -254,8 +261,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
                 if len(idx) < 5:
                     continue
                 pick = rng.choice(idx, min(cfg.keypoints_per_pair, len(idx)), replace=False)
-                pi = apply_rigid(invert(cams_abs[i]), bg_pts[pick])
-                pj = apply_rigid(invert(cams_abs[j]), bg_pts[pick])
+                pi = apply_rigid(_euler_exact(invert(cams_abs[i])), bg_pts[pick])
+                pj = apply_rigid(_euler_exact(invert(cams_abs[j])), bg_pts[pick])
                 if cfg.noise_sigma_depth > 0:
                     pi = pi + rng.normal(0, cfg.noise_sigma_depth, pi.shape)
                     pj = pj + rng.normal(0, cfg.noise_sigma_depth, pj.shape)

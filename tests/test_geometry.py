@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+from objreg import geometry
 from objreg.geometry import (
     Intrinsics,
     ObjectPose,
@@ -71,6 +73,71 @@ class TestRigidPose:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             RigidPose(np.array([np.nan, 0, 0]), np.zeros(3))
+        with pytest.raises(ValueError):
+            RigidPose.from_rotation(np.full((3, 3), np.nan), np.zeros(3))
+
+    def test_from_matrix_rejects_non_rotations(self):
+        reflection = np.diag([1.0, 1.0, -1.0, 1.0])
+        doubled = np.diag([2.0, 2.0, 2.0, 1.0])
+        for bad in (reflection, doubled):
+            with pytest.raises(ValueError, match="not a rotation"):
+                RigidPose.from_matrix(bad)
+
+
+class TestPoseRepresentation:
+    """Poses store rotation matrices; Euler angles are derived on demand."""
+
+    def test_angles_construct_the_euler_rotation(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            angles = rng.uniform(-np.pi, np.pi, 3)
+            pose = RigidPose(angles, rng.uniform(-1, 1, 3))
+            obj = ObjectPose(angles, np.zeros(3), np.ones(3))
+            expected = rotation_from_euler(angles).tobytes()
+            assert pose.rotation.tobytes() == expected == obj.rotation.tobytes()
+            assert pose.angles.tobytes() == angles.tobytes() == obj.angles.tobytes()
+
+    def test_from_rotation_stores_the_matrix(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            r = so3_exp(rng.uniform(-3, 3, 3))
+            pose = RigidPose.from_rotation(r, np.zeros(3))
+            obj = ObjectPose.from_rotation(r, np.zeros(3), np.ones(3))
+            assert pose.rotation.tobytes() == r.tobytes() == obj.rotation.tobytes()
+            angles = euler_from_rotation(r).tobytes()
+            assert pose.angles.tobytes() == angles == obj.angles.tobytes()
+            r[0, 0] = 5.0  # the pose keeps its own copy
+            assert pose.rotation[0, 0] != 5.0
+
+    def test_rotation_and_angles_are_read_only(self):
+        for pose in (
+            RigidPose(np.array([0.1, 0.2, 0.3]), np.zeros(3)),
+            RigidPose.from_rotation(so3_exp(np.array([0.1, 0.2, 0.3])), np.zeros(3)),
+            compose(random_pose(), random_pose()),
+            ObjectPose(np.array([0.1, 0.2, 0.3])),
+        ):
+            before = pose.angles.copy()
+            with pytest.raises(ValueError):
+                pose.rotation[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                pose.angles[0] = 1.0
+            assert pose.angles.tobytes() == before.tobytes()
+
+    def test_matrix_operations_never_pass_through_angles(self, monkeypatch):
+        def forbidden(*_):
+            raise AssertionError("Euler conversion on a matrix path")
+
+        a, b = random_pose(), random_pose()
+        monkeypatch.setattr(geometry, "rotation_from_euler", forbidden)
+        monkeypatch.setattr(geometry, "euler_from_rotation", forbidden)
+        ab = compose(a, b)
+        inv = invert(ab)
+        ident = RigidPose.identity()
+        assert np.array_equal(ident.rotation, np.eye(3))
+        assert np.abs((inv.rotation @ ab.rotation) - np.eye(3)).max() < 1e-12
+        assert np.array_equal(ab.rotation, a.rotation @ b.rotation)
+        assert apply_rigid(inv, ab.translation[None, :]).shape == (1, 3)
+        assert ab.copy().rotation is ab.rotation
 
 
 class TestCompose:
@@ -189,6 +256,35 @@ class TestSO3:
         r = so3_exp(w)
         assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
+
+    ANGLES = (0.0, 1e-9, 1e-5, 1.0, 3.0, np.pi - 1e-6, np.pi)
+
+    def axes(self, seed, n=50):
+        axes = np.random.default_rng(seed).normal(size=(n, 3))
+        return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+    def test_exp_matches_scipy(self):
+        for angle in self.ANGLES:
+            phi = self.axes(30) * angle
+            expected = Rotation.from_rotvec(phi).as_matrix()
+            assert np.abs(so3_exp(phi) - expected).max() <= 1e-15, angle
+
+    def test_log_matches_scipy_on_exact_rotations(self):
+        for angle in self.ANGLES:
+            rot = Rotation.from_rotvec(self.axes(31) * angle).as_matrix()
+            got, expected = so3_log(rot), Rotation.from_matrix(rot).as_rotvec()
+            if angle == np.pi:  # Log is two-valued at pi: +-axis
+                flip = np.abs(got + expected).max(axis=1) < np.abs(got - expected).max(axis=1)
+                expected[flip] *= -1.0
+            assert np.abs(got - expected).max() <= 1e-15, angle
+
+    def test_log_matches_scipy_on_products(self):
+        rng = np.random.default_rng(32)
+        for angle in self.ANGLES:
+            first = Rotation.from_rotvec(self.axes(33) * angle).as_matrix()
+            rot = first @ so3_exp(rng.normal(size=(50, 3))) @ so3_exp(rng.normal(size=(50, 3)))
+            expected = Rotation.from_matrix(rot).as_rotvec()
+            assert np.abs(so3_log(rot) - expected).max() <= 1e-14, angle
 
     def test_batched_shapes_and_axis_oracle(self):
         w = np.array([[0.0, 0.0, np.pi / 2], [0.3, -0.2, 0.1]])

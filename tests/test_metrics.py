@@ -51,6 +51,18 @@ class TestPoseError:
         rot, _ = pose_error(a, RigidPose.identity())
         assert abs(rot - 180.0) < 1e-6
 
+    def test_tiny_rotation_keeps_precision(self):
+        # the arccos of (tr - 1) / 2 reads 0 below ~2e-8 rad
+        a = RigidPose(np.array([1e-9, 0.0, 0.0]), np.zeros(3))
+        rot, _ = pose_error(a, RigidPose.identity())
+        assert rot == pytest.approx(np.degrees(1e-9), rel=1e-6)
+        assert rot == pytest.approx(5.7296e-8, rel=1e-4)
+
+    def test_half_turn(self):
+        for axis in np.eye(3):
+            a = RigidPose.from_rotation(2.0 * np.outer(axis, axis) - np.eye(3), np.zeros(3))
+            assert pose_error(a, RigidPose.identity())[0] == 180.0
+
 
 class TestPoseRecall:
     def test_boundary_inclusive(self):
@@ -176,6 +188,13 @@ class TestTumIO:
         path.write_text("0.0 0 x 0 0 0 0 1\n")
         with pytest.raises(ValueError, match="non-numeric"):
             read_tum(path)
+
+    def test_repeated_or_decreasing_timestamp_named(self, tmp_path):
+        path = tmp_path / "bad.tum"
+        for second in ("0.5", "0.2"):
+            path.write_text(f"# header\n0.5 0 0 0 0 0 0 1\n{second} 0 0 0 0 0 0 1\n")
+            with pytest.raises(ValueError, match=r"bad\.tum:3: timestamp"):
+                read_tum(path)
 
 
 class TestTrajectory:

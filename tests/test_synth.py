@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from objreg.geometry import apply_rigid, invert, compose
+from objreg import synth
+from objreg.geometry import apply_rigid, invert, compose, rotation_from_euler
 from objreg.observations import save_problem
 from objreg.procrustes import kabsch_solve
 from objreg.synth import (
@@ -114,6 +115,42 @@ class TestGenerate:
             SynthConfig(outlier_fraction=1.0)
         with pytest.raises(ValueError):
             SynthConfig(trajectory="spiral")
+
+
+class TestEulerExactScenes:
+    """Problem files are generated from poses whose rotation is exactly
+    ``rotation_from_euler(angles)``: a change in how poses compose or invert
+    must not change a seed's scene, which the benchmark regenerates."""
+
+    CONFIGS = (
+        # the benchmark's 40-frame loop and a 2-frame scene like its pairs
+        dict(num_frames=40, trajectory="loop", num_objects=3, keypoints_per_pair=40,
+             noise_sigma_depth=0.003, rng_seed=3),
+        dict(num_frames=2, num_objects=3, keypoints_per_pair=40, noise_sigma_depth=0.003,
+             outlier_fraction=0.10, orbit_span=0.3 * np.pi, rng_seed=5),
+    )
+
+    @staticmethod
+    def assert_exact(pose):
+        assert pose.rotation.tobytes() == rotation_from_euler(pose.angles).tobytes()
+
+    def test_every_generated_pose(self, monkeypatch):
+        applied = []
+
+        def checked_apply(pose, pts):
+            applied.append(pose)
+            return apply_rigid(pose, pts)
+
+        monkeypatch.setattr(synth, "apply_rigid", checked_apply)
+        for kwargs in self.CONFIGS:
+            cfg = SynthConfig(**kwargs)
+            applied.clear()
+            fs, gt = generate(cfg)
+            if fs.num_frames == 2:
+                measure_pair_overlap(fs)  # applies the ground truth to both frames
+            assert len(applied) > 2 * cfg.num_frames
+            for pose in applied + list(gt) + synth._trajectory(cfg):
+                self.assert_exact(pose)
 
 
 class TestOverlap:
