@@ -41,7 +41,7 @@ def main():
         rng_seed=33,
     )
     fs, gt = generate(cfg)
-    result = register_sequence(fs, jobs=4)
+    result = register_sequence(fs)
 
     ts = np.arange(fs.num_frames, dtype=float)
     gt_traj = Trajectory(ts, gt)

@@ -19,7 +19,7 @@ from .geometry import RigidPose
 from .joint_solver import SolverConfig, register_pair
 from .matching import MatchConfig
 from .metrics import RecallThreshold, Trajectory, ate_rmse, pose_error, pose_recall, read_tum, write_tum
-from .observations import load_problem
+from .observations import _fmt, load_problem, save_problem, write_atomic
 from .posegraph import GraphConfig, register_sequence
 from .synth import SynthConfig, generate, measure_pair_overlap
 
@@ -42,20 +42,12 @@ def _load_config(cls, path: str | None):
     return cls(**kwargs)
 
 
-def _fmt(x):
-    return float(f"{float(x):.9g}")
-
-
 def _write_json(doc: dict, path: str | None):
     text = json.dumps(doc, sort_keys=True, indent=1)
     if path is None:
         print(text)
-        return
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-        f.write("\n")
-    os.replace(tmp, path)
+    else:
+        write_atomic(path, text)
 
 
 def _pose_dict(pose: RigidPose) -> dict:
@@ -71,8 +63,6 @@ def cmd_synth(args):
         cfg.rng_seed = args.seed
     result = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
-    from .observations import save_problem
-
     problem_path = os.path.join(args.out, "problem.json")
     save_problem(result.frameset, problem_path)
     ts = np.array([f.timestamp for f in result.frameset.frames], dtype=float)
@@ -219,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--match-config")
     p.add_argument("--solver-config")
     p.add_argument("--out-traj", required=True, help="output trajectory (TUM format)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; pairs are solved serially")
     p.set_defaults(func=cmd_register_sequence)
 
     p_eval = sub.add_parser("eval", help="metrics")

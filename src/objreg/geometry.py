@@ -23,6 +23,7 @@ __all__ = [
     "skew",
     "so3_exp",
     "so3_log",
+    "rotation_angle",
     "compose",
     "invert",
     "apply_rigid",
@@ -130,6 +131,17 @@ def so3_log(rot) -> np.ndarray:
     series = 2.0 + a2 / 12.0 + 7.0 * a2 * a2 / 2880.0
     scale = np.where(small, series, angle / np.sin(np.where(small, 1.0, angle / 2.0)))
     return (scale[:, None] * xyz).reshape(rot.shape[:-2] + (3,))
+
+
+def rotation_angle(rot) -> float:
+    """Angle in [0, pi] of a 3x3 rotation, ``atan2(|vee(R - R^T)|, tr(R) - 1)``.
+
+    Unlike the arccos of ``(tr(R) - 1) / 2`` it keeps full precision at small
+    and near-pi angles, and unlike ``|so3_log(R)|`` it costs a few scalar
+    operations.
+    """
+    vee = np.linalg.norm([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
+    return float(np.arctan2(vee, np.trace(rot) - 1.0))
 
 
 def euler_from_rotation(rot: np.ndarray) -> np.ndarray:

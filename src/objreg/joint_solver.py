@@ -12,16 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import (
-    ObjectPose,
-    RigidPose,
-    apply_object,
-    apply_rigid,
-    compose,
-    invert,
-    skew,
-    so3_exp,
-)
+from .geometry import ObjectPose, RigidPose, compose, invert, skew, so3_exp
 from .matching import MatchConfig, ObjectTrack, PairMatch, match_pair
 from .metrics import pose_error
 from .observations import NOC_FILTER, FrameSet
@@ -29,7 +20,6 @@ from .procrustes import (
     DegenerateAlignmentError,
     FilterConfig,
     kabsch_filter,
-    kabsch_solve,
     icp_refine,
 )
 
@@ -40,8 +30,6 @@ __all__ = [
     "PairResult",
     "UnsolvableProblemError",
     "build_problem",
-    "object_residuals",
-    "keypoint_residuals",
     "gauss_newton_solve",
     "numeric_jacobian_check",
     "pair_matches",
@@ -50,6 +38,13 @@ __all__ = [
 
 MIN_KEYPOINT_PAIRS = 5
 _LOG_SCALE_FLOOR = np.log(1e-3)
+
+# Gauss-Newton iteration limits: the solve stops after MAX_ITERATIONS steps,
+# once a step lowers the cost by no more than CONVERGENCE_TOL of it, or when
+# DAMPING_TRIES Levenberg dampings in a row fail to lower it.
+MAX_ITERATIONS = 50
+CONVERGENCE_TOL = 1e-9
+DAMPING_TRIES = 8
 
 
 class UnsolvableProblemError(ValueError):
@@ -61,9 +56,6 @@ class SolverConfig:
     w_c: float = 1.0
     w_o: float = 1.0
     residual_prune: float = 0.15
-    max_iterations: int = 50
-    convergence_tol: float = 1e-9
-    step_halvings: int = 8
 
     def __post_init__(self):
         if self.w_c < 0 or self.w_o < 0 or (self.w_c == 0 and self.w_o == 0):
@@ -116,7 +108,6 @@ class SolveReport:
     final_cost: float
     pruned_count: int
     block_stats: list[dict]
-    success: bool = True
 
 
 @dataclass
@@ -247,28 +238,6 @@ def build_problem(
     return RegistrationProblem(
         fs.num_frames, kp_blocks, obj_blocks, cfg, cams, underconstrained_frames=under
     )
-
-
-def object_residuals(cameras, objects, block: ObjectBlock, active=None) -> np.ndarray:
-    """Unweighted residual vectors T_c p_depth - T_o p_noc, stacked (N, 3)."""
-    rows = []
-    for k, frame in enumerate(block.frames):
-        depth = block.depth_points[k]
-        noc = block.noc_points[k]
-        if active is not None:
-            depth = depth[active[k]]
-            noc = noc[active[k]]
-        obj = objects if isinstance(objects, ObjectPose) else objects[block.track_id]
-        rows.append(apply_rigid(cameras[frame], depth) - apply_object(obj, noc))
-    return np.vstack(rows) if rows else np.zeros((0, 3))
-
-
-def keypoint_residuals(cameras, block: KeypointBlock, active=None) -> np.ndarray:
-    """Unweighted residual vectors T_i p_i - T_j p_j, stacked (N, 3)."""
-    pi, pj = block.points_i, block.points_j
-    if active is not None:
-        pi, pj = pi[active], pj[active]
-    return apply_rigid(cameras[block.frame_i], pi) - apply_rigid(cameras[block.frame_j], pj)
 
 
 def damped_step(jtj, jtr, lam, cost, trial, tries):
@@ -502,7 +471,7 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
     terms = _Terms(problem, state, active_kp, active_obj)
     r, d = _residual(terms, state)
     cost = float(r @ r)
-    for it in range(cfg.max_iterations):
+    for it in range(MAX_ITERATIONS):
         iterations = it + 1
         # d is the unweighted residual at state: from the evaluation above
         # or from the accepted trial
@@ -515,34 +484,32 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
         if cost < 1e-28:
             break
         j = _jacobian(terms, state)
-        new, cost_new, lam = damped_step(j.T @ j, j.T @ r, lam, cost, trial, cfg.step_halvings)
+        new, cost_new, lam = damped_step(j.T @ j, j.T @ r, lam, cost, trial, DAMPING_TRIES)
         if new is None:
             break
         state, r, d = new
-        converged = cost - cost_new <= cfg.convergence_tol * max(cost, 1e-30)
+        converged = cost - cost_new <= CONVERGENCE_TOL * max(cost, 1e-30)
         cost = cost_new
         if converged:
             break
 
-    cams = state.cameras()
-    objs = state.objects()
-    track_ids = [b.track_id for b in problem.object_blocks]
+    # every exit follows an evaluation at state or an accepted trial, so d
+    # holds the final residual rows of the active set
+    rows = {}
+    for b, k, span in terms.spans:
+        rows.setdefault((b, k is None), []).append(d[span])
     stats = []
     for b, blk in enumerate(problem.keypoint_blocks):
-        norms = np.linalg.norm(keypoint_residuals(cams, blk, active_kp[b]), axis=1)
         stats.append(
             {
                 "kind": "keypoint",
                 "frames": (blk.frame_i, blk.frame_j),
                 "active": int(active_kp[b].sum()),
                 "total": len(blk),
-                "rms": float(np.sqrt(np.mean(norms**2))) if len(norms) else 0.0,
+                "rms": _rms(rows.get((b, True))),
             }
         )
     for b, blk in enumerate(problem.object_blocks):
-        norms = np.linalg.norm(
-            object_residuals(cams, objs[b], blk, active_obj[b]), axis=1
-        )
         stats.append(
             {
                 "kind": "object",
@@ -550,12 +517,22 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
                 "frames": tuple(blk.frames),
                 "active": int(sum(m.sum() for m in active_obj[b])),
                 "total": blk.total_pairs(),
-                "rms": float(np.sqrt(np.mean(norms**2))) if len(norms) else 0.0,
+                "rms": _rms(rows.get((b, False))),
             }
         )
+    track_ids = [b.track_id for b in problem.object_blocks]
     return SolveReport(
-        cams, objs, track_ids, iterations, cost, total_pruned, stats
+        state.cameras(), state.objects(), track_ids, iterations, cost, total_pruned, stats
     )
+
+
+def _rms(rows) -> float:
+    """Root mean square norm of a block's residual rows, in span order (a
+    list of (n, 3) arrays); 0.0 for none."""
+    if not rows:
+        return 0.0
+    norms = np.linalg.norm(np.concatenate(rows), axis=1)
+    return float(np.sqrt(np.mean(norms**2)))
 
 
 def numeric_jacobian_check(problem: RegistrationProblem, h: float = 1e-6) -> float:

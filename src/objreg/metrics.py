@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .geometry import RigidPose
+from .geometry import RigidPose, rotation_angle
+from .observations import write_atomic
 from .procrustes import _kabsch
 
 __all__ = [
@@ -57,15 +58,10 @@ class RecallThreshold:
 
 
 def pose_error(est: RigidPose, gt: RigidPose) -> tuple[float, float]:
-    """(rotation error in degrees, translation error in meters).
-
-    The angle of A = est^T gt is ``atan2(|vee(A - A^T)|, tr(A) - 1)``, which
-    keeps full precision at small and near-pi angles, unlike the arccos of
-    ``(tr(A) - 1) / 2``.
-    """
-    a = est.rotation.T @ gt.rotation
-    vee = np.linalg.norm([a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]])
-    rot = float(np.degrees(np.arctan2(vee, np.trace(a) - 1.0)))
+    """(rotation error in degrees, translation error in meters); the
+    rotation error is the :func:`~objreg.geometry.rotation_angle` of
+    est^T gt."""
+    rot = float(np.degrees(rotation_angle(est.rotation.T @ gt.rotation)))
     trans = float(np.linalg.norm(est.translation - gt.translation))
     return rot, trans
 
@@ -152,8 +148,4 @@ def write_tum(traj: Trajectory, path: str | os.PathLike) -> None:
             q = -q
         vals = [t, *pose.translation, *q]
         lines.append(" ".join(f"{v:.9g}" for v in vals))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines))

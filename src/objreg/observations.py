@@ -233,15 +233,20 @@ def _frameset_to_dict(fs: FrameSet) -> dict:
     return doc
 
 
-def save_problem(fs: FrameSet, path: str | os.PathLike) -> None:
-    """Write a FrameSet in canonical JSON form (atomic, byte-stable)."""
-    fs.validate()
-    text = json.dumps(_frameset_to_dict(fs), sort_keys=True, indent=1)
+def write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` and a final newline to ``path`` through a temporary
+    sibling file renamed over it, so readers never see a partial file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
         f.write(text)
         f.write("\n")
     os.replace(tmp, path)
+
+
+def save_problem(fs: FrameSet, path: str | os.PathLike) -> None:
+    """Write a FrameSet in canonical JSON form (atomic, byte-stable)."""
+    fs.validate()
+    write_atomic(path, json.dumps(_frameset_to_dict(fs), sort_keys=True, indent=1))
 
 
 @contextmanager

@@ -5,7 +5,6 @@ switches (Choi-style), and the result is a gauge-fixed trajectory."""
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +43,12 @@ __all__ = [
     "SequenceResult",
 ]
 
+# Robust solve limits: up to MAX_OUTER_ITERATIONS rounds of {solve the poses
+# with the switches fixed, update the switches}, each pose solve taking up to
+# MAX_INNER_ITERATIONS damped Gauss-Newton steps.
+MAX_OUTER_ITERATIONS = 15
+MAX_INNER_ITERATIONS = 10
+
 
 @dataclass
 class GraphEdge:
@@ -72,8 +77,6 @@ class GraphConfig:
     lc_object_max_depth: float = 2.15
     lc_min_scale: float = 0.05
     line_process_mu: float = 100.0
-    max_outer_iterations: int = 15
-    max_inner_iterations: int = 10
 
 
 @dataclass
@@ -87,7 +90,6 @@ class GraphSolution:
     poses: list[RigidPose]
     switches: dict  # (i, j) -> final line-process value for uncertain edges
     pruned: list[tuple[int, int]]
-    warning: str | None = None
 
 
 def _depth_in_range(zs, cfg: GraphConfig, margin: float = 0.0) -> bool:
@@ -265,7 +267,7 @@ def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
     return poses
 
 
-def _solve_poses(graph, edges, index, rot, trans, err, err_rot, switches, cfg):
+def _solve_poses(graph, edges, index, rot, trans, err, err_rot, switches):
     """Damped GN over node poses with fixed switch weights; node 0 pinned.
     ``edges`` is ``_edge_arrays(graph)``, ``index`` is ``_normal_index`` of
     them, and ``(err, err_rot)`` are the edge errors at ``(rot, trans)``.
@@ -291,7 +293,7 @@ def _solve_poses(graph, edges, index, rot, trans, err, err_rot, switches, cfg):
 
     lam = 1e-6
     cost = cost_of(err)
-    for _ in range(cfg.max_inner_iterations):
+    for _ in range(MAX_INNER_ITERATIONS):
         h, g = _normal_equations(*_edge_jacobians(rot, edges, err, err_rot), err, w, index)
         new, cost_new, lam = damped_step(h, g, lam, cost, trial, 8)
         if new is None:
@@ -373,9 +375,9 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
         err, err_rot = _edge_errors(rot, trans, edges)
         switches = _update_switches(g, err, cfg)
         cost = np.inf
-        for _ in range(cfg.max_outer_iterations):
+        for _ in range(MAX_OUTER_ITERATIONS):
             rot, trans, new_cost, err, err_rot = _solve_poses(
-                g, edges, index, rot, trans, err, err_rot, switches, cfg
+                g, edges, index, rot, trans, err, err_rot, switches
             )
             switches = _update_switches(g, err, cfg)
             if abs(cost - new_cost) < 1e-12 * max(cost, 1.0):
@@ -489,7 +491,11 @@ def register_sequence(
     parts of the graph; ``diagnostics["certain_bridges"]`` lists those
     steps. Frame timestamps (the frame index where missing) must strictly
     increase; a frame that breaks this raises a ``ValidationError`` before
-    any pair is solved."""
+    any pair is solved.
+
+    Pairs are solved one after another. ``jobs`` is accepted for
+    compatibility and has no effect: a thread pool over the pairs was slower
+    than this loop on 2 cores."""
     fs.validate()
     if fs.num_frames < 2:
         raise ValueError("need at least 2 frames")
@@ -512,23 +518,25 @@ def register_sequence(
     loop_pairs = candidate_loop_pairs(fs.num_frames)
 
     loop_mcfg = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold)
-    # fit every observation once, before the pair copies share it; worker
-    # threads then only read the cached fits
+    # fit every observation once, here: the shallow pair copies made below
+    # then share the cached fit instead of each fitting its own
     for o in fs.observations:
         o.noc_fit
     match_index = _match_index(fs)
 
-    def solve_one(pair):
-        i, j = pair
+    results, screened = {}, []
+    for i, j in odo_pairs + loop_pairs:
         sub = _pair_frameset(fs, i, j, match_index)
         if j == i + 1:
-            return pair, register_pair(
+            results[(i, j)] = register_pair(
                 sub, mcfg, scfg, icp=icp, keypoint_filter=default_keypoint_filter(0.30)
             )
+            continue
         matches = pair_matches(sub, loop_mcfg)
         if _screened_out(sub, matches, scfg, gcfg):
-            return pair, None
-        return pair, register_pair(
+            screened.append((i, j))
+            continue
+        results[(i, j)] = register_pair(
             sub,
             loop_mcfg,
             scfg,
@@ -536,15 +544,6 @@ def register_sequence(
             keypoint_filter=default_keypoint_filter(0.15),
             matches=matches,
         )
-
-    all_pairs = odo_pairs + loop_pairs
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(solve_one, all_pairs))
-    else:
-        solved = list(map(solve_one, all_pairs))
-    results = {p: r for p, r in solved if r is not None}
-    screened = sorted(p for p, r in solved if r is None)
 
     failed_odo = [p for p in odo_pairs if not results[p].success]
     if failed_odo:

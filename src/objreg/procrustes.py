@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import RigidPose, apply_rigid, compose
+from .geometry import RigidPose, apply_rigid, compose, rotation_angle
 
 __all__ = [
     "AlignmentResult",
@@ -184,7 +184,7 @@ def icp_refine(
         except DegenerateAlignmentError:
             break
         pose = compose(upd, pose)
-        step = np.linalg.norm(upd.angles) + np.linalg.norm(upd.translation)
+        step = rotation_angle(upd.rotation) + np.linalg.norm(upd.translation)
         if step < 1e-6:
             best_pose = pose
             break

@@ -83,6 +83,15 @@ class TestRegisterPairCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["success"]
 
+    @pytest.mark.parametrize("key", ["max_iterations", "convergence_tol", "step_halvings"])
+    def test_removed_solver_config_keys_rejected(self, pair_problem, tmp_path, key):
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps({key: 1}))
+        with pytest.raises(SystemExit, match=key):
+            run("register-pair", "--problem", pair_problem, "--solver-config", str(cfg),
+                "--out", str(tmp_path / "r.json"))
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestEvalCommands:
     def test_ate_self_zero(self, tmp_path, capsys):
@@ -115,7 +124,9 @@ class TestEvalCommands:
 
 
 class TestRegisterSequenceCommand:
-    @pytest.mark.parametrize("key", ["loop_preference", "max_corr_dist"])
+    @pytest.mark.parametrize(
+        "key", ["loop_preference", "max_corr_dist", "max_outer_iterations", "max_inner_iterations"]
+    )
     def test_removed_graph_config_keys_rejected(self, pair_problem, tmp_path, key):
         cfg = tmp_path / "graph.json"
         cfg.write_text(json.dumps({key: 1.0}))

@@ -14,6 +14,7 @@ from objreg.geometry import (
     back_project,
     compose,
     invert,
+    rotation_angle,
     rotation_from_euler,
     euler_from_rotation,
     skew,
@@ -285,6 +286,12 @@ class TestSO3:
             rot = first @ so3_exp(rng.normal(size=(50, 3))) @ so3_exp(rng.normal(size=(50, 3)))
             expected = Rotation.from_matrix(rot).as_rotvec()
             assert np.abs(so3_log(rot) - expected).max() <= 1e-14, angle
+
+    def test_rotation_angle(self):
+        for angle in self.ANGLES:
+            for rot in Rotation.from_rotvec(self.axes(34) * angle).as_matrix():
+                assert abs(rotation_angle(rot) - angle) <= 4e-16 * max(angle, 1.0), angle
+        assert rotation_angle(np.eye(3)) == 0.0
 
     def test_batched_shapes_and_axis_oracle(self):
         w = np.array([[0.0, 0.0, np.pi / 2], [0.3, -0.2, 0.1]])

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from objreg import joint_solver
-from objreg.geometry import RigidPose, apply_rigid, compose, invert
+from objreg import geometry, joint_solver
+from objreg.geometry import RigidPose, apply_object, apply_rigid, compose, invert
 from objreg.joint_solver import (
     SolverConfig,
     UnsolvableProblemError,
@@ -22,7 +22,7 @@ from objreg.joint_solver import (
 from objreg.matching import MatchConfig, ObjectTrack, match_pair
 from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation
-from objreg.procrustes import kabsch_solve
+from objreg.procrustes import icp_refine, kabsch_solve
 from objreg.synth import SynthConfig, generate
 
 
@@ -387,7 +387,92 @@ class TestPruneFromResidual:
             assert (sum(counts) > 0) == prunes
 
 
+def rms_of(rows):
+    """The rms of residual rows, computed as the solver reports it."""
+    norms = np.linalg.norm(rows, axis=1)
+    return float(np.sqrt(np.mean(norms**2)))
+
+
+class TestBlockStats:
+    """``block_stats`` come from the residual rows the solver already holds;
+    they must equal each block's residuals recomputed at the returned poses
+    over its final active pairs."""
+
+    def solve(self, problem, monkeypatch):
+        """The report and the final (active_kp, active_obj) masks."""
+        masks = []
+
+        def prune(terms, d, active_kp, active_obj, threshold):
+            masks[:] = [active_kp, active_obj]
+            return _prune(terms, d, active_kp, active_obj, threshold)
+
+        monkeypatch.setattr(joint_solver, "_prune", prune)
+        return gauss_newton_solve(problem), *masks
+
+    def check(self, problem, monkeypatch):
+        report, active_kp, active_obj = self.solve(problem, monkeypatch)
+        cams = report.camera_poses
+        expected = []
+        for blk, m in zip(problem.keypoint_blocks, active_kp):
+            rows = apply_rigid(cams[blk.frame_i], blk.points_i[m]) - apply_rigid(
+                cams[blk.frame_j], blk.points_j[m]
+            )
+            expected.append(("keypoint", int(m.sum()), len(blk), rms_of(rows)))
+        for blk, frame_masks, obj in zip(problem.object_blocks, active_obj, report.object_poses):
+            rows = np.vstack([
+                apply_rigid(cams[f], depth[m]) - apply_object(obj, noc[m])
+                for f, depth, noc, m in zip(blk.frames, blk.depth_points, blk.noc_points, frame_masks)
+            ])
+            active = int(sum(m.sum() for m in frame_masks))
+            expected.append(("object", active, blk.total_pairs(), rms_of(rows)))
+        got = [(s["kind"], s["active"], s["total"], s["rms"]) for s in report.block_stats]
+        assert got == expected
+        return report
+
+    def test_pruned_keypoints(self, monkeypatch):
+        for seed in range(3):
+            report = self.check(outlier_problem(400 + seed), monkeypatch)
+            assert report.pruned_count >= 20
+
+    @pytest.mark.parametrize("num_frames, seed", [(2, 21), (3, 22)])
+    def test_pruned_objects_and_keypoints(self, monkeypatch, num_frames, seed):
+        problem = tracked_problem(num_frames, seed)
+        problem = replace(problem, config=replace(problem.config, residual_prune=0.01))
+        report = self.check(problem, monkeypatch)
+        assert report.pruned_count > 0
+        assert {s["kind"] for s in report.block_stats} == {"keypoint", "object"}
+
+    @pytest.mark.parametrize("weights, kind", [({"w_c": 0.0}, "object"), ({"w_o": 0.0}, "keypoint")])
+    def test_one_weight_zero(self, monkeypatch, weights, kind):
+        problem = tracked_problem(2, seed=21)
+        report = self.check(replace(problem, config=SolverConfig(**weights)), monkeypatch)
+        assert {s["kind"] for s in report.block_stats} == {kind}
+
+
 class TestRegisterPair:
+    def test_no_euler_angles_on_the_pair_path(self, monkeypatch):
+        """A registration, ICP step test included, never decomposes a
+        rotation into Euler angles."""
+        fs, _ = generate(
+            SynthConfig(num_frames=2, num_objects=2, orbit_span=np.pi / 6,
+                        noise_sigma_depth=0.005, rng_seed=13)
+        )
+        icp_results = []
+
+        def icp(*args, **kwargs):
+            icp_results.append(icp_refine(*args, **kwargs))
+            return icp_results[-1]
+
+        def forbidden(*_):
+            raise AssertionError("Euler conversion on the pair path")
+
+        monkeypatch.setattr(joint_solver, "icp_refine", icp)
+        monkeypatch.setattr(geometry, "euler_from_rotation", forbidden)
+        monkeypatch.setattr(geometry, "rotation_from_euler", forbidden)
+        result = register_pair(fs)
+        assert result.success and len(icp_results[0].rms_history) >= 2
+        assert result.report.camera_poses[1] is icp_results[0].pose  # ICP accepted
+
     def test_synthetic_pair_with_noise(self):
         fs, gt = generate(
             SynthConfig(num_frames=2, num_objects=2, orbit_span=np.pi / 6,

@@ -1,10 +1,12 @@
 import copy
+import threading
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from objreg import geometry
 from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert, so3_exp
 from objreg.joint_solver import (
     PairResult,
@@ -258,7 +260,7 @@ class TestOptimizeGraph:
         assert switches[(3, 13)] < CFG.edge_prune_threshold
         for _ in range(3):
             rot, trans, _, err, err_rot = _solve_poses(
-                graph, edges, index, rot, trans, err, err_rot, switches, CFG
+                graph, edges, index, rot, trans, err, err_rot, switches
             )
             fresh, fresh_rot = _edge_errors(rot, trans, edges)
             assert np.array_equal(err, fresh) and np.array_equal(err_rot, fresh_rot)
@@ -393,6 +395,27 @@ class TestRegisterSequence:
         b = register_sequence(fs, jobs=4)
         for pa, pb in zip(a.trajectory.poses, b.trajectory.poses):
             assert np.array_equal(pa.to_matrix(), pb.to_matrix())
+
+    def test_jobs_start_no_thread(self, seq_fs, monkeypatch):
+        def forbidden(_):
+            raise AssertionError("register_sequence started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
+        result = register_sequence(seq_fs.frameset, jobs=4)
+        assert result.diagnostics["num_loop_edges"] >= 1
+
+    def test_no_euler_angles(self, seq_fs, monkeypatch):
+        """Euler angles are an I/O format: no pair solve, ICP step test or
+        graph solve computes them."""
+        fs, _ = seq_fs
+
+        def forbidden(*_):
+            raise AssertionError("Euler conversion in register_sequence")
+
+        monkeypatch.setattr(geometry, "euler_from_rotation", forbidden)
+        monkeypatch.setattr(geometry, "rotation_from_euler", forbidden)
+        result = register_sequence(fs)
+        assert result.diagnostics["num_loop_edges"] >= 1
 
     def test_large_odometry_steps_registered(self):
         # steps of 0.65 m, over restructure_uncertain_dist: every odometry
