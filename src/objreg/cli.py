@@ -15,11 +15,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from .geometry import RigidPose
 from .joint_solver import SolverConfig, register_pair
 from .matching import MatchConfig
 from .metrics import RecallThreshold, Trajectory, ate_rmse, pose_error, pose_recall, read_tum, write_tum
-from .observations import _fmt, load_problem, save_problem, write_atomic
+from .observations import _fmt, _pose_dict, _pose_from_dict, load_problem, save_problem, write_atomic
 from .posegraph import GraphConfig, register_sequence
 from .synth import SynthConfig, generate, measure_pair_overlap
 
@@ -48,13 +47,6 @@ def _write_json(doc: dict, path: str | None):
         print(text)
     else:
         write_atomic(path, text)
-
-
-def _pose_dict(pose: RigidPose) -> dict:
-    return {
-        "angles": [_fmt(v) for v in pose.angles],
-        "translation": [_fmt(v) for v in pose.translation],
-    }
 
 
 def cmd_synth(args):
@@ -141,10 +133,7 @@ def cmd_eval_recall(args):
         if not rep.get("success"):
             errors.append((np.inf, np.inf))
             continue
-        est = RigidPose(
-            np.array(rep["relative_pose"]["angles"]),
-            np.array(rep["relative_pose"]["translation"]),
-        )
+        est = _pose_from_dict(rep["relative_pose"])
         stem = name[: -len(".json")]
         if stem in gt_map:
             gt_rec = gt_map[stem]
@@ -152,8 +141,7 @@ def cmd_eval_recall(args):
             gt_rec = rep["gt_relative_pose"]
         else:
             raise SystemExit(f"no ground truth for report {name}")
-        gt = RigidPose(np.array(gt_rec["angles"]), np.array(gt_rec["translation"]))
-        errors.append(pose_error(est, gt))
+        errors.append(pose_error(est, _pose_from_dict(gt_rec)))
     doc = {
         "num_pairs": len(errors),
         "recall": {

@@ -618,15 +618,8 @@ def register_pair(
         return PairResult(False, str(e), matches=matches)
 
     if icp:
-        pts = {0: [], 1: []}
-        for o in fs.observations:
-            pts[o.frame].append(o.depth_points)
-        for km in keypoints:
-            pts[km.frame_i].append(km.points_i)
-            pts[km.frame_j].append(km.points_j)
-        if pts[0] and pts[1]:
-            src = np.vstack(pts[1])
-            tgt = np.vstack(pts[0])
+        src, tgt = sub.frame_points(1), sub.frame_points(0)
+        if len(src) and len(tgt):
             res = icp_refine(
                 src, tgt, report.camera_poses[1], max_corr_dist=scfg.residual_prune
             )

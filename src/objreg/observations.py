@@ -119,6 +119,18 @@ class FrameSet:
     def observations_in_frame(self, frame: int) -> list[ObjectObservation]:
         return [o for o in self.observations if o.frame == frame]
 
+    def frame_points(self, frame: int) -> np.ndarray:
+        """A frame's camera-local points, (N, 3): the depth points of its
+        observations in order, then the points of each keypoint match that
+        touches it."""
+        pts = [o.depth_points for o in self.observations_in_frame(frame)]
+        for km in self.keypoint_matches:
+            if km.frame_i == frame:
+                pts.append(km.points_i)
+            elif km.frame_j == frame:
+                pts.append(km.points_j)
+        return np.vstack(pts) if pts else np.zeros((0, 3))
+
     def validate(self):
         for k, f in enumerate(self.frames):
             if f.index != k:
@@ -175,6 +187,19 @@ def _fmt_array(a: np.ndarray) -> list:
     return [[_fmt(v) for v in row] for row in np.asarray(a).reshape(-1, a.shape[-1])]
 
 
+def _pose_dict(pose: RigidPose) -> dict:
+    """The JSON record of a pose: Euler angles (radians) and translation."""
+    return {
+        "angles": [_fmt(v) for v in pose.angles],
+        "translation": [_fmt(v) for v in pose.translation],
+    }
+
+
+def _pose_from_dict(rec: dict) -> RigidPose:
+    """The pose of a :func:`_pose_dict` record."""
+    return RigidPose(rec["angles"], rec["translation"])
+
+
 def _frameset_to_dict(fs: FrameSet) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
@@ -223,13 +248,7 @@ def _frameset_to_dict(fs: FrameSet) -> dict:
         ],
     }
     if fs.ground_truth is not None:
-        doc["ground_truth"] = [
-            {
-                "angles": [_fmt(v) for v in p.angles],
-                "translation": [_fmt(v) for v in p.translation],
-            }
-            for p in fs.ground_truth
-        ]
+        doc["ground_truth"] = [_pose_dict(p) for p in fs.ground_truth]
     return doc
 
 
@@ -315,14 +334,7 @@ def _frameset_from_dict(doc: dict) -> FrameSet:
     )
     gt = None
     if "ground_truth" in doc:
-        gt = _records(
-            doc,
-            "ground_truth",
-            "ground_truth pose",
-            lambda rec: RigidPose(
-                np.array(rec["angles"], dtype=float), np.array(rec["translation"], dtype=float)
-            ),
-        )
+        gt = _records(doc, "ground_truth", "ground_truth pose", _pose_from_dict)
     return FrameSet(frames, matches, obs, gt).validate()
 
 

@@ -60,10 +60,10 @@ class GraphEdge:
     kind: str  # "odometry" | "loop_closure"
 
     def __post_init__(self):
-        if not self.i < self.j:
-            raise ValueError("edge must satisfy i < j")
-        if self.information_weight < 0:
-            raise ValueError("information_weight must be nonnegative")
+        if not 0 <= self.i < self.j:
+            raise ValueError(f"edge ({self.i}, {self.j}): nodes must satisfy 0 <= i < j")
+        if not (np.isfinite(self.information_weight) and self.information_weight >= 0):
+            raise ValueError(f"edge ({self.i}, {self.j}): information_weight must be finite, >= 0")
 
 
 @dataclass
@@ -177,31 +177,46 @@ def build_graph(
     return PoseGraph(num_frames, edges)
 
 
-def _edge_arrays(graph: PoseGraph):
-    """Node indices i, j and relative rotations/translations of all edges."""
-    ii = np.array([e.i for e in graph.edges], dtype=int)
-    jj = np.array([e.j for e in graph.edges], dtype=int)
-    d_rot = np.array([e.relative_pose.rotation for e in graph.edges]).reshape(-1, 3, 3)
-    d_trans = np.array([e.relative_pose.translation for e in graph.edges]).reshape(-1, 3)
-    return ii, jj, d_rot, d_trans
+class _EdgeTable:
+    """One robust solve's edges as arrays aligned with ``graph.edges``: node
+    indices, relative poses, weights ``max(information_weight, 1)``, the
+    uncertain mask, and the flat indices that scatter each edge's (12, 12)
+    J^T W J and (12,) J^T W e blocks into the ``size`` normal equations over
+    nodes 1..n-1: columns (phi, dt) of node i, then of node j, with entries
+    on node 0 (the gauge) sent to one bin past the end."""
+
+    def __init__(self, graph: PoseGraph):
+        self.ii = np.array([e.i for e in graph.edges], dtype=int)
+        self.jj = np.array([e.j for e in graph.edges], dtype=int)
+        self.d_rot = np.array([e.relative_pose.rotation for e in graph.edges]).reshape(-1, 3, 3)
+        self.d_trans = np.array([e.relative_pose.translation for e in graph.edges]).reshape(-1, 3)
+        self.weight = np.array([max(e.information_weight, 1.0) for e in graph.edges])
+        self.uncertain = np.array([e.uncertain for e in graph.edges], dtype=bool)
+        self.size = size = 6 * (graph.num_nodes - 1)
+        node = np.repeat(np.stack([self.ii, self.jj], axis=1), 6, axis=1)  # (E, 12)
+        coord = 6 * (node - 1) + np.tile(np.arange(6), 2)
+        gauge = node == 0
+        h_index = coord[:, :, None] * size + coord[:, None, :]
+        h_index[gauge[:, :, None] | gauge[:, None, :]] = size * size
+        self.h_index, self.g_index = h_index.ravel(), np.where(gauge, size, coord).ravel()
 
 
-def _edge_errors(rot, trans, edges):
+def _edge_errors(rot, trans, table: _EdgeTable):
     """Errors of all edges at node poses (rot (n, 3, 3), trans (n, 3)).
 
     Edge k's error is T_j^-1 T_i T_delta, returned as the rows
     ``[Log(R_j^T R_i R_delta), R_j^T (R_i t_delta + t_i - t_j)]`` of an
     (E, 6) array, together with the error rotations (E, 3, 3).
     """
-    ii, jj, d_rot, d_trans = edges
+    ii, jj = table.ii, table.jj
     rj_t = np.swapaxes(rot[jj], 1, 2)
-    err_rot = rj_t @ rot[ii] @ d_rot
-    moved = (rot[ii] @ d_trans[:, :, None])[:, :, 0] + trans[ii] - trans[jj]
+    err_rot = rj_t @ rot[ii] @ table.d_rot
+    moved = (rot[ii] @ table.d_trans[:, :, None])[:, :, 0] + trans[ii] - trans[jj]
     err_trans = (rj_t @ moved[:, :, None])[:, :, 0]
     return np.hstack([so3_log(err_rot), err_trans]), err_rot
 
 
-def _edge_jacobians(rot, edges, err, err_rot):
+def _edge_jacobians(rot, table: _EdgeTable, err, err_rot):
     """Closed-form (E, 6, 6) derivatives of the edge errors with respect to
     (phi, dt) of node i and of node j, for the retraction
     ``R <- R Exp(phi), t <- t + dt``.
@@ -211,7 +226,6 @@ def _edge_jacobians(rot, edges, err, err_rot):
     d tau/d phi_i = -R_j^T R_i [t_delta]x, d tau/d phi_j = [tau]x,
     d tau/d t_i = R_j^T = -d tau/d t_j.
     """
-    ii, jj, d_rot, d_trans = edges
     rho, tau = err[:, :3], err[:, 3:]
     # J_r^-1 = I + [rho]x / 2 + c [rho]x^2, with c -> 1/12 as theta -> 0
     theta = np.linalg.norm(rho, axis=1)
@@ -219,43 +233,26 @@ def _edge_jacobians(rot, edges, err, err_rot):
     c = np.where(theta < 1e-4, 1 / 12, 1 / big**2 - np.cos(big / 2) / (2 * big * np.sin(big / 2)))
     k = skew(rho)
     jr_inv = np.eye(3) + 0.5 * k + c[:, None, None] * (k @ k)
-    rj_t = np.swapaxes(rot[jj], 1, 2)
+    rj_t = np.swapaxes(rot[table.jj], 1, 2)
     jac_i, jac_j = np.zeros((2, len(err), 6, 6))
-    jac_i[:, :3, :3] = jr_inv @ np.swapaxes(d_rot, 1, 2)
+    jac_i[:, :3, :3] = jr_inv @ np.swapaxes(table.d_rot, 1, 2)
     jac_j[:, :3, :3] = -jr_inv @ np.swapaxes(err_rot, 1, 2)
-    jac_i[:, 3:, :3] = -rj_t @ rot[ii] @ skew(d_trans)
+    jac_i[:, 3:, :3] = -rj_t @ rot[table.ii] @ skew(table.d_trans)
     jac_j[:, 3:, :3] = skew(tau)
     jac_i[:, 3:, 3:] = rj_t
     jac_j[:, 3:, 3:] = -rj_t
     return jac_i, jac_j
 
 
-def _normal_index(edges, num_nodes):
-    """Flat indices that scatter each edge's (12, 12) block of J^T W J and
-    (12,) block of J^T W e into the normal equations over the tangent of
-    nodes 1..n-1. An edge's 12 columns are (phi, dt) of node i, then of node
-    j; entries on node 0 (the gauge) go to one bin past the end. Returns
-    ``(h_index, g_index, size)``."""
-    ii, jj = edges[:2]
-    size = 6 * (num_nodes - 1)
-    node = np.repeat(np.stack([ii, jj], axis=1), 6, axis=1)  # (E, 12)
-    coord = 6 * (node - 1) + np.tile(np.arange(6), 2)
-    gauge = node == 0
-    h_index = coord[:, :, None] * size + coord[:, None, :]
-    h_index[gauge[:, :, None] | gauge[:, None, :]] = size * size
-    g_index = np.where(gauge, size, coord)
-    return h_index.ravel(), g_index.ravel(), size
-
-
-def _normal_equations(jac_i, jac_j, err, w, index):
+def _normal_equations(jac_i, jac_j, err, w, table: _EdgeTable):
     """``(J^T W J, J^T W e)`` over nodes 1..n-1, summed one edge at a time:
     edge k adds ``[A B]^T w_k [A B]`` and ``[A B]^T w_k e_k`` for its blocks
-    A = ``jac_i[k]``, B = ``jac_j[k]``. ``index`` is ``_normal_index``."""
-    h_index, g_index, size = index
+    A = ``jac_i[k]``, B = ``jac_j[k]``, scattered by the table's indices."""
+    size = table.size
     jac = np.concatenate([jac_i, jac_j], axis=2)  # (E, 6, 12)
     jac_tw = np.swapaxes(jac, 1, 2) * w[:, None, None]
-    h = np.bincount(h_index, (jac_tw @ jac).ravel(), size * size + 1)[:-1]
-    g = np.bincount(g_index, (jac_tw @ err[:, :, None]).ravel(), size + 1)[:-1]
+    h = np.bincount(table.h_index, (jac_tw @ jac).ravel(), size * size + 1)[:-1]
+    g = np.bincount(table.g_index, (jac_tw @ err[:, :, None]).ravel(), size + 1)[:-1]
     return h.reshape(size, size), g
 
 
@@ -267,18 +264,16 @@ def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
     return poses
 
 
-def _solve_poses(graph, edges, index, rot, trans, err, err_rot, switches):
-    """Damped GN over node poses with fixed switch weights; node 0 pinned.
-    ``edges`` is ``_edge_arrays(graph)``, ``index`` is ``_normal_index`` of
-    them, and ``(err, err_rot)`` are the edge errors at ``(rot, trans)``.
+def _solve_poses(table: _EdgeTable, rot, trans, err, err_rot, switches):
+    """Damped GN over node poses with fixed per-edge ``switches``; node 0
+    pinned. ``(err, err_rot)`` are the edge errors at ``(rot, trans)``.
     Returns the final poses, their cost and their edge errors.
 
     Node rotations are retracted by right-multiplied increments, translations
     additively; the tangent vector packs (phi, dt) per node 1..n-1."""
-    if not graph.edges:  # a lone node, pinned
+    if not len(table.weight):  # a lone node, pinned
         return rot, trans, 0.0, err, err_rot
-    weights = np.array([max(e.information_weight, 1.0) for e in graph.edges])
-    w = weights / weights.mean() * np.array([switches.get((e.i, e.j), 1.0) for e in graph.edges])
+    w = table.weight / table.weight.mean() * switches
     sqrt_w = np.sqrt(w)
 
     def cost_of(err):
@@ -288,13 +283,13 @@ def _solve_poses(graph, edges, index, rot, trans, err, err_rot, switches):
     def trial(delta):
         step = np.vstack([np.zeros(6), delta.reshape(-1, 6)])  # node 0 stays put
         rot_new, trans_new = rot @ so3_exp(step[:, :3]), trans + step[:, 3:]
-        err_new, err_rot_new = _edge_errors(rot_new, trans_new, edges)
+        err_new, err_rot_new = _edge_errors(rot_new, trans_new, table)
         return (rot_new, trans_new, err_new, err_rot_new), cost_of(err_new)
 
     lam = 1e-6
     cost = cost_of(err)
     for _ in range(MAX_INNER_ITERATIONS):
-        h, g = _normal_equations(*_edge_jacobians(rot, edges, err, err_rot), err, w, index)
+        h, g = _normal_equations(*_edge_jacobians(rot, table, err, err_rot), err, w, table)
         new, cost_new, lam = damped_step(h, g, lam, cost, trial, 8)
         if new is None:
             break
@@ -305,23 +300,21 @@ def _solve_poses(graph, edges, index, rot, trans, err, err_rot, switches):
     return rot, trans, cost, err, err_rot
 
 
-def _update_switches(graph, err, cfg) -> dict:
-    # closed-form minimizer of s * w * ||r||^2 + mu * (sqrt(s) - 1)^2 at edge
-    # errors ``err``; the weight is the raw correspondence count, which sets
-    # the scale mu = 100 is calibrated against
+def _update_switches(table: _EdgeTable, err, cfg) -> np.ndarray:
+    """Per-edge line-process values at edge errors ``err``: 1.0 on certain
+    edges; on uncertain ones the minimizer of s w |r|^2 + mu (sqrt(s) - 1)^2,
+    w the raw weight (correspondence count) that mu = 100 is calibrated to."""
     mu = cfg.line_process_mu
-    switches = {}
-    for e, row in zip(graph.edges, err):
-        if e.uncertain:
-            u = mu / (max(e.information_weight, 1.0) * float(row @ row) + mu)
-            switches[(e.i, e.j)] = u * u
+    switches = np.ones(len(err))
+    for k in np.flatnonzero(table.uncertain):
+        u = mu / (table.weight[k] * float(err[k] @ err[k]) + mu)
+        switches[k] = u * u
     return switches
 
 
-def _keep_bridges_certain(graph: PoseGraph) -> tuple[PoseGraph, list[tuple[int, int]]]:
-    """Make certain each uncertain odometry edge that joins two components of
-    the certain edges, so that one long step cannot cut the graph apart.
-    Returns the graph (unchanged when it has no such edge) and those edges."""
+def _certain_union_find(graph: PoseGraph):
+    """Parent list and ``find`` of a union-find over the graph's nodes in
+    which the two nodes of every certain edge are joined."""
     root = list(range(graph.num_nodes))
 
     def find(a):
@@ -333,6 +326,14 @@ def _keep_bridges_certain(graph: PoseGraph) -> tuple[PoseGraph, list[tuple[int, 
     for e in graph.edges:
         if not e.uncertain:
             root[find(e.i)] = find(e.j)
+    return root, find
+
+
+def _keep_bridges_certain(graph: PoseGraph) -> tuple[PoseGraph, list[tuple[int, int]]]:
+    """Make certain each uncertain odometry edge that joins two components of
+    the certain edges, so that one long step cannot cut the graph apart.
+    Returns the graph (unchanged when it has no such edge) and those edges."""
+    root, find = _certain_union_find(graph)
     edges, bridges = [], []
     for e in graph.edges:
         if e.uncertain and e.kind == "odometry" and find(e.i) != find(e.j):
@@ -343,65 +344,63 @@ def _keep_bridges_certain(graph: PoseGraph) -> tuple[PoseGraph, list[tuple[int, 
     return (PoseGraph(graph.num_nodes, edges) if bridges else graph), bridges
 
 
-def _certain_connected(graph: PoseGraph) -> bool:
-    adj = {i: set() for i in range(graph.num_nodes)}
+def _check_graph(graph: PoseGraph) -> None:
+    """Raise a ValueError naming the first bad edge (a node out of range, a
+    repeated pair, a missing odometry step) or saying the certain edges do not
+    connect the graph."""
+    n, seen = graph.num_nodes, set()
     for e in graph.edges:
-        if not e.uncertain:
-            adj[e.i].add(e.j)
-            adj[e.j].add(e.i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for n in adj[stack.pop()]:
-            if n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return len(seen) == graph.num_nodes
+        if e.j >= n:
+            raise ValueError(f"edge ({e.i}, {e.j}): node {e.j} out of range for {n} nodes")
+        if (e.i, e.j) in seen:
+            raise ValueError(f"edge ({e.i}, {e.j}): repeats an earlier edge's node pair")
+        seen.add((e.i, e.j))
+    odometry = {(e.i, e.j) for e in graph.edges if e.kind == "odometry"}
+    for i in range(n - 1):
+        if (i, i + 1) not in odometry:
+            raise ValueError(f"edge ({i}, {i + 1}): odometry step missing")
+    _, find = _certain_union_find(graph)
+    if len({find(a) for a in range(n)}) != 1:
+        raise ValueError("graph is not connected via certain edges")
 
 
 def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSolution:
     """Robust pose graph optimization with line-process switches on
     uncertain edges; after convergence, uncertain edges with switch values
-    below the prune threshold are dropped and the survivors re-solved."""
+    below the prune threshold are dropped and the survivors re-solved.
+    Raises ValueError on a malformed graph (see ``_check_graph``)."""
     cfg = cfg or GraphConfig()
-    if not _certain_connected(graph):
-        raise ValueError("graph is not connected via certain edges")
+    _check_graph(graph)
 
     def robust_solve(g: PoseGraph, rot, trans):
         # seed switches from the initial trajectory (closed form given poses)
         # so edges wildly inconsistent with the init start down-weighted
-        edges = _edge_arrays(g)
-        index = _normal_index(edges, g.num_nodes)
-        err, err_rot = _edge_errors(rot, trans, edges)
-        switches = _update_switches(g, err, cfg)
+        table = _EdgeTable(g)
+        err, err_rot = _edge_errors(rot, trans, table)
+        switches = _update_switches(table, err, cfg)
         cost = np.inf
         for _ in range(MAX_OUTER_ITERATIONS):
             rot, trans, new_cost, err, err_rot = _solve_poses(
-                g, edges, index, rot, trans, err, err_rot, switches
+                table, rot, trans, err, err_rot, switches
             )
-            switches = _update_switches(g, err, cfg)
+            switches = _update_switches(table, err, cfg)
             if abs(cost - new_cost) < 1e-12 * max(cost, 1.0):
-                cost = new_cost
                 break
             cost = new_cost
-        return rot, trans, switches
+        return rot, trans, switches, table
 
     init = _chain_odometry(graph)
     rot, trans = np.array([p.rotation for p in init]), np.array([p.translation for p in init])
-    rot, trans, switches = robust_solve(graph, rot, trans)
+    rot, trans, switches, table = robust_solve(graph, rot, trans)
 
-    pruned = [
-        (e.i, e.j)
-        for e in graph.edges
-        if e.uncertain and switches.get((e.i, e.j), 1.0) < cfg.edge_prune_threshold
-    ]
+    keep = ~(table.uncertain & (switches < cfg.edge_prune_threshold))
+    pruned = [(e.i, e.j) for e, kept in zip(graph.edges, keep) if not kept]
     if pruned:
-        survivors = PoseGraph(
-            graph.num_nodes, [e for e in graph.edges if (e.i, e.j) not in set(pruned)]
-        )
-        rot, trans, switches = robust_solve(survivors, rot, trans)
+        graph = PoseGraph(graph.num_nodes, [e for e, kept in zip(graph.edges, keep) if kept])
+        rot, trans, switches, _ = robust_solve(graph, rot, trans)
     poses = [RigidPose.from_rotation(r, t) for r, t in zip(rot, trans)]
-    return GraphSolution(poses, switches, pruned)
+    final = {(e.i, e.j): float(s) for e, s in zip(graph.edges, switches) if e.uncertain}
+    return GraphSolution(poses, final, pruned)
 
 
 def _match_index(fs: FrameSet) -> dict:
@@ -462,12 +461,12 @@ class SequenceResult:
 
 
 def candidate_loop_pairs(num_frames: int, max_all_pairs: int = 60) -> list[tuple[int, int]]:
-    """All non-consecutive pairs for short sequences, stride-subsampled
-    beyond max_all_pairs frames."""
+    """All non-consecutive pairs up to max_all_pairs frames; beyond that, all
+    pairs of keyframes 0, s, 2s, ... for s = ceil(num_frames / max_all_pairs)."""
     stride = 1 if num_frames <= max_all_pairs else int(np.ceil(num_frames / max_all_pairs))
     pairs = []
     for i in range(0, num_frames, stride):
-        for j in range(i + 2, num_frames, stride):
+        for j in range(i + max(2, stride), num_frames, stride):
             pairs.append((i, j))
     return pairs
 

@@ -282,23 +282,12 @@ def overlap(points_a, points_b, radius: float = 0.01) -> float:
     return 100.0 * float(np.mean(np.isfinite(dist)))
 
 
-def frame_world_points(fs: FrameSet, frame: int, poses=None) -> np.ndarray:
-    """All of a frame's depth points mapped into the shared (frame-0) world."""
-    poses = poses or fs.ground_truth
-    pts = [o.depth_points for o in fs.observations_in_frame(frame)]
-    for km in fs.keypoint_matches:
-        if km.frame_i == frame:
-            pts.append(km.points_i)
-        elif km.frame_j == frame:
-            pts.append(km.points_j)
-    if not pts:
-        raise ValueError(f"frame {frame} has no depth points")
-    return apply_rigid(poses[frame], np.vstack(pts))
-
-
 def measure_pair_overlap(fs: FrameSet, radius: float = 0.01, poses=None) -> float:
+    """Percentage of frame 0's points with a frame-1 point within ``radius``,
+    both mapped into the shared world by ``poses`` (the ground truth if None)."""
+    poses = poses or fs.ground_truth
     return overlap(
-        frame_world_points(fs, 0, poses), frame_world_points(fs, 1, poses), radius
+        apply_rigid(poses[0], fs.frame_points(0)), apply_rigid(poses[1], fs.frame_points(1)), radius
     )
 
 

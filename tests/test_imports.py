@@ -1,4 +1,5 @@
-"""Static check: no module of the package imports a name it never uses."""
+"""Static checks: no module of the package imports a name it never uses, and
+no private helper of the package survives only for tests."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,41 @@ def test_no_unused_imports_in_package():
             unused.update((path.stem, name) for name in unused_imports(path.read_text()))
     assert sorted(unused - ALLOWED.keys()) == []
     assert sorted(ALLOWED.keys() - unused) == []  # no stale allowance
+
+
+def unread_private_helpers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """``(module, name)`` of each module-level private function or class in
+    ``sources`` (module name -> source) that no other top-level statement
+    reads, in its own module or through a relative import of it."""
+    helpers, read = set(), set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                helpers.add((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                    read.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    read.update((node.module, a.name) for a in node.names)
+    return sorted(helpers - read)
+
+
+def test_detects_unread_private_helpers():
+    sources = {
+        "a": (
+            "def _called(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Imported: pass\n"
+            "def _tests_only(): pass\n"
+            "def __dunder__(): pass\n"
+            "def public(): return _called()\n"
+        ),
+        "b": "from .a import _Imported\nX = _Imported\n",
+    }
+    assert unread_private_helpers(sources) == [("a", "_recursive"), ("a", "_tests_only")]
+
+
+def test_no_private_helper_only_for_tests():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unread_private_helpers(sources) == []

@@ -55,6 +55,20 @@ def random_frameset(rng):
     return FrameSet(frames, matches, obs, gt)
 
 
+def test_frame_points_order():
+    # a frame's observation depth points in order, then each touching
+    # keypoint match's points on that frame's side; empty frames give (0, 3)
+    rng = np.random.default_rng(5)
+    obs = [make_obs(1, 0, rng=rng), make_obs(0, 1, rng=rng), make_obs(1, 2, n=7, rng=rng)]
+    km = [KeypointMatch(0, 1, rng.normal(size=(4, 3)), rng.normal(size=(4, 3))),
+          KeypointMatch(2, 1, rng.normal(size=(3, 3)), rng.normal(size=(3, 3))),
+          KeypointMatch(0, 2, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))]
+    fs = FrameSet([Frame(i) for i in range(4)], km, obs)
+    expected = np.vstack([obs[0].depth_points, obs[2].depth_points, km[0].points_j, km[1].points_j])
+    assert np.array_equal(fs.frame_points(1), expected)
+    assert fs.frame_points(3).shape == (0, 3)
+
+
 class TestValidation:
     def test_minimal_ok(self, tmp_path):
         fs = minimal_frameset()

@@ -26,13 +26,12 @@ from objreg.posegraph import (
     optimize_graph,
     register_sequence,
     reject_loop_closure,
-    _edge_arrays,
+    _EdgeTable,
     _edge_errors,
     _edge_jacobians,
     _keep_bridges_certain,
     _match_index,
     _normal_equations,
-    _normal_index,
     _pair_frameset,
     _solve_poses,
     _update_switches,
@@ -198,6 +197,20 @@ def noisy_graph(rng, n=20, sigma_t=0.01, sigma_r=np.deg2rad(0.5), loops=((0, 10)
     return PoseGraph(n, edges), gt
 
 
+def path_edge(i, j, weight=1.0, x=None):
+    """Edge (i, j) of a straight path with 1 m steps (``x`` overrides the
+    relative x offset): certain odometry when j == i + 1, else an uncertain
+    loop closure."""
+    rel = RigidPose(np.zeros(3), np.array([float(j - i) if x is None else x, 0.0, 0.0]))
+    if j == i + 1:
+        return GraphEdge(i, j, rel, weight, False, "odometry")
+    return GraphEdge(i, j, rel, weight, True, "loop_closure")
+
+
+def path_graph(n, extra=()):
+    return PoseGraph(n, [path_edge(i, i + 1) for i in range(n - 1)] + list(extra))
+
+
 def graph_ate(poses, gt):
     ts = np.arange(len(gt), dtype=float)
     return ate_rmse(Trajectory(ts, poses), Trajectory(ts, gt))
@@ -236,6 +249,27 @@ class TestOptimizeGraph:
         with pytest.raises(ValueError, match="not connected"):
             optimize_graph(PoseGraph(2, edges))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: path_graph(3, extra=[path_edge(0, 2, weight=np.nan)]),
+             r"edge \(0, 2\): information_weight"),
+            (lambda: path_graph(3, extra=[path_edge(0, 2, weight=np.inf)]),
+             r"edge \(0, 2\): information_weight"),
+            (lambda: path_graph(3, extra=[path_edge(-1, 2)]), r"edge \(-1, 2\): nodes"),
+            (lambda: path_graph(3, extra=[path_edge(0, 3)]), r"edge \(0, 3\): node 3 out of range"),
+            (lambda: path_graph(3, extra=[path_edge(0, 2), path_edge(0, 2, x=3.0)]),
+             r"edge \(0, 2\): repeats"),
+            (lambda: PoseGraph(3, [path_edge(0, 1), replace(path_edge(0, 2), uncertain=False)]),
+             r"edge \(1, 2\): odometry step missing"),
+        ],
+        ids=["nan_weight", "inf_weight", "negative_node", "node_out_of_range",
+             "repeated_pair", "missing_odometry"],
+    )
+    def test_malformed_graph_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            optimize_graph(build())
+
     def test_single_node_graph_is_identity(self):
         sol = optimize_graph(PoseGraph(1, []))
         assert len(sol.poses) == 1
@@ -251,21 +285,18 @@ class TestOptimizeGraph:
             compose(invert(gt[3]), gt[13]), RigidPose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         )
         graph.edges.append(GraphEdge(3, 13, false_rel, 1000.0, True, "loop_closure"))
-        edges = _edge_arrays(graph)
-        index = _normal_index(edges, graph.num_nodes)
+        table = _EdgeTable(graph)
         rot = np.array([p.rotation for p in gt])
         trans = np.array([p.translation for p in gt]) + rng.normal(0, 0.05, (graph.num_nodes, 3))
-        err, err_rot = _edge_errors(rot, trans, edges)
-        switches = _update_switches(graph, err, CFG)
-        assert switches[(3, 13)] < CFG.edge_prune_threshold
+        err, err_rot = _edge_errors(rot, trans, table)
+        switches = _update_switches(table, err, CFG)
+        assert switches[-1] < CFG.edge_prune_threshold  # the (3, 13) edge
         for _ in range(3):
-            rot, trans, _, err, err_rot = _solve_poses(
-                graph, edges, index, rot, trans, err, err_rot, switches
-            )
-            fresh, fresh_rot = _edge_errors(rot, trans, edges)
+            rot, trans, _, err, err_rot = _solve_poses(table, rot, trans, err, err_rot, switches)
+            fresh, fresh_rot = _edge_errors(rot, trans, table)
             assert np.array_equal(err, fresh) and np.array_equal(err_rot, fresh_rot)
-            switches = _update_switches(graph, err, CFG)
-            assert switches == _update_switches(graph, fresh, CFG)
+            switches = _update_switches(table, err, CFG)
+            assert np.array_equal(switches, _update_switches(table, fresh, CFG))
 
 
 def random_rotations(rng, count, max_angle=3.0):
@@ -291,9 +322,9 @@ class TestEdgeJacobian:
             graph = PoseGraph(
                 n, [GraphEdge(i, j, d, 1.0, False, "odometry") for (i, j), d in zip(pairs, rel)]
             )
-            edges = _edge_arrays(graph)
-            err, err_rot = _edge_errors(rot, trans, edges)
-            jac_i, jac_j = _edge_jacobians(rot, edges, err, err_rot)
+            table = _EdgeTable(graph)
+            err, err_rot = _edge_errors(rot, trans, table)
+            jac_i, jac_j = _edge_jacobians(rot, table, err, err_rot)
             analytic = np.zeros((6 * m, 6 * n))
             for k, (i, j) in enumerate(pairs):
                 analytic[6 * k : 6 * k + 6, 6 * i : 6 * i + 6] = jac_i[k]
@@ -308,7 +339,7 @@ class TestEdgeJacobian:
                         step[a] = sign * h
                         r[node] = r[node] @ so3_exp(step[:3])
                         t[node] += step[3:]
-                        out.append(_edge_errors(r, t, edges)[0].ravel())
+                        out.append(_edge_errors(r, t, table)[0].ravel())
                     numeric[:, 6 * node + a] = (out[0] - out[1]) / (2 * h)
             mag = np.maximum(np.abs(analytic), np.abs(numeric))
             mask = mag > 1e-8
@@ -338,10 +369,10 @@ class TestNormalEquations:
                 [GraphEdge(i, j, d, wt, True, "loop_closure") for (i, j), d, wt in zip(pairs, rel, info)],
             )
             w = info / info.mean() * switches
-            edges = _edge_arrays(graph)
-            err, err_rot = _edge_errors(rot, trans, edges)
-            jac_i, jac_j = _edge_jacobians(rot, edges, err, err_rot)
-            h, g = _normal_equations(jac_i, jac_j, err, w, _normal_index(edges, n))
+            table = _EdgeTable(graph)
+            err, err_rot = _edge_errors(rot, trans, table)
+            jac_i, jac_j = _edge_jacobians(rot, table, err, err_rot)
+            h, g = _normal_equations(jac_i, jac_j, err, w, table)
 
             jac = np.zeros((6 * m, 6 * n))
             for k, (i, j) in enumerate(pairs):
@@ -369,6 +400,9 @@ class TestCandidateLoopPairs:
         pairs = candidate_loop_pairs(200, max_all_pairs=60)
         assert len(pairs) < 200 * 199 / 2
         assert all(j - i >= 2 for i, j in pairs)
+        # stride ceil(200 / 60) = 4: every pair of the 50 keyframes 0, 4, ..., 196
+        assert all(i % 4 == 0 and j % 4 == 0 for i, j in pairs)
+        assert len(pairs) == len(set(pairs)) == 50 * 49 // 2
 
 
 @pytest.fixture(scope="module")
