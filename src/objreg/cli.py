@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -23,13 +24,32 @@ from .posegraph import GraphConfig, register_sequence
 from .synth import SynthConfig, generate, measure_pair_overlap
 
 
+@contextmanager
+def _named(where: str):
+    """Re-raise a malformed-input error (a missing key, a wrong type or value)
+    as a SystemExit naming ``where``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise SystemExit(f"{where}: malformed ({type(e).__name__}: {e})") from e
+
+
+def _json_object(path: str) -> dict:
+    """The JSON object in the file ``path``; SystemExit naming the file for
+    malformed JSON or any other JSON value."""
+    with open(path) as f, _named(path):
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise SystemExit(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _load_config(cls, path: str | None):
     """Build a config dataclass from a JSON file; keys starting with '_'
     (comments) are ignored, unknown keys rejected."""
     if path is None:
         return cls()
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _json_object(path)
     known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, val in doc.items():
@@ -38,7 +58,8 @@ def _load_config(cls, path: str | None):
         if key not in known:
             raise SystemExit(f"unknown {cls.__name__} key {key!r} in {path}")
         kwargs[key] = tuple(val) if isinstance(val, list) else val
-    return cls(**kwargs)
+    with _named(path):
+        return cls(**kwargs)
 
 
 def _write_json(doc: dict, path: str | None):
@@ -118,30 +139,31 @@ def cmd_register_sequence(args):
 def cmd_eval_recall(args):
     thresholds = []
     for chunk in args.thresholds.split(","):
-        rot, trans = chunk.split(":")
-        thresholds.append(RecallThreshold(float(rot), float(trans)))
-    gt_map = {}
-    if args.gt:
-        with open(args.gt) as f:
-            gt_map = json.load(f)
+        with _named(f"--thresholds chunk {chunk!r} (want rot_deg:trans_cm)"):
+            rot, trans = chunk.split(":")
+            thresholds.append(RecallThreshold(float(rot), float(trans)))
+    gt_map = _json_object(args.gt) if args.gt else {}
     errors = []
     for name in sorted(os.listdir(args.reports)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(args.reports, name)) as f:
-            rep = json.load(f)
+        path = os.path.join(args.reports, name)
+        rep = _json_object(path)
         if not rep.get("success"):
             errors.append((np.inf, np.inf))
             continue
-        est = _pose_from_dict(rep["relative_pose"])
+        with _named(f"{path}: relative_pose"):
+            est = _pose_from_dict(rep["relative_pose"])
         stem = name[: -len(".json")]
         if stem in gt_map:
-            gt_rec = gt_map[stem]
+            where, gt_rec = f"{args.gt}: {stem!r}", gt_map[stem]
         elif "gt_relative_pose" in rep:
-            gt_rec = rep["gt_relative_pose"]
+            where, gt_rec = f"{path}: gt_relative_pose", rep["gt_relative_pose"]
         else:
             raise SystemExit(f"no ground truth for report {name}")
-        errors.append(pose_error(est, _pose_from_dict(gt_rec)))
+        with _named(where):
+            gt_pose = _pose_from_dict(gt_rec)
+        errors.append(pose_error(est, gt_pose))
     doc = {
         "num_pairs": len(errors),
         "recall": {

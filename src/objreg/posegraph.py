@@ -48,6 +48,7 @@ __all__ = [
 # MAX_INNER_ITERATIONS damped Gauss-Newton steps.
 MAX_OUTER_ITERATIONS = 15
 MAX_INNER_ITERATIONS = 10
+MAX_KEYFRAMES = 14  # loop-closure candidates pair at most this many keyframes
 
 
 @dataclass
@@ -460,15 +461,12 @@ class SequenceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def candidate_loop_pairs(num_frames: int, max_all_pairs: int = 60) -> list[tuple[int, int]]:
-    """All non-consecutive pairs up to max_all_pairs frames; beyond that, all
-    pairs of keyframes 0, s, 2s, ... for s = ceil(num_frames / max_all_pairs)."""
-    stride = 1 if num_frames <= max_all_pairs else int(np.ceil(num_frames / max_all_pairs))
-    pairs = []
-    for i in range(0, num_frames, stride):
-        for j in range(i + max(2, stride), num_frames, stride):
-            pairs.append((i, j))
-    return pairs
+def candidate_loop_pairs(num_frames: int) -> list[tuple[int, int]]:
+    """Every pair (i, j), j - i >= 2, of the keyframes 0, s, 2s, ... with
+    s = ceil(num_frames / MAX_KEYFRAMES): all non-consecutive pairs up to
+    MAX_KEYFRAMES frames, and at most C(MAX_KEYFRAMES, 2) pairs at any length."""
+    keyframes = range(0, num_frames, max(1, -(-num_frames // MAX_KEYFRAMES)))
+    return [(i, j) for i in keyframes for j in keyframes if j - i >= 2]
 
 
 def register_sequence(
@@ -481,7 +479,9 @@ def register_sequence(
 ) -> SequenceResult:
     """Register a sequence: pairwise solves on consecutive pairs (0.30 m
     keypoint filter) and candidate loop pairs (0.15 m filter, 0.04 object
-    match threshold), then robust graph optimization. A loop pair whose
+    match threshold), then robust graph optimization. Loop candidates pair
+    at most ``MAX_KEYFRAMES`` keyframes (:func:`candidate_loop_pairs`): for 40
+    frames, the 91 pairs of keyframes 0, 3, ..., 39. A loop pair whose
     matched objects are all out of depth range by ``scfg.residual_prune``
     on their cached ``noc_fit`` poses is not solved; such pairs have no
     ``pair_results`` entry and are listed in

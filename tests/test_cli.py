@@ -115,6 +115,34 @@ class TestEvalCommands:
         assert doc["num_pairs"] == 1
         assert doc["recall"]["15deg_30cm"] == 100.0
 
+    @pytest.mark.parametrize(
+        "case", ["report_no_translation", "threshold_chunk", "gt_not_object", "solver_config_list"]
+    )
+    def test_bad_input_named(self, pair_problem, tmp_path, case):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        report = reports / "p0.json"
+        run("register-pair", "--problem", pair_problem, "--out", str(report))
+        bad = tmp_path / "bad.json"
+        if case == "report_no_translation":
+            doc = json.loads(report.read_text())
+            del doc["relative_pose"]["translation"]
+            report.write_text(json.dumps(doc))
+            argv, named = ["eval", "recall", "--reports", str(reports)], [str(report), "relative_pose"]
+        elif case == "threshold_chunk":
+            argv, named = ["eval", "recall", "--reports", str(reports), "--thresholds", "15:30,5"], ["'5'"]
+        elif case == "gt_not_object":
+            bad.write_text(json.dumps([{"p0": 1}]))
+            argv, named = ["eval", "recall", "--reports", str(reports), "--gt", str(bad)], [str(bad)]
+        else:
+            bad.write_text(json.dumps([["w_o", 0.5]]))
+            argv = ["register-pair", "--problem", pair_problem, "--solver-config", str(bad)]
+            named = [str(bad)]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(tmp_path / "out.json"))
+        assert all(part in str(exc.value) for part in named), str(exc.value)
+        assert not (tmp_path / "out.json").exists()
+
     def test_overlap(self, pair_problem, tmp_path):
         out = tmp_path / "ov.json"
         run("eval", "overlap", "--problem", pair_problem, "--radius", "0.02",

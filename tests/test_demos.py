@@ -1,0 +1,20 @@
+"""The demos are the README's runnable examples: each must run to the end."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert [p.name for p in DEMOS] == [
+        "demo_low_overlap.py", "demo_metrics.py", "demo_pairwise.py", "demo_sequence.py"
+    ]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -18,6 +18,7 @@ from objreg.joint_solver import (
 from objreg.matching import MatchConfig
 from objreg.metrics import Trajectory, ate_rmse, write_tum
 from objreg.posegraph import (
+    MAX_KEYFRAMES,
     GraphConfig,
     GraphEdge,
     PoseGraph,
@@ -397,12 +398,28 @@ class TestCandidateLoopPairs:
         assert pairs == [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]
 
     def test_large_strided(self):
-        pairs = candidate_loop_pairs(200, max_all_pairs=60)
-        assert len(pairs) < 200 * 199 / 2
-        assert all(j - i >= 2 for i, j in pairs)
-        # stride ceil(200 / 60) = 4: every pair of the 50 keyframes 0, 4, ..., 196
-        assert all(i % 4 == 0 and j % 4 == 0 for i, j in pairs)
-        assert len(pairs) == len(set(pairs)) == 50 * 49 // 2
+        pairs = candidate_loop_pairs(200)
+        # stride ceil(200 / 14) = 15: every pair of the 14 keyframes 0, 15, ..., 195
+        keyframes = range(0, 200, 15)
+        assert keyframes[-1] == 195
+        assert pairs == [(i, j) for i in keyframes for j in keyframes if i < j]
+        assert len(pairs) == 91
+
+    def test_loop40_keyframes(self):
+        keyframes = range(0, 40, 3)
+        assert list(keyframes) == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39]
+        assert candidate_loop_pairs(40) == [(i, j) for i in keyframes for j in keyframes if i < j]
+
+    def test_rule_every_length(self):
+        assert MAX_KEYFRAMES == 14
+        for n in range(2, 301):
+            pairs = candidate_loop_pairs(n)
+            stride = -(-n // 14)
+            assert all(i % stride == 0 and j % stride == 0 for i, j in pairs), n
+            assert all(0 <= i and i + 2 <= j < n for i, j in pairs), n
+            assert len(pairs) == len(set(pairs)) <= 91, n
+            if n <= 14:
+                assert pairs == [(i, j) for i in range(n) for j in range(i + 2, n)], n
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +479,23 @@ class TestRegisterSequence:
         for est, truth in zip(result.trajectory.poses, gt):
             rot, trans = pose_error(est, truth)
             assert rot <= 15.0 and trans <= 0.30
+
+    def test_loop40_bounded_pair_work(self, monkeypatch):
+        # the bench's 40-frame loop: 39 odometry solves and at most the 91
+        # keyframe loop candidates, with the trajectory still accurate
+        fs, gt = generate(SynthConfig(num_frames=40, trajectory="loop", num_objects=3,
+                                      keypoints_per_pair=40, noise_sigma_depth=0.003,
+                                      rng_seed=3))
+        solved = []
+        monkeypatch.setattr(
+            "objreg.posegraph.register_pair", lambda *a, **k: solved.append(a) or register_pair(*a, **k)
+        )
+        result = register_sequence(fs)
+        assert len(solved) <= 39 + 91
+        for est, truth in zip(result.trajectory.poses, gt):
+            rot, trans = pose_error(est, truth)
+            assert rot <= 15.0 and trans <= 0.30
+        assert graph_ate(result.trajectory.poses, gt) <= 0.010
 
     def test_stalled_timestamp_rejected_before_pair_solves(self, monkeypatch):
         fs, _ = generate(SynthConfig(num_frames=4, trajectory="line", rng_seed=44))
