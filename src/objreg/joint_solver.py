@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import ObjectPose, RigidPose, compose, invert, skew, so3_exp
 from .matching import MatchConfig, ObjectTrack, PairMatch, match_pair
 from .metrics import pose_error
-from .observations import NOC_FILTER, FrameSet
+from .observations import NOC_FILTER, FrameSet, fit_noc
 from .procrustes import (
     DegenerateAlignmentError,
     FilterConfig,
@@ -586,8 +586,9 @@ def register_pair(
     ``matches`` are the pair's object matches if already made by
     :func:`pair_matches` with the same ``mcfg`` and ``use_keypoints``; None
     matches here. Raises ValidationError, naming the bad record, on malformed
-    input."""
+    input. Fits every observation's ``noc_fit`` not yet cached in one batch."""
     fs.validate()
+    fit_noc(fs.observations)
     if fs.num_frames != 2:
         raise ValueError("register_pair expects exactly 2 frames")
     mcfg = mcfg or MatchConfig()

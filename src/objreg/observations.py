@@ -10,6 +10,7 @@ class, scale, embedding and symmetry labels). The format is versioned as
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -18,7 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Intrinsics, RigidPose
-from .procrustes import AlignmentResult, DegenerateAlignmentError, FilterConfig, kabsch_filter
+from .procrustes import (
+    AlignmentResult,
+    DegenerateAlignmentError,
+    FilterConfig,
+    kabsch_filter_sets,
+)
 
 SCHEMA_VERSION = "objreg-problem/1"
 
@@ -33,6 +39,7 @@ __all__ = [
     "ObjectObservation",
     "FrameSet",
     "ValidationError",
+    "fit_noc",
     "load_problem",
     "save_problem",
     "SYMMETRY_CLASSES",
@@ -88,12 +95,24 @@ class ObjectObservation:
     def noc_fit(self) -> AlignmentResult | None:
         """Kabsch fit of the scaled NOC points onto the depth points under
         NOC_FILTER, or None when too few pairs survive or the geometry is
-        degenerate. Computed once; shallow copies made later share it."""
-        try:
-            scaled = self.noc_points * self.scale_estimate
-            return kabsch_filter(scaled, self.depth_points, NOC_FILTER)
-        except DegenerateAlignmentError:
-            return None
+        degenerate. Computed once, by :func:`fit_noc` (alone here unless a
+        batch fitted it first); shallow copies made later share it."""
+        fit_noc([self])
+        return self.__dict__["noc_fit"]
+
+
+def fit_noc(observations) -> None:
+    """Fit the ``noc_fit`` of every observation that has none cached, in one
+    batched Kabsch filter over all of them (``kabsch_filter_sets``). A fit
+    already cached, or set by hand, is left alone."""
+    todo = [o for o in observations if "noc_fit" not in o.__dict__]
+    if not todo:
+        return
+    fits = kabsch_filter_sets(
+        [o.noc_points * o.scale_estimate for o in todo], [o.depth_points for o in todo], NOC_FILTER
+    )
+    for o, fit in zip(todo, fits):
+        o.__dict__["noc_fit"] = None if isinstance(fit, DegenerateAlignmentError) else fit
 
 
 @dataclass
@@ -132,50 +151,89 @@ class FrameSet:
         return np.vstack(pts) if pts else np.zeros((0, 3))
 
     def validate(self):
-        for k, f in enumerate(self.frames):
-            if f.index != k:
-                raise ValidationError(f"frame indices must be dense 0..K-1, got {f.index} at {k}")
-            if f.timestamp is not None and not np.isfinite(f.timestamp):
-                raise ValidationError(f"frame {k}: non-finite timestamp")
+        """Raise a ValidationError naming the first bad record, frames first,
+        then keypoint matches, observations and ground truth; return self.
+        Each check runs once over all records of its kind."""
         n = self.num_frames
-        for m, km in enumerate(self.keypoint_matches):
-            if km.frame_i == km.frame_j:
-                raise ValidationError(f"keypoint match {m}: frame_i == frame_j == {km.frame_i}")
-            for fr in (km.frame_i, km.frame_j):
-                if not 0 <= fr < n:
-                    raise ValidationError(f"keypoint match {m}: dangling frame index {fr}")
-            if len(km.points_i) != len(km.points_j):
-                raise ValidationError(f"keypoint match {m}: point count mismatch")
-            if not (np.isfinite(km.points_i).all() and np.isfinite(km.points_j).all()):
-                raise ValidationError(f"keypoint match {m}: non-finite point")
-        embed_dim = None
-        seen = set()
-        for o in self.observations:
-            name = f"observation (frame={o.frame}, detection_id={o.detection_id})"
+        frames, kms, obs = self.frames, self.keypoint_matches, self.observations
+        _raise_first(
+            (lambda k: f"frame indices must be dense 0..K-1, got {frames[k].index} at {k}",
+             [k for k, f in enumerate(frames) if f.index != k]),
+            (lambda k: f"frame {k}: non-finite timestamp",
+             [k for k, f in enumerate(frames)
+              if f.timestamp is not None and not math.isfinite(f.timestamp)]),
+        )
+
+        def dangling(k):
+            return next(fr for fr in (kms[k].frame_i, kms[k].frame_j) if not 0 <= fr < n)
+
+        _raise_first(
+            (lambda k: f"keypoint match {k}: frame_i == frame_j == {kms[k].frame_i}",
+             [k for k, km in enumerate(kms) if km.frame_i == km.frame_j]),
+            (lambda k: f"keypoint match {k}: dangling frame index {dangling(k)}",
+             [k for k, km in enumerate(kms) if not (0 <= km.frame_i < n and 0 <= km.frame_j < n)]),
+            (lambda k: f"keypoint match {k}: point count mismatch",
+             [k for k, km in enumerate(kms) if len(km.points_i) != len(km.points_j)]),
+            (lambda k: f"keypoint match {k}: non-finite point",
+             _flagged(np.isfinite, [km.points_i for km in kms], [km.points_j for km in kms])),
+        )
+
+        def name(k):
+            return f"observation (frame={obs[k].frame}, detection_id={obs[k].detection_id})"
+
+        seen, duplicate = set(), []
+        for k, o in enumerate(obs):
             if (o.frame, o.detection_id) in seen:
-                raise ValidationError(f"{name}: duplicate (frame, detection_id)")
+                duplicate.append(k)
             seen.add((o.frame, o.detection_id))
-            if not 0 <= o.frame < n:
-                raise ValidationError(f"{name}: dangling frame index")
-            if len(o.noc_points) != len(o.depth_points):
-                raise ValidationError(f"{name}: NOC/depth count mismatch")
-            if not (np.isfinite(o.noc_points).all() and np.isfinite(o.depth_points).all()):
-                raise ValidationError(f"{name}: non-finite point")
-            if (np.abs(o.noc_points) > 0.5).any():
-                raise ValidationError(f"{name}: NOC outside [-0.5, 0.5]^3")
-            if not (np.isfinite(o.scale_estimate) & (o.scale_estimate > 0)).all():
-                raise ValidationError(f"{name}: non-positive or non-finite scale estimate")
-            if not np.isfinite(o.embedding).all():
-                raise ValidationError(f"{name}: non-finite embedding")
-            if o.symmetry not in SYMMETRY_CLASSES:
-                raise ValidationError(f"{name}: unknown symmetry class {o.symmetry!r}")
-            if embed_dim is None:
-                embed_dim = len(o.embedding)
-            elif len(o.embedding) != embed_dim:
-                raise ValidationError(f"{name}: embedding length {len(o.embedding)} != {embed_dim}")
+        embed_dim = len(obs[0].embedding) if obs else 0
+        _raise_first(
+            (lambda k: f"{name(k)}: duplicate (frame, detection_id)", duplicate),
+            (lambda k: f"{name(k)}: dangling frame index",
+             [k for k, o in enumerate(obs) if not 0 <= o.frame < n]),
+            (lambda k: f"{name(k)}: NOC/depth count mismatch",
+             [k for k, o in enumerate(obs) if len(o.noc_points) != len(o.depth_points)]),
+            (lambda k: f"{name(k)}: non-finite point",
+             _flagged(np.isfinite, [o.noc_points for o in obs], [o.depth_points for o in obs])),
+            (lambda k: f"{name(k)}: NOC outside [-0.5, 0.5]^3",
+             _flagged(lambda x: np.abs(x) <= 0.5, [o.noc_points for o in obs])),
+            (lambda k: f"{name(k)}: non-positive or non-finite scale estimate",
+             _flagged(lambda x: (x > 0) & (x < np.inf), [o.scale_estimate for o in obs])),
+            (lambda k: f"{name(k)}: non-finite embedding",
+             _flagged(np.isfinite, [o.embedding for o in obs])),
+            (lambda k: f"{name(k)}: unknown symmetry class {obs[k].symmetry!r}",
+             [k for k, o in enumerate(obs) if o.symmetry not in SYMMETRY_CLASSES]),
+            (lambda k: f"{name(k)}: embedding length {len(obs[k].embedding)} != {embed_dim}",
+             [k for k, o in enumerate(obs) if len(o.embedding) != embed_dim]),
+        )
         if self.ground_truth is not None and len(self.ground_truth) != n:
             raise ValidationError("ground_truth length must equal number of frames")
         return self
+
+
+def _flagged(valid, *fields) -> list[int]:
+    """Ascending indices k of the records with an element that ``valid``
+    rejects in some field's k-th array (each field lists one array per
+    record). ``valid`` runs once, on the elements of all of them together."""
+    arrays = [a for field in fields for a in field]
+    if not arrays:
+        return []
+    ok = valid(np.concatenate(arrays, axis=None))
+    if ok.all():
+        return []
+    owner = np.repeat(np.arange(len(arrays)) % len(fields[0]), [a.size for a in arrays])
+    return sorted(set(owner[~ok].tolist()))
+
+
+def _raise_first(*checks) -> None:
+    """Raise a ValidationError for the first record (in list order) that any
+    check flags, with the message of the first check that flags it. Each
+    check is (message of record k, ascending indices of the records it
+    flags), listed in the order a lone record would be checked."""
+    flagged = [bad[0] for _, bad in checks if bad]
+    if flagged:
+        k = min(flagged)
+        raise ValidationError(next(message for message, bad in checks if k in bad)(k))
 
 
 def _fmt(x: float) -> float:

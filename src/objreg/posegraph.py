@@ -29,7 +29,7 @@ from .joint_solver import (
 )
 from .matching import MatchConfig
 from .metrics import Trajectory
-from .observations import Frame, FrameSet, KeypointMatch, ValidationError
+from .observations import Frame, FrameSet, KeypointMatch, ValidationError, fit_noc
 
 __all__ = [
     "GraphEdge",
@@ -413,9 +413,19 @@ def _match_index(fs: FrameSet) -> dict:
     return index
 
 
-def _pair_frameset(fs: FrameSet, i: int, j: int, match_index: dict) -> FrameSet:
-    """Frames i, j of ``fs`` as a 2-frame set (i becomes 0, j becomes 1);
-    ``match_index`` is ``_match_index(fs)``."""
+def _frame_index(fs: FrameSet) -> dict:
+    """``(position in fs.observations, observation)`` pairs keyed by frame,
+    each list in file order."""
+    index = {}
+    for pos, o in enumerate(fs.observations):
+        index.setdefault(o.frame, []).append((pos, o))
+    return index
+
+
+def _pair_frameset(fs: FrameSet, i: int, j: int, match_index: dict, frame_index: dict) -> FrameSet:
+    """Frames i, j of ``fs`` as a 2-frame set (i becomes 0, j becomes 1), its
+    observations in file order; ``match_index`` is ``_match_index(fs)`` and
+    ``frame_index`` is ``_frame_index(fs)``."""
     frames = [Frame(0, fs.frames[i].intrinsics, fs.frames[i].timestamp),
               Frame(1, fs.frames[j].intrinsics, fs.frames[j].timestamp)]
     matches = []
@@ -425,12 +435,11 @@ def _pair_frameset(fs: FrameSet, i: int, j: int, match_index: dict) -> FrameSet:
         else:
             matches.append(KeypointMatch(0, 1, km.points_j, km.points_i))
     obs = []
-    for o in fs.observations:
-        if o.frame in (i, j):
-            # shallow copy: shares the arrays and any cached noc_fit
-            pair_obs = copy.copy(o)
-            pair_obs.frame = 0 if o.frame == i else 1
-            obs.append(pair_obs)
+    for _, o in sorted(frame_index.get(i, []) + frame_index.get(j, [])):
+        # shallow copy: shares the arrays and any cached noc_fit
+        pair_obs = copy.copy(o)
+        pair_obs.frame = 0 if o.frame == i else 1
+        obs.append(pair_obs)
     return FrameSet(frames, matches, obs)
 
 
@@ -517,15 +526,14 @@ def register_sequence(
     loop_pairs = candidate_loop_pairs(fs.num_frames)
 
     loop_mcfg = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold)
-    # fit every observation once, here: the shallow pair copies made below
-    # then share the cached fit instead of each fitting its own
-    for o in fs.observations:
-        o.noc_fit
-    match_index = _match_index(fs)
+    # fit every observation once, here, in one batch: the shallow pair
+    # copies made below then share the cached fit
+    fit_noc(fs.observations)
+    match_index, frame_index = _match_index(fs), _frame_index(fs)
 
     results, screened = {}, []
     for i, j in odo_pairs + loop_pairs:
-        sub = _pair_frameset(fs, i, j, match_index)
+        sub = _pair_frameset(fs, i, j, match_index, frame_index)
         if j == i + 1:
             results[(i, j)] = register_pair(
                 sub, mcfg, scfg, icp=icp, keypoint_filter=default_keypoint_filter(0.30)

@@ -3,6 +3,7 @@ point-to-point ICP refinement."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "DegenerateAlignmentError",
     "kabsch_solve",
     "kabsch_filter",
+    "kabsch_filter_sets",
     "icp_refine",
 ]
 
@@ -54,28 +56,45 @@ class FilterConfig:
             raise ValueError("distance_threshold must be positive")
         if self.min_pairs < 3:
             raise ValueError("min_pairs must be >= 3")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
+
+
+_TINY = np.finfo(float).tiny
 
 
 def _kabsch(source, target, weights=None):
-    """Rotation/translation minimizing sum w_i ||R s_i + t - t_i||^2."""
-    source = np.asarray(source, dtype=float).reshape(-1, 3)
-    target = np.asarray(target, dtype=float).reshape(-1, 3)
-    if weights is None:
+    """Rotation/translation minimizing sum w_i ||R s_i + t - t_i||^2, for one
+    (N, 3) point set, or a stack (..., N, 3) of them with weights (..., N)."""
+    if weights is None:  # one (N, 3) set
         n = float(len(source))
         mu_s = source.sum(axis=0) / n
         mu_t = target.sum(axis=0) / n
         cov = (target - mu_t).T @ (source - mu_s)
     else:
         w = np.asarray(weights, dtype=float)
-        wsum = w.sum()
-        mu_s = (w[:, None] * source).sum(axis=0) / wsum
-        mu_t = (w[:, None] * target).sum(axis=0) / wsum
-        cov = (w[:, None] * (target - mu_t)).T @ (source - mu_s)
+        # all-zero weights give a zero (rank-deficient) fit, not NaN
+        wsum = np.maximum(w.sum(axis=-1), _TINY)[..., None]
+        w = w[..., None]
+        mu_s = (w * source).sum(axis=-2) / wsum
+        mu_t = (w * target).sum(axis=-2) / wsum
+        cov = np.swapaxes(w * (target - mu_t[..., None, :]), -1, -2) @ (
+            source - mu_s[..., None, :]
+        )
     u, s, vt = np.linalg.svd(cov)
-    u[:, 2] *= np.sign(np.linalg.det(u @ vt))  # u @ diag(1, 1, d)
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]  # u @ diag(1, 1, d)
     rot = u @ vt
-    t = mu_t - rot @ mu_s
+    t = mu_t - (rot @ mu_s[..., None])[..., 0]
     return rot, t, s
+
+
+def _rank_deficient(svals):
+    """Whether a cross-covariance with singular values ``svals`` (..., 3) has
+    rank < 2, leaving rotation about the dominant axis free."""
+    return svals[..., 1] / np.maximum(svals[..., 0], 1e-30) < 1e-9
+
+
+_COLLINEAR = "rank-deficient cross-covariance (collinear points)"
 
 
 def _kabsch_pose(source, target, weights=None) -> RigidPose:
@@ -85,10 +104,8 @@ def _kabsch_pose(source, target, weights=None) -> RigidPose:
     if len(source) < 3:
         raise DegenerateAlignmentError(f"need >= 3 pairs, got {len(source)}")
     rot, t, svals = _kabsch(source, target, weights)
-    # rank < 2 cross-covariance: rotation about the dominant axis is free
-    scale_ref = max(svals[0], 1e-30)
-    if svals[1] / scale_ref < 1e-9:
-        raise DegenerateAlignmentError("rank-deficient cross-covariance (collinear points)")
+    if _rank_deficient(svals):
+        raise DegenerateAlignmentError(_COLLINEAR)
     return RigidPose.from_rotation(rot, t)
 
 
@@ -106,37 +123,76 @@ def kabsch_solve(source, target, weights=None) -> AlignmentResult:
     return AlignmentResult(pose, rms, np.ones(len(source), dtype=bool))
 
 
+def _too_few(count, cfg: FilterConfig) -> DegenerateAlignmentError:
+    return DegenerateAlignmentError(f"{int(count)} surviving pairs < min_pairs={cfg.min_pairs}")
+
+
+def kabsch_filter_sets(
+    sources, targets, cfg: FilterConfig | None = None
+) -> list[AlignmentResult | DegenerateAlignmentError]:
+    """:func:`kabsch_filter` of every ``(sources[k], targets[k])`` pair at
+    once. The sets are padded to one (K, N, 3) stack and filtered in
+    lockstep, each round one batched solve on every set's inliers (as 0/1
+    weights). A set that has reached its fixed point is solved again on the
+    same inliers, which gives the same bits, so the last round holds every
+    set's fit. Entry k is the set's result, or the DegenerateAlignmentError
+    kabsch_filter raises for it (returned, not raised). Raises ValueError
+    when a pair's lengths differ."""
+    cfg = cfg or FilterConfig()
+    sources = [np.asarray(s, dtype=float).reshape(-1, 3) for s in sources]
+    targets = [np.asarray(t, dtype=float).reshape(-1, 3) for t in targets]
+    sizes = [len(s) for s in sources]
+    if sizes != [len(t) for t in targets]:
+        raise ValueError("source/target length mismatch")
+    if not sizes:
+        return []
+    num, width = len(sizes), max(sizes)
+    src = np.zeros((num, width, 3))
+    tgt = np.zeros((num, width, 3))
+    for k, (s, t) in enumerate(zip(sources, targets)):
+        src[k, : len(s)] = s
+        tgt[k, : len(t)] = t
+    count = np.array(sizes)
+    inliers = np.arange(width) < count[:, None]
+    out: list = [None] * num
+    live = np.ones(num, dtype=bool)  # neither failed nor at a fixed point
+    for _ in range(cfg.max_rounds):
+        rot, trans, svals = _kabsch(src, tgt, inliers)
+        short = count < cfg.min_pairs
+        failed = live & (short | _rank_deficient(svals))
+        if failed.any():
+            for k in np.flatnonzero(failed):
+                out[k] = (
+                    _too_few(count[k], cfg) if short[k] else DegenerateAlignmentError(_COLLINEAR)
+                )
+            live &= ~failed
+        res = np.linalg.norm(src @ np.swapaxes(rot, -1, -2) + trans[:, None] - tgt, axis=-1)
+        inliers &= res <= cfg.distance_threshold
+        kept = inliers.sum(axis=1)
+        live &= kept < count
+        count = kept
+        if not live.any():
+            break
+    for k in np.flatnonzero(live & (count < cfg.min_pairs)):  # out of rounds
+        out[k] = _too_few(count[k], cfg)
+    for k in range(num):
+        if out[k] is None:
+            flags = inliers[k, : sizes[k]].copy()
+            # summed over this set alone, in the order np.mean of it sums
+            sq = res[k, : sizes[k]][flags] ** 2
+            rms = math.sqrt(sq.sum() / len(sq))
+            out[k] = AlignmentResult(RigidPose.from_rotation(rot[k], trans[k]), rms, flags)
+    return out
+
+
 def kabsch_filter(source, target, cfg: FilterConfig | None = None) -> AlignmentResult:
     """Iterate {solve on inliers, drop pairs above the residual threshold}
     until a fixed point or cfg.max_rounds. Outliers are never re-admitted, so
-    the inlier set shrinks monotonically."""
-    cfg = cfg or FilterConfig()
-    source = np.asarray(source, dtype=float).reshape(-1, 3)
-    target = np.asarray(target, dtype=float).reshape(-1, 3)
-    if len(source) != len(target):
-        raise ValueError("source/target length mismatch")
-    inliers = np.ones(len(source), dtype=bool)
-    result = None
-    for _ in range(cfg.max_rounds):
-        if inliers.sum() < cfg.min_pairs:
-            raise DegenerateAlignmentError(
-                f"{int(inliers.sum())} surviving pairs < min_pairs={cfg.min_pairs}"
-            )
-        pose = _kabsch_pose(source[inliers], target[inliers])
-        res = np.linalg.norm(source @ pose.rotation.T + pose.translation - target, axis=1)
-        keep = inliers & (res <= cfg.distance_threshold)
-        result = AlignmentResult(
-            pose,
-            float(np.sqrt(np.mean(res[keep] ** 2))) if keep.any() else 0.0,
-            keep.copy(),
-        )
-        if keep.sum() == inliers.sum():
-            return result
-        inliers = keep
-    if inliers.sum() < cfg.min_pairs:
-        raise DegenerateAlignmentError(
-            f"{int(inliers.sum())} surviving pairs < min_pairs={cfg.min_pairs}"
-        )
+    the inlier set shrinks monotonically. The one-set case of
+    :func:`kabsch_filter_sets`; raises its DegenerateAlignmentError."""
+    (result,) = kabsch_filter_sets([source], [target], cfg)
+    if isinstance(result, DegenerateAlignmentError):
+        raise result
     return result
 
 

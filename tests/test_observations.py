@@ -1,6 +1,5 @@
 import copy
 import json
-import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objreg import procrustes
+from objreg import observations, procrustes
 from objreg.geometry import Intrinsics, RigidPose
 from objreg.joint_solver import register_pair
 from objreg.observations import (
@@ -214,20 +213,110 @@ class TestCorruptedInput:
             register_pair(fs)
 
 
+# every corruption kind of test_register_pair_raises_validation_error, as
+# (action, field, value, message after the record's name)
+CORRUPTION_MESSAGES = [
+    ("set", "points_i", np.nan, "non-finite point"),
+    ("set", "points_j", np.inf, "non-finite point"),
+    ("set", "noc_points", -np.inf, "non-finite point"),
+    ("set", "depth_points", np.nan, "non-finite point"),
+    ("set", "scale_estimate", np.inf, "non-positive or non-finite scale estimate"),
+    ("set", "scale_estimate", -0.5, "non-positive or non-finite scale estimate"),
+    ("set", "scale_estimate", 0.0, "non-positive or non-finite scale estimate"),
+    ("set", "embedding", np.nan, "non-finite embedding"),
+    ("drop", "points_j", 2, "point count mismatch"),
+    ("drop", "noc_points", 1, "NOC/depth count mismatch"),
+    ("drop", "depth_points", 3, "NOC/depth count mismatch"),
+]
+
+
+def two_match_pair():
+    """valid_pair() with its keypoint match split into two records."""
+    fs = copy.deepcopy(valid_pair())
+    km = fs.keypoint_matches[0]
+    fs.keypoint_matches = [
+        KeypointMatch(0, 1, km.points_i[:20], km.points_j[:20]),
+        KeypointMatch(0, 1, km.points_i[20:], km.points_j[20:]),
+    ]
+    return fs
+
+
+def bad_records(fs, field):
+    """The two records a corruption of ``field`` hits (the later one first)
+    and the name the error gives the earlier one."""
+    if field.startswith("points_"):
+        return [1, 0], "keypoint match 0"
+    obs = fs.observations[1]
+    return [3, 1], f"observation (frame={obs.frame}, detection_id={obs.detection_id})"
+
+
+class TestValidationMessage:
+    """With two bad records of one kind, the error names the first in file
+    order, with the message of its own first failed check."""
+
+    @pytest.mark.parametrize("action, field, value, message", CORRUPTION_MESSAGES)
+    def test_register_pair(self, action, field, value, message):
+        fs = two_match_pair()
+        records = fs.keypoint_matches if field.startswith("points_") else fs.observations
+        picks, name = bad_records(fs, field)
+        for k in picks:
+            arr = getattr(records[k], field)
+            if action == "set":
+                arr.flat[k % arr.size] = value
+            else:
+                setattr(records[k], field, arr[:-value])
+        with pytest.raises(ValidationError) as err:
+            register_pair(fs)
+        assert str(err.value) == f"{name}: {message}"
+
+    @pytest.mark.parametrize("action, field, value, message", CORRUPTION_MESSAGES)
+    def test_load_problem(self, tmp_path, action, field, value, message):
+        fs = two_match_pair()
+        path = tmp_path / "p.json"
+        save_problem(fs, path)
+        doc = json.loads(path.read_text())
+        key = "keypoint_matches" if field.startswith("points_") else "observations"
+        picks, name = bad_records(fs, field)
+        for k in picks:
+            rows = doc[key][k][field]
+            if action == "drop":
+                del rows[-value:]
+            elif isinstance(rows[0], list):
+                rows[k % len(rows)][k % 3] = value
+            else:
+                rows[k % len(rows)] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            load_problem(path)
+        assert str(err.value) == f"{name}: {message}"
+
+    def test_record_order_before_check_order(self):
+        """A later record failing an earlier check does not win over an
+        earlier record failing a later one."""
+        fs = two_match_pair()
+        fs.observations[1].embedding[0] = np.nan
+        fs.observations[2].depth_points = fs.observations[2].depth_points[:-1]
+        fs.observations[3].frame = 5
+        with pytest.raises(ValidationError) as err:
+            register_pair(fs)
+        assert str(err.value) == "observation (frame=0, detection_id=1): non-finite embedding"
+
+
 @pytest.fixture
 def fit_counts(monkeypatch):
-    """kabsch_filter calls per target point set (by bytes), counted at every
-    objreg module that looks the function up."""
+    """NOC fits per observation, counted by depth point bytes at the batched
+    filter that fit_noc (and so every noc_fit) runs through; the batches
+    under the key "batches"."""
     counts = Counter()
-    real = procrustes.kabsch_filter
+    real = observations.kabsch_filter_sets
 
-    def counting(source, target, cfg=None):
-        counts[np.asarray(target).tobytes()] += 1
-        return real(source, target, cfg)
+    def counting(sources, targets, cfg=None):
+        counts["batches"] += 1
+        for target in targets:
+            counts[np.asarray(target).tobytes()] += 1
+        return real(sources, targets, cfg)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("objreg") and hasattr(mod, "kabsch_filter"):
-            monkeypatch.setattr(mod, "kabsch_filter", counting)
+    monkeypatch.setattr(observations, "kabsch_filter_sets", counting)
     return counts
 
 
@@ -242,26 +331,54 @@ class TestNocFit:
         short = make_obs(noc_points=noc[1:], depth_points=obs.depth_points[1:])
         assert short.noc_fit is None
 
+    def test_batch_equals_lone_filter(self, fit_counts):
+        """fit_noc over a whole set gives each observation kabsch_filter's
+        fit of it alone, None exactly where that raises, in one batch; a
+        fit already cached or set by hand is left alone."""
+        fs, _ = generate(SynthConfig(num_frames=3, num_objects=3, keypoints_per_pair=40,
+                                     noise_sigma_depth=0.003, rng_seed=11))
+        obs = fs.observations
+        obs[1].noc_points, obs[1].depth_points = obs[1].noc_points[:14], obs[1].depth_points[:14]
+        line = np.linspace(-0.4, 0.4, 20)[:, None] * [1.0, 0.5, 0.25]
+        obs[2].noc_points, obs[2].depth_points = line, line + [0.0, 0.0, 2.0]
+        obs[3].depth_points[::5] += 0.5  # a fifth of its pairs are gross outliers
+        kept = obs[4].noc_fit
+        obs[5].noc_fit = None
+        fit_counts.clear()
+        observations.fit_noc(obs)
+        assert fit_counts.pop("batches") == 1
+        assert sum(fit_counts.values()) == len(obs) - 2
+        assert obs[4].noc_fit is kept and obs[5].noc_fit is None
+        for o in obs[:4] + obs[6:]:
+            try:
+                want = procrustes.kabsch_filter(
+                    o.noc_points * o.scale_estimate, o.depth_points, NOC_FILTER
+                )
+            except procrustes.DegenerateAlignmentError:
+                want = None
+            if want is None:
+                assert o.noc_fit is None
+                continue
+            assert np.array_equal(o.noc_fit.inlier_flags, want.inlier_flags)
+            assert np.abs(o.noc_fit.pose.rotation - want.pose.rotation).max() <= 1e-12
+            assert np.abs(o.noc_fit.pose.translation - want.pose.translation).max() <= 1e-12
+        assert obs[1].noc_fit is None and obs[2].noc_fit is None
+        assert 0 < obs[3].noc_fit.num_inliers < len(obs[3])
+
     def test_register_pair_fits_each_observation_at_most_once(self, fit_counts):
         fs, _ = generate(SynthConfig(num_frames=2, num_objects=3, keypoints_per_pair=40,
                                      noise_sigma_depth=0.003, rng_seed=7))
         assert register_pair(fs).success
         fits = [fit_counts[o.depth_points.tobytes()] for o in fs.observations]
-        assert max(fits) == 1
+        assert max(fits) == 1 and fit_counts["batches"] == 1
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_register_sequence_fits_each_observation_once(self, fit_counts, jobs):
+    def test_register_sequence_fits_each_observation_once(self, fit_counts):
         fs, _ = generate(SynthConfig(num_frames=6, num_objects=2, trajectory="line",
                                      orbit_radius=1.8, keypoints_per_pair=40,
                                      noise_sigma_depth=0.003, rng_seed=44))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the pair-solving threads finely
-        try:
-            register_sequence(fs, jobs=jobs)
-        finally:
-            sys.setswitchinterval(interval)
+        register_sequence(fs)
         fits = [fit_counts[o.depth_points.tobytes()] for o in fs.observations]
-        assert fits == [1] * len(fs.observations)
+        assert fits == [1] * len(fs.observations) and fit_counts["batches"] == 1
 
 
 class TestSerialization:

@@ -30,6 +30,7 @@ from objreg.posegraph import (
     _EdgeTable,
     _edge_errors,
     _edge_jacobians,
+    _frame_index,
     _keep_bridges_certain,
     _match_index,
     _normal_equations,
@@ -537,13 +538,13 @@ def test_indexed_pair_frameset_equals_full_scan():
     matches.append(KeypointMatch(1, 0, first.points_j[:7] + 0.1, first.points_i[:7]))
     fs.keypoint_matches = matches
     assert any(km.frame_i > km.frame_j for km in fs.keypoint_matches)
-    index = _match_index(fs)
+    index, frame_index = _match_index(fs), _frame_index(fs)
     assert len(index[(0, 1)]) == 2
     for i in range(fs.num_frames):
         for j in range(fs.num_frames):
             if i == j:
                 continue
-            sub = _pair_frameset(fs, i, j, index)
+            sub = _pair_frameset(fs, i, j, index, frame_index)
             expected = scanned_matches(fs, i, j)
             assert len(sub.keypoint_matches) == len(expected)
             for km, (pi, pj) in zip(sub.keypoint_matches, expected):
@@ -580,16 +581,19 @@ def edge_bits(graph):
 
 def solve_all_pairs(fs):
     """Every candidate pair of ``fs`` solved with register_sequence's settings."""
-    index = _match_index(fs)
+    index, frame_index = _match_index(fs), _frame_index(fs)
     loop_mcfg = replace(MatchConfig(), embed_threshold=MatchConfig().sequence_loop_threshold)
     results = {}
     for i in range(fs.num_frames - 1):
         results[(i, i + 1)] = register_pair(
-            _pair_frameset(fs, i, i + 1, index), keypoint_filter=default_keypoint_filter(0.30)
+            _pair_frameset(fs, i, i + 1, index, frame_index),
+            keypoint_filter=default_keypoint_filter(0.30),
         )
     for i, j in candidate_loop_pairs(fs.num_frames):
         results[(i, j)] = register_pair(
-            _pair_frameset(fs, i, j, index), loop_mcfg, keypoint_filter=default_keypoint_filter(0.15)
+            _pair_frameset(fs, i, j, index, frame_index),
+            loop_mcfg,
+            keypoint_filter=default_keypoint_filter(0.15),
         )
     return results
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from objreg.procrustes import (
     FilterConfig,
     icp_refine,
     kabsch_filter,
+    kabsch_filter_sets,
     kabsch_solve,
 )
 from objreg.metrics import pose_error
@@ -130,6 +133,94 @@ class TestKabschFilter:
         keep = res.inlier_flags
         res2 = kabsch_filter(src[keep], tgt[keep], FilterConfig(0.20, 3, 10))
         assert res2.inlier_flags.all()
+
+
+def filter_one_set(source, target, cfg):
+    """The filter loop kabsch_filter ran on one set before sets were batched.
+    Returns (its result, or the DegenerateAlignmentError it raised, and how
+    the loop ended)."""
+    inliers = np.ones(len(source), dtype=bool)
+    result = None
+    for rounds in range(cfg.max_rounds):
+        if inliers.sum() < cfg.min_pairs:
+            too_few = f"{int(inliers.sum())} surviving pairs < min_pairs={cfg.min_pairs}"
+            return DegenerateAlignmentError(too_few), "short" if rounds else "short at start"
+        try:
+            pose = kabsch_solve(source[inliers], target[inliers]).pose
+        except DegenerateAlignmentError as e:
+            return e, "collinear"
+        res = np.linalg.norm(source @ pose.rotation.T + pose.translation - target, axis=1)
+        keep = inliers & (res <= cfg.distance_threshold)
+        rms = float(np.sqrt(np.mean(res[keep] ** 2))) if keep.any() else 0.0
+        result = AlignmentResult(pose, rms, keep.copy())
+        if keep.sum() == inliers.sum():
+            return result, "fixed point"
+        inliers = keep
+    if inliers.sum() < cfg.min_pairs:
+        too_few = f"{int(inliers.sum())} surviving pairs < min_pairs={cfg.min_pairs}"
+        return DegenerateAlignmentError(too_few), "short"
+    return result, "out of rounds"
+
+
+def mixed_sets(rng):
+    """Point-set pairs of mixed sizes: noisy rigid copies with 0-60% gross
+    outliers, a collinear set, one too small to start and one that loses
+    most of its pairs in the first round."""
+    sources, targets = [], []
+    for n in rng.integers(3, 120, 14):
+        src = rng.uniform(-0.5, 0.5, (n, 3)) * rng.uniform(0.1, 1.0, 3)
+        tgt = apply_rigid(random_pose(rng), src) + rng.normal(0, rng.uniform(0.001, 0.05), (n, 3))
+        bad = rng.random(n) < rng.uniform(0, 0.6)
+        tgt[bad] += rng.uniform(-0.6, 0.6, (bad.sum(), 3))
+        sources.append(src)
+        targets.append(tgt)
+    line = np.outer(np.linspace(0, 1, 30), [1.0, 2.0, 3.0])
+    sources.append(line)
+    targets.append(line + 1.0)
+    sources.append(sources[0][:2])
+    targets.append(targets[0][:2])
+    src = rng.uniform(-0.5, 0.5, (40, 3))
+    tgt = apply_rigid(random_pose(rng), src)
+    tgt[:22] += 3.0
+    sources.append(src)
+    targets.append(tgt)
+    return sources, targets
+
+
+class TestKabschFilterSets:
+    def test_equals_one_set_filter(self):
+        """Each set of a batch gets what the one-set loop gives it: the same
+        inlier flags and rms, the pose within 1e-12, and the same error
+        where that loop raises; kabsch_filter agrees on its own."""
+        ends = set()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            sources, targets = mixed_sets(rng)
+            for cfg in (FilterConfig(0.20, 15, 10), FilterConfig(0.05, 5, 1), FilterConfig(0.1)):
+                batch = kabsch_filter_sets(sources, targets, cfg)
+                for src, tgt, got in zip(sources, targets, batch):
+                    want, end = filter_one_set(src, tgt, cfg)
+                    ends.add(end)
+                    if isinstance(want, DegenerateAlignmentError):
+                        assert isinstance(got, DegenerateAlignmentError)
+                        assert str(got) == str(want)
+                        with pytest.raises(DegenerateAlignmentError, match=re.escape(str(want))):
+                            kabsch_filter(src, tgt, cfg)
+                        continue
+                    for res in (got, kabsch_filter(src, tgt, cfg)):
+                        assert np.array_equal(res.inlier_flags, want.inlier_flags)
+                        assert np.abs(res.pose.rotation - want.pose.rotation).max() <= 1e-12
+                        assert np.abs(res.pose.translation - want.pose.translation).max() <= 1e-12
+                        assert res.rms_residual == pytest.approx(want.rms_residual, rel=1e-12)
+        assert ends == {"fixed point", "out of rounds", "short", "short at start", "collinear"}
+
+    def test_input_errors(self):
+        pts = np.zeros((5, 3))
+        with pytest.raises(ValueError, match="length mismatch"):
+            kabsch_filter_sets([pts, pts], [pts, pts[:4]])
+        assert kabsch_filter_sets([], []) == []
+        with pytest.raises(ValueError, match="max_rounds"):
+            FilterConfig(max_rounds=0)
 
 
 class TestIcpRefine:
