@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 MIN_KEYPOINT_PAIRS = 5
+# the pairwise keypoint filter: a liberal 0.20 m residual threshold
+KEYPOINT_FILTER = FilterConfig(0.20, min_pairs=MIN_KEYPOINT_PAIRS)
 _LOG_SCALE_FLOOR = np.log(1e-3)
 
 # Gauss-Newton iteration limits: the solve stops after MAX_ITERATIONS steps,
@@ -118,10 +120,6 @@ class PairResult:
     matches: list[PairMatch] = field(default_factory=list)
 
 
-def default_keypoint_filter(threshold: float = 0.20) -> FilterConfig:
-    return FilterConfig(threshold, min_pairs=MIN_KEYPOINT_PAIRS)
-
-
 def build_problem(
     fs: FrameSet,
     tracks: list[ObjectTrack],
@@ -136,7 +134,7 @@ def build_problem(
     fewer than 2 surviving frames are dropped.
     """
     cfg = cfg or SolverConfig()
-    keypoint_filter = keypoint_filter or default_keypoint_filter()
+    keypoint_filter = keypoint_filter or KEYPOINT_FILTER
 
     kp_blocks = []
     grouped: dict[tuple[int, int], list] = {}
@@ -535,10 +533,11 @@ def _rms(rows) -> float:
     return float(np.sqrt(np.mean(norms**2)))
 
 
-def numeric_jacobian_check(problem: RegistrationProblem, h: float = 1e-6) -> float:
+def numeric_jacobian_check(problem: RegistrationProblem) -> float:
     """Max relative error between analytic and central finite-difference
-    Jacobians at the problem's initial state, perturbing through the
-    solver's retraction."""
+    Jacobians (step 1e-6) at the problem's initial state, perturbing through
+    the solver's retraction."""
+    h = 1e-6
     state = _State.initial(problem)
     active_kp = [np.ones(len(b), dtype=bool) for b in problem.keypoint_blocks]
     active_obj = [
@@ -586,11 +585,12 @@ def register_pair(
     ``matches`` are the pair's object matches if already made by
     :func:`pair_matches` with the same ``mcfg`` and ``use_keypoints``; None
     matches here. Raises ValidationError, naming the bad record, on malformed
-    input. Fits every observation's ``noc_fit`` not yet cached in one batch."""
+    input and ValueError unless the set has 2 frames; only then fits every
+    observation's ``noc_fit`` not yet cached, in one batch."""
     fs.validate()
-    fit_noc(fs.observations)
     if fs.num_frames != 2:
         raise ValueError("register_pair expects exactly 2 frames")
+    fit_noc(fs.observations)
     mcfg = mcfg or MatchConfig()
     scfg = scfg or SolverConfig()
 

@@ -93,12 +93,13 @@ def match_pair(
     """Match object observations between two frames.
 
     Symmetric-class observations are dropped (if configured), candidates are
-    partitioned by class, assigned by the Hungarian algorithm on embedding
-    distances, then gated by the distance threshold and per-axis scale ratio.
-    If nothing passes the strict threshold and no keypoints exist, the looser
-    fallback threshold is tried. With top_k = 1 only the candidate with the
-    most surviving NOC-depth constraints (inliers of both observations'
-    ``noc_fit``) is kept.
+    partitioned by class, assigned once by the Hungarian algorithm on
+    embedding distances and gated by per-axis scale ratio, then by the
+    distance threshold. If nothing passes the strict threshold and no
+    keypoints exist, the same candidates are gated by the looser fallback
+    threshold. With top_k = 1 only the candidate with the most surviving
+    NOC-depth constraints (inliers of both observations' ``noc_fit``) is
+    kept.
     """
     cfg = cfg or MatchConfig()
 
@@ -110,40 +111,28 @@ def match_pair(
         ]
 
     idx_a, idx_b = eligible(frame_a_obs), eligible(frame_b_obs)
+    classes = sorted(
+        {frame_a_obs[k].class_label for k in idx_a} & {frame_b_obs[k].class_label for k in idx_b}
+    )
+    candidates = []
+    for cls in classes:
+        ca = [k for k in idx_a if frame_a_obs[k].class_label == cls]
+        cb = [k for k in idx_b if frame_b_obs[k].class_label == cls]
+        cost = np.array(
+            [
+                [embedding_distance(frame_a_obs[a].embedding, frame_b_obs[b].embedding) for b in cb]
+                for a in ca
+            ]
+        ).reshape(len(ca), len(cb))
+        for r, c in hungarian(cost):
+            a, b = ca[r], cb[c]
+            sa, sb = frame_a_obs[a].scale_estimate, frame_b_obs[b].scale_estimate
+            if max(np.max(sa / sb), np.max(sb / sa)) < cfg.max_scale_ratio:
+                candidates.append(PairMatch(a, b, float(cost[r, c])))
 
-    def assign(threshold: float) -> list[PairMatch]:
-        out = []
-        classes = sorted(
-            {frame_a_obs[k].class_label for k in idx_a}
-            & {frame_b_obs[k].class_label for k in idx_b}
-        )
-        for cls in classes:
-            ca = [k for k in idx_a if frame_a_obs[k].class_label == cls]
-            cb = [k for k in idx_b if frame_b_obs[k].class_label == cls]
-            cost = np.array(
-                [
-                    [
-                        embedding_distance(frame_a_obs[a].embedding, frame_b_obs[b].embedding)
-                        for b in cb
-                    ]
-                    for a in ca
-                ]
-            ).reshape(len(ca), len(cb))
-            for r, c in hungarian(cost):
-                a, b = ca[r], cb[c]
-                d = cost[r, c]
-                if d >= threshold:
-                    continue
-                sa, sb = frame_a_obs[a].scale_estimate, frame_b_obs[b].scale_estimate
-                ratio = max(np.max(sa / sb), np.max(sb / sa))
-                if ratio >= cfg.max_scale_ratio:
-                    continue
-                out.append(PairMatch(a, b, float(d)))
-        return out
-
-    matches = assign(cfg.embed_threshold)
+    matches = [m for m in candidates if m.distance < cfg.embed_threshold]
     if not matches and not keypoints_present:
-        matches = assign(cfg.fallback_threshold)
+        matches = [m for m in candidates if m.distance < cfg.fallback_threshold]
 
     for m in matches:
         fits = (frame_a_obs[m.index_a].noc_fit, frame_b_obs[m.index_b].noc_fit)

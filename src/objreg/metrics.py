@@ -26,6 +26,8 @@ __all__ = [
     "write_tum",
 ]
 
+ATE_MAX_TIME_DIFF = 0.02  # seconds: ate_rmse pairs poses at most this far apart
+
 
 @dataclass
 class Trajectory:
@@ -90,10 +92,10 @@ def _associate(ts_a, ts_b, max_diff):
     return pairs
 
 
-def ate_rmse(est: Trajectory, gt: Trajectory, max_time_diff: float = 0.02) -> float:
+def ate_rmse(est: Trajectory, gt: Trajectory) -> float:
     """Absolute trajectory error: RMSE of translations after the optimal
     rigid alignment of associated poses."""
-    pairs = _associate(est.timestamps, gt.timestamps, max_time_diff)
+    pairs = _associate(est.timestamps, gt.timestamps, ATE_MAX_TIME_DIFF)
     if len(pairs) < 2:
         raise ValueError(f"only {len(pairs)} timestamp associations (need >= 2)")
     a = est.translations[[i for i, _ in pairs]]

@@ -19,17 +19,18 @@ from .geometry import (
     so3_log,
 )
 from .joint_solver import (
+    MIN_KEYPOINT_PAIRS,
     PairResult,
     SolverConfig,
     SolveReport,
     damped_step,
-    default_keypoint_filter,
     pair_matches,
     register_pair,
 )
 from .matching import MatchConfig
 from .metrics import Trajectory
 from .observations import Frame, FrameSet, KeypointMatch, ValidationError, fit_noc
+from .procrustes import FilterConfig
 
 __all__ = [
     "GraphEdge",
@@ -49,6 +50,9 @@ __all__ = [
 MAX_OUTER_ITERATIONS = 15
 MAX_INNER_ITERATIONS = 10
 MAX_KEYFRAMES = 14  # loop-closure candidates pair at most this many keyframes
+# keypoint filters of the consecutive (odometry) pairs and of the loop pairs
+ODOMETRY_KEYPOINT_FILTER = FilterConfig(0.30, min_pairs=MIN_KEYPOINT_PAIRS)
+LOOP_KEYPOINT_FILTER = FilterConfig(0.15, min_pairs=MIN_KEYPOINT_PAIRS)
 
 
 @dataclass
@@ -483,17 +487,17 @@ def register_sequence(
     mcfg: MatchConfig | None = None,
     scfg: SolverConfig | None = None,
     gcfg: GraphConfig | None = None,
-    icp: bool = True,
     jobs: int = 1,
 ) -> SequenceResult:
-    """Register a sequence: pairwise solves on consecutive pairs (0.30 m
-    keypoint filter) and candidate loop pairs (0.15 m filter, 0.04 object
-    match threshold), then robust graph optimization. Loop candidates pair
-    at most ``MAX_KEYFRAMES`` keyframes (:func:`candidate_loop_pairs`): for 40
-    frames, the 91 pairs of keyframes 0, 3, ..., 39. A loop pair whose
-    matched objects are all out of depth range by ``scfg.residual_prune``
-    on their cached ``noc_fit`` poses is not solved; such pairs have no
-    ``pair_results`` entry and are listed in
+    """Register a sequence: pairwise solves on consecutive pairs
+    (``ODOMETRY_KEYPOINT_FILTER``) and candidate loop pairs
+    (``LOOP_KEYPOINT_FILTER``, object matches at
+    ``mcfg.sequence_loop_threshold``), then robust graph optimization. Loop
+    candidates pair at most ``MAX_KEYFRAMES`` keyframes
+    (:func:`candidate_loop_pairs`): for 40 frames, the 91 pairs of keyframes
+    0, 3, ..., 39. A loop pair whose matched objects are all out of depth
+    range by ``scfg.residual_prune`` on their cached ``noc_fit`` poses is not
+    solved; such pairs have no ``pair_results`` entry and are listed in
     ``diagnostics["screened_pairs"]``. An odometry step too long to be
     certain stays certain where it is the only certain link between two
     parts of the graph; ``diagnostics["certain_bridges"]`` lists those
@@ -534,22 +538,16 @@ def register_sequence(
     results, screened = {}, []
     for i, j in odo_pairs + loop_pairs:
         sub = _pair_frameset(fs, i, j, match_index, frame_index)
-        if j == i + 1:
-            results[(i, j)] = register_pair(
-                sub, mcfg, scfg, icp=icp, keypoint_filter=default_keypoint_filter(0.30)
-            )
-            continue
-        matches = pair_matches(sub, loop_mcfg)
-        if _screened_out(sub, matches, scfg, gcfg):
+        odometry = j == i + 1
+        pair_mcfg, kp_filter = (
+            (mcfg, ODOMETRY_KEYPOINT_FILTER) if odometry else (loop_mcfg, LOOP_KEYPOINT_FILTER)
+        )
+        matches = pair_matches(sub, pair_mcfg)
+        if not odometry and _screened_out(sub, matches, scfg, gcfg):
             screened.append((i, j))
             continue
         results[(i, j)] = register_pair(
-            sub,
-            loop_mcfg,
-            scfg,
-            icp=icp,
-            keypoint_filter=default_keypoint_filter(0.15),
-            matches=matches,
+            sub, pair_mcfg, scfg, keypoint_filter=kp_filter, matches=matches
         )
 
     failed_odo = [p for p in odo_pairs if not results[p].success]

@@ -21,6 +21,8 @@ __all__ = [
     "icp_refine",
 ]
 
+ICP_MAX_ITERATIONS = 30  # icp_refine stops after at most this many iterations
+
 
 class DegenerateAlignmentError(ValueError):
     """Too few pairs or rank-deficient geometry for a unique alignment."""
@@ -43,8 +45,9 @@ class AlignmentResult:
 class FilterConfig:
     """Iterative Kabsch-filter settings.
 
-    Defaults follow the pairwise setting (liberal 0.20 m threshold); sequence
-    odometry uses 0.30 m and loop closures 0.15 m.
+    Defaults follow the pairwise setting (liberal 0.20 m threshold); the
+    keypoint filters in use are ``joint_solver.KEYPOINT_FILTER`` and
+    ``posegraph.ODOMETRY_KEYPOINT_FILTER`` and ``LOOP_KEYPOINT_FILTER``.
     """
 
     distance_threshold: float = 0.20
@@ -97,19 +100,19 @@ def _rank_deficient(svals):
 _COLLINEAR = "rank-deficient cross-covariance (collinear points)"
 
 
-def _kabsch_pose(source, target, weights=None) -> RigidPose:
+def _kabsch_pose(source, target) -> RigidPose:
     """The pose of :func:`kabsch_solve`, without its residual."""
     if len(source) != len(target):
         raise ValueError("source/target length mismatch")
     if len(source) < 3:
         raise DegenerateAlignmentError(f"need >= 3 pairs, got {len(source)}")
-    rot, t, svals = _kabsch(source, target, weights)
+    rot, t, svals = _kabsch(source, target)
     if _rank_deficient(svals):
         raise DegenerateAlignmentError(_COLLINEAR)
     return RigidPose.from_rotation(rot, t)
 
 
-def kabsch_solve(source, target, weights=None) -> AlignmentResult:
+def kabsch_solve(source, target) -> AlignmentResult:
     """Least-squares rigid alignment of paired point sets (source onto target).
 
     Raises DegenerateAlignmentError for < 3 pairs or (near-)collinear
@@ -117,7 +120,7 @@ def kabsch_solve(source, target, weights=None) -> AlignmentResult:
     """
     source = np.asarray(source, dtype=float).reshape(-1, 3)
     target = np.asarray(target, dtype=float).reshape(-1, 3)
-    pose = _kabsch_pose(source, target, weights)
+    pose = _kabsch_pose(source, target)
     res = apply_rigid(pose, source) - target
     rms = float(np.sqrt(np.mean(np.sum(res**2, axis=1))))
     return AlignmentResult(pose, rms, np.ones(len(source), dtype=bool))
@@ -197,18 +200,15 @@ def kabsch_filter(source, target, cfg: FilterConfig | None = None) -> AlignmentR
 
 
 def icp_refine(
-    source,
-    target,
-    init: RigidPose | None = None,
-    max_corr_dist: float = 0.1,
-    max_iters: int = 30,
+    source, target, init: RigidPose | None = None, max_corr_dist: float = 0.1
 ) -> AlignmentResult:
     """Point-to-point ICP from an initial pose.
 
     Associates each transformed source point with its nearest target neighbor
     within max_corr_dist, updates the pose by Kabsch, and iterates until the
-    update is < 1e-6 or the matched-pair rms stops decreasing. If no
-    associations exist at the initial pose, returns init with converged=False.
+    update is < 1e-6, the matched-pair rms stops decreasing or
+    ICP_MAX_ITERATIONS have run. If no associations exist at the initial
+    pose, returns init with converged=False.
     """
     source = np.asarray(source, dtype=float).reshape(-1, 3)
     target = np.asarray(target, dtype=float).reshape(-1, 3)
@@ -220,7 +220,7 @@ def icp_refine(
     best_pose = pose
     flags = np.zeros(len(source), dtype=bool)
     history = []
-    for _ in range(max_iters):
+    for _ in range(ICP_MAX_ITERATIONS):
         moved = source @ pose.rotation.T + pose.translation
         dist, idx = tree.query(moved, distance_upper_bound=max_corr_dist)
         matched = np.isfinite(dist)

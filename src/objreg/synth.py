@@ -18,6 +18,7 @@ from .observations import Frame, FrameSet, KeypointMatch, ObjectObservation
 __all__ = ["SynthConfig", "SynthResult", "generate", "overlap", "make_pair_suite"]
 
 DEFAULT_INTRINSICS = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+MAX_SUITE_ATTEMPTS = 400  # make_pair_suite's scene draws per bucket
 
 
 @dataclass
@@ -66,13 +67,13 @@ def _euler_exact(pose: RigidPose) -> RigidPose:
     return RigidPose(pose.angles, pose.translation)
 
 
-def _look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
-    """Camera-to-world pose with the camera +z axis pointing at target."""
+def _look_at(eye, target) -> RigidPose:
+    """Camera-to-world pose with the camera +z axis pointing at target and
+    the world +z axis up."""
     eye = np.asarray(eye, dtype=float)
     f = np.asarray(target, dtype=float) - eye
     f = f / np.linalg.norm(f)
-    up = np.asarray(up, dtype=float)
-    x = np.cross(up, f)
+    x = np.cross((0.0, 0.0, 1.0), f)
     if np.linalg.norm(x) < 1e-8:
         x = np.cross((1.0, 0.0, 0.0), f)
     x = x / np.linalg.norm(x)
@@ -282,12 +283,12 @@ def overlap(points_a, points_b, radius: float = 0.01) -> float:
     return 100.0 * float(np.mean(np.isfinite(dist)))
 
 
-def measure_pair_overlap(fs: FrameSet, radius: float = 0.01, poses=None) -> float:
+def measure_pair_overlap(fs: FrameSet, radius: float = 0.01) -> float:
     """Percentage of frame 0's points with a frame-1 point within ``radius``,
-    both mapped into the shared world by ``poses`` (the ground truth if None)."""
-    poses = poses or fs.ground_truth
+    both mapped into the shared world by the ground-truth poses."""
+    gt = fs.ground_truth
     return overlap(
-        apply_rigid(poses[0], fs.frame_points(0)), apply_rigid(poses[1], fs.frame_points(1)), radius
+        apply_rigid(gt[0], fs.frame_points(0)), apply_rigid(gt[1], fs.frame_points(1)), radius
     )
 
 
@@ -296,10 +297,10 @@ def make_pair_suite(
     n_per_bucket: int,
     cfg: SynthConfig,
     radius: float = 0.01,
-    max_attempts: int = 400,
 ) -> list[tuple[tuple[float, float], float, SynthResult]]:
     """Rejection-sample 2-frame scenes until the measured overlap percentage
-    lands in each requested (lo, hi) bucket.
+    lands in each requested (lo, hi) bucket, drawing at most
+    MAX_SUITE_ATTEMPTS scenes for one bucket.
 
     Low-overlap pairs (hi <= 10) drop their keypoints with probability 0.5 to
     exercise the object-only registration path.
@@ -310,9 +311,9 @@ def make_pair_suite(
         produced = 0
         attempts = 0
         while produced < n_per_bucket:
-            if attempts >= max_attempts:
+            if attempts >= MAX_SUITE_ATTEMPTS:
                 raise RuntimeError(
-                    f"bucket ({lo}, {hi}) unreachable after {max_attempts} attempts"
+                    f"bucket ({lo}, {hi}) unreachable after {MAX_SUITE_ATTEMPTS} attempts"
                 )
             attempts += 1
             # wider camera separation drives overlap down

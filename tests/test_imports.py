@@ -1,5 +1,6 @@
-"""Static checks: no module of the package imports a name it never uses, and
-no private helper of the package survives only for tests."""
+"""Static checks: no module of the package imports a name it never uses, no
+private helper of the package survives only for tests, and no defaulted
+parameter of the package is one that no caller sets."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import objreg
 
 PACKAGE = Path(objreg.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # (module, name) -> why the unused import stays
 ALLOWED = {
@@ -93,3 +95,70 @@ def test_detects_unread_private_helpers():
 def test_no_private_helper_only_for_tests():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_private_helpers(sources) == []
+
+
+# (module, function, parameter) -> why the parameter stays unset by callers
+ALLOWED_DEFAULTS = {
+    ("cli", "main", "argv"): (
+        "the console script calls main() with no arguments; tests pass argv"
+    ),
+}
+
+
+def unset_defaults(definitions: dict[str, str], callers: list[str]) -> list[tuple[str, str, str]]:
+    """``(module, function, parameter)`` of each defaulted parameter of a
+    module-level function in ``definitions`` (module name -> source) that no
+    call in the ``callers`` sources passes, by keyword or by position. Calls
+    are matched to functions by name alone."""
+    params = {}  # (module, function, parameter) -> position, None if keyword-only
+    for module, source in definitions.items():
+        for stmt in ast.parse(source).body:
+            if not isinstance(stmt, ast.FunctionDef):
+                continue
+            args = stmt.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k, arg in enumerate(positional[first:], first):
+                params[(module, stmt.name, arg.arg)] = k
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    params[(module, stmt.name, arg.arg)] = None
+    passed = set()  # (function, keyword or position)
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed.update((name, kw.arg) for kw in node.keywords)
+                passed.update((name, k) for k in range(len(node.args)))
+    return sorted(
+        (module, func, arg)
+        for (module, func, arg), k in params.items()
+        if (func, arg) not in passed and (k is None or (func, k) not in passed)
+    )
+
+
+def test_detects_unset_defaults():
+    definitions = {
+        "a": (
+            "def f(x, y=1, z=2, *, k=3, m=4): pass\n"
+            "def g(p=0): pass\n"
+            "def _h(q=0): pass\n"
+            "class C:\n"
+            "    def method(self, r=1): pass\n"
+        ),
+    }
+    callers = ["f(0, 1)\nobj.f(0, m=5)\n", "_h(q=1)\n"]
+    assert unset_defaults(definitions, callers) == [
+        ("a", "f", "k"), ("a", "f", "z"), ("a", "g", "p"),
+    ]
+
+
+def test_no_parameter_that_no_caller_sets():
+    """Every defaulted parameter of a package function is passed somewhere in
+    the package, the demos or the benchmark; tests do not count as callers."""
+    definitions = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    callers = [path.read_text() for path in paths]
+    unset = unset_defaults(definitions, callers)
+    assert sorted(set(unset) - ALLOWED_DEFAULTS.keys()) == []
+    assert sorted(ALLOWED_DEFAULTS.keys() - set(unset)) == []  # no stale allowance

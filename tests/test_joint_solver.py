@@ -508,6 +508,17 @@ class TestRegisterPair:
         with pytest.raises(ValueError):
             register_pair(fs)
 
+    def test_wrong_frame_count_rejected_before_fitting(self, monkeypatch):
+        """The frame count is checked before any NOC fit."""
+        fs, _ = generate(SynthConfig(num_frames=3, orbit_span=np.pi / 6, rng_seed=16))
+
+        def forbidden(_):
+            raise AssertionError("register_pair fitted a set it rejects")
+
+        monkeypatch.setattr(joint_solver, "fit_noc", forbidden)
+        with pytest.raises(ValueError, match="exactly 2 frames"):
+            register_pair(fs)
+
     def test_icp_does_not_hurt(self):
         fs, gt = generate(
             SynthConfig(num_frames=2, num_objects=1, orbit_span=np.pi / 8,

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from objreg import matching
 from objreg.geometry import RigidPose, apply_rigid
 from objreg.matching import (
     MatchConfig,
@@ -131,6 +132,25 @@ class TestMatchPair:
         b = [make_obs(1, 0, embed=np.full(8, 0.03))]  # 0.05 < d < 0.15
         assert len(match_pair(a, b, keypoints_present=False)) == 1
         assert match_pair(a, b, keypoints_present=True) == []
+
+    def test_fallback_reuses_one_assignment_per_class(self, monkeypatch):
+        """The fallback threshold re-gates the strict pass's candidates: the
+        Hungarian assignment runs once per class."""
+        a = [make_obs(0, 0, cls=0, embed=np.zeros(8)), make_obs(0, 1, cls=1, embed=np.zeros(8))]
+        b = [
+            make_obs(1, 0, cls=0, embed=np.full(8, 0.03)),  # 0.05 < d < 0.15
+            make_obs(1, 1, cls=1, embed=np.full(8, 0.1)),  # d > 0.15
+        ]
+        calls = []
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return hungarian(cost)
+
+        monkeypatch.setattr(matching, "hungarian", counted)
+        out = match_pair(a, b, keypoints_present=False)
+        assert [(m.index_a, m.index_b) for m in out] == [(0, 0)]
+        assert calls == [(1, 1), (1, 1)]
 
     def test_fallback_not_used_when_strict_nonempty(self):
         near = make_obs(0, 0, embed=np.zeros(8))
