@@ -490,12 +490,13 @@ def register_sequence(
     jobs: int = 1,
 ) -> SequenceResult:
     """Register a sequence: pairwise solves on consecutive pairs
-    (``ODOMETRY_KEYPOINT_FILTER``) and candidate loop pairs
+    (``ODOMETRY_KEYPOINT_FILTER``, ICP-polished) and candidate loop pairs
     (``LOOP_KEYPOINT_FILTER``, object matches at
-    ``mcfg.sequence_loop_threshold``), then robust graph optimization. Loop
-    candidates pair at most ``MAX_KEYFRAMES`` keyframes
-    (:func:`candidate_loop_pairs`): for 40 frames, the 91 pairs of keyframes
-    0, 3, ..., 39. A loop pair whose matched objects are all out of depth
+    ``mcfg.sequence_loop_threshold``, no ICP: at its radius ICP slides
+    wide-baseline pairs by cm and the graph then loses to chaining its own
+    odometry), then robust graph optimization. Loop candidates pair at most
+    ``MAX_KEYFRAMES`` keyframes (:func:`candidate_loop_pairs`): for 40
+    frames, the 91 pairs of keyframes 0, 3, ..., 39. A loop pair whose matched objects are all out of depth
     range by ``scfg.residual_prune`` on their cached ``noc_fit`` poses is not
     solved; such pairs have no ``pair_results`` entry and are listed in
     ``diagnostics["screened_pairs"]``. An odometry step too long to be
@@ -547,7 +548,7 @@ def register_sequence(
             screened.append((i, j))
             continue
         results[(i, j)] = register_pair(
-            sub, pair_mcfg, scfg, keypoint_filter=kp_filter, matches=matches
+            sub, pair_mcfg, scfg, icp=odometry, keypoint_filter=kp_filter, matches=matches
         )
 
     failed_odo = [p for p in odo_pairs if not results[p].success]

@@ -29,6 +29,7 @@ from objreg.posegraph import (
     register_sequence,
     reject_loop_closure,
     _EdgeTable,
+    _chain_odometry,
     _edge_errors,
     _edge_jacobians,
     _frame_index,
@@ -41,6 +42,7 @@ from objreg.posegraph import (
 )
 from objreg.metrics import pose_error
 from objreg.observations import FrameSet, KeypointMatch, ValidationError
+from objreg.procrustes import icp_refine
 from objreg.synth import SynthConfig, generate
 
 CFG = GraphConfig()
@@ -433,6 +435,23 @@ def seq_fs():
     return generate(cfg)
 
 
+@pytest.fixture(scope="module")
+def loop40():
+    """The bench's 40-frame loop (scene seed 3): its ground truth, its
+    registration and the number of pair solves that made."""
+    fs, gt = generate(SynthConfig(num_frames=40, trajectory="loop", num_objects=3,
+                                  keypoints_per_pair=40, noise_sigma_depth=0.003,
+                                  rng_seed=3))
+    solved = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            "objreg.posegraph.register_pair",
+            lambda *a, **k: solved.append(a) or register_pair(*a, **k),
+        )
+        result = register_sequence(fs)
+    return gt, result, len(solved)
+
+
 class TestRegisterSequence:
     def test_trajectory_close_to_ground_truth(self, seq_fs):
         fs, gt = seq_fs
@@ -475,22 +494,39 @@ class TestRegisterSequence:
             rot, trans = pose_error(est, truth)
             assert rot <= 15.0 and trans <= 0.30
 
-    def test_loop40_bounded_pair_work(self, monkeypatch):
+    def test_loop40_bounded_pair_work(self, loop40):
         # the bench's 40-frame loop: 39 odometry solves and at most the 91
         # keyframe loop candidates, with the trajectory still accurate
-        fs, gt = generate(SynthConfig(num_frames=40, trajectory="loop", num_objects=3,
-                                      keypoints_per_pair=40, noise_sigma_depth=0.003,
-                                      rng_seed=3))
-        solved = []
-        monkeypatch.setattr(
-            "objreg.posegraph.register_pair", lambda *a, **k: solved.append(a) or register_pair(*a, **k)
-        )
-        result = register_sequence(fs)
-        assert len(solved) <= 39 + 91
+        gt, result, solved = loop40
+        assert solved <= 39 + 91
         for est, truth in zip(result.trajectory.poses, gt):
             rot, trans = pose_error(est, truth)
             assert rot <= 15.0 and trans <= 0.30
         assert graph_ate(result.trajectory.poses, gt) <= 0.010
+
+    def test_loop40_graph_beats_chaining(self, loop40):
+        """On the bench's 40-frame loop the optimized graph is closer to the
+        ground truth than chaining its own odometry edges."""
+        gt, result, _ = loop40
+        assert result.diagnostics["num_loop_edges"] >= 1
+        chained = graph_ate(_chain_odometry(result.graph), gt)
+        assert graph_ate(result.trajectory.poses, gt) < chained
+
+    def test_icp_on_odometry_pairs_only(self, monkeypatch):
+        """ICP polishes the consecutive pairs; loop pairs keep their joint
+        solve's pose."""
+        fs, _ = generate(SynthConfig(num_frames=8, trajectory="loop", num_objects=3,
+                                     keypoints_per_pair=40, noise_sigma_depth=0.003,
+                                     rng_seed=3))
+        calls = []
+        monkeypatch.setattr(
+            "objreg.joint_solver.icp_refine",
+            lambda *a, **k: calls.append(a) or icp_refine(*a, **k),
+        )
+        result = register_sequence(fs)
+        assert len(result.pair_results) > fs.num_frames - 1
+        assert result.diagnostics["num_loop_edges"] >= 1
+        assert len(calls) == fs.num_frames - 1
 
     def test_stalled_timestamp_rejected_before_pair_solves(self, monkeypatch):
         fs, _ = generate(SynthConfig(num_frames=4, trajectory="line", rng_seed=44))
@@ -587,6 +623,7 @@ def solve_all_pairs(fs):
         results[(i, j)] = register_pair(
             _pair_frameset(fs, i, j, index, frame_index),
             loop_mcfg,
+            icp=False,
             keypoint_filter=LOOP_KEYPOINT_FILTER,
         )
     return results
