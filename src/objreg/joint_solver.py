@@ -1,9 +1,12 @@
-"""Joint Gauss-Newton optimization of camera poses and global object poses.
+"""Joint Gauss-Newton registration of a frame pair: camera 1's pose and the
+global poses of the objects both frames see.
 
 The energy is w_c * E_c + w_o * E_o, where E_c sums squared distances between
 world-transformed matched keypoints and E_o sums squared distances between
 world-transformed depth points and object-transformed canonical points. Frame
-0 is gauge-fixed to identity; object scales are optimized in log space.
+0 is the gauge, fixed at the identity, so camera 1 is the only camera
+variable; object scales are optimized in log space. Sequences are stitched
+from pairs by :mod:`objreg.posegraph`.
 """
 
 from __future__ import annotations
@@ -68,11 +71,9 @@ class SolverConfig:
 
 @dataclass
 class KeypointBlock:
-    frame_i: int
-    frame_j: int
-    points_i: np.ndarray
-    points_j: np.ndarray
-    init_relative: RigidPose  # G with G p_i ~ p_j, i.e. T_j^-1 T_i
+    points_i: np.ndarray  # frame 0
+    points_j: np.ndarray  # frame 1
+    init_relative: RigidPose  # G with G p_i ~ p_j, i.e. camera 1's pose inverted
 
     def __len__(self):
         return len(self.points_i)
@@ -93,12 +94,10 @@ class ObjectBlock:
 
 @dataclass
 class RegistrationProblem:
-    num_frames: int
-    keypoint_blocks: list[KeypointBlock]
+    keypoint_blocks: list[KeypointBlock]  # at most one
     object_blocks: list[ObjectBlock]
     config: SolverConfig
-    initial_cameras: list[RigidPose] = field(default_factory=list)
-    underconstrained_frames: list[int] = field(default_factory=list)
+    initial_camera: RigidPose  # camera 1; camera 0 is the identity
 
 
 @dataclass
@@ -126,35 +125,37 @@ def build_problem(
     cfg: SolverConfig | None = None,
     keypoint_filter: FilterConfig | None = None,
 ) -> RegistrationProblem:
-    """Filter raw constraints into solver blocks and initialize variables.
+    """Filter a 2-frame set's raw constraints into solver blocks and
+    initialize the variables; ValueError for any other frame count.
 
-    Keypoint matches are Kabsch-filtered per frame pair (dropped below 5
-    survivors); each object observation contributes the inliers of its
-    intra-frame ``noc_fit`` (dropped below 15 survivors); tracks observed in
-    fewer than 2 surviving frames are dropped.
+    The non-empty keypoint matches, oriented 0 -> 1, are stacked into one
+    Kabsch-filtered block (dropped below 5 survivors); each object
+    observation contributes the inliers of its intra-frame ``noc_fit``
+    (dropped below 15 survivors); tracks observed in fewer than 2 surviving
+    frames are dropped. Camera 1 starts at the keypoint block's Kabsch pose,
+    else at the pose the first object block's two local poses imply; each
+    object starts at its local pose in frame 0.
     """
+    if fs.num_frames != 2:
+        raise ValueError("build_problem expects exactly 2 frames")
     cfg = cfg or SolverConfig()
     keypoint_filter = keypoint_filter or KEYPOINT_FILTER
 
     kp_blocks = []
-    grouped: dict[tuple[int, int], list] = {}
-    for km in fs.keypoint_matches:
-        i, j = km.frame_i, km.frame_j
-        pi, pj = km.points_i, km.points_j
-        if i > j:
-            i, j, pi, pj = j, i, pj, pi
-        grouped.setdefault((i, j), []).append((pi, pj))
-    for (i, j), chunks in sorted(grouped.items()):
-        pi = np.vstack([c[0] for c in chunks])
-        pj = np.vstack([c[1] for c in chunks])
+    oriented = [
+        (km.points_i, km.points_j) if km.frame_i < km.frame_j else (km.points_j, km.points_i)
+        for km in fs.keypoint_matches
+        if len(km)
+    ]
+    if oriented:
+        pi, pj = (np.vstack(side) for side in zip(*oriented))
         try:
             res = kabsch_filter(pi, pj, keypoint_filter)
         except DegenerateAlignmentError:
-            continue
-        keep = res.inlier_flags
-        if keep.sum() < MIN_KEYPOINT_PAIRS:
-            continue
-        kp_blocks.append(KeypointBlock(i, j, pi[keep], pj[keep], res.pose))
+            res = None
+        if res is not None and res.inlier_flags.sum() >= MIN_KEYPOINT_PAIRS:
+            keep = res.inlier_flags
+            kp_blocks.append(KeypointBlock(pi[keep], pj[keep], res.pose))
 
     obs_index = {(o.frame, o.detection_id): o for o in fs.observations}
     obj_blocks = []
@@ -173,69 +174,19 @@ def build_problem(
             scales.append(obs.scale_estimate)
         if len(frames) < 2:
             continue
-        obj_blocks.append(
-            ObjectBlock(
-                track.track_id,
-                frames,
-                nocs,
-                depths,
-                # global pose seeded below once camera initialization is known
-                ObjectPose.from_rotation(
-                    local_poses[0].rotation, local_poses[0].translation, scales[0]
-                ),
-                local_poses,
-            )
+        init = ObjectPose.from_rotation(
+            local_poses[0].rotation, local_poses[0].translation, scales[0]
         )
+        obj_blocks.append(ObjectBlock(track.track_id, frames, nocs, depths, init, local_poses))
 
-    if not kp_blocks and not obj_blocks:
+    if kp_blocks:
+        cam1 = invert(kp_blocks[0].init_relative)
+    elif obj_blocks:
+        local = obj_blocks[0].local_poses
+        cam1 = compose(local[0], invert(local[1]))
+    else:
         raise UnsolvableProblemError("no keypoint or object blocks survive filtering")
-
-    # chain camera initialization from frame 0: over keypoint blocks, and
-    # (for frames with no keypoint path) indirectly through shared objects
-    # via their per-frame local Procrustes poses
-    cams = [RigidPose.identity() for _ in range(fs.num_frames)]
-    known = {0}
-    changed = True
-    while changed:
-        changed = False
-        for blk in kp_blocks:
-            g = blk.init_relative  # T_j^-1 T_i
-            if blk.frame_i in known and blk.frame_j not in known:
-                cams[blk.frame_j] = compose(cams[blk.frame_i], invert(g))
-                known.add(blk.frame_j)
-                changed = True
-            elif blk.frame_j in known and blk.frame_i not in known:
-                cams[blk.frame_i] = compose(cams[blk.frame_j], g)
-                known.add(blk.frame_i)
-                changed = True
-        for blk in obj_blocks:
-            anchored = [k for k, f in enumerate(blk.frames) if f in known]
-            if not anchored or len(anchored) == len(blk.frames):
-                continue
-            a = anchored[0]
-            obj_world = compose(cams[blk.frames[a]], blk.local_poses[a])
-            for k, f in enumerate(blk.frames):
-                if f not in known:
-                    cams[f] = compose(obj_world, invert(blk.local_poses[k]))
-                    known.add(f)
-                    changed = True
-
-    for blk in obj_blocks:
-        world = compose(cams[blk.frames[0]], blk.init_pose.rigid)
-        blk.init_pose = ObjectPose.from_rotation(
-            world.rotation, world.translation, blk.init_pose.scale
-        )
-
-    constrained = {0}
-    for blk in kp_blocks:
-        constrained.update((blk.frame_i, blk.frame_j))
-    for blk in obj_blocks:
-        constrained.update(blk.frames)
-    under = sorted(set(range(fs.num_frames)) - constrained)
-
-    return RegistrationProblem(
-        fs.num_frames, kp_blocks, obj_blocks, cfg, cams, underconstrained_frames=under
-    )
+    return RegistrationProblem(kp_blocks, obj_blocks, cfg, cam1)
 
 
 def damped_step(jtj, jtr, lam, cost, trial, tries):
@@ -262,57 +213,51 @@ def damped_step(jtj, jtr, lam, cost, trial, tries):
 
 
 class _State:
-    """Camera poses (frame 0 stays the identity) and object rotations,
-    translations and log-scales. Rotations are matrices retracted by
+    """The variables of a pair problem. Frame 0 is the gauge, fixed at the
+    identity, so camera 1 is the only camera variable; then each object's
+    rotation, translation and log-scale. Rotations are matrices retracted by
     right-multiplied increments ``R @ Exp(phi)``; the rest is additive,
-    log-scales clamped from below. A tangent vector packs (phi, dt) per
-    camera 1..K-1, then (phi, dt, d log s) per object."""
+    log-scales clamped from below. A tangent vector packs camera 1's
+    (phi, dt) at offset 0, then (phi, dt, d log s) per object."""
 
     def __init__(self, cam_rot, cam_t, obj_rot, obj_t, obj_logs):
         self.cam_rot, self.cam_t = cam_rot, cam_t
         self.obj_rot, self.obj_t, self.obj_logs = obj_rot, obj_t, obj_logs
         self.obj_scale = np.exp(obj_logs)
-        self.n_cam = 6 * (len(cam_rot) - 1)
-        self.size = self.n_cam + 9 * len(obj_rot)
+        self.size = 6 + 9 * len(obj_rot)
 
     @classmethod
     def initial(cls, problem: RegistrationProblem) -> "_State":
-        cams = [RigidPose.identity()] + problem.initial_cameras[1:]  # frame 0 is the gauge
+        cam = problem.initial_camera
         objs = [b.init_pose for b in problem.object_blocks]
         return cls(
-            np.array([c.rotation for c in cams]),
-            np.array([c.translation for c in cams]),
+            cam.rotation,
+            cam.translation,
             np.array([o.rotation for o in objs]).reshape(-1, 3, 3),
             np.array([o.translation for o in objs]).reshape(-1, 3),
             np.log(np.array([o.scale for o in objs]).reshape(-1, 3)),
         )
 
     def retract(self, delta) -> "_State":
-        cam, obj = delta[: self.n_cam].reshape(-1, 6), delta[self.n_cam :].reshape(-1, 9)
-        rot = so3_exp(np.vstack([np.zeros(3), cam[:, :3], obj[:, :3]]))
-        k = len(self.cam_rot)
+        obj = delta[6:].reshape(-1, 9)
+        rot = so3_exp(np.vstack([delta[:3], obj[:, :3]]))
         return _State(
-            self.cam_rot @ rot[:k],
-            self.cam_t + np.vstack([np.zeros(3), cam[:, 3:]]),
-            self.obj_rot @ rot[k:],
+            self.cam_rot @ rot[0],
+            self.cam_t + delta[3:6],
+            self.obj_rot @ rot[1:],
             self.obj_t + obj[:, 3:6],
             np.maximum(self.obj_logs + obj[:, 6:], _LOG_SCALE_FLOOR),
         )
 
-    def cam_offset(self, frame: int) -> int | None:
-        return None if frame == 0 else 6 * (frame - 1)
-
-    def obj_offset(self, block_index: int) -> int:
-        return self.n_cam + 9 * block_index
-
-    def to_world(self, frame: int, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.cam_rot[frame].T + self.cam_t[frame]
+    def to_world(self, pts: np.ndarray) -> np.ndarray:
+        """Camera-1 points in the world, i.e. camera 0's frame."""
+        return pts @ self.cam_rot.T + self.cam_t
 
     def object_points(self, b: int, noc: np.ndarray) -> np.ndarray:
         return (noc * self.obj_scale[b]) @ self.obj_rot[b].T + self.obj_t[b]
 
     def cameras(self) -> list[RigidPose]:
-        return [RigidPose.from_rotation(r, t) for r, t in zip(self.cam_rot, self.cam_t)]
+        return [RigidPose.identity(), RigidPose.from_rotation(self.cam_rot, self.cam_t)]
 
     def objects(self) -> list[ObjectPose]:
         return [
@@ -325,18 +270,15 @@ class _Terms:
     """The active correspondences of a problem, gathered once per active-set
     change. Per keypoint block, and per object block and frame, a term holds
     its masked points, weight and span of correspondences, the skew matrices
-    of its fixed camera-side points, and a view into one shared Jacobian
-    buffer whose constant translation entries are written here; an
-    evaluation rewrites only the rotation and scale entries. ``weight``
-    holds each correspondence's weight on its three rows, and ``spans`` the
+    of its camera-1 points, and a view into one shared Jacobian buffer whose
+    constant translation entries are written here; an evaluation rewrites
+    only the rotation and scale entries. ``weight`` holds each
+    correspondence's weight on its three rows, and ``spans`` the
     ``(block, frame or None, span)`` of each term, for :func:`_prune`."""
 
     def __init__(self, problem: RegistrationProblem, state: _State, active_kp, active_obj):
         cfg = problem.config
-        kp_blocks = problem.keypoint_blocks if cfg.w_c != 0 else []
-        obj_blocks = problem.object_blocks if cfg.w_o != 0 else []
-        masks = active_kp[: len(kp_blocks)]
-        masks += [m for frame_masks in active_obj[: len(obj_blocks)] for m in frame_masks]
+        masks = active_kp + [m for frame_masks in active_obj for m in frame_masks]
         size = sum(int(m.sum()) for m in masks)
         self.jac = np.zeros((3 * size, state.size))
         self.weight = np.empty((size, 3))
@@ -353,7 +295,7 @@ class _Terms:
             self.spans.append((block, frame, span))
             return span, self.jac[3 * span.start : 3 * span.stop].reshape(n, 3, state.size)
 
-        for b, blk in enumerate(kp_blocks):
+        for b, blk in enumerate(problem.keypoint_blocks):
             mask = active_kp[b]
             n = int(mask.sum())
             if n == 0:
@@ -361,17 +303,12 @@ class _Terms:
             w = np.sqrt(cfg.w_c / len(blk))
             span, view = claim(n, w, b, None)
             pi, pj = blk.points_i[mask], blk.points_j[mask]
-            cams = []  # (frame, sign, column, skew) of each non-gauge camera
-            for frame, pts, sign in ((blk.frame_i, pi, w), (blk.frame_j, pj, -w)):
-                off = state.cam_offset(frame)
-                if off is not None:
-                    view[:, :, off + 3 : off + 6] = sign * eye
-                    cams.append((frame, sign, off, skew(pts)))
-            self.keypoint.append((span, blk.frame_i, pi, blk.frame_j, pj, view, cams))
+            view[:, :, 3:6] = -w * eye
+            self.keypoint.append((span, w, pi, pj, view, skew(pj)))
 
-        for b, blk in enumerate(obj_blocks):
+        for b, blk in enumerate(problem.object_blocks):
             w = np.sqrt(cfg.w_o / blk.total_pairs())
-            ooff = state.obj_offset(b)
+            off = 6 + 9 * b
             for k, frame in enumerate(blk.frames):
                 mask = active_obj[b][k]
                 n = int(mask.sum())
@@ -379,12 +316,12 @@ class _Terms:
                     continue
                 span, view = claim(n, w, b, k)
                 depth, noc = blk.depth_points[k][mask], blk.noc_points[k][mask]
-                coff = state.cam_offset(frame)
-                if coff is not None:
-                    view[:, :, coff + 3 : coff + 6] = w * eye
-                view[:, :, ooff + 3 : ooff + 6] = -w * eye
-                skew_depth = None if coff is None else skew(depth)
-                self.object.append((span, w, b, frame, depth, noc, view, coff, ooff, skew_depth))
+                view[:, :, off + 3 : off + 6] = -w * eye
+                skew_depth = None  # frame 0's points do not move
+                if frame == 1:
+                    view[:, :, 3:6] = w * eye
+                    skew_depth = skew(depth)
+                self.object.append((span, w, b, depth, noc, view, off, skew_depth))
 
 
 def _residual(terms: _Terms, state: _State) -> tuple[np.ndarray, np.ndarray]:
@@ -392,10 +329,11 @@ def _residual(terms: _Terms, state: _State) -> tuple[np.ndarray, np.ndarray]:
     vector r and the unweighted rows d, one per correspondence, with
     ``r = (weight * d).ravel()``."""
     d = np.empty_like(terms.weight)
-    for span, fi, pi, fj, pj, *_ in terms.keypoint:
-        d[span] = state.to_world(fi, pi) - state.to_world(fj, pj)
-    for span, _, b, frame, depth, noc, *_ in terms.object:
-        d[span] = state.to_world(frame, depth) - state.object_points(b, noc)
+    for span, _, pi, pj, *_ in terms.keypoint:
+        d[span] = pi - state.to_world(pj)
+    for span, _, b, depth, noc, *_, skew_depth in terms.object:
+        world = depth if skew_depth is None else state.to_world(depth)
+        d[span] = world - state.object_points(b, noc)
     return (terms.weight * d).ravel(), d
 
 
@@ -403,17 +341,16 @@ def _jacobian(terms: _Terms, state: _State) -> np.ndarray:
     """Jacobian of :func:`_residual` with respect to the state's tangent
     vector, d(R Exp(phi) p)/dphi = -R [p]x, written into the terms' shared
     buffer (valid until the next call)."""
-    for *_, view, cams in terms.keypoint:
-        for frame, sign, off, skew_pts in cams:
-            view[:, :, off : off + 3] = -sign * (state.cam_rot[frame] @ skew_pts)
-    for _, w, b, frame, _, noc, view, coff, ooff, skew_depth in terms.object:
+    for _, w, _, _, view, skew_pj in terms.keypoint:
+        view[:, :, :3] = w * (state.cam_rot @ skew_pj)
+    for _, w, b, _, noc, view, off, skew_depth in terms.object:
         ro = state.obj_rot[b]
         scaled = noc * state.obj_scale[b]
-        if coff is not None:
-            view[:, :, coff : coff + 3] = -w * (state.cam_rot[frame] @ skew_depth)
-        view[:, :, ooff : ooff + 3] = w * (ro @ skew(scaled))
+        if skew_depth is not None:
+            view[:, :, :3] = -w * (state.cam_rot @ skew_depth)
+        view[:, :, off : off + 3] = w * (ro @ skew(scaled))
         # d/d log(s_a) of -R (p * s) = -s_a p_a R[:, a]
-        view[:, :, ooff + 6 : ooff + 9] = -w * scaled[:, None, :] * ro
+        view[:, :, off + 6 : off + 9] = -w * scaled[:, None, :] * ro
     return terms.jac
 
 
@@ -501,7 +438,7 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
         stats.append(
             {
                 "kind": "keypoint",
-                "frames": (blk.frame_i, blk.frame_j),
+                "frames": (0, 1),
                 "active": int(active_kp[b].sum()),
                 "total": len(blk),
                 "rms": _rms(rows.get((b, True))),

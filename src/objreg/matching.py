@@ -19,7 +19,6 @@ __all__ = [
     "embedding_distance",
     "hungarian",
     "match_pair",
-    "build_tracks",
 ]
 
 
@@ -56,9 +55,6 @@ class ObjectTrack:
     track_id: int
     class_label: int
     members: list[tuple[int, int]] = field(default_factory=list)  # (frame, detection_id)
-
-    def frames(self):
-        return sorted({f for f, _ in self.members})
 
 
 def embedding_distance(a, b) -> float:
@@ -144,73 +140,3 @@ def match_pair(
         )[: cfg.top_k]
         matches = sorted(matches, key=lambda m: (m.index_a, m.index_b))
     return matches
-
-
-def build_tracks(
-    pair_matches: dict[tuple[int, int], list[PairMatch]],
-    frame_observations: dict[int, list[ObjectObservation]],
-) -> list[ObjectTrack]:
-    """Lift per-pair matches to multi-frame tracks by union-find.
-
-    Components with two detections in one frame are split by repeatedly
-    dropping the highest-distance edge of a violating component until every
-    component holds at most one detection per frame. Unmatched detections
-    become singleton tracks.
-    """
-    nodes = []
-    for frame in sorted(frame_observations):
-        for obs in frame_observations[frame]:
-            nodes.append((frame, obs.detection_id))
-    node_class = {
-        (frame, obs.detection_id): obs.class_label
-        for frame, obs_list in frame_observations.items()
-        for obs in obs_list
-    }
-    edges = []
-    for (fi, fj), matches in sorted(pair_matches.items()):
-        for m in matches:
-            a = (fi, frame_observations[fi][m.index_a].detection_id)
-            b = (fj, frame_observations[fj][m.index_b].detection_id)
-            edges.append((m.distance, a, b))
-    edges.sort(key=lambda e: (e[0], e[1], e[2]))
-
-    def components(active_edges):
-        parent = {n: n for n in nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _, a, b in active_edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        comps: dict = {}
-        for n in nodes:
-            comps.setdefault(find(n), []).append(n)
-        return list(comps.values())
-
-    active = list(edges)
-    while True:
-        comps = components(active)
-        violating = set()
-        for comp in comps:
-            frames_seen = [f for f, _ in comp]
-            if len(frames_seen) != len(set(frames_seen)):
-                violating.update(comp)
-        if not violating:
-            break
-        # worst edge among those touching a violating component
-        worst = max(
-            (e for e in active if e[1] in violating or e[2] in violating),
-            key=lambda e: (e[0], e[1], e[2]),
-        )
-        active.remove(worst)
-
-    tracks = []
-    for tid, comp in enumerate(sorted(comps, key=lambda c: min(c))):
-        comp = sorted(comp)
-        tracks.append(ObjectTrack(tid, node_class[comp[0]], comp))
-    return tracks

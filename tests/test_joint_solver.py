@@ -62,9 +62,46 @@ class TestBuildProblem:
         fs, gt = keypoint_only_fs(rng)
         problem = build_problem(fs, [])
         assert len(problem.keypoint_blocks) == 1 and not problem.object_blocks
-        init = problem.initial_cameras[1]
+        init = problem.initial_camera
         rot, trans = pose_error(init, gt)
         assert rot < 1e-6 and trans < 1e-8
+
+    def test_object_init_from_local_poses(self):
+        """Without keypoints camera 1 starts where the first object's two
+        local poses put it: exactly on a noiseless pair."""
+        rng = np.random.default_rng(3)
+        fs, tracks, cam1, *_ = object_only_fs(rng)
+        problem = build_problem(fs, tracks)
+        local0, local1 = problem.object_blocks[0].local_poses
+        expected = compose(local0, invert(local1))
+        init = problem.initial_camera
+        assert init.rotation.tobytes() == expected.rotation.tobytes()
+        assert init.translation.tobytes() == expected.translation.tobytes()
+        assert np.abs(init.to_matrix() - cam1.to_matrix()).max() < 1e-9
+
+    def test_keypoint_init_preferred_over_objects(self):
+        """With keypoints and an object that disagree, camera 1 starts at the
+        keypoint Kabsch pose."""
+        rng = np.random.default_rng(11)
+        fs, tracks, cam1, *_ = object_only_fs(rng)
+        kp_fs, gt = keypoint_only_fs(rng)
+        both = build_problem(FrameSet(fs.frames, kp_fs.keypoint_matches, fs.observations), tracks)
+        kp_only = build_problem(kp_fs, [])
+        assert len(both.keypoint_blocks) == 1 and len(both.object_blocks) == 1
+        assert both.initial_camera.to_matrix().tobytes() == kp_only.initial_camera.to_matrix().tobytes()
+        assert pose_error(both.initial_camera, gt)[1] < 1e-8
+        assert pose_error(both.initial_camera, cam1)[1] > 0.1
+
+    def test_reversed_keypoint_match_oriented(self):
+        """A match stored as frame 1 -> 0 builds the block of its 0 -> 1 mirror."""
+        rng = np.random.default_rng(12)
+        fs, _ = keypoint_only_fs(rng, noise=0.002)
+        km = fs.keypoint_matches[0]
+        mirror = FrameSet(fs.frames, [KeypointMatch(1, 0, km.points_j, km.points_i)])
+        (blk,), (ref,) = build_problem(mirror, []).keypoint_blocks, build_problem(fs, []).keypoint_blocks
+        assert blk.points_i.tobytes() == ref.points_i.tobytes()
+        assert blk.points_j.tobytes() == ref.points_j.tobytes()
+        assert blk.init_relative.to_matrix().tobytes() == ref.init_relative.to_matrix().tobytes()
 
     def test_small_blocks_dropped(self):
         rng = np.random.default_rng(1)
@@ -81,12 +118,18 @@ class TestBuildProblem:
         with pytest.raises(UnsolvableProblemError):
             build_problem(fs, tracks)
 
-    def test_underconstrained_frames_reported(self):
+    def test_three_frames_rejected(self, monkeypatch):
+        """A set of any other frame count is rejected before any filtering."""
         rng = np.random.default_rng(3)
         fs, _ = keypoint_only_fs(rng)
         fs3 = FrameSet([Frame(0), Frame(1), Frame(2)], fs.keypoint_matches)
-        problem = build_problem(fs3, [])
-        assert problem.underconstrained_frames == [2]
+
+        def forbidden(*_):
+            raise AssertionError("build_problem filtered a set it rejects")
+
+        monkeypatch.setattr(joint_solver, "kabsch_filter", forbidden)
+        with pytest.raises(ValueError, match="exactly 2 frames"):
+            build_problem(fs3, [])
 
 
 class TestGaussNewton:
@@ -195,7 +238,8 @@ class TestJacobian:
 def reference_assembly(problem, state, active_kp, active_obj):
     """Weighted residuals and Jacobian the plain way: each block in its own
     zero-filled (n, 3, nvar) array, skew matrices from np.cross, everything
-    stacked at the end."""
+    stacked at the end. Camera 1's (phi, t) are columns 0-5 and object b's
+    (phi, t, log s) columns 6 + 9b to 15 + 9b."""
     cfg = problem.config
     nvar = state.size
     eye = np.eye(3)
@@ -211,31 +255,28 @@ def reference_assembly(problem, state, active_kp, active_obj):
             continue
         w = np.sqrt(cfg.w_c / len(blk))
         pi, pj = blk.points_i[mask], blk.points_j[mask]
-        r_parts.append((w * (state.to_world(blk.frame_i, pi) - state.to_world(blk.frame_j, pj))).ravel())
+        r_parts.append((w * (pi - state.to_world(pj))).ravel())
         jb = np.zeros((n, 3, nvar))
-        for frame, pts, sign in ((blk.frame_i, pi, w), (blk.frame_j, pj, -w)):
-            off = state.cam_offset(frame)
-            if off is not None:
-                jb[:, :, off : off + 3] = -sign * (state.cam_rot[frame] @ skew(pts))
-                jb[:, :, off + 3 : off + 6] = sign * eye
+        jb[:, :, 0:3] = w * (state.cam_rot @ skew(pj))
+        jb[:, :, 3:6] = -w * eye
         j_parts.append(jb.reshape(3 * n, nvar))
     for b, blk in enumerate(problem.object_blocks):
         ro = state.obj_rot[b]
         w = np.sqrt(cfg.w_o / blk.total_pairs())
-        ooff = state.obj_offset(b)
+        ooff = 6 + 9 * b
         for k, frame in enumerate(blk.frames):
             mask = active_obj[b][k]
             n = mask.sum()
             if n == 0:
                 continue
             depth, noc = blk.depth_points[k][mask], blk.noc_points[k][mask]
-            r_parts.append((w * (state.to_world(frame, depth) - state.object_points(b, noc))).ravel())
+            world = state.to_world(depth) if frame == 1 else depth
+            r_parts.append((w * (world - state.object_points(b, noc))).ravel())
             scaled = noc * state.obj_scale[b]
             jb = np.zeros((n, 3, nvar))
-            coff = state.cam_offset(frame)
-            if coff is not None:
-                jb[:, :, coff : coff + 3] = -w * (state.cam_rot[frame] @ skew(depth))
-                jb[:, :, coff + 3 : coff + 6] = w * eye
+            if frame == 1:
+                jb[:, :, 0:3] = -w * (state.cam_rot @ skew(depth))
+                jb[:, :, 3:6] = w * eye
             jb[:, :, ooff : ooff + 3] = w * (ro @ skew(scaled))
             jb[:, :, ooff + 3 : ooff + 6] = -w * eye
             jb[:, :, ooff + 6 : ooff + 9] = -w * scaled[:, None, :] * ro
@@ -292,29 +333,22 @@ class TestAssemble:
         active_obj[1][0][:] = False  # a frame with no active pairs left
         self.check(problem, active_kp, active_obj, [state, moved])
 
-    def test_three_frames(self):
-        problem = tracked_problem(3, seed=22)
-        assert problem.num_frames == 3 and len(problem.object_blocks) == 2
-        state = _State.initial(problem)
-        moved = state.retract(np.random.default_rng(1).normal(0, 0.02, state.size))
-        self.check(problem, *self.all_active(problem), [state, moved])
-
 
 def reference_prune(problem, state, active_kp, active_obj, threshold):
     """Pruning by a full recompute: every correspondence's residual at the
     state, whether active or not."""
     pruned = 0
     for b, blk in enumerate(problem.keypoint_blocks):
-        res = state.to_world(blk.frame_i, blk.points_i) - state.to_world(blk.frame_j, blk.points_j)
+        res = blk.points_i - state.to_world(blk.points_j)
         bad = active_kp[b] & (np.linalg.norm(res, axis=1) > threshold)
         if active_kp[b].sum() - bad.sum() >= 5:
             pruned += int(bad.sum())
             active_kp[b] &= ~bad
     for b, blk in enumerate(problem.object_blocks):
         for k, frame in enumerate(blk.frames):
-            res = state.to_world(frame, blk.depth_points[k]) - state.object_points(
-                b, blk.noc_points[k]
-            )
+            depth = blk.depth_points[k]
+            world = state.to_world(depth) if frame == 1 else depth
+            res = world - state.object_points(b, blk.noc_points[k])
             bad = active_obj[b][k] & (np.linalg.norm(res, axis=1) > threshold)
             if active_obj[b][k].sum() - bad.sum() >= 15:
                 pruned += int(bad.sum())
@@ -414,9 +448,7 @@ class TestBlockStats:
         cams = report.camera_poses
         expected = []
         for blk, m in zip(problem.keypoint_blocks, active_kp):
-            rows = apply_rigid(cams[blk.frame_i], blk.points_i[m]) - apply_rigid(
-                cams[blk.frame_j], blk.points_j[m]
-            )
+            rows = apply_rigid(cams[0], blk.points_i[m]) - apply_rigid(cams[1], blk.points_j[m])
             expected.append(("keypoint", int(m.sum()), len(blk), rms_of(rows)))
         for blk, frame_masks, obj in zip(problem.object_blocks, active_obj, report.object_poses):
             rows = np.vstack([
@@ -434,7 +466,7 @@ class TestBlockStats:
             report = self.check(outlier_problem(400 + seed), monkeypatch)
             assert report.pruned_count >= 20
 
-    @pytest.mark.parametrize("num_frames, seed", [(2, 21), (3, 22)])
+    @pytest.mark.parametrize("num_frames, seed", [(2, 21), (2, 22)])
     def test_pruned_objects_and_keypoints(self, monkeypatch, num_frames, seed):
         problem = tracked_problem(num_frames, seed)
         problem = replace(problem, config=replace(problem.config, residual_prune=0.01))

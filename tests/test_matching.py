@@ -7,9 +7,6 @@ from objreg import matching
 from objreg.geometry import RigidPose, apply_rigid
 from objreg.matching import (
     MatchConfig,
-    ObjectTrack,
-    PairMatch,
-    build_tracks,
     embedding_distance,
     hungarian,
     match_pair,
@@ -175,66 +172,3 @@ class TestMatchPair:
     def test_empty_inputs(self):
         assert match_pair([], []) == []
         assert match_pair([make_obs(0, 0)], []) == []
-
-
-class TestBuildTracks:
-    def obs_table(self, layout):
-        # layout: {frame: [detection ids]}
-        return {
-            f: [make_obs(f, d, cls=0, embed=np.zeros(8)) for d in dets]
-            for f, dets in layout.items()
-        }
-
-    def test_chain_forms_one_track(self):
-        table = self.obs_table({0: [0], 1: [0], 2: [0]})
-        pm = {
-            (0, 1): [PairMatch(0, 0, 0.01)],
-            (1, 2): [PairMatch(0, 0, 0.01)],
-        }
-        tracks = build_tracks(pm, table)
-        assert len(tracks) == 1
-        assert tracks[0].members == [(0, 0), (1, 0), (2, 0)]
-        assert tracks[0].frames() == [0, 1, 2]
-
-    def test_unmatched_are_singletons(self):
-        table = self.obs_table({0: [0, 1], 1: [0]})
-        pm = {(0, 1): [PairMatch(0, 0, 0.01)]}
-        tracks = build_tracks(pm, table)
-        members = sorted(tuple(t.members) for t in tracks)
-        assert members == [((0, 0), (1, 0)), ((0, 1),)]
-
-    def test_conflicting_component_split_by_worst_edge(self):
-        # two detections of frame 1 pulled into one component; the
-        # higher-distance edge must be dropped
-        table = self.obs_table({0: [0], 1: [0, 1], 2: [0]})
-        pm = {
-            (0, 1): [PairMatch(0, 0, 0.01), PairMatch(0, 1, 0.04)],
-            (1, 2): [PairMatch(0, 0, 0.02)],
-        }
-        tracks = build_tracks(pm, table)
-        big = max(tracks, key=lambda t: len(t.members))
-        assert big.members == [(0, 0), (1, 0), (2, 0)]
-        assert sorted(len(t.members) for t in tracks) == [1, 3]
-
-    def test_one_observation_per_frame_invariant(self):
-        rng = np.random.default_rng(5)
-        for trial in range(20):
-            table = self.obs_table({f: list(range(int(rng.integers(1, 4)))) for f in range(4)})
-            pm = {}
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    ms = []
-                    for a in range(len(table[i])):
-                        for b in range(len(table[j])):
-                            if rng.random() < 0.4:
-                                ms.append(PairMatch(a, b, float(rng.uniform(0, 0.1))))
-                    if ms:
-                        pm[(i, j)] = ms
-            for t in build_tracks(pm, table):
-                frames = [f for f, _ in t.members]
-                assert len(frames) == len(set(frames))
-
-    def test_track_ids_stable_and_distinct(self):
-        table = self.obs_table({0: [0, 1], 1: [0]})
-        tracks = build_tracks({}, table)
-        assert [t.track_id for t in tracks] == list(range(len(tracks)))
