@@ -7,10 +7,21 @@ world-transformed depth points and object-transformed canonical points. Frame
 0 is the gauge, fixed at the identity, so camera 1 is the only camera
 variable; object scales are optimized in log space. Sequences are stitched
 from pairs by :mod:`objreg.posegraph`.
+
+One solver serves one pair and many: :func:`gauss_newton_solve_batch` steps
+any number of pair problems in lockstep, each by its own damping, pruning
+and stopping rules, and :func:`gauss_newton_solve` (and so
+:func:`register_pair`) is its one-problem case. The problems are stacked as
+zero-padded correspondence rows. A row's residual and its Jacobian are both
+linear in the row's features (its camera-1 point, its NOC point and their
+0/1 flags), so ``J^T W J`` is formed from the feature moments ``sum a f
+f^T`` of each problem, recomputed only when pruning shrinks the active
+set; ``J^T W r`` and the cost are summed from the residual rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,8 +45,11 @@ __all__ = [
     "UnsolvableProblemError",
     "build_problem",
     "gauss_newton_solve",
+    "gauss_newton_solve_batch",
+    "icp_polish",
     "numeric_jacobian_check",
     "pair_matches",
+    "pair_problem",
     "register_pair",
 ]
 
@@ -50,6 +64,15 @@ _LOG_SCALE_FLOOR = np.log(1e-3)
 MAX_ITERATIONS = 50
 CONVERGENCE_TOL = 1e-9
 DAMPING_TRIES = 8
+# gauss_newton_solve_batch steps at most this many problems in lockstep at
+# once: larger groups ran no faster on a 40-frame loop's 102 pair problems
+# and raised the process's peak memory by their stacked arrays
+LOCKSTEP_GROUP = 32
+
+
+# camera 0's pose in every report: the gauge, one shared read-only identity
+_GAUGE = RigidPose.identity()
+_GAUGE.translation.flags.writeable = False
 
 
 class UnsolvableProblemError(ValueError):
@@ -100,7 +123,7 @@ class RegistrationProblem:
     initial_camera: RigidPose  # camera 1; camera 0 is the identity
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     camera_poses: list[RigidPose]
     object_poses: list[ObjectPose]
@@ -111,7 +134,7 @@ class SolveReport:
     block_stats: list[dict]
 
 
-@dataclass
+@dataclass(slots=True)
 class PairResult:
     success: bool
     reason: str | None = None
@@ -189,311 +212,471 @@ def build_problem(
     return RegistrationProblem(kp_blocks, obj_blocks, cfg, cam1)
 
 
-def damped_step(jtj, jtr, lam, cost, trial, tries):
-    """Levenberg-damped Gauss-Newton step shared by both solvers: solve
-    ``(J^T J + lam I) delta = -J^T r``, score ``trial(delta) -> (candidate,
-    cost)``, grow lam 10x on a singular system or a cost increase. Returns
-    ``(candidate, cost, lam / 10)``, or ``(None, None, lam)`` after ``tries``.
+class _Stack:
+    """K pair problems as zero-padded row arrays, solved in lockstep.
 
-    The damping is added to ``jtj`` in place: pass a temporary, whose
-    diagonal is overwritten."""
-    diag = jtj.diagonal().copy()
-    for _ in range(tries):
-        np.fill_diagonal(jtj, diag + lam)
-        try:
-            delta = np.linalg.solve(jtj, -jtr)
-        except np.linalg.LinAlgError:
-            lam *= 10
-            continue
-        candidate, cost_new = trial(delta)
-        if np.isfinite(cost_new) and cost_new <= cost + 1e-15:
-            return candidate, cost_new, max(lam / 10, 1e-12)
-        lam *= 10
-    return None, None, lam
+    Problem k's rows are its keypoint pairs, then each object block's pairs
+    frame by frame, padded to N rows; its objects are padded to M slots.
+    Row n's features ``f = features[k, n]`` are ``[alpha, cam, slot_0,
+    noc_0, ..., slot_M-1, noc_M-1]``, and its unweighted residual is
+
+        d = alpha t_c + R_c cam + fixed - sum_b slot_b (t_b + R_b (s_b * noc_b))
+
+    with (alpha, cam, fixed) = (-1, -p_j, p_i) on a keypoint pair, (0, 0,
+    depth) on a frame-0 object pair and (1, depth, 0) on a frame-1 one;
+    slot_b is 1 on object b's pairs, whose NOC points noc_b holds, and 0
+    elsewhere. Both d and its Jacobian (see :func:`_jacobian_map`) are
+    linear in f, so ``J^T W J`` needs only the feature moments ``sum a f
+    f^T`` of each problem, with ``a`` = w^2 on active rows and 0 elsewhere:
+    ``weigh`` refreshes both whenever the active set shrinks.
+
+    ``segment`` numbers the keypoint block and each object block's frames
+    across the batch, padding rows in the last segment; ``floor`` is each
+    segment's pruning minimum. ``pad`` is 1 on the tangent entries of padded
+    object slots."""
+
+    FIELDS = ("features", "fixed", "a", "active", "segment", "threshold", "moments", "pad")
+
+    def __init__(self, problems: list[RegistrationProblem]):
+        num = len(problems)
+        slots = max(len(p.object_blocks) for p in problems)
+        rows = max(
+            sum(map(len, p.keypoint_blocks)) + sum(b.total_pairs() for b in p.object_blocks)
+            for p in problems
+        )
+        self.features = np.zeros((num, rows, 4 + 4 * slots))
+        self.fixed = np.zeros((num, rows, 3))
+        self.a = np.zeros((num, rows))
+        self.active = np.zeros((num, rows), dtype=bool)
+        self.segment = np.full((num, rows), -1)
+        self.threshold = np.array([p.config.residual_prune for p in problems])
+        self.pad = np.zeros((num, 6 + 9 * slots))
+        floor = []
+        for k, problem in enumerate(problems):
+            cfg, start = problem.config, 0
+            for blk in problem.keypoint_blocks:
+                span = slice(start, start + len(blk))
+                self.features[k, span, 0], self.features[k, span, 1:4] = -1.0, -blk.points_j
+                self.fixed[k, span], self.a[k, span] = blk.points_i, cfg.w_c / len(blk)
+                self.segment[k, span] = len(floor)
+                floor.append(MIN_KEYPOINT_PAIRS)
+                start = span.stop
+            for b, blk in enumerate(problem.object_blocks):
+                col = 4 + 4 * b
+                for frame, noc, depth in zip(blk.frames, blk.noc_points, blk.depth_points):
+                    span = slice(start, start + len(noc))
+                    if frame == 1:
+                        self.features[k, span, 0], self.features[k, span, 1:4] = 1.0, depth
+                    else:
+                        self.fixed[k, span] = depth
+                    self.features[k, span, col], self.features[k, span, col + 1 : col + 4] = 1.0, noc
+                    self.a[k, span] = cfg.w_o / blk.total_pairs()
+                    self.segment[k, span] = len(floor)
+                    floor.append(NOC_FILTER.min_pairs)
+                    start = span.stop
+            self.active[k, :start] = True
+            self.pad[k, 6 + 9 * len(problem.object_blocks) :] = 1.0
+        self.segment[self.segment < 0] = len(floor)
+        self.floor = np.array(floor + [rows + 1])
+        self.weigh()
+
+    def weigh(self):
+        """Zero ``a`` off the active rows and refresh the moments."""
+        self.a[~self.active] = 0.0
+        self.moments = np.swapaxes(self.features * self.a[..., None], 1, 2) @ self.features
+
+    def take(self, idx) -> "_Stack":
+        """The problems ``idx`` (indices or a mask) as a stack of their own."""
+        sub = object.__new__(_Stack)
+        for name in self.FIELDS:
+            setattr(sub, name, getattr(self, name)[idx])
+        sub.floor = self.floor
+        return sub
 
 
-class _State:
-    """The variables of a pair problem. Frame 0 is the gauge, fixed at the
-    identity, so camera 1 is the only camera variable; then each object's
-    rotation, translation and log-scale. Rotations are matrices retracted by
-    right-multiplied increments ``R @ Exp(phi)``; the rest is additive,
-    log-scales clamped from below. A tangent vector packs camera 1's
-    (phi, dt) at offset 0, then (phi, dt, d log s) per object."""
+@functools.cache
+def _tangent_index(slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where a tangent vector holds each pose's (phi, dt), (1 + M, 6), and
+    each object's d log s, (M, 3)."""
+    rigid = np.vstack([np.arange(6), 6 + 9 * np.arange(slots)[:, None] + np.arange(6)])
+    stretch = 12 + 9 * np.arange(slots)[:, None] + np.arange(3)
+    rigid.flags.writeable = stretch.flags.writeable = False  # shared by every caller
+    return rigid, stretch
 
-    def __init__(self, cam_rot, cam_t, obj_rot, obj_t, obj_logs):
-        self.cam_rot, self.cam_t = cam_rot, cam_t
-        self.obj_rot, self.obj_t, self.obj_logs = obj_rot, obj_t, obj_logs
-        self.obj_scale = np.exp(obj_logs)
-        self.size = 6 + 9 * len(obj_rot)
+
+class _Poses:
+    """The variables of K stacked pair problems: ``rot`` (K, 1 + M, 3, 3)
+    and ``trans`` (K, 1 + M, 3) hold camera 1's pose, then each object
+    slot's; ``logs`` (K, M, 3) the objects' log-scales and ``scale`` their
+    exponentials. Frame 0 is the gauge, fixed at the identity. Rotations
+    are retracted by right-multiplied increments ``R @ Exp(phi)``; the rest
+    is additive, log-scales clamped from below. A tangent vector packs
+    camera 1's (phi, dt) at offset 0, then (phi, dt, d log s) per slot."""
+
+    FIELDS = ("rot", "trans", "logs", "scale")
+
+    def __init__(self, rot, trans, logs):
+        self.rot, self.trans, self.logs = rot, trans, logs
+        self.scale = np.exp(logs)
 
     @classmethod
-    def initial(cls, problem: RegistrationProblem) -> "_State":
-        cam = problem.initial_camera
-        objs = [b.init_pose for b in problem.object_blocks]
-        return cls(
-            cam.rotation,
-            cam.translation,
-            np.array([o.rotation for o in objs]).reshape(-1, 3, 3),
-            np.array([o.translation for o in objs]).reshape(-1, 3),
-            np.log(np.array([o.scale for o in objs]).reshape(-1, 3)),
+    def initial(cls, problems: list[RegistrationProblem]) -> "_Poses":
+        """Each problem's initial values; padded slots at the identity."""
+        slots = max(len(p.object_blocks) for p in problems)
+        rot = np.tile(np.eye(3), (len(problems), slots + 1, 1, 1))
+        trans = np.zeros((len(problems), slots + 1, 3))
+        logs = np.zeros((len(problems), slots, 3))
+        for k, problem in enumerate(problems):
+            rot[k, 0], trans[k, 0] = problem.initial_camera.rotation, problem.initial_camera.translation
+            for b, blk in enumerate(problem.object_blocks, 1):
+                pose = blk.init_pose
+                rot[k, b], trans[k, b], logs[k, b - 1] = pose.rotation, pose.translation, np.log(pose.scale)
+        return cls(rot, trans, logs)
+
+    def retract(self, delta) -> "_Poses":
+        rigid, stretch = _tangent_index(self.logs.shape[1])
+        step = delta[:, rigid]  # (K, 1 + M, 6)
+        return _Poses(
+            self.rot @ so3_exp(step[:, :, :3]),
+            self.trans + step[:, :, 3:],
+            np.maximum(self.logs + delta[:, stretch], _LOG_SCALE_FLOOR),
         )
 
-    def retract(self, delta) -> "_State":
-        obj = delta[6:].reshape(-1, 9)
-        rot = so3_exp(np.vstack([delta[:3], obj[:, :3]]))
-        return _State(
-            self.cam_rot @ rot[0],
-            self.cam_t + delta[3:6],
-            self.obj_rot @ rot[1:],
-            self.obj_t + obj[:, 3:6],
-            np.maximum(self.obj_logs + obj[:, 6:], _LOG_SCALE_FLOOR),
-        )
+    def take(self, idx) -> "_Poses":
+        sub = object.__new__(_Poses)
+        for name in self.FIELDS:
+            setattr(sub, name, getattr(self, name)[idx])
+        return sub
 
-    def to_world(self, pts: np.ndarray) -> np.ndarray:
-        """Camera-1 points in the world, i.e. camera 0's frame."""
-        return pts @ self.cam_rot.T + self.cam_t
-
-    def object_points(self, b: int, noc: np.ndarray) -> np.ndarray:
-        return (noc * self.obj_scale[b]) @ self.obj_rot[b].T + self.obj_t[b]
-
-    def cameras(self) -> list[RigidPose]:
-        return [RigidPose.identity(), RigidPose.from_rotation(self.cam_rot, self.cam_t)]
-
-    def objects(self) -> list[ObjectPose]:
-        return [
-            ObjectPose.from_rotation(r, t, s)
-            for r, t, s in zip(self.obj_rot, self.obj_t, self.obj_scale)
-        ]
+    def put(self, idx, other: "_Poses"):
+        """Overwrite problems ``idx`` with ``other``'s values."""
+        for name in self.FIELDS:
+            getattr(self, name)[idx] = getattr(other, name)
 
 
-class _Terms:
-    """The active correspondences of a problem, gathered once per active-set
-    change. Per keypoint block, and per object block and frame, a term holds
-    its masked points, weight and span of correspondences, the skew matrices
-    of its camera-1 points, and a view into one shared Jacobian buffer whose
-    constant translation entries are written here; an evaluation rewrites
-    only the rotation and scale entries. ``weight`` holds each
-    correspondence's weight on its three rows, and ``spans`` the
-    ``(block, frame or None, span)`` of each term, for :func:`_prune`."""
-
-    def __init__(self, problem: RegistrationProblem, state: _State, active_kp, active_obj):
-        cfg = problem.config
-        masks = active_kp + [m for frame_masks in active_obj for m in frame_masks]
-        size = sum(int(m.sum()) for m in masks)
-        self.jac = np.zeros((3 * size, state.size))
-        self.weight = np.empty((size, 3))
-        self.keypoint, self.object, self.spans = [], [], []
-        eye = np.eye(3)
-        taken = 0
-
-        def claim(n, w, block, frame):
-            """Span and Jacobian view of the next n correspondences."""
-            nonlocal taken
-            span = slice(taken, taken + n)
-            taken += n
-            self.weight[span] = w
-            self.spans.append((block, frame, span))
-            return span, self.jac[3 * span.start : 3 * span.stop].reshape(n, 3, state.size)
-
-        for b, blk in enumerate(problem.keypoint_blocks):
-            mask = active_kp[b]
-            n = int(mask.sum())
-            if n == 0:
-                continue
-            w = np.sqrt(cfg.w_c / len(blk))
-            span, view = claim(n, w, b, None)
-            pi, pj = blk.points_i[mask], blk.points_j[mask]
-            view[:, :, 3:6] = -w * eye
-            self.keypoint.append((span, w, pi, pj, view, skew(pj)))
-
-        for b, blk in enumerate(problem.object_blocks):
-            w = np.sqrt(cfg.w_o / blk.total_pairs())
-            off = 6 + 9 * b
-            for k, frame in enumerate(blk.frames):
-                mask = active_obj[b][k]
-                n = int(mask.sum())
-                if n == 0:
-                    continue
-                span, view = claim(n, w, b, k)
-                depth, noc = blk.depth_points[k][mask], blk.noc_points[k][mask]
-                view[:, :, off + 3 : off + 6] = -w * eye
-                skew_depth = None  # frame 0's points do not move
-                if frame == 1:
-                    view[:, :, 3:6] = w * eye
-                    skew_depth = skew(depth)
-                self.object.append((span, w, b, depth, noc, view, off, skew_depth))
+def _residual(stack: _Stack, poses: _Poses) -> np.ndarray:
+    """The unweighted residual rows d, (K, N, 3), of every row at ``poses``,
+    active or not: ``d = fixed + f @ B`` with f the row's features and B's
+    rows, per pose, ``[t, R^T]`` for camera 1 and ``-[t_b, (R_b diag s_b)^T]``
+    for object b."""
+    num, slots = poses.logs.shape[:2]
+    coef = np.empty((num, slots + 1, 4, 3))
+    coef[:, :, 0] = poses.trans
+    coef[:, 0, 1:] = np.swapaxes(poses.rot[:, 0], -1, -2)
+    coef[:, 1:, 1:] = np.swapaxes(poses.rot[:, 1:] * poses.scale[:, :, None], -1, -2)
+    coef[:, 1:] *= -1.0
+    d = stack.features @ coef.reshape(num, -1, 3)
+    d += stack.fixed
+    return d
 
 
-def _residual(terms: _Terms, state: _State) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the active correspondences at ``state``: the weighted
-    vector r and the unweighted rows d, one per correspondence, with
-    ``r = (weight * d).ravel()``."""
-    d = np.empty_like(terms.weight)
-    for span, _, pi, pj, *_ in terms.keypoint:
-        d[span] = pi - state.to_world(pj)
-    for span, _, b, depth, noc, *_, skew_depth in terms.object:
-        world = depth if skew_depth is None else state.to_world(depth)
-        d[span] = world - state.object_points(b, noc)
-    return (terms.weight * d).ravel(), d
+def _squares(d) -> np.ndarray:
+    """Each row's |d|^2, (K, N); a sum over a trailing axis of 3 is slow."""
+    return d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
 
 
-def _jacobian(terms: _Terms, state: _State) -> np.ndarray:
-    """Jacobian of :func:`_residual` with respect to the state's tangent
-    vector, d(R Exp(phi) p)/dphi = -R [p]x, written into the terms' shared
-    buffer (valid until the next call)."""
-    for _, w, _, _, view, skew_pj in terms.keypoint:
-        view[:, :, :3] = w * (state.cam_rot @ skew_pj)
-    for _, w, b, _, noc, view, off, skew_depth in terms.object:
-        ro = state.obj_rot[b]
-        scaled = noc * state.obj_scale[b]
-        if skew_depth is not None:
-            view[:, :, :3] = -w * (state.cam_rot @ skew_depth)
-        view[:, :, off : off + 3] = w * (ro @ skew(scaled))
-        # d/d log(s_a) of -R (p * s) = -s_a p_a R[:, a]
-        view[:, :, off + 6 : off + 9] = -w * scaled[:, None, :] * ro
-    return terms.jac
+def _cost(stack: _Stack, d) -> np.ndarray:
+    """Each problem's cost ``sum a |d|^2`` over its rows."""
+    return (_squares(d) * stack.a).sum(axis=-1)
 
 
-def _prune(terms: _Terms, d, active_kp, active_obj, threshold):
-    """Deactivate active correspondences whose residual norm exceeds the
-    threshold, reading the norms from ``d``, the unweighted rows that
-    :func:`_residual` gave for ``terms`` at the current state. A keypoint
-    block, or an object block's frame, that would drop below its minimum
-    keeps all of its pairs. Returns the number newly pruned; sets are
-    monotone, and ``terms`` is stale once any is pruned."""
-    over = np.linalg.norm(d, axis=1) > threshold
+# [e_u]x as a (3, 9) matrix: column 3u + i holds column i of [e_u]x
+_SKEW_BASIS = np.swapaxes(skew(np.eye(3)), 0, 1).reshape(3, 9)
+
+
+@functools.cache
+def _constant_map(slots: int) -> np.ndarray:
+    """The entries of :func:`_jacobian_map` that no pose changes: alpha I on
+    camera 1's dt, -slot_b I on object b's dt."""
+    lin = np.zeros((6 + 9 * slots, 3, 4 + 4 * slots))
+    lin[3:6, :, 0] = np.eye(3)
+    for b in range(slots):
+        lin[6 + 9 * b + 3 : 6 + 9 * b + 6, :, 4 + 4 * b] = -np.eye(3)
+    lin.flags.writeable = False  # shared by every caller
+    return lin
+
+
+def _jacobian_map(poses: _Poses) -> np.ndarray:
+    """The (K, P, 3, F) map L, P = 6 + 9M tangent entries and F = 4 + 4M
+    features, with ``dd_r / dx_p = sum_u L[p, r, u] f_u`` on every row of
+    :class:`_Stack`. With d(R Exp(phi) p)/dphi = -R [p]x and [p]x =
+    sum_u p_u [e_u]x:
+
+    - camera 1: dd/dphi_c = -R_c [cam]x, dd/dt_c = alpha I;
+    - object b: dd/dphi_b = R_b [s_b * noc_b]x, dd/dt_b = -slot_b I, and
+      dd/d log(s_b)_v = -s_bv noc_bv R_b[:, v].
+    """
+    num, slots = poses.logs.shape[:2]
+    lin = np.repeat(_constant_map(slots)[None], num, axis=0)
+    # turn[k, s, r, u, i] = (R_s [e_u]x)[r, i], scaled by -1 for the camera
+    # and by s_u for an object, then ordered [k, s, i, r, u]
+    turn = (poses.rot @ _SKEW_BASIS).reshape(num, slots + 1, 3, 3, 3)
+    turn[:, 0] *= -1.0
+    turn[:, 1:] *= poses.scale[:, :, None, :, None]
+    turn = turn.transpose(0, 1, 4, 2, 3)
+    # stretch[k, b, v, r, u] = -s_v R_b[r, v] where u == v
+    stretch = np.swapaxes(poses.rot[:, 1:] * poses.scale[:, :, None, :], -1, -2)
+    stretch = -stretch[..., None] * np.eye(3)[:, None, :]
+    lin[:, :3, :, 1:4] = turn[:, 0]
+    for b in range(slots):
+        p, f = 6 + 9 * b, 4 + 4 * b
+        lin[:, p : p + 3, :, f + 1 : f + 4] = turn[:, b + 1]
+        lin[:, p + 6 : p + 9, :, f + 1 : f + 4] = stretch[:, b]
+    return lin
+
+
+def _normal_equations(stack: _Stack, poses: _Poses, d) -> tuple[np.ndarray, np.ndarray]:
+    """``(J^T W J, J^T W r)`` of every problem at ``poses``, (K, P, P) and
+    (K, P), with W = diag(a) and ``d`` the residual rows there: J^T W J
+    from the feature moments, ``sum_r L_r A L_r^T`` per problem; J^T W r
+    from the rows, as ``sum_r L_r (a d_r f)``, since its moment form
+    cancels near convergence. Padded slots get an identity block."""
+    lin = _jacobian_map(poses)
+    num, size, _, width = lin.shape
+    flat = lin.reshape(num, size, 3 * width)
+    hess = (lin.reshape(num, 3 * size, width) @ stack.moments).reshape(num, size, -1)
+    hess = hess @ np.swapaxes(flat, 1, 2)
+    grad = flat @ (np.swapaxes(d * stack.a[..., None], 1, 2) @ stack.features).reshape(num, -1, 1)
+    hess.reshape(num, -1)[:, :: size + 1] += stack.pad
+    return hess, grad[..., 0]
+
+
+def _prune(stack: _Stack, d) -> np.ndarray:
+    """Deactivate active rows whose residual norm exceeds their problem's
+    threshold, reading the norms from ``d``, the rows :func:`_residual`
+    gave at the current poses. A keypoint block, or an object block's frame,
+    that would drop below its minimum keeps all of its pairs. Returns the
+    number newly pruned per problem; active sets are monotone, and the
+    moments are refreshed when any row is pruned."""
+    over = stack.active & (np.sqrt(_squares(d)) > stack.threshold[:, None])
     if not over.any():
-        return 0
-    pruned = 0
-    for b, k, span in terms.spans:
-        bad = over[span]
-        n_bad = int(np.count_nonzero(bad))
-        if k is None:
-            mask, floor = active_kp[b], MIN_KEYPOINT_PAIRS
-        else:
-            mask, floor = active_obj[b][k], NOC_FILTER.min_pairs
-        if n_bad and mask.sum() - n_bad >= floor:
-            mask[np.flatnonzero(mask)[bad]] = False
-            pruned += n_bad
-    return pruned
+        return np.zeros(len(d), dtype=int)
+    bins = len(stack.floor)
+    bad = np.bincount(stack.segment[over], minlength=bins)
+    kept = np.bincount(stack.segment[stack.active], minlength=bins) - bad
+    drop = over & ((bad > 0) & (kept >= stack.floor))[stack.segment]
+    stack.active &= ~drop
+    stack.weigh()
+    return drop.sum(axis=1)
 
 
-def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
-    """Damped Gauss-Newton solve of the joint energy with per-iteration
-    residual pruning (monotone active set)."""
+def _solve_each(mats, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of ``mats[k] x = rhs[k]`` and a mask of the nonsingular
+    systems; a singular one gets x = 0. One stacked solve unless some
+    system is singular, which makes the stacked solve raise for all."""
+    try:
+        return np.linalg.solve(mats, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        out, ok = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
+        for k, (mat, vec) in enumerate(zip(mats, rhs)):
+            try:
+                out[k] = np.linalg.solve(mat, vec)
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return out, ok
+
+
+def _damped_steps(stack: _Stack, poses: _Poses, d, hess, grad, lam, cost, search):
+    """One Levenberg-damped Gauss-Newton step of each problem in ``search``
+    (indices), in lockstep. Per problem, up to DAMPING_TRIES times: solve
+    ``(J^T J + lam I) delta = -J^T r``; grow lam 10x on a singular system or
+    on a trial cost that is not finite or exceeds ``cost + 1e-15``; on
+    acceptance lam becomes ``max(lam / 10, 1e-12)``. ``lam`` is updated in
+    place. Each try evaluates the whole stack, the problems not tried at a
+    zero step (which leaves them exactly as they are). Returns the accepted
+    mask and the poses, residual rows ``d`` and costs after the step."""
+    accepted = np.zeros(len(cost), dtype=bool)
+    eye = np.eye(hess.shape[1])
+    for _ in range(DAMPING_TRIES):
+        if not len(search):
+            break
+        step, ok = _solve_each(hess[search] + lam[search, None, None] * eye, -grad[search])
+        lam[search[~ok]] *= 10
+        tried = search[ok]
+        if not len(tried):
+            continue
+        delta = np.zeros(grad.shape)
+        delta[tried] = step[ok]
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = poses.retract(delta)
+            rows = _residual(stack, trial)
+            trial_cost = _cost(stack, rows)
+        good = np.isfinite(trial_cost[tried]) & (trial_cost[tried] <= cost[tried] + 1e-15)
+        lam[tried] = np.where(good, np.maximum(lam[tried] / 10, 1e-12), lam[tried] * 10)
+        won = tried[good]
+        accepted[won] = True
+        if good.all():  # the trial holds every problem's values after the step
+            return accepted, trial, rows, trial_cost
+        poses, d, cost = poses.take(np.arange(len(cost))), d.copy(), cost.copy()
+        poses.put(won, trial.take(won))
+        d[won], cost[won] = rows[won], trial_cost[won]
+        search = search[~accepted[search]]
+    return accepted, poses, d, cost
+
+
+def _weighted_blocks(problem: RegistrationProblem) -> RegistrationProblem:
+    """The problem without the blocks of a zero weight."""
     cfg = problem.config
     if cfg.w_o == 0 and problem.object_blocks:
         problem = replace(problem, object_blocks=[])
     if cfg.w_c == 0 and problem.keypoint_blocks:
         problem = replace(problem, keypoint_blocks=[])
-    if not problem.keypoint_blocks and not problem.object_blocks:
-        raise UnsolvableProblemError("problem has no blocks")
-    state = _State.initial(problem)
-    active_kp = [np.ones(len(b), dtype=bool) for b in problem.keypoint_blocks]
-    active_obj = [
-        [np.ones(len(p), dtype=bool) for p in b.noc_points] for b in problem.object_blocks
+    return problem
+
+
+def gauss_newton_solve_batch(
+    problems: list[RegistrationProblem],
+) -> list[SolveReport | UnsolvableProblemError]:
+    """Damped Gauss-Newton solves of the joint energies of ``problems``, in
+    lockstep: each iteration prunes, forms the normal equations and takes a
+    damped step for every problem still running, as one stacked computation.
+    Each problem follows its own rules exactly as if it were solved alone:
+    residual pruning to a monotone active set with per-block floors, the
+    damping lam and its tries, the acceptance and convergence tests and
+    MAX_ITERATIONS. Entry k is problem k's report, or the
+    UnsolvableProblemError of a problem with no weighted block (returned,
+    not raised)."""
+    problems = [_weighted_blocks(p) for p in problems]
+    out: list = [
+        None if p.keypoint_blocks or p.object_blocks else UnsolvableProblemError("problem has no blocks")
+        for p in problems
     ]
+    todo = [k for k, entry in enumerate(out) if entry is None]
+    for start in range(0, len(todo), LOCKSTEP_GROUP):
+        chunk = todo[start : start + LOCKSTEP_GROUP]
+        for k, report in zip(chunk, _lockstep([problems[k] for k in chunk])):
+            out[k] = report
+    return out
 
-    def trial(delta):
-        new = state.retract(delta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_new, d_new = _residual(terms, new)
-        return (new, r_new, d_new), float(r_new @ r_new)
 
-    lam = 1e-6
-    total_pruned = 0
+def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
+    """:func:`gauss_newton_solve_batch` of one problem; raises its
+    UnsolvableProblemError."""
+    (report,) = gauss_newton_solve_batch([problem])
+    if isinstance(report, UnsolvableProblemError):
+        raise report
+    return report
+
+
+def _lockstep(problems: list[RegistrationProblem]) -> list[SolveReport]:
+    """The lockstep solve of problems that each have a block. A problem that
+    stops is reported, and its threshold set to infinity so that it prunes
+    no more; once half of the stack has stopped, the stack is cut to the
+    problems still running."""
+    stack = _Stack(problems)
+    poses = _Poses.initial(problems)
+    ids = np.arange(len(problems))
+    running = np.ones(len(problems), dtype=bool)
+    lam = np.full(len(problems), 1e-6)
+    pruned = np.zeros(len(problems), dtype=int)
+    d = _residual(stack, poses)
+    cost = _cost(stack, d)
+    reports = [None] * len(problems)
     iterations = 0
-    terms = _Terms(problem, state, active_kp, active_obj)
-    r, d = _residual(terms, state)
-    cost = float(r @ r)
-    for it in range(MAX_ITERATIONS):
-        iterations = it + 1
-        # d is the unweighted residual at state: from the evaluation above
-        # or from the accepted trial
-        pruned = _prune(terms, d, active_kp, active_obj, cfg.residual_prune)
-        if pruned:
-            total_pruned += pruned
-            terms = _Terms(problem, state, active_kp, active_obj)
-            r, d = _residual(terms, state)
-            cost = float(r @ r)
-        if cost < 1e-28:
-            break
-        j = _jacobian(terms, state)
-        new, cost_new, lam = damped_step(j.T @ j, j.T @ r, lam, cost, trial, DAMPING_TRIES)
-        if new is None:
-            break
-        state, r, d = new
-        converged = cost - cost_new <= CONVERGENCE_TOL * max(cost, 1e-30)
-        cost = cost_new
-        if converged:
-            break
+    while True:
+        if iterations == MAX_ITERATIONS:
+            stop = running
+        else:
+            iterations += 1
+            newly = _prune(stack, d)
+            if newly.any():
+                pruned += newly
+                cost = _cost(stack, d)
+            stop = running & (cost < 1e-28)
+            hess, grad = _normal_equations(stack, poses, d)
+            before = cost
+            accepted, poses, d, cost = _damped_steps(
+                stack, poses, d, hess, grad, lam, cost, np.flatnonzero(running & ~stop)
+            )
+            converged = before - cost <= CONVERGENCE_TOL * np.maximum(before, 1e-30)
+            stop |= running & (~accepted | converged)
+        for j in np.flatnonzero(stop):
+            reports[ids[j]] = _report(problems[ids[j]], stack, poses, d, j, iterations, cost[j], pruned[j])
+        running = running & ~stop
+        if not running.any():
+            return reports
+        stack.threshold[stop] = np.inf
+        if 2 * running.sum() <= len(running):
+            stack, poses = stack.take(running), poses.take(running)
+            ids, lam, pruned, d, cost = (x[running] for x in (ids, lam, pruned, d, cost))
+            running = running[running]
 
-    # every exit follows an evaluation at state or an accepted trial, so d
-    # holds the final residual rows of the active set
-    rows = {}
-    for b, k, span in terms.spans:
-        rows.setdefault((b, k is None), []).append(d[span])
+
+def _report(problem, stack: _Stack, poses: _Poses, d, j, iterations, cost, pruned) -> SolveReport:
+    """Problem ``j`` of the stack's report; ``d`` holds its final rows."""
+    norms = np.sqrt(_squares(d[j]))
+    active = stack.active[j]
+    # a block's rows: the keypoint pairs have alpha = -1, object b's slot_b = 1
+    blocks = [("keypoint", blk, stack.features[j, :, 0] < 0) for blk in problem.keypoint_blocks]
+    blocks += [
+        ("object", blk, stack.features[j, :, 4 + 4 * b] > 0)
+        for b, blk in enumerate(problem.object_blocks)
+    ]
     stats = []
-    for b, blk in enumerate(problem.keypoint_blocks):
-        stats.append(
-            {
-                "kind": "keypoint",
-                "frames": (0, 1),
-                "active": int(active_kp[b].sum()),
-                "total": len(blk),
-                "rms": _rms(rows.get((b, True))),
-            }
-        )
-    for b, blk in enumerate(problem.object_blocks):
-        stats.append(
-            {
-                "kind": "object",
-                "track_id": blk.track_id,
-                "frames": tuple(blk.frames),
-                "active": int(sum(m.sum() for m in active_obj[b])),
-                "total": blk.total_pairs(),
-                "rms": _rms(rows.get((b, False))),
-            }
-        )
+    for kind, blk, rows in blocks:
+        mask = active & rows
+        if kind == "keypoint":
+            stats.append({"kind": kind, "frames": (0, 1), "active": int(mask.sum()),
+                          "total": len(blk), "rms": _rms(norms[mask])})
+        else:
+            stats.append({"kind": kind, "track_id": blk.track_id, "frames": tuple(blk.frames),
+                          "active": int(mask.sum()), "total": blk.total_pairs(),
+                          "rms": _rms(norms[mask])})
+    rot, trans, scale = poses.rot[j], poses.trans[j].copy(), poses.scale[j].copy()
+    cameras = [_GAUGE, RigidPose.from_rotation(rot[0], trans[0])]
+    objects = [
+        ObjectPose.from_rotation(rot[b + 1], trans[b + 1], scale[b])
+        for b in range(len(problem.object_blocks))
+    ]
     track_ids = [b.track_id for b in problem.object_blocks]
-    return SolveReport(
-        state.cameras(), state.objects(), track_ids, iterations, cost, total_pruned, stats
-    )
+    return SolveReport(cameras, objects, track_ids, int(iterations), float(cost), int(pruned), stats)
 
 
-def _rms(rows) -> float:
-    """Root mean square norm of a block's residual rows, in span order (a
-    list of (n, 3) arrays); 0.0 for none."""
-    if not rows:
+def _rms(norms) -> float:
+    """Root mean square of a block's residual norms, in row order; 0.0 for
+    none."""
+    if not len(norms):
         return 0.0
-    norms = np.linalg.norm(np.concatenate(rows), axis=1)
-    return float(np.sqrt(np.mean(norms**2)))
+    return float(np.sqrt((norms * norms).sum() / len(norms)))
 
 
 def numeric_jacobian_check(problem: RegistrationProblem) -> float:
-    """Max relative error between analytic and central finite-difference
-    Jacobians (step 1e-6) at the problem's initial state, perturbing through
-    the solver's retraction."""
+    """The solver's normal equations against finite differences at the
+    problem's initial state, after the solver's first prune there (at
+    ``problem.config.residual_prune``): ``J^T W J`` and ``J^T W r`` of
+    :func:`_normal_equations` against those of a central-difference
+    Jacobian (step 1e-6) of the weighted residuals of the active rows,
+    perturbed through the solver's retraction. Returns the largest error,
+    entry (p, q) of J^T W J relative to ``sqrt(H_pp H_qq)`` and entry p of
+    J^T W r to ``sqrt(H_pp) |r|``, the bounds Cauchy-Schwarz puts on them."""
     h = 1e-6
-    state = _State.initial(problem)
-    active_kp = [np.ones(len(b), dtype=bool) for b in problem.keypoint_blocks]
-    active_obj = [
-        [np.ones(len(p), dtype=bool) for p in b.noc_points] for b in problem.object_blocks
-    ]
-    terms = _Terms(problem, state, active_kp, active_obj)
-    j_analytic = _jacobian(terms, state)
-    j_num = np.zeros_like(j_analytic)
-    for k in range(state.size):
-        step = np.zeros(state.size)
-        step[k] = h
-        rp = _residual(terms, state.retract(step))[0]
-        rm = _residual(terms, state.retract(-step))[0]
-        j_num[:, k] = (rp - rm) / (2 * h)
-    mag = np.maximum(np.abs(j_analytic), np.abs(j_num))
-    mask = mag > 1e-8
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(j_analytic - j_num)[mask] / mag[mask]))
+    problem = _weighted_blocks(problem)
+    stack = _Stack([problem])
+    poses = _Poses.initial([problem])
+    d = _residual(stack, poses)
+    _prune(stack, d)
+    hess, grad = (x[0] for x in _normal_equations(stack, poses, d))
+    weight = np.sqrt(stack.a[0, stack.active[0]])[:, None]
+
+    def residual(delta):
+        return (weight * _residual(stack, poses.retract(delta[None]))[0, stack.active[0]]).ravel()
+
+    size = len(grad)
+    jac = np.empty((3 * int(stack.active.sum()), size))
+    for p in range(size):
+        step = np.zeros(size)
+        step[p] = h
+        jac[:, p] = (residual(step) - residual(-step)) / (2 * h)
+    r = residual(np.zeros(size))
+    hess_num, grad_num = jac.T @ jac, jac.T @ r
+    scale = np.sqrt(np.maximum(hess.diagonal(), hess_num.diagonal()))
+    errors = []
+    for err, bound in (
+        (np.abs(hess - hess_num), np.outer(scale, scale)),
+        (np.abs(grad - grad_num), scale * np.linalg.norm(r)),
+    ):
+        errors.append(np.divide(err, bound, out=np.zeros_like(err), where=bound > 0))
+    return float(max(e.max() for e in errors))
 
 
 def pair_matches(
@@ -508,6 +691,49 @@ def pair_matches(
     )
 
 
+def pair_problem(
+    fs: FrameSet,
+    matches: list[PairMatch],
+    scfg: SolverConfig,
+    keypoint_filter: FilterConfig,
+) -> RegistrationProblem:
+    """The joint problem of a 2-frame set whose observations are fitted: its
+    non-empty keypoint matches and one track per object match (``matches``
+    index ``fs.observations_in_frame(0)`` and ``(1)``), built by
+    :func:`build_problem`. Raises UnsolvableProblemError when the set has
+    neither a non-empty keypoint match nor an object match, or when no block
+    survives filtering."""
+    if not matches and not any(len(km) for km in fs.keypoint_matches):
+        raise UnsolvableProblemError("no keypoint matches and no object matches")
+    obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
+    tracks = [
+        ObjectTrack(
+            t,
+            obs_a[m.index_a].class_label,
+            [(0, obs_a[m.index_a].detection_id), (1, obs_b[m.index_b].detection_id)],
+        )
+        for t, m in enumerate(matches)
+    ]
+    return build_problem(fs, tracks, scfg, keypoint_filter)
+
+
+def icp_polish(fs: FrameSet, report: SolveReport, scfg: SolverConfig) -> None:
+    """Replace camera 1's pose in ``report`` by its ICP refinement against
+    the 2-frame set's points, within ``scfg.residual_prune``, when ICP
+    converges no further than that radius and 10 degrees from it."""
+    src, tgt = fs.frame_points(1), fs.frame_points(0)
+    if not (len(src) and len(tgt)):
+        return
+    res = icp_refine(src, tgt, report.camera_poses[1], max_corr_dist=scfg.residual_prune)
+    # accept only small corrections: an "improvement" that moves the pose
+    # beyond the association radius means ICP slid disjoint surfaces onto
+    # each other (common at near-zero overlap)
+    if res.converged:
+        drot, dtrans = pose_error(res.pose, report.camera_poses[1])
+        if dtrans <= scfg.residual_prune and drot <= 10.0:
+            report.camera_poses[1] = res.pose
+
+
 def register_pair(
     fs: FrameSet,
     mcfg: MatchConfig | None = None,
@@ -515,14 +741,11 @@ def register_pair(
     icp: bool = True,
     use_objects: bool = True,
     use_keypoints: bool = True,
-    keypoint_filter: FilterConfig | None = None,
-    matches: list[PairMatch] | None = None,
 ) -> PairResult:
-    """Full pairwise registration: object matching, joint solve, optional ICP.
-    ``matches`` are the pair's object matches if already made by
-    :func:`pair_matches` with the same ``mcfg`` and ``use_keypoints``; None
-    matches here. Raises ValidationError, naming the bad record, on malformed
-    input and ValueError unless the set has 2 frames; only then fits every
+    """Full pairwise registration: object matching, joint solve (the K = 1
+    case of :func:`gauss_newton_solve_batch`), optional ICP. Raises
+    ValidationError, naming the bad record, on malformed input and
+    ValueError unless the set has 2 frames; only then fits every
     observation's ``noc_fit`` not yet cached, in one batch."""
     fs.validate()
     if fs.num_frames != 2:
@@ -530,42 +753,13 @@ def register_pair(
     fit_noc(fs.observations)
     mcfg = mcfg or MatchConfig()
     scfg = scfg or SolverConfig()
-
     keypoints = [km for km in fs.keypoint_matches if len(km)] if use_keypoints else []
-    obs_a = fs.observations_in_frame(0)
-    obs_b = fs.observations_in_frame(1)
-    if matches is None:
-        matches = pair_matches(fs, mcfg, use_keypoints) if use_objects else []
-    if not keypoints and not matches:
-        return PairResult(False, "no keypoint matches and no object matches")
-
-    tracks = []
-    for t, m in enumerate(matches):
-        tracks.append(
-            ObjectTrack(
-                t,
-                obs_a[m.index_a].class_label,
-                [(0, obs_a[m.index_a].detection_id), (1, obs_b[m.index_b].detection_id)],
-            )
-        )
+    matches = pair_matches(fs, mcfg, use_keypoints) if use_objects else []
     sub = FrameSet(fs.frames, keypoints, fs.observations, fs.ground_truth)
     try:
-        problem = build_problem(sub, tracks, scfg, keypoint_filter)
-        report = gauss_newton_solve(problem)
+        report = gauss_newton_solve(pair_problem(sub, matches, scfg, KEYPOINT_FILTER))
     except (UnsolvableProblemError, DegenerateAlignmentError) as e:
         return PairResult(False, str(e), matches=matches)
-
     if icp:
-        src, tgt = sub.frame_points(1), sub.frame_points(0)
-        if len(src) and len(tgt):
-            res = icp_refine(
-                src, tgt, report.camera_poses[1], max_corr_dist=scfg.residual_prune
-            )
-            # accept only small corrections: an "improvement" that moves the
-            # pose beyond the association radius means ICP slid disjoint
-            # surfaces onto each other (common at near-zero overlap)
-            if res.converged:
-                drot, dtrans = pose_error(res.pose, report.camera_poses[1])
-                if dtrans <= scfg.residual_prune and drot <= 10.0:
-                    report.camera_poses[1] = res.pose
+        icp_polish(sub, report, scfg)
     return PairResult(True, None, report, matches)

@@ -38,7 +38,7 @@ class MatchConfig:
             raise ValueError("max_scale_ratio must exceed 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class PairMatch:
     """A matched observation pair between two frames."""
 

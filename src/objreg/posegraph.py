@@ -23,14 +23,17 @@ from .joint_solver import (
     PairResult,
     SolverConfig,
     SolveReport,
-    damped_step,
+    UnsolvableProblemError,
+    gauss_newton_solve_batch,
+    icp_polish,
     pair_matches,
+    pair_problem,
     register_pair,
 )
 from .matching import MatchConfig
 from .metrics import Trajectory
 from .observations import Frame, FrameSet, KeypointMatch, ValidationError, fit_noc
-from .procrustes import FilterConfig
+from .procrustes import DegenerateAlignmentError, FilterConfig
 
 __all__ = [
     "GraphEdge",
@@ -55,7 +58,7 @@ ODOMETRY_KEYPOINT_FILTER = FilterConfig(0.30, min_pairs=MIN_KEYPOINT_PAIRS)
 LOOP_KEYPOINT_FILTER = FilterConfig(0.15, min_pairs=MIN_KEYPOINT_PAIRS)
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphEdge:
     i: int
     j: int
@@ -259,6 +262,29 @@ def _normal_equations(jac_i, jac_j, err, w, table: _EdgeTable):
     h = np.bincount(table.h_index, (jac_tw @ jac).ravel(), size * size + 1)[:-1]
     g = np.bincount(table.g_index, (jac_tw @ err[:, :, None]).ravel(), size + 1)[:-1]
     return h.reshape(size, size), g
+
+
+def damped_step(jtj, jtr, lam, cost, trial, tries):
+    """Levenberg-damped Gauss-Newton step of the pose graph: solve
+    ``(J^T J + lam I) delta = -J^T r``, score ``trial(delta) -> (candidate,
+    cost)``, grow lam 10x on a singular system or a cost increase. Returns
+    ``(candidate, cost, lam / 10)``, or ``(None, None, lam)`` after ``tries``.
+
+    The damping is added to ``jtj`` in place: pass a temporary, whose
+    diagonal is overwritten."""
+    diag = jtj.diagonal().copy()
+    for _ in range(tries):
+        np.fill_diagonal(jtj, diag + lam)
+        try:
+            delta = np.linalg.solve(jtj, -jtr)
+        except np.linalg.LinAlgError:
+            lam *= 10
+            continue
+        candidate, cost_new = trial(delta)
+        if np.isfinite(cost_new) and cost_new <= cost + 1e-15:
+            return candidate, cost_new, max(lam / 10, 1e-12)
+        lam *= 10
+    return None, None, lam
 
 
 def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
@@ -506,9 +532,12 @@ def register_sequence(
     increase; a frame that breaks this raises a ``ValidationError`` before
     any pair is solved.
 
-    Pairs are solved one after another. ``jobs`` is accepted for
-    compatibility and has no effect: a thread pool over the pairs was slower
-    than this loop on 2 cores."""
+    Every pair's problem is built first, then all are solved by one
+    :func:`gauss_newton_solve_batch` call, in lockstep, and the odometry
+    pairs are ICP-polished; a pair whose problem cannot be built keeps its
+    own failed result and reason. ``jobs`` is accepted for compatibility and
+    has no effect: a thread pool over the pairs was slower than a serial
+    loop on 2 cores."""
     fs.validate()
     if fs.num_frames < 2:
         raise ValueError("need at least 2 frames")
@@ -536,7 +565,9 @@ def register_sequence(
     fit_noc(fs.observations)
     match_index, frame_index = _match_index(fs), _frame_index(fs)
 
-    results, screened = {}, []
+    # build every pair's problem, solve them all in one batch, then polish
+    # the odometry pairs by ICP
+    pending, problems, screened = [], [], []
     for i, j in odo_pairs + loop_pairs:
         sub = _pair_frameset(fs, i, j, match_index, frame_index)
         odometry = j == i + 1
@@ -547,9 +578,23 @@ def register_sequence(
         if not odometry and _screened_out(sub, matches, scfg, gcfg):
             screened.append((i, j))
             continue
-        results[(i, j)] = register_pair(
-            sub, pair_mcfg, scfg, icp=odometry, keypoint_filter=kp_filter, matches=matches
-        )
+        try:
+            problems.append(pair_problem(sub, matches, scfg, kp_filter))
+            pending.append(((i, j), sub, matches, None))
+        except (UnsolvableProblemError, DegenerateAlignmentError) as e:
+            pending.append(((i, j), sub, matches, str(e)))
+    reports = iter(gauss_newton_solve_batch(problems))
+    results = {}
+    for (i, j), sub, matches, reason in pending:
+        # a SolveReport, or the failure: the reason the problem could not be
+        # built, or the batch's UnsolvableProblemError for it
+        report = next(reports) if reason is None else reason
+        if isinstance(report, SolveReport):
+            if j == i + 1:
+                icp_polish(sub, report, scfg)
+            results[(i, j)] = PairResult(True, None, report, matches)
+        else:
+            results[(i, j)] = PairResult(False, str(report), matches=matches)
 
     failed_odo = [p for p in odo_pairs if not results[p].success]
     if failed_odo:

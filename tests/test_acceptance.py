@@ -14,6 +14,7 @@ import pytest
 from objreg.cli import main as cli_main
 from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert
 from objreg.joint_solver import (
+    SolverConfig,
     build_problem,
     gauss_newton_solve,
     numeric_jacobian_check,
@@ -117,21 +118,55 @@ def test_criterion_02_kabsch_equivalence():
     report(2, ok, f"GN vs Kabsch over 100 instances: max {worst_t:.2e} m, {worst_r:.2e} rad")
 
 
-def test_criterion_03_jacobian_correctness():
-    worst = 0.0
-    for seed in range(300, 320):
-        rng = np.random.default_rng(seed)
-        fs, tracks, cam1 = shared_object_fs(rng, n=60, noise=0.01)
+def jacobian_problem(rng, objects, keypoints, prune):
+    """A pair with 20 keypoint matches (if ``keypoints``) and ``objects``
+    shared objects of 60 NOC pairs each, 1 cm noise throughout, pruned at
+    ``prune`` m."""
+    cam1 = RigidPose(rng.uniform(-0.5, 0.5, 3), rng.uniform(-1, 1, 3))
+    obs, tracks = [], []
+    for b in range(objects):
+        noc = rng.uniform(-0.5, 0.5, (60, 3))
+        scale = rng.uniform(0.4, 1.2, 3)
+        world = apply_rigid(
+            RigidPose(rng.uniform(-np.pi, np.pi, 3), rng.uniform(-0.5, 0.5, 3)), noc * scale
+        )
+        for frame, cam in ((0, RigidPose.identity()), (1, cam1)):
+            depth = apply_rigid(invert(cam), world) + rng.normal(0, 0.01, (60, 3))
+            obs.append(ObjectObservation(frame, b, b, noc, depth, scale, np.zeros(4)))
+        tracks.append(ObjectTrack(b, b, [(0, b), (1, b)]))
+    kms = []
+    if keypoints:
         wk = rng.uniform(-2, 2, (20, 3))
-        km = KeypointMatch(
+        kms.append(KeypointMatch(
             0, 1,
             wk + rng.normal(0, 0.01, wk.shape),
             apply_rigid(invert(cam1), wk) + rng.normal(0, 0.01, wk.shape),
-        )
-        both = FrameSet(fs.frames, [km], fs.observations)
-        worst = max(worst, numeric_jacobian_check(build_problem(both, tracks)))
+        ))
+    fs = FrameSet([Frame(0), Frame(1)], kms, obs)
+    return build_problem(fs, tracks, SolverConfig(residual_prune=prune))
+
+
+def test_criterion_03_jacobian_correctness():
+    """The solver's J^T W J and J^T W r against those of finite-difference
+    Jacobians, on 0, 1 and 2 object blocks, with and without keypoints,
+    with every pair active (0.15 m) and after a prune at 3 cm."""
+    worst, count = 0.0, 0
+    for seed, (objects, keypoints, prune) in enumerate(
+        itertools.product((0, 1, 2), (True, False), (0.15, 0.03))
+    ):
+        if not (objects or keypoints):
+            continue
+        for rep in range(5):
+            rng = np.random.default_rng([300 + seed, rep])
+            problem = jacobian_problem(rng, objects, keypoints, prune)
+            worst = max(worst, numeric_jacobian_check(problem))
+            count += 1
     ok = worst < 1e-5
-    report(3, ok, f"analytic vs FD jacobian over 20 problems: max rel err {worst:.2e}")
+    report(
+        3, ok,
+        f"analytic vs FD normal equations over {count} problems "
+        f"(0-2 objects, pruned or not): max rel err {worst:.2e}",
+    )
 
 
 def test_criterion_04_outlier_robustness():

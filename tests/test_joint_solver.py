@@ -6,22 +6,28 @@ import pytest
 from objreg import geometry, joint_solver
 from objreg.geometry import RigidPose, apply_object, apply_rigid, compose, invert
 from objreg.joint_solver import (
+    KEYPOINT_FILTER,
+    PairResult,
     SolverConfig,
     UnsolvableProblemError,
-    _jacobian,
+    _normal_equations,
+    _Poses,
     _prune,
     _residual,
-    _State,
-    _Terms,
+    _solve_each,
+    _Stack,
     build_problem,
-    damped_step,
     gauss_newton_solve,
+    gauss_newton_solve_batch,
+    icp_polish,
     numeric_jacobian_check,
+    pair_problem,
     register_pair,
 )
 from objreg.matching import MatchConfig, ObjectTrack, match_pair
 from objreg.metrics import pose_error
-from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation
+from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation, fit_noc
+from objreg.posegraph import damped_step
 from objreg.procrustes import icp_refine, kabsch_solve
 from objreg.synth import SynthConfig, generate
 
@@ -234,12 +240,68 @@ class TestJacobian:
             problem = build_problem(both, tracks)
             assert numeric_jacobian_check(problem) < 1e-5
 
+    @pytest.mark.parametrize("objects", [0, 1, 2])
+    def test_pruned_masks(self, objects, monkeypatch):
+        """At a prune threshold under the noise the check compares the
+        normal equations of a pruned active set."""
+        problem = tracked_problem(2, seed=21, objects=objects)
+        problem = replace(problem, config=replace(problem.config, residual_prune=0.006))
+        pruned = []
+        monkeypatch.setattr(
+            joint_solver, "_prune", lambda stack, d: pruned.append(_prune(stack, d).sum()) or pruned[-1]
+        )
+        assert numeric_jacobian_check(problem) < 1e-5
+        assert pruned[0] > 0
+
+
+class PairState:
+    """Problem k of stacked poses, read the way the references below read
+    a state."""
+
+    def __init__(self, poses, k=0):
+        self.cam_rot, self.cam_t = poses.rot[k, 0], poses.trans[k, 0]
+        self.obj_rot, self.obj_t = poses.rot[k, 1:], poses.trans[k, 1:]
+        self.obj_scale = poses.scale[k]
+        self.size = 6 + 9 * len(self.obj_rot)
+
+    def to_world(self, pts):
+        return pts @ self.cam_rot.T + self.cam_t
+
+    def object_points(self, b, noc):
+        return (noc * self.obj_scale[b]) @ self.obj_rot[b].T + self.obj_t[b]
+
+
+def row_mask(active_kp, active_obj):
+    """Per-block masks as one mask over a stacked problem's rows: keypoint
+    pairs, then each object block's pairs frame by frame."""
+    return np.concatenate(active_kp + [m for frames in active_obj for m in frames])
+
+
+def split_rows(problem, mask):
+    """The inverse of row_mask: (active_kp, active_obj) of a row mask."""
+    sizes = [len(b) for b in problem.keypoint_blocks]
+    sizes += [len(p) for b in problem.object_blocks for p in b.noc_points]
+    parts = np.split(mask[: sum(sizes)].copy(), np.cumsum(sizes)[:-1])
+    active_kp, rest = parts[: len(problem.keypoint_blocks)], parts[len(problem.keypoint_blocks):]
+    active_obj = []
+    for b in problem.object_blocks:
+        active_obj.append(rest[: len(b.frames)])
+        rest = rest[len(b.frames):]
+    return active_kp, active_obj
+
+
+def single(problem):
+    """A stack of one problem and its initial poses."""
+    stack = _Stack([problem])
+    return stack, _Poses.initial([problem])
+
 
 def reference_assembly(problem, state, active_kp, active_obj):
-    """Weighted residuals and Jacobian the plain way: each block in its own
-    zero-filled (n, 3, nvar) array, skew matrices from np.cross, everything
-    stacked at the end. Camera 1's (phi, t) are columns 0-5 and object b's
-    (phi, t, log s) columns 6 + 9b to 15 + 9b."""
+    """Weighted residuals, Jacobian and unweighted residual rows the plain
+    way: each block in its own zero-filled (n, 3, nvar) array, skew
+    matrices from np.cross, everything stacked at the end. Camera 1's
+    (phi, t) are columns 0-5 and object b's (phi, t, log s) columns 6 + 9b
+    to 15 + 9b."""
     cfg = problem.config
     nvar = state.size
     eye = np.eye(3)
@@ -247,7 +309,7 @@ def reference_assembly(problem, state, active_kp, active_obj):
     def skew(p):
         return np.cross(np.eye(3), p[:, None, :])
 
-    r_parts, j_parts = [], []
+    r_parts, j_parts, d_parts = [], [], []
     for b, blk in enumerate(problem.keypoint_blocks):
         mask = active_kp[b]
         n = mask.sum()
@@ -255,7 +317,8 @@ def reference_assembly(problem, state, active_kp, active_obj):
             continue
         w = np.sqrt(cfg.w_c / len(blk))
         pi, pj = blk.points_i[mask], blk.points_j[mask]
-        r_parts.append((w * (pi - state.to_world(pj))).ravel())
+        d_parts.append(pi - state.to_world(pj))
+        r_parts.append((w * d_parts[-1]).ravel())
         jb = np.zeros((n, 3, nvar))
         jb[:, :, 0:3] = w * (state.cam_rot @ skew(pj))
         jb[:, :, 3:6] = -w * eye
@@ -271,7 +334,8 @@ def reference_assembly(problem, state, active_kp, active_obj):
                 continue
             depth, noc = blk.depth_points[k][mask], blk.noc_points[k][mask]
             world = state.to_world(depth) if frame == 1 else depth
-            r_parts.append((w * (world - state.object_points(b, noc))).ravel())
+            d_parts.append(world - state.object_points(b, noc))
+            r_parts.append((w * d_parts[-1]).ravel())
             scaled = noc * state.obj_scale[b]
             jb = np.zeros((n, 3, nvar))
             if frame == 1:
@@ -281,39 +345,48 @@ def reference_assembly(problem, state, active_kp, active_obj):
             jb[:, :, ooff + 3 : ooff + 6] = -w * eye
             jb[:, :, ooff + 6 : ooff + 9] = -w * scaled[:, None, :] * ro
             j_parts.append(jb.reshape(3 * n, nvar))
-    return np.concatenate(r_parts), np.vstack(j_parts)
+    return np.concatenate(r_parts), np.vstack(j_parts), np.vstack(d_parts)
 
 
-def tracked_problem(num_frames, seed):
-    """Synthetic problem with keypoints, 10% NOC outliers and two objects
-    seen in every frame, tracked by detection id."""
+def tracked_problem(num_frames, seed, objects=2):
+    """Synthetic problem with keypoints, 10% NOC outliers and ``objects``
+    objects seen in every frame, tracked by detection id."""
     fs, _ = generate(
-        SynthConfig(num_frames=num_frames, num_objects=2, keypoints_per_pair=40,
+        SynthConfig(num_frames=num_frames, num_objects=max(objects, 1), keypoints_per_pair=40,
                     orbit_span=np.pi / 8, noise_sigma_depth=0.003,
                     outlier_fraction=0.10, rng_seed=seed)
     )
     per_frame = [fs.observations_in_frame(f) for f in range(num_frames)]
-    assert all(len(obs) == 2 for obs in per_frame)  # detection id = object
+    assert all(len(obs) == max(objects, 1) for obs in per_frame)  # detection id = object
     tracks = [
         ObjectTrack(t, per_frame[0][t].class_label, [(f, t) for f in range(num_frames)])
-        for t in range(2)
+        for t in range(objects)
     ]
     return build_problem(fs, tracks)
 
 
 class TestAssemble:
-    """The in-place assembly against the per-block reference, bit for bit,
-    over several evaluations of one set of terms, as in the solver."""
+    """The residual rows against the per-block reference (to 1e-13 m) and
+    the normal equations from the feature moments against the reference
+    Jacobian's J^T J and J^T r (relative 1e-12), over several states of one
+    active set, as in the solver. J^T r is tested at the initial state,
+    where it nearly cancels, and away from it."""
 
     def check(self, problem, active_kp, active_obj, states):
-        terms = _Terms(problem, states[0], active_kp, active_obj)
-        for state in states:
-            r_ref, j_ref = reference_assembly(problem, state, active_kp, active_obj)
-            j = _jacobian(terms, state)
-            assert j.shape == j_ref.shape and j.tobytes() == j_ref.tobytes()
-            r, d = _residual(terms, state)
-            assert r.tobytes() == r_ref.tobytes()
-            assert d.shape == (len(r) // 3, 3)
+        stack = _Stack([problem])
+        mask = row_mask(active_kp, active_obj)
+        stack.active[0] = mask
+        stack.weigh()
+        for poses in states:
+            r_ref, j_ref, d_ref = reference_assembly(problem, PairState(poses), active_kp, active_obj)
+            d = _residual(stack, poses)
+            assert np.abs(d[0, mask] - d_ref).max() <= 1e-13  # metres, on points of metres
+            hess, grad = _normal_equations(stack, poses, d)
+            # each relative to the sums of absolute terms, which bound them
+            h_ref, g_ref = j_ref.T @ j_ref, j_ref.T @ r_ref
+            scale = np.abs(j_ref).T
+            assert np.abs(hess[0] - h_ref).max() <= 1e-12 * (scale @ np.abs(j_ref)).max()
+            assert np.abs(grad[0] - g_ref).max() <= 1e-12 * (scale @ np.abs(r_ref)).max()
 
     def all_active(self, problem):
         return (
@@ -323,15 +396,29 @@ class TestAssemble:
 
     def test_pruned_masks(self):
         problem = tracked_problem(2, seed=21)
-        state = _State.initial(problem)
-        moved = state.retract(np.random.default_rng(0).normal(0, 0.02, state.size))
-        active_kp, active_obj = self.all_active(problem)
-        terms = _Terms(problem, moved, active_kp, active_obj)
-        assert _prune(terms, _residual(terms, moved)[1], active_kp, active_obj, 0.05) > 0
+        stack, poses = single(problem)
+        moved = poses.retract(np.random.default_rng(0).normal(0, 0.02, (1, 6 + 9 * 2)))
+        stack.threshold[:] = 0.05
+        assert _prune(stack, _residual(stack, moved))[0] > 0
+        active_kp, active_obj = split_rows(problem, stack.active[0])
         masks = active_kp + [m for block in active_obj for m in block]
         assert any(0 < m.sum() < len(m) for m in masks)
         active_obj[1][0][:] = False  # a frame with no active pairs left
-        self.check(problem, active_kp, active_obj, [state, moved])
+        self.check(problem, active_kp, active_obj, [poses, moved])
+
+    @pytest.mark.parametrize("objects", [0, 1, 2])
+    def test_all_active(self, objects):
+        problem = tracked_problem(2, seed=22, objects=objects)
+        _, poses = single(problem)
+        moved = poses.retract(np.random.default_rng(1).normal(0, 0.05, (1, 6 + 9 * objects)))
+        self.check(problem, *self.all_active(problem), [poses, moved])
+
+    def test_object_only(self):
+        fs, tracks, *_ = object_only_fs(np.random.default_rng(5), noise=0.01)
+        problem = build_problem(fs, tracks)
+        _, poses = single(problem)
+        moved = poses.retract(np.random.default_rng(2).normal(0, 0.05, (1, 15)))
+        self.check(problem, *self.all_active(problem), [poses, moved])
 
 
 def reference_prune(problem, state, active_kp, active_obj, threshold):
@@ -372,37 +459,35 @@ def outlier_problem(seed):
 
 
 class TestPruneFromResidual:
-    """The solver prunes from the unweighted residual rows of the state it
-    holds; at every iteration that must prune exactly what a full recompute
-    of every residual at that state prunes."""
+    """The solver prunes from the residual rows of the poses it holds; at
+    every iteration that must prune exactly what a full recompute of every
+    residual at those poses prunes. The poses are read where the solver
+    forms its normal equations, right after each prune."""
 
     def solve_checked(self, problem, monkeypatch):
-        evaluated = []  # (d, state) of every residual evaluation
-        counts = []
+        pending, counts = [], []
 
-        def residual(terms, state):
-            r, d = _residual(terms, state)
-            evaluated.append((d, state))
-            return r, d
-
-        def prune(terms, d, active_kp, active_obj, threshold):
-            state = next(s for rows, s in evaluated if rows is d)
-            ref_kp = [m.copy() for m in active_kp]
-            ref_obj = [[m.copy() for m in frames] for frames in active_obj]
-            expected = reference_prune(problem, state, ref_kp, ref_obj, threshold)
-            got = _prune(terms, d, active_kp, active_obj, threshold)
-            assert got == expected
-            for m, ref in zip(active_kp, ref_kp):
-                assert np.array_equal(m, ref)
-            for frames, ref_frames in zip(active_obj, ref_obj):
-                for m, ref in zip(frames, ref_frames):
-                    assert np.array_equal(m, ref)
-            counts.append(got)
+        def prune(stack, d):
+            before = stack.active[0].copy()
+            got = _prune(stack, d)
+            pending.append((before, stack.active[0].copy(), int(got[0])))
             return got
 
-        monkeypatch.setattr(joint_solver, "_residual", residual)
+        def normal_equations(stack, poses, d):
+            before, after, got = pending.pop()
+            active_kp, active_obj = split_rows(problem, before)
+            expected = reference_prune(
+                problem, PairState(poses), active_kp, active_obj, problem.config.residual_prune
+            )
+            assert got == expected
+            assert np.array_equal(after, row_mask(active_kp, active_obj))
+            counts.append(got)
+            return _normal_equations(stack, poses, d)
+
         monkeypatch.setattr(joint_solver, "_prune", prune)
+        monkeypatch.setattr(joint_solver, "_normal_equations", normal_equations)
         report = gauss_newton_solve(problem)
+        assert not pending
         assert len(counts) == report.iterations and sum(counts) == report.pruned_count
         return counts
 
@@ -430,21 +515,29 @@ def rms_of(rows):
 class TestBlockStats:
     """``block_stats`` come from the residual rows the solver already holds;
     they must equal each block's residuals recomputed at the returned poses
-    over its final active pairs."""
+    over its final active pairs: the counts exactly, the rms to 1e-12 (the
+    solver forms each row as one product of its features, the recompute as
+    a rigid and an object transform)."""
 
     def solve(self, problem, monkeypatch):
-        """The report and the final (active_kp, active_obj) masks."""
+        """The report and the final row mask."""
         masks = []
 
-        def prune(terms, d, active_kp, active_obj, threshold):
-            masks[:] = [active_kp, active_obj]
-            return _prune(terms, d, active_kp, active_obj, threshold)
+        def prune(stack, d):
+            got = _prune(stack, d)
+            masks[:] = [stack.active[0].copy()]
+            return got
 
         monkeypatch.setattr(joint_solver, "_prune", prune)
-        return gauss_newton_solve(problem), *masks
+        return gauss_newton_solve(problem), masks[0]
 
-    def check(self, problem, monkeypatch):
-        report, active_kp, active_obj = self.solve(problem, monkeypatch)
+    def check(self, problem, monkeypatch, blocks=None):
+        """Solve ``problem`` and check its stats against the blocks of
+        ``blocks`` (the problem itself by default), which hold the blocks
+        the solver keeps."""
+        report, mask = self.solve(problem, monkeypatch)
+        problem = blocks or problem
+        active_kp, active_obj = split_rows(problem, mask)
         cams = report.camera_poses
         expected = []
         for blk, m in zip(problem.keypoint_blocks, active_kp):
@@ -458,7 +551,8 @@ class TestBlockStats:
             active = int(sum(m.sum() for m in frame_masks))
             expected.append(("object", active, blk.total_pairs(), rms_of(rows)))
         got = [(s["kind"], s["active"], s["total"], s["rms"]) for s in report.block_stats]
-        assert got == expected
+        assert [g[:3] for g in got] == [e[:3] for e in expected]
+        assert max(abs(g[3] - e[3]) / e[3] for g, e in zip(got, expected)) <= 1e-12
         return report
 
     def test_pruned_keypoints(self, monkeypatch):
@@ -477,7 +571,13 @@ class TestBlockStats:
     @pytest.mark.parametrize("weights, kind", [({"w_c": 0.0}, "object"), ({"w_o": 0.0}, "keypoint")])
     def test_one_weight_zero(self, monkeypatch, weights, kind):
         problem = tracked_problem(2, seed=21)
-        report = self.check(replace(problem, config=SolverConfig(**weights)), monkeypatch)
+        problem = replace(problem, config=SolverConfig(**weights))
+        stripped = replace(
+            problem,
+            keypoint_blocks=problem.keypoint_blocks if kind == "keypoint" else [],
+            object_blocks=problem.object_blocks if kind == "object" else [],
+        )
+        report = self.check(problem, monkeypatch, blocks=stripped)
         assert {s["kind"] for s in report.block_stats} == {kind}
 
 
@@ -578,8 +678,9 @@ def solve_bits(result):
 class TestPrecomputedMatches:
     @pytest.mark.parametrize("seed", [21, 22, 23, 24, 25, 26])
     def test_bit_identical_to_matching_inside(self, seed):
-        """register_pair given match_pair's matches solves exactly what it
-        solves when it matches itself; odd seeds are object-only scenes."""
+        """The sequence path's steps, pair_problem given match_pair's
+        matches, the solve and icp_polish, give exactly what register_pair
+        gives when it matches itself; odd seeds are object-only scenes."""
         object_only = seed % 2 == 1
         cfg = SynthConfig(
             num_frames=2, num_objects=3, noise_sigma_depth=0.003, outlier_fraction=0.10,
@@ -589,13 +690,18 @@ class TestPrecomputedMatches:
         fs, _ = generate(cfg)
         reference = register_pair(fs)
         fs, _ = generate(cfg)  # fresh observations, no cached fits
+        fit_noc(fs.observations)
         matches = match_pair(
             fs.observations_in_frame(0), fs.observations_in_frame(1), MatchConfig(),
             keypoints_present=not object_only,
         )
-        given = register_pair(fs, matches=matches)
-        assert reference.success and given.success
-        assert given.matches is matches and given.matches == reference.matches
+        (report,) = gauss_newton_solve_batch(
+            [pair_problem(fs, matches, SolverConfig(), KEYPOINT_FILTER)]
+        )
+        icp_polish(fs, report, SolverConfig())
+        given = PairResult(True, None, report, matches)
+        assert reference.success
+        assert given.matches == reference.matches
         assert solve_bits(given) == solve_bits(reference)
 
 
@@ -670,3 +776,114 @@ class TestDampedStep:
         got, ref = self.run_both(j.T @ j, rng.normal(size=9), 1e-4, [2.0], tries=4)
         assert got[0][:2] == (None, None) and len(got[1]) == 4
         self.assert_identical(got, ref)
+
+
+SINGULAR_MARK = 0.1501  # residual_prune of the problem whose system is made singular
+
+
+def singular_first_try(monkeypatch, solves):
+    """Make the marked problem's damped system singular at every first
+    try: row and column 0 of J^T J zeroed, entry (0, 0) set to -1e-6 (the
+    damping lam starts at 1e-6 and returns to it after each accepted try
+    at 1e-5) and J^T r zeroed there. ``solves`` records, per stacked solve,
+    the mask of its nonsingular systems."""
+
+    def normal_equations(stack, poses, d):
+        hess, grad = _normal_equations(stack, poses, d)
+        for k in np.flatnonzero(stack.threshold == SINGULAR_MARK):
+            hess[k, 0, :] = hess[k, :, 0] = 0.0
+            hess[k, 0, 0], grad[k, 0] = -1e-6, 0.0
+        return hess, grad
+
+    def solve_each(mats, rhs):
+        x, ok = _solve_each(mats, rhs)
+        solves.append(ok)
+        return x, ok
+
+    monkeypatch.setattr(joint_solver, "_normal_equations", normal_equations)
+    monkeypatch.setattr(joint_solver, "_solve_each", solve_each)
+
+
+def mixed_batch():
+    """Problems that stop for every reason and carry 0 to 3 objects: name
+    -> problem."""
+    rng = np.random.default_rng(40)
+    fs, _ = keypoint_only_fs(rng, noise=0.002)
+    kp_only = build_problem(fs, [])
+    fs, tracks, *_ = object_only_fs(rng, noise=0.004)
+    singular = build_problem(keypoint_only_fs(rng, noise=0.003)[0], [])
+    return {
+        "keypoint only": kp_only,
+        "object only": build_problem(fs, tracks),
+        "one object": tracked_problem(2, seed=21, objects=1),
+        "two objects": tracked_problem(2, seed=22, objects=2),
+        "three objects": tracked_problem(2, seed=23, objects=3),
+        "outliers": outlier_problem(401),
+        "zero cost": build_problem(keypoint_only_fs(rng)[0], []),
+        "singular": replace(singular, config=SolverConfig(residual_prune=SINGULAR_MARK)),
+        "no weighted block": replace(kp_only, config=SolverConfig(w_c=0.0)),
+    }
+
+
+def assert_same_solve(got, want):
+    """Same iterations, prunes and block stats (rms to 1e-12 relative), and
+    poses within 1e-9."""
+    assert (got.iterations, got.pruned_count, got.track_ids) == (
+        want.iterations, want.pruned_count, want.track_ids,
+    )
+    assert len(got.block_stats) == len(want.block_stats)
+    for a, b in zip(got.block_stats, want.block_stats):
+        assert {**a, "rms": 0} == {**b, "rms": 0}
+        assert a["rms"] == pytest.approx(b["rms"], rel=1e-12, abs=1e-15)
+    assert got.final_cost == pytest.approx(want.final_cost, rel=1e-9, abs=1e-25)
+    for p, q in zip(got.camera_poses + got.object_poses, want.camera_poses + want.object_poses):
+        assert np.abs(p.rotation - q.rotation).max() <= 1e-9
+        assert np.abs(p.translation - q.translation).max() <= 1e-9
+    for p, q in zip(got.object_poses, want.object_poses):
+        assert np.abs(p.scale - q.scale).max() <= 1e-9
+
+
+class TestLockstep:
+    def test_batch_equals_one_at_a_time(self, monkeypatch):
+        """A mixed batch solved together gives what each problem gives when
+        solved alone, whatever makes it stop: convergence, a cost of zero,
+        failed damping, or no weighted block at all."""
+        problems = mixed_batch()
+        solves = []
+        singular_first_try(monkeypatch, solves)
+        batch = gauss_newton_solve_batch(list(problems.values()))
+        # one stacked solve fell back to per-problem solves for the singular one
+        assert any(not ok.all() for ok in solves)
+        for (name, problem), got in zip(problems.items(), batch):
+            if name == "no weighted block":
+                assert isinstance(got, UnsolvableProblemError)
+                with pytest.raises(UnsolvableProblemError):
+                    gauss_newton_solve(problem)
+                continue
+            solves.clear()
+            want = gauss_newton_solve(problem)
+            assert_same_solve(got, want)
+            if name == "singular":
+                assert [ok.all() for ok in solves[:2]] == [False, True]
+        assert batch[list(problems).index("outliers")].pruned_count >= 20
+        assert batch[list(problems).index("zero cost")].iterations == 1
+        assert [len(r.object_poses) for r in batch[2:5]] == [1, 2, 3]
+
+    def test_singular_system_retried_with_more_damping(self, monkeypatch):
+        """The singular system is solved again at 10x the damping, as the
+        pose graph's damped step does, and the solve goes on."""
+        problem = mixed_batch()["singular"]
+        solves = []
+        singular_first_try(monkeypatch, solves)
+        report = gauss_newton_solve(problem)
+        assert solves[0].tolist() == [False] and solves[1].tolist() == [True]
+        assert report.iterations >= 1 and np.isfinite(report.final_cost)
+
+    def test_order_does_not_matter(self):
+        """Each problem's result is its own: reversing the batch gives the
+        same solves."""
+        problems = [p for name, p in mixed_batch().items() if name not in ("singular", "no weighted block")]
+        forward = gauss_newton_solve_batch(problems)
+        backward = gauss_newton_solve_batch(problems[::-1])[::-1]
+        for got, want in zip(backward, forward):
+            assert_same_solve(got, want)

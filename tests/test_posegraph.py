@@ -6,16 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from objreg import geometry
+from objreg import geometry, joint_solver, posegraph
 from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert, so3_exp
 from objreg.joint_solver import (
     PairResult,
     SolveReport,
     SolverConfig,
-    register_pair,
+    UnsolvableProblemError,
+    gauss_newton_solve,
+    gauss_newton_solve_batch,
+    icp_polish,
+    pair_matches,
+    pair_problem,
 )
 from objreg.matching import MatchConfig
 from objreg.metrics import Trajectory, ate_rmse, write_tum
+from objreg.observations import FrameSet
 from objreg.posegraph import (
     LOOP_KEYPOINT_FILTER,
     MAX_KEYFRAMES,
@@ -435,6 +441,19 @@ def seq_fs():
     return generate(cfg)
 
 
+def counted_batches(mp):
+    """Patch register_sequence's batched solve to record the problems of
+    each call; returns the list of calls."""
+    calls = []
+
+    def solve(problems):
+        calls.append(problems)
+        return gauss_newton_solve_batch(problems)
+
+    mp.setattr(posegraph, "gauss_newton_solve_batch", solve)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def loop40():
     """The bench's 40-frame loop (scene seed 3): its ground truth, its
@@ -442,14 +461,11 @@ def loop40():
     fs, gt = generate(SynthConfig(num_frames=40, trajectory="loop", num_objects=3,
                                   keypoints_per_pair=40, noise_sigma_depth=0.003,
                                   rng_seed=3))
-    solved = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            "objreg.posegraph.register_pair",
-            lambda *a, **k: solved.append(a) or register_pair(*a, **k),
-        )
+        calls = counted_batches(mp)
         result = register_sequence(fs)
-    return gt, result, len(solved)
+    assert len(calls) == 1
+    return gt, result, len(calls[0])
 
 
 class TestRegisterSequence:
@@ -531,13 +547,14 @@ class TestRegisterSequence:
     def test_stalled_timestamp_rejected_before_pair_solves(self, monkeypatch):
         fs, _ = generate(SynthConfig(num_frames=4, trajectory="line", rng_seed=44))
         fs.frames[2].timestamp = fs.frames[1].timestamp
-        solved = []
+        built = []
         monkeypatch.setattr(
-            "objreg.posegraph.register_pair", lambda *a, **k: solved.append(a) or register_pair(*a, **k)
+            posegraph, "pair_problem", lambda *a, **k: built.append(a) or pair_problem(*a, **k)
         )
+        calls = counted_batches(monkeypatch)
         with pytest.raises(ValidationError, match="frame 2"):
             register_sequence(fs)
-        assert solved == []
+        assert built == [] and calls == []
 
     def test_too_few_frames(self):
         fs, _ = generate(SynthConfig(num_frames=2, orbit_span=0.3, rng_seed=1))
@@ -609,24 +626,34 @@ def edge_bits(graph):
     ]
 
 
+def solve_pair(sub, odometry, scfg=None):
+    """One pair of a sequence solved alone, with register_sequence's
+    settings: its own K = 1 solve, ICP on odometry pairs."""
+    scfg = scfg or SolverConfig()
+    mcfg = MatchConfig()
+    if odometry:
+        kp_filter = ODOMETRY_KEYPOINT_FILTER
+    else:
+        mcfg, kp_filter = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold), LOOP_KEYPOINT_FILTER
+    matches = pair_matches(sub, mcfg)
+    try:
+        report = gauss_newton_solve(pair_problem(sub, matches, scfg, kp_filter))
+    except UnsolvableProblemError as e:
+        return PairResult(False, str(e), matches=matches)
+    if odometry:
+        icp_polish(sub, report, scfg)
+    return PairResult(True, None, report, matches)
+
+
 def solve_all_pairs(fs):
-    """Every candidate pair of ``fs`` solved with register_sequence's settings."""
+    """Every candidate pair of ``fs`` solved one at a time with
+    register_sequence's settings."""
     index, frame_index = _match_index(fs), _frame_index(fs)
-    loop_mcfg = replace(MatchConfig(), embed_threshold=MatchConfig().sequence_loop_threshold)
-    results = {}
-    for i in range(fs.num_frames - 1):
-        results[(i, i + 1)] = register_pair(
-            _pair_frameset(fs, i, i + 1, index, frame_index),
-            keypoint_filter=ODOMETRY_KEYPOINT_FILTER,
-        )
-    for i, j in candidate_loop_pairs(fs.num_frames):
-        results[(i, j)] = register_pair(
-            _pair_frameset(fs, i, j, index, frame_index),
-            loop_mcfg,
-            icp=False,
-            keypoint_filter=LOOP_KEYPOINT_FILTER,
-        )
-    return results
+    pairs = [(i, i + 1) for i in range(fs.num_frames - 1)] + candidate_loop_pairs(fs.num_frames)
+    return {
+        (i, j): solve_pair(_pair_frameset(fs, i, j, index, frame_index), j == i + 1)
+        for i, j in pairs
+    }
 
 
 def busiest_screened_frame(result):
@@ -681,3 +708,68 @@ class TestLoopPairScreen:
         assert base.diagnostics["screened_pairs"]
         assert result.diagnostics["screened_pairs"] == []
         assert len(result.pair_results) == 15 + len(candidate_loop_pairs(16))
+
+
+class TestSequenceBatch:
+    """register_sequence builds every pair's problem, then solves them all
+    in one lockstep batch."""
+
+    def test_one_batched_solve(self, seq_fs, monkeypatch):
+        fs, _ = seq_fs
+        fs = copy.deepcopy(fs)  # no cached fits
+
+        def forbidden(*_, **__):
+            raise AssertionError("register_sequence called register_pair")
+
+        validated = []
+        validate = FrameSet.validate
+        monkeypatch.setattr(FrameSet, "validate", lambda self: validated.append(self) or validate(self))
+        monkeypatch.setattr(joint_solver, "register_pair", forbidden)
+        calls = counted_batches(monkeypatch)
+        result = register_sequence(fs)
+        assert validated == [fs]
+        assert len(calls) == 1
+        solved = [p for p, r in result.pair_results.items() if r.success]
+        assert len(calls[0]) == len(solved) == len(result.pair_results)
+        assert result.diagnostics["num_loop_edges"] >= 1
+
+    def test_pairs_equal_lone_solves(self, loop16):
+        """Each pair's report equals its own K = 1 solve."""
+        fs, result = loop16
+        alone = solve_all_pairs(fs)
+        for pair, got in result.pair_results.items():
+            want = alone[pair]
+            assert got.success == want.success and got.matches == want.matches
+            g, w = got.report, want.report
+            assert (g.iterations, g.pruned_count) == (w.iterations, w.pruned_count)
+            for p, q in zip(g.camera_poses + g.object_poses, w.camera_poses + w.object_poses):
+                assert np.abs(p.rotation - q.rotation).max() <= 1e-9
+                assert np.abs(p.translation - q.translation).max() <= 1e-9
+
+    def test_unbuildable_pair_keeps_its_failure(self, seq_fs, monkeypatch):
+        """A pair whose problem cannot be built fails alone, with its own
+        reason; every other pair solves as before."""
+        fs, _ = seq_fs
+        base = register_sequence(fs)
+        built = []
+
+        def planted(sub, matches, scfg, kp_filter):
+            built.append(matches)
+            if len(built) == fs.num_frames:  # the first loop pair not screened
+                raise UnsolvableProblemError("planted failure")
+            return pair_problem(sub, matches, scfg, kp_filter)
+
+        monkeypatch.setattr(posegraph, "pair_problem", planted)
+        result = register_sequence(fs)
+        loop_pairs = [p for p in base.pair_results if p[1] > p[0] + 1]
+        failed = loop_pairs[0]
+        assert result.diagnostics["failed_pairs"] == {failed: "planted failure"}
+        assert result.pair_results[failed].matches is built[fs.num_frames - 1]
+        assert list(result.pair_results) == list(base.pair_results)
+        for pair, got in result.pair_results.items():
+            if pair == failed:
+                continue
+            want = base.pair_results[pair]
+            assert got.success == want.success
+            for p, q in zip(got.report.camera_poses, want.report.camera_poses):
+                assert np.abs(p.to_matrix() - q.to_matrix()).max() <= 1e-9
