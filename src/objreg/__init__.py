@@ -24,7 +24,7 @@ from .joint_solver import (
     gauss_newton_solve,
     register_pair,
 )
-from .matching import MatchConfig, ObjectTrack, hungarian, match_pair
+from .matching import MatchConfig, hungarian, match_pair
 from .metrics import RecallThreshold, Trajectory, ate_rmse, pose_error, pose_recall, read_tum, write_tum
 from .observations import FrameSet, KeypointMatch, ObjectObservation, load_problem, save_problem
 from .posegraph import GraphConfig, GraphEdge, PoseGraph, build_graph, optimize_graph, register_sequence

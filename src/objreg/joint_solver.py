@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import ObjectPose, RigidPose, compose, invert, skew, so3_exp
-from .matching import MatchConfig, ObjectTrack, PairMatch, match_pair
+from .matching import MatchConfig, PairMatch, match_pair
 from .metrics import pose_error
 from .observations import NOC_FILTER, FrameSet, fit_noc
 from .procrustes import (
@@ -49,7 +49,6 @@ __all__ = [
     "icp_polish",
     "numeric_jacobian_check",
     "pair_matches",
-    "pair_problem",
     "register_pair",
 ]
 
@@ -96,7 +95,6 @@ class SolverConfig:
 class KeypointBlock:
     points_i: np.ndarray  # frame 0
     points_j: np.ndarray  # frame 1
-    init_relative: RigidPose  # G with G p_i ~ p_j, i.e. camera 1's pose inverted
 
     def __len__(self):
         return len(self.points_i)
@@ -104,20 +102,18 @@ class KeypointBlock:
 
 @dataclass
 class ObjectBlock:
-    track_id: int
-    frames: list[int]
-    noc_points: list[np.ndarray]  # per frame, (n, 3)
-    depth_points: list[np.ndarray]
+    track_id: int  # the index of its match in the pair's matches
+    noc_points: tuple[np.ndarray, np.ndarray]  # (frame 0, frame 1), each (n, 3)
+    depth_points: tuple[np.ndarray, np.ndarray]
     init_pose: ObjectPose
-    local_poses: list[RigidPose] = field(default_factory=list)  # per-frame Procrustes
 
     def total_pairs(self):
-        return sum(len(p) for p in self.noc_points)
+        return len(self.noc_points[0]) + len(self.noc_points[1])
 
 
 @dataclass
 class RegistrationProblem:
-    keypoint_blocks: list[KeypointBlock]  # at most one
+    keypoints: KeypointBlock | None
     object_blocks: list[ObjectBlock]
     config: SolverConfig
     initial_camera: RigidPose  # camera 1; camera 0 is the identity
@@ -144,7 +140,7 @@ class PairResult:
 
 def build_problem(
     fs: FrameSet,
-    tracks: list[ObjectTrack],
+    matches: list[PairMatch],
     cfg: SolverConfig | None = None,
     keypoint_filter: FilterConfig | None = None,
 ) -> RegistrationProblem:
@@ -152,19 +148,24 @@ def build_problem(
     initialize the variables; ValueError for any other frame count.
 
     The non-empty keypoint matches, oriented 0 -> 1, are stacked into one
-    Kabsch-filtered block (dropped below 5 survivors); each object
-    observation contributes the inliers of its intra-frame ``noc_fit``
-    (dropped below 15 survivors); tracks observed in fewer than 2 surviving
-    frames are dropped. Camera 1 starts at the keypoint block's Kabsch pose,
-    else at the pose the first object block's two local poses imply; each
-    object starts at its local pose in frame 0.
+    Kabsch-filtered block (dropped below 5 survivors). Object match t
+    (indexing ``fs.observations_in_frame(0)`` and ``(1)``, as
+    :func:`pair_matches` returns them) gives object block t from the
+    inliers of both observations' ``noc_fit``, and no block when either
+    fit is None. Camera 1 starts at the keypoint block's Kabsch pose, else
+    at the pose the first object block's two fits imply; each object starts
+    at its fit in frame 0. Raises UnsolvableProblemError when the set has
+    neither a non-empty keypoint match nor an object match, or when no block
+    survives filtering.
     """
     if fs.num_frames != 2:
         raise ValueError("build_problem expects exactly 2 frames")
+    if not matches and not any(len(km) for km in fs.keypoint_matches):
+        raise UnsolvableProblemError("no keypoint matches and no object matches")
     cfg = cfg or SolverConfig()
     keypoint_filter = keypoint_filter or KEYPOINT_FILTER
 
-    kp_blocks = []
+    keypoints, cam1 = None, None
     oriented = [
         (km.points_i, km.points_j) if km.frame_i < km.frame_j else (km.points_j, km.points_i)
         for km in fs.keypoint_matches
@@ -178,45 +179,32 @@ def build_problem(
             res = None
         if res is not None and res.inlier_flags.sum() >= MIN_KEYPOINT_PAIRS:
             keep = res.inlier_flags
-            kp_blocks.append(KeypointBlock(pi[keep], pj[keep], res.pose))
+            keypoints, cam1 = KeypointBlock(pi[keep], pj[keep]), invert(res.pose)
 
-    obs_index = {(o.frame, o.detection_id): o for o in fs.observations}
+    obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
     obj_blocks = []
-    for track in tracks:
-        frames, nocs, depths, local_poses, scales = [], [], [], [], []
-        for frame, det in sorted(track.members):
-            obs = obs_index[(frame, det)]
-            fit = obs.noc_fit
-            if fit is None:
-                continue
-            keep = fit.inlier_flags
-            frames.append(frame)
-            nocs.append(obs.noc_points[keep])
-            depths.append(obs.depth_points[keep])
-            local_poses.append(fit.pose)
-            scales.append(obs.scale_estimate)
-        if len(frames) < 2:
+    for t, m in enumerate(matches):
+        a, b = obs_a[m.index_a], obs_b[m.index_b]
+        fa, fb = a.noc_fit, b.noc_fit
+        if fa is None or fb is None:
             continue
-        init = ObjectPose.from_rotation(
-            local_poses[0].rotation, local_poses[0].translation, scales[0]
-        )
-        obj_blocks.append(ObjectBlock(track.track_id, frames, nocs, depths, init, local_poses))
+        ka, kb = fa.inlier_flags, fb.inlier_flags
+        nocs, depths = (a.noc_points[ka], b.noc_points[kb]), (a.depth_points[ka], b.depth_points[kb])
+        init = ObjectPose.from_rotation(fa.pose.rotation, fa.pose.translation, a.scale_estimate)
+        obj_blocks.append(ObjectBlock(t, nocs, depths, init))
+        if cam1 is None:
+            cam1 = compose(fa.pose, invert(fb.pose))
 
-    if kp_blocks:
-        cam1 = invert(kp_blocks[0].init_relative)
-    elif obj_blocks:
-        local = obj_blocks[0].local_poses
-        cam1 = compose(local[0], invert(local[1]))
-    else:
+    if cam1 is None:
         raise UnsolvableProblemError("no keypoint or object blocks survive filtering")
-    return RegistrationProblem(kp_blocks, obj_blocks, cfg, cam1)
+    return RegistrationProblem(keypoints, obj_blocks, cfg, cam1)
 
 
 class _Stack:
     """K pair problems as zero-padded row arrays, solved in lockstep.
 
-    Problem k's rows are its keypoint pairs, then each object block's pairs
-    frame by frame, padded to N rows; its objects are padded to M slots.
+    Problem k's rows are its keypoint pairs, then each object block's pairs,
+    frame 0's then frame 1's, padded to N rows; its objects are padded to M slots.
     Row n's features ``f = features[k, n]`` are ``[alpha, cam, slot_0,
     noc_0, ..., slot_M-1, noc_M-1]``, and its unweighted residual is
 
@@ -241,7 +229,7 @@ class _Stack:
         num = len(problems)
         slots = max(len(p.object_blocks) for p in problems)
         rows = max(
-            sum(map(len, p.keypoint_blocks)) + sum(b.total_pairs() for b in p.object_blocks)
+            len(p.keypoints or ()) + sum(b.total_pairs() for b in p.object_blocks)
             for p in problems
         )
         self.features = np.zeros((num, rows, 4 + 4 * slots))
@@ -254,7 +242,8 @@ class _Stack:
         floor = []
         for k, problem in enumerate(problems):
             cfg, start = problem.config, 0
-            for blk in problem.keypoint_blocks:
+            blk = problem.keypoints
+            if blk is not None:
                 span = slice(start, start + len(blk))
                 self.features[k, span, 0], self.features[k, span, 1:4] = -1.0, -blk.points_j
                 self.fixed[k, span], self.a[k, span] = blk.points_i, cfg.w_c / len(blk)
@@ -263,7 +252,7 @@ class _Stack:
                 start = span.stop
             for b, blk in enumerate(problem.object_blocks):
                 col = 4 + 4 * b
-                for frame, noc, depth in zip(blk.frames, blk.noc_points, blk.depth_points):
+                for frame, noc, depth in zip((0, 1), blk.noc_points, blk.depth_points):
                     span = slice(start, start + len(noc))
                     if frame == 1:
                         self.features[k, span, 0], self.features[k, span, 1:4] = 1.0, depth
@@ -519,8 +508,8 @@ def _weighted_blocks(problem: RegistrationProblem) -> RegistrationProblem:
     cfg = problem.config
     if cfg.w_o == 0 and problem.object_blocks:
         problem = replace(problem, object_blocks=[])
-    if cfg.w_c == 0 and problem.keypoint_blocks:
-        problem = replace(problem, keypoint_blocks=[])
+    if cfg.w_c == 0 and problem.keypoints is not None:
+        problem = replace(problem, keypoints=None)
     return problem
 
 
@@ -538,7 +527,7 @@ def gauss_newton_solve_batch(
     not raised)."""
     problems = [_weighted_blocks(p) for p in problems]
     out: list = [
-        None if p.keypoint_blocks or p.object_blocks else UnsolvableProblemError("problem has no blocks")
+        None if p.keypoints is not None or p.object_blocks else UnsolvableProblemError("problem has no blocks")
         for p in problems
     ]
     todo = [k for k, entry in enumerate(out) if entry is None]
@@ -607,7 +596,9 @@ def _report(problem, stack: _Stack, poses: _Poses, d, j, iterations, cost, prune
     norms = np.sqrt(_squares(d[j]))
     active = stack.active[j]
     # a block's rows: the keypoint pairs have alpha = -1, object b's slot_b = 1
-    blocks = [("keypoint", blk, stack.features[j, :, 0] < 0) for blk in problem.keypoint_blocks]
+    blocks = []
+    if problem.keypoints is not None:
+        blocks.append(("keypoint", problem.keypoints, stack.features[j, :, 0] < 0))
     blocks += [
         ("object", blk, stack.features[j, :, 4 + 4 * b] > 0)
         for b, blk in enumerate(problem.object_blocks)
@@ -619,7 +610,7 @@ def _report(problem, stack: _Stack, poses: _Poses, d, j, iterations, cost, prune
             stats.append({"kind": kind, "frames": (0, 1), "active": int(mask.sum()),
                           "total": len(blk), "rms": _rms(norms[mask])})
         else:
-            stats.append({"kind": kind, "track_id": blk.track_id, "frames": tuple(blk.frames),
+            stats.append({"kind": kind, "track_id": blk.track_id, "frames": (0, 1),
                           "active": int(mask.sum()), "total": blk.total_pairs(),
                           "rms": _rms(norms[mask])})
     rot, trans, scale = poses.rot[j], poses.trans[j].copy(), poses.scale[j].copy()
@@ -691,32 +682,6 @@ def pair_matches(
     )
 
 
-def pair_problem(
-    fs: FrameSet,
-    matches: list[PairMatch],
-    scfg: SolverConfig,
-    keypoint_filter: FilterConfig,
-) -> RegistrationProblem:
-    """The joint problem of a 2-frame set whose observations are fitted: its
-    non-empty keypoint matches and one track per object match (``matches``
-    index ``fs.observations_in_frame(0)`` and ``(1)``), built by
-    :func:`build_problem`. Raises UnsolvableProblemError when the set has
-    neither a non-empty keypoint match nor an object match, or when no block
-    survives filtering."""
-    if not matches and not any(len(km) for km in fs.keypoint_matches):
-        raise UnsolvableProblemError("no keypoint matches and no object matches")
-    obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
-    tracks = [
-        ObjectTrack(
-            t,
-            obs_a[m.index_a].class_label,
-            [(0, obs_a[m.index_a].detection_id), (1, obs_b[m.index_b].detection_id)],
-        )
-        for t, m in enumerate(matches)
-    ]
-    return build_problem(fs, tracks, scfg, keypoint_filter)
-
-
 def icp_polish(fs: FrameSet, report: SolveReport, scfg: SolverConfig) -> None:
     """Replace camera 1's pose in ``report`` by its ICP refinement against
     the 2-frame set's points, within ``scfg.residual_prune``, when ICP
@@ -757,7 +722,7 @@ def register_pair(
     matches = pair_matches(fs, mcfg, use_keypoints) if use_objects else []
     sub = FrameSet(fs.frames, keypoints, fs.observations, fs.ground_truth)
     try:
-        report = gauss_newton_solve(pair_problem(sub, matches, scfg, KEYPOINT_FILTER))
+        report = gauss_newton_solve(build_problem(sub, matches, scfg))
     except (UnsolvableProblemError, DegenerateAlignmentError) as e:
         return PairResult(False, str(e), matches=matches)
     if icp:

@@ -4,7 +4,7 @@ thresholds, with top-1 selection by surviving constraint count."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -15,7 +15,6 @@ from .procrustes import kabsch_filter  # noqa: F401  (bench/tracing.py patches t
 __all__ = [
     "MatchConfig",
     "PairMatch",
-    "ObjectTrack",
     "embedding_distance",
     "hungarian",
     "match_pair",
@@ -46,15 +45,6 @@ class PairMatch:
     index_b: int
     distance: float
     surviving_pairs: int = 0  # NOC-depth constraints surviving Kabsch filtering
-
-
-@dataclass
-class ObjectTrack:
-    """One physical object across frames: at most one observation per frame."""
-
-    track_id: int
-    class_label: int
-    members: list[tuple[int, int]] = field(default_factory=list)  # (frame, detection_id)
 
 
 def embedding_distance(a, b) -> float:

@@ -24,10 +24,10 @@ from .joint_solver import (
     SolverConfig,
     SolveReport,
     UnsolvableProblemError,
+    build_problem,
     gauss_newton_solve_batch,
     icp_polish,
     pair_matches,
-    pair_problem,
     register_pair,
 )
 from .matching import MatchConfig
@@ -579,7 +579,7 @@ def register_sequence(
             screened.append((i, j))
             continue
         try:
-            problems.append(pair_problem(sub, matches, scfg, kp_filter))
+            problems.append(build_problem(sub, matches, scfg, kp_filter))
             pending.append(((i, j), sub, matches, None))
         except (UnsolvableProblemError, DegenerateAlignmentError) as e:
             pending.append(((i, j), sub, matches, str(e)))

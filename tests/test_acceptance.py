@@ -20,7 +20,7 @@ from objreg.joint_solver import (
     numeric_jacobian_check,
     register_pair,
 )
-from objreg.matching import MatchConfig, ObjectTrack, hungarian, match_pair
+from objreg.matching import MatchConfig, PairMatch, hungarian, match_pair
 from objreg.metrics import (
     RecallThreshold,
     Trajectory,
@@ -86,14 +86,14 @@ def shared_object_fs(rng, n=200, noise=0.0, scale=(0.8, 0.6, 1.0)):
         depth = apply_rigid(invert(cam), world) + rng.normal(0, noise, (n, 3))
         obs.append(ObjectObservation(frame, 0, 0, noc, depth, scale, np.zeros(4)))
     fs = FrameSet([Frame(0), Frame(1)], observations=obs)
-    return fs, [ObjectTrack(0, 0, [(0, 0), (1, 0)])], cam1
+    return fs, [PairMatch(0, 0, 0.0)], cam1
 
 
 def test_criterion_01_noiseless_joint_recovery():
     rng = np.random.default_rng(101)
-    fs, tracks, cam1 = shared_object_fs(rng, n=200)
+    fs, matches, cam1 = shared_object_fs(rng, n=200)
     t0 = time.perf_counter()
-    rep = gauss_newton_solve(build_problem(fs, tracks))
+    rep = gauss_newton_solve(build_problem(fs, matches))
     elapsed = time.perf_counter() - t0
     rot_deg, trans = pose_error(rep.camera_poses[1], cam1)
     rot = np.deg2rad(rot_deg)
@@ -123,7 +123,7 @@ def jacobian_problem(rng, objects, keypoints, prune):
     shared objects of 60 NOC pairs each, 1 cm noise throughout, pruned at
     ``prune`` m."""
     cam1 = RigidPose(rng.uniform(-0.5, 0.5, 3), rng.uniform(-1, 1, 3))
-    obs, tracks = [], []
+    obs, matches = [], []
     for b in range(objects):
         noc = rng.uniform(-0.5, 0.5, (60, 3))
         scale = rng.uniform(0.4, 1.2, 3)
@@ -133,7 +133,7 @@ def jacobian_problem(rng, objects, keypoints, prune):
         for frame, cam in ((0, RigidPose.identity()), (1, cam1)):
             depth = apply_rigid(invert(cam), world) + rng.normal(0, 0.01, (60, 3))
             obs.append(ObjectObservation(frame, b, b, noc, depth, scale, np.zeros(4)))
-        tracks.append(ObjectTrack(b, b, [(0, b), (1, b)]))
+        matches.append(PairMatch(b, b, 0.0))
     kms = []
     if keypoints:
         wk = rng.uniform(-2, 2, (20, 3))
@@ -143,7 +143,7 @@ def jacobian_problem(rng, objects, keypoints, prune):
             apply_rigid(invert(cam1), wk) + rng.normal(0, 0.01, wk.shape),
         ))
     fs = FrameSet([Frame(0), Frame(1)], kms, obs)
-    return build_problem(fs, tracks, SolverConfig(residual_prune=prune))
+    return build_problem(fs, matches, SolverConfig(residual_prune=prune))
 
 
 def test_criterion_03_jacobian_correctness():

@@ -21,10 +21,9 @@ from objreg.joint_solver import (
     gauss_newton_solve_batch,
     icp_polish,
     numeric_jacobian_check,
-    pair_problem,
     register_pair,
 )
-from objreg.matching import MatchConfig, ObjectTrack, match_pair
+from objreg.matching import MatchConfig, PairMatch, match_pair
 from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation, fit_noc
 from objreg.posegraph import damped_step
@@ -58,8 +57,7 @@ def object_only_fs(rng, n=200, noise=0.0, scale=(0.8, 0.6, 1.0)):
             ObjectObservation(frame, 0, 0, noc[sel], depth, scale, np.zeros(4))
         )
     fs = FrameSet([Frame(0), Frame(1)], observations=obs)
-    track = ObjectTrack(0, 0, [(0, 0), (1, 0)])
-    return fs, [track], cam1, obj_world, scale
+    return fs, [PairMatch(0, 0, 0.0)], cam1, obj_world, scale
 
 
 class TestBuildProblem:
@@ -67,18 +65,18 @@ class TestBuildProblem:
         rng = np.random.default_rng(0)
         fs, gt = keypoint_only_fs(rng)
         problem = build_problem(fs, [])
-        assert len(problem.keypoint_blocks) == 1 and not problem.object_blocks
+        assert problem.keypoints is not None and not problem.object_blocks
         init = problem.initial_camera
         rot, trans = pose_error(init, gt)
         assert rot < 1e-6 and trans < 1e-8
 
     def test_object_init_from_local_poses(self):
         """Without keypoints camera 1 starts where the first object's two
-        local poses put it: exactly on a noiseless pair."""
+        NOC fits put it: exactly on a noiseless pair."""
         rng = np.random.default_rng(3)
-        fs, tracks, cam1, *_ = object_only_fs(rng)
-        problem = build_problem(fs, tracks)
-        local0, local1 = problem.object_blocks[0].local_poses
+        fs, matches, cam1, *_ = object_only_fs(rng)
+        problem = build_problem(fs, matches)
+        local0, local1 = (o.noc_fit.pose for o in fs.observations)
         expected = compose(local0, invert(local1))
         init = problem.initial_camera
         assert init.rotation.tobytes() == expected.rotation.tobytes()
@@ -89,11 +87,11 @@ class TestBuildProblem:
         """With keypoints and an object that disagree, camera 1 starts at the
         keypoint Kabsch pose."""
         rng = np.random.default_rng(11)
-        fs, tracks, cam1, *_ = object_only_fs(rng)
+        fs, matches, cam1, *_ = object_only_fs(rng)
         kp_fs, gt = keypoint_only_fs(rng)
-        both = build_problem(FrameSet(fs.frames, kp_fs.keypoint_matches, fs.observations), tracks)
+        both = build_problem(FrameSet(fs.frames, kp_fs.keypoint_matches, fs.observations), matches)
         kp_only = build_problem(kp_fs, [])
-        assert len(both.keypoint_blocks) == 1 and len(both.object_blocks) == 1
+        assert both.keypoints is not None and len(both.object_blocks) == 1
         assert both.initial_camera.to_matrix().tobytes() == kp_only.initial_camera.to_matrix().tobytes()
         assert pose_error(both.initial_camera, gt)[1] < 1e-8
         assert pose_error(both.initial_camera, cam1)[1] > 0.1
@@ -104,10 +102,10 @@ class TestBuildProblem:
         fs, _ = keypoint_only_fs(rng, noise=0.002)
         km = fs.keypoint_matches[0]
         mirror = FrameSet(fs.frames, [KeypointMatch(1, 0, km.points_j, km.points_i)])
-        (blk,), (ref,) = build_problem(mirror, []).keypoint_blocks, build_problem(fs, []).keypoint_blocks
-        assert blk.points_i.tobytes() == ref.points_i.tobytes()
-        assert blk.points_j.tobytes() == ref.points_j.tobytes()
-        assert blk.init_relative.to_matrix().tobytes() == ref.init_relative.to_matrix().tobytes()
+        got, want = build_problem(mirror, []), build_problem(fs, [])
+        assert got.keypoints.points_i.tobytes() == want.keypoints.points_i.tobytes()
+        assert got.keypoints.points_j.tobytes() == want.keypoints.points_j.tobytes()
+        assert got.initial_camera.to_matrix().tobytes() == want.initial_camera.to_matrix().tobytes()
 
     def test_small_blocks_dropped(self):
         rng = np.random.default_rng(1)
@@ -120,9 +118,9 @@ class TestBuildProblem:
 
     def test_object_observation_below_min_pairs_dropped(self):
         rng = np.random.default_rng(2)
-        fs, tracks, *_ = object_only_fs(rng, n=18)  # ~12 visible per frame < 15
+        fs, matches, *_ = object_only_fs(rng, n=18)  # ~12 visible per frame < 15
         with pytest.raises(UnsolvableProblemError):
-            build_problem(fs, tracks)
+            build_problem(fs, matches)
 
     def test_three_frames_rejected(self, monkeypatch):
         """A set of any other frame count is rejected before any filtering."""
@@ -141,8 +139,8 @@ class TestBuildProblem:
 class TestGaussNewton:
     def test_object_only_noiseless_recovery(self):
         rng = np.random.default_rng(4)
-        fs, tracks, cam1, obj_world, scale = object_only_fs(rng)
-        problem = build_problem(fs, tracks)
+        fs, matches, cam1, obj_world, scale = object_only_fs(rng)
+        problem = build_problem(fs, matches)
         report = gauss_newton_solve(problem)
         rot, trans = pose_error(report.camera_poses[1], cam1)
         assert trans < 1e-6 and np.deg2rad(rot) < 1e-6
@@ -162,7 +160,7 @@ class TestGaussNewton:
     def test_joint_keypoints_and_objects(self):
         # keypoints and object constraints consistent with the same camera
         rng = np.random.default_rng(6)
-        fs, tracks, cam1, _, _ = object_only_fs(rng, noise=0.005)
+        fs, matches, cam1, _, _ = object_only_fs(rng, noise=0.005)
         world_kp = rng.uniform(-2, 2, (60, 3))
         km = KeypointMatch(
             0, 1,
@@ -170,7 +168,7 @@ class TestGaussNewton:
             apply_rigid(invert(cam1), world_kp) + rng.normal(0, 0.005, world_kp.shape),
         )
         both = FrameSet(fs.frames, [km], fs.observations)
-        report = gauss_newton_solve(build_problem(both, tracks))
+        report = gauss_newton_solve(build_problem(both, matches))
         rot, trans = pose_error(report.camera_poses[1], cam1)
         assert rot < 1.0 and trans < 0.03
         kinds = {s["kind"] for s in report.block_stats}
@@ -192,23 +190,23 @@ class TestGaussNewton:
 
     def test_w_o_zero_ignores_objects(self):
         rng = np.random.default_rng(8)
-        fs, tracks, cam1, _, _ = object_only_fs(rng)
+        fs, matches, cam1, _, _ = object_only_fs(rng)
         kp_fs, gt = keypoint_only_fs(rng)
         both = FrameSet(fs.frames, kp_fs.keypoint_matches, fs.observations)
         cfg = SolverConfig(w_o=0.0)
-        report = gauss_newton_solve(build_problem(both, tracks, cfg))
+        report = gauss_newton_solve(build_problem(both, matches, cfg))
         assert report.object_poses == []
         rot, trans = pose_error(report.camera_poses[1], gt)
         assert trans < 1e-6
 
     def test_w_c_zero_ignores_keypoints(self):
         rng = np.random.default_rng(9)
-        fs, tracks, cam1, _, _ = object_only_fs(rng)
+        fs, matches, cam1, _, _ = object_only_fs(rng)
         bogus = KeypointMatch(0, 1, rng.uniform(-1, 1, (30, 3)), rng.uniform(-1, 1, (30, 3)))
         both = FrameSet(fs.frames, [], fs.observations)  # bogus block wouldn't
         # survive filtering anyway; test the config path directly
         cfg = SolverConfig(w_c=0.0)
-        report = gauss_newton_solve(build_problem(both, tracks, cfg))
+        report = gauss_newton_solve(build_problem(both, matches, cfg))
         rot, trans = pose_error(report.camera_poses[1], cam1)
         assert trans < 1e-6
 
@@ -218,8 +216,8 @@ class TestGaussNewton:
 
     def test_cost_nonnegative_and_stats_present(self):
         rng = np.random.default_rng(10)
-        fs, tracks, *_ = object_only_fs(rng, noise=0.01)
-        report = gauss_newton_solve(build_problem(fs, tracks))
+        fs, matches, *_ = object_only_fs(rng, noise=0.01)
+        report = gauss_newton_solve(build_problem(fs, matches))
         assert report.final_cost >= 0
         kinds = {s["kind"] for s in report.block_stats}
         assert kinds == {"object"}
@@ -229,7 +227,7 @@ class TestJacobian:
     def test_analytic_matches_finite_difference(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            fs, tracks, cam1, *_ = object_only_fs(rng, n=60, noise=0.01)
+            fs, matches, cam1, *_ = object_only_fs(rng, n=60, noise=0.01)
             wk = rng.uniform(-2, 2, (20, 3))
             km = KeypointMatch(
                 0, 1,
@@ -237,14 +235,14 @@ class TestJacobian:
                 apply_rigid(invert(cam1), wk) + rng.normal(0, 0.01, wk.shape),
             )
             both = FrameSet(fs.frames, [km], fs.observations)
-            problem = build_problem(both, tracks)
+            problem = build_problem(both, matches)
             assert numeric_jacobian_check(problem) < 1e-5
 
     @pytest.mark.parametrize("objects", [0, 1, 2])
     def test_pruned_masks(self, objects, monkeypatch):
         """At a prune threshold under the noise the check compares the
         normal equations of a pruned active set."""
-        problem = tracked_problem(2, seed=21, objects=objects)
+        problem = tracked_problem(seed=21, objects=objects)
         problem = replace(problem, config=replace(problem.config, residual_prune=0.006))
         pruned = []
         monkeypatch.setattr(
@@ -277,16 +275,18 @@ def row_mask(active_kp, active_obj):
     return np.concatenate(active_kp + [m for frames in active_obj for m in frames])
 
 
+def keypoint_blocks(problem):
+    """The problem's keypoint block as a list of zero or one."""
+    return [] if problem.keypoints is None else [problem.keypoints]
+
+
 def split_rows(problem, mask):
     """The inverse of row_mask: (active_kp, active_obj) of a row mask."""
-    sizes = [len(b) for b in problem.keypoint_blocks]
-    sizes += [len(p) for b in problem.object_blocks for p in b.noc_points]
+    kp = keypoint_blocks(problem)
+    sizes = [len(b) for b in kp] + [len(p) for b in problem.object_blocks for p in b.noc_points]
     parts = np.split(mask[: sum(sizes)].copy(), np.cumsum(sizes)[:-1])
-    active_kp, rest = parts[: len(problem.keypoint_blocks)], parts[len(problem.keypoint_blocks):]
-    active_obj = []
-    for b in problem.object_blocks:
-        active_obj.append(rest[: len(b.frames)])
-        rest = rest[len(b.frames):]
+    active_kp, rest = parts[: len(kp)], parts[len(kp):]
+    active_obj = [rest[2 * b : 2 * b + 2] for b in range(len(problem.object_blocks))]
     return active_kp, active_obj
 
 
@@ -310,7 +310,7 @@ def reference_assembly(problem, state, active_kp, active_obj):
         return np.cross(np.eye(3), p[:, None, :])
 
     r_parts, j_parts, d_parts = [], [], []
-    for b, blk in enumerate(problem.keypoint_blocks):
+    for b, blk in enumerate(keypoint_blocks(problem)):
         mask = active_kp[b]
         n = mask.sum()
         if n == 0 or cfg.w_c == 0:
@@ -327,12 +327,12 @@ def reference_assembly(problem, state, active_kp, active_obj):
         ro = state.obj_rot[b]
         w = np.sqrt(cfg.w_o / blk.total_pairs())
         ooff = 6 + 9 * b
-        for k, frame in enumerate(blk.frames):
-            mask = active_obj[b][k]
+        for frame in (0, 1):
+            mask = active_obj[b][frame]
             n = mask.sum()
             if n == 0:
                 continue
-            depth, noc = blk.depth_points[k][mask], blk.noc_points[k][mask]
+            depth, noc = blk.depth_points[frame][mask], blk.noc_points[frame][mask]
             world = state.to_world(depth) if frame == 1 else depth
             d_parts.append(world - state.object_points(b, noc))
             r_parts.append((w * d_parts[-1]).ravel())
@@ -348,21 +348,17 @@ def reference_assembly(problem, state, active_kp, active_obj):
     return np.concatenate(r_parts), np.vstack(j_parts), np.vstack(d_parts)
 
 
-def tracked_problem(num_frames, seed, objects=2):
-    """Synthetic problem with keypoints, 10% NOC outliers and ``objects``
-    objects seen in every frame, tracked by detection id."""
+def tracked_problem(seed, objects=2):
+    """Synthetic pair problem with keypoints, 10% NOC outliers and
+    ``objects`` objects seen in both frames, matched by detection id."""
     fs, _ = generate(
-        SynthConfig(num_frames=num_frames, num_objects=max(objects, 1), keypoints_per_pair=40,
+        SynthConfig(num_frames=2, num_objects=max(objects, 1), keypoints_per_pair=40,
                     orbit_span=np.pi / 8, noise_sigma_depth=0.003,
                     outlier_fraction=0.10, rng_seed=seed)
     )
-    per_frame = [fs.observations_in_frame(f) for f in range(num_frames)]
+    per_frame = [fs.observations_in_frame(f) for f in range(2)]
     assert all(len(obs) == max(objects, 1) for obs in per_frame)  # detection id = object
-    tracks = [
-        ObjectTrack(t, per_frame[0][t].class_label, [(f, t) for f in range(num_frames)])
-        for t in range(objects)
-    ]
-    return build_problem(fs, tracks)
+    return build_problem(fs, [PairMatch(t, t, 0.0) for t in range(objects)])
 
 
 class TestAssemble:
@@ -390,12 +386,12 @@ class TestAssemble:
 
     def all_active(self, problem):
         return (
-            [np.ones(len(b), dtype=bool) for b in problem.keypoint_blocks],
+            [np.ones(len(b), dtype=bool) for b in keypoint_blocks(problem)],
             [[np.ones(len(p), dtype=bool) for p in b.noc_points] for b in problem.object_blocks],
         )
 
     def test_pruned_masks(self):
-        problem = tracked_problem(2, seed=21)
+        problem = tracked_problem(seed=21)
         stack, poses = single(problem)
         moved = poses.retract(np.random.default_rng(0).normal(0, 0.02, (1, 6 + 9 * 2)))
         stack.threshold[:] = 0.05
@@ -408,14 +404,14 @@ class TestAssemble:
 
     @pytest.mark.parametrize("objects", [0, 1, 2])
     def test_all_active(self, objects):
-        problem = tracked_problem(2, seed=22, objects=objects)
+        problem = tracked_problem(seed=22, objects=objects)
         _, poses = single(problem)
         moved = poses.retract(np.random.default_rng(1).normal(0, 0.05, (1, 6 + 9 * objects)))
         self.check(problem, *self.all_active(problem), [poses, moved])
 
     def test_object_only(self):
-        fs, tracks, *_ = object_only_fs(np.random.default_rng(5), noise=0.01)
-        problem = build_problem(fs, tracks)
+        fs, matches, *_ = object_only_fs(np.random.default_rng(5), noise=0.01)
+        problem = build_problem(fs, matches)
         _, poses = single(problem)
         moved = poses.retract(np.random.default_rng(2).normal(0, 0.05, (1, 15)))
         self.check(problem, *self.all_active(problem), [poses, moved])
@@ -425,21 +421,21 @@ def reference_prune(problem, state, active_kp, active_obj, threshold):
     """Pruning by a full recompute: every correspondence's residual at the
     state, whether active or not."""
     pruned = 0
-    for b, blk in enumerate(problem.keypoint_blocks):
+    for b, blk in enumerate(keypoint_blocks(problem)):
         res = blk.points_i - state.to_world(blk.points_j)
         bad = active_kp[b] & (np.linalg.norm(res, axis=1) > threshold)
         if active_kp[b].sum() - bad.sum() >= 5:
             pruned += int(bad.sum())
             active_kp[b] &= ~bad
     for b, blk in enumerate(problem.object_blocks):
-        for k, frame in enumerate(blk.frames):
-            depth = blk.depth_points[k]
+        for frame in (0, 1):
+            depth = blk.depth_points[frame]
             world = state.to_world(depth) if frame == 1 else depth
-            res = world - state.object_points(b, blk.noc_points[k])
-            bad = active_obj[b][k] & (np.linalg.norm(res, axis=1) > threshold)
-            if active_obj[b][k].sum() - bad.sum() >= 15:
+            res = world - state.object_points(b, blk.noc_points[frame])
+            bad = active_obj[b][frame] & (np.linalg.norm(res, axis=1) > threshold)
+            if active_obj[b][frame].sum() - bad.sum() >= 15:
                 pruned += int(bad.sum())
-                active_obj[b][k] &= ~bad
+                active_obj[b][frame] &= ~bad
     return pruned
 
 
@@ -497,7 +493,7 @@ class TestPruneFromResidual:
             assert sum(counts) >= 20
 
     def test_tracked_problem(self, monkeypatch):
-        problem = tracked_problem(2, seed=21)
+        problem = tracked_problem(seed=21)
         # nothing to prune at 0.15 m; at 0.002 m every block would drop
         # below its minimum, so all keep their pairs
         for threshold, prunes in ((0.15, False), (0.01, True), (0.006, True), (0.002, False)):
@@ -540,13 +536,13 @@ class TestBlockStats:
         active_kp, active_obj = split_rows(problem, mask)
         cams = report.camera_poses
         expected = []
-        for blk, m in zip(problem.keypoint_blocks, active_kp):
+        for blk, m in zip(keypoint_blocks(problem), active_kp):
             rows = apply_rigid(cams[0], blk.points_i[m]) - apply_rigid(cams[1], blk.points_j[m])
             expected.append(("keypoint", int(m.sum()), len(blk), rms_of(rows)))
         for blk, frame_masks, obj in zip(problem.object_blocks, active_obj, report.object_poses):
             rows = np.vstack([
                 apply_rigid(cams[f], depth[m]) - apply_object(obj, noc[m])
-                for f, depth, noc, m in zip(blk.frames, blk.depth_points, blk.noc_points, frame_masks)
+                for f, depth, noc, m in zip((0, 1), blk.depth_points, blk.noc_points, frame_masks)
             ])
             active = int(sum(m.sum() for m in frame_masks))
             expected.append(("object", active, blk.total_pairs(), rms_of(rows)))
@@ -560,9 +556,9 @@ class TestBlockStats:
             report = self.check(outlier_problem(400 + seed), monkeypatch)
             assert report.pruned_count >= 20
 
-    @pytest.mark.parametrize("num_frames, seed", [(2, 21), (2, 22)])
-    def test_pruned_objects_and_keypoints(self, monkeypatch, num_frames, seed):
-        problem = tracked_problem(num_frames, seed)
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_pruned_objects_and_keypoints(self, monkeypatch, seed):
+        problem = tracked_problem(seed)
         problem = replace(problem, config=replace(problem.config, residual_prune=0.01))
         report = self.check(problem, monkeypatch)
         assert report.pruned_count > 0
@@ -570,11 +566,11 @@ class TestBlockStats:
 
     @pytest.mark.parametrize("weights, kind", [({"w_c": 0.0}, "object"), ({"w_o": 0.0}, "keypoint")])
     def test_one_weight_zero(self, monkeypatch, weights, kind):
-        problem = tracked_problem(2, seed=21)
+        problem = tracked_problem(seed=21)
         problem = replace(problem, config=SolverConfig(**weights))
         stripped = replace(
             problem,
-            keypoint_blocks=problem.keypoint_blocks if kind == "keypoint" else [],
+            keypoints=problem.keypoints if kind == "keypoint" else None,
             object_blocks=problem.object_blocks if kind == "object" else [],
         )
         report = self.check(problem, monkeypatch, blocks=stripped)
@@ -678,7 +674,7 @@ def solve_bits(result):
 class TestPrecomputedMatches:
     @pytest.mark.parametrize("seed", [21, 22, 23, 24, 25, 26])
     def test_bit_identical_to_matching_inside(self, seed):
-        """The sequence path's steps, pair_problem given match_pair's
+        """The sequence path's steps, build_problem given match_pair's
         matches, the solve and icp_polish, give exactly what register_pair
         gives when it matches itself; odd seeds are object-only scenes."""
         object_only = seed % 2 == 1
@@ -696,7 +692,7 @@ class TestPrecomputedMatches:
             keypoints_present=not object_only,
         )
         (report,) = gauss_newton_solve_batch(
-            [pair_problem(fs, matches, SolverConfig(), KEYPOINT_FILTER)]
+            [build_problem(fs, matches, SolverConfig(), KEYPOINT_FILTER)]
         )
         icp_polish(fs, report, SolverConfig())
         given = PairResult(True, None, report, matches)
@@ -810,14 +806,14 @@ def mixed_batch():
     rng = np.random.default_rng(40)
     fs, _ = keypoint_only_fs(rng, noise=0.002)
     kp_only = build_problem(fs, [])
-    fs, tracks, *_ = object_only_fs(rng, noise=0.004)
+    fs, matches, *_ = object_only_fs(rng, noise=0.004)
     singular = build_problem(keypoint_only_fs(rng, noise=0.003)[0], [])
     return {
         "keypoint only": kp_only,
-        "object only": build_problem(fs, tracks),
-        "one object": tracked_problem(2, seed=21, objects=1),
-        "two objects": tracked_problem(2, seed=22, objects=2),
-        "three objects": tracked_problem(2, seed=23, objects=3),
+        "object only": build_problem(fs, matches),
+        "one object": tracked_problem(seed=21, objects=1),
+        "two objects": tracked_problem(seed=22, objects=2),
+        "three objects": tracked_problem(seed=23, objects=3),
         "outliers": outlier_problem(401),
         "zero cost": build_problem(keypoint_only_fs(rng)[0], []),
         "singular": replace(singular, config=SolverConfig(residual_prune=SINGULAR_MARK)),

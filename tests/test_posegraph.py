@@ -13,11 +13,11 @@ from objreg.joint_solver import (
     SolveReport,
     SolverConfig,
     UnsolvableProblemError,
+    build_problem,
     gauss_newton_solve,
     gauss_newton_solve_batch,
     icp_polish,
     pair_matches,
-    pair_problem,
 )
 from objreg.matching import MatchConfig
 from objreg.metrics import Trajectory, ate_rmse, write_tum
@@ -549,7 +549,7 @@ class TestRegisterSequence:
         fs.frames[2].timestamp = fs.frames[1].timestamp
         built = []
         monkeypatch.setattr(
-            posegraph, "pair_problem", lambda *a, **k: built.append(a) or pair_problem(*a, **k)
+            posegraph, "build_problem", lambda *a, **k: built.append(a) or build_problem(*a, **k)
         )
         calls = counted_batches(monkeypatch)
         with pytest.raises(ValidationError, match="frame 2"):
@@ -637,7 +637,7 @@ def solve_pair(sub, odometry, scfg=None):
         mcfg, kp_filter = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold), LOOP_KEYPOINT_FILTER
     matches = pair_matches(sub, mcfg)
     try:
-        report = gauss_newton_solve(pair_problem(sub, matches, scfg, kp_filter))
+        report = gauss_newton_solve(build_problem(sub, matches, scfg, kp_filter))
     except UnsolvableProblemError as e:
         return PairResult(False, str(e), matches=matches)
     if odometry:
@@ -757,9 +757,9 @@ class TestSequenceBatch:
             built.append(matches)
             if len(built) == fs.num_frames:  # the first loop pair not screened
                 raise UnsolvableProblemError("planted failure")
-            return pair_problem(sub, matches, scfg, kp_filter)
+            return build_problem(sub, matches, scfg, kp_filter)
 
-        monkeypatch.setattr(posegraph, "pair_problem", planted)
+        monkeypatch.setattr(posegraph, "build_problem", planted)
         result = register_sequence(fs)
         loop_pairs = [p for p in base.pair_results if p[1] > p[0] + 1]
         failed = loop_pairs[0]
