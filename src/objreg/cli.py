@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver-config")
     p.add_argument("--out-traj", required=True, help="output trajectory (TUM format)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; pairs are solved serially")
+                   help="accepted for compatibility; pairs are solved in one lockstep batch")
     p.set_defaults(func=cmd_register_sequence)
 
     p_eval = sub.add_parser("eval", help="metrics")

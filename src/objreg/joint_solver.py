@@ -85,10 +85,14 @@ class SolverConfig:
     residual_prune: float = 0.15
 
     def __post_init__(self):
-        if self.w_c < 0 or self.w_o < 0 or (self.w_c == 0 and self.w_o == 0):
-            raise ValueError("weights must be nonnegative and not both zero")
-        if self.residual_prune <= 0:
-            raise ValueError("residual_prune must be positive")
+        for name in ("w_c", "w_o"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if self.w_c == 0 and self.w_o == 0:
+            raise ValueError("w_c and w_o must not both be zero")
+        if not 0 < self.residual_prune < np.inf:
+            raise ValueError(f"residual_prune must be finite and positive, got {self.residual_prune!r}")
 
 
 @dataclass

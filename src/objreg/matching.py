@@ -31,10 +31,17 @@ class MatchConfig:
     top_k: int = 1
 
     def __post_init__(self):
-        if not 0 < self.embed_threshold <= self.fallback_threshold:
-            raise ValueError("need 0 < embed_threshold <= fallback_threshold")
-        if self.max_scale_ratio <= 1:
-            raise ValueError("max_scale_ratio must exceed 1")
+        if not 0 < self.fallback_threshold < np.inf:
+            raise ValueError(
+                f"fallback_threshold must be finite and positive, got {self.fallback_threshold!r}"
+            )
+        # register_sequence matches loop pairs with sequence_loop_threshold as embed_threshold
+        for name in ("embed_threshold", "sequence_loop_threshold"):
+            value = getattr(self, name)
+            if not 0 < value <= self.fallback_threshold:
+                raise ValueError(f"need 0 < {name} <= fallback_threshold, got {value!r}")
+        if not 1 < self.max_scale_ratio < np.inf:
+            raise ValueError(f"max_scale_ratio must be finite and exceed 1, got {self.max_scale_ratio!r}")
 
 
 @dataclass(slots=True)

@@ -5,7 +5,7 @@ switches (Choi-style), and the result is a gauge-fixed trajectory."""
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -85,6 +85,20 @@ class GraphConfig:
     lc_object_max_depth: float = 2.15
     lc_min_scale: float = 0.05
     line_process_mu: float = 100.0
+
+    def __post_init__(self):
+        # a zero switches these rules off
+        zero_ok = ("restructure_certain_dist", "lc_near_window", "lc_min_scale")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "edge_prune_threshold":
+                ok, want = 0 <= value <= 1, "in [0, 1]"
+            elif f.name in zero_ok:
+                ok, want = 0 <= value < np.inf, "finite and nonnegative"
+            else:
+                ok, want = 0 < value < np.inf, "finite and positive"
+            if not ok:
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
 
 
 @dataclass

@@ -72,6 +72,23 @@ class TestRegisterPairCommand:
         doc = json.loads(out.read_text())
         assert doc["success"] and doc["num_object_matches"] == 0
 
+    def test_no_keypoints_flag(self, pair_problem, tmp_path):
+        """``--no-keypoints`` reports what the same problem without its
+        keypoint matches reports."""
+        out = tmp_path / "report.json"
+        assert run("register-pair", "--problem", pair_problem, "--no-keypoints",
+                   "--out", str(out)) == 0
+        fs = load_problem(pair_problem)
+        assert fs.keypoint_matches
+        stripped = tmp_path / "no_kp.json"
+        fs.keypoint_matches = []
+        save_problem(fs, stripped)
+        ref = tmp_path / "ref.json"
+        run("register-pair", "--problem", str(stripped), "--out", str(ref))
+        doc, want = json.loads(out.read_text()), json.loads(ref.read_text())
+        assert doc["success"]
+        assert {**doc, "problem": None} == {**want, "problem": None}
+
     def test_determinism(self, pair_problem, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("register-pair", "--problem", pair_problem, "--out", str(a))
@@ -161,6 +178,16 @@ class TestRegisterSequenceCommand:
         with pytest.raises(SystemExit, match=key):
             run("register-sequence", "--problem", pair_problem,
                 "--out-traj", str(tmp_path / "t.tum"), "--graph-config", str(cfg))
+
+    def test_non_finite_graph_config_named(self, pair_problem, tmp_path):
+        cfg = tmp_path / "graph.json"
+        cfg.write_text('{"edge_prune_threshold": NaN}')
+        out = tmp_path / "t.tum"
+        with pytest.raises(SystemExit) as exc:
+            run("register-sequence", "--problem", pair_problem,
+                "--out-traj", str(out), "--graph-config", str(cfg))
+        assert str(cfg) in str(exc.value) and "edge_prune_threshold" in str(exc.value)
+        assert not out.exists()
 
     def test_sequence_and_jobs_determinism(self, tmp_path):
         """The command runs with ``--jobs``; acceptance criterion 11 checks

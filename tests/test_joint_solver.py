@@ -122,6 +122,28 @@ class TestBuildProblem:
         with pytest.raises(UnsolvableProblemError):
             build_problem(fs, matches)
 
+    def test_match_without_fit_gives_no_block(self):
+        """Match 0's frame-0 observation has too few NOC pairs for a fit, so
+        only match 1 gives a block; the block and the report name it by its
+        index in the matches, and the solve equals that of match 1 alone."""
+        rng = np.random.default_rng(13)
+        fs, _, cam1, *_ = object_only_fs(rng)
+        obs0, obs1 = fs.observations
+        few = ObjectObservation(0, 1, 0, obs0.noc_points[:10], obs0.depth_points[:10],
+                                obs0.scale_estimate, np.zeros(4))
+        fs = FrameSet(fs.frames, [], [obs0, few, obs1, replace(obs1, detection_id=1)])
+        matches = [PairMatch(1, 1, 0.0), PairMatch(0, 0, 0.0)]
+        assert few.noc_fit is None
+        problem = build_problem(fs, matches)
+        assert [blk.track_id for blk in problem.object_blocks] == [1]
+        report = gauss_newton_solve(problem)
+        assert report.track_ids == [1]
+        assert [s["track_id"] for s in report.block_stats] == [1]
+        alone = gauss_newton_solve(build_problem(fs, matches[1:]))
+        assert alone.track_ids == [0]
+        assert report.camera_poses[1].to_matrix().tobytes() == alone.camera_poses[1].to_matrix().tobytes()
+        assert pose_error(report.camera_poses[1], cam1)[1] < 1e-6
+
     def test_three_frames_rejected(self, monkeypatch):
         """A set of any other frame count is rejected before any filtering."""
         rng = np.random.default_rng(3)
@@ -213,6 +235,14 @@ class TestGaussNewton:
     def test_both_weights_zero_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(w_c=0.0, w_o=0.0)
+
+    @pytest.mark.parametrize("name", ["w_c", "w_o", "residual_prune"])
+    def test_bad_config_value_rejected(self, name):
+        """A non-finite or out-of-range value is rejected, naming its field."""
+        low = 0.0 if name == "residual_prune" else -1e-9
+        for value in (np.nan, np.inf, -np.inf, low):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
 
     def test_cost_nonnegative_and_stats_present(self):
         rng = np.random.default_rng(10)
@@ -646,6 +676,22 @@ class TestRegisterPair:
         monkeypatch.setattr(joint_solver, "fit_noc", forbidden)
         with pytest.raises(ValueError, match="exactly 2 frames"):
             register_pair(fs)
+
+    def test_no_keypoints_equals_scene_without_them(self):
+        """``use_keypoints=False`` gives exactly the result of the same scene
+        with its keypoint matches removed, with no keypoint block."""
+        cfg = SynthConfig(num_frames=2, num_objects=2, orbit_span=np.pi / 6,
+                          noise_sigma_depth=0.005, rng_seed=13)
+        fs, _ = generate(cfg)
+        assert any(len(km) for km in fs.keypoint_matches)
+        got = register_pair(fs, use_keypoints=False)
+        fs, _ = generate(cfg)  # fresh observations, no cached fits
+        want = register_pair(FrameSet(fs.frames, [], fs.observations, fs.ground_truth))
+        assert got.success and want.success
+        assert got.matches == want.matches
+        assert solve_bits(got) == solve_bits(want)
+        assert got.report.final_cost == want.report.final_cost
+        assert got.report.block_stats and all(s["kind"] == "object" for s in got.report.block_stats)
 
     def test_icp_does_not_hurt(self):
         fs, gt = generate(

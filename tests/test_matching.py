@@ -89,6 +89,23 @@ class TestHungarian:
             hungarian(np.array([[np.inf, 1.0], [1.0, 1.0]]))
 
 
+# per MatchConfig field, values that must be rejected naming it; the default
+# thresholds are embed 0.05 <= fallback 0.15
+BAD_MATCH_VALUES = {
+    "embed_threshold": [np.nan, np.inf, 0.0, 0.2],
+    "fallback_threshold": [np.nan, np.inf, 0.0, 0.01],
+    "sequence_loop_threshold": [np.nan, np.inf, 0.0, 0.2],
+    "max_scale_ratio": [np.nan, np.inf, 1.0],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_MATCH_VALUES))
+def test_bad_config_value_rejected(name):
+    for value in BAD_MATCH_VALUES[name]:
+        with pytest.raises(ValueError, match=name):
+            MatchConfig(**{name: value})
+
+
 class TestMatchPair:
     def test_identical_embeddings_matched(self):
         a = [make_obs(0, 0, embed=np.zeros(8))]

@@ -1,7 +1,7 @@
 import copy
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -225,6 +225,37 @@ def path_graph(n, extra=()):
 def graph_ate(poses, gt):
     ts = np.arange(len(gt), dtype=float)
     return ate_rmse(Trajectory(ts, poses), Trajectory(ts, gt))
+
+
+# per GraphConfig field, values that must be rejected naming it
+BAD_GRAPH_VALUES = {
+    "edge_prune_threshold": [np.nan, -0.1, 1.5],
+    "restructure_uncertain_dist": [np.nan, np.inf, 0.0],
+    "restructure_certain_dist": [np.nan, np.inf, -0.01],
+    "lc_near_window": [np.nan, np.inf, -1],
+    "lc_near_max_trans": [np.nan, np.inf, 0.0],
+    "lc_far_max_trans": [np.nan, np.inf, 0.0],
+    "lc_object_max_depth": [np.nan, np.inf, 0.0],
+    "lc_min_scale": [np.nan, np.inf, -0.01],
+    "line_process_mu": [np.nan, np.inf, 0.0],
+}
+
+
+class TestGraphConfig:
+    @pytest.mark.parametrize("name", list(BAD_GRAPH_VALUES))
+    def test_bad_value_rejected(self, name):
+        for value in BAD_GRAPH_VALUES[name]:
+            with pytest.raises(ValueError, match=name):
+                GraphConfig(**{name: value})
+
+    def test_every_field_checked(self):
+        assert set(BAD_GRAPH_VALUES) == {f.name for f in fields(GraphConfig)}
+
+    def test_bounds_accepted(self):
+        """Zero switches a rule off where the field allows it."""
+        for prune in (0.0, 1.0):
+            GraphConfig(edge_prune_threshold=prune)
+        GraphConfig(restructure_certain_dist=0.0, lc_near_window=0, lc_min_scale=0.0)
 
 
 class TestOptimizeGraph:
