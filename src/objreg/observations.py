@@ -3,8 +3,13 @@
 A problem file carries frames, keypoint matches (already back-projected to
 camera-local 3D) and object observations (paired canonical/depth points with
 class, scale, embedding and symmetry labels). The format is versioned as
-``objreg-problem/1`` and written in a canonical form (sorted keys, floats at
-9 significant digits) so fixtures diff cleanly.
+``objreg-problem/2`` and written in a canonical form (sorted keys, every
+float rounded to 9 significant digits) so files are byte-stable. Scalars
+are JSON numbers; each float array field of a keypoint match or an
+observation is one string, the hex of its row-major little-endian float64
+bytes, which loads at array speed. ``objreg-problem/1`` files, which hold
+those arrays as nested lists of numbers, are still read; saving a loaded
+one converts it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,7 +30,7 @@ from .procrustes import (
     kabsch_filter_sets,
 )
 
-SCHEMA_VERSION = "objreg-problem/1"
+SCHEMA_VERSION = "objreg-problem/2"
 
 SYMMETRY_CLASSES = ("round", "square", "rectangle", "non_symmetric")
 
@@ -52,6 +56,13 @@ class ValidationError(ValueError):
     """A problem file violates a structural invariant."""
 
 
+def _points(a) -> np.ndarray:
+    """``a`` as a float array, shaped (0, 3) when empty. Any other shape is
+    kept as it is, for ``FrameSet.validate`` to reject."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(0, 3) if a.size == 0 else a
+
+
 @dataclass
 class KeypointMatch:
     """A matched 3D keypoint pair between two frames (camera-local points)."""
@@ -62,8 +73,8 @@ class KeypointMatch:
     points_j: np.ndarray  # (N, 3)
 
     def __post_init__(self):
-        self.points_i = np.asarray(self.points_i, dtype=float).reshape(-1, 3)
-        self.points_j = np.asarray(self.points_j, dtype=float).reshape(-1, 3)
+        self.points_i = _points(self.points_i)
+        self.points_j = _points(self.points_j)
 
     def __len__(self):
         return len(self.points_i)
@@ -83,9 +94,9 @@ class ObjectObservation:
     symmetry: str = "non_symmetric"
 
     def __post_init__(self):
-        self.noc_points = np.asarray(self.noc_points, dtype=float).reshape(-1, 3)
-        self.depth_points = np.asarray(self.depth_points, dtype=float).reshape(-1, 3)
-        self.scale_estimate = np.asarray(self.scale_estimate, dtype=float).reshape(3)
+        self.noc_points = _points(self.noc_points)
+        self.depth_points = _points(self.depth_points)
+        self.scale_estimate = np.asarray(self.scale_estimate, dtype=float)
         self.embedding = np.asarray(self.embedding, dtype=float).ravel()
 
     def __len__(self):
@@ -172,6 +183,9 @@ class FrameSet:
              [k for k, km in enumerate(kms) if km.frame_i == km.frame_j]),
             (lambda k: f"keypoint match {k}: dangling frame index {dangling(k)}",
              [k for k, km in enumerate(kms) if not (0 <= km.frame_i < n and 0 <= km.frame_j < n)]),
+            (lambda k: f"keypoint match {k}: points are not rows of 3 values",
+             [k for k, km in enumerate(kms)
+              if km.points_i.shape[1:] != (3,) or km.points_j.shape[1:] != (3,)]),
             (lambda k: f"keypoint match {k}: point count mismatch",
              [k for k, km in enumerate(kms) if len(km.points_i) != len(km.points_j)]),
             (lambda k: f"keypoint match {k}: non-finite point",
@@ -191,6 +205,11 @@ class FrameSet:
             (lambda k: f"{name(k)}: duplicate (frame, detection_id)", duplicate),
             (lambda k: f"{name(k)}: dangling frame index",
              [k for k, o in enumerate(obs) if not 0 <= o.frame < n]),
+            (lambda k: f"{name(k)}: points are not rows of 3 values",
+             [k for k, o in enumerate(obs)
+              if o.noc_points.shape[1:] != (3,) or o.depth_points.shape[1:] != (3,)]),
+            (lambda k: f"{name(k)}: scale estimate does not hold 3 values",
+             [k for k, o in enumerate(obs) if o.scale_estimate.shape != (3,)]),
             (lambda k: f"{name(k)}: NOC/depth count mismatch",
              [k for k, o in enumerate(obs) if len(o.noc_points) != len(o.depth_points)]),
             (lambda k: f"{name(k)}: non-finite point",
@@ -241,8 +260,10 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _fmt_array(a: np.ndarray) -> list:
-    return [[_fmt(v) for v in row] for row in np.asarray(a).reshape(-1, a.shape[-1])]
+def _hex(a: np.ndarray) -> str:
+    """An array field as written: the hex of its row-major little-endian
+    float64 bytes, each value first rounded by ``_fmt``."""
+    return np.array([_fmt(v) for v in a.ravel().tolist()], "<f8").tobytes().hex()
 
 
 def _pose_dict(pose: RigidPose) -> dict:
@@ -286,8 +307,8 @@ def _frameset_to_dict(fs: FrameSet) -> dict:
             {
                 "frame_i": km.frame_i,
                 "frame_j": km.frame_j,
-                "points_i": _fmt_array(km.points_i) if len(km) else [],
-                "points_j": _fmt_array(km.points_j) if len(km) else [],
+                "points_i": _hex(km.points_i),
+                "points_j": _hex(km.points_j),
             }
             for km in fs.keypoint_matches
         ],
@@ -296,10 +317,10 @@ def _frameset_to_dict(fs: FrameSet) -> dict:
                 "frame": o.frame,
                 "detection_id": o.detection_id,
                 "class_label": o.class_label,
-                "noc_points": _fmt_array(o.noc_points) if len(o) else [],
-                "depth_points": _fmt_array(o.depth_points) if len(o) else [],
-                "scale_estimate": [_fmt(v) for v in o.scale_estimate],
-                "embedding": [_fmt(v) for v in o.embedding],
+                "noc_points": _hex(o.noc_points),
+                "depth_points": _hex(o.depth_points),
+                "scale_estimate": _hex(o.scale_estimate),
+                "embedding": _hex(o.embedding),
                 "symmetry": o.symmetry,
             }
             for o in fs.observations
@@ -321,36 +342,56 @@ def write_atomic(path: str | os.PathLike, text: str) -> None:
 
 
 def save_problem(fs: FrameSet, path: str | os.PathLike) -> None:
-    """Write a FrameSet in canonical JSON form (atomic, byte-stable)."""
+    """Write a FrameSet as a canonical ``objreg-problem/2`` file (atomic,
+    byte-stable)."""
     fs.validate()
     write_atomic(path, json.dumps(_frameset_to_dict(fs), sort_keys=True, indent=1))
 
 
-@contextmanager
-def _record(name: str):
-    """Re-raise a parse error of the record ``name`` (a missing key, a wrong
-    type, a ragged or non-numeric array) as a ValidationError naming it."""
-    try:
-        yield
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise ValidationError(f"{name}: malformed record ({type(e).__name__}: {e})") from e
+def _malformed(name: str, e: Exception) -> ValidationError:
+    """A parse error of the record ``name`` (a missing key, a wrong type, a
+    ragged, non-numeric or undecodable array) as a ValidationError naming
+    it."""
+    return ValidationError(f"{name}: malformed record ({type(e).__name__}: {e})")
 
 
 def _records(doc: dict, key: str, name: str, parse) -> list:
     """``parse(rec)`` of each record in ``doc[key]``, named ``f"{name} {k}"``
     in errors."""
+    try:
+        records = iter(doc[key])
+    except (KeyError, TypeError) as e:
+        raise _malformed(key, e) from e
     out = []
-    with _record(key):
-        for k, rec in enumerate(doc[key]):
-            with _record(f"{name} {k}"):
-                out.append(parse(rec))
+    try:
+        for rec in records:
+            out.append(parse(rec))
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise _malformed(f"{name} {len(out)}", e) from e  # the first len(out) parsed
     return out
 
 
-def _points(rec: dict, key: str) -> np.ndarray:
-    return np.array(rec[key], dtype=float).reshape(-1, 3)
+def _from_lists(value, rows: bool) -> np.ndarray:
+    """An ``objreg-problem/1`` array field: a list of numbers, or of
+    3-number rows for a point field (``validate`` checks the shape)."""
+    return np.array(value, dtype=float)
+
+
+def _from_hex(value, rows: bool) -> np.ndarray:
+    """An ``objreg-problem/2`` array field: the hex of its row-major
+    little-endian float64 bytes, read as (N, 3) points if ``rows``, else
+    as a vector."""
+    buf = bytearray.fromhex(value)  # a bytearray keeps the array writable
+    if len(buf) % (24 if rows else 8):
+        raise ValueError(f"{len(buf)} bytes are not whole {'points' if rows else 'float64 values'}")
+    a = np.frombuffer(buf, "<f8")
+    return a.reshape(-1, 3) if rows else a
+
+
+# the array decoder of each schema load_problem reads
+_DECODERS = {"objreg-problem/1": _from_lists, SCHEMA_VERSION: _from_hex}
 
 
 def _frame(rec: dict) -> Frame:
@@ -364,7 +405,8 @@ def _frame(rec: dict) -> Frame:
 
 def _frameset_from_dict(doc: dict) -> FrameSet:
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != SCHEMA_VERSION:
+    decode = _DECODERS.get(schema) if isinstance(schema, str) else None
+    if decode is None:
         raise ValidationError(f"unsupported schema {schema!r}")
     frames = _records(doc, "frames", "frame", _frame)
     matches = _records(
@@ -372,7 +414,10 @@ def _frameset_from_dict(doc: dict) -> FrameSet:
         "keypoint_matches",
         "keypoint match",
         lambda rec: KeypointMatch(
-            rec["frame_i"], rec["frame_j"], _points(rec, "points_i"), _points(rec, "points_j")
+            rec["frame_i"],
+            rec["frame_j"],
+            decode(rec["points_i"], True),
+            decode(rec["points_j"], True),
         ),
     )
     obs = _records(
@@ -383,10 +428,10 @@ def _frameset_from_dict(doc: dict) -> FrameSet:
             rec["frame"],
             rec["detection_id"],
             rec["class_label"],
-            _points(rec, "noc_points"),
-            _points(rec, "depth_points"),
-            np.array(rec["scale_estimate"], dtype=float),
-            np.array(rec["embedding"], dtype=float),
+            decode(rec["noc_points"], True),
+            decode(rec["depth_points"], True),
+            decode(rec["scale_estimate"], False),
+            decode(rec["embedding"], False),
             rec["symmetry"],
         ),
     )
@@ -397,11 +442,13 @@ def _frameset_from_dict(doc: dict) -> FrameSet:
 
 
 def load_problem(path: str | os.PathLike) -> FrameSet:
-    """Load and validate a problem file; raises ValidationError with the
-    offending record named on any invariant breach."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"malformed JSON in {path}: {e}") from e
+    """Load and validate an ``objreg-problem/2`` or ``/1`` file; raises
+    ValidationError with the offending record named on any invariant
+    breach."""
+    with open(path, "rb") as f:
+        data = f.read()  # bytes: a text-mode read takes longer than the parse
+    try:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValidationError(f"malformed JSON in {path}: {e}") from e
     return _frameset_from_dict(doc)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objreg import observations, procrustes
+from objreg.cli import main as cli_main
 from objreg.geometry import Intrinsics, RigidPose
 from objreg.joint_solver import register_pair
 from objreg.observations import (
@@ -18,6 +19,7 @@ from objreg.observations import (
     KeypointMatch,
     ObjectObservation,
     ValidationError,
+    _fmt,
     load_problem,
     save_problem,
 )
@@ -52,6 +54,70 @@ def random_frameset(rng):
     obs = [make_obs(int(rng.integers(0, k)), d, int(rng.integers(0, 3)), rng=rng) for d in range(int(rng.integers(0, 3)))]
     gt = [RigidPose(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(k)]
     return FrameSet(frames, matches, obs, gt)
+
+
+V1, V2 = "objreg-problem/1", "objreg-problem/2"
+POINT_FIELDS = ("points_i", "points_j", "noc_points", "depth_points")
+ARRAY_FIELDS = {
+    "keypoint_matches": ("points_i", "points_j"),
+    "observations": ("noc_points", "depth_points", "scale_estimate", "embedding"),
+}
+
+
+def hex_values(s):
+    return np.frombuffer(bytes.fromhex(s), "<f8")
+
+
+def as_lists(doc, schema):
+    """``doc`` as save_problem writes it, with every array field decoded to
+    the nested lists of ``_fmt`` numbers an objreg-problem/1 file holds
+    (3-number rows for a point field) and its schema set to ``schema``."""
+    doc["schema"] = schema
+    for key, fields in ARRAY_FIELDS.items():
+        for rec in doc[key]:
+            for f in fields:
+                a = hex_values(rec[f])
+                rec[f] = (a.reshape(-1, 3) if f in POINT_FIELDS else a).tolist()
+    return doc
+
+
+def as_hex(doc):
+    """``doc`` with each array field that is a list (of numbers or of rows,
+    ragged or not) encoded as objreg-problem/2 hex, row after row."""
+    for key, fields in ARRAY_FIELDS.items():
+        for rec in doc.get(key) or []:
+            for f in fields:
+                if isinstance(rec.get(f), list):
+                    flat = [v for row in rec[f] for v in (row if isinstance(row, list) else [row])]
+                    rec[f] = np.array(flat, "<f8").tobytes().hex()
+    return doc
+
+
+def rewrite(path, schema, edit=lambda doc: None):
+    """Rewrite the problem file at ``path`` in ``schema`` after ``edit(doc)``
+    of its document, whose array fields ``edit`` sees as nested lists (for
+    objreg-problem/2 they are encoded again afterwards). Returns what
+    ``edit`` returns."""
+    doc = as_lists(json.loads(path.read_text()), schema)
+    result = edit(doc)
+    if schema == V2:
+        as_hex(doc)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+    return result
+
+
+def save_as(fs, path, schema):
+    """save_problem, then the file rewritten in ``schema``."""
+    save_problem(fs, path)
+    if schema != V2:
+        rewrite(path, schema)
+
+
+def array_fields(fs):
+    return [a for km in fs.keypoint_matches for a in (km.points_i, km.points_j)] + [
+        a for o in fs.observations
+        for a in (o.noc_points, o.depth_points, o.scale_estimate, o.embedding)
+    ]
 
 
 def test_frame_points_order():
@@ -136,9 +202,11 @@ class TestValidation:
     def test_nonfinite_embedding_rejected_at_load(self, tmp_path):
         path = tmp_path / "nan.json"
         save_problem(FrameSet([Frame(0)], observations=[make_obs(det=3)]), path)
-        doc = json.loads(path.read_text())
-        doc["observations"][0]["embedding"][2] = float("nan")
-        path.write_text(json.dumps(doc))
+
+        def edit(doc):
+            doc["observations"][0]["embedding"][2] = float("nan")
+
+        rewrite(path, V2, edit)
         with pytest.raises(
             ValidationError, match=r"observation \(frame=0, detection_id=3\): non-finite embedding"
         ):
@@ -271,21 +339,34 @@ class TestValidationMessage:
 
     @pytest.mark.parametrize("action, field, value, message", CORRUPTION_MESSAGES)
     def test_load_problem(self, tmp_path, action, field, value, message):
+        self.check_load_problem(tmp_path, V2, action, field, value, message)
+
+    @pytest.mark.parametrize("action, field, value, message", CORRUPTION_MESSAGES)
+    def test_load_problem_v1(self, tmp_path, action, field, value, message):
+        self.check_load_problem(tmp_path, V1, action, field, value, message)
+
+    @staticmethod
+    def check_load_problem(tmp_path, schema, action, field, value, message):
+        """The corruption, made to the saved file's arrays (for
+        objreg-problem/2 to the decoded rows, encoded again), is named as
+        register_pair names it in memory."""
         fs = two_match_pair()
         path = tmp_path / "p.json"
         save_problem(fs, path)
-        doc = json.loads(path.read_text())
         key = "keypoint_matches" if field.startswith("points_") else "observations"
         picks, name = bad_records(fs, field)
-        for k in picks:
-            rows = doc[key][k][field]
-            if action == "drop":
-                del rows[-value:]
-            elif isinstance(rows[0], list):
-                rows[k % len(rows)][k % 3] = value
-            else:
-                rows[k % len(rows)] = value
-        path.write_text(json.dumps(doc))
+
+        def edit(doc):
+            for k in picks:
+                rows = doc[key][k][field]
+                if action == "drop":
+                    del rows[-value:]
+                elif isinstance(rows[0], list):
+                    rows[k % len(rows)][k % 3] = value
+                else:
+                    rows[k % len(rows)] = value
+
+        rewrite(path, schema, edit)
         with pytest.raises(ValidationError) as err:
             load_problem(path)
         assert str(err.value) == f"{name}: {message}"
@@ -382,27 +463,36 @@ class TestNocFit:
 
 
 class TestSerialization:
+    """Files in the schema save_problem writes; TestSerializationV1 runs the
+    same tests on objreg-problem/1 files."""
+
+    schema = V2
+
     def test_empty_schema_valid(self, tmp_path):
         path = tmp_path / "e.json"
-        save_problem(minimal_frameset(), path)
+        save_as(minimal_frameset(), path, self.schema)
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "objreg-problem/1"
+        assert doc["schema"] == self.schema
         assert doc["keypoint_matches"] == [] and doc["observations"] == []
+        assert load_problem(path).num_frames == 2
 
     def test_byte_stable_after_normalization(self, tmp_path):
+        """save(load(f)) is, byte for byte, what save_problem wrote of the
+        FrameSet that f was written from."""
         rng = np.random.default_rng(3)
         fs = random_frameset(rng)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_problem(fs, p1)
+        p0, p1, p2 = tmp_path / "saved.json", tmp_path / "a.json", tmp_path / "b.json"
+        save_problem(fs, p0)
+        save_as(fs, p1, self.schema)
         save_problem(load_problem(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert p0.read_bytes() == p2.read_bytes()
 
     def test_round_trip_value_equality(self, tmp_path):
         rng = np.random.default_rng(12)
         for k in range(100):
             fs = random_frameset(rng)
             path = tmp_path / f"r{k}.json"
-            save_problem(fs, path)
+            save_as(fs, path, self.schema)
             back = load_problem(path)
             assert back.num_frames == fs.num_frames
             for a, b in zip(back.keypoint_matches, fs.keypoint_matches):
@@ -424,7 +514,7 @@ class TestSerialization:
         )
         fs = FrameSet([Frame(0), Frame(1)], [km])
         path = tmp_path / "d.json"
-        save_problem(fs, path)
+        save_as(fs, path, self.schema)
         assert load_problem(path).keypoint_matches[0].points_i[0, 0] == 0.123456789
 
     def test_malformed_json(self, tmp_path):
@@ -437,25 +527,194 @@ class TestSerialization:
         fs = minimal_frameset()
         path = tmp_path / "v.json"
         save_problem(fs, path)
-        doc = json.loads(path.read_text())
-        doc["observations"] = [
-            {
-                "frame": 0,
-                "detection_id": 9,
-                "class_label": 0,
-                "noc_points": [[0.7, 0, 0]],
-                "depth_points": [[0, 0, 1]],
-                "scale_estimate": [1, 1, 1],
-                "embedding": [0.0],
-                "symmetry": "non_symmetric",
-            }
-        ]
-        path.write_text(json.dumps(doc))
+
+        def edit(doc):
+            doc["observations"] = [
+                {
+                    "frame": 0,
+                    "detection_id": 9,
+                    "class_label": 0,
+                    "noc_points": [[0.7, 0, 0]],
+                    "depth_points": [[0, 0, 1]],
+                    "scale_estimate": [1, 1, 1],
+                    "embedding": [0.0],
+                    "symmetry": "non_symmetric",
+                }
+            ]
+
+        rewrite(path, self.schema, edit)
         with pytest.raises(ValidationError, match="detection_id=9"):
             load_problem(path)
 
 
-# corruptions of a saved problem document: (kind, record list, field)
+class TestSerializationV1(TestSerialization):
+    schema = V1
+
+
+class TestPointWidth:
+    """Point arrays whose rows are not 3 wide, and scale estimates without 3
+    values, are rejected with the record named, in memory and in files of
+    both schemas; (N, 3) and empty point arrays are accepted."""
+
+    def test_in_memory(self):
+        empty = KeypointMatch(0, 1, [], np.zeros((0, 2)))
+        assert empty.points_i.shape == empty.points_j.shape == (0, 3)
+        FrameSet([Frame(0), Frame(1)], [empty]).validate()
+        km = KeypointMatch(0, 1, np.zeros((6, 2)), np.zeros((6, 2)))
+        assert km.points_i.shape == (6, 2)
+        with pytest.raises(ValidationError) as err:
+            FrameSet([Frame(0), Frame(1)], [empty, km]).validate()
+        assert str(err.value) == "keypoint match 1: points are not rows of 3 values"
+        rng = np.random.default_rng(2)
+        for bad, message in [
+            (dict(depth_points=rng.uniform(-2, 2, (30, 2))), "points are not rows of 3 values"),
+            (dict(noc_points=rng.uniform(-0.5, 0.5, 60)), "points are not rows of 3 values"),
+            (dict(scale_estimate=np.ones(4)), "scale estimate does not hold 3 values"),
+            (dict(scale_estimate=np.ones((1, 3))), "scale estimate does not hold 3 values"),
+        ]:
+            with pytest.raises(ValidationError) as err:
+                FrameSet([Frame(0)], observations=[make_obs(det=2, **bad)]).validate()
+            assert str(err.value) == f"observation (frame=0, detection_id=2): {message}"
+
+    @pytest.mark.parametrize("schema", [V1, V2])
+    @pytest.mark.parametrize("rows", ["pairs", "flat"])
+    def test_point_rows_in_file(self, tmp_path, schema, rows):
+        """keypoint_matches[0].points_i (40 points) rewritten as 60 rows of
+        2 numbers, or as one flat list of 120: objreg-problem/1 rejects
+        both, and in objreg-problem/2, where the bytes are flat, both are
+        the same valid string."""
+        fs = valid_pair()
+        assert len(fs.keypoint_matches[0]) == 40
+        path = tmp_path / "p.json"
+        save_problem(fs, path)
+        saved = load_problem(path).keypoint_matches[0].points_i
+
+        def edit(doc):
+            flat = [v for row in doc["keypoint_matches"][0]["points_i"] for v in row]
+            doc["keypoint_matches"][0]["points_i"] = (
+                [flat[i:i + 2] for i in range(0, len(flat), 2)] if rows == "pairs" else flat
+            )
+
+        rewrite(path, schema, edit)
+        if schema == V2:
+            assert np.array_equal(load_problem(path).keypoint_matches[0].points_i, saved)
+            return
+        with pytest.raises(ValidationError) as err:
+            load_problem(path)
+        assert str(err.value) == "keypoint match 0: points are not rows of 3 values"
+
+    def test_hex_not_whole_points(self, tmp_path):
+        path = tmp_path / "p.json"
+        save_problem(valid_pair(), path)
+        doc = json.loads(path.read_text())
+        doc["keypoint_matches"][0]["points_i"] = doc["keypoint_matches"][0]["points_i"][:64]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            load_problem(path)
+        assert str(err.value) == (
+            "keypoint match 0: malformed record (ValueError: 32 bytes are not whole points)"
+        )
+
+    @pytest.mark.parametrize("schema", [V1, V2])
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_scale_values_in_file(self, tmp_path, schema, size):
+        fs = valid_pair()
+        path = tmp_path / "p.json"
+        save_problem(fs, path)
+
+        def edit(doc):
+            doc["observations"][2]["scale_estimate"] = [0.5] * size
+
+        rewrite(path, schema, edit)
+        with pytest.raises(ValidationError) as err:
+            load_problem(path)
+        assert str(err.value) == (
+            "observation (frame=1, detection_id=0): scale estimate does not hold 3 values"
+        )
+
+
+def extreme_values():
+    """Finite floats over the whole range: 1e-300 to 1e300 of both signs,
+    subnormals, signed zeros, ties of 9-digit rounding (exact binary values
+    whose 10th significant digit is a final 5) and plain values."""
+    rng = np.random.default_rng(8)
+    ties = [1234567885.0, 1234567895.0, -1234567885.0, 9999999995.0, 12345678.25]
+    values = np.concatenate([
+        np.logspace(-300, 300, 61), -np.logspace(-300, 300, 61),
+        [5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308 / 3, 0.0, -0.0],
+        ties,
+        rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, 50),
+    ])
+    return np.concatenate([values, np.zeros(-len(values) % 3)])
+
+
+def extreme_frameset():
+    v = extreme_values()
+    rng = np.random.default_rng(9)
+    points = v.reshape(-1, 3)
+    obs = ObjectObservation(
+        0, 0, 1, rng.uniform(-0.5, 0.5, points.shape), points[::-1],
+        np.array([5e-324, 1e-300, 1e300]), v,
+    )
+    return FrameSet([Frame(0), Frame(1)], [KeypointMatch(0, 1, points, -points)], [obs])
+
+
+class TestFormats:
+    def test_values_equal_fmt(self, tmp_path):
+        """A saved and loaded value is _fmt of the value, bit for bit."""
+        fs = extreme_frameset()
+        path = tmp_path / "x.json"
+        save_problem(fs, path)
+        for a, b in zip(array_fields(load_problem(path)), array_fields(fs)):
+            want = np.array([_fmt(v) for v in b.ravel().tolist()]).reshape(b.shape)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
+        assert _fmt(1234567885.0) == 1234567880.0 and _fmt(9999999995.0) == 1e10
+
+    def test_v1_and_v2_load_identical(self, tmp_path):
+        """The objreg-problem/1 and /2 files of one FrameSet load to
+        bit-identical arrays."""
+        rng = np.random.default_rng(4)
+        for k, fs in enumerate([extreme_frameset(), valid_pair()]
+                               + [random_frameset(rng) for _ in range(10)]):
+            p1, p2 = tmp_path / f"v1_{k}.json", tmp_path / f"v2_{k}.json"
+            save_as(fs, p1, V1)
+            save_as(fs, p2, V2)
+            a, b = array_fields(load_problem(p1)), array_fields(load_problem(p2))
+            assert len(a) == len(b) == len(array_fields(fs))
+            for x, y in zip(a, b):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("schema", [V1, V2])
+    def test_loaded_arrays_writable(self, tmp_path, schema):
+        path = tmp_path / "p.json"
+        save_as(valid_pair(), path, schema)
+        for a in array_fields(load_problem(path)):
+            a *= 2.0
+            a.flat[0] = 0.25
+            assert a.flat[0] == 0.25
+
+    def test_non_utf8_file_malformed(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_bytes(b'{"schema": "\xff"}')
+        with pytest.raises(ValidationError, match="malformed JSON"):
+            load_problem(path)
+
+    def test_register_pair_report_same_for_both_schemas(self, tmp_path):
+        """``objreg register-pair`` reports the same for the /1 and /2
+        files of one scene, apart from the problem path."""
+        docs = []
+        for schema in (V1, V2):
+            problem, report = tmp_path / f"{schema[-1]}.json", tmp_path / f"r{schema[-1]}.json"
+            save_as(valid_pair(), problem, schema)
+            assert cli_main(["register-pair", "--problem", str(problem), "--out", str(report)]) == 0
+            docs.append(json.loads(report.read_text()))
+        assert docs[0]["success"] and docs[0]["problem"] != docs[1]["problem"]
+        assert {**docs[0], "problem": None} == {**docs[1], "problem": None}
+
+
+# corruptions of a saved problem document, made to its arrays as nested
+# lists: (kind, record list, field)
 FILE_CORRUPTIONS = st.one_of(
     st.tuples(st.just("valid"), st.just(None), st.just(None)),
     st.tuples(
@@ -483,7 +742,13 @@ FILE_CORRUPTIONS = st.one_of(
         st.sampled_from([("keypoint_matches", "points_i"), ("observations", "depth_points")]),
         st.just(None),
     ),
-    st.tuples(st.just("schema"), st.just(None), st.sampled_from(["objreg-problem/2", None, 1, "drop"])),
+    st.tuples(
+        st.just("narrow_rows"),  # every row loses its z
+        st.sampled_from([(key, f) for key, fields in ARRAY_FIELDS.items() for f in fields
+                         if f in POINT_FIELDS]),
+        st.just(None),
+    ),
+    st.tuples(st.just("schema"), st.just(None), st.sampled_from(["objreg-problem/3", None, 1, "drop"])),
     st.tuples(
         st.just("dangling"),
         st.sampled_from([
@@ -549,6 +814,13 @@ def corrupt(doc, corruption, pick):
         rec[key] = -1 if value == -1 else len(doc["frames"]) + value
     elif kind == "missing_key":
         del rec[key]
+    elif kind == "narrow_rows":
+        rec[key] = [row[:2] for row in rec[key]]
+    return record_name(records, k, rec)
+
+
+def record_name(records, k, rec):
+    """A regex for the name an error gives record ``k`` of ``records``."""
     if records == "observations":  # named by position, or by its ids once parsed
         return rf"observation ({k}:|\(frame={rec.get('frame')}, detection_id={rec.get('detection_id')}\))"
     return {"frames": rf"frame {k}\b", "keypoint_matches": rf"keypoint match {k}\b"}.get(
@@ -556,25 +828,81 @@ def corrupt(doc, corruption, pick):
     )
 
 
+# corruptions of an objreg-problem/2 document's hex strings:
+# (kind, record list, field)
+HEX_KINDS = ("non_hex", "odd_length", "nested_list", "not_whole_points")
+HEX_CORRUPTIONS = st.one_of(
+    st.tuples(
+        st.sampled_from(HEX_KINDS[:3]),
+        st.sampled_from([(key, f) for key, fields in ARRAY_FIELDS.items() for f in fields]),
+        st.just(None),
+    ),
+    st.tuples(
+        st.just("not_whole_points"),
+        st.sampled_from([(key, f) for key, fields in ARRAY_FIELDS.items() for f in fields
+                         if f in POINT_FIELDS]),
+        st.just(None),
+    ),
+)
+
+
+def corrupt_hex(doc, corruption, pick):
+    """Apply one of HEX_CORRUPTIONS to an objreg-problem/2 document; returns
+    what ``corrupt`` does."""
+    kind, (records, key), _ = corruption
+    if not doc[records]:
+        return None
+    k = pick % len(doc[records])
+    rec = doc[records][k]
+    s = rec[key]
+    if kind == "non_hex":
+        i = pick % (len(s) + 1)
+        rec[key] = s[:i] + "g" + s[i + 1:]
+    elif kind == "odd_length":
+        rec[key] = s + "0"
+    elif kind == "not_whole_points":
+        rec[key] = s + 8 * "00"  # one more float64
+    elif kind == "nested_list":
+        a = hex_values(s)
+        rec[key] = (a.reshape(-1, 3) if key in POINT_FIELDS else a).tolist()
+    return record_name(records, k, rec)
+
+
 class TestLoadProblemFiles:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(0, 10**6), FILE_CORRUPTIONS, st.integers(0, 10**6))
+    @given(st.integers(0, 10**6), st.one_of(FILE_CORRUPTIONS, HEX_CORRUPTIONS),
+           st.integers(0, 10**6))
     def test_file_loads_or_names_bad_record(self, tmp_path_factory, seed, corruption, pick):
         """A problem file written by save_problem, then corrupted (NaN/inf,
-        a dropped or ragged row, a bad schema, a dangling frame index, a
-        missing key), loads or raises a ValidationError naming the corrupted
-        record, never a raw numpy, scipy or KeyError exception."""
-        rng = np.random.default_rng(seed)
-        fs = random_frameset(rng)
-        for f in fs.frames:
-            f.intrinsics = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
-        path = tmp_path_factory.mktemp("files") / "p.json"
-        save_problem(fs, path)
+        a dropped, ragged or 2-wide row, a bad schema, a dangling frame
+        index, a missing key; or a hex string with a non-hex character, an
+        odd length or a byte count that is not whole points, or a nested
+        list in its place), loads or raises a ValidationError naming the
+        corrupted record, never a raw numpy, scipy or KeyError exception."""
+        check_file_corruption(tmp_path_factory, V2, seed, corruption, pick)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), FILE_CORRUPTIONS, st.integers(0, 10**6))
+    def test_v1_file_loads_or_names_bad_record(self, tmp_path_factory, seed, corruption, pick):
+        """As test_file_loads_or_names_bad_record, for objreg-problem/1."""
+        check_file_corruption(tmp_path_factory, V1, seed, corruption, pick)
+
+
+def check_file_corruption(tmp_path_factory, schema, seed, corruption, pick):
+    rng = np.random.default_rng(seed)
+    fs = random_frameset(rng)
+    for f in fs.frames:
+        f.intrinsics = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+    path = tmp_path_factory.mktemp("files") / "p.json"
+    save_problem(fs, path)
+    if corruption[0] in HEX_KINDS:
         doc = json.loads(path.read_text())
-        expected = corrupt(doc, corruption, pick)
+        expected = corrupt_hex(doc, corruption, pick)
         path.write_text(json.dumps(doc))
-        if expected is None:
-            assert load_problem(path).num_frames == fs.num_frames
-            return
-        with pytest.raises(ValidationError, match=expected):
-            load_problem(path)
+    else:
+        expected = rewrite(path, schema, lambda doc: corrupt(doc, corruption, pick))
+    if expected is None:
+        assert load_problem(path).num_frames == fs.num_frames
+        return
+    with pytest.raises(ValidationError, match=expected):
+        load_problem(path)
