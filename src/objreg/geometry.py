@@ -133,15 +133,29 @@ def so3_log(rot) -> np.ndarray:
     return (scale[:, None] * xyz).reshape(rot.shape[:-2] + (3,))
 
 
-def rotation_angle(rot) -> float:
-    """Angle in [0, pi] of a 3x3 rotation, ``atan2(|vee(R - R^T)|, tr(R) - 1)``.
+_VEE_ROWS, _VEE_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
+
+
+def rotation_angle(rot):
+    """Angle in [0, pi] of a 3x3 rotation, ``atan2(|vee(R - R^T)|, tr(R) - 1)``,
+    as a float; of a (..., 3, 3) stack, as an array.
 
     Unlike the arccos of ``(tr(R) - 1) / 2`` it keeps full precision at small
     and near-pi angles, and unlike ``|so3_log(R)|`` it costs a few scalar
     operations.
     """
-    vee = np.linalg.norm([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
-    return float(np.arctan2(vee, np.trace(rot) - 1.0))
+    rot = np.asarray(rot, dtype=float)
+    vee = rot[..., _VEE_ROWS, _VEE_COLS] - rot[..., _VEE_COLS, _VEE_ROWS]  # vee(R - R^T)
+    angle = np.arctan2(_norms(vee), np.trace(rot, axis1=-2, axis2=-1) - 1.0)
+    return float(angle) if rot.ndim == 2 else angle
+
+
+def _norms(v) -> np.ndarray:
+    """Euclidean norms of the rows of ``v`` (..., D), each the square root of
+    the row's own dot product, as ``np.linalg.norm`` of one row is, bit for
+    bit."""
+    v = v[..., None, :]
+    return np.sqrt((v @ np.swapaxes(v, -1, -2))[..., 0, 0])
 
 
 def euler_from_rotation(rot: np.ndarray) -> np.ndarray:

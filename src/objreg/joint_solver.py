@@ -27,14 +27,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import ObjectPose, RigidPose, compose, invert, skew, so3_exp
-from .matching import MatchConfig, PairMatch, match_pair
+from .matching import MatchConfig, PairMatch, match_pair, match_pairs
 from .metrics import pose_error
 from .observations import NOC_FILTER, FrameSet, fit_noc
 from .procrustes import (
+    AlignmentResult,
     DegenerateAlignmentError,
     FilterConfig,
-    kabsch_filter,
     icp_refine,
+    icp_refine_sets,
+    kabsch_filter,
+    kabsch_filter_sets,
 )
 
 __all__ = [
@@ -43,12 +46,13 @@ __all__ = [
     "SolveReport",
     "PairResult",
     "UnsolvableProblemError",
+    "PairSetup",
     "build_problem",
+    "build_problems",
     "gauss_newton_solve",
     "gauss_newton_solve_batch",
     "icp_polish",
     "numeric_jacobian_check",
-    "pair_matches",
     "register_pair",
 ]
 
@@ -142,53 +146,73 @@ class PairResult:
     matches: list[PairMatch] = field(default_factory=list)
 
 
-def build_problem(
-    fs: FrameSet,
-    matches: list[PairMatch],
-    cfg: SolverConfig | None = None,
-    keypoint_filter: FilterConfig | None = None,
-) -> RegistrationProblem:
-    """Filter a 2-frame set's raw constraints into solver blocks and
-    initialize the variables; ValueError for any other frame count.
+@dataclass(slots=True)
+class PairSetup:
+    """One pair's front end, as :func:`build_problems` leaves it: its object
+    matches, its keypoint filter's fit (None without keypoints or when the
+    filter fails; its pose maps frame j's points onto frame i's), and its
+    problem, or the reason none was built. A screened pair has neither."""
 
-    The non-empty keypoint matches, oriented 0 -> 1, are stacked into one
-    Kabsch-filtered block (dropped below 5 survivors). Object match t
-    (indexing ``fs.observations_in_frame(0)`` and ``(1)``, as
-    :func:`pair_matches` returns them) gives object block t from the
-    inliers of both observations' ``noc_fit``, and no block when either
-    fit is None. Camera 1 starts at the keypoint block's Kabsch pose, else
-    at the pose the first object block's two fits imply; each object starts
-    at its fit in frame 0. Raises UnsolvableProblemError when the set has
-    neither a non-empty keypoint match nor an object match, or when no block
-    survives filtering.
-    """
-    if fs.num_frames != 2:
-        raise ValueError("build_problem expects exactly 2 frames")
-    if not matches and not any(len(km) for km in fs.keypoint_matches):
-        raise UnsolvableProblemError("no keypoint matches and no object matches")
-    cfg = cfg or SolverConfig()
-    keypoint_filter = keypoint_filter or KEYPOINT_FILTER
+    matches: list[PairMatch]
+    keypoint_fit: AlignmentResult | None = None
+    problem: RegistrationProblem | None = None
+    reason: str | None = None
+    screened: bool = False
 
-    keypoints, cam1 = None, None
-    oriented = [
-        (km.points_i, km.points_j) if km.frame_i < km.frame_j else (km.points_j, km.points_i)
-        for km in fs.keypoint_matches
-        if len(km)
-    ]
-    if oriented:
-        pi, pj = (np.vstack(side) for side in zip(*oriented))
-        try:
-            res = kabsch_filter(pi, pj, keypoint_filter)
-        except DegenerateAlignmentError:
-            res = None
-        if res is not None and res.inlier_flags.sum() >= MIN_KEYPOINT_PAIRS:
-            keep = res.inlier_flags
-            keypoints, cam1 = KeypointBlock(pi[keep], pj[keep]), invert(res.pose)
 
-    obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
+class _PairIndex:
+    """A FrameSet's records indexed by frame: ``frames[f]`` lists the
+    positions of frame f's observations, and ``keypoints[(i, j)]``, i < j,
+    the non-empty keypoint matches between frames i and j as (points in i,
+    points in j), both in file order."""
+
+    def __init__(self, fs: FrameSet):
+        self.observations = fs.observations
+        self.frames = [[] for _ in fs.frames]
+        for pos, o in enumerate(fs.observations):
+            self.frames[o.frame].append(pos)
+        self.keypoints = {}
+        for km in fs.keypoint_matches:
+            if not len(km):
+                continue
+            if km.frame_i < km.frame_j:
+                key, pts = (km.frame_i, km.frame_j), (km.points_i, km.points_j)
+            else:
+                key, pts = (km.frame_j, km.frame_i), (km.points_j, km.points_i)
+            self.keypoints.setdefault(key, []).append(pts)
+
+    def keypoint_pairs(self, pair) -> tuple[np.ndarray, np.ndarray]:
+        """The pair's keypoint matches stacked: (points in i, points in j)."""
+        found = self.keypoints.get(pair, ())
+        if len(found) < 2:  # no copy of a lone match's arrays
+            return found[0] if found else (np.zeros((0, 3)), np.zeros((0, 3)))
+        return np.vstack([pi for pi, _ in found]), np.vstack([pj for _, pj in found])
+
+    def frame_points(self, frame, pair) -> np.ndarray:
+        """``FrameSet.frame_points`` of the pair's 2-frame set: the frame's
+        observation depth points, then its points of the pair's keypoint
+        matches."""
+        side = 0 if frame == pair[0] else 1
+        pts = [self.observations[pos].depth_points for pos in self.frames[frame]]
+        pts += [km[side] for km in self.keypoints.get(pair, ())]
+        return np.vstack(pts) if pts else np.zeros((0, 3))
+
+
+def _problem(keypoints, fit, matched, cfg: SolverConfig) -> RegistrationProblem:
+    """A pair's problem from its stacked keypoint pairs ``(pi, pj)``, their
+    filter's ``fit`` (or None) and its object matches as (observation in
+    frame 0, observation in frame 1): the fit's inliers give the keypoint
+    block (dropped below 5), match t gives object block t from the inliers
+    of both observations' ``noc_fit`` (no block when either is None).
+    Camera 1 starts at the keypoint block's Kabsch pose, else at the pose
+    the first object block's two fits imply; each object starts at its fit
+    in frame 0. Raises UnsolvableProblemError when no block survives."""
+    block, cam1 = None, None
+    if fit is not None and fit.num_inliers >= MIN_KEYPOINT_PAIRS:
+        keep = fit.inlier_flags
+        block, cam1 = KeypointBlock(keypoints[0][keep], keypoints[1][keep]), invert(fit.pose)
     obj_blocks = []
-    for t, m in enumerate(matches):
-        a, b = obs_a[m.index_a], obs_b[m.index_b]
+    for t, (a, b) in enumerate(matched):
         fa, fb = a.noc_fit, b.noc_fit
         if fa is None or fb is None:
             continue
@@ -198,10 +222,95 @@ def build_problem(
         obj_blocks.append(ObjectBlock(t, nocs, depths, init))
         if cam1 is None:
             cam1 = compose(fa.pose, invert(fb.pose))
-
     if cam1 is None:
         raise UnsolvableProblemError("no keypoint or object blocks survive filtering")
-    return RegistrationProblem(keypoints, obj_blocks, cfg, cam1)
+    return RegistrationProblem(block, obj_blocks, cfg, cam1)
+
+
+_NOTHING = "no keypoint matches and no object matches"
+
+
+def build_problem(
+    fs: FrameSet, matches: list[PairMatch], cfg: SolverConfig | None = None
+) -> RegistrationProblem:
+    """Filter a 2-frame set's raw constraints into solver blocks and
+    initialize the variables; ValueError for any other frame count. The
+    one-pair case of :func:`build_problems`, with the pairwise
+    ``KEYPOINT_FILTER`` and the given object matches (indexing
+    ``fs.observations_in_frame(0)`` and ``(1)``, as :func:`match_pair`
+    returns them); see :func:`_problem` for the blocks and the initial
+    values. The non-empty keypoint matches are oriented 0 -> 1 and
+    Kabsch-filtered as one set. Raises UnsolvableProblemError when the set
+    has neither a non-empty keypoint match nor an object match, or when no
+    block survives filtering.
+    """
+    if fs.num_frames != 2:
+        raise ValueError("build_problem expects exactly 2 frames")
+    index = _PairIndex(fs)
+    if not matches and not index.keypoints:
+        raise UnsolvableProblemError(_NOTHING)
+    keypoints = index.keypoint_pairs((0, 1))
+    fit = None
+    if len(keypoints[0]):
+        try:
+            fit = kabsch_filter(keypoints[0], keypoints[1], KEYPOINT_FILTER)
+        except DegenerateAlignmentError:
+            pass
+    obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
+    matched = [(obs_a[m.index_a], obs_b[m.index_b]) for m in matches]
+    return _problem(keypoints, fit, matched, cfg or SolverConfig())
+
+
+def build_problems(
+    fs: FrameSet,
+    plan: dict[tuple[int, int], tuple[MatchConfig, FilterConfig]],
+    cfg: SolverConfig | None = None,
+    screen=None,
+) -> dict[tuple[int, int], PairSetup]:
+    """The front end of every pair ``(i, j)``, i < j, of ``plan``, which
+    gives the pair's object matching and keypoint filter settings: as
+    :func:`match_pair` and :func:`build_problem` would make them on the
+    pair's 2-frame set (frame i as 0, j as 1), with no such set made.
+
+    The pairs are matched in one :func:`match_pairs` call on ``fs``'s
+    observations, looser fallback threshold only for a pair without a
+    non-empty keypoint match. A pair for which ``screen(pair, fits)`` holds,
+    ``fits`` the ``noc_fit`` pairs of its matched observations, is screened
+    and gets no problem. The other pairs' keypoints are Kabsch-filtered in
+    one :func:`kabsch_filter_sets` call per filter setting. The observations
+    must have their ``noc_fit`` (see :func:`fit_noc`). Results follow the
+    plan's order; a pair that cannot be built keeps its reason."""
+    cfg = cfg or SolverConfig()
+    index = _PairIndex(fs)
+    obs = fs.observations
+    pairs = list(plan)
+    keypoints = [index.keypoint_pairs(pair) for pair in pairs]
+    requests = [(i, j, plan[(i, j)][0], bool(len(kp[0]))) for (i, j), kp in zip(pairs, keypoints)]
+    setups, todo = {}, []
+    for (i, j), kp, matches in zip(pairs, keypoints, match_pairs(obs, index.frames, requests)):
+        matched = [(obs[index.frames[i][m.index_a]], obs[index.frames[j][m.index_b]]) for m in matches]
+        setup = setups[(i, j)] = PairSetup(matches)
+        if screen is not None and screen((i, j), [(a.noc_fit, b.noc_fit) for a, b in matched]):
+            setup.screened = True
+        elif not matches and not len(kp[0]):
+            setup.reason = _NOTHING
+        else:
+            todo.append((setup, kp, matched, plan[(i, j)][1]))
+    groups = {}  # filter setting -> the todo entries with keypoints it filters
+    for entry in todo:
+        if len(entry[1][0]):
+            groups.setdefault(entry[3], []).append(entry)
+    for setting, group in groups.items():
+        kps = [kp for _, kp, _, _ in group]
+        fits = kabsch_filter_sets([pi for pi, _ in kps], [pj for _, pj in kps], setting)
+        for (setup, _, _, _), fit in zip(group, fits):
+            setup.keypoint_fit = None if isinstance(fit, DegenerateAlignmentError) else fit
+    for setup, kp, matched, _ in todo:
+        try:
+            setup.problem = _problem(kp, setup.keypoint_fit, matched, cfg)
+        except UnsolvableProblemError as e:
+            setup.reason = str(e)
+    return setups
 
 
 class _Stack:
@@ -674,33 +783,35 @@ def numeric_jacobian_check(problem: RegistrationProblem) -> float:
     return float(max(e.max() for e in errors))
 
 
-def pair_matches(
-    fs: FrameSet, mcfg: MatchConfig | None = None, use_keypoints: bool = True
-) -> list[PairMatch]:
-    """Object matches between frames 0 and 1 of a 2-frame set, indexing
-    ``fs.observations_in_frame(0)`` and ``(1)``. The looser fallback
-    threshold applies only when no non-empty keypoint match is used."""
-    keypoints_present = use_keypoints and any(len(km) for km in fs.keypoint_matches)
-    return match_pair(
-        fs.observations_in_frame(0), fs.observations_in_frame(1), mcfg, keypoints_present
+def icp_polish(
+    fs: FrameSet, pairs: list[tuple[int, int]], reports: list[SolveReport], scfg: SolverConfig
+) -> None:
+    """Polish camera 1 of each pair's report by ICP, in one
+    :func:`icp_refine_sets` call: pair (i, j)'s frame-j points onto its
+    frame-i points, within ``scfg.residual_prune``. A frame's points are
+    its observations' depth points, then its side of the pair's keypoint
+    matches (``FrameSet.frame_points`` of the pair's 2-frame set). The
+    refinement replaces the pose when ICP converges no further than that
+    radius and 10 degrees from it; a pair with an empty side is left as
+    it is."""
+    index = _PairIndex(fs)
+    sets = []
+    for (i, j), report in zip(pairs, reports):
+        src, tgt = index.frame_points(j, (i, j)), index.frame_points(i, (i, j))
+        if len(src) and len(tgt):
+            sets.append((src, tgt, report))
+    results = icp_refine_sets(
+        [s for s, _, _ in sets], [t for _, t, _ in sets],
+        [r.camera_poses[1] for _, _, r in sets], scfg.residual_prune,
     )
-
-
-def icp_polish(fs: FrameSet, report: SolveReport, scfg: SolverConfig) -> None:
-    """Replace camera 1's pose in ``report`` by its ICP refinement against
-    the 2-frame set's points, within ``scfg.residual_prune``, when ICP
-    converges no further than that radius and 10 degrees from it."""
-    src, tgt = fs.frame_points(1), fs.frame_points(0)
-    if not (len(src) and len(tgt)):
-        return
-    res = icp_refine(src, tgt, report.camera_poses[1], max_corr_dist=scfg.residual_prune)
-    # accept only small corrections: an "improvement" that moves the pose
-    # beyond the association radius means ICP slid disjoint surfaces onto
-    # each other (common at near-zero overlap)
-    if res.converged:
-        drot, dtrans = pose_error(res.pose, report.camera_poses[1])
-        if dtrans <= scfg.residual_prune and drot <= 10.0:
-            report.camera_poses[1] = res.pose
+    for (_, _, report), res in zip(sets, results):
+        # accept only small corrections: an "improvement" that moves the pose
+        # beyond the association radius means ICP slid disjoint surfaces onto
+        # each other (common at near-zero overlap)
+        if res.converged:
+            drot, dtrans = pose_error(res.pose, report.camera_poses[1])
+            if dtrans <= scfg.residual_prune and drot <= 10.0:
+                report.camera_poses[1] = res.pose
 
 
 def register_pair(
@@ -711,7 +822,8 @@ def register_pair(
     use_objects: bool = True,
     use_keypoints: bool = True,
 ) -> PairResult:
-    """Full pairwise registration: object matching, joint solve (the K = 1
+    """Full pairwise registration, the one-pair case of the sequence's
+    stages: object matching, :func:`build_problem`, joint solve (the K = 1
     case of :func:`gauss_newton_solve_batch`), optional ICP. Raises
     ValidationError, naming the bad record, on malformed input and
     ValueError unless the set has 2 frames; only then fits every
@@ -723,12 +835,15 @@ def register_pair(
     mcfg = mcfg or MatchConfig()
     scfg = scfg or SolverConfig()
     keypoints = [km for km in fs.keypoint_matches if len(km)] if use_keypoints else []
-    matches = pair_matches(fs, mcfg, use_keypoints) if use_objects else []
+    matches = []
+    if use_objects:
+        obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
+        matches = match_pair(obs_a, obs_b, mcfg, bool(keypoints))
     sub = FrameSet(fs.frames, keypoints, fs.observations, fs.ground_truth)
     try:
         report = gauss_newton_solve(build_problem(sub, matches, scfg))
-    except (UnsolvableProblemError, DegenerateAlignmentError) as e:
+    except UnsolvableProblemError as e:
         return PairResult(False, str(e), matches=matches)
     if icp:
-        icp_polish(sub, report, scfg)
+        icp_polish(sub, [(0, 1)], [report], scfg)
     return PairResult(True, None, report, matches)

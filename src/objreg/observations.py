@@ -97,7 +97,7 @@ class ObjectObservation:
         self.noc_points = _points(self.noc_points)
         self.depth_points = _points(self.depth_points)
         self.scale_estimate = np.asarray(self.scale_estimate, dtype=float)
-        self.embedding = np.asarray(self.embedding, dtype=float).ravel()
+        self.embedding = np.asarray(self.embedding, dtype=float)
 
     def __len__(self):
         return len(self.noc_points)
@@ -200,7 +200,7 @@ class FrameSet:
             if (o.frame, o.detection_id) in seen:
                 duplicate.append(k)
             seen.add((o.frame, o.detection_id))
-        embed_dim = len(obs[0].embedding) if obs else 0
+        embed_shape = obs[0].embedding.shape if obs else None
         _raise_first(
             (lambda k: f"{name(k)}: duplicate (frame, detection_id)", duplicate),
             (lambda k: f"{name(k)}: dangling frame index",
@@ -222,8 +222,10 @@ class FrameSet:
              _flagged(np.isfinite, [o.embedding for o in obs])),
             (lambda k: f"{name(k)}: unknown symmetry class {obs[k].symmetry!r}",
              [k for k, o in enumerate(obs) if o.symmetry not in SYMMETRY_CLASSES]),
-            (lambda k: f"{name(k)}: embedding length {len(obs[k].embedding)} != {embed_dim}",
-             [k for k, o in enumerate(obs) if len(o.embedding) != embed_dim]),
+            (lambda k: f"{name(k)}: embedding of shape {obs[k].embedding.shape} is not one row of values",
+             [k for k, o in enumerate(obs) if o.embedding.ndim != 1]),
+            (lambda k: f"{name(k)}: embedding length {len(obs[k].embedding)} != {embed_shape[0]}",
+             [k for k, o in enumerate(obs) if o.embedding.shape != embed_shape]),
         )
         if self.ground_truth is not None and len(self.ground_truth) != n:
             raise ValidationError("ground_truth length must equal number of frames")

@@ -4,7 +4,6 @@ switches (Choi-style), and the result is a gauge-fixed trajectory."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -23,17 +22,15 @@ from .joint_solver import (
     PairResult,
     SolverConfig,
     SolveReport,
-    UnsolvableProblemError,
-    build_problem,
+    build_problems,
     gauss_newton_solve_batch,
     icp_polish,
-    pair_matches,
     register_pair,
 )
 from .matching import MatchConfig
 from .metrics import Trajectory
-from .observations import Frame, FrameSet, KeypointMatch, ValidationError, fit_noc
-from .procrustes import DegenerateAlignmentError, FilterConfig
+from .observations import FrameSet, ValidationError, fit_noc
+from .procrustes import FilterConfig
 
 __all__ = [
     "GraphEdge",
@@ -448,60 +445,21 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
     return GraphSolution(poses, final, pruned)
 
 
-def _match_index(fs: FrameSet) -> dict:
-    """Keypoint matches keyed by unordered frame pair ``(lo, hi)``, each list
-    in file order."""
-    index = {}
-    for km in fs.keypoint_matches:
-        index.setdefault(tuple(sorted((km.frame_i, km.frame_j))), []).append(km)
-    return index
-
-
-def _frame_index(fs: FrameSet) -> dict:
-    """``(position in fs.observations, observation)`` pairs keyed by frame,
-    each list in file order."""
-    index = {}
-    for pos, o in enumerate(fs.observations):
-        index.setdefault(o.frame, []).append((pos, o))
-    return index
-
-
-def _pair_frameset(fs: FrameSet, i: int, j: int, match_index: dict, frame_index: dict) -> FrameSet:
-    """Frames i, j of ``fs`` as a 2-frame set (i becomes 0, j becomes 1), its
-    observations in file order; ``match_index`` is ``_match_index(fs)`` and
-    ``frame_index`` is ``_frame_index(fs)``."""
-    frames = [Frame(0, fs.frames[i].intrinsics, fs.frames[i].timestamp),
-              Frame(1, fs.frames[j].intrinsics, fs.frames[j].timestamp)]
-    matches = []
-    for km in match_index.get(tuple(sorted((i, j))), ()):
-        if km.frame_i == i:
-            matches.append(KeypointMatch(0, 1, km.points_i, km.points_j))
-        else:
-            matches.append(KeypointMatch(0, 1, km.points_j, km.points_i))
-    obs = []
-    for _, o in sorted(frame_index.get(i, []) + frame_index.get(j, [])):
-        # shallow copy: shares the arrays and any cached noc_fit
-        pair_obs = copy.copy(o)
-        pair_obs.frame = 0 if o.frame == i else 1
-        obs.append(pair_obs)
-    return FrameSet(frames, matches, obs)
-
-
-def _screened_out(sub: FrameSet, matches, scfg: SolverConfig, gcfg: GraphConfig) -> bool:
-    """Whether loop pair ``sub`` can be rejected before it is solved: every
-    matched object's ``noc_fit`` depth in both frames lies outside the range
+def _screened_out(pair, fits, scfg: SolverConfig, gcfg: GraphConfig) -> bool:
+    """Whether loop pair ``pair`` can be rejected before it is solved, given
+    the ``noc_fit`` pair of each of its object matches' observations: every
+    matched object's depth in both frames lies outside the range
     ``reject_loop_closure`` accepts, by the margin ``scfg.residual_prune``.
-    Decides only pairs whose solve would be vetted on objects: objects
+    Decides only loop pairs whose solve would be vetted on objects: objects
     weighted, some matched, and every matched observation fitted."""
-    if scfg.w_o == 0 or not matches:
+    i, j = pair
+    if j == i + 1 or scfg.w_o == 0 or not fits:
         return False
-    obs_a, obs_b = sub.observations_in_frame(0), sub.observations_in_frame(1)
-    fits = [(obs_a[m.index_a].noc_fit, obs_b[m.index_b].noc_fit) for m in matches]
-    if any(f is None for pair in fits for f in pair):
+    if any(f is None for both in fits for f in both):
         return False
     return not any(
-        _depth_in_range([f.pose.translation[2] for f in pair], gcfg, scfg.residual_prune)
-        for pair in fits
+        _depth_in_range([f.pose.translation[2] for f in both], gcfg, scfg.residual_prune)
+        for both in fits
     )
 
 
@@ -536,8 +494,9 @@ def register_sequence(
     wide-baseline pairs by cm and the graph then loses to chaining its own
     odometry), then robust graph optimization. Loop candidates pair at most
     ``MAX_KEYFRAMES`` keyframes (:func:`candidate_loop_pairs`): for 40
-    frames, the 91 pairs of keyframes 0, 3, ..., 39. A loop pair whose matched objects are all out of depth
-    range by ``scfg.residual_prune`` on their cached ``noc_fit`` poses is not
+    frames, the 91 pairs of keyframes 0, 3, ..., 39. A loop pair whose
+    matched objects are all out of depth range by ``scfg.residual_prune`` on
+    their cached ``noc_fit`` poses (:func:`_screened_out`) is not
     solved; such pairs have no ``pair_results`` entry and are listed in
     ``diagnostics["screened_pairs"]``. An odometry step too long to be
     certain stays certain where it is the only certain link between two
@@ -546,12 +505,14 @@ def register_sequence(
     increase; a frame that breaks this raises a ``ValidationError`` before
     any pair is solved.
 
-    Every pair's problem is built first, then all are solved by one
-    :func:`gauss_newton_solve_batch` call, in lockstep, and the odometry
-    pairs are ICP-polished; a pair whose problem cannot be built keeps its
-    own failed result and reason. ``jobs`` is accepted for compatibility and
-    has no effect: a thread pool over the pairs was slower than a serial
-    loop on 2 cores."""
+    The pairs go through three batched stages, each giving every pair what
+    its one-pair case gives it alone: one :func:`build_problems` call
+    matches every pair, screens the loop pairs and builds the problems, one
+    :func:`gauss_newton_solve_batch` call solves them in lockstep, and one
+    :func:`icp_polish` call refines the odometry pairs in lockstep. A pair
+    whose problem cannot be built keeps its own failed result and reason.
+    ``jobs`` is accepted for compatibility and has no effect: a thread pool
+    over the pairs was slower than a serial loop on 2 cores."""
     fs.validate()
     if fs.num_frames < 2:
         raise ValueError("need at least 2 frames")
@@ -574,41 +535,31 @@ def register_sequence(
     loop_pairs = candidate_loop_pairs(fs.num_frames)
 
     loop_mcfg = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold)
-    # fit every observation once, here, in one batch: the shallow pair
-    # copies made below then share the cached fit
+    plan = {pair: (mcfg, ODOMETRY_KEYPOINT_FILTER) for pair in odo_pairs}
+    plan.update({pair: (loop_mcfg, LOOP_KEYPOINT_FILTER) for pair in loop_pairs})
+    # fit every observation once, here, in one batch; then build every
+    # pair's problem, solve them all in one batch, and polish the odometry
+    # pairs by ICP
     fit_noc(fs.observations)
-    match_index, frame_index = _match_index(fs), _frame_index(fs)
-
-    # build every pair's problem, solve them all in one batch, then polish
-    # the odometry pairs by ICP
-    pending, problems, screened = [], [], []
-    for i, j in odo_pairs + loop_pairs:
-        sub = _pair_frameset(fs, i, j, match_index, frame_index)
-        odometry = j == i + 1
-        pair_mcfg, kp_filter = (
-            (mcfg, ODOMETRY_KEYPOINT_FILTER) if odometry else (loop_mcfg, LOOP_KEYPOINT_FILTER)
-        )
-        matches = pair_matches(sub, pair_mcfg)
-        if not odometry and _screened_out(sub, matches, scfg, gcfg):
-            screened.append((i, j))
-            continue
-        try:
-            problems.append(build_problem(sub, matches, scfg, kp_filter))
-            pending.append(((i, j), sub, matches, None))
-        except (UnsolvableProblemError, DegenerateAlignmentError) as e:
-            pending.append(((i, j), sub, matches, str(e)))
-    reports = iter(gauss_newton_solve_batch(problems))
-    results = {}
-    for (i, j), sub, matches, reason in pending:
-        # a SolveReport, or the failure: the reason the problem could not be
-        # built, or the batch's UnsolvableProblemError for it
-        report = next(reports) if reason is None else reason
-        if isinstance(report, SolveReport):
-            if j == i + 1:
-                icp_polish(sub, report, scfg)
-            results[(i, j)] = PairResult(True, None, report, matches)
+    setups = build_problems(
+        fs, plan, scfg, screen=lambda pair, fits: _screened_out(pair, fits, scfg, gcfg)
+    )
+    built = [pair for pair, setup in setups.items() if setup.problem is not None]
+    solved = gauss_newton_solve_batch([setups[pair].problem for pair in built])
+    # a SolveReport, or the failure: the batch's UnsolvableProblemError, or
+    # the reason the problem could not be built
+    reports = dict(zip(built, solved))
+    polish = [p for p in odo_pairs if isinstance(reports.get(p), SolveReport)]
+    icp_polish(fs, polish, [reports[p] for p in polish], scfg)
+    results, screened = {}, []
+    for pair, setup in setups.items():
+        report = reports.get(pair, setup.reason)
+        if setup.screened:
+            screened.append(pair)
+        elif isinstance(report, SolveReport):
+            results[pair] = PairResult(True, None, report, setup.matches)
         else:
-            results[(i, j)] = PairResult(False, str(report), matches=matches)
+            results[pair] = PairResult(False, str(report), matches=setup.matches)
 
     failed_odo = [p for p in odo_pairs if not results[p].success]
     if failed_odo:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import RigidPose, apply_rigid, compose, rotation_angle
+from .geometry import RigidPose, _norms, apply_rigid, rotation_angle
 
 __all__ = [
     "AlignmentResult",
@@ -19,9 +19,10 @@ __all__ = [
     "kabsch_filter",
     "kabsch_filter_sets",
     "icp_refine",
+    "icp_refine_sets",
 ]
 
-ICP_MAX_ITERATIONS = 30  # icp_refine stops after at most this many iterations
+ICP_MAX_ITERATIONS = 30  # an ICP set stops after at most this many rounds
 
 
 class DegenerateAlignmentError(ValueError):
@@ -41,13 +42,17 @@ class AlignmentResult:
         return int(np.count_nonzero(self.inlier_flags))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterConfig:
     """Iterative Kabsch-filter settings.
 
     Defaults follow the pairwise setting (liberal 0.20 m threshold); the
-    keypoint filters in use are ``joint_solver.KEYPOINT_FILTER`` and
-    ``posegraph.ODOMETRY_KEYPOINT_FILTER`` and ``LOOP_KEYPOINT_FILTER``.
+    keypoint filters in use are ``joint_solver.KEYPOINT_FILTER`` (one pair)
+    and ``posegraph.ODOMETRY_KEYPOINT_FILTER`` and ``LOOP_KEYPOINT_FILTER``
+    (a sequence's consecutive and loop pairs). Settings are frozen and
+    compare and hash by value: ``joint_solver.build_problems`` filters the
+    keypoints of all pairs with equal settings in one ``kabsch_filter_sets``
+    call.
     """
 
     distance_threshold: float = 0.20
@@ -199,51 +204,127 @@ def kabsch_filter(source, target, cfg: FilterConfig | None = None) -> AlignmentR
     return result
 
 
-def icp_refine(
-    source, target, init: RigidPose | None = None, max_corr_dist: float = 0.1
-) -> AlignmentResult:
-    """Point-to-point ICP from an initial pose.
+def icp_refine_sets(sources, targets, inits, max_corr_dist: float) -> list[AlignmentResult]:
+    """Point-to-point ICP of every ``(sources[k], targets[k])`` pair from
+    ``inits[k]`` (None for the identity), in lockstep.
 
-    Associates each transformed source point with its nearest target neighbor
-    within max_corr_dist, updates the pose by Kabsch, and iterates until the
-    update is < 1e-6, the matched-pair rms stops decreasing or
-    ICP_MAX_ITERATIONS have run. If no associations exist at the initial
-    pose, returns init with converged=False.
+    Each set follows its own rules, as if refined alone. A round associates
+    each transformed source point with its nearest target neighbor within
+    max_corr_dist and updates the pose by Kabsch. A set stops when it has
+    fewer than 3 associations, when the matched-pair rms stops decreasing
+    (it keeps its best pose), on a rank-deficient update, once the update
+    is < 1e-6, or after ICP_MAX_ITERATIONS rounds. A set with no
+    associations at its initial pose keeps it, with converged=False.
+
+    Every round makes one neighbor query for the sets still running, on one
+    tree over all targets: set k's points carry k * 2 max_corr_dist as a
+    4th coordinate, so no query reaches another set, and the distances are
+    those of a 3-D query. The updates are one batched Kabsch solve over the
+    associated pairs (as 0/1 weights; a lone set's unweighted). Raises
+    ValueError on an empty set.
     """
-    source = np.asarray(source, dtype=float).reshape(-1, 3)
-    target = np.asarray(target, dtype=float).reshape(-1, 3)
-    if len(source) == 0 or len(target) == 0:
+    sources = [np.asarray(s, dtype=float).reshape(-1, 3) for s in sources]
+    targets = [np.asarray(t, dtype=float).reshape(-1, 3) for t in targets]
+    if any(not (len(s) and len(t)) for s, t in zip(sources, targets)):
         raise ValueError("empty point set")
-    pose = (init or RigidPose.identity()).copy()
-    tree = cKDTree(target)
-    best_rms = np.inf
-    best_pose = pose
-    flags = np.zeros(len(source), dtype=bool)
-    history = []
+    num = len(sources)
+    if not num:
+        return []
+    target = np.vstack(targets)
+    lifted = target
+    sizes = np.array([len(s) for s in sources])
+    valid = np.arange(sizes.max()) < sizes[:, None]  # (K, N): a set's points, zero-padded
+    if valid.all():
+        stacked = np.array(sources)
+    else:
+        stacked = np.zeros(valid.shape + (3,))
+        stacked[valid] = np.vstack(sources)
+    level = 2.0 * max_corr_dist * np.arange(num)  # each set's 4th coordinate
+    if num > 1:
+        lifted = np.column_stack([target, np.repeat(level, [len(t) for t in targets])])
+    # uncompacted, the tree builds faster and answers these queries as fast;
+    # the lifted sets query faster on an unbalanced one, a lone set on a
+    # balanced one
+    tree = cKDTree(lifted, balanced_tree=num == 1, compact_nodes=False)
+    inits = [init or RigidPose.identity() for init in inits]
+    best_rot = np.array([p.rotation for p in inits])  # each set's pose of least rms
+    best_trans = np.array([p.translation for p in inits])
+    best_rms = [math.inf] * num
+    flags = [np.zeros(n, dtype=bool) for n in sizes]
+    history: list[list] = [[] for _ in range(num)]
+    unmatched = [False] * num  # no associations at the initial pose
+    # the sets still running: their indices, points, sizes, 4th coordinates
+    # and current poses, cut down as sets stop
+    live = (np.arange(num), stacked, valid, sizes, level, best_rot.copy(), best_trans.copy())
     for _ in range(ICP_MAX_ITERATIONS):
-        moved = source @ pose.rotation.T + pose.translation
-        dist, idx = tree.query(moved, distance_upper_bound=max_corr_dist)
+        ids, pts, mask, size, lift, rot, trans = live
+        moved = pts @ np.swapaxes(rot, 1, 2) + trans[:, None, :]
+        moved = moved.reshape(-1, 3) if mask.all() else moved[mask]
+        query = moved if num == 1 else np.column_stack([moved, np.repeat(lift, size)])
+        dist, idx = tree.query(query, distance_upper_bound=max_corr_dist)
         matched = np.isfinite(dist)
-        if matched.sum() < 3:
-            if not np.isfinite(best_rms):
-                return AlignmentResult(pose, np.inf, flags, converged=False)
+        stepping = np.zeros(len(ids), dtype=bool)
+        counts, start = [], 0
+        for r, (k, end) in enumerate(zip(ids.tolist(), np.cumsum(size).tolist())):
+            m, d, start = matched[start:end], dist[start:end], end
+            count = np.count_nonzero(m)
+            if count < 3:
+                unmatched[k] = best_rms[k] == math.inf
+                continue
+            # the rms summed over this set alone, as np.mean of it sums
+            rms = math.sqrt((d[m] ** 2).sum() / count)
+            if rms > best_rms[k] - 1e-12:
+                continue  # the last update did not help: keep the best pose
+            history[k].append(rms)
+            best_rms[k], flags[k] = rms, m
+            stepping[r] = True
+            counts.append(count)
+        if not counts:
             break
-        rms = float(np.sqrt(np.mean(dist[matched] ** 2)))
-        if rms > best_rms - 1e-12:
-            break  # last update did not help; keep best_pose
-        history.append(rms)
-        best_rms = rms
-        best_pose = pose
-        flags = matched
-        try:
-            upd = _kabsch_pose(moved[matched], target[idx[matched]])
-        except DegenerateAlignmentError:
+        # the stepping sets' associated pairs, in order, as zero-padded rows
+        # weighted 0/1; a lone set needs neither padding nor weights
+        pick = matched if stepping.all() else matched & np.repeat(stepping, size)
+        src, tgt = moved[pick], target[idx[pick]]
+        if len(counts) == 1:
+            upd_rot, upd_trans, svals = (a[None] for a in _kabsch(src, tgt))
+        else:
+            counts = np.array(counts)
+            weights = np.arange(counts.max()) < counts[:, None]
+            rows = np.zeros((2,) + weights.shape + (3,))
+            rows[0][weights], rows[1][weights] = src, tgt
+            upd_rot, upd_trans, svals = _kabsch(rows[0], rows[1], weights)
+        ids, pts, mask, size, lift, rot, trans = _rows(stepping, live)
+        best_rot[ids], best_trans[ids] = rot, trans
+        rot, trans = upd_rot @ rot, (upd_rot @ trans[..., None])[..., 0] + upd_trans
+        # a rank-deficient update stops its set at its best pose, a tiny one
+        # at the updated pose
+        degenerate = _rank_deficient(svals)
+        done = rotation_angle(upd_rot) + _norms(upd_trans) < 1e-6
+        tiny = done & ~degenerate
+        if tiny.any():
+            best_rot[ids[tiny]], best_trans[ids[tiny]] = rot[tiny], trans[tiny]
+        keep = ~(done | degenerate)
+        if not keep.any():
             break
-        pose = compose(upd, pose)
-        step = rotation_angle(upd.rotation) + np.linalg.norm(upd.translation)
-        if step < 1e-6:
-            best_pose = pose
-            break
-    return AlignmentResult(
-        best_pose, best_rms if np.isfinite(best_rms) else 0.0, flags, rms_history=history
-    )
+        live = _rows(keep, (ids, pts, mask, size, lift, rot, trans))
+    out = []
+    for k in range(num):
+        pose = RigidPose.from_rotation(best_rot[k], best_trans[k])
+        if unmatched[k]:
+            out.append(AlignmentResult(pose, np.inf, flags[k], converged=False))
+        else:
+            out.append(AlignmentResult(pose, best_rms[k], flags[k], rms_history=history[k]))
+    return out
+
+
+def _rows(keep, arrays) -> tuple:
+    """The rows ``keep`` (a mask) of each array; the arrays themselves when
+    it keeps every row."""
+    return arrays if keep.all() else tuple(a[keep] for a in arrays)
+
+
+def icp_refine(source, target, init: RigidPose | None, max_corr_dist: float) -> AlignmentResult:
+    """Point-to-point ICP from an initial pose: the one-set case of
+    :func:`icp_refine_sets`, which gives its stopping rules."""
+    (result,) = icp_refine_sets([source], [target], [init], max_corr_dist)
+    return result

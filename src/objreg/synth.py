@@ -134,6 +134,9 @@ def _symmetry_rotation(rng, symmetry: str) -> np.ndarray:
     else:
         return np.eye(3)
     c, s = np.cos(a), np.sin(a)
+    if symmetry != "round":
+        # a multiple of pi/2: exact entries keep a box face at |x| = 0.5
+        c, s = np.round(c) + 0.0, np.round(s) + 0.0
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 

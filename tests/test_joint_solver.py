@@ -6,7 +6,6 @@ import pytest
 from objreg import geometry, joint_solver
 from objreg.geometry import RigidPose, apply_object, apply_rigid, compose, invert
 from objreg.joint_solver import (
-    KEYPOINT_FILTER,
     PairResult,
     SolverConfig,
     UnsolvableProblemError,
@@ -27,7 +26,7 @@ from objreg.matching import MatchConfig, PairMatch, match_pair
 from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation, fit_noc
 from objreg.posegraph import damped_step
-from objreg.procrustes import icp_refine, kabsch_solve
+from objreg.procrustes import icp_refine_sets, kabsch_solve
 from objreg.synth import SynthConfig, generate
 
 
@@ -617,14 +616,14 @@ class TestRegisterPair:
         )
         icp_results = []
 
-        def icp(*args, **kwargs):
-            icp_results.append(icp_refine(*args, **kwargs))
-            return icp_results[-1]
+        def icp(*args):
+            icp_results.extend(icp_refine_sets(*args))
+            return icp_results
 
         def forbidden(*_):
             raise AssertionError("Euler conversion on the pair path")
 
-        monkeypatch.setattr(joint_solver, "icp_refine", icp)
+        monkeypatch.setattr(joint_solver, "icp_refine_sets", icp)
         monkeypatch.setattr(geometry, "euler_from_rotation", forbidden)
         monkeypatch.setattr(geometry, "rotation_from_euler", forbidden)
         result = register_pair(fs)
@@ -720,9 +719,9 @@ def solve_bits(result):
 class TestPrecomputedMatches:
     @pytest.mark.parametrize("seed", [21, 22, 23, 24, 25, 26])
     def test_bit_identical_to_matching_inside(self, seed):
-        """The sequence path's steps, build_problem given match_pair's
-        matches, the solve and icp_polish, give exactly what register_pair
-        gives when it matches itself; odd seeds are object-only scenes."""
+        """The one-pair steps, build_problem given match_pair's matches, the
+        solve and icp_polish, give exactly what register_pair gives when it
+        matches itself; odd seeds are object-only scenes."""
         object_only = seed % 2 == 1
         cfg = SynthConfig(
             num_frames=2, num_objects=3, noise_sigma_depth=0.003, outlier_fraction=0.10,
@@ -737,10 +736,8 @@ class TestPrecomputedMatches:
             fs.observations_in_frame(0), fs.observations_in_frame(1), MatchConfig(),
             keypoints_present=not object_only,
         )
-        (report,) = gauss_newton_solve_batch(
-            [build_problem(fs, matches, SolverConfig(), KEYPOINT_FILTER)]
-        )
-        icp_polish(fs, report, SolverConfig())
+        (report,) = gauss_newton_solve_batch([build_problem(fs, matches, SolverConfig())])
+        icp_polish(fs, [(0, 1)], [report], SolverConfig())
         given = PairResult(True, None, report, matches)
         assert reference.success
         assert given.matches == reference.matches

@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import linear_sum_assignment
 
 from objreg import matching
-from objreg.geometry import RigidPose, apply_rigid
+from objreg.geometry import RigidPose, _norms, apply_rigid
 from objreg.matching import (
     MatchConfig,
     embedding_distance,
     hungarian,
     match_pair,
+    match_pairs,
 )
 from objreg.observations import ObjectObservation
 
@@ -85,8 +88,19 @@ class TestHungarian:
             assert sum(cost[r, c] for r, c in got) == best
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            hungarian(np.array([[np.inf, 1.0], [1.0, 1.0]]))
+        for cost in ([[np.inf, 1.0], [1.0, 1.0]], [[np.nan]], [[1.0, np.inf, 0.0]]):
+            with pytest.raises(ValueError):
+                hungarian(np.array(cost))
+
+    def test_lone_row_or_column_as_linear_sum_assignment(self, monkeypatch):
+        """A lone row or column gets linear_sum_assignment's answer, ties
+        included, without calling it."""
+        rng = np.random.default_rng(18)
+        cases = [rng.integers(0, 3, (1, n)).astype(float) for n in range(1, 7) for _ in range(30)]
+        cases += [c.T for c in cases]
+        want = [sorted(zip(*(a.tolist() for a in linear_sum_assignment(c)))) for c in cases]
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", None)
+        assert [hungarian(c) for c in cases] == want
 
 
 # per MatchConfig field, values that must be rejected naming it; the default
@@ -189,3 +203,75 @@ class TestMatchPair:
     def test_empty_inputs(self):
         assert match_pair([], []) == []
         assert match_pair([make_obs(0, 0)], []) == []
+
+
+def match_one_pair(frame_a_obs, frame_b_obs, cfg, keypoints_present):
+    """The per-class loop match_pair ran on one frame pair before pairs were
+    batched."""
+    def eligible(obs_list):
+        return [k for k, o in enumerate(obs_list)
+                if not (cfg.drop_symmetric and o.symmetry != "non_symmetric")]
+
+    idx_a, idx_b = eligible(frame_a_obs), eligible(frame_b_obs)
+    classes = sorted({frame_a_obs[k].class_label for k in idx_a}
+                     & {frame_b_obs[k].class_label for k in idx_b})
+    candidates = []
+    for cls in classes:
+        ca = [k for k in idx_a if frame_a_obs[k].class_label == cls]
+        cb = [k for k in idx_b if frame_b_obs[k].class_label == cls]
+        cost = np.array([[embedding_distance(frame_a_obs[a].embedding, frame_b_obs[b].embedding)
+                          for b in cb] for a in ca]).reshape(len(ca), len(cb))
+        rows, cols = linear_sum_assignment(cost)
+        for r, c in sorted(zip(rows.tolist(), cols.tolist())):
+            a, b = ca[r], cb[c]
+            sa, sb = frame_a_obs[a].scale_estimate, frame_b_obs[b].scale_estimate
+            if max(np.max(sa / sb), np.max(sb / sa)) < cfg.max_scale_ratio:
+                candidates.append(matching.PairMatch(a, b, float(cost[r, c])))
+    matches = [m for m in candidates if m.distance < cfg.embed_threshold]
+    if not matches and not keypoints_present:
+        matches = [m for m in candidates if m.distance < cfg.fallback_threshold]
+    for m in matches:
+        fits = (frame_a_obs[m.index_a].noc_fit, frame_b_obs[m.index_b].noc_fit)
+        m.surviving_pairs = sum(f.num_inliers for f in fits if f is not None)
+    if cfg.top_k >= 1 and len(matches) > cfg.top_k:
+        matches = sorted(matches, key=lambda m: (-m.surviving_pairs, m.distance, m.index_a, m.index_b))
+        matches = sorted(matches[: cfg.top_k], key=lambda m: (m.index_a, m.index_b))
+    return matches
+
+
+class TestMatchPairs:
+    def test_distances_equal_embedding_distance(self):
+        """The batched distances are embedding_distance's, bit for bit."""
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(500, 8)) * 10.0 ** rng.integers(-3, 3, (500, 1))
+        b = a + rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 0, (500, 1))
+        want = [embedding_distance(x, y) for x, y in zip(a, b)]
+        assert _norms(a - b).tolist() == want
+
+    def test_equals_match_pair_per_request(self):
+        """Each request of a batch over many frames gets match_pair's matches
+        of its two frames, and those of the per-class loop match_pair ran
+        before pairs were batched, whatever its config and keypoint flag."""
+        rng = np.random.default_rng(4)
+        centers = rng.normal(size=(4, 8))
+        obs = []
+        for frame in range(5):
+            for det in range(int(rng.integers(0, 5))):
+                o = int(rng.integers(0, 4))
+                obs.append(make_obs(
+                    frame, det, cls=o % 2, embed=centers[o] + rng.normal(0, 0.03, 8),
+                    scale=rng.uniform(0.6, 1.4, 3), clean=bool(rng.random() < 0.8),
+                    symmetry="round" if rng.random() < 0.1 else "non_symmetric", rng=rng,
+                ))
+        rng.shuffle(obs)
+        frames = [[p for p, o in enumerate(obs) if o.frame == f] for f in range(5)]
+        configs = [MatchConfig(), MatchConfig(embed_threshold=0.04, top_k=2),
+                   MatchConfig(drop_symmetric=False, top_k=0)]
+        requests = [(a, b, cfg, kp) for a in range(5) for b in range(5) if a != b
+                    for cfg in configs for kp in (False, True)]
+        got = match_pairs(obs, frames, requests)
+        assert any(got) and not all(got)
+        for (a, b, cfg, kp), matches in zip(requests, got):
+            frame_a, frame_b = [obs[p] for p in frames[a]], [obs[p] for p in frames[b]]
+            assert matches == match_pair(frame_a, frame_b, cfg, kp)
+            assert matches == match_one_pair(frame_a, frame_b, cfg, kp)

@@ -176,6 +176,35 @@ class TestValidation:
         with pytest.raises(ValidationError, match="embedding length"):
             FrameSet([Frame(0)], observations=[a, b]).validate()
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_embedding_rows_rejected_at_load(self, tmp_path, bad):
+        """An objreg-problem/1 embedding written as nested rows is rejected,
+        naming its record, not read as a longer vector; objreg-problem/2,
+        whose arrays are flat bytes, cannot hold one, and save_problem
+        refuses to write one."""
+        obs = [make_obs(det=d) for d in range(3)]
+        message = f"observation (frame=0, detection_id={bad}): embedding of shape (2, 4) is not one row of values"
+        path = tmp_path / "rows.json"
+        save_problem(FrameSet([Frame(0)], observations=obs), path)
+
+        def edit(doc):
+            emb = doc["observations"][bad]["embedding"]
+            doc["observations"][bad]["embedding"] = [emb[:4], emb[4:]]
+
+        rewrite(path, V1, edit)
+        with pytest.raises(ValidationError) as err:
+            load_problem(path)
+        assert str(err.value) == message
+
+        save_problem(FrameSet([Frame(0)], observations=obs), path)
+        rewrite(path, V2, edit)
+        assert [o.embedding.shape for o in load_problem(path).observations] == [(8,)] * 3
+        obs[bad].embedding = obs[bad].embedding.reshape(2, 4)
+        with pytest.raises(ValidationError) as err:
+            save_problem(FrameSet([Frame(0)], observations=obs), tmp_path / "new.json")
+        assert str(err.value) == message
+        assert not (tmp_path / "new.json").exists()
+
     def test_duplicate_observation_rejected_at_load(self, tmp_path):
         obs = [make_obs(frame=1, det=4), make_obs(frame=1, det=5), make_obs(frame=0, det=4)]
         path = tmp_path / "dup.json"

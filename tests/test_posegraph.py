@@ -13,15 +13,13 @@ from objreg.joint_solver import (
     SolveReport,
     SolverConfig,
     UnsolvableProblemError,
-    build_problem,
+    build_problems,
     gauss_newton_solve,
     gauss_newton_solve_batch,
     icp_polish,
-    pair_matches,
 )
-from objreg.matching import MatchConfig
+from objreg.matching import MatchConfig, match_pair
 from objreg.metrics import Trajectory, ate_rmse, write_tum
-from objreg.observations import FrameSet
 from objreg.posegraph import (
     LOOP_KEYPOINT_FILTER,
     MAX_KEYFRAMES,
@@ -38,17 +36,14 @@ from objreg.posegraph import (
     _chain_odometry,
     _edge_errors,
     _edge_jacobians,
-    _frame_index,
     _keep_bridges_certain,
-    _match_index,
     _normal_equations,
-    _pair_frameset,
     _solve_poses,
     _update_switches,
 )
 from objreg.metrics import pose_error
-from objreg.observations import FrameSet, KeypointMatch, ValidationError
-from objreg.procrustes import icp_refine
+from objreg.observations import Frame, FrameSet, KeypointMatch, ValidationError, fit_noc
+from objreg.procrustes import icp_refine_sets
 from objreg.synth import SynthConfig, generate
 
 CFG = GraphConfig()
@@ -567,20 +562,20 @@ class TestRegisterSequence:
                                      rng_seed=3))
         calls = []
         monkeypatch.setattr(
-            "objreg.joint_solver.icp_refine",
-            lambda *a, **k: calls.append(a) or icp_refine(*a, **k),
+            "objreg.joint_solver.icp_refine_sets",
+            lambda sources, *a: calls.append(len(sources)) or icp_refine_sets(sources, *a),
         )
         result = register_sequence(fs)
         assert len(result.pair_results) > fs.num_frames - 1
         assert result.diagnostics["num_loop_edges"] >= 1
-        assert len(calls) == fs.num_frames - 1
+        assert calls == [fs.num_frames - 1]  # one lockstep ICP over the odometry pairs
 
     def test_stalled_timestamp_rejected_before_pair_solves(self, monkeypatch):
         fs, _ = generate(SynthConfig(num_frames=4, trajectory="line", rng_seed=44))
         fs.frames[2].timestamp = fs.frames[1].timestamp
         built = []
         monkeypatch.setattr(
-            posegraph, "build_problem", lambda *a, **k: built.append(a) or build_problem(*a, **k)
+            posegraph, "build_problems", lambda *a, **k: built.append(a) or build_problems(*a, **k)
         )
         calls = counted_batches(monkeypatch)
         with pytest.raises(ValidationError, match="frame 2"):
@@ -604,7 +599,37 @@ def scanned_matches(fs, i, j):
     return out
 
 
-def test_indexed_pair_frameset_equals_full_scan():
+def pair_frameset(fs, i, j):
+    """Frames i, j of ``fs`` sliced by hand into a 2-frame set (i becomes 0,
+    j becomes 1): their keypoint matches oriented i -> j and their
+    observations, each in file order."""
+    frames = [Frame(0, fs.frames[i].intrinsics, fs.frames[i].timestamp),
+              Frame(1, fs.frames[j].intrinsics, fs.frames[j].timestamp)]
+    matches = [KeypointMatch(0, 1, pi, pj) for pi, pj in scanned_matches(fs, i, j)]
+    obs = []
+    for o in fs.observations:
+        if o.frame in (i, j):
+            o = copy.copy(o)  # shares the arrays and any cached noc_fit
+            o.frame = 0 if o.frame == i else 1
+            obs.append(o)
+    return FrameSet(frames, matches, obs)
+
+
+def sequence_plan(fs):
+    """register_sequence's pairs, each with its matching and keypoint
+    filter settings."""
+    mcfg = MatchConfig()
+    loop_mcfg = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold)
+    plan = {(i, i + 1): (mcfg, ODOMETRY_KEYPOINT_FILTER) for i in range(fs.num_frames - 1)}
+    plan.update({p: (loop_mcfg, LOOP_KEYPOINT_FILTER) for p in candidate_loop_pairs(fs.num_frames)})
+    return plan
+
+
+def test_batch_builder_equals_hand_sliced_pairs(monkeypatch):
+    """build_problems on a whole set gives each pair the matches, keypoint
+    fit and problem of that pair's own hand-sliced 2-frame set, and the
+    odometry ICP refines each pair's frame_points; also with matches stored
+    with frame_i > frame_j and a second match between frames 0 and 1."""
     fs, _ = generate(SynthConfig(num_frames=5, num_objects=2, trajectory="line",
                                  orbit_radius=1.8, keypoints_per_pair=20, rng_seed=8))
     # store every other match with frame_i > frame_j, and give (0, 1) a second one
@@ -616,23 +641,51 @@ def test_indexed_pair_frameset_equals_full_scan():
     matches.append(KeypointMatch(1, 0, first.points_j[:7] + 0.1, first.points_i[:7]))
     fs.keypoint_matches = matches
     assert any(km.frame_i > km.frame_j for km in fs.keypoint_matches)
-    index, frame_index = _match_index(fs), _frame_index(fs)
-    assert len(index[(0, 1)]) == 2
-    for i in range(fs.num_frames):
-        for j in range(fs.num_frames):
-            if i == j:
-                continue
-            sub = _pair_frameset(fs, i, j, index, frame_index)
-            expected = scanned_matches(fs, i, j)
-            assert len(sub.keypoint_matches) == len(expected)
-            for km, (pi, pj) in zip(sub.keypoint_matches, expected):
-                assert (km.frame_i, km.frame_j) == (0, 1)
-                assert np.array_equal(km.points_i, pi) and np.array_equal(km.points_j, pj)
-            assert [(o.frame, o.detection_id) for o in sub.observations] == [
-                (0 if o.frame == i else 1, o.detection_id)
-                for o in fs.observations
-                if o.frame in (i, j)
-            ]
+    assert len(scanned_matches(fs, 0, 1)) == 2
+    fit_noc(fs.observations)
+    plan = sequence_plan(fs)
+    scfg = SolverConfig()
+    setups = build_problems(fs, plan, scfg)
+    assert list(setups) == list(plan)
+    for (i, j), got in setups.items():
+        sub = pair_frameset(fs, i, j)
+        assert [(o.frame, o.detection_id) for o in sub.observations] == [
+            (0 if o.frame == i else 1, o.detection_id) for o in fs.observations if o.frame in (i, j)
+        ]
+        (want,) = build_problems(sub, {(0, 1): plan[(i, j)]}, scfg).values()
+        keypoints_present = any(len(km) for km in sub.keypoint_matches)
+        lone = match_pair(sub.observations_in_frame(0), sub.observations_in_frame(1),
+                          plan[(i, j)][0], keypoints_present)
+        assert got.matches == want.matches == lone
+        assert got.reason == want.reason and not got.screened
+        assert (got.keypoint_fit is None) == (want.keypoint_fit is None)
+        if got.keypoint_fit is not None:
+            assert np.array_equal(got.keypoint_fit.inlier_flags, want.keypoint_fit.inlier_flags)
+            assert got.keypoint_fit.pose.to_matrix().tobytes() == want.keypoint_fit.pose.to_matrix().tobytes()
+        g, w = got.problem, want.problem
+        assert g.initial_camera.to_matrix().tobytes() == w.initial_camera.to_matrix().tobytes()
+        assert (g.keypoints is None) == (w.keypoints is None)
+        if g.keypoints is not None:
+            assert np.array_equal(g.keypoints.points_i, w.keypoints.points_i)
+            assert np.array_equal(g.keypoints.points_j, w.keypoints.points_j)
+        assert len(g.object_blocks) == len(w.object_blocks)
+        for a, b in zip(g.object_blocks, w.object_blocks):
+            assert a.track_id == b.track_id
+            for x, y in zip(a.noc_points + a.depth_points, b.noc_points + b.depth_points):
+                assert np.array_equal(x, y)
+
+    sets = []
+    monkeypatch.setattr(
+        "objreg.joint_solver.icp_refine_sets",
+        lambda sources, targets, *a: sets.append((sources, targets)) or icp_refine_sets(sources, targets, *a),
+    )
+    odometry = [(i, i + 1) for i in range(fs.num_frames - 1)]
+    reports = [gauss_newton_solve(setups[p].problem) for p in odometry]
+    icp_polish(fs, odometry, reports, scfg)
+    ((sources, targets),) = sets
+    for (i, j), src, tgt in zip(odometry, sources, targets):
+        sub = pair_frameset(fs, i, j)
+        assert np.array_equal(src, sub.frame_points(1)) and np.array_equal(tgt, sub.frame_points(0))
 
 
 @pytest.fixture(scope="module")
@@ -657,33 +710,29 @@ def edge_bits(graph):
     ]
 
 
-def solve_pair(sub, odometry, scfg=None):
-    """One pair of a sequence solved alone, with register_sequence's
-    settings: its own K = 1 solve, ICP on odometry pairs."""
+def solve_pair(sub, settings, odometry, scfg=None):
+    """One pair of a sequence, sliced into the 2-frame set ``sub``, solved
+    alone with its ``settings`` (matching, keypoint filter): its own
+    one-pair build, K = 1 solve and, on odometry pairs, one-set ICP."""
     scfg = scfg or SolverConfig()
-    mcfg = MatchConfig()
-    if odometry:
-        kp_filter = ODOMETRY_KEYPOINT_FILTER
-    else:
-        mcfg, kp_filter = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold), LOOP_KEYPOINT_FILTER
-    matches = pair_matches(sub, mcfg)
+    (setup,) = build_problems(sub, {(0, 1): settings}, scfg).values()
+    if setup.problem is None:
+        return PairResult(False, setup.reason, matches=setup.matches)
     try:
-        report = gauss_newton_solve(build_problem(sub, matches, scfg, kp_filter))
+        report = gauss_newton_solve(setup.problem)
     except UnsolvableProblemError as e:
-        return PairResult(False, str(e), matches=matches)
+        return PairResult(False, str(e), matches=setup.matches)
     if odometry:
-        icp_polish(sub, report, scfg)
-    return PairResult(True, None, report, matches)
+        icp_polish(sub, [(0, 1)], [report], scfg)
+    return PairResult(True, None, report, setup.matches)
 
 
 def solve_all_pairs(fs):
     """Every candidate pair of ``fs`` solved one at a time with
     register_sequence's settings."""
-    index, frame_index = _match_index(fs), _frame_index(fs)
-    pairs = [(i, i + 1) for i in range(fs.num_frames - 1)] + candidate_loop_pairs(fs.num_frames)
     return {
-        (i, j): solve_pair(_pair_frameset(fs, i, j, index, frame_index), j == i + 1)
-        for i, j in pairs
+        (i, j): solve_pair(pair_frameset(fs, i, j), settings, j == i + 1)
+        for (i, j), settings in sequence_plan(fs).items()
     }
 
 
@@ -784,18 +833,21 @@ class TestSequenceBatch:
         base = register_sequence(fs)
         built = []
 
-        def planted(sub, matches, scfg, kp_filter):
-            built.append(matches)
-            if len(built) == fs.num_frames:  # the first loop pair not screened
-                raise UnsolvableProblemError("planted failure")
-            return build_problem(sub, matches, scfg, kp_filter)
+        def planted(*args, **kwargs):
+            setups = build_problems(*args, **kwargs)
+            # the first loop pair not screened
+            failed = next(p for p, s in setups.items() if p[1] > p[0] + 1 and not s.screened)
+            setups[failed].problem, setups[failed].reason = None, "planted failure"
+            built.append((failed, setups[failed].matches))
+            return setups
 
-        monkeypatch.setattr(posegraph, "build_problem", planted)
+        monkeypatch.setattr(posegraph, "build_problems", planted)
         result = register_sequence(fs)
         loop_pairs = [p for p in base.pair_results if p[1] > p[0] + 1]
         failed = loop_pairs[0]
+        assert [p for p, _ in built] == [failed]
         assert result.diagnostics["failed_pairs"] == {failed: "planted failure"}
-        assert result.pair_results[failed].matches is built[fs.num_frames - 1]
+        assert result.pair_results[failed].matches is built[0][1]
         assert list(result.pair_results) == list(base.pair_results)
         for pair, got in result.pair_results.items():
             if pair == failed:

@@ -2,14 +2,17 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from objreg.geometry import RigidPose, apply_rigid, compose
+from objreg.geometry import RigidPose, apply_rigid, compose, rotation_angle
 from objreg.procrustes import (
+    ICP_MAX_ITERATIONS,
     AlignmentResult,
     DegenerateAlignmentError,
     FilterConfig,
     _kabsch,
     icp_refine,
+    icp_refine_sets,
     kabsch_filter,
     kabsch_filter_sets,
     kabsch_solve,
@@ -276,7 +279,92 @@ class TestIcpRefine:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            icp_refine(np.zeros((0, 3)), np.ones((5, 3)))
+            icp_refine(np.zeros((0, 3)), np.ones((5, 3)), None, 0.1)
+
+
+def icp_one_set(source, target, init, max_corr_dist):
+    """The ICP loop icp_refine ran on one set before sets were batched: a
+    3-D tree of its own target, an unweighted Kabsch per step."""
+    pose, tree = init.copy(), cKDTree(target)
+    best_rms, best_pose = np.inf, pose
+    flags, history = np.zeros(len(source), dtype=bool), []
+    for _ in range(ICP_MAX_ITERATIONS):
+        moved = source @ pose.rotation.T + pose.translation
+        dist, idx = tree.query(moved, distance_upper_bound=max_corr_dist)
+        matched = np.isfinite(dist)
+        if matched.sum() < 3:
+            if not np.isfinite(best_rms):
+                return AlignmentResult(pose, np.inf, flags, converged=False)
+            break
+        rms = float(np.sqrt(np.mean(dist[matched] ** 2)))
+        if rms > best_rms - 1e-12:
+            break
+        history.append(rms)
+        best_rms, best_pose, flags = rms, pose, matched
+        try:
+            upd = kabsch_solve(moved[matched], target[idx[matched]]).pose
+        except DegenerateAlignmentError:
+            break
+        pose = compose(upd, pose)
+        if rotation_angle(upd.rotation) + np.linalg.norm(upd.translation) < 1e-6:
+            best_pose = pose
+            break
+    return AlignmentResult(best_pose, best_rms, flags, rms_history=history)
+
+
+def icp_batch(rng):
+    """ICP sets of mixed sizes from mixed starts: noisy bumpy surfaces a few
+    degrees and cm off, one at its exact pose, one disjoint from its target
+    (no associations), and one collinear (a rank-deficient update)."""
+    sources, targets, inits = [], [], []
+    for n in rng.integers(20, 300, 9):
+        xy = rng.uniform(-1, 1, (n, 2))
+        src = np.column_stack([xy, 0.1 * np.sin(3 * xy[:, 0]) + 0.08 * np.cos(4 * xy[:, 1])])
+        gt = random_pose(rng, 0.5, 0.5)
+        sources.append(src)
+        targets.append(apply_rigid(gt, src) + rng.normal(0, rng.uniform(0, 0.01), src.shape))
+        inits.append(RigidPose(gt.angles + rng.uniform(-0.05, 0.05, 3), gt.translation + rng.uniform(-0.03, 0.03, 3)))
+    inits[0] = RigidPose(inits[0].angles, inits[0].translation)
+    targets[0] = apply_rigid(inits[0], sources[0])  # exact at its start
+    sources.append(rng.uniform(-1, 1, (50, 3)))
+    targets.append(sources[-1] + 10.0)
+    inits.append(None)
+    line = np.outer(np.linspace(0, 1, 30), [1.0, 2.0, 3.0])
+    sources.append(line)
+    targets.append(line + 0.01)
+    inits.append(RigidPose.identity())
+    return sources, targets, inits
+
+
+class TestIcpRefineSets:
+    def test_equals_one_set_refinement(self):
+        """Each set of a batch gets, bit for bit, what icp_refine gives it
+        alone and what the one-set loop gave it; the sets stop at different
+        rounds, for every reason."""
+        rounds = set()
+        for seed in range(4):
+            sources, targets, inits = icp_batch(np.random.default_rng(seed))
+            batch = icp_refine_sets(sources, targets, inits, 0.1)
+            assert not batch[-2].converged and batch[-2].rms_history == []
+            assert len(batch[-1].rms_history) == 1  # stopped by its rank-deficient update
+            for src, tgt, init, got in zip(sources, targets, inits, batch):
+                alone = icp_refine(src, tgt, init, 0.1)
+                old = icp_one_set(src, tgt, init or RigidPose.identity(), 0.1)
+                for want in (alone, old):
+                    assert got.pose.rotation.tobytes() == want.pose.rotation.tobytes()
+                    assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
+                    assert got.rms_residual == want.rms_residual
+                    assert got.rms_history == want.rms_history
+                    assert np.array_equal(got.inlier_flags, want.inlier_flags)
+                    assert got.converged == want.converged
+                rounds.add(len(got.rms_history))
+        assert len(rounds) >= 4
+
+    def test_input_errors(self):
+        pts = np.ones((5, 3))
+        assert icp_refine_sets([], [], [], 0.1) == []
+        with pytest.raises(ValueError, match="empty point set"):
+            icp_refine_sets([pts, pts], [pts, np.zeros((0, 3))], [None, None], 0.1)
 
 
 def test_filter_config_validation():

@@ -98,6 +98,15 @@ class TestGenerate:
         syms = {o.symmetry for o in fs.observations}
         assert "round" in syms
 
+    @pytest.mark.parametrize("symmetry", ["square", "rectangle"])
+    def test_symmetric_boxes_without_noc_noise(self, symmetry):
+        """A box turned by a multiple of pi/2 keeps its face coordinates at
+        exactly +-0.5, so noiseless NOC points pass validation on every seed."""
+        for seed in range(20):
+            fs, _ = generate(base_cfg(num_objects=3, symmetries=(symmetry,) * 3, rng_seed=seed))
+            assert {o.symmetry for o in fs.observations} == {symmetry}
+            assert max(np.abs(o.noc_points).max() for o in fs.observations) == 0.5
+
     def test_embeddings_separate_objects(self):
         fs, _ = generate(base_cfg(num_frames=2, num_objects=3, num_classes=1, rng_seed=9))
         by_obj = {}
