@@ -10,9 +10,7 @@ from .geometry import (
     Intrinsics,
     ObjectPose,
     RigidPose,
-    apply_object,
     apply_rigid,
-    back_project,
     compose,
     invert,
 )
@@ -28,7 +26,7 @@ from .matching import MatchConfig, hungarian, match_pair
 from .metrics import RecallThreshold, Trajectory, ate_rmse, pose_error, pose_recall, read_tum, write_tum
 from .observations import FrameSet, KeypointMatch, ObjectObservation, load_problem, save_problem
 from .posegraph import GraphConfig, GraphEdge, PoseGraph, build_graph, optimize_graph, register_sequence
-from .procrustes import AlignmentResult, FilterConfig, icp_refine, kabsch_filter, kabsch_solve
+from .procrustes import AlignmentResult, FilterConfig, icp_refine, kabsch_filter
 from .synth import SynthConfig, generate, make_pair_suite, overlap
 
 __version__ = "0.1.0"

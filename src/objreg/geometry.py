@@ -27,8 +27,6 @@ __all__ = [
     "compose",
     "invert",
     "apply_rigid",
-    "apply_object",
-    "back_project",
 ]
 
 _GIMBAL_EPS = 1e-7
@@ -362,28 +360,3 @@ def apply_rigid(p: RigidPose, pts: np.ndarray) -> np.ndarray:
     """Apply R x + t to an (N, 3) point array."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     return pts @ p.rotation.T + p.translation
-
-
-def apply_object(p: ObjectPose, noc: np.ndarray) -> np.ndarray:
-    """Apply R (x * s) + t to an (N, 3) array of canonical points."""
-    noc = np.asarray(noc, dtype=float).reshape(-1, 3)
-    return (noc * p.scale) @ p.rotation.T + p.translation
-
-
-def back_project(depth_map: np.ndarray, mask: np.ndarray, k: Intrinsics) -> np.ndarray:
-    """Back-project masked positive depths into camera-local 3D points.
-
-    Pixel (u, v) with depth d maps to ((u - cx) d / fx, (v - cy) d / fy, d).
-    """
-    depth_map = np.asarray(depth_map, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if depth_map.shape != (k.height, k.width) or mask.shape != depth_map.shape:
-        raise ValueError(
-            f"depth/mask shape {depth_map.shape}/{mask.shape} does not match "
-            f"intrinsics {k.height}x{k.width}"
-        )
-    vs, us = np.nonzero(mask & (depth_map > 0))
-    d = depth_map[vs, us]
-    x = (us - k.cx) * d / k.fx
-    y = (vs - k.cy) * d / k.fy
-    return np.column_stack([x, y, d])

@@ -7,9 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .geometry import (
     RigidPose,
+    _frozen,
     apply_rigid,
     compose,
     invert,
@@ -104,11 +106,20 @@ class PoseGraph:
     edges: list[GraphEdge]
 
 
-@dataclass
+@dataclass(eq=False)  # compares by identity: a field-wise == of arrays raises
 class GraphSolution:
-    poses: list[RigidPose]
+    """The optimized node poses as read-only arrays, node 0 the identity,
+    with each uncertain edge's final switch and the pruned edges."""
+
+    rotations: np.ndarray  # (n, 3, 3)
+    translations: np.ndarray  # (n, 3)
     switches: dict  # (i, j) -> final line-process value for uncertain edges
     pruned: list[tuple[int, int]]
+
+    @property
+    def poses(self) -> list[RigidPose]:
+        """The node poses, built afresh on each call."""
+        return [RigidPose._of(r, t.copy()) for r, t in zip(self.rotations, self.translations)]
 
 
 def _depth_in_range(zs, cfg: GraphConfig, margin: float = 0.0) -> bool:
@@ -196,13 +207,50 @@ def build_graph(
     return PoseGraph(num_frames, edges)
 
 
+def _band_order(num_nodes: int, ii, jj) -> list[int]:
+    """Nodes 1..num_nodes-1 in reverse Cuthill-McKee order over the edges
+    between them (node 0, the gauge, left out): breadth-first from an
+    unvisited node of least degree, each node's unvisited neighbours taken
+    by increasing degree, the whole order reversed."""
+    neighbours = [[] for _ in range(num_nodes)]
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        if i > 0:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    degree = [len(nb) for nb in neighbours]
+    for nb in neighbours:
+        nb.sort(key=degree.__getitem__)
+    seen = [True] + [False] * (num_nodes - 1)
+    order = []
+    for seed in sorted(range(1, num_nodes), key=degree.__getitem__):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        queue = [seed]
+        for node in queue:  # grows while it is read
+            for nb in neighbours[node]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    queue.append(nb)
+        order += queue
+    return order[::-1]
+
+
 class _EdgeTable:
     """One robust solve's edges as arrays aligned with ``graph.edges``: node
     indices, relative poses, weights ``max(information_weight, 1)``, the
-    uncertain mask, and the flat indices that scatter each edge's (12, 12)
-    J^T W J and (12,) J^T W e blocks into the ``size`` normal equations over
-    nodes 1..n-1: columns (phi, dt) of node i, then of node j, with entries
-    on node 0 (the gauge) sent to one bin past the end."""
+    uncertain mask, and how the ``size`` normal equations over nodes 1..n-1
+    are laid out as a symmetric band matrix.
+
+    ``order`` lists nodes 1..n-1 in :func:`_band_order`; node ``order[p]``
+    owns unknowns ``6p .. 6p + 5``, (phi, dt). Its bandwidth is ``band =
+    6 max |p_i - p_j| + 5`` over the edges between nodes 1..n-1 (5, the
+    diagonal blocks, without such edges). ``h_index`` and ``g_index``
+    scatter each edge's (12, 12) J^T W J and (12,) J^T W e blocks, columns
+    (phi, dt) of node i and then of node j, into the lower band storage
+    ``(band + 1, size)`` (entry (r, c), r >= c, at ``[r - c, c]``) and the
+    (size,) gradient, both raveled; entries above the diagonal and entries
+    on node 0 go to one bin past the end."""
 
     def __init__(self, graph: PoseGraph):
         self.ii = np.array([e.i for e in graph.edges], dtype=int)
@@ -212,11 +260,18 @@ class _EdgeTable:
         self.weight = np.array([max(e.information_weight, 1.0) for e in graph.edges])
         self.uncertain = np.array([e.uncertain for e in graph.edges], dtype=bool)
         self.size = size = 6 * (graph.num_nodes - 1)
+        self.order = np.array(_band_order(graph.num_nodes, self.ii, self.jj), dtype=int)
+        pos = np.zeros(graph.num_nodes, dtype=int)
+        pos[self.order] = np.arange(len(self.order))
+        inner = self.ii > 0
+        gaps = np.abs(pos[self.ii[inner]] - pos[self.jj[inner]])
+        self.band = band = 6 * int(gaps.max(initial=0)) + 5
         node = np.repeat(np.stack([self.ii, self.jj], axis=1), 6, axis=1)  # (E, 12)
-        coord = 6 * (node - 1) + np.tile(np.arange(6), 2)
+        coord = 6 * pos[node] + np.tile(np.arange(6), 2)
         gauge = node == 0
-        h_index = coord[:, :, None] * size + coord[:, None, :]
-        h_index[gauge[:, :, None] | gauge[:, None, :]] = size * size
+        below = coord[:, :, None] - coord[:, None, :]  # row - column
+        h_index = below * size + coord[:, None, :]
+        h_index[(below < 0) | gauge[:, :, None] | gauge[:, None, :]] = (band + 1) * size
         self.h_index, self.g_index = h_index.ravel(), np.where(gauge, size, coord).ravel()
 
 
@@ -264,31 +319,35 @@ def _edge_jacobians(rot, table: _EdgeTable, err, err_rot):
 
 
 def _normal_equations(jac_i, jac_j, err, w, table: _EdgeTable):
-    """``(J^T W J, J^T W e)`` over nodes 1..n-1, summed one edge at a time:
-    edge k adds ``[A B]^T w_k [A B]`` and ``[A B]^T w_k e_k`` for its blocks
-    A = ``jac_i[k]``, B = ``jac_j[k]``, scattered by the table's indices."""
-    size = table.size
+    """``(J^T W J, J^T W e)`` over nodes 1..n-1 in the table's band order,
+    J^T W J as its lower band storage ``(table.band + 1, table.size)``,
+    summed one edge at a time: edge k adds ``[A B]^T w_k [A B]`` and
+    ``[A B]^T w_k e_k`` for its blocks A = ``jac_i[k]``, B = ``jac_j[k]``,
+    scattered by the table's indices."""
+    size, rows = table.size, table.band + 1
     jac = np.concatenate([jac_i, jac_j], axis=2)  # (E, 6, 12)
     jac_tw = np.swapaxes(jac, 1, 2) * w[:, None, None]
-    h = np.bincount(table.h_index, (jac_tw @ jac).ravel(), size * size + 1)[:-1]
+    h = np.bincount(table.h_index, (jac_tw @ jac).ravel(), rows * size + 1)[:-1]
     g = np.bincount(table.g_index, (jac_tw @ err[:, :, None]).ravel(), size + 1)[:-1]
-    return h.reshape(size, size), g
+    return h.reshape(rows, size), g
 
 
-def damped_step(jtj, jtr, lam, cost, trial, tries):
+def damped_step(ab, jtr, lam, cost, trial, tries):
     """Levenberg-damped Gauss-Newton step of the pose graph: solve
-    ``(J^T J + lam I) delta = -J^T r``, score ``trial(delta) -> (candidate,
-    cost)``, grow lam 10x on a singular system or a cost increase. Returns
-    ``(candidate, cost, lam / 10)``, or ``(None, None, lam)`` after ``tries``.
+    ``(J^T J + lam I) delta = -J^T r`` by banded Cholesky, J^T J given as
+    its lower band storage ``ab`` (row 0 the diagonal), score
+    ``trial(delta) -> (candidate, cost)``, grow lam 10x on a system that is
+    not positive definite or a cost increase. Returns ``(candidate, cost,
+    lam / 10)``, or ``(None, None, lam)`` after ``tries``.
 
-    The damping is added to ``jtj`` in place: pass a temporary, whose
+    The damping is added to ``ab`` in place: pass a temporary, whose
     diagonal is overwritten."""
-    diag = jtj.diagonal().copy()
+    diag = ab[0].copy()
     for _ in range(tries):
-        np.fill_diagonal(jtj, diag + lam)
+        ab[0] = diag + lam
         try:
-            delta = np.linalg.solve(jtj, -jtr)
-        except np.linalg.LinAlgError:
+            delta = solveh_banded(ab, -jtr, lower=True, check_finite=False)
+        except LinAlgError:
             lam *= 10
             continue
         candidate, cost_new = trial(delta)
@@ -312,7 +371,8 @@ def _solve_poses(table: _EdgeTable, rot, trans, err, err_rot, switches):
     Returns the final poses, their cost and their edge errors.
 
     Node rotations are retracted by right-multiplied increments, translations
-    additively; the tangent vector packs (phi, dt) per node 1..n-1."""
+    additively; the tangent vector packs (phi, dt) per node 1..n-1 in the
+    table's band order."""
     if not len(table.weight):  # a lone node, pinned
         return rot, trans, 0.0, err, err_rot
     w = table.weight / table.weight.mean() * switches
@@ -323,7 +383,8 @@ def _solve_poses(table: _EdgeTable, rot, trans, err, err_rot, switches):
         return float(r @ r)
 
     def trial(delta):
-        step = np.vstack([np.zeros(6), delta.reshape(-1, 6)])  # node 0 stays put
+        step = np.zeros((len(rot), 6))  # node 0 stays put
+        step[table.order] = delta.reshape(-1, 6)
         rot_new, trans_new = rot @ so3_exp(step[:, :3]), trans + step[:, 3:]
         err_new, err_rot_new = _edge_errors(rot_new, trans_new, table)
         return (rot_new, trans_new, err_new, err_rot_new), cost_of(err_new)
@@ -440,9 +501,8 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
     if pruned:
         graph = PoseGraph(graph.num_nodes, [e for e, kept in zip(graph.edges, keep) if kept])
         rot, trans, switches, _ = robust_solve(graph, rot, trans)
-    poses = [RigidPose.from_rotation(r, t) for r, t in zip(rot, trans)]
     final = {(e.i, e.j): float(s) for e, s in zip(graph.edges, switches) if e.uncertain}
-    return GraphSolution(poses, final, pruned)
+    return GraphSolution(_frozen(rot), _frozen(trans), final, pruned)
 
 
 def _screened_out(pair, fits, scfg: SolverConfig, gcfg: GraphConfig) -> bool:

@@ -9,13 +9,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import RigidPose, _norms, apply_rigid, rotation_angle
+from .geometry import RigidPose, _norms, rotation_angle
 
 __all__ = [
     "AlignmentResult",
     "FilterConfig",
     "DegenerateAlignmentError",
-    "kabsch_solve",
     "kabsch_filter",
     "kabsch_filter_sets",
     "icp_refine",
@@ -103,32 +102,6 @@ def _rank_deficient(svals):
 
 
 _COLLINEAR = "rank-deficient cross-covariance (collinear points)"
-
-
-def _kabsch_pose(source, target) -> RigidPose:
-    """The pose of :func:`kabsch_solve`, without its residual."""
-    if len(source) != len(target):
-        raise ValueError("source/target length mismatch")
-    if len(source) < 3:
-        raise DegenerateAlignmentError(f"need >= 3 pairs, got {len(source)}")
-    rot, t, svals = _kabsch(source, target)
-    if _rank_deficient(svals):
-        raise DegenerateAlignmentError(_COLLINEAR)
-    return RigidPose.from_rotation(rot, t)
-
-
-def kabsch_solve(source, target) -> AlignmentResult:
-    """Least-squares rigid alignment of paired point sets (source onto target).
-
-    Raises DegenerateAlignmentError for < 3 pairs or (near-)collinear
-    configurations where the rotation is not unique.
-    """
-    source = np.asarray(source, dtype=float).reshape(-1, 3)
-    target = np.asarray(target, dtype=float).reshape(-1, 3)
-    pose = _kabsch_pose(source, target)
-    res = apply_rigid(pose, source) - target
-    rms = float(np.sqrt(np.mean(np.sum(res**2, axis=1))))
-    return AlignmentResult(pose, rms, np.ones(len(source), dtype=bool))
 
 
 def _too_few(count, cfg: FilterConfig) -> DegenerateAlignmentError:

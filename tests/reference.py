@@ -1,0 +1,113 @@
+"""Reference computations and scenes the tests check the package against.
+The package itself does not use them: the closed-form Kabsch alignment of
+one point set, the object transform of canonical points, dense forms of the
+pose graph's band-stored normal equations, and acceptance criterion 08's
+ring graphs."""
+
+import numpy as np
+
+from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert
+from objreg.posegraph import GraphEdge, PoseGraph
+from objreg.procrustes import (
+    _COLLINEAR,
+    AlignmentResult,
+    DegenerateAlignmentError,
+    _kabsch,
+    _rank_deficient,
+)
+
+
+def kabsch_solve(source, target) -> AlignmentResult:
+    """Least-squares rigid alignment of paired point sets (source onto target).
+
+    Raises DegenerateAlignmentError for < 3 pairs or (near-)collinear
+    configurations where the rotation is not unique.
+    """
+    source = np.asarray(source, dtype=float).reshape(-1, 3)
+    target = np.asarray(target, dtype=float).reshape(-1, 3)
+    if len(source) != len(target):
+        raise ValueError("source/target length mismatch")
+    if len(source) < 3:
+        raise DegenerateAlignmentError(f"need >= 3 pairs, got {len(source)}")
+    rot, t, svals = _kabsch(source, target)
+    if _rank_deficient(svals):
+        raise DegenerateAlignmentError(_COLLINEAR)
+    pose = RigidPose.from_rotation(rot, t)
+    res = apply_rigid(pose, source) - target
+    rms = float(np.sqrt(np.mean(np.sum(res**2, axis=1))))
+    return AlignmentResult(pose, rms, np.ones(len(source), dtype=bool))
+
+
+def apply_object(p: ObjectPose, noc: np.ndarray) -> np.ndarray:
+    """Apply R (x * s) + t to an (N, 3) array of canonical points."""
+    noc = np.asarray(noc, dtype=float).reshape(-1, 3)
+    return (noc * p.scale) @ p.rotation.T + p.translation
+
+
+def lower_band(dense, band):
+    """Lower band storage ``(band + 1, size)`` of a symmetric matrix: entry
+    (r, c), r >= c, at ``[r - c, c]``; the unused tail of each row zero."""
+    size = len(dense)
+    ab = np.zeros((band + 1, size))
+    for d in range(band + 1):
+        ab[d, : size - d] = dense.diagonal(-d)
+    return ab
+
+
+def dense_from_band(ab):
+    """The symmetric matrix whose lower band storage is ``ab``."""
+    size = ab.shape[1]
+    lower = np.zeros((size, size))
+    for d in range(ab.shape[0]):
+        lower += np.diag(ab[d, : size - d], -d)
+    return lower + np.tril(lower, -1).T
+
+
+def node_coordinates(table):
+    """For each unknown of a pose graph ``_EdgeTable``'s band order, its
+    index in node order: node k's (phi, dt) at ``6 (k - 1) .. 6 (k - 1) + 5``."""
+    return (6 * (table.order[:, None] - 1) + np.arange(6)).ravel()
+
+
+def node_order_system(ab, g, table):
+    """Band-stored ``(J^T W J, J^T W e)`` in a table's band order, as a dense
+    matrix and a vector in node order."""
+    coords = node_coordinates(table)
+    h = np.zeros((table.size, table.size))
+    h[np.ix_(coords, coords)] = dense_from_band(ab)
+    g_nodes = np.zeros(table.size)
+    g_nodes[coords] = g
+    return h, g_nodes
+
+
+def ring_graph(rng, n=30, sigma_t=0.01, sigma_r=np.deg2rad(0.5), weight=1000.0):
+    """Acceptance criterion 08's ring: noisy odometry around a 2 m circle and
+    three exact, uncertain loop closures; returns the graph and the ground
+    truth poses."""
+    gt = []
+    for k in range(n):
+        a = 2 * np.pi * k / n
+        gt.append(RigidPose(np.array([0.0, 0.0, a]),
+                            np.array([2.0 * np.cos(a), 2.0 * np.sin(a), 0.0])))
+    t0 = invert(gt[0])
+    gt = [compose(t0, p) for p in gt]
+    edges = []
+    for i in range(n - 1):
+        rel = compose(invert(gt[i]), gt[i + 1])
+        noisy = RigidPose(rel.angles + rng.normal(0, sigma_r, 3),
+                          rel.translation + rng.normal(0, sigma_t, 3))
+        edges.append(GraphEdge(i, i + 1, noisy, weight, False, "odometry"))
+    for i, j in ((0, 15), (7, 22), (2, 28)):
+        rel = compose(invert(gt[i]), gt[j])
+        edges.append(GraphEdge(i, j, rel, weight, True, "loop_closure"))
+    return PoseGraph(n, edges), gt
+
+
+def with_false_closure(graph, gt):
+    """``graph`` plus criterion 08's planted (4, 19) loop closure, 1 m off."""
+    false_rel = compose(
+        compose(invert(gt[4]), gt[19]),
+        RigidPose(np.zeros(3), np.array([1.0, 0.0, 0.0])),
+    )
+    bad = GraphEdge(4, 19, false_rel, 1000.0, True, "loop_closure")
+    return PoseGraph(graph.num_nodes, graph.edges + [bad])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from objreg.cli import main as cli_main
-from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert
+from objreg.geometry import ObjectPose, RigidPose, apply_rigid, invert
 from objreg.joint_solver import (
     SolverConfig,
     build_problem,
@@ -39,15 +39,14 @@ from objreg.observations import (
 )
 from objreg.posegraph import (
     GraphConfig,
-    GraphEdge,
-    PoseGraph,
     _chain_odometry,
     optimize_graph,
     reject_loop_closure,
 )
-from objreg.procrustes import FilterConfig, kabsch_filter, kabsch_solve
+from objreg.procrustes import FilterConfig, kabsch_filter
 from objreg.synth import SynthConfig, generate, make_pair_suite, overlap
 from objreg.joint_solver import PairResult, SolveReport
+from reference import kabsch_solve, ring_graph, with_false_closure
 
 
 _CAPTURE = None
@@ -294,26 +293,6 @@ def test_criterion_07_matching_gates():
     )
 
 
-def ring_graph(rng, n=30, sigma_t=0.01, sigma_r=np.deg2rad(0.5), weight=1000.0):
-    gt = []
-    for k in range(n):
-        a = 2 * np.pi * k / n
-        gt.append(RigidPose(np.array([0.0, 0.0, a]),
-                            np.array([2.0 * np.cos(a), 2.0 * np.sin(a), 0.0])))
-    t0 = invert(gt[0])
-    gt = [compose(t0, p) for p in gt]
-    edges = []
-    for i in range(n - 1):
-        rel = compose(invert(gt[i]), gt[i + 1])
-        noisy = RigidPose(rel.angles + rng.normal(0, sigma_r, 3),
-                          rel.translation + rng.normal(0, sigma_t, 3))
-        edges.append(GraphEdge(i, i + 1, noisy, weight, False, "odometry"))
-    for i, j in ((0, 15), (7, 22), (2, 28)):
-        rel = compose(invert(gt[i]), gt[j])
-        edges.append(GraphEdge(i, j, rel, weight, True, "loop_closure"))
-    return PoseGraph(n, edges), gt
-
-
 def graph_ate(poses, gt):
     ts = np.arange(len(gt), dtype=float)
     return ate_rmse(Trajectory(ts, poses), Trajectory(ts, gt))
@@ -328,12 +307,7 @@ def test_criterion_08_sequence_drift_reduction():
         sol = optimize_graph(graph)
         ate_opt = graph_ate(sol.poses, gt)
         ratios.append(ate_opt / ate_chain)
-        false_rel = compose(
-            compose(invert(gt[4]), gt[19]),
-            RigidPose(np.zeros(3), np.array([1.0, 0.0, 0.0])),
-        )
-        bad = GraphEdge(4, 19, false_rel, 1000.0, True, "loop_closure")
-        sol_f = optimize_graph(PoseGraph(graph.num_nodes, graph.edges + [bad]))
+        sol_f = optimize_graph(with_false_closure(graph, gt))
         false_ok.append((4, 19) in sol_f.pruned)
         ate_ratio_false.append(graph_ate(sol_f.poses, gt) / max(ate_opt, 1e-12))
     med_ratio = np.median(ratios)

@@ -9,9 +9,7 @@ from objreg.geometry import (
     Intrinsics,
     ObjectPose,
     RigidPose,
-    apply_object,
     apply_rigid,
-    back_project,
     compose,
     invert,
     rotation_angle,
@@ -21,6 +19,7 @@ from objreg.geometry import (
     so3_exp,
     so3_log,
 )
+from reference import apply_object
 
 RNG = np.random.default_rng(42)
 
@@ -299,45 +298,6 @@ class TestSO3:
         assert r.shape == (2, 3, 3) and so3_log(r).shape == (2, 3)
         assert np.allclose(r[0], rot_z(np.pi / 2).rotation, atol=1e-15)
         assert np.allclose(skew(w[1]) @ w[0], np.cross(w[1], w[0]))
-
-
-class TestBackProject:
-    K = Intrinsics(fx=500.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
-
-    def test_principal_point(self):
-        depth = np.zeros((480, 640))
-        mask = np.zeros((480, 640), dtype=bool)
-        depth[240, 320] = 2.0
-        mask[240, 320] = True
-        out = back_project(depth, mask, self.K)
-        assert np.allclose(out, [[0.0, 0.0, 2.0]])
-
-    def test_empty_mask(self):
-        out = back_project(np.ones((480, 640)), np.zeros((480, 640), dtype=bool), self.K)
-        assert out.shape == (0, 3)
-
-    def test_zero_depth_skipped(self):
-        depth = np.zeros((480, 640))
-        mask = np.ones((480, 640), dtype=bool)
-        assert len(back_project(depth, mask, self.K)) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            back_project(np.ones((10, 10)), np.ones((10, 10), dtype=bool), self.K)
-
-    def test_rendered_plane_round_trip(self):
-        # plane z = a x + b y + c in camera coordinates; render per-pixel
-        # depth along each ray and invert
-        a, b, c = 0.1, -0.05, 2.0
-        k = self.K
-        us, vs = np.meshgrid(np.arange(k.width), np.arange(k.height))
-        xn = (us - k.cx) / k.fx
-        yn = (vs - k.cy) / k.fy
-        depth = c / (1.0 - a * xn - b * yn)
-        mask = np.ones_like(depth, dtype=bool)
-        pts = back_project(depth, mask, k)
-        residual = a * pts[:, 0] + b * pts[:, 1] + c - pts[:, 2]
-        assert np.abs(residual).max() < 1e-6
 
 
 def test_intrinsics_validation():

@@ -1,9 +1,13 @@
 """Static checks: no module of the package imports a name it never uses, no
-private helper of the package survives only for tests, and no defaulted
-parameter of the package is one that no caller sets."""
+private helper of the package survives only for tests, no defaulted
+parameter of the package is one that no caller sets, and importing the
+package loads no heavy scipy submodule."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import objreg
@@ -190,3 +194,20 @@ def test_no_parameter_that_no_caller_sets():
     unset = unset_defaults(definitions, callers)
     assert sorted(set(unset) - ALLOWED_DEFAULTS.keys()) == []
     assert sorted(ALLOWED_DEFAULTS.keys() - set(unset)) == []  # no stale allowance
+
+
+# scipy submodules that ``import objreg`` must not load: each would add to
+# the resident memory of every process that imports the package
+# (scipy.optimize ~11 MB; ``matching.hungarian`` imports it on first call)
+HEAVY_SUBMODULES = ("scipy.optimize", "scipy.sparse.csgraph")
+
+
+def test_import_footprint():
+    code = (
+        "import sys, objreg\n"
+        f"print(*[m for m in {HEAVY_SUBMODULES!r} if m in sys.modules])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

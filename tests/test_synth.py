@@ -4,7 +4,6 @@ import pytest
 from objreg import synth
 from objreg.geometry import apply_rigid, invert, compose, rotation_from_euler
 from objreg.observations import save_problem
-from objreg.procrustes import kabsch_solve
 from objreg.synth import (
     SynthConfig,
     generate,
@@ -12,6 +11,7 @@ from objreg.synth import (
     measure_pair_overlap,
     overlap,
 )
+from reference import kabsch_solve
 
 
 def base_cfg(**kwargs):
