@@ -52,7 +52,6 @@ __all__ = [
     "gauss_newton_solve",
     "gauss_newton_solve_batch",
     "icp_polish",
-    "numeric_jacobian_check",
     "register_pair",
 ]
 
@@ -336,8 +335,6 @@ class _Stack:
     segment's pruning minimum. ``pad`` is 1 on the tangent entries of padded
     object slots."""
 
-    FIELDS = ("features", "fixed", "a", "active", "segment", "threshold", "moments", "pad")
-
     def __init__(self, problems: list[RegistrationProblem]):
         num = len(problems)
         slots = max(len(p.object_blocks) for p in problems)
@@ -386,14 +383,6 @@ class _Stack:
         """Zero ``a`` off the active rows and refresh the moments."""
         self.a[~self.active] = 0.0
         self.moments = np.swapaxes(self.features * self.a[..., None], 1, 2) @ self.features
-
-    def take(self, idx) -> "_Stack":
-        """The problems ``idx`` (indices or a mask) as a stack of their own."""
-        sub = object.__new__(_Stack)
-        for name in self.FIELDS:
-            setattr(sub, name, getattr(self, name)[idx])
-        sub.floor = self.floor
-        return sub
 
 
 @functools.cache
@@ -663,11 +652,9 @@ def gauss_newton_solve(problem: RegistrationProblem) -> SolveReport:
 def _lockstep(problems: list[RegistrationProblem]) -> list[SolveReport]:
     """The lockstep solve of problems that each have a block. A problem that
     stops is reported, and its threshold set to infinity so that it prunes
-    no more; once half of the stack has stopped, the stack is cut to the
-    problems still running."""
+    no more; it stays in the stack, but takes no more steps."""
     stack = _Stack(problems)
     poses = _Poses.initial(problems)
-    ids = np.arange(len(problems))
     running = np.ones(len(problems), dtype=bool)
     lam = np.full(len(problems), 1e-6)
     pruned = np.zeros(len(problems), dtype=int)
@@ -693,15 +680,11 @@ def _lockstep(problems: list[RegistrationProblem]) -> list[SolveReport]:
             converged = before - cost <= CONVERGENCE_TOL * np.maximum(before, 1e-30)
             stop |= running & (~accepted | converged)
         for j in np.flatnonzero(stop):
-            reports[ids[j]] = _report(problems[ids[j]], stack, poses, d, j, iterations, cost[j], pruned[j])
+            reports[j] = _report(problems[j], stack, poses, d, j, iterations, cost[j], pruned[j])
         running = running & ~stop
         if not running.any():
             return reports
         stack.threshold[stop] = np.inf
-        if 2 * running.sum() <= len(running):
-            stack, poses = stack.take(running), poses.take(running)
-            ids, lam, pruned, d, cost = (x[running] for x in (ids, lam, pruned, d, cost))
-            running = running[running]
 
 
 def _report(problem, stack: _Stack, poses: _Poses, d, j, iterations, cost, pruned) -> SolveReport:
@@ -742,45 +725,6 @@ def _rms(norms) -> float:
     if not len(norms):
         return 0.0
     return float(np.sqrt((norms * norms).sum() / len(norms)))
-
-
-def numeric_jacobian_check(problem: RegistrationProblem) -> float:
-    """The solver's normal equations against finite differences at the
-    problem's initial state, after the solver's first prune there (at
-    ``problem.config.residual_prune``): ``J^T W J`` and ``J^T W r`` of
-    :func:`_normal_equations` against those of a central-difference
-    Jacobian (step 1e-6) of the weighted residuals of the active rows,
-    perturbed through the solver's retraction. Returns the largest error,
-    entry (p, q) of J^T W J relative to ``sqrt(H_pp H_qq)`` and entry p of
-    J^T W r to ``sqrt(H_pp) |r|``, the bounds Cauchy-Schwarz puts on them."""
-    h = 1e-6
-    problem = _weighted_blocks(problem)
-    stack = _Stack([problem])
-    poses = _Poses.initial([problem])
-    d = _residual(stack, poses)
-    _prune(stack, d)
-    hess, grad = (x[0] for x in _normal_equations(stack, poses, d))
-    weight = np.sqrt(stack.a[0, stack.active[0]])[:, None]
-
-    def residual(delta):
-        return (weight * _residual(stack, poses.retract(delta[None]))[0, stack.active[0]]).ravel()
-
-    size = len(grad)
-    jac = np.empty((3 * int(stack.active.sum()), size))
-    for p in range(size):
-        step = np.zeros(size)
-        step[p] = h
-        jac[:, p] = (residual(step) - residual(-step)) / (2 * h)
-    r = residual(np.zeros(size))
-    hess_num, grad_num = jac.T @ jac, jac.T @ r
-    scale = np.sqrt(np.maximum(hess.diagonal(), hess_num.diagonal()))
-    errors = []
-    for err, bound in (
-        (np.abs(hess - hess_num), np.outer(scale, scale)),
-        (np.abs(grad - grad_num), scale * np.linalg.norm(r)),
-    ):
-        errors.append(np.divide(err, bound, out=np.zeros_like(err), where=bound > 0))
-    return float(max(e.max() for e in errors))
 
 
 def icp_polish(

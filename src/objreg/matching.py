@@ -10,13 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _norms
-from .observations import ObjectObservation
+from .observations import ObjectObservation, _is_int
 from .procrustes import kabsch_filter  # noqa: F401  (bench/tracing.py patches this name)
 
 __all__ = [
     "MatchConfig",
     "PairMatch",
-    "embedding_distance",
     "hungarian",
     "match_pair",
     "match_pairs",
@@ -33,6 +32,10 @@ class MatchConfig:
     top_k: int = 1
 
     def __post_init__(self):
+        if not (_is_int(self.top_k) and self.top_k >= 0):
+            raise ValueError(f"top_k must be an int >= 0 (0 keeps every match), got {self.top_k!r}")
+        if not isinstance(self.drop_symmetric, (bool, np.bool_)):
+            raise ValueError(f"drop_symmetric must be a bool, got {self.drop_symmetric!r}")
         if not 0 < self.fallback_threshold < np.inf:
             raise ValueError(
                 f"fallback_threshold must be finite and positive, got {self.fallback_threshold!r}"
@@ -54,14 +57,6 @@ class PairMatch:
     index_b: int
     distance: float
     surviving_pairs: int = 0  # NOC-depth constraints surviving Kabsch filtering
-
-
-def embedding_distance(a, b) -> float:
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"embedding length mismatch: {len(a)} vs {len(b)}")
-    return float(np.linalg.norm(a - b))
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:

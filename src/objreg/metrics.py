@@ -6,6 +6,7 @@ closed-form rigid (no-scale) fit before measuring translational residuals.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -110,8 +111,8 @@ def read_tum(path: str | os.PathLike) -> Trajectory:
     """Read 'timestamp tx ty tz qx qy qz qw' lines; '#' starts a comment.
 
     Quaternions are normalized; a norm deviating by more than 1e-3 from 1 is
-    rejected as malformed, and so is a timestamp that does not exceed the
-    one before it. Errors name ``path:lineno``.
+    rejected as malformed, and so are a non-finite field and a timestamp
+    that does not exceed the one before it. Errors name ``path:lineno``.
     """
     timestamps, poses = [], []
     with open(path) as f:
@@ -126,6 +127,8 @@ def read_tum(path: str | os.PathLike) -> Trajectory:
                 vals = [float(v) for v in fields]
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from e
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}:{lineno}: non-finite field in {line!r}")
             if timestamps and not vals[0] > timestamps[-1]:
                 raise ValueError(
                     f"{path}:{lineno}: timestamp {vals[0]!r} does not exceed the previous "

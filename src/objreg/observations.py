@@ -106,8 +106,8 @@ class ObjectObservation:
     def noc_fit(self) -> AlignmentResult | None:
         """Kabsch fit of the scaled NOC points onto the depth points under
         NOC_FILTER, or None when too few pairs survive or the geometry is
-        degenerate. Computed once, by :func:`fit_noc` (alone here unless a
-        batch fitted it first); shallow copies made later share it."""
+        degenerate. Computed once and cached on the observation, by
+        :func:`fit_noc` (alone here unless a batch fitted it first)."""
         fit_noc([self])
         return self.__dict__["noc_fit"]
 
@@ -164,9 +164,11 @@ class FrameSet:
     def validate(self):
         """Raise a ValidationError naming the first bad record, frames first,
         then keypoint matches, observations and ground truth; return self.
-        Each check runs once over all records of its kind."""
+        A kind's index fields must be ints, checked before its other
+        checks; each check runs once over all records of its kind."""
         n = self.num_frames
         frames, kms, obs = self.frames, self.keypoint_matches, self.observations
+        _raise_non_int("frame", frames, "index")
         _raise_first(
             (lambda k: f"frame indices must be dense 0..K-1, got {frames[k].index} at {k}",
              [k for k, f in enumerate(frames) if f.index != k]),
@@ -174,6 +176,8 @@ class FrameSet:
              [k for k, f in enumerate(frames)
               if f.timestamp is not None and not math.isfinite(f.timestamp)]),
         )
+
+        _raise_non_int("keypoint match", kms, "frame_i", "frame_j")
 
         def dangling(k):
             return next(fr for fr in (kms[k].frame_i, kms[k].frame_j) if not 0 <= fr < n)
@@ -191,6 +195,8 @@ class FrameSet:
             (lambda k: f"keypoint match {k}: non-finite point",
              _flagged(np.isfinite, [km.points_i for km in kms], [km.points_j for km in kms])),
         )
+
+        _raise_non_int("observation", obs, "frame", "detection_id", "class_label")
 
         def name(k):
             return f"observation (frame={obs[k].frame}, detection_id={obs[k].detection_id})"
@@ -230,6 +236,21 @@ class FrameSet:
         if self.ground_truth is not None and len(self.ground_truth) != n:
             raise ValidationError("ground_truth length must equal number of frames")
         return self
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy int; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _raise_non_int(kind: str, records, *fields) -> None:
+    """Raise a ValidationError naming the first of ``records`` (as ``f"{kind}
+    {k}"``) with one of ``fields`` that is not an int."""
+    for k, rec in enumerate(records):
+        for name in fields:
+            value = getattr(rec, name)
+            if type(value) is not int and not _is_int(value):  # a plain int first: fast
+                raise ValidationError(f"{kind} {k}: {name} {value!r} is not an integer")
 
 
 def _flagged(valid, *fields) -> list[int]:

@@ -72,27 +72,31 @@ _TINY = np.finfo(float).tiny
 
 def _kabsch(source, target, weights=None):
     """Rotation/translation minimizing sum w_i ||R s_i + t - t_i||^2, for one
-    (N, 3) point set, or a stack (..., N, 3) of them with weights (..., N)."""
-    if weights is None:  # one (N, 3) set
-        n = float(len(source))
-        mu_s = source.sum(axis=0) / n
-        mu_t = target.sum(axis=0) / n
-        cov = (target - mu_t).T @ (source - mu_s)
-    else:
-        w = np.asarray(weights, dtype=float)
-        # all-zero weights give a zero (rank-deficient) fit, not NaN
-        wsum = np.maximum(w.sum(axis=-1), _TINY)[..., None]
-        w = w[..., None]
-        mu_s = (w * source).sum(axis=-2) / wsum
-        mu_t = (w * target).sum(axis=-2) / wsum
-        cov = np.swapaxes(w * (target - mu_t[..., None, :]), -1, -2) @ (
-            source - mu_s[..., None, :]
-        )
+    (N, 3) point set or a stack (..., N, 3) of them, with weights (..., N),
+    all ones when None."""
+    w = np.ones(source.shape[:-1]) if weights is None else np.asarray(weights, dtype=float)
+    # all-zero weights give a zero (rank-deficient) fit, not NaN
+    wsum = np.maximum(w.sum(axis=-1), _TINY)[..., None]
+    w = w[..., None]
+    mu_s = (w * source).sum(axis=-2) / wsum
+    mu_t = (w * target).sum(axis=-2) / wsum
+    cov = np.swapaxes(w * (target - mu_t[..., None, :]), -1, -2) @ (source - mu_s[..., None, :])
     u, s, vt = np.linalg.svd(cov)
     u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]  # u @ diag(1, 1, d)
     rot = u @ vt
     t = mu_t - (rot @ mu_s[..., None])[..., 0]
     return rot, t, s
+
+
+def _padded(sets) -> tuple[np.ndarray, np.ndarray]:
+    """(N_k, 3) point sets as one zero-padded (K, N, 3) stack, N the largest
+    N_k, and its (K, N) mask of each set's rows."""
+    sizes = np.array([len(s) for s in sets])
+    rows = np.arange(sizes.max()) < sizes[:, None]
+    stack = np.zeros(rows.shape + (3,))
+    for k, s in enumerate(sets):
+        stack[k, : len(s)] = s
+    return stack, rows
 
 
 def _rank_deficient(svals):
@@ -127,14 +131,10 @@ def kabsch_filter_sets(
         raise ValueError("source/target length mismatch")
     if not sizes:
         return []
-    num, width = len(sizes), max(sizes)
-    src = np.zeros((num, width, 3))
-    tgt = np.zeros((num, width, 3))
-    for k, (s, t) in enumerate(zip(sources, targets)):
-        src[k, : len(s)] = s
-        tgt[k, : len(t)] = t
+    num = len(sizes)
+    src, inliers = _padded(sources)
+    tgt, _ = _padded(targets)
     count = np.array(sizes)
-    inliers = np.arange(width) < count[:, None]
     out: list = [None] * num
     live = np.ones(num, dtype=bool)  # neither failed nor at a fixed point
     for _ in range(cfg.max_rounds):
@@ -189,12 +189,10 @@ def icp_refine_sets(sources, targets, inits, max_corr_dist: float) -> list[Align
     is < 1e-6, or after ICP_MAX_ITERATIONS rounds. A set with no
     associations at its initial pose keeps it, with converged=False.
 
-    Every round makes one neighbor query for the sets still running, on one
-    tree over all targets: set k's points carry k * 2 max_corr_dist as a
-    4th coordinate, so no query reaches another set, and the distances are
-    those of a 3-D query. The updates are one batched Kabsch solve over the
-    associated pairs (as 0/1 weights; a lone set's unweighted). Raises
-    ValueError on an empty set.
+    Every round queries the k-d tree of each running set's own target. The
+    updates are one batched Kabsch solve over the associated pairs of the
+    sets that step, as zero-padded rows weighted 0/1. Raises ValueError on
+    an empty set.
     """
     sources = [np.asarray(s, dtype=float).reshape(-1, 3) for s in sources]
     targets = [np.asarray(t, dtype=float).reshape(-1, 3) for t in targets]
@@ -203,83 +201,49 @@ def icp_refine_sets(sources, targets, inits, max_corr_dist: float) -> list[Align
     num = len(sources)
     if not num:
         return []
-    target = np.vstack(targets)
-    lifted = target
-    sizes = np.array([len(s) for s in sources])
-    valid = np.arange(sizes.max()) < sizes[:, None]  # (K, N): a set's points, zero-padded
-    if valid.all():
-        stacked = np.array(sources)
-    else:
-        stacked = np.zeros(valid.shape + (3,))
-        stacked[valid] = np.vstack(sources)
-    level = 2.0 * max_corr_dist * np.arange(num)  # each set's 4th coordinate
-    if num > 1:
-        lifted = np.column_stack([target, np.repeat(level, [len(t) for t in targets])])
-    # uncompacted, the tree builds faster and answers these queries as fast;
-    # the lifted sets query faster on an unbalanced one, a lone set on a
-    # balanced one
-    tree = cKDTree(lifted, balanced_tree=num == 1, compact_nodes=False)
+    trees = [cKDTree(t) for t in targets]
     inits = [init or RigidPose.identity() for init in inits]
-    best_rot = np.array([p.rotation for p in inits])  # each set's pose of least rms
-    best_trans = np.array([p.translation for p in inits])
+    rot = np.array([p.rotation for p in inits])  # each set's current pose
+    trans = np.array([p.translation for p in inits])
+    best_rot, best_trans = rot.copy(), trans.copy()  # each set's pose of least rms
     best_rms = [math.inf] * num
-    flags = [np.zeros(n, dtype=bool) for n in sizes]
+    flags = [np.zeros(len(s), dtype=bool) for s in sources]
     history: list[list] = [[] for _ in range(num)]
     unmatched = [False] * num  # no associations at the initial pose
-    # the sets still running: their indices, points, sizes, 4th coordinates
-    # and current poses, cut down as sets stop
-    live = (np.arange(num), stacked, valid, sizes, level, best_rot.copy(), best_trans.copy())
+    live = list(range(num))  # the sets still running
     for _ in range(ICP_MAX_ITERATIONS):
-        ids, pts, mask, size, lift, rot, trans = live
-        moved = pts @ np.swapaxes(rot, 1, 2) + trans[:, None, :]
-        moved = moved.reshape(-1, 3) if mask.all() else moved[mask]
-        query = moved if num == 1 else np.column_stack([moved, np.repeat(lift, size)])
-        dist, idx = tree.query(query, distance_upper_bound=max_corr_dist)
-        matched = np.isfinite(dist)
-        stepping = np.zeros(len(ids), dtype=bool)
-        counts, start = [], 0
-        for r, (k, end) in enumerate(zip(ids.tolist(), np.cumsum(size).tolist())):
-            m, d, start = matched[start:end], dist[start:end], end
-            count = np.count_nonzero(m)
+        stepping, src, tgt = [], [], []
+        for k in live:
+            moved = sources[k] @ rot[k].T + trans[k]
+            dist, idx = trees[k].query(moved, distance_upper_bound=max_corr_dist)
+            matched = np.isfinite(dist)
+            count = np.count_nonzero(matched)
             if count < 3:
                 unmatched[k] = best_rms[k] == math.inf
                 continue
-            # the rms summed over this set alone, as np.mean of it sums
-            rms = math.sqrt((d[m] ** 2).sum() / count)
+            # summed as np.mean of the squared distances sums them
+            rms = math.sqrt((dist[matched] ** 2).sum() / count)
             if rms > best_rms[k] - 1e-12:
                 continue  # the last update did not help: keep the best pose
             history[k].append(rms)
-            best_rms[k], flags[k] = rms, m
-            stepping[r] = True
-            counts.append(count)
-        if not counts:
+            best_rms[k], flags[k] = rms, matched
+            stepping.append(k)
+            src.append(moved[matched])
+            tgt.append(targets[k][idx[matched]])
+        if not stepping:
             break
-        # the stepping sets' associated pairs, in order, as zero-padded rows
-        # weighted 0/1; a lone set needs neither padding nor weights
-        pick = matched if stepping.all() else matched & np.repeat(stepping, size)
-        src, tgt = moved[pick], target[idx[pick]]
-        if len(counts) == 1:
-            upd_rot, upd_trans, svals = (a[None] for a in _kabsch(src, tgt))
-        else:
-            counts = np.array(counts)
-            weights = np.arange(counts.max()) < counts[:, None]
-            rows = np.zeros((2,) + weights.shape + (3,))
-            rows[0][weights], rows[1][weights] = src, tgt
-            upd_rot, upd_trans, svals = _kabsch(rows[0], rows[1], weights)
-        ids, pts, mask, size, lift, rot, trans = _rows(stepping, live)
-        best_rot[ids], best_trans[ids] = rot, trans
-        rot, trans = upd_rot @ rot, (upd_rot @ trans[..., None])[..., 0] + upd_trans
+        (src, weights), (tgt, _) = _padded(src), _padded(tgt)
+        upd_rot, upd_trans, svals = _kabsch(src, tgt, weights)
+        best_rot[stepping], best_trans[stepping] = rot[stepping], trans[stepping]
+        rot[stepping] = upd_rot @ rot[stepping]
+        trans[stepping] = (upd_rot @ trans[stepping][..., None])[..., 0] + upd_trans
         # a rank-deficient update stops its set at its best pose, a tiny one
         # at the updated pose
         degenerate = _rank_deficient(svals)
         done = rotation_angle(upd_rot) + _norms(upd_trans) < 1e-6
-        tiny = done & ~degenerate
-        if tiny.any():
-            best_rot[ids[tiny]], best_trans[ids[tiny]] = rot[tiny], trans[tiny]
-        keep = ~(done | degenerate)
-        if not keep.any():
-            break
-        live = _rows(keep, (ids, pts, mask, size, lift, rot, trans))
+        tiny = np.array(stepping)[done & ~degenerate]
+        best_rot[tiny], best_trans[tiny] = rot[tiny], trans[tiny]
+        live = [k for k, stop in zip(stepping, done | degenerate) if not stop]
     out = []
     for k in range(num):
         pose = RigidPose.from_rotation(best_rot[k], best_trans[k])
@@ -288,12 +252,6 @@ def icp_refine_sets(sources, targets, inits, max_corr_dist: float) -> list[Align
         else:
             out.append(AlignmentResult(pose, best_rms[k], flags[k], rms_history=history[k]))
     return out
-
-
-def _rows(keep, arrays) -> tuple:
-    """The rows ``keep`` (a mask) of each array; the arrays themselves when
-    it keeps every row."""
-    return arrays if keep.all() else tuple(a[keep] for a in arrays)
 
 
 def icp_refine(source, target, init: RigidPose | None, max_corr_dist: float) -> AlignmentResult:

@@ -1,18 +1,27 @@
 """Reference computations and scenes the tests check the package against.
 The package itself does not use them: the closed-form Kabsch alignment of
-one point set, the object transform of canonical points, dense forms of the
-pose graph's band-stored normal equations, and acceptance criterion 08's
-ring graphs."""
+one point set, the object transform of canonical points, the distance of two
+embeddings, the joint solver's normal equations against finite differences,
+dense forms of the pose graph's band-stored normal equations, and
+acceptance criterion 08's ring graphs."""
 
 import numpy as np
 
 from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert
+from objreg.joint_solver import (
+    RegistrationProblem,
+    _normal_equations,
+    _Poses,
+    _prune,
+    _residual,
+    _Stack,
+    _weighted_blocks,
+)
 from objreg.posegraph import GraphEdge, PoseGraph
 from objreg.procrustes import (
     _COLLINEAR,
     AlignmentResult,
     DegenerateAlignmentError,
-    _kabsch,
     _rank_deficient,
 )
 
@@ -29,7 +38,15 @@ def kabsch_solve(source, target) -> AlignmentResult:
         raise ValueError("source/target length mismatch")
     if len(source) < 3:
         raise DegenerateAlignmentError(f"need >= 3 pairs, got {len(source)}")
-    rot, t, svals = _kabsch(source, target)
+    # the unweighted closed form: centre both sets on their means, then the
+    # SVD of the cross-covariance with a reflection turned into a rotation
+    n = float(len(source))
+    mu_s = source.sum(axis=0) / n
+    mu_t = target.sum(axis=0) / n
+    u, svals, vt = np.linalg.svd((target - mu_t).T @ (source - mu_s))
+    u[:, 2] *= np.sign(np.linalg.det(u @ vt))  # u @ diag(1, 1, d)
+    rot = u @ vt
+    t = mu_t - (rot @ mu_s[:, None])[:, 0]
     if _rank_deficient(svals):
         raise DegenerateAlignmentError(_COLLINEAR)
     pose = RigidPose.from_rotation(rot, t)
@@ -42,6 +59,53 @@ def apply_object(p: ObjectPose, noc: np.ndarray) -> np.ndarray:
     """Apply R (x * s) + t to an (N, 3) array of canonical points."""
     noc = np.asarray(noc, dtype=float).reshape(-1, 3)
     return (noc * p.scale) @ p.rotation.T + p.translation
+
+
+def embedding_distance(a, b) -> float:
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    if a.shape != b.shape:
+        raise ValueError(f"embedding length mismatch: {len(a)} vs {len(b)}")
+    return float(np.linalg.norm(a - b))
+
+
+def numeric_jacobian_check(problem: RegistrationProblem) -> float:
+    """The solver's normal equations against finite differences at the
+    problem's initial state, after the solver's first prune there (at
+    ``problem.config.residual_prune``): ``J^T W J`` and ``J^T W r`` of
+    :func:`_normal_equations` against those of a central-difference
+    Jacobian (step 1e-6) of the weighted residuals of the active rows,
+    perturbed through the solver's retraction. Returns the largest error,
+    entry (p, q) of J^T W J relative to ``sqrt(H_pp H_qq)`` and entry p of
+    J^T W r to ``sqrt(H_pp) |r|``, the bounds Cauchy-Schwarz puts on them."""
+    h = 1e-6
+    problem = _weighted_blocks(problem)
+    stack = _Stack([problem])
+    poses = _Poses.initial([problem])
+    d = _residual(stack, poses)
+    _prune(stack, d)
+    hess, grad = (x[0] for x in _normal_equations(stack, poses, d))
+    weight = np.sqrt(stack.a[0, stack.active[0]])[:, None]
+
+    def residual(delta):
+        return (weight * _residual(stack, poses.retract(delta[None]))[0, stack.active[0]]).ravel()
+
+    size = len(grad)
+    jac = np.empty((3 * int(stack.active.sum()), size))
+    for p in range(size):
+        step = np.zeros(size)
+        step[p] = h
+        jac[:, p] = (residual(step) - residual(-step)) / (2 * h)
+    r = residual(np.zeros(size))
+    hess_num, grad_num = jac.T @ jac, jac.T @ r
+    scale = np.sqrt(np.maximum(hess.diagonal(), hess_num.diagonal()))
+    errors = []
+    for err, bound in (
+        (np.abs(hess - hess_num), np.outer(scale, scale)),
+        (np.abs(grad - grad_num), scale * np.linalg.norm(r)),
+    ):
+        errors.append(np.divide(err, bound, out=np.zeros_like(err), where=bound > 0))
+    return float(max(e.max() for e in errors))
 
 
 def lower_band(dense, band):

@@ -17,7 +17,6 @@ from objreg.joint_solver import (
     SolverConfig,
     build_problem,
     gauss_newton_solve,
-    numeric_jacobian_check,
     register_pair,
 )
 from objreg.matching import MatchConfig, PairMatch, hungarian, match_pair
@@ -46,7 +45,7 @@ from objreg.posegraph import (
 from objreg.procrustes import FilterConfig, kabsch_filter
 from objreg.synth import SynthConfig, generate, make_pair_suite, overlap
 from objreg.joint_solver import PairResult, SolveReport
-from reference import kabsch_solve, ring_graph, with_false_closure
+from reference import kabsch_solve, numeric_jacobian_check, ring_graph, with_false_closure
 
 
 _CAPTURE = None

@@ -109,6 +109,14 @@ class TestRegisterPairCommand:
                 "--out", str(tmp_path / "r.json"))
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("top_k", 1.5), ("top_k", "1"), ("drop_symmetric", "no")])
+    def test_bad_match_config_named(self, pair_problem, tmp_path, key, value):
+        cfg = tmp_path / "match.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            run("register-pair", "--problem", pair_problem, "--match-config", str(cfg))
+        assert str(cfg) in str(exc.value) and key in str(exc.value)
+
 
 class TestEvalCommands:
     def test_ate_self_zero(self, tmp_path, capsys):

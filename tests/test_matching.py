@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from objreg import matching
 from objreg.geometry import RigidPose, _norms, apply_rigid
 from objreg.matching import (
     MatchConfig,
-    embedding_distance,
     hungarian,
     match_pair,
     match_pairs,
 )
 from objreg.observations import ObjectObservation
+from reference import embedding_distance
 
 
 def brute_force_assignment(cost):
@@ -110,6 +111,8 @@ BAD_MATCH_VALUES = {
     "fallback_threshold": [np.nan, np.inf, 0.0, 0.01],
     "sequence_loop_threshold": [np.nan, np.inf, 0.0, 0.2],
     "max_scale_ratio": [np.nan, np.inf, 1.0],
+    "top_k": [1.5, -1, "1", True, None],
+    "drop_symmetric": ["no", 1, None],
 }
 
 
@@ -118,6 +121,17 @@ def test_bad_config_value_rejected(name):
     for value in BAD_MATCH_VALUES[name]:
         with pytest.raises(ValueError, match=name):
             MatchConfig(**{name: value})
+
+
+def test_every_match_field_checked():
+    assert set(BAD_MATCH_VALUES) == {f.name for f in fields(MatchConfig)}
+
+
+def test_top_k_and_drop_symmetric_accepted():
+    """top_k = 0 (keep every match) passes, and so do numpy ints and bools."""
+    for top_k in (0, 2, np.int64(1)):
+        MatchConfig(top_k=top_k)
+    MatchConfig(drop_symmetric=np.bool_(False))
 
 
 class TestMatchPair:

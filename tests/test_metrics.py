@@ -189,6 +189,25 @@ class TestTumIO:
         with pytest.raises(ValueError, match="non-numeric"):
             read_tum(path)
 
+    @pytest.mark.parametrize("line", [
+        "nan 0 0 0 0 0 0 1",
+        "inf 0 0 0 0 0 0 1",
+        "1 0 nan 0 0 0 0 1",
+        "1 -inf 0 0 0 0 0 1",
+        "1 0 0 0 inf 0 0 1",
+        "1 0 0 0 0 0 0 nan",
+    ])
+    def test_non_finite_field_named(self, tmp_path, line):
+        """Any nan or inf field is rejected with ``path:lineno``, also an inf
+        timestamp after a finite one."""
+        path = tmp_path / "bad.tum"
+        path.write_text(f"0 0 0 0 0 0 0 1\n{line}\n")
+        with pytest.raises(ValueError, match=r"bad\.tum:2: non-finite field"):
+            read_tum(path)
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValueError, match=r"bad\.tum:1: non-finite field"):
+            read_tum(path)
+
     def test_repeated_or_decreasing_timestamp_named(self, tmp_path):
         path = tmp_path / "bad.tum"
         for second in ("0.5", "0.2"):

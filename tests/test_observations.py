@@ -274,6 +274,58 @@ class TestInMemoryValidation:
             register_sequence(fs)
 
 
+# index fields set to a value that is not an int: (record list, field, the
+# bad value made from the field's valid value v)
+NON_INT_FIELDS = [
+    ("frames", "index", float),
+    ("frames", "index", lambda v: v == 1),
+    ("keypoint_matches", "frame_i", float),
+    ("keypoint_matches", "frame_j", str),
+    ("observations", "frame", float),
+    ("observations", "frame", str),
+    ("observations", "detection_id", lambda v: [v]),
+    ("observations", "class_label", lambda v: v + 0.5),
+]
+KIND_NAMES = {"frames": "frame", "keypoint_matches": "keypoint match", "observations": "observation"}
+
+
+class TestNonIntegerIndex:
+    """A frame index, a keypoint match's frames and an observation's frame,
+    detection id and class label must be ints; the last record of the kind
+    is named by position, before any other check of its kind runs."""
+
+    @pytest.mark.parametrize("records, field, bad", NON_INT_FIELDS)
+    def test_load_problem(self, tmp_path, records, field, bad):
+        path = tmp_path / "p.json"
+        save_problem(valid_pair(), path)
+        doc = json.loads(path.read_text())
+        rec = doc[records][-1]
+        value = rec[field] = bad(rec[field])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            load_problem(path)
+        k = len(doc[records]) - 1
+        assert str(err.value) == f"{KIND_NAMES[records]} {k}: {field} {value!r} is not an integer"
+
+    @pytest.mark.parametrize("records, field, bad", NON_INT_FIELDS)
+    def test_register_pair(self, records, field, bad):
+        fs = copy.deepcopy(valid_pair())
+        rec = getattr(fs, records)[-1]
+        value = bad(getattr(rec, field))
+        setattr(rec, field, value)
+        with pytest.raises(ValidationError) as err:
+            register_pair(fs)
+        k = len(getattr(fs, records)) - 1
+        assert str(err.value) == f"{KIND_NAMES[records]} {k}: {field} {value!r} is not an integer"
+
+    def test_numpy_ints_accepted(self):
+        fs = copy.deepcopy(valid_pair())
+        for records, field, _ in NON_INT_FIELDS:
+            for rec in getattr(fs, records):
+                setattr(rec, field, np.int64(getattr(rec, field)))
+        assert register_pair(fs).success
+
+
 non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
 corruptions = st.one_of(
     st.tuples(
