@@ -148,12 +148,18 @@ def rotation_angle(rot):
     return float(angle) if rot.ndim == 2 else angle
 
 
+def _squared_norms(v) -> np.ndarray:
+    """Each row of ``v`` (..., D) dotted with itself, as a 1-D ``row @ row``
+    is, bit for bit."""
+    v = v[..., None, :]
+    return (v @ np.swapaxes(v, -1, -2))[..., 0, 0]
+
+
 def _norms(v) -> np.ndarray:
     """Euclidean norms of the rows of ``v`` (..., D), each the square root of
     the row's own dot product, as ``np.linalg.norm`` of one row is, bit for
     bit."""
-    v = v[..., None, :]
-    return np.sqrt((v @ np.swapaxes(v, -1, -2))[..., 0, 0])
+    return np.sqrt(_squared_norms(v))
 
 
 def euler_from_rotation(rot: np.ndarray) -> np.ndarray:

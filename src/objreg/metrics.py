@@ -11,7 +11,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .geometry import RigidPose, rotation_angle
 from .observations import write_atomic
@@ -114,6 +113,10 @@ def read_tum(path: str | os.PathLike) -> Trajectory:
     rejected as malformed, and so are a non-finite field and a timestamp
     that does not exceed the one before it. Errors name ``path:lineno``.
     """
+    # imported on first use, as in procrustes.icp_refine_sets: scipy.spatial
+    # costs ~8 MB of memory, which a process that touches no TUM file never needs
+    from scipy.spatial.transform import Rotation
+
     timestamps, poses = [], []
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -146,6 +149,8 @@ def read_tum(path: str | os.PathLike) -> Trajectory:
 
 def write_tum(traj: Trajectory, path: str | os.PathLike) -> None:
     """Write TUM format with 9-significant-digit fields (atomic)."""
+    from scipy.spatial.transform import Rotation  # on first use: see read_tum
+
     lines = ["# timestamp tx ty tz qx qy qz qw"]
     for t, pose in zip(traj.timestamps, traj.poses):
         q = Rotation.from_matrix(pose.rotation).as_quat()  # x y z w

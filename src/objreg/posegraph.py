@@ -7,11 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from .geometry import (
     RigidPose,
     _frozen,
+    _squared_norms,
     apply_rigid,
     compose,
     invert,
@@ -31,7 +32,7 @@ from .joint_solver import (
 )
 from .matching import MatchConfig
 from .metrics import Trajectory
-from .observations import FrameSet, ValidationError, fit_noc
+from .observations import FrameSet, ValidationError, _is_int, fit_noc
 from .procrustes import FilterConfig
 
 __all__ = [
@@ -46,11 +47,10 @@ __all__ = [
     "SequenceResult",
 ]
 
-# Robust solve limits: up to MAX_OUTER_ITERATIONS rounds of {solve the poses
-# with the switches fixed, update the switches}, each pose solve taking up to
-# MAX_INNER_ITERATIONS damped Gauss-Newton steps.
-MAX_OUTER_ITERATIONS = 15
-MAX_INNER_ITERATIONS = 10
+# Robust solve limit: up to MAX_ITERATIONS reweighted steps, each one damped
+# Gauss-Newton step under the current switches followed by a switch update
+# (IRLS). A criterion 08 ring takes ~6 steps per solve, a 40-frame loop 3-4.
+MAX_ITERATIONS = 150
 MAX_KEYFRAMES = 14  # loop-closure candidates pair at most this many keyframes
 # keypoint filters of the consecutive (odometry) pairs and of the loop pairs
 ODOMETRY_KEYPOINT_FILTER = FilterConfig(0.30, min_pairs=MIN_KEYPOINT_PAIRS)
@@ -87,10 +87,12 @@ class GraphConfig:
 
     def __post_init__(self):
         # a zero switches these rules off
-        zero_ok = ("restructure_certain_dist", "lc_near_window", "lc_min_scale")
+        zero_ok = ("restructure_certain_dist", "lc_min_scale")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "edge_prune_threshold":
+            if f.name == "lc_near_window":  # a frame count
+                ok, want = _is_int(value) and value >= 0, "an int >= 0"
+            elif f.name == "edge_prune_threshold":
                 ok, want = 0 <= value <= 1, "in [0, 1]"
             elif f.name in zero_ok:
                 ok, want = 0 <= value < np.inf, "finite and nonnegative"
@@ -238,7 +240,8 @@ def _band_order(num_nodes: int, ii, jj) -> list[int]:
 
 class _EdgeTable:
     """One robust solve's edges as arrays aligned with ``graph.edges``: node
-    indices, relative poses, weights ``max(information_weight, 1)``, the
+    indices, relative poses (with R_delta^T and [t_delta]x, which the
+    Jacobians read), weights ``max(information_weight, 1)``, the
     uncertain mask, and how the ``size`` normal equations over nodes 1..n-1
     are laid out as a symmetric band matrix.
 
@@ -257,6 +260,7 @@ class _EdgeTable:
         self.jj = np.array([e.j for e in graph.edges], dtype=int)
         self.d_rot = np.array([e.relative_pose.rotation for e in graph.edges]).reshape(-1, 3, 3)
         self.d_trans = np.array([e.relative_pose.translation for e in graph.edges]).reshape(-1, 3)
+        self.d_rot_t, self.d_skew = np.swapaxes(self.d_rot, 1, 2), skew(self.d_trans)
         self.weight = np.array([max(e.information_weight, 1.0) for e in graph.edges])
         self.uncertain = np.array([e.uncertain for e in graph.edges], dtype=bool)
         self.size = size = 6 * (graph.num_nodes - 1)
@@ -280,17 +284,19 @@ def _edge_errors(rot, trans, table: _EdgeTable):
 
     Edge k's error is T_j^-1 T_i T_delta, returned as the rows
     ``[Log(R_j^T R_i R_delta), R_j^T (R_i t_delta + t_i - t_j)]`` of an
-    (E, 6) array, together with the error rotations (E, 3, 3).
+    (E, 6) array, together with the (E, 3, 3) stacks that
+    :func:`_edge_jacobians` reads: the error rotations, R_j^T and R_j^T R_i.
     """
     ii, jj = table.ii, table.jj
     rj_t = np.swapaxes(rot[jj], 1, 2)
-    err_rot = rj_t @ rot[ii] @ table.d_rot
+    rel_rot = rj_t @ rot[ii]
+    err_rot = rel_rot @ table.d_rot
     moved = (rot[ii] @ table.d_trans[:, :, None])[:, :, 0] + trans[ii] - trans[jj]
     err_trans = (rj_t @ moved[:, :, None])[:, :, 0]
-    return np.hstack([so3_log(err_rot), err_trans]), err_rot
+    return np.hstack([so3_log(err_rot), err_trans]), err_rot, rj_t, rel_rot
 
 
-def _edge_jacobians(rot, table: _EdgeTable, err, err_rot):
+def _edge_jacobians(table: _EdgeTable, err, err_rot, rj_t, rel_rot):
     """Closed-form (E, 6, 6) derivatives of the edge errors with respect to
     (phi, dt) of node i and of node j, for the retraction
     ``R <- R Exp(phi), t <- t + dt``.
@@ -299,6 +305,7 @@ def _edge_jacobians(rot, table: _EdgeTable, err, err_rot):
     d rho/d phi_i = J_r^-1(rho) R_delta^T, d rho/d phi_j = -J_r^-1(rho) E_R^T,
     d tau/d phi_i = -R_j^T R_i [t_delta]x, d tau/d phi_j = [tau]x,
     d tau/d t_i = R_j^T = -d tau/d t_j.
+    The arguments after ``table`` are what :func:`_edge_errors` returns.
     """
     rho, tau = err[:, :3], err[:, 3:]
     # J_r^-1 = I + [rho]x / 2 + c [rho]x^2, with c -> 1/12 as theta -> 0
@@ -307,11 +314,10 @@ def _edge_jacobians(rot, table: _EdgeTable, err, err_rot):
     c = np.where(theta < 1e-4, 1 / 12, 1 / big**2 - np.cos(big / 2) / (2 * big * np.sin(big / 2)))
     k = skew(rho)
     jr_inv = np.eye(3) + 0.5 * k + c[:, None, None] * (k @ k)
-    rj_t = np.swapaxes(rot[table.jj], 1, 2)
     jac_i, jac_j = np.zeros((2, len(err), 6, 6))
-    jac_i[:, :3, :3] = jr_inv @ np.swapaxes(table.d_rot, 1, 2)
+    jac_i[:, :3, :3] = jr_inv @ table.d_rot_t
     jac_j[:, :3, :3] = -jr_inv @ np.swapaxes(err_rot, 1, 2)
-    jac_i[:, 3:, :3] = -rj_t @ rot[table.ii] @ skew(table.d_trans)
+    jac_i[:, 3:, :3] = -(rel_rot @ table.d_skew)
     jac_j[:, 3:, :3] = skew(tau)
     jac_i[:, 3:, 3:] = rj_t
     jac_j[:, 3:, 3:] = -rj_t
@@ -334,8 +340,9 @@ def _normal_equations(jac_i, jac_j, err, w, table: _EdgeTable):
 
 def damped_step(ab, jtr, lam, cost, trial, tries):
     """Levenberg-damped Gauss-Newton step of the pose graph: solve
-    ``(J^T J + lam I) delta = -J^T r`` by banded Cholesky, J^T J given as
-    its lower band storage ``ab`` (row 0 the diagonal), score
+    ``(J^T J + lam I) delta = -J^T r`` by banded Cholesky (LAPACK ``pbsv``,
+    called directly: ``scipy.linalg.solveh_banded`` without its wrapper),
+    J^T J given as its lower band storage ``ab`` (row 0 the diagonal), score
     ``trial(delta) -> (candidate, cost)``, grow lam 10x on a system that is
     not positive definite or a cost increase. Returns ``(candidate, cost,
     lam / 10)``, or ``(None, None, lam)`` after ``tries``.
@@ -345,9 +352,10 @@ def damped_step(ab, jtr, lam, cost, trial, tries):
     diag = ab[0].copy()
     for _ in range(tries):
         ab[0] = diag + lam
-        try:
-            delta = solveh_banded(ab, -jtr, lower=True, check_finite=False)
-        except LinAlgError:
+        _, delta, info = dpbsv(ab, -jtr, lower=1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+        if info > 0:  # not positive definite: solveh_banded's LinAlgError
             lam *= 10
             continue
         candidate, cost_new = trial(delta)
@@ -365,54 +373,13 @@ def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
     return poses
 
 
-def _solve_poses(table: _EdgeTable, rot, trans, err, err_rot, switches):
-    """Damped GN over node poses with fixed per-edge ``switches``; node 0
-    pinned. ``(err, err_rot)`` are the edge errors at ``(rot, trans)``.
-    Returns the final poses, their cost and their edge errors.
-
-    Node rotations are retracted by right-multiplied increments, translations
-    additively; the tangent vector packs (phi, dt) per node 1..n-1 in the
-    table's band order."""
-    if not len(table.weight):  # a lone node, pinned
-        return rot, trans, 0.0, err, err_rot
-    w = table.weight / table.weight.mean() * switches
-    sqrt_w = np.sqrt(w)
-
-    def cost_of(err):
-        r = (sqrt_w[:, None] * err).ravel()
-        return float(r @ r)
-
-    def trial(delta):
-        step = np.zeros((len(rot), 6))  # node 0 stays put
-        step[table.order] = delta.reshape(-1, 6)
-        rot_new, trans_new = rot @ so3_exp(step[:, :3]), trans + step[:, 3:]
-        err_new, err_rot_new = _edge_errors(rot_new, trans_new, table)
-        return (rot_new, trans_new, err_new, err_rot_new), cost_of(err_new)
-
-    lam = 1e-6
-    cost = cost_of(err)
-    for _ in range(MAX_INNER_ITERATIONS):
-        h, g = _normal_equations(*_edge_jacobians(rot, table, err, err_rot), err, w, table)
-        new, cost_new, lam = damped_step(h, g, lam, cost, trial, 8)
-        if new is None:
-            break
-        rel_decrease = (cost - cost_new) / max(cost, 1e-30)
-        (rot, trans, err, err_rot), cost = new, cost_new
-        if rel_decrease < 1e-10:
-            break
-    return rot, trans, cost, err, err_rot
-
-
 def _update_switches(table: _EdgeTable, err, cfg) -> np.ndarray:
     """Per-edge line-process values at edge errors ``err``: 1.0 on certain
     edges; on uncertain ones the minimizer of s w |r|^2 + mu (sqrt(s) - 1)^2,
     w the raw weight (correspondence count) that mu = 100 is calibrated to."""
     mu = cfg.line_process_mu
-    switches = np.ones(len(err))
-    for k in np.flatnonzero(table.uncertain):
-        u = mu / (table.weight[k] * float(err[k] @ err[k]) + mu)
-        switches[k] = u * u
-    return switches
+    u = mu / (table.weight * _squared_norms(err) + mu)
+    return np.where(table.uncertain, u * u, 1.0)
 
 
 def _certain_union_find(graph: PoseGraph):
@@ -470,7 +437,11 @@ def _check_graph(graph: PoseGraph) -> None:
 def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSolution:
     """Robust pose graph optimization with line-process switches on
     uncertain edges; after convergence, uncertain edges with switch values
-    below the prune threshold are dropped and the survivors re-solved.
+    below the prune threshold are dropped and the survivors re-solved. Each
+    solve is one IRLS loop: a damped Gauss-Newton step with the switches
+    fixed, then the switches in closed form at the new edge errors, until
+    the cost changes by less than 1e-12 of itself; this is the fixed point
+    of solving the poses to convergence between switch updates.
     Raises ValueError on a malformed graph (see ``_check_graph``)."""
     cfg = cfg or GraphConfig()
     _check_graph(graph)
@@ -479,14 +450,38 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
         # seed switches from the initial trajectory (closed form given poses)
         # so edges wildly inconsistent with the init start down-weighted
         table = _EdgeTable(g)
-        err, err_rot = _edge_errors(rot, trans, table)
-        switches = _update_switches(table, err, cfg)
-        cost = np.inf
-        for _ in range(MAX_OUTER_ITERATIONS):
-            rot, trans, new_cost, err, err_rot = _solve_poses(
-                table, rot, trans, err, err_rot, switches
-            )
-            switches = _update_switches(table, err, cfg)
+        edge = _edge_errors(rot, trans, table)
+        switches = _update_switches(table, edge[0], cfg)
+        if not len(table.weight):  # a lone node, pinned
+            return rot, trans, switches, table
+        scale = table.weight / table.weight.mean()
+
+        # both read the loop's current poses and weights
+        def cost_of(err):
+            r = (sqrt_w[:, None] * err).ravel()
+            return float(r @ r)
+
+        def trial(delta):
+            step = np.zeros((len(rot), 6))  # node 0 stays put
+            step[table.order] = delta.reshape(-1, 6)
+            rot_new, trans_new = rot @ so3_exp(step[:, :3]), trans + step[:, 3:]
+            edge_new = _edge_errors(rot_new, trans_new, table)
+            return (rot_new, trans_new, edge_new), cost_of(edge_new[0])
+
+        # IRLS: one damped step with the switches fixed, then the switches at
+        # the new errors. Node rotations are retracted by right-multiplied
+        # increments, translations additively; the tangent vector packs
+        # (phi, dt) per node 1..n-1 in the table's band order.
+        lam, cost = 1e-6, np.inf
+        for _ in range(MAX_ITERATIONS):
+            w = scale * switches
+            sqrt_w = np.sqrt(w)
+            h, grad = _normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
+            new, new_cost, lam = damped_step(h, grad, lam, cost_of(edge[0]), trial, 8)
+            if new is None:
+                break
+            rot, trans, edge = new
+            switches = _update_switches(table, edge[0], cfg)
             if abs(cost - new_cost) < 1e-12 * max(cost, 1.0):
                 break
             cost = new_cost

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import RigidPose, _norms, rotation_angle
 
@@ -201,6 +200,10 @@ def icp_refine_sets(sources, targets, inits, max_corr_dist: float) -> list[Align
     num = len(sources)
     if not num:
         return []
+    # imported on first use: scipy.spatial costs ~8 MB of memory, which a
+    # process that only solves pose graphs never needs
+    from scipy.spatial import cKDTree
+
     trees = [cKDTree(t) for t in targets]
     inits = [init or RigidPose.identity() for init in inits]
     rot = np.array([p.rotation for p in inits])  # each set's current pose

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Intrinsics, RigidPose, apply_rigid, compose, invert
 from .observations import Frame, FrameSet, KeypointMatch, ObjectObservation
@@ -282,6 +281,8 @@ def overlap(points_a, points_b, radius: float = 0.01) -> float:
     points_b = np.asarray(points_b, dtype=float).reshape(-1, 3)
     if len(points_a) == 0 or len(points_b) == 0:
         raise ValueError("overlap needs non-empty point sets")
+    from scipy.spatial import cKDTree  # on first use, as in procrustes.icp_refine_sets
+
     dist, _ = cKDTree(points_b).query(points_a, distance_upper_bound=radius)
     return 100.0 * float(np.mean(np.isfinite(dist)))
 

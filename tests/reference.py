@@ -2,12 +2,21 @@
 The package itself does not use them: the closed-form Kabsch alignment of
 one point set, the object transform of canonical points, the distance of two
 embeddings, the joint solver's normal equations against finite differences,
-dense forms of the pose graph's band-stored normal equations, and
-acceptance criterion 08's ring graphs."""
+dense forms of the pose graph's band-stored normal equations, the robust
+pose graph solve as alternating loops, and acceptance criterion 08's ring
+graphs."""
 
 import numpy as np
 
-from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert
+from objreg.geometry import (
+    ObjectPose,
+    RigidPose,
+    _frozen,
+    apply_rigid,
+    compose,
+    invert,
+    so3_exp,
+)
 from objreg.joint_solver import (
     RegistrationProblem,
     _normal_equations,
@@ -17,7 +26,19 @@ from objreg.joint_solver import (
     _Stack,
     _weighted_blocks,
 )
-from objreg.posegraph import GraphEdge, PoseGraph
+from objreg.posegraph import (
+    GraphConfig,
+    GraphEdge,
+    GraphSolution,
+    PoseGraph,
+    _chain_odometry,
+    _check_graph,
+    _edge_errors,
+    _edge_jacobians,
+    _EdgeTable,
+    _normal_equations as _graph_normal_equations,
+    damped_step,
+)
 from objreg.procrustes import (
     _COLLINEAR,
     AlignmentResult,
@@ -142,6 +163,95 @@ def node_order_system(ab, g, table):
     g_nodes = np.zeros(table.size)
     g_nodes[coords] = g
     return h, g_nodes
+
+
+# the alternating solve's limits: up to MAX_OUTER_ITERATIONS rounds of
+# {solve the poses with the switches fixed, update the switches}, each pose
+# solve taking up to MAX_INNER_ITERATIONS damped Gauss-Newton steps
+MAX_OUTER_ITERATIONS = 15
+MAX_INNER_ITERATIONS = 10
+
+
+def update_switches(table, err, cfg) -> np.ndarray:
+    """Per-edge line-process values at edge errors ``err``, one uncertain
+    edge at a time: 1.0 on certain edges; on uncertain ones the minimizer of
+    s w |r|^2 + mu (sqrt(s) - 1)^2, w the raw weight."""
+    mu = cfg.line_process_mu
+    switches = np.ones(len(err))
+    for k in np.flatnonzero(table.uncertain):
+        u = mu / (table.weight[k] * float(err[k] @ err[k]) + mu)
+        switches[k] = u * u
+    return switches
+
+
+def solve_poses(table, rot, trans, edge, switches):
+    """Damped GN over node poses with fixed per-edge ``switches``; node 0
+    pinned, each solve starting from lam = 1e-6 and stopping once a step
+    lowers the cost by a relative 1e-10 or less. ``edge`` is what
+    ``_edge_errors`` returns at ``(rot, trans)``. Returns the final poses,
+    their cost and their ``edge``."""
+    if not len(table.weight):  # a lone node, pinned
+        return rot, trans, 0.0, edge
+    w = table.weight / table.weight.mean() * switches
+    sqrt_w = np.sqrt(w)
+
+    def cost_of(err):
+        r = (sqrt_w[:, None] * err).ravel()
+        return float(r @ r)
+
+    def trial(delta):
+        step = np.zeros((len(rot), 6))  # node 0 stays put
+        step[table.order] = delta.reshape(-1, 6)
+        rot_new, trans_new = rot @ so3_exp(step[:, :3]), trans + step[:, 3:]
+        edge_new = _edge_errors(rot_new, trans_new, table)
+        return (rot_new, trans_new, edge_new), cost_of(edge_new[0])
+
+    lam = 1e-6
+    cost = cost_of(edge[0])
+    for _ in range(MAX_INNER_ITERATIONS):
+        h, g = _graph_normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
+        new, cost_new, lam = damped_step(h, g, lam, cost, trial, 8)
+        if new is None:
+            break
+        rel_decrease = (cost - cost_new) / max(cost, 1e-30)
+        (rot, trans, edge), cost = new, cost_new
+        if rel_decrease < 1e-10:
+            break
+    return rot, trans, cost, edge
+
+
+def alternating_optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSolution:
+    """``optimize_graph`` as the line process of Choi, Zhou and Koltun (CVPR
+    2015) states it: solve the poses to convergence with the switches fixed,
+    update the switches, repeat until the cost stops changing; then prune
+    and re-solve the same way."""
+    cfg = cfg or GraphConfig()
+    _check_graph(graph)
+
+    def robust_solve(g: PoseGraph, rot, trans):
+        table = _EdgeTable(g)
+        edge = _edge_errors(rot, trans, table)
+        switches = update_switches(table, edge[0], cfg)
+        cost = np.inf
+        for _ in range(MAX_OUTER_ITERATIONS):
+            rot, trans, new_cost, edge = solve_poses(table, rot, trans, edge, switches)
+            switches = update_switches(table, edge[0], cfg)
+            if abs(cost - new_cost) < 1e-12 * max(cost, 1.0):
+                break
+            cost = new_cost
+        return rot, trans, switches, table
+
+    init = _chain_odometry(graph)
+    rot, trans = np.array([p.rotation for p in init]), np.array([p.translation for p in init])
+    rot, trans, switches, table = robust_solve(graph, rot, trans)
+
+    keep = ~(table.uncertain & (switches < cfg.edge_prune_threshold))
+    pruned = [(e.i, e.j) for e, kept in zip(graph.edges, keep) if not kept]
+    if pruned:
+        graph = PoseGraph(graph.num_nodes, [e for e, kept in zip(graph.edges, keep) if kept])
+        rot, trans, switches, _ = robust_solve(graph, rot, trans)
+    final = {(e.i, e.j): float(s) for e, s in zip(graph.edges, switches) if e.uncertain}
+    return GraphSolution(_frozen(rot), _frozen(trans), final, pruned)
 
 
 def ring_graph(rng, n=30, sigma_t=0.01, sigma_r=np.deg2rad(0.5), weight=1000.0):

@@ -198,8 +198,10 @@ def test_no_parameter_that_no_caller_sets():
 
 # scipy submodules that ``import objreg`` must not load: each would add to
 # the resident memory of every process that imports the package
-# (scipy.optimize ~11 MB; ``matching.hungarian`` imports it on first call)
-HEAVY_SUBMODULES = ("scipy.optimize", "scipy.sparse.csgraph")
+# (scipy.optimize ~11 MB, imported by ``matching.hungarian`` on first call;
+# scipy.spatial ~8 MB and ~50 ms, imported by ICP, ``synth.overlap`` and the
+# TUM reader and writer on first call)
+HEAVY_SUBMODULES = ("scipy.optimize", "scipy.sparse.csgraph", "scipy.spatial")
 
 
 def test_import_footprint():

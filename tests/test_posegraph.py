@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from objreg import geometry, joint_solver, posegraph
-from objreg.geometry import ObjectPose, RigidPose, apply_rigid, compose, invert, so3_exp
+from objreg.geometry import (
+    ObjectPose,
+    RigidPose,
+    apply_rigid,
+    compose,
+    invert,
+    rotation_angle,
+    so3_exp,
+)
 from objreg.joint_solver import (
     PairResult,
     SolveReport,
@@ -39,14 +47,20 @@ from objreg.posegraph import (
     _edge_jacobians,
     _keep_bridges_certain,
     _normal_equations,
-    _solve_poses,
     _update_switches,
 )
 from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ValidationError, fit_noc
 from objreg.procrustes import icp_refine_sets
 from objreg.synth import SynthConfig, generate
-from reference import node_coordinates, node_order_system, ring_graph, with_false_closure
+from reference import (
+    alternating_optimize_graph,
+    node_coordinates,
+    node_order_system,
+    ring_graph,
+    update_switches,
+    with_false_closure,
+)
 
 CFG = GraphConfig()
 
@@ -229,7 +243,7 @@ BAD_GRAPH_VALUES = {
     "edge_prune_threshold": [np.nan, -0.1, 1.5],
     "restructure_uncertain_dist": [np.nan, np.inf, 0.0],
     "restructure_certain_dist": [np.nan, np.inf, -0.01],
-    "lc_near_window": [np.nan, np.inf, -1],
+    "lc_near_window": [np.nan, np.inf, -1, 2.5, True],
     "lc_near_max_trans": [np.nan, np.inf, 0.0],
     "lc_far_max_trans": [np.nan, np.inf, 0.0],
     "lc_object_max_depth": [np.nan, np.inf, 0.0],
@@ -315,27 +329,108 @@ class TestOptimizeGraph:
         assert np.array_equal(sol.poses[0].to_matrix(), np.eye(4))
         assert sol.switches == {} and sol.pruned == []
 
-    def test_switches_from_returned_errors(self):
-        # _solve_poses hands back the edge errors at the poses it returns;
-        # switches computed from them equal switches at recomputed errors
-        rng = np.random.default_rng(4)
-        graph, gt = noisy_graph(rng)
-        false_rel = compose(
-            compose(invert(gt[3]), gt[13]), RigidPose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        )
-        graph.edges.append(GraphEdge(3, 13, false_rel, 1000.0, True, "loop_closure"))
-        table = _EdgeTable(graph)
-        rot = np.array([p.rotation for p in gt])
-        trans = np.array([p.translation for p in gt]) + rng.normal(0, 0.05, (graph.num_nodes, 3))
-        err, err_rot = _edge_errors(rot, trans, table)
-        switches = _update_switches(table, err, CFG)
-        assert switches[-1] < CFG.edge_prune_threshold  # the (3, 13) edge
-        for _ in range(3):
-            rot, trans, _, err, err_rot = _solve_poses(table, rot, trans, err, err_rot, switches)
-            fresh, fresh_rot = _edge_errors(rot, trans, table)
-            assert np.array_equal(err, fresh) and np.array_equal(err_rot, fresh_rot)
-            switches = _update_switches(table, err, CFG)
-            assert np.array_equal(switches, _update_switches(table, fresh, CFG))
+    @pytest.mark.parametrize("which", ["noisy_graph", "ring"])
+    def test_returned_switches_are_a_fixed_point(self, which):
+        # the returned switches are the closed form at the returned poses'
+        # edge errors, and one more damped step under them barely moves the
+        # cost: the solve stopped at a fixed point of its reweighting
+        if which == "ring":
+            graph, gt = ring_graph(np.random.default_rng(805))
+            graph, bad = with_false_closure(graph, gt), (4, 19)
+        else:
+            graph, gt = noisy_graph(np.random.default_rng(4))
+            false_rel = compose(
+                compose(invert(gt[3]), gt[13]), RigidPose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+            )
+            graph.edges.append(GraphEdge(3, 13, false_rel, 1000.0, True, "loop_closure"))
+            bad = (3, 13)
+        sol = optimize_graph(graph)
+        assert sol.pruned == [bad]
+        kept = PoseGraph(graph.num_nodes, [e for e in graph.edges if (e.i, e.j) != bad])
+        table = _EdgeTable(kept)
+        rot, trans = sol.rotations, sol.translations
+        edge = _edge_errors(rot, trans, table)
+        switches = _update_switches(table, edge[0], CFG)
+        assert sol.switches == {
+            (e.i, e.j): float(s) for e, s in zip(kept.edges, switches) if e.uncertain
+        }
+        w = table.weight / table.weight.mean() * switches
+
+        def cost_of(err):
+            return float(np.sum(w[:, None] * err**2))
+
+        def trial(delta):
+            step = np.zeros((len(rot), 6))
+            step[table.order] = delta.reshape(-1, 6)
+            err = _edge_errors(rot @ so3_exp(step[:, :3]), trans + step[:, 3:], table)[0]
+            return err, cost_of(err)
+
+        cost = cost_of(edge[0])
+        ab, g = _normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
+        new, cost_new, _ = damped_step(ab, g, 1e-6, cost, trial, 8)
+        assert new is None or cost - cost_new < 1e-12 * max(cost, 1.0)
+
+    def test_switch_update_equals_edge_loop(self):
+        # bit for bit the closed form taken one uncertain edge at a time
+        for seed in range(20):
+            rng = np.random.default_rng(960 + seed)
+            n = int(rng.integers(2, 12))
+            pairs = [(i, i + 1) for i in range(n - 1)]
+            pairs += [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(n)]
+            graph = random_graph(rng, n, sorted(set(pairs)))
+            for e in graph.edges:
+                e.uncertain = bool(rng.integers(2))
+            table = _EdgeTable(graph)
+            err = rng.normal(0, 10 ** rng.uniform(-4, 1), (len(graph.edges), 6))
+            cfg = GraphConfig(line_process_mu=10 ** rng.uniform(0, 3))
+            got = _update_switches(table, err, cfg)
+            assert got.tobytes() == update_switches(table, err, cfg).tobytes()
+
+
+def solutions_agree(got, ref):
+    """Whether two graph solutions agree within the tolerances the IRLS loop
+    is held to against the alternating solve: poses within 1e-7 rad and
+    1e-7 m, switches within 1e-8, and the same pruned edges."""
+    angles = rotation_angle(np.swapaxes(got.rotations, 1, 2) @ ref.rotations)
+    return (
+        got.pruned == ref.pruned
+        and float(angles.max()) <= 1e-7
+        and float(np.abs(got.translations - ref.translations).max()) <= 1e-7
+        and got.switches.keys() == ref.switches.keys()
+        and all(abs(got.switches[k] - ref.switches[k]) <= 1e-8 for k in ref.switches)
+    )
+
+
+class TestAgainstAlternatingSolve:
+    """One IRLS loop reaches the fixed point of the alternating line-process
+    solve it replaced (``reference.alternating_optimize_graph``)."""
+
+    def test_criterion_08_rings(self):
+        pruned = 0
+        for seed in range(20):
+            graph, gt = ring_graph(np.random.default_rng(800 + seed))
+            for g in (graph, with_false_closure(graph, gt)):
+                ref = alternating_optimize_graph(g)
+                assert solutions_agree(optimize_graph(g), ref)
+                pruned += len(ref.pruned)
+        assert pruned == 20  # the false closure, every time
+
+    @pytest.mark.parametrize("seed", [1, 3, 7919])
+    def test_loop40_graphs(self, seed):
+        fs, _ = generate(SynthConfig(num_frames=40, trajectory="loop", num_objects=3,
+                                     keypoints_per_pair=40, noise_sigma_depth=0.003,
+                                     rng_seed=seed))
+        result = register_sequence(fs)
+        assert solutions_agree(result.solution, alternating_optimize_graph(result.graph))
+
+    def test_agreement_check_detects_drift(self):
+        graph, gt = ring_graph(np.random.default_rng(800))
+        sol = optimize_graph(with_false_closure(graph, gt))
+        assert solutions_agree(sol, sol)
+        moved = replace(sol, translations=sol.translations + 2e-7)
+        assert not solutions_agree(moved, sol)
+        assert not solutions_agree(replace(sol, pruned=[]), sol)
+        assert not solutions_agree(replace(sol, switches={k: v + 2e-8 for k, v in sol.switches.items()}), sol)
 
 
 def random_rotations(rng, count, max_angle=3.0):
@@ -362,8 +457,7 @@ class TestEdgeJacobian:
                 n, [GraphEdge(i, j, d, 1.0, False, "odometry") for (i, j), d in zip(pairs, rel)]
             )
             table = _EdgeTable(graph)
-            err, err_rot = _edge_errors(rot, trans, table)
-            jac_i, jac_j = _edge_jacobians(rot, table, err, err_rot)
+            jac_i, jac_j = _edge_jacobians(table, *_edge_errors(rot, trans, table))
             analytic = np.zeros((6 * m, 6 * n))
             for k, (i, j) in enumerate(pairs):
                 analytic[6 * k : 6 * k + 6, 6 * i : 6 * i + 6] = jac_i[k]
@@ -415,8 +509,9 @@ class TestNormalEquations:
             info = np.array([e.information_weight for e in graph.edges])
             w = info / info.mean() * rng.uniform(0.01, 1, m)
             table = _EdgeTable(graph)
-            err, err_rot = _edge_errors(rot, trans, table)
-            jac_i, jac_j = _edge_jacobians(rot, table, err, err_rot)
+            edge = _edge_errors(rot, trans, table)
+            err = edge[0]
+            jac_i, jac_j = _edge_jacobians(table, *edge)
             ab, g = _normal_equations(jac_i, jac_j, err, w, table)
             assert ab.shape == (table.band + 1, table.size) and g.shape == (table.size,)
             for d in range(1, table.band + 1):  # each row's tail lies outside the matrix
@@ -460,9 +555,9 @@ class TestBandedSolve:
         table = _EdgeTable(graph)
         rot = random_rotations(rng, n, 0.5)
         trans = rng.uniform(-2, 2, (n, 3))
-        err, err_rot = _edge_errors(rot, trans, table)
+        edge = _edge_errors(rot, trans, table)
         w = table.weight / table.weight.mean() * rng.uniform(0.1, 1, len(table.weight))
-        ab, g = _normal_equations(*_edge_jacobians(rot, table, err, err_rot), err, w, table)
+        ab, g = _normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
         h_dense, g_dense = node_order_system(ab, g, table)
         dense = np.linalg.solve(h_dense + lam * np.eye(table.size), -g_dense)
         tried = []
