@@ -85,16 +85,11 @@ def cmd_synth(args):
 
 def cmd_register_pair(args):
     fs = load_problem(args.problem)
+    if args.no_keypoints:
+        fs.keypoint_matches = []
     mcfg = _load_config(MatchConfig, args.match_config)
     scfg = _load_config(SolverConfig, args.solver_config)
-    result = register_pair(
-        fs,
-        mcfg,
-        scfg,
-        icp=not args.no_icp,
-        use_objects=not args.no_objects,
-        use_keypoints=not args.no_keypoints,
-    )
+    result = register_pair(fs, mcfg, scfg, icp=not args.no_icp, use_objects=not args.no_objects)
     doc = {"problem": os.path.abspath(args.problem), "success": result.success}
     if not result.success:
         doc["reason"] = result.reason

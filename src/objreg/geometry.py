@@ -294,6 +294,8 @@ class ObjectPose:
         self, angles=(0.0, 0.0, 0.0), translation=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0)
     ):
         angles = np.asarray(angles, dtype=float).reshape(3)
+        if not np.isfinite(angles).all():
+            raise ValueError("non-finite pose parameters")
         self._init(_frozen(rotation_from_euler(angles)), translation, scale)
         self._angles = _frozen(angles.copy())
 
@@ -302,6 +304,8 @@ class ObjectPose:
         self.translation = np.asarray(translation, dtype=float).reshape(3)
         self.scale = np.asarray(scale, dtype=float).reshape(3)
         self._angles = None
+        if not np.isfinite(self.translation).all():
+            raise ValueError("non-finite pose parameters")
         if not np.all(np.isfinite(self.scale)):
             raise ValueError("non-finite object scale")
         if np.any(self.scale <= 0):

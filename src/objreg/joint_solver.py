@@ -66,6 +66,12 @@ _LOG_SCALE_FLOOR = np.log(1e-3)
 MAX_ITERATIONS = 50
 CONVERGENCE_TOL = 1e-9
 DAMPING_TRIES = 8
+# Levenberg damping, shared with the pose graph: lam starts at LAMBDA_START. A
+# try with a nonsingular system and a finite cost at most ACCEPT_SLACK above
+# the cost before it lowers lam 10x, to >= LAMBDA_FLOOR; others raise it 10x.
+LAMBDA_START = 1e-6
+LAMBDA_FLOOR = 1e-12
+ACCEPT_SLACK = 1e-15
 # gauss_newton_solve_batch steps at most this many problems in lockstep at
 # once: larger groups ran no faster on a 40-frame loop's 102 pair problems
 # and raised the process's peak memory by their stacked arrays
@@ -570,11 +576,11 @@ def _solve_each(mats, rhs) -> tuple[np.ndarray, np.ndarray]:
 def _damped_steps(stack: _Stack, poses: _Poses, d, hess, grad, lam, cost, search):
     """One Levenberg-damped Gauss-Newton step of each problem in ``search``
     (indices), in lockstep. Per problem, up to DAMPING_TRIES times: solve
-    ``(J^T J + lam I) delta = -J^T r``; grow lam 10x on a singular system or
-    on a trial cost that is not finite or exceeds ``cost + 1e-15``; on
-    acceptance lam becomes ``max(lam / 10, 1e-12)``. ``lam`` is updated in
-    place. Each try evaluates the whole stack, the problems not tried at a
-    zero step (which leaves them exactly as they are). Returns the accepted
+    ``(J^T J + lam I) delta = -J^T r`` and update lam by the damping rule
+    (``LAMBDA_START``); a singular system is a rejected try. ``lam`` is
+    updated in place. Each try evaluates the whole stack, the problems not
+    tried at a zero step, and the next try is made by the problems whose
+    try was rejected, from their values before it. Returns the accepted
     mask and the poses, residual rows ``d`` and costs after the step."""
     accepted = np.zeros(len(cost), dtype=bool)
     eye = np.eye(hess.shape[1])
@@ -582,26 +588,20 @@ def _damped_steps(stack: _Stack, poses: _Poses, d, hess, grad, lam, cost, search
         if not len(search):
             break
         step, ok = _solve_each(hess[search] + lam[search, None, None] * eye, -grad[search])
-        lam[search[~ok]] *= 10
-        tried = search[ok]
-        if not len(tried):
-            continue
         delta = np.zeros(grad.shape)
-        delta[tried] = step[ok]
+        delta[search] = step
         with np.errstate(over="ignore", invalid="ignore"):
             trial = poses.retract(delta)
             rows = _residual(stack, trial)
             trial_cost = _cost(stack, rows)
-        good = np.isfinite(trial_cost[tried]) & (trial_cost[tried] <= cost[tried] + 1e-15)
-        lam[tried] = np.where(good, np.maximum(lam[tried] / 10, 1e-12), lam[tried] * 10)
-        won = tried[good]
-        accepted[won] = True
-        if good.all():  # the trial holds every problem's values after the step
-            return accepted, trial, rows, trial_cost
-        poses, d, cost = poses.take(np.arange(len(cost))), d.copy(), cost.copy()
-        poses.put(won, trial.take(won))
-        d[won], cost[won] = rows[won], trial_cost[won]
-        search = search[~accepted[search]]
+        good = ok & np.isfinite(trial_cost[search]) & (trial_cost[search] <= cost[search] + ACCEPT_SLACK)
+        lam[search] = np.where(good, np.maximum(lam[search] / 10, LAMBDA_FLOOR), lam[search] * 10)
+        accepted[search[good]] = True
+        lost = search[~good]
+        if len(lost):
+            trial.put(lost, poses.take(lost))
+            rows[lost], trial_cost[lost] = d[lost], cost[lost]
+        poses, d, cost, search = trial, rows, trial_cost, lost
     return accepted, poses, d, cost
 
 
@@ -656,7 +656,7 @@ def _lockstep(problems: list[RegistrationProblem]) -> list[SolveReport]:
     stack = _Stack(problems)
     poses = _Poses.initial(problems)
     running = np.ones(len(problems), dtype=bool)
-    lam = np.full(len(problems), 1e-6)
+    lam = np.full(len(problems), LAMBDA_START)
     pruned = np.zeros(len(problems), dtype=int)
     d = _residual(stack, poses)
     cost = _cost(stack, d)
@@ -764,7 +764,6 @@ def register_pair(
     scfg: SolverConfig | None = None,
     icp: bool = True,
     use_objects: bool = True,
-    use_keypoints: bool = True,
 ) -> PairResult:
     """Full pairwise registration, the one-pair case of the sequence's
     stages: object matching, :func:`build_problem`, joint solve (the K = 1
@@ -778,16 +777,15 @@ def register_pair(
     fit_noc(fs.observations)
     mcfg = mcfg or MatchConfig()
     scfg = scfg or SolverConfig()
-    keypoints = [km for km in fs.keypoint_matches if len(km)] if use_keypoints else []
     matches = []
     if use_objects:
         obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
-        matches = match_pair(obs_a, obs_b, mcfg, bool(keypoints))
-    sub = FrameSet(fs.frames, keypoints, fs.observations, fs.ground_truth)
+        keypoints_present = any(len(km) for km in fs.keypoint_matches)
+        matches = match_pair(obs_a, obs_b, mcfg, keypoints_present)
     try:
-        report = gauss_newton_solve(build_problem(sub, matches, scfg))
+        report = gauss_newton_solve(build_problem(fs, matches, scfg))
     except UnsolvableProblemError as e:
         return PairResult(False, str(e), matches=matches)
     if icp:
-        icp_polish(sub, [(0, 1)], [report], scfg)
+        icp_polish(fs, [(0, 1)], [report], scfg)
     return PairResult(True, None, report, matches)

@@ -21,6 +21,10 @@ from .geometry import (
     so3_log,
 )
 from .joint_solver import (
+    ACCEPT_SLACK,
+    DAMPING_TRIES,
+    LAMBDA_FLOOR,
+    LAMBDA_START,
     MIN_KEYPOINT_PAIRS,
     PairResult,
     SolverConfig,
@@ -343,9 +347,9 @@ def damped_step(ab, jtr, lam, cost, trial, tries):
     ``(J^T J + lam I) delta = -J^T r`` by banded Cholesky (LAPACK ``pbsv``,
     called directly: ``scipy.linalg.solveh_banded`` without its wrapper),
     J^T J given as its lower band storage ``ab`` (row 0 the diagonal), score
-    ``trial(delta) -> (candidate, cost)``, grow lam 10x on a system that is
-    not positive definite or a cost increase. Returns ``(candidate, cost,
-    lam / 10)``, or ``(None, None, lam)`` after ``tries``.
+    ``trial(delta) -> (candidate, cost)``, and damp by ``joint_solver``'s
+    rule (a system that is not positive definite is a rejected try). Returns
+    ``(candidate, cost, lam)`` or, after ``tries``, ``(None, None, lam)``.
 
     The damping is added to ``ab`` in place: pass a temporary, whose
     diagonal is overwritten."""
@@ -359,8 +363,8 @@ def damped_step(ab, jtr, lam, cost, trial, tries):
             lam *= 10
             continue
         candidate, cost_new = trial(delta)
-        if np.isfinite(cost_new) and cost_new <= cost + 1e-15:
-            return candidate, cost_new, max(lam / 10, 1e-12)
+        if np.isfinite(cost_new) and cost_new <= cost + ACCEPT_SLACK:
+            return candidate, cost_new, max(lam / 10, LAMBDA_FLOOR)
         lam *= 10
     return None, None, lam
 
@@ -472,12 +476,12 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
         # the new errors. Node rotations are retracted by right-multiplied
         # increments, translations additively; the tangent vector packs
         # (phi, dt) per node 1..n-1 in the table's band order.
-        lam, cost = 1e-6, np.inf
+        lam, cost = LAMBDA_START, np.inf
         for _ in range(MAX_ITERATIONS):
             w = scale * switches
             sqrt_w = np.sqrt(w)
             h, grad = _normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
-            new, new_cost, lam = damped_step(h, grad, lam, cost_of(edge[0]), trial, 8)
+            new, new_cost, lam = damped_step(h, grad, lam, cost_of(edge[0]), trial, DAMPING_TRIES)
             if new is None:
                 break
             rot, trans, edge = new

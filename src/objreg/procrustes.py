@@ -20,6 +20,7 @@ __all__ = [
     "icp_refine_sets",
 ]
 
+FILTER_MAX_ROUNDS = 10  # a Kabsch filter stops after at most this many rounds
 ICP_MAX_ITERATIONS = 30  # an ICP set stops after at most this many rounds
 
 
@@ -42,7 +43,7 @@ class AlignmentResult:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Iterative Kabsch-filter settings.
+    """Iterative Kabsch-filter settings; the round limit is ``FILTER_MAX_ROUNDS``.
 
     Defaults follow the pairwise setting (liberal 0.20 m threshold); the
     keypoint filters in use are ``joint_solver.KEYPOINT_FILTER`` (one pair)
@@ -55,15 +56,12 @@ class FilterConfig:
 
     distance_threshold: float = 0.20
     min_pairs: int = 3
-    max_rounds: int = 10
 
     def __post_init__(self):
         if self.distance_threshold <= 0:
             raise ValueError("distance_threshold must be positive")
         if self.min_pairs < 3:
             raise ValueError("min_pairs must be >= 3")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
 
 _TINY = np.finfo(float).tiny
@@ -136,7 +134,7 @@ def kabsch_filter_sets(
     count = np.array(sizes)
     out: list = [None] * num
     live = np.ones(num, dtype=bool)  # neither failed nor at a fixed point
-    for _ in range(cfg.max_rounds):
+    for _ in range(FILTER_MAX_ROUNDS):
         rot, trans, svals = _kabsch(src, tgt, inliers)
         short = count < cfg.min_pairs
         failed = live & (short | _rank_deficient(svals))
@@ -167,8 +165,8 @@ def kabsch_filter_sets(
 
 def kabsch_filter(source, target, cfg: FilterConfig | None = None) -> AlignmentResult:
     """Iterate {solve on inliers, drop pairs above the residual threshold}
-    until a fixed point or cfg.max_rounds. Outliers are never re-admitted, so
-    the inlier set shrinks monotonically. The one-set case of
+    until a fixed point or FILTER_MAX_ROUNDS. Outliers are never re-admitted,
+    so the inlier set shrinks monotonically. The one-set case of
     :func:`kabsch_filter_sets`; raises its DegenerateAlignmentError."""
     (result,) = kabsch_filter_sets([source], [target], cfg)
     if isinstance(result, DegenerateAlignmentError):

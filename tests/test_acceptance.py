@@ -178,7 +178,7 @@ def test_criterion_04_outlier_robustness():
         dirs = rng.normal(size=(30, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         tgt[planted] += dirs * rng.uniform(0.5, 1.0, 30)[:, None]
-        res = kabsch_filter(src, tgt, FilterConfig(0.20, 3, 10))
+        res = kabsch_filter(src, tgt, FilterConfig(0.20, 3))
         removed.append((~res.inlier_flags)[planted].mean())
         rot, trans = pose_error(res.pose, gt)
         rots.append(rot)

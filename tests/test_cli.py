@@ -89,6 +89,17 @@ class TestRegisterPairCommand:
         assert doc["success"]
         assert {**doc, "problem": None} == {**want, "problem": None}
 
+    def test_unsolvable_problem_reports_failure(self, pair_problem, tmp_path):
+        """With neither keypoints nor objects nothing can be solved: the
+        report says so and gives the reason."""
+        out = tmp_path / "report.json"
+        assert run("register-pair", "--problem", pair_problem, "--no-keypoints",
+                   "--no-objects", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["success"] is False
+        assert doc["reason"] == "no keypoint matches and no object matches"
+        assert "relative_pose" not in doc
+
     def test_determinism(self, pair_problem, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("register-pair", "--problem", pair_problem, "--out", str(a))
@@ -140,6 +151,53 @@ class TestEvalCommands:
         assert doc["num_pairs"] == 1
         assert doc["recall"]["15deg_30cm"] == 100.0
 
+    def test_recall_counts_failed_reports(self, pair_problem, tmp_path):
+        """A failed registration enters the recall as a miss."""
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        run("register-pair", "--problem", pair_problem, "--out", str(reports / "p0.json"))
+        run("register-pair", "--problem", pair_problem, "--no-keypoints", "--no-objects",
+            "--out", str(reports / "p1.json"))
+        out = tmp_path / "recall.json"
+        run("eval", "recall", "--reports", str(reports), "--thresholds", "15:30",
+            "--out", str(out))
+        doc = json.loads(out.read_text())
+        assert doc["num_pairs"] == 2 and doc["recall"]["15deg_30cm"] == 50.0
+
+    def test_recall_gt_map_overrides_embedded_gt(self, pair_problem, tmp_path):
+        """A ``--gt`` entry is the ground truth of its report, in place of
+        the pose embedded in the report: one 1 m off makes the pair a miss."""
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        run("register-pair", "--problem", pair_problem, "--out", str(reports / "p0.json"))
+        rep = json.loads((reports / "p0.json").read_text())
+        far = {**rep["gt_relative_pose"]}
+        far["translation"] = [t + 1.0 for t in far["translation"]]
+        recall = {}
+        for name, gt in (("embedded", {}), ("map", {"p0": far})):
+            gt_path = tmp_path / f"{name}.json"
+            gt_path.write_text(json.dumps(gt))
+            out = tmp_path / f"recall_{name}.json"
+            run("eval", "recall", "--reports", str(reports), "--gt", str(gt_path),
+                "--thresholds", "15:30", "--out", str(out))
+            recall[name] = json.loads(out.read_text())["recall"]["15deg_30cm"]
+        assert recall == {"embedded": 100.0, "map": 0.0}
+
+    def test_recall_without_ground_truth_named(self, pair_problem, tmp_path):
+        """A successful report with no embedded ground truth and no ``--gt``
+        entry stops the command, naming the report."""
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        report = reports / "p0.json"
+        run("register-pair", "--problem", pair_problem, "--out", str(report))
+        doc = json.loads(report.read_text())
+        del doc["gt_relative_pose"]
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "recall.json"
+        with pytest.raises(SystemExit, match="no ground truth for report p0.json"):
+            run("eval", "recall", "--reports", str(reports), "--out", str(out))
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "case", ["report_no_translation", "threshold_chunk", "gt_not_object", "solver_config_list"]
     )
@@ -174,6 +232,17 @@ class TestEvalCommands:
             "--out", str(out))
         doc = json.loads(out.read_text())
         assert 0.0 <= doc["overlap_percent"] <= 100.0
+
+
+    def test_overlap_without_ground_truth(self, pair_problem, tmp_path):
+        fs = load_problem(pair_problem)
+        fs.ground_truth = None
+        problem = tmp_path / "no_gt.json"
+        save_problem(fs, problem)
+        out = tmp_path / "ov.json"
+        with pytest.raises(SystemExit, match="no ground_truth"):
+            run("eval", "overlap", "--problem", str(problem), "--out", str(out))
+        assert not out.exists()
 
 
 class TestRegisterSequenceCommand:

@@ -236,6 +236,20 @@ class TestApplyObject:
         with pytest.raises(ValueError):
             ObjectPose(scale=np.array([1.0, -0.1, 1.0]))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ObjectPose((np.nan, 0.0, 0.0)),
+            lambda: ObjectPose(translation=(np.inf, 0.0, 0.0)),
+            lambda: ObjectPose.from_rotation(np.eye(3), (np.nan, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        ],
+        ids=["angles", "translation", "from_rotation translation"],
+    )
+    def test_non_finite_rejected(self, make):
+        """Both constructors reject non-finite input, as RigidPose's do."""
+        with pytest.raises(ValueError, match="non-finite pose parameters"):
+            make()
+
 
 rotation_vectors = st.lists(
     st.floats(-np.pi, np.pi, allow_nan=False), min_size=3, max_size=3

@@ -7,9 +7,12 @@ from scipy.linalg import LinAlgError, solveh_banded
 from objreg import geometry, joint_solver
 from objreg.geometry import RigidPose, apply_rigid, compose, invert
 from objreg.joint_solver import (
+    MAX_ITERATIONS,
     PairResult,
     SolverConfig,
     UnsolvableProblemError,
+    _cost,
+    _damped_steps,
     _normal_equations,
     _Poses,
     _prune,
@@ -678,21 +681,20 @@ class TestRegisterPair:
         with pytest.raises(ValueError, match="exactly 2 frames"):
             register_pair(fs)
 
-    def test_no_keypoints_equals_scene_without_them(self):
-        """``use_keypoints=False`` gives exactly the result of the same scene
-        with its keypoint matches removed, with no keypoint block."""
+    @pytest.mark.parametrize("keypoints", [40, 0])
+    def test_empty_keypoint_match_changes_nothing(self, keypoints):
+        """An empty keypoint match adds nothing: register_pair gives exactly
+        what it gives without it, on a scene with keypoints and on an
+        object-only one (which still matches as one without keypoints)."""
         cfg = SynthConfig(num_frames=2, num_objects=2, orbit_span=np.pi / 6,
-                          noise_sigma_depth=0.005, rng_seed=13)
-        fs, _ = generate(cfg)
-        assert any(len(km) for km in fs.keypoint_matches)
-        got = register_pair(fs, use_keypoints=False)
+                          keypoints_per_pair=keypoints, noise_sigma_depth=0.005, rng_seed=13)
+        want = register_pair(generate(cfg).frameset)
         fs, _ = generate(cfg)  # fresh observations, no cached fits
-        want = register_pair(FrameSet(fs.frames, [], fs.observations, fs.ground_truth))
-        assert got.success and want.success
-        assert got.matches == want.matches
+        fs.keypoint_matches.insert(0, KeypointMatch(1, 0, np.zeros((0, 3)), np.zeros((0, 3))))
+        got = register_pair(fs)
+        assert want.success and got.matches == want.matches
         assert solve_bits(got) == solve_bits(want)
         assert got.report.final_cost == want.report.final_cost
-        assert got.report.block_stats and all(s["kind"] == "object" for s in got.report.block_stats)
 
     def test_icp_does_not_hurt(self):
         fs, gt = generate(
@@ -822,7 +824,7 @@ class TestDampedStep:
         self.assert_identical(got, ref)
 
 
-SINGULAR_MARK = 0.1501  # residual_prune of the problem whose system is made singular
+MARK = 0.1501  # residual_prune of the problems that the hooks below single out
 
 
 def singular_first_try(monkeypatch, solves):
@@ -834,7 +836,7 @@ def singular_first_try(monkeypatch, solves):
 
     def normal_equations(stack, poses, d):
         hess, grad = _normal_equations(stack, poses, d)
-        for k in np.flatnonzero(stack.threshold == SINGULAR_MARK):
+        for k in np.flatnonzero(stack.threshold == MARK):
             hess[k, 0, :] = hess[k, :, 0] = 0.0
             hess[k, 0, 0], grad[k, 0] = -1e-6, 0.0
         return hess, grad
@@ -846,6 +848,31 @@ def singular_first_try(monkeypatch, solves):
 
     monkeypatch.setattr(joint_solver, "_normal_equations", normal_equations)
     monkeypatch.setattr(joint_solver, "_solve_each", solve_each)
+
+
+def rejected_first_try(monkeypatch):
+    """Make the marked problem's first trial cost NaN at every step, so that
+    its first try is rejected while the other problems accept theirs. The
+    first trial cost is the first cost a damped step computes; a stopped
+    problem, whose threshold is infinite, is left alone."""
+    first = []
+
+    def damped_steps(*args):
+        first.append(True)
+        try:
+            return _damped_steps(*args)
+        finally:
+            first.clear()
+
+    def cost(stack, d):
+        out = _cost(stack, d)
+        if first:
+            first.clear()
+            out[stack.threshold == MARK] = np.nan
+        return out
+
+    monkeypatch.setattr(joint_solver, "_damped_steps", damped_steps)
+    monkeypatch.setattr(joint_solver, "_cost", cost)
 
 
 def mixed_batch():
@@ -864,9 +891,30 @@ def mixed_batch():
         "three objects": tracked_problem(seed=23, objects=3),
         "outliers": outlier_problem(401),
         "zero cost": build_problem(keypoint_only_fs(rng)[0], []),
-        "singular": replace(singular, config=SolverConfig(residual_prune=SINGULAR_MARK)),
+        "singular": replace(singular, config=SolverConfig(residual_prune=MARK)),
         "no weighted block": replace(kp_only, config=SolverConfig(w_c=0.0)),
     }
+
+
+def solvable_batch(marked=None):
+    """mixed_batch() without its "singular" problem, marked there, and its
+    problem that has no weighted block; the problem named ``marked`` (if
+    any) is the one marked."""
+    problems = {
+        name: p for name, p in mixed_batch().items() if name not in ("singular", "no weighted block")
+    }
+    if marked is not None:
+        p = problems[marked]
+        problems[marked] = replace(p, config=replace(p.config, residual_prune=MARK))
+    return problems
+
+
+def solve_batch_and_alone(problems):
+    """The batch's reports by name, each checked against its solo solve."""
+    batch = dict(zip(problems, gauss_newton_solve_batch(list(problems.values()))))
+    for name, problem in problems.items():
+        assert_same_solve(batch[name], gauss_newton_solve(problem))
+    return batch
 
 
 def assert_same_solve(got, want):
@@ -922,6 +970,34 @@ class TestLockstep:
         report = gauss_newton_solve(problem)
         assert solves[0].tolist() == [False] and solves[1].tolist() == [True]
         assert report.iterations >= 1 and np.isfinite(report.final_cost)
+
+    @pytest.mark.parametrize("marked", ["outliers", "one object"])
+    def test_singular_try_beside_accepted_ones(self, monkeypatch, marked):
+        """A problem away from its optimum whose damped system is singular
+        at its first try, while the problems beside it accept theirs, is
+        retried at 10x the damping and goes on: every problem solves as it
+        solves alone, iteration count included."""
+        solves = []
+        singular_first_try(monkeypatch, solves)
+        batch = solve_batch_and_alone(solvable_batch(marked))
+        assert batch[marked].iterations >= 3
+
+    def test_rejected_try_beside_accepted_ones(self, monkeypatch):
+        """A problem whose first try is rejected on its non-finite cost,
+        while the problems beside it accept theirs, is retried from its
+        values before the try: every problem solves as it solves alone."""
+        rejected_first_try(monkeypatch)
+        batch = solve_batch_and_alone(solvable_batch("outliers"))
+        assert batch["outliers"].iterations >= 3
+
+    def test_iteration_limit(self, monkeypatch):
+        """Problems still running after MAX_ITERATIONS steps stop there, in a
+        batch as alone."""
+        assert solve_batch_and_alone(solvable_batch())["outliers"].iterations > 2
+        monkeypatch.setattr(joint_solver, "MAX_ITERATIONS", 2)
+        batch = solve_batch_and_alone(solvable_batch())
+        assert batch["outliers"].iterations == 2
+        assert max(r.iterations for r in batch.values()) == 2 < MAX_ITERATIONS
 
     def test_order_does_not_matter(self):
         """Each problem's result is its own: reversing the batch gives the

@@ -297,6 +297,17 @@ class TestOptimizeGraph:
         assert (3, 13) in sol.pruned
         assert graph_ate(sol.poses, gt) < 2 * graph_ate(optimize_graph(graph).poses, gt) + 1e-4
 
+    def test_every_damped_try_failing_keeps_chained_odometry(self, monkeypatch):
+        """When no damped try succeeds (every system reported not positive
+        definite), the solve stops where it started: the chained odometry
+        comes back, and nothing raises."""
+        monkeypatch.setattr(posegraph, "dpbsv", lambda ab, b, lower: (ab, b, 1))
+        graph, _ = ring_graph(np.random.default_rng(800))
+        sol = optimize_graph(graph)
+        chained = _chain_odometry(graph)
+        assert np.array_equal(sol.rotations, [p.rotation for p in chained])
+        assert np.array_equal(sol.translations, [p.translation for p in chained])
+
     def test_disconnected_certain_subgraph_rejected(self):
         edges = [GraphEdge(0, 1, RigidPose.identity(), 1.0, True, "odometry")]
         with pytest.raises(ValueError, match="not connected"):

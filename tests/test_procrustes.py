@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from objreg import procrustes
 from objreg.geometry import RigidPose, apply_rigid, compose, rotation_angle
 from objreg.procrustes import (
+    FILTER_MAX_ROUNDS,
     ICP_MAX_ITERATIONS,
     AlignmentResult,
     DegenerateAlignmentError,
@@ -104,7 +106,7 @@ class TestKabschFilter:
         src = rng.uniform(-1, 1, (50, 3))
         gt = random_pose(rng)
         tgt = apply_rigid(gt, src)
-        res = kabsch_filter(src, tgt, FilterConfig(0.20, 3, 10))
+        res = kabsch_filter(src, tgt, FilterConfig(0.20, 3))
         assert res.inlier_flags.all()
         direct = kabsch_solve(src, tgt)
         assert np.abs(res.pose.to_matrix() - direct.pose.to_matrix()).max() < 1e-9
@@ -118,7 +120,7 @@ class TestKabschFilter:
         dirs = rng.normal(size=(30, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         tgt[planted] += dirs * rng.uniform(0.5, 1.0, 30)[:, None]
-        res = kabsch_filter(src, tgt, FilterConfig(0.20, 3, 10))
+        res = kabsch_filter(src, tgt, FilterConfig(0.20, 3))
         flagged = ~res.inlier_flags
         assert flagged[planted].mean() >= 0.95
         rot, trans = pose_error(res.pose, gt)
@@ -127,7 +129,7 @@ class TestKabschFilter:
     def test_min_pairs_breach(self):
         pts = np.random.default_rng(8).uniform(-1, 1, (2, 3))
         with pytest.raises(DegenerateAlignmentError):
-            kabsch_filter(pts, pts, FilterConfig(0.20, 3, 10))
+            kabsch_filter(pts, pts, FilterConfig(0.20, 3))
 
     def test_inlier_set_shrinks_monotonically(self):
         # outliers are never re-admitted: final flags subset of all-ones and
@@ -136,9 +138,9 @@ class TestKabschFilter:
         src = rng.uniform(-1, 1, (60, 3))
         tgt = apply_rigid(random_pose(rng), src)
         tgt[:10] += 0.6
-        res = kabsch_filter(src, tgt, FilterConfig(0.20, 3, 10))
+        res = kabsch_filter(src, tgt, FilterConfig(0.20, 3))
         keep = res.inlier_flags
-        res2 = kabsch_filter(src[keep], tgt[keep], FilterConfig(0.20, 3, 10))
+        res2 = kabsch_filter(src[keep], tgt[keep], FilterConfig(0.20, 3))
         assert res2.inlier_flags.all()
 
 
@@ -148,7 +150,7 @@ def filter_one_set(source, target, cfg):
     the loop ended)."""
     inliers = np.ones(len(source), dtype=bool)
     result = None
-    for rounds in range(cfg.max_rounds):
+    for rounds in range(procrustes.FILTER_MAX_ROUNDS):
         if inliers.sum() < cfg.min_pairs:
             too_few = f"{int(inliers.sum())} surviving pairs < min_pairs={cfg.min_pairs}"
             return DegenerateAlignmentError(too_few), "short" if rounds else "short at start"
@@ -195,15 +197,23 @@ def mixed_sets(rng):
 
 
 class TestKabschFilterSets:
-    def test_equals_one_set_filter(self):
+    def test_equals_one_set_filter(self, monkeypatch):
         """Each set of a batch gets what the one-set loop gives it: the same
         inlier flags and rms, the pose within 1e-12, and the same error
-        where that loop raises; kabsch_filter agrees on its own."""
+        where that loop raises; kabsch_filter agrees on its own. One
+        setting runs with the round limit patched to 1, so that sets run
+        out of rounds."""
         ends = set()
+        settings = [
+            (FilterConfig(0.20, 15), FILTER_MAX_ROUNDS),
+            (FilterConfig(0.05, 5), 1),
+            (FilterConfig(0.1), FILTER_MAX_ROUNDS),
+        ]
         for seed in range(4):
             rng = np.random.default_rng(seed)
             sources, targets = mixed_sets(rng)
-            for cfg in (FilterConfig(0.20, 15, 10), FilterConfig(0.05, 5, 1), FilterConfig(0.1)):
+            for cfg, rounds in settings:
+                monkeypatch.setattr(procrustes, "FILTER_MAX_ROUNDS", rounds)
                 batch = kabsch_filter_sets(sources, targets, cfg)
                 for src, tgt, got in zip(sources, targets, batch):
                     want, end = filter_one_set(src, tgt, cfg)
@@ -226,8 +236,6 @@ class TestKabschFilterSets:
         with pytest.raises(ValueError, match="length mismatch"):
             kabsch_filter_sets([pts, pts], [pts, pts[:4]])
         assert kabsch_filter_sets([], []) == []
-        with pytest.raises(ValueError, match="max_rounds"):
-            FilterConfig(max_rounds=0)
 
 
 class TestIcpRefine:
