@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -73,7 +73,8 @@ def _write_json(doc: dict, path: str | None):
 def cmd_synth(args):
     cfg = _load_config(SynthConfig, args.config)
     if args.seed is not None:
-        cfg.rng_seed = args.seed
+        with _named("--seed"):
+            cfg = replace(cfg, rng_seed=args.seed)
     result = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     problem_path = os.path.join(args.out, "problem.json")

@@ -186,6 +186,11 @@ def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
     return np.array([gx, gy, gz])
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy int; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` marked read-only, so that a pose and its cached angles agree."""
     a.flags.writeable = False
@@ -312,6 +317,15 @@ class ObjectPose:
             raise ValueError("object scale must be positive")
 
     @classmethod
+    def _of(cls, rotation, translation, scale, angles=None) -> "ObjectPose":
+        """Object pose that takes ownership of a fresh or read-only rotation
+        array and of (3,) translation and scale arrays, unchecked."""
+        pose = cls.__new__(cls)
+        pose.rotation = _frozen(rotation)
+        pose.translation, pose.scale, pose._angles = translation, scale, angles
+        return pose
+
+    @classmethod
     def from_rotation(cls, rotation, translation, scale) -> "ObjectPose":
         """Object pose with the 3x3 ``rotation`` stored as given."""
         pose = cls.__new__(cls)
@@ -325,16 +339,23 @@ class ObjectPose:
         return RigidPose._of(self.rotation, self.translation.copy(), self._angles)
 
     def copy(self) -> "ObjectPose":
-        pose = ObjectPose.__new__(ObjectPose)
-        pose._init(self.rotation, self.translation.copy(), self.scale.copy())
-        pose._angles = self._angles
-        return pose
+        return ObjectPose._of(self.rotation, self.translation.copy(), self.scale.copy(), self._angles)
 
     def __repr__(self) -> str:
         return (
             f"ObjectPose(rotation={self.rotation.tolist()}, "
             f"translation={self.translation.tolist()}, scale={self.scale.tolist()})"
         )
+
+
+def _pose_builders(*arrays):
+    """The (RigidPose, ObjectPose) builders for poses of the values in
+    ``arrays``: the unchecked ``_of``, which keeps the arrays it is given,
+    when one test finds every value finite; else the checked
+    ``from_rotation``, which raises as for a lone pose."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return RigidPose._of, ObjectPose._of
+    return RigidPose.from_rotation, ObjectPose.from_rotation
 
 
 @dataclass

@@ -22,13 +22,23 @@ set; ``J^T W r`` and the cost are summed from the residual rows.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import ObjectPose, RigidPose, compose, invert, skew, so3_exp
+from .geometry import (
+    ObjectPose,
+    RigidPose,
+    _norms,
+    _pose_builders,
+    compose,
+    invert,
+    rotation_angle,
+    skew,
+    so3_exp,
+)
 from .matching import MatchConfig, PairMatch, match_pair, match_pairs
-from .metrics import pose_error
 from .observations import NOC_FILTER, FrameSet, fit_noc
 from .procrustes import (
     AlignmentResult,
@@ -47,6 +57,7 @@ __all__ = [
     "PairResult",
     "UnsolvableProblemError",
     "PairSetup",
+    "PairIndex",
     "build_problem",
     "build_problems",
     "gauss_newton_solve",
@@ -165,11 +176,12 @@ class PairSetup:
     screened: bool = False
 
 
-class _PairIndex:
+class PairIndex:
     """A FrameSet's records indexed by frame: ``frames[f]`` lists the
     positions of frame f's observations, and ``keypoints[(i, j)]``, i < j,
     the non-empty keypoint matches between frames i and j as (points in i,
-    points in j), both in file order."""
+    points in j), both in file order. Built once per set, it serves every
+    pair stage: :func:`build_problems` and :func:`icp_polish`."""
 
     def __init__(self, fs: FrameSet):
         self.observations = fs.observations
@@ -203,7 +215,7 @@ class _PairIndex:
         return np.vstack(pts) if pts else np.zeros((0, 3))
 
 
-def _problem(keypoints, fit, matched, cfg: SolverConfig) -> RegistrationProblem:
+def _problem(keypoints, fit, matched, cfg: SolverConfig, inliers: dict) -> RegistrationProblem:
     """A pair's problem from its stacked keypoint pairs ``(pi, pj)``, their
     filter's ``fit`` (or None) and its object matches as (observation in
     frame 0, observation in frame 1): the fit's inliers give the keypoint
@@ -211,7 +223,13 @@ def _problem(keypoints, fit, matched, cfg: SolverConfig) -> RegistrationProblem:
     of both observations' ``noc_fit`` (no block when either is None).
     Camera 1 starts at the keypoint block's Kabsch pose, else at the pose
     the first object block's two fits imply; each object starts at its fit
-    in frame 0. Raises UnsolvableProblemError when no block survives."""
+    in frame 0, with the observation's scale estimate. The fit is finite
+    and the estimate validated, so that pose is built unchecked. Raises
+    UnsolvableProblemError when no block survives.
+
+    ``inliers`` maps ``id(observation)`` to its fit's inlier (NOC, depth)
+    points; missing ones are added, so that the pairs of one build share
+    each observation's arrays."""
     block, cam1 = None, None
     if fit is not None and fit.num_inliers >= MIN_KEYPOINT_PAIRS:
         keep = fit.inlier_flags
@@ -221,9 +239,13 @@ def _problem(keypoints, fit, matched, cfg: SolverConfig) -> RegistrationProblem:
         fa, fb = a.noc_fit, b.noc_fit
         if fa is None or fb is None:
             continue
-        ka, kb = fa.inlier_flags, fb.inlier_flags
-        nocs, depths = (a.noc_points[ka], b.noc_points[kb]), (a.depth_points[ka], b.depth_points[kb])
-        init = ObjectPose.from_rotation(fa.pose.rotation, fa.pose.translation, a.scale_estimate)
+        for o in (a, b):
+            if id(o) not in inliers:
+                keep = o.noc_fit.inlier_flags
+                inliers[id(o)] = o.noc_points[keep], o.depth_points[keep]
+        (noc_a, depth_a), (noc_b, depth_b) = inliers[id(a)], inliers[id(b)]
+        nocs, depths = (noc_a, noc_b), (depth_a, depth_b)
+        init = ObjectPose._of(fa.pose.rotation, fa.pose.translation, a.scale_estimate)
         obj_blocks.append(ObjectBlock(t, nocs, depths, init))
         if cam1 is None:
             cam1 = compose(fa.pose, invert(fb.pose))
@@ -251,7 +273,7 @@ def build_problem(
     """
     if fs.num_frames != 2:
         raise ValueError("build_problem expects exactly 2 frames")
-    index = _PairIndex(fs)
+    index = PairIndex(fs)
     if not matches and not index.keypoints:
         raise UnsolvableProblemError(_NOTHING)
     keypoints = index.keypoint_pairs((0, 1))
@@ -263,11 +285,11 @@ def build_problem(
             pass
     obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
     matched = [(obs_a[m.index_a], obs_b[m.index_b]) for m in matches]
-    return _problem(keypoints, fit, matched, cfg or SolverConfig())
+    return _problem(keypoints, fit, matched, cfg or SolverConfig(), {})
 
 
 def build_problems(
-    fs: FrameSet,
+    index: PairIndex,
     plan: dict[tuple[int, int], tuple[MatchConfig, FilterConfig]],
     cfg: SolverConfig | None = None,
     screen=None,
@@ -275,9 +297,10 @@ def build_problems(
     """The front end of every pair ``(i, j)``, i < j, of ``plan``, which
     gives the pair's object matching and keypoint filter settings: as
     :func:`match_pair` and :func:`build_problem` would make them on the
-    pair's 2-frame set (frame i as 0, j as 1), with no such set made.
+    pair's 2-frame set (frame i as 0, j as 1), with no such set made, from
+    the set's ``index``.
 
-    The pairs are matched in one :func:`match_pairs` call on ``fs``'s
+    The pairs are matched in one :func:`match_pairs` call on the set's
     observations, looser fallback threshold only for a pair without a
     non-empty keypoint match. A pair for which ``screen(pair, fits)`` holds,
     ``fits`` the ``noc_fit`` pairs of its matched observations, is screened
@@ -286,8 +309,7 @@ def build_problems(
     must have their ``noc_fit`` (see :func:`fit_noc`). Results follow the
     plan's order; a pair that cannot be built keeps its reason."""
     cfg = cfg or SolverConfig()
-    index = _PairIndex(fs)
-    obs = fs.observations
+    obs = index.observations
     pairs = list(plan)
     keypoints = [index.keypoint_pairs(pair) for pair in pairs]
     requests = [(i, j, plan[(i, j)][0], bool(len(kp[0]))) for (i, j), kp in zip(pairs, keypoints)]
@@ -310,9 +332,10 @@ def build_problems(
         fits = kabsch_filter_sets([pi for pi, _ in kps], [pj for _, pj in kps], setting)
         for (setup, _, _, _), fit in zip(group, fits):
             setup.keypoint_fit = None if isinstance(fit, DegenerateAlignmentError) else fit
+    inliers = {}
     for setup, kp, matched, _ in todo:
         try:
-            setup.problem = _problem(kp, setup.keypoint_fit, matched, cfg)
+            setup.problem = _problem(kp, setup.keypoint_fit, matched, cfg, inliers)
         except UnsolvableProblemError as e:
             setup.reason = str(e)
     return setups
@@ -338,8 +361,10 @@ class _Stack:
 
     ``segment`` numbers the keypoint block and each object block's frames
     across the batch, padding rows in the last segment; ``floor`` is each
-    segment's pruning minimum. ``pad`` is 1 on the tangent entries of padded
-    object slots."""
+    segment's pruning minimum, and ``first[k]`` problem k's first segment.
+    ``pad`` is 1 on the tangent entries of padded object slots. Only the
+    points are copied block by block; every other field is gathered from
+    per-segment values in one pass."""
 
     def __init__(self, problems: list[RegistrationProblem]):
         num = len(problems)
@@ -350,39 +375,46 @@ class _Stack:
         )
         self.features = np.zeros((num, rows, 4 + 4 * slots))
         self.fixed = np.zeros((num, rows, 3))
-        self.a = np.zeros((num, rows))
-        self.active = np.zeros((num, rows), dtype=bool)
-        self.segment = np.full((num, rows), -1)
-        self.threshold = np.array([p.config.residual_prune for p in problems])
-        self.pad = np.zeros((num, 6 + 9 * slots))
-        floor = []
+        # per segment: (alpha, object slot or -1, a, floor); and the runs of
+        # rows, problem by problem, as (segment, size), padding as (-1, size)
+        segs, runs, self.first = [], [], []
         for k, problem in enumerate(problems):
             cfg, start = problem.config, 0
+            features, fixed = self.features[k], self.fixed[k]
+            self.first.append(len(segs))
             blk = problem.keypoints
             if blk is not None:
-                span = slice(start, start + len(blk))
-                self.features[k, span, 0], self.features[k, span, 1:4] = -1.0, -blk.points_j
-                self.fixed[k, span], self.a[k, span] = blk.points_i, cfg.w_c / len(blk)
-                self.segment[k, span] = len(floor)
-                floor.append(MIN_KEYPOINT_PAIRS)
-                start = span.stop
+                start = len(blk)
+                features[:start, 1:4], fixed[:start] = -blk.points_j, blk.points_i
+                runs.append((len(segs), start))
+                segs.append((-1.0, -1, cfg.w_c / start, MIN_KEYPOINT_PAIRS))
             for b, blk in enumerate(problem.object_blocks):
-                col = 4 + 4 * b
-                for frame, noc, depth in zip((0, 1), blk.noc_points, blk.depth_points):
+                col = 5 + 4 * b
+                for alpha, noc, depth in zip((0.0, 1.0), blk.noc_points, blk.depth_points):
                     span = slice(start, start + len(noc))
-                    if frame == 1:
-                        self.features[k, span, 0], self.features[k, span, 1:4] = 1.0, depth
+                    if alpha:
+                        features[span, 1:4] = depth
                     else:
-                        self.fixed[k, span] = depth
-                    self.features[k, span, col], self.features[k, span, col + 1 : col + 4] = 1.0, noc
-                    self.a[k, span] = cfg.w_o / blk.total_pairs()
-                    self.segment[k, span] = len(floor)
-                    floor.append(NOC_FILTER.min_pairs)
+                        fixed[span] = depth
+                    features[span, col : col + 3] = noc
+                    runs.append((len(segs), len(noc)))
+                    segs.append((alpha, b, cfg.w_o / blk.total_pairs(), NOC_FILTER.min_pairs))
                     start = span.stop
-            self.active[k, :start] = True
-            self.pad[k, 6 + 9 * len(problem.object_blocks) :] = 1.0
-        self.segment[self.segment < 0] = len(floor)
-        self.floor = np.array(floor + [rows + 1])
+            runs.append((-1, rows - start))
+        alpha, slot, weight, floor = (np.array(c) for c in zip(*segs, (0.0, -1, 0.0, rows + 1)))
+        ids, sizes = np.array(runs).T
+        ids[ids < 0] = len(segs)
+        self.segment = np.repeat(ids, sizes).reshape(num, rows)
+        self.active = self.segment < len(segs)
+        self.features[..., 0] = alpha[self.segment]
+        slot = slot[self.segment]
+        for b in range(slots):
+            self.features[..., 4 + 4 * b] = slot == b
+        self.a = weight[self.segment]
+        self.floor = floor
+        self.threshold = np.array([p.config.residual_prune for p in problems])
+        blocks = np.array([len(p.object_blocks) for p in problems])
+        self.pad = (np.arange(6 + 9 * slots) >= 6 + 9 * blocks[:, None]).astype(float)
         self.weigh()
 
     def weigh(self):
@@ -679,56 +711,64 @@ def _lockstep(problems: list[RegistrationProblem]) -> list[SolveReport]:
             )
             converged = before - cost <= CONVERGENCE_TOL * np.maximum(before, 1e-30)
             stop |= running & (~accepted | converged)
-        for j in np.flatnonzero(stop):
-            reports[j] = _report(problems[j], stack, poses, d, j, iterations, cost[j], pruned[j])
+        idx = np.flatnonzero(stop)
+        if len(idx):
+            for j, report in zip(idx, _reports(problems, stack, poses, d, idx, iterations, cost, pruned)):
+                reports[j] = report
         running = running & ~stop
         if not running.any():
             return reports
         stack.threshold[stop] = np.inf
 
 
-def _report(problem, stack: _Stack, poses: _Poses, d, j, iterations, cost, pruned) -> SolveReport:
-    """Problem ``j`` of the stack's report; ``d`` holds its final rows."""
-    norms = np.sqrt(_squares(d[j]))
-    active = stack.active[j]
-    # a block's rows: the keypoint pairs have alpha = -1, object b's slot_b = 1
-    blocks = []
-    if problem.keypoints is not None:
-        blocks.append(("keypoint", problem.keypoints, stack.features[j, :, 0] < 0))
-    blocks += [
-        ("object", blk, stack.features[j, :, 4 + 4 * b] > 0)
-        for b, blk in enumerate(problem.object_blocks)
-    ]
-    stats = []
-    for kind, blk, rows in blocks:
-        mask = active & rows
-        if kind == "keypoint":
-            stats.append({"kind": kind, "frames": (0, 1), "active": int(mask.sum()),
-                          "total": len(blk), "rms": _rms(norms[mask])})
-        else:
-            stats.append({"kind": kind, "track_id": blk.track_id, "frames": (0, 1),
-                          "active": int(mask.sum()), "total": blk.total_pairs(),
-                          "rms": _rms(norms[mask])})
-    rot, trans, scale = poses.rot[j], poses.trans[j].copy(), poses.scale[j].copy()
-    cameras = [_GAUGE, RigidPose.from_rotation(rot[0], trans[0])]
-    objects = [
-        ObjectPose.from_rotation(rot[b + 1], trans[b + 1], scale[b])
-        for b in range(len(problem.object_blocks))
-    ]
-    track_ids = [b.track_id for b in problem.object_blocks]
-    return SolveReport(cameras, objects, track_ids, int(iterations), float(cost), int(pruned), stats)
+def _reports(problems, stack: _Stack, poses: _Poses, d, idx, iterations, cost, pruned) -> list[SolveReport]:
+    """The reports of the stack's problems ``idx``, built together; ``d``
+    holds their final rows. One test over the values of every pose of the
+    stack picks the pose builders: unchecked when all are finite (a scale,
+    the exponential of a log-scale, is then positive), else the checked
+    constructors, which raise as for a lone pose. Each pose owns copies of
+    its slot's arrays: a report outlives the batch, and a view would keep
+    the batch's buffer alive at the cost of a whole array object. Each
+    block's rms is the root mean square of its active rows' residual norms,
+    summed block by block in row order."""
+    rot, trans, scale = poses.rot, poses.trans, poses.scale
+    rigid, placed = _pose_builders(rot, trans, scale)
+    # each segment's active rows; in row order a problem's rows run segment
+    # by segment, so the squared norms of the active rows of problems
+    # ``idx``, gathered in order, hold each block's as one run
+    held = np.bincount(stack.segment[stack.active], minlength=len(stack.floor)).tolist()
+    chosen = np.zeros(len(stack.active), dtype=bool)
+    chosen[idx] = True
+    norms = np.sqrt(_squares(d)[stack.active & chosen[:, None]])
+    squares = norms * norms
+    end = 0
 
+    def rms(n):  # of the next n squares
+        nonlocal end
+        end += n
+        return math.sqrt(float(np.add.reduce(squares[end - n : end])) / n) if n else 0.0
 
-def _rms(norms) -> float:
-    """Root mean square of a block's residual norms, in row order; 0.0 for
-    none."""
-    if not len(norms):
-        return 0.0
-    return float(np.sqrt((norms * norms).sum() / len(norms)))
+    out = []
+    for j, final, total in zip(idx, cost[idx].tolist(), pruned[idx].tolist()):
+        problem, seg, stats = problems[j], stack.first[j], []
+        if problem.keypoints is not None:
+            n, seg = held[seg], seg + 1
+            stats.append({"kind": "keypoint", "frames": (0, 1), "active": n,
+                          "total": len(problem.keypoints), "rms": rms(n)})
+        for blk in problem.object_blocks:
+            n, seg = held[seg] + held[seg + 1], seg + 2
+            stats.append({"kind": "object", "track_id": blk.track_id, "frames": (0, 1),
+                          "active": n, "total": blk.total_pairs(), "rms": rms(n)})
+        slots = range(1, len(problem.object_blocks) + 1)
+        cameras = [_GAUGE, rigid(rot[j, 0].copy(), trans[j, 0].copy())]
+        objects = [placed(rot[j, b].copy(), trans[j, b].copy(), scale[j, b - 1].copy()) for b in slots]
+        track_ids = [blk.track_id for blk in problem.object_blocks]
+        out.append(SolveReport(cameras, objects, track_ids, iterations, final, total, stats))
+    return out
 
 
 def icp_polish(
-    fs: FrameSet, pairs: list[tuple[int, int]], reports: list[SolveReport], scfg: SolverConfig
+    index: PairIndex, pairs: list[tuple[int, int]], reports: list[SolveReport], scfg: SolverConfig
 ) -> None:
     """Polish camera 1 of each pair's report by ICP, in one
     :func:`icp_refine_sets` call: pair (i, j)'s frame-j points onto its
@@ -737,8 +777,7 @@ def icp_polish(
     matches (``FrameSet.frame_points`` of the pair's 2-frame set). The
     refinement replaces the pose when ICP converges no further than that
     radius and 10 degrees from it; a pair with an empty side is left as
-    it is."""
-    index = _PairIndex(fs)
+    it is. ``index`` is the set's :class:`PairIndex`."""
     sets = []
     for (i, j), report in zip(pairs, reports):
         src, tgt = index.frame_points(j, (i, j)), index.frame_points(i, (i, j))
@@ -748,14 +787,21 @@ def icp_polish(
         [s for s, _, _ in sets], [t for _, t, _ in sets],
         [r.camera_poses[1] for _, _, r in sets], scfg.residual_prune,
     )
-    for (_, _, report), res in zip(sets, results):
-        # accept only small corrections: an "improvement" that moves the pose
-        # beyond the association radius means ICP slid disjoint surfaces onto
-        # each other (common at near-zero overlap)
-        if res.converged:
-            drot, dtrans = pose_error(res.pose, report.camera_poses[1])
-            if dtrans <= scfg.residual_prune and drot <= 10.0:
-                report.camera_poses[1] = res.pose
+    # accept only small corrections: an "improvement" that moves the pose
+    # beyond the association radius means ICP slid disjoint surfaces onto
+    # each other (common at near-zero overlap). The distances are
+    # metrics.pose_error's, bit for bit, for all converged pairs at once
+    done = [(report, res.pose) for (_, _, report), res in zip(sets, results) if res.converged]
+    if not done:
+        return
+    after = [pose for _, pose in done]
+    before = [report.camera_poses[1] for report, _ in done]
+    rot = np.array([p.rotation for p in after]).swapaxes(1, 2) @ np.array([p.rotation for p in before])
+    shift = _norms(np.array([p.translation for p in after]) - np.array([p.translation for p in before]))
+    close = (shift <= scfg.residual_prune) & (np.degrees(rotation_angle(rot)) <= 10.0)
+    for (report, pose), keep in zip(done, close.tolist()):
+        if keep:
+            report.camera_poses[1] = pose
 
 
 def register_pair(
@@ -787,5 +833,5 @@ def register_pair(
     except UnsolvableProblemError as e:
         return PairResult(False, str(e), matches=matches)
     if icp:
-        icp_polish(fs, [(0, 1)], [report], scfg)
+        icp_polish(PairIndex(fs), [(0, 1)], [report], scfg)
     return PairResult(True, None, report, matches)

@@ -55,8 +55,10 @@ class RecallThreshold:
     trans_cm: float
 
     def __post_init__(self):
-        if self.rot_deg <= 0 or self.trans_cm <= 0:
-            raise ValueError("thresholds must be positive")
+        for name in ("rot_deg", "trans_cm"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def pose_error(est: RigidPose, gt: RigidPose) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Intrinsics, RigidPose
+from .geometry import Intrinsics, RigidPose, _is_int
 from .procrustes import (
     AlignmentResult,
     DegenerateAlignmentError,
@@ -236,11 +236,6 @@ class FrameSet:
         if self.ground_truth is not None and len(self.ground_truth) != n:
             raise ValidationError("ground_truth length must equal number of frames")
         return self
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy int; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _raise_non_int(kind: str, records, *fields) -> None:

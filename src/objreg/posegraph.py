@@ -26,6 +26,7 @@ from .joint_solver import (
     LAMBDA_FLOOR,
     LAMBDA_START,
     MIN_KEYPOINT_PAIRS,
+    PairIndex,
     PairResult,
     SolverConfig,
     SolveReport,
@@ -600,8 +601,9 @@ def register_sequence(
     # pair's problem, solve them all in one batch, and polish the odometry
     # pairs by ICP
     fit_noc(fs.observations)
+    index = PairIndex(fs)
     setups = build_problems(
-        fs, plan, scfg, screen=lambda pair, fits: _screened_out(pair, fits, scfg, gcfg)
+        index, plan, scfg, screen=lambda pair, fits: _screened_out(pair, fits, scfg, gcfg)
     )
     built = [pair for pair, setup in setups.items() if setup.problem is not None]
     solved = gauss_newton_solve_batch([setups[pair].problem for pair in built])
@@ -609,7 +611,7 @@ def register_sequence(
     # the reason the problem could not be built
     reports = dict(zip(built, solved))
     polish = [p for p in odo_pairs if isinstance(reports.get(p), SolveReport)]
-    icp_polish(fs, polish, [reports[p] for p in polish], scfg)
+    icp_polish(index, polish, [reports[p] for p in polish], scfg)
     results, screened = {}, []
     for pair, setup in setups.items():
         report = reports.get(pair, setup.reason)

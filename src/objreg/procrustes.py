@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RigidPose, _norms, rotation_angle
+from .geometry import RigidPose, _is_int, _norms, _pose_builders, rotation_angle
 
 __all__ = [
     "AlignmentResult",
@@ -58,10 +58,12 @@ class FilterConfig:
     min_pairs: int = 3
 
     def __post_init__(self):
-        if self.distance_threshold <= 0:
-            raise ValueError("distance_threshold must be positive")
-        if self.min_pairs < 3:
-            raise ValueError("min_pairs must be >= 3")
+        if not 0 < self.distance_threshold < np.inf:
+            raise ValueError(
+                f"distance_threshold must be finite and positive, got {self.distance_threshold!r}"
+            )
+        if not (_is_int(self.min_pairs) and self.min_pairs >= 3):
+            raise ValueError(f"min_pairs must be an int >= 3, got {self.min_pairs!r}")
 
 
 _TINY = np.finfo(float).tiny
@@ -153,13 +155,14 @@ def kabsch_filter_sets(
             break
     for k in np.flatnonzero(live & (count < cfg.min_pairs)):  # out of rounds
         out[k] = _too_few(count[k], cfg)
-    for k in range(num):
-        if out[k] is None:
-            flags = inliers[k, : sizes[k]].copy()
-            # summed over this set alone, in the order np.mean of it sums
-            sq = res[k, : sizes[k]][flags] ** 2
-            rms = math.sqrt(sq.sum() / len(sq))
-            out[k] = AlignmentResult(RigidPose.from_rotation(rot[k], trans[k]), rms, flags)
+    fitted = [k for k in range(num) if out[k] is None]
+    rigid, _ = _pose_builders(rot[fitted], trans[fitted])
+    for k in fitted:
+        flags = inliers[k, : sizes[k]].copy()
+        # summed over this set alone, in the order np.mean of it sums
+        sq = res[k, : sizes[k]][flags] ** 2
+        rms = math.sqrt(sq.sum() / len(sq))
+        out[k] = AlignmentResult(rigid(rot[k], trans[k]), rms, flags)
     return out
 
 
@@ -246,8 +249,10 @@ def icp_refine_sets(sources, targets, inits, max_corr_dist: float) -> list[Align
         best_rot[tiny], best_trans[tiny] = rot[tiny], trans[tiny]
         live = [k for k, stop in zip(stepping, done | degenerate) if not stop]
     out = []
+    rigid, _ = _pose_builders(best_rot, best_trans)
+    # own copies: a refined pose may outlive every other result of the batch
     for k in range(num):
-        pose = RigidPose.from_rotation(best_rot[k], best_trans[k])
+        pose = rigid(best_rot[k].copy(), best_trans[k].copy())
         if unmatched[k]:
             out.append(AlignmentResult(pose, np.inf, flags[k], converged=False))
         else:

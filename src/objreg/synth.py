@@ -7,17 +7,28 @@ config, so a fixed seed reproduces byte-identical problem files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import Intrinsics, RigidPose, apply_rigid, compose, invert
-from .observations import Frame, FrameSet, KeypointMatch, ObjectObservation
+from .geometry import Intrinsics, RigidPose, _is_int, apply_rigid, compose, invert
+from .observations import SYMMETRY_CLASSES, Frame, FrameSet, KeypointMatch, ObjectObservation
 
 __all__ = ["SynthConfig", "SynthResult", "generate", "overlap", "make_pair_suite"]
 
 DEFAULT_INTRINSICS = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 MAX_SUITE_ATTEMPTS = 400  # make_pair_suite's scene draws per bucket
+TRAJECTORIES = ("orbit", "line", "loop")
+# SynthConfig's int fields, each with its least value
+_INT_FIELDS = {
+    "num_frames": 1, "num_objects": 0, "num_classes": 1, "points_per_object": 0,
+    "keypoints_per_pair": 0, "background_points": 0, "embed_dim": 1, "rng_seed": 0,
+}
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy int or float; a bool is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -42,10 +53,31 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.outlier_fraction < 1:
-            raise ValueError("outlier_fraction must be in [0, 1)")
-        if self.trajectory not in ("orbit", "line", "loop"):
-            raise ValueError(f"unknown trajectory {self.trajectory!r}")
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name in _INT_FIELDS:
+                ok, want = _is_int(value) and value >= _INT_FIELDS[name], f"an int >= {_INT_FIELDS[name]}"
+            elif name == "trajectory":
+                ok, want = value in TRAJECTORIES, f"one of {TRAJECTORIES}"
+            elif name == "symmetries":
+                ok = isinstance(value, (tuple, list)) and all(s in SYMMETRY_CLASSES for s in value)
+                want = f"a sequence of labels from {SYMMETRY_CLASSES}"
+            elif name == "object_extents":
+                ok = isinstance(value, (tuple, list)) and len(value) == 3
+                ok = ok and all(_is_real(v) and 0 < v < np.inf for v in value)
+                want = "3 finite positive lengths"
+            elif not _is_real(value):
+                ok, want = False, "a real number"
+            elif name == "outlier_fraction":
+                ok, want = 0 <= value < 1, "in [0, 1)"
+            elif name == "orbit_span":
+                ok, want = -np.inf < value < np.inf, "finite"
+            elif name == "orbit_radius":
+                ok, want = 0 < value < np.inf, "finite and positive"
+            else:  # the noise and embedding spreads
+                ok, want = 0 <= value < np.inf, "finite and nonnegative"
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass
@@ -186,7 +218,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     extents = np.asarray(cfg.object_extents, dtype=float)
     obj_world = []
     for o in range(cfg.num_objects):
-        ang = 2 * np.pi * o / max(cfg.num_objects, 1) + rng.uniform(-0.2, 0.2)
+        ang = 2 * np.pi * o / cfg.num_objects + rng.uniform(-0.2, 0.2)
         radius = 0.0 if cfg.num_objects == 1 else rng.uniform(0.6, 1.1)
         t = np.array([radius * np.cos(ang), radius * np.sin(ang), 0.8])
         yaw = rng.uniform(0, 2 * np.pi)
@@ -195,7 +227,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
             {
                 "pose": RigidPose(np.array([0.0, 0.0, yaw]), t),
                 "scale": extents * rng.uniform(0.9, 1.1, 3),
-                "class": o % max(cfg.num_classes, 1),
+                "class": o % cfg.num_classes,
                 "symmetry": sym,
             }
         )

@@ -2,12 +2,14 @@
 The package itself does not use them: the closed-form Kabsch alignment of
 one point set, the object transform of canonical points, the distance of two
 embeddings, the joint solver's normal equations against finite differences,
-dense forms of the pose graph's band-stored normal equations, the robust
-pose graph solve as alternating loops, and acceptance criterion 08's ring
-graphs."""
+its reports built one problem at a time, the ICP polish accepting pair by
+pair, dense forms of the pose graph's band-stored normal equations, the
+robust pose graph solve as alternating loops, and acceptance criterion 08's
+ring graphs."""
 
 import numpy as np
 
+from objreg import joint_solver
 from objreg.geometry import (
     ObjectPose,
     RigidPose,
@@ -18,14 +20,18 @@ from objreg.geometry import (
     so3_exp,
 )
 from objreg.joint_solver import (
+    _GAUGE,
     RegistrationProblem,
+    SolveReport,
     _normal_equations,
     _Poses,
     _prune,
     _residual,
+    _squares,
     _Stack,
     _weighted_blocks,
 )
+from objreg.metrics import pose_error
 from objreg.posegraph import (
     GraphConfig,
     GraphEdge,
@@ -127,6 +133,66 @@ def numeric_jacobian_check(problem: RegistrationProblem) -> float:
     ):
         errors.append(np.divide(err, bound, out=np.zeros_like(err), where=bound > 0))
     return float(max(e.max() for e in errors))
+
+
+def report(problem, stack: _Stack, poses: _Poses, d, j, iterations, cost, pruned) -> SolveReport:
+    """Problem ``j`` of the stack's report, built alone, each pose by its
+    checked constructor from its own copy; ``d`` holds its final rows."""
+    norms = np.sqrt(_squares(d[j]))
+    active = stack.active[j]
+    # a block's rows: the keypoint pairs have alpha = -1, object b's slot_b = 1
+    blocks = []
+    if problem.keypoints is not None:
+        blocks.append(("keypoint", problem.keypoints, stack.features[j, :, 0] < 0))
+    blocks += [
+        ("object", blk, stack.features[j, :, 4 + 4 * b] > 0)
+        for b, blk in enumerate(problem.object_blocks)
+    ]
+    stats = []
+    for kind, blk, rows in blocks:
+        mask = active & rows
+        if kind == "keypoint":
+            stats.append({"kind": kind, "frames": (0, 1), "active": int(mask.sum()),
+                          "total": len(blk), "rms": rms(norms[mask])})
+        else:
+            stats.append({"kind": kind, "track_id": blk.track_id, "frames": (0, 1),
+                          "active": int(mask.sum()), "total": blk.total_pairs(),
+                          "rms": rms(norms[mask])})
+    rot, trans, scale = poses.rot[j], poses.trans[j].copy(), poses.scale[j].copy()
+    cameras = [_GAUGE, RigidPose.from_rotation(rot[0], trans[0])]
+    objects = [
+        ObjectPose.from_rotation(rot[b + 1], trans[b + 1], scale[b])
+        for b in range(len(problem.object_blocks))
+    ]
+    track_ids = [b.track_id for b in problem.object_blocks]
+    return SolveReport(cameras, objects, track_ids, int(iterations), float(cost), int(pruned), stats)
+
+
+def rms(norms) -> float:
+    """Root mean square of a block's residual norms, in row order; 0.0 for
+    none."""
+    if not len(norms):
+        return 0.0
+    return float(np.sqrt((norms * norms).sum() / len(norms)))
+
+
+def icp_polish(index, pairs, reports, scfg) -> None:
+    """``joint_solver.icp_polish`` accepting pair by pair, each correction
+    measured by ``metrics.pose_error``."""
+    sets = []
+    for (i, j), rep in zip(pairs, reports):
+        src, tgt = index.frame_points(j, (i, j)), index.frame_points(i, (i, j))
+        if len(src) and len(tgt):
+            sets.append((src, tgt, rep))
+    results = joint_solver.icp_refine_sets(
+        [s for s, _, _ in sets], [t for _, t, _ in sets],
+        [r.camera_poses[1] for _, _, r in sets], scfg.residual_prune,
+    )
+    for (_, _, rep), res in zip(sets, results):
+        if res.converged:
+            drot, dtrans = pose_error(res.pose, rep.camera_poses[1])
+            if dtrans <= scfg.residual_prune and drot <= 10.0:
+                rep.camera_poses[1] = res.pose
 
 
 def lower_band(dense, band):

@@ -43,6 +43,12 @@ class TestSynthCommand:
         with pytest.raises(SystemExit, match="bogus_key"):
             run("synth", "--config", cfg, "--out", str(tmp_path / "x"))
 
+    def test_bad_seed_named(self, tmp_path):
+        """--seed is checked as the config's rng_seed is."""
+        with pytest.raises(SystemExit, match="--seed: .*rng_seed must be an int >= 0"):
+            run("synth", "--out", str(tmp_path / "x"), "--seed", "-1")
+        assert not (tmp_path / "x").exists()
+
 
 @pytest.fixture(scope="module")
 def pair_problem(tmp_path_factory):
@@ -199,7 +205,8 @@ class TestEvalCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "case", ["report_no_translation", "threshold_chunk", "gt_not_object", "solver_config_list"]
+        "case",
+        ["report_no_translation", "threshold_chunk", "threshold_nan", "gt_not_object", "solver_config_list"],
     )
     def test_bad_input_named(self, pair_problem, tmp_path, case):
         reports = tmp_path / "reports"
@@ -214,6 +221,9 @@ class TestEvalCommands:
             argv, named = ["eval", "recall", "--reports", str(reports)], [str(report), "relative_pose"]
         elif case == "threshold_chunk":
             argv, named = ["eval", "recall", "--reports", str(reports), "--thresholds", "15:30,5"], ["'5'"]
+        elif case == "threshold_nan":
+            argv = ["eval", "recall", "--reports", str(reports), "--thresholds", "15:30,nan:10"]
+            named = ["'nan:10'", "rot_deg"]
         elif case == "gt_not_object":
             bad.write_text(json.dumps([{"p0": 1}]))
             argv, named = ["eval", "recall", "--reports", str(reports), "--gt", str(bad)], [str(bad)]

@@ -9,6 +9,7 @@ from objreg.geometry import (
     Intrinsics,
     ObjectPose,
     RigidPose,
+    _pose_builders,
     apply_rigid,
     compose,
     invert,
@@ -122,6 +123,30 @@ class TestPoseRepresentation:
             with pytest.raises(ValueError):
                 pose.angles[0] = 1.0
             assert pose.angles.tobytes() == before.tobytes()
+
+    def test_pose_builders_check_once(self):
+        """Finite arrays get the unchecked builders, whose poses are
+        read-only views of them; any non-finite value gets the checked
+        constructors, which raise naming what is wrong."""
+        rot = so3_exp(RNG.uniform(-1, 1, (2, 2, 3)))
+        trans, scale = RNG.uniform(-1, 1, (2, 2, 3)), RNG.uniform(0.5, 1.5, (2, 3))
+        rigid, placed = _pose_builders(rot, trans, scale)
+        assert (rigid, placed) == (RigidPose._of, ObjectPose._of)
+        cam, obj = rigid(rot[0, 0], trans[0, 0]), placed(rot[0, 1], trans[0, 1], scale[0])
+        assert cam.rotation.base is rot and obj.scale.base is scale
+        assert not (cam.rotation.flags.writeable or obj.rotation.flags.writeable)
+        for array, index, message in (
+            (rot, (1, 0, 2, 2), "non-finite rotation"),
+            (trans, (1, 0, 1), "non-finite pose parameters"),
+            (scale, (1, 0), "non-finite object scale"),
+        ):
+            saved, array[index] = array[index], np.nan
+            rigid, placed = _pose_builders(rot, trans, scale)
+            assert (rigid, placed) == (RigidPose.from_rotation, ObjectPose.from_rotation)
+            rigid(rot[0, 0], trans[0, 0])  # a finite pose still builds
+            with pytest.raises(ValueError, match=message):
+                rigid(rot[1, 0], trans[1, 0]) if array is not scale else placed(rot[1, 1], trans[1, 1], scale[1])
+            array[index] = saved
 
     def test_matrix_operations_never_pass_through_angles(self, monkeypatch):
         def forbidden(*_):

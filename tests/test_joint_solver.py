@@ -8,7 +8,9 @@ from objreg import geometry, joint_solver
 from objreg.geometry import RigidPose, apply_rigid, compose, invert
 from objreg.joint_solver import (
     MAX_ITERATIONS,
+    PairIndex,
     PairResult,
+    SolveReport,
     SolverConfig,
     UnsolvableProblemError,
     _cost,
@@ -16,6 +18,7 @@ from objreg.joint_solver import (
     _normal_equations,
     _Poses,
     _prune,
+    _reports,
     _residual,
     _solve_each,
     _Stack,
@@ -28,8 +31,8 @@ from objreg.joint_solver import (
 from objreg.matching import MatchConfig, PairMatch, match_pair
 from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation, fit_noc
-from objreg.posegraph import damped_step
-from objreg.procrustes import icp_refine_sets
+from objreg.posegraph import damped_step, register_sequence
+from objreg.procrustes import AlignmentResult, icp_refine_sets
 from objreg.synth import SynthConfig, generate
 import reference
 from reference import apply_object, kabsch_solve, lower_band, numeric_jacobian_check
@@ -741,7 +744,7 @@ class TestPrecomputedMatches:
             keypoints_present=not object_only,
         )
         (report,) = gauss_newton_solve_batch([build_problem(fs, matches, SolverConfig())])
-        icp_polish(fs, [(0, 1)], [report], SolverConfig())
+        icp_polish(PairIndex(fs), [(0, 1)], [report], SolverConfig())
         given = PairResult(True, None, report, matches)
         assert reference.success
         assert given.matches == reference.matches
@@ -1007,3 +1010,139 @@ class TestLockstep:
         backward = gauss_newton_solve_batch(problems[::-1])[::-1]
         for got, want in zip(backward, forward):
             assert_same_solve(got, want)
+
+
+def report_values(report):
+    """A report's values, each with its type: poses by their bytes, block
+    stats key by key."""
+    poses = [(p.rotation.tobytes(), p.translation.tobytes()) for p in report.camera_poses]
+    poses += [
+        (p.rotation.tobytes(), p.translation.tobytes(), p.scale.tobytes()) for p in report.object_poses
+    ]
+    stats = [{k: (type(v), v) for k, v in s.items()} for s in report.block_stats]
+    scalars = [(type(v), v) for v in (report.iterations, report.final_cost, report.pruned_count)]
+    return poses, report.track_ids, scalars, stats
+
+
+def reports_beside_reference(monkeypatch, solve):
+    """Run ``solve()`` with every batch of reports also built one problem at
+    a time by ``reference.report``, at the same moment; returns the pairs of
+    their :func:`report_values` as built (batched, reference) and the batch
+    sizes."""
+    pairs, sizes = [], []
+
+    def both(problems, stack, poses, d, idx, iterations, cost, pruned):
+        got = _reports(problems, stack, poses, d, idx, iterations, cost, pruned)
+        sizes.append(len(idx))
+        for j, batched in zip(idx, got):
+            want = reference.report(problems[j], stack, poses, d, j, iterations, cost[j], pruned[j])
+            pairs.append((report_values(batched), report_values(want)))
+        return got
+
+    monkeypatch.setattr(joint_solver, "_reports", both)
+    solve()
+    return pairs, sizes
+
+
+def loop40_scene():
+    """The benchmark's 40-frame loop scene (scene seed 3)."""
+    cfg = SynthConfig(num_frames=40, trajectory="loop", num_objects=3, keypoints_per_pair=40,
+                      noise_sigma_depth=0.003, rng_seed=3)
+    fs, _ = generate(cfg)
+    return fs
+
+
+def report_arrays(reports):
+    """Every array of the reports' poses but the shared gauge."""
+    out = []
+    for r in reports:
+        out += [r.camera_poses[1].rotation, r.camera_poses[1].translation]
+        out += [a for p in r.object_poses for a in (p.rotation, p.translation, p.scale)]
+    return out
+
+
+class TestBatchedReports:
+    """The reports of all problems that stop at one iteration are built
+    together: they equal the one-problem reference bit for bit, types
+    included, own their memory and raise as it does on a non-finite pose."""
+
+    def test_mixed_batch_equals_reference(self, monkeypatch):
+        problems = [p for name, p in mixed_batch().items() if name != "no weighted block"]
+        pairs, sizes = reports_beside_reference(monkeypatch, lambda: gauss_newton_solve_batch(problems))
+        assert len(pairs) == len(problems) and len(sizes) > 1  # stopped at different iterations
+        for got, want in pairs:
+            assert got == want
+
+    def test_loop40_equals_reference(self, monkeypatch):
+        fs = loop40_scene()
+        pairs, sizes = reports_beside_reference(monkeypatch, lambda: register_sequence(fs))
+        assert len(pairs) == 102 and max(sizes) > 1
+        for got, want in pairs:
+            assert got == want
+
+    def test_reports_own_their_memory(self):
+        problems = [p for name, p in mixed_batch().items() if name != "no weighted block"]
+        reports = gauss_newton_solve_batch(problems)
+        arrays = report_arrays(reports)
+        for n, a in enumerate(arrays):
+            for b in arrays[n + 1 :]:
+                assert not np.shares_memory(a, b)
+        for r in reports:
+            for pose in r.camera_poses + r.object_poses:
+                assert not pose.rotation.flags.writeable
+                with pytest.raises(ValueError):
+                    pose.rotation[0, 0] = 2.0
+
+    @pytest.mark.parametrize("field, message", [
+        ("rot", "non-finite rotation"),
+        ("trans", "non-finite pose parameters"),
+        ("scale", "non-finite object scale"),
+    ])
+    def test_non_finite_final_pose_raises(self, monkeypatch, field, message):
+        """A planted non-finite value in one problem's final pose makes the
+        batch raise the checked constructor's ValueError, as the reference
+        does."""
+        problems = [tracked_problem(seed=21, objects=1), tracked_problem(seed=22, objects=2)]
+        slot = 1 if field == "rot" else 0  # object 1's rotation, camera 1's translation, object 1's scale
+
+        def planted(problems, stack, poses, d, idx, iterations, cost, pruned):
+            j = idx[-1]
+            getattr(poses, field)[j, slot] = np.nan
+            with pytest.raises(ValueError, match=message):
+                reference.report(problems[j], stack, poses, d, j, iterations, cost[j], pruned[j])
+            return _reports(problems, stack, poses, d, idx, iterations, cost, pruned)
+
+        monkeypatch.setattr(joint_solver, "_reports", planted)
+        with pytest.raises(ValueError, match=message):
+            gauss_newton_solve_batch(problems)
+
+
+def test_icp_acceptance_equals_pose_error_pair_by_pair(monkeypatch):
+    """icp_polish tests every converged pair's correction at once; it keeps
+    exactly the corrections that metrics.pose_error, pair by pair, puts
+    within the ICP radius and 10 degrees, also at those bounds: some of the
+    planted corrections measure exactly 0.15 m or exactly 10 degrees."""
+    fs, _ = generate(SynthConfig(num_frames=2, orbit_span=0.3, rng_seed=1))
+    scfg = SolverConfig()
+    radius = scfg.residual_prune
+    for start in (RigidPose.identity(), RigidPose((0.1, -0.2, 0.3), (0.5, 0.1, -0.2))):
+        moves = [
+            RigidPose((0.0, 0.0, np.deg2rad(deg)), (shift, 0.0, 0.0))
+            for deg in (0.0, 10.0 - 1e-9, 10.0, 10.0 + 1e-9)
+            for shift in (0.0, radius * (1 - 1e-12), radius, radius * (1 + 1e-12))
+        ]
+        results = [
+            AlignmentResult(compose(start, move), 0.0, np.ones(1, dtype=bool), converged=k % 5 != 4)
+            for k, move in enumerate(moves)
+        ]
+        monkeypatch.setattr(joint_solver, "icp_refine_sets", lambda *a: results)
+
+        def reports():
+            return [SolveReport([RigidPose.identity(), start], [], [], 1, 0.0, 0, []) for _ in moves]
+
+        got, want = reports(), reports()
+        icp_polish(PairIndex(fs), [(0, 1)] * len(moves), got, scfg)
+        reference.icp_polish(PairIndex(fs), [(0, 1)] * len(moves), want, scfg)
+        kept = [g.camera_poses[1] is res.pose for g, res in zip(got, results)]
+        assert kept == [w.camera_poses[1] is res.pose for w, res in zip(want, results)]
+        assert 0 < sum(kept) < sum(res.converged for res in results)

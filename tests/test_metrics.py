@@ -89,8 +89,12 @@ class TestPoseRecall:
             pose_recall([], RecallThreshold(5, 10))
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            RecallThreshold(0.0, 10.0)
+        """Each threshold must be finite and positive, naming the field."""
+        for rot, trans, name in (
+            (0.0, 10.0, "rot_deg"), (np.nan, 10.0, "rot_deg"), (5.0, np.inf, "trans_cm"), (5.0, -1.0, "trans_cm"),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                RecallThreshold(rot, trans)
 
 
 class TestAteRmse:

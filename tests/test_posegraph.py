@@ -17,6 +17,7 @@ from objreg.geometry import (
     so3_exp,
 )
 from objreg.joint_solver import (
+    PairIndex,
     PairResult,
     SolveReport,
     SolverConfig,
@@ -873,14 +874,14 @@ def test_batch_builder_equals_hand_sliced_pairs(monkeypatch):
     fit_noc(fs.observations)
     plan = sequence_plan(fs)
     scfg = SolverConfig()
-    setups = build_problems(fs, plan, scfg)
+    setups = build_problems(PairIndex(fs), plan, scfg)
     assert list(setups) == list(plan)
     for (i, j), got in setups.items():
         sub = pair_frameset(fs, i, j)
         assert [(o.frame, o.detection_id) for o in sub.observations] == [
             (0 if o.frame == i else 1, o.detection_id) for o in fs.observations if o.frame in (i, j)
         ]
-        (want,) = build_problems(sub, {(0, 1): plan[(i, j)]}, scfg).values()
+        (want,) = build_problems(PairIndex(sub), {(0, 1): plan[(i, j)]}, scfg).values()
         keypoints_present = any(len(km) for km in sub.keypoint_matches)
         lone = match_pair(sub.observations_in_frame(0), sub.observations_in_frame(1),
                           plan[(i, j)][0], keypoints_present)
@@ -909,11 +910,35 @@ def test_batch_builder_equals_hand_sliced_pairs(monkeypatch):
     )
     odometry = [(i, i + 1) for i in range(fs.num_frames - 1)]
     reports = [gauss_newton_solve(setups[p].problem) for p in odometry]
-    icp_polish(fs, odometry, reports, scfg)
+    icp_polish(PairIndex(fs), odometry, reports, scfg)
     ((sources, targets),) = sets
     for (i, j), src, tgt in zip(odometry, sources, targets):
         sub = pair_frameset(fs, i, j)
         assert np.array_equal(src, sub.frame_points(1)) and np.array_equal(tgt, sub.frame_points(0))
+
+
+def test_batch_builder_shares_each_observation_once():
+    """The object blocks of one build that come from one observation share
+    its inlier arrays, and each object starts at its frame-0 fit's
+    read-only rotation, not a copy."""
+    fs, _ = generate(SynthConfig(num_frames=5, num_objects=2, trajectory="line",
+                                 orbit_radius=1.8, keypoints_per_pair=20, rng_seed=8))
+    fit_noc(fs.observations)
+    index = PairIndex(fs)
+    setups = build_problems(index, sequence_plan(fs), SolverConfig())
+    uses = Counter()
+    arrays = {}
+    for (i, j), setup in setups.items():
+        for blk in setup.problem.object_blocks if setup.problem else ():
+            m = setup.matches[blk.track_id]
+            a = fs.observations[index.frames[i][m.index_a]]
+            b = fs.observations[index.frames[j][m.index_b]]
+            assert blk.init_pose.rotation is a.noc_fit.pose.rotation
+            for o, noc, depth in zip((a, b), blk.noc_points, blk.depth_points):
+                uses[id(o)] += 1
+                first = arrays.setdefault(id(o), (noc, depth))
+                assert first[0] is noc and first[1] is depth
+    assert max(uses.values()) > 1
 
 
 @pytest.fixture(scope="module")
@@ -943,7 +968,7 @@ def solve_pair(sub, settings, odometry, scfg=None):
     alone with its ``settings`` (matching, keypoint filter): its own
     one-pair build, K = 1 solve and, on odometry pairs, one-set ICP."""
     scfg = scfg or SolverConfig()
-    (setup,) = build_problems(sub, {(0, 1): settings}, scfg).values()
+    (setup,) = build_problems(PairIndex(sub), {(0, 1): settings}, scfg).values()
     if setup.problem is None:
         return PairResult(False, setup.reason, matches=setup.matches)
     try:
@@ -951,7 +976,7 @@ def solve_pair(sub, settings, odometry, scfg=None):
     except UnsolvableProblemError as e:
         return PairResult(False, str(e), matches=setup.matches)
     if odometry:
-        icp_polish(sub, [(0, 1)], [report], scfg)
+        icp_polish(PairIndex(sub), [(0, 1)], [report], scfg)
     return PairResult(True, None, report, setup.matches)
 
 

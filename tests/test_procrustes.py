@@ -231,6 +231,18 @@ class TestKabschFilterSets:
                         assert res.rms_residual == pytest.approx(want.rms_residual, rel=1e-12)
         assert ends == {"fixed point", "out of rounds", "short", "short at start", "collinear"}
 
+    def test_poses_own_disjoint_read_only_memory(self):
+        """Each fit's pose is a read-only view of the batch's result arrays,
+        sharing no memory with another fit's."""
+        sources, targets = mixed_sets(np.random.default_rng(0))
+        fits = [f for f in kabsch_filter_sets(sources, targets) if not isinstance(f, DegenerateAlignmentError)]
+        sources, targets, inits = icp_batch(np.random.default_rng(0))
+        fits += icp_refine_sets(sources, targets, inits, 0.1)
+        arrays = [a for f in fits for a in (f.pose.rotation, f.pose.translation)]
+        for n, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[n + 1 :])
+        assert not any(f.pose.rotation.flags.writeable for f in fits)
+
     def test_input_errors(self):
         pts = np.zeros((5, 3))
         with pytest.raises(ValueError, match="length mismatch"):
@@ -376,7 +388,11 @@ class TestIcpRefineSets:
 
 
 def test_filter_config_validation():
-    with pytest.raises(ValueError):
-        FilterConfig(distance_threshold=-1.0)
-    with pytest.raises(ValueError):
-        FilterConfig(min_pairs=2)
+    """A finite positive threshold and an int min_pairs >= 3, naming the
+    field."""
+    for name, value in (
+        ("distance_threshold", -1.0), ("distance_threshold", np.nan), ("distance_threshold", np.inf),
+        ("min_pairs", 2), ("min_pairs", 3.5), ("min_pairs", True),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            FilterConfig(**{name: value})

@@ -120,10 +120,19 @@ class TestGenerate:
                 assert d < 0.05 or d > 0.5  # tight within, separated across
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
-            SynthConfig(outlier_fraction=1.0)
-        with pytest.raises(ValueError):
-            SynthConfig(trajectory="spiral")
+        """Every field is type- and range-checked before any draw, naming
+        the field."""
+        for name, value in (
+            ("num_frames", 0), ("num_frames", 2.0), ("num_objects", -1), ("num_classes", 0),
+            ("object_extents", (0.8, 0.6)), ("object_extents", (0.8, 0.0, 1.0)), ("trajectory", "spiral"),
+            ("orbit_radius", 0.0), ("orbit_span", np.nan), ("points_per_object", -1),
+            ("keypoints_per_pair", True), ("background_points", -5), ("noise_sigma_depth", -0.1),
+            ("noise_sigma_noc", np.inf), ("outlier_fraction", 1.0), ("embed_dim", 0),
+            ("embed_intra_sigma", "0.1"), ("embed_inter_separation", -1.0), ("symmetries", ("oval",)),
+            ("rng_seed", -1), ("rng_seed", 1.5),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                SynthConfig(**{name: value})
 
 
 class TestEulerExactScenes:
