@@ -191,6 +191,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy int or float; a bool is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` marked read-only, so that a pose and its cached angles agree."""
     a.flags.writeable = False

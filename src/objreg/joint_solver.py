@@ -8,10 +8,10 @@ world-transformed depth points and object-transformed canonical points. Frame
 variable; object scales are optimized in log space. Sequences are stitched
 from pairs by :mod:`objreg.posegraph`.
 
-One solver serves one pair and many: :func:`gauss_newton_solve_batch` steps
+One pair stage, :func:`register_pairs`, serves :func:`register_pair`'s one
+pair and a sequence's many alike; its :func:`gauss_newton_solve_batch` steps
 any number of pair problems in lockstep, each by its own damping, pruning
-and stopping rules, and :func:`gauss_newton_solve` (and so
-:func:`register_pair`) is its one-problem case. The problems are stacked as
+and stopping rules. The problems are stacked as
 zero-padded correspondence rows. A row's residual and its Jacobian are both
 linear in the row's features (its camera-1 point, its NOC point and their
 0/1 flags), so ``J^T W J`` is formed from the feature moments ``sum a f
@@ -30,6 +30,7 @@ import numpy as np
 from .geometry import (
     ObjectPose,
     RigidPose,
+    _is_real,
     _norms,
     _pose_builders,
     compose,
@@ -63,6 +64,7 @@ __all__ = [
     "gauss_newton_solve",
     "gauss_newton_solve_batch",
     "icp_polish",
+    "register_pairs",
     "register_pair",
 ]
 
@@ -107,11 +109,11 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("w_c", "w_o"):
             value = getattr(self, name)
-            if not 0 <= value < np.inf:
+            if not (_is_real(value) and 0 <= value < np.inf):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.w_c == 0 and self.w_o == 0:
             raise ValueError("w_c and w_o must not both be zero")
-        if not 0 < self.residual_prune < np.inf:
+        if not (_is_real(self.residual_prune) and 0 < self.residual_prune < np.inf):
             raise ValueError(f"residual_prune must be finite and positive, got {self.residual_prune!r}")
 
 
@@ -254,53 +256,37 @@ def _problem(keypoints, fit, matched, cfg: SolverConfig, inliers: dict) -> Regis
     return RegistrationProblem(block, obj_blocks, cfg, cam1)
 
 
-_NOTHING = "no keypoint matches and no object matches"
-
-
-def build_problem(
-    fs: FrameSet, matches: list[PairMatch], cfg: SolverConfig | None = None
-) -> RegistrationProblem:
+def build_problem(fs: FrameSet, matches: list[PairMatch], cfg: SolverConfig) -> RegistrationProblem:
     """Filter a 2-frame set's raw constraints into solver blocks and
     initialize the variables; ValueError for any other frame count. The
-    one-pair case of :func:`build_problems`, with the pairwise
+    one-pair plan of :func:`build_problems`, with the pairwise
     ``KEYPOINT_FILTER`` and the given object matches (indexing
     ``fs.observations_in_frame(0)`` and ``(1)``, as :func:`match_pair`
-    returns them); see :func:`_problem` for the blocks and the initial
-    values. The non-empty keypoint matches are oriented 0 -> 1 and
-    Kabsch-filtered as one set. Raises UnsolvableProblemError when the set
-    has neither a non-empty keypoint match nor an object match, or when no
-    block survives filtering.
-    """
+    returns them). Raises UnsolvableProblemError with the reason when no
+    problem is built."""
     if fs.num_frames != 2:
         raise ValueError("build_problem expects exactly 2 frames")
-    index = PairIndex(fs)
-    if not matches and not index.keypoints:
-        raise UnsolvableProblemError(_NOTHING)
-    keypoints = index.keypoint_pairs((0, 1))
-    fit = None
-    if len(keypoints[0]):
-        try:
-            fit = kabsch_filter(keypoints[0], keypoints[1], KEYPOINT_FILTER)
-        except DegenerateAlignmentError:
-            pass
-    obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
-    matched = [(obs_a[m.index_a], obs_b[m.index_b]) for m in matches]
-    return _problem(keypoints, fit, matched, cfg or SolverConfig(), {})
+    (setup,) = build_problems(PairIndex(fs), {(0, 1): (list(matches), KEYPOINT_FILTER)}, cfg).values()
+    if setup.problem is None:
+        raise UnsolvableProblemError(setup.reason)
+    return setup.problem
 
 
 def build_problems(
     index: PairIndex,
-    plan: dict[tuple[int, int], tuple[MatchConfig, FilterConfig]],
-    cfg: SolverConfig | None = None,
+    plan: dict[tuple[int, int], tuple[MatchConfig | list[PairMatch], FilterConfig]],
+    cfg: SolverConfig,
     screen=None,
 ) -> dict[tuple[int, int], PairSetup]:
     """The front end of every pair ``(i, j)``, i < j, of ``plan``, which
-    gives the pair's object matching and keypoint filter settings: as
-    :func:`match_pair` and :func:`build_problem` would make them on the
-    pair's 2-frame set (frame i as 0, j as 1), with no such set made, from
-    the set's ``index``.
+    gives the pair's object matches and keypoint filter setting: as the
+    pair's 2-frame set (frame i as 0, j as 1) would have them, with no such
+    set made, from the set's ``index``. See :func:`_problem` for the blocks
+    and the initial values.
 
-    The pairs are matched in one :func:`match_pairs` call on the set's
+    A plan entry's matches are a MatchConfig, which matches the pair, or
+    the pair's given PairMatch list (``[]`` matches no objects). The pairs to
+    match are matched in one :func:`match_pairs` call on the set's
     observations, looser fallback threshold only for a pair without a
     non-empty keypoint match. A pair for which ``screen(pair, fits)`` holds,
     ``fits`` the ``noc_fit`` pairs of its matched observations, is screened
@@ -308,21 +294,23 @@ def build_problems(
     one :func:`kabsch_filter_sets` call per filter setting. The observations
     must have their ``noc_fit`` (see :func:`fit_noc`). Results follow the
     plan's order; a pair that cannot be built keeps its reason."""
-    cfg = cfg or SolverConfig()
     obs = index.observations
     pairs = list(plan)
     keypoints = [index.keypoint_pairs(pair) for pair in pairs]
-    requests = [(i, j, plan[(i, j)][0], bool(len(kp[0]))) for (i, j), kp in zip(pairs, keypoints)]
+    requests = [(*pair, plan[pair][0], bool(len(kp[0]))) for pair, kp in zip(pairs, keypoints)]
+    found = iter(match_pairs(obs, index.frames, [r for r in requests if isinstance(r[2], MatchConfig)]))
     setups, todo = {}, []
-    for (i, j), kp, matches in zip(pairs, keypoints, match_pairs(obs, index.frames, requests)):
+    for (i, j), kp in zip(pairs, keypoints):
+        matches, setting = plan[(i, j)]
+        matches = next(found) if isinstance(matches, MatchConfig) else matches
         matched = [(obs[index.frames[i][m.index_a]], obs[index.frames[j][m.index_b]]) for m in matches]
         setup = setups[(i, j)] = PairSetup(matches)
         if screen is not None and screen((i, j), [(a.noc_fit, b.noc_fit) for a, b in matched]):
             setup.screened = True
         elif not matches and not len(kp[0]):
-            setup.reason = _NOTHING
+            setup.reason = "no keypoint matches and no object matches"
         else:
-            todo.append((setup, kp, matched, plan[(i, j)][1]))
+            todo.append((setup, kp, matched, setting))
     groups = {}  # filter setting -> the todo entries with keypoints it filters
     for entry in todo:
         if len(entry[1][0]):
@@ -804,6 +792,40 @@ def icp_polish(
             report.camera_poses[1] = pose
 
 
+def register_pairs(
+    fs: FrameSet,
+    plan: dict[tuple[int, int], tuple[MatchConfig | list[PairMatch], FilterConfig]],
+    scfg: SolverConfig,
+    icp: list[tuple[int, int]],
+    screen=None,
+) -> dict[tuple[int, int], PairResult]:
+    """The pair stage: every pair of ``plan`` (see :func:`build_problems`)
+    registered by one :func:`build_problems`, one
+    :func:`gauss_newton_solve_batch` and, for the solved pairs listed in
+    ``icp``, one :func:`icp_polish` call, on one :class:`PairIndex` of the
+    set. Fits every observation's ``noc_fit`` not yet cached first, in one
+    batch. Results follow the plan's order; a screened pair gets no entry,
+    and a pair that cannot be built or solved a failed result with its
+    reason."""
+    fit_noc(fs.observations)
+    index = PairIndex(fs)
+    setups = build_problems(index, plan, scfg, screen)
+    built = [pair for pair, setup in setups.items() if setup.problem is not None]
+    # a SolveReport, or the batch's UnsolvableProblemError
+    reports = dict(zip(built, gauss_newton_solve_batch([setups[pair].problem for pair in built])))
+    polish = [p for p in icp if isinstance(reports.get(p), SolveReport)]
+    if polish:
+        icp_polish(index, polish, [reports[p] for p in polish], scfg)
+    results = {}
+    for pair, setup in setups.items():
+        report = reports.get(pair, setup.reason)
+        if isinstance(report, SolveReport):
+            results[pair] = PairResult(True, None, report, setup.matches)
+        elif not setup.screened:
+            results[pair] = PairResult(False, str(report), matches=setup.matches)
+    return results
+
+
 def register_pair(
     fs: FrameSet,
     mcfg: MatchConfig | None = None,
@@ -811,27 +833,14 @@ def register_pair(
     icp: bool = True,
     use_objects: bool = True,
 ) -> PairResult:
-    """Full pairwise registration, the one-pair case of the sequence's
-    stages: object matching, :func:`build_problem`, joint solve (the K = 1
-    case of :func:`gauss_newton_solve_batch`), optional ICP. Raises
-    ValidationError, naming the bad record, on malformed input and
+    """Full pairwise registration, the one-pair plan of
+    :func:`register_pairs`: object matching (none unless ``use_objects``),
+    the pairwise ``KEYPOINT_FILTER``, the joint solve and, if ``icp``, ICP.
+    Raises ValidationError, naming the bad record, on malformed input and
     ValueError unless the set has 2 frames; only then fits every
     observation's ``noc_fit`` not yet cached, in one batch."""
     fs.validate()
     if fs.num_frames != 2:
         raise ValueError("register_pair expects exactly 2 frames")
-    fit_noc(fs.observations)
-    mcfg = mcfg or MatchConfig()
-    scfg = scfg or SolverConfig()
-    matches = []
-    if use_objects:
-        obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
-        keypoints_present = any(len(km) for km in fs.keypoint_matches)
-        matches = match_pair(obs_a, obs_b, mcfg, keypoints_present)
-    try:
-        report = gauss_newton_solve(build_problem(fs, matches, scfg))
-    except UnsolvableProblemError as e:
-        return PairResult(False, str(e), matches=matches)
-    if icp:
-        icp_polish(PairIndex(fs), [(0, 1)], [report], scfg)
-    return PairResult(True, None, report, matches)
+    plan = {(0, 1): ((mcfg or MatchConfig()) if use_objects else [], KEYPOINT_FILTER)}
+    return register_pairs(fs, plan, scfg or SolverConfig(), [(0, 1)] if icp else [])[(0, 1)]

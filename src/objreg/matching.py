@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _norms
-from .observations import ObjectObservation, _is_int
+from .geometry import _is_int, _is_real, _norms
+from .observations import ObjectObservation
 from .procrustes import kabsch_filter  # noqa: F401  (bench/tracing.py patches this name)
 
 __all__ = [
@@ -36,16 +36,16 @@ class MatchConfig:
             raise ValueError(f"top_k must be an int >= 0 (0 keeps every match), got {self.top_k!r}")
         if not isinstance(self.drop_symmetric, (bool, np.bool_)):
             raise ValueError(f"drop_symmetric must be a bool, got {self.drop_symmetric!r}")
-        if not 0 < self.fallback_threshold < np.inf:
+        if not (_is_real(self.fallback_threshold) and 0 < self.fallback_threshold < np.inf):
             raise ValueError(
                 f"fallback_threshold must be finite and positive, got {self.fallback_threshold!r}"
             )
         # register_sequence matches loop pairs with sequence_loop_threshold as embed_threshold
         for name in ("embed_threshold", "sequence_loop_threshold"):
             value = getattr(self, name)
-            if not 0 < value <= self.fallback_threshold:
+            if not (_is_real(value) and 0 < value <= self.fallback_threshold):
                 raise ValueError(f"need 0 < {name} <= fallback_threshold, got {value!r}")
-        if not 1 < self.max_scale_ratio < np.inf:
+        if not (_is_real(self.max_scale_ratio) and 1 < self.max_scale_ratio < np.inf):
             raise ValueError(f"max_scale_ratio must be finite and exceed 1, got {self.max_scale_ratio!r}")
 
 
@@ -169,8 +169,8 @@ def match_pairs(
 def match_pair(
     frame_a_obs: list[ObjectObservation],
     frame_b_obs: list[ObjectObservation],
-    cfg: MatchConfig | None = None,
-    keypoints_present: bool = False,
+    cfg: MatchConfig,
+    keypoints_present: bool,
 ) -> list[PairMatch]:
     """Match object observations between two frames.
 
@@ -185,5 +185,5 @@ def match_pair(
     """
     observations = list(frame_a_obs) + list(frame_b_obs)
     frames = [list(range(len(frame_a_obs))), list(range(len(frame_a_obs), len(observations)))]
-    (matches,) = match_pairs(observations, frames, [(0, 1, cfg or MatchConfig(), keypoints_present)])
+    (matches,) = match_pairs(observations, frames, [(0, 1, cfg, keypoints_present)])
     return matches

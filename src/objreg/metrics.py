@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidPose, rotation_angle
+from .geometry import RigidPose, _is_real, rotation_angle
 from .observations import write_atomic
 from .procrustes import _kabsch
 
@@ -57,7 +57,7 @@ class RecallThreshold:
     def __post_init__(self):
         for name in ("rot_deg", "trans_cm"):
             value = getattr(self, name)
-            if not 0 < value < np.inf:
+            if not (_is_real(value) and 0 < value < np.inf):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -84,6 +84,8 @@ def pose_recall(errors, th: RecallThreshold) -> float:
 
 def _associate(ts_a, ts_b, max_diff):
     """Greedy nearest-timestamp association, each entry used at most once."""
+    if not len(ts_b):  # nothing to associate with, and no argmin to take
+        return []
     pairs = []
     used_b = set()
     for i, t in enumerate(ts_a):

@@ -12,6 +12,8 @@ from scipy.linalg.lapack import dpbsv
 from .geometry import (
     RigidPose,
     _frozen,
+    _is_int,
+    _is_real,
     _squared_norms,
     apply_rigid,
     compose,
@@ -26,18 +28,15 @@ from .joint_solver import (
     LAMBDA_FLOOR,
     LAMBDA_START,
     MIN_KEYPOINT_PAIRS,
-    PairIndex,
     PairResult,
     SolverConfig,
     SolveReport,
-    build_problems,
-    gauss_newton_solve_batch,
-    icp_polish,
     register_pair,
+    register_pairs,
 )
 from .matching import MatchConfig
 from .metrics import Trajectory
-from .observations import FrameSet, ValidationError, _is_int, fit_noc
+from .observations import FrameSet, ValidationError
 from .procrustes import FilterConfig
 
 __all__ = [
@@ -97,6 +96,8 @@ class GraphConfig:
             value = getattr(self, f.name)
             if f.name == "lc_near_window":  # a frame count
                 ok, want = _is_int(value) and value >= 0, "an int >= 0"
+            elif not _is_real(value):
+                ok, want = False, "a real number"
             elif f.name == "edge_prune_threshold":
                 ok, want = 0 <= value <= 1, "in [0, 1]"
             elif f.name in zero_ok:
@@ -565,12 +566,12 @@ def register_sequence(
     increase; a frame that breaks this raises a ``ValidationError`` before
     any pair is solved.
 
-    The pairs go through three batched stages, each giving every pair what
-    its one-pair case gives it alone: one :func:`build_problems` call
-    matches every pair, screens the loop pairs and builds the problems, one
-    :func:`gauss_newton_solve_batch` call solves them in lockstep, and one
-    :func:`icp_polish` call refines the odometry pairs in lockstep. A pair
-    whose problem cannot be built keeps its own failed result and reason.
+    Every pair goes through one pair stage, :func:`register_pairs`, which
+    ``register_pair`` runs on its one pair: one batched call each matches
+    every pair, screens the loop pairs and builds the problems, solves them
+    in lockstep, and refines the odometry pairs by ICP, each pair getting
+    what it would get alone. A pair whose problem cannot be built or solved
+    keeps its own failed result and reason.
     ``jobs`` is accepted for compatibility and has no effect: a thread pool
     over the pairs was slower than a serial loop on 2 cores."""
     fs.validate()
@@ -597,30 +598,10 @@ def register_sequence(
     loop_mcfg = replace(mcfg, embed_threshold=mcfg.sequence_loop_threshold)
     plan = {pair: (mcfg, ODOMETRY_KEYPOINT_FILTER) for pair in odo_pairs}
     plan.update({pair: (loop_mcfg, LOOP_KEYPOINT_FILTER) for pair in loop_pairs})
-    # fit every observation once, here, in one batch; then build every
-    # pair's problem, solve them all in one batch, and polish the odometry
-    # pairs by ICP
-    fit_noc(fs.observations)
-    index = PairIndex(fs)
-    setups = build_problems(
-        index, plan, scfg, screen=lambda pair, fits: _screened_out(pair, fits, scfg, gcfg)
+    results = register_pairs(
+        fs, plan, scfg, odo_pairs, screen=lambda pair, fits: _screened_out(pair, fits, scfg, gcfg)
     )
-    built = [pair for pair, setup in setups.items() if setup.problem is not None]
-    solved = gauss_newton_solve_batch([setups[pair].problem for pair in built])
-    # a SolveReport, or the failure: the batch's UnsolvableProblemError, or
-    # the reason the problem could not be built
-    reports = dict(zip(built, solved))
-    polish = [p for p in odo_pairs if isinstance(reports.get(p), SolveReport)]
-    icp_polish(index, polish, [reports[p] for p in polish], scfg)
-    results, screened = {}, []
-    for pair, setup in setups.items():
-        report = reports.get(pair, setup.reason)
-        if setup.screened:
-            screened.append(pair)
-        elif isinstance(report, SolveReport):
-            results[pair] = PairResult(True, None, report, setup.matches)
-        else:
-            results[pair] = PairResult(False, str(report), matches=setup.matches)
+    screened = [pair for pair in plan if pair not in results]
 
     failed_odo = [p for p in odo_pairs if not results[p].success]
     if failed_odo:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RigidPose, _is_int, _norms, _pose_builders, rotation_angle
+from .geometry import RigidPose, _is_int, _is_real, _norms, _pose_builders, rotation_angle
 
 __all__ = [
     "AlignmentResult",
@@ -58,7 +58,7 @@ class FilterConfig:
     min_pairs: int = 3
 
     def __post_init__(self):
-        if not 0 < self.distance_threshold < np.inf:
+        if not (_is_real(self.distance_threshold) and 0 < self.distance_threshold < np.inf):
             raise ValueError(
                 f"distance_threshold must be finite and positive, got {self.distance_threshold!r}"
             )
@@ -166,7 +166,7 @@ def kabsch_filter_sets(
     return out
 
 
-def kabsch_filter(source, target, cfg: FilterConfig | None = None) -> AlignmentResult:
+def kabsch_filter(source, target, cfg: FilterConfig) -> AlignmentResult:
     """Iterate {solve on inliers, drop pairs above the residual threshold}
     until a fixed point or FILTER_MAX_ROUNDS. Outliers are never re-admitted,
     so the inlier set shrinks monotonically. The one-set case of

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import Intrinsics, RigidPose, _is_int, apply_rigid, compose, invert
+from .geometry import Intrinsics, RigidPose, _is_int, _is_real, apply_rigid, compose, invert
 from .observations import SYMMETRY_CLASSES, Frame, FrameSet, KeypointMatch, ObjectObservation
 
 __all__ = ["SynthConfig", "SynthResult", "generate", "overlap", "make_pair_suite"]
@@ -24,11 +24,6 @@ _INT_FIELDS = {
     "num_frames": 1, "num_objects": 0, "num_classes": 1, "points_per_object": 0,
     "keypoints_per_pair": 0, "background_points": 0, "embed_dim": 1, "rng_seed": 0,
 }
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a Python or numpy int or float; a bool is not one."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass

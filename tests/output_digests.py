@@ -10,6 +10,9 @@ every output byte. It digests:
   with ``icp=False``, with ``use_objects=False`` and on the scene with its
   keypoint matches stripped (poses, object poses, iterations, cost, prune
   count, block stats and matches of every result);
+- ``build_problem`` on the same scenes, with ``match_pair``'s matches under
+  the default configs, then ``gauss_newton_solve`` (the matches, the problem
+  and the report, or the reason no problem was solved);
 - ``register_sequence`` on the benchmark's ``loop40`` configuration with
   scene seeds 1, 3 and 7919 (the whole ``SequenceResult``: trajectory,
   graph, solution arrays, switches, pruned edges, diagnostics and every
@@ -37,7 +40,14 @@ sys.path.insert(0, str(ROOT / "bench"))
 import run as bench  # noqa: E402  (the benchmark's scenes; puts src/ on the path)
 
 from objreg import observations, posegraph, synth  # noqa: E402
-from objreg.joint_solver import register_pair  # noqa: E402
+from objreg.joint_solver import (  # noqa: E402
+    SolverConfig,
+    UnsolvableProblemError,
+    build_problem,
+    gauss_newton_solve,
+    register_pair,
+)
+from objreg.matching import MatchConfig, match_pair  # noqa: E402
 from reference import ring_graph, with_false_closure  # noqa: E402
 
 PAIR_SEEDS = (1, 7919)
@@ -84,11 +94,28 @@ def without_keypoints(fs):
     return observations.FrameSet(fs.frames, [], fs.observations, fs.ground_truth)
 
 
+def built_and_solved(fs):
+    """``match_pair``, ``build_problem`` and ``gauss_newton_solve`` of a
+    2-frame set, every argument given: (matches, problem, report), the
+    problem and report replaced by the error's message when one raises."""
+    observations.fit_noc(fs.observations)
+    keypoints_present = any(len(km) for km in fs.keypoint_matches)
+    matches = match_pair(
+        fs.observations_in_frame(0), fs.observations_in_frame(1), MatchConfig(), keypoints_present
+    )
+    try:
+        problem = build_problem(fs, matches, SolverConfig())
+        return matches, problem, gauss_newton_solve(problem)
+    except UnsolvableProblemError as e:
+        return matches, str(e)
+
+
 PAIR_VARIANTS = {
     "defaults": lambda fs: register_pair(fs),
     "icp=False": lambda fs: register_pair(fs, icp=False),
     "use_objects=False": lambda fs: register_pair(fs, use_objects=False),
     "keypoints stripped": lambda fs: register_pair(without_keypoints(fs)),
+    "build_problem": built_and_solved,
 }
 
 

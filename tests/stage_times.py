@@ -5,7 +5,7 @@
 Builds the benchmark's ``loop40`` scene (``--seed`` is its scene seed, 3 as
 in the benchmark), writes it as a problem file, then runs ``--runs`` ops of
 ``load_problem`` + ``register_sequence`` after one warm-up op. Each stage's
-function is wrapped where ``register_sequence`` looks it up, and the wrapper
+function is wrapped where the sequence path looks it up, and the wrapper
 adds its wall time; a stage's row is its time per op, min / median over the
 runs. Rows marked "in" are part of the row above them. The bench's tracer
 cannot see the pair stage, so this is where its cost shows.
@@ -31,18 +31,18 @@ import run as bench  # noqa: E402  (the benchmark's scenes; puts src/ on the pat
 
 from objreg import joint_solver, observations, posegraph, synth  # noqa: E402
 
-# (row label, owner, attribute): each wrapped where register_sequence or the
-# stage above it looks it up
+# (row label, owner, attribute): each wrapped where register_sequence, the
+# pair stage (joint_solver.register_pairs) or the stage above it looks it up
 STAGES = [
     ("validate", observations.FrameSet, "validate"),
-    ("fit_noc", posegraph, "fit_noc"),
-    ("build_problems", posegraph, "build_problems"),
+    ("fit_noc", joint_solver, "fit_noc"),
+    ("build_problems", joint_solver, "build_problems"),
     ("  in: _problem", joint_solver, "_problem"),
-    ("gauss_newton_solve_batch", posegraph, "gauss_newton_solve_batch"),
+    ("gauss_newton_solve_batch", joint_solver, "gauss_newton_solve_batch"),
     ("  in: _Stack", joint_solver._Stack, "__init__"),
     ("  in: _Poses.initial", joint_solver._Poses, "initial"),
     ("  in: reports", joint_solver, "_reports"),
-    ("icp_polish", posegraph, "icp_polish"),
+    ("icp_polish", joint_solver, "icp_polish"),
     ("  in: icp_refine_sets", joint_solver, "icp_refine_sets"),
     ("build_graph", posegraph, "build_graph"),
     ("optimize_graph", posegraph, "optimize_graph"),

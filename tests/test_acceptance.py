@@ -91,7 +91,7 @@ def test_criterion_01_noiseless_joint_recovery():
     rng = np.random.default_rng(101)
     fs, matches, cam1 = shared_object_fs(rng, n=200)
     t0 = time.perf_counter()
-    rep = gauss_newton_solve(build_problem(fs, matches))
+    rep = gauss_newton_solve(build_problem(fs, matches, SolverConfig()))
     elapsed = time.perf_counter() - t0
     rot_deg, trans = pose_error(rep.camera_poses[1], cam1)
     rot = np.deg2rad(rot_deg)
@@ -107,7 +107,7 @@ def test_criterion_02_kabsch_equivalence():
         gt = RigidPose(rng.uniform(-0.8, 0.8, 3), rng.uniform(-1, 1, 3))
         pts_j = apply_rigid(invert(gt), pts_i) + rng.normal(0, 0.003, (40, 3))
         fs = FrameSet([Frame(0), Frame(1)], [KeypointMatch(0, 1, pts_i, pts_j)])
-        rep = gauss_newton_solve(build_problem(fs, []))
+        rep = gauss_newton_solve(build_problem(fs, [], SolverConfig()))
         closed = kabsch_solve(pts_j, pts_i).pose
         rot_deg, trans = pose_error(rep.camera_poses[1], closed)
         worst_t = max(worst_t, trans)

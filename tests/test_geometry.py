@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from objreg.geometry import (
     Intrinsics,
     ObjectPose,
     RigidPose,
+    _is_real,
     _pose_builders,
     apply_rigid,
     compose,
@@ -20,6 +23,11 @@ from objreg.geometry import (
     so3_exp,
     so3_log,
 )
+from objreg.joint_solver import SolverConfig
+from objreg.matching import MatchConfig
+from objreg.metrics import RecallThreshold
+from objreg.posegraph import GraphConfig
+from objreg.procrustes import FilterConfig
 from reference import apply_object
 
 RNG = np.random.default_rng(42)
@@ -361,3 +369,23 @@ class TestSkew:
             got = skew(v)
             assert got.shape == reference.shape == shape[:-1] + (3, 3)
             assert got.tobytes() == reference.tobytes()
+
+
+# every real-valued field of the config classes, with the arguments each
+# class needs besides it
+CONFIG_BASE = {SolverConfig: {}, FilterConfig: {}, GraphConfig: {}, MatchConfig: {},
+               RecallThreshold: {"rot_deg": 15.0, "trans_cm": 30.0}}
+REAL_FIELDS = [(cls, f.name) for cls in CONFIG_BASE for f in fields(cls) if f.type == "float"]
+
+
+def test_real_fields_listed():
+    assert len(REAL_FIELDS) == 3 + 1 + 8 + 4 + 2
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.1"], ids=["bool", "np.bool_", "str"])
+@pytest.mark.parametrize("cls, name", REAL_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in REAL_FIELDS])
+def test_config_real_field_rejects_non_number(cls, name, value):
+    """A bool or a string is no real number: rejected naming the field."""
+    assert not _is_real(value)
+    with pytest.raises(ValueError, match=name):
+        cls(**{**CONFIG_BASE[cls], name: value})

@@ -21,6 +21,16 @@ ALLOWED = {
         "bench/tracing.py counts kabsch_filter calls by patching this module "
         "attribute; it goes once the tracer no longer patches lookup sites"
     ),
+    ("joint_solver", "match_pair"): (
+        "bench/tracing.py patches this module attribute as a lookup site of "
+        "match_pair, which register_pair no longer calls: its pair is matched "
+        "by build_problems through match_pairs"
+    ),
+    ("joint_solver", "kabsch_filter"): (
+        "bench/tracing.py patches this module attribute as a lookup site of "
+        "kabsch_filter, which build_problem no longer calls: its keypoints are "
+        "filtered by build_problems through kabsch_filter_sets"
+    ),
     ("joint_solver", "icp_refine"): (
         "bench/tracing.py patches this module attribute as a lookup site of "
         "icp_refine, which icp_polish no longer calls: it refines every pair "

@@ -7,6 +7,7 @@ from scipy.linalg import LinAlgError, solveh_banded
 from objreg import geometry, joint_solver
 from objreg.geometry import RigidPose, apply_rigid, compose, invert
 from objreg.joint_solver import (
+    KEYPOINT_FILTER,
     MAX_ITERATIONS,
     PairIndex,
     PairResult,
@@ -23,15 +24,17 @@ from objreg.joint_solver import (
     _solve_each,
     _Stack,
     build_problem,
+    build_problems,
     gauss_newton_solve,
     gauss_newton_solve_batch,
     icp_polish,
     register_pair,
+    register_pairs,
 )
-from objreg.matching import MatchConfig, PairMatch, match_pair
+from objreg.matching import MatchConfig, PairMatch, match_pair, match_pairs
 from objreg.metrics import pose_error
 from objreg.observations import Frame, FrameSet, KeypointMatch, ObjectObservation, fit_noc
-from objreg.posegraph import damped_step, register_sequence
+from objreg.posegraph import LOOP_KEYPOINT_FILTER, ODOMETRY_KEYPOINT_FILTER, damped_step, register_sequence
 from objreg.procrustes import AlignmentResult, icp_refine_sets
 from objreg.synth import SynthConfig, generate
 import reference
@@ -71,7 +74,7 @@ class TestBuildProblem:
     def test_keypoint_init_matches_kabsch(self):
         rng = np.random.default_rng(0)
         fs, gt = keypoint_only_fs(rng)
-        problem = build_problem(fs, [])
+        problem = build_problem(fs, [], SolverConfig())
         assert problem.keypoints is not None and not problem.object_blocks
         init = problem.initial_camera
         rot, trans = pose_error(init, gt)
@@ -82,7 +85,7 @@ class TestBuildProblem:
         NOC fits put it: exactly on a noiseless pair."""
         rng = np.random.default_rng(3)
         fs, matches, cam1, *_ = object_only_fs(rng)
-        problem = build_problem(fs, matches)
+        problem = build_problem(fs, matches, SolverConfig())
         local0, local1 = (o.noc_fit.pose for o in fs.observations)
         expected = compose(local0, invert(local1))
         init = problem.initial_camera
@@ -96,8 +99,8 @@ class TestBuildProblem:
         rng = np.random.default_rng(11)
         fs, matches, cam1, *_ = object_only_fs(rng)
         kp_fs, gt = keypoint_only_fs(rng)
-        both = build_problem(FrameSet(fs.frames, kp_fs.keypoint_matches, fs.observations), matches)
-        kp_only = build_problem(kp_fs, [])
+        both = build_problem(FrameSet(fs.frames, kp_fs.keypoint_matches, fs.observations), matches, SolverConfig())
+        kp_only = build_problem(kp_fs, [], SolverConfig())
         assert both.keypoints is not None and len(both.object_blocks) == 1
         assert both.initial_camera.to_matrix().tobytes() == kp_only.initial_camera.to_matrix().tobytes()
         assert pose_error(both.initial_camera, gt)[1] < 1e-8
@@ -109,7 +112,7 @@ class TestBuildProblem:
         fs, _ = keypoint_only_fs(rng, noise=0.002)
         km = fs.keypoint_matches[0]
         mirror = FrameSet(fs.frames, [KeypointMatch(1, 0, km.points_j, km.points_i)])
-        got, want = build_problem(mirror, []), build_problem(fs, [])
+        got, want = build_problem(mirror, [], SolverConfig()), build_problem(fs, [], SolverConfig())
         assert got.keypoints.points_i.tobytes() == want.keypoints.points_i.tobytes()
         assert got.keypoints.points_j.tobytes() == want.keypoints.points_j.tobytes()
         assert got.initial_camera.to_matrix().tobytes() == want.initial_camera.to_matrix().tobytes()
@@ -121,13 +124,23 @@ class TestBuildProblem:
             [KeypointMatch(0, 1, rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3)))],
         )
         with pytest.raises(UnsolvableProblemError):
-            build_problem(fs, [])
+            build_problem(fs, [], SolverConfig())
+
+    def test_unsolvable_reasons(self):
+        """The error names why no problem was built: nothing to build from,
+        or no block left after filtering."""
+        rng = np.random.default_rng(1)
+        with pytest.raises(UnsolvableProblemError, match="^no keypoint matches and no object matches$"):
+            build_problem(FrameSet([Frame(0), Frame(1)]), [], SolverConfig())
+        small = KeypointMatch(0, 1, rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3)))
+        with pytest.raises(UnsolvableProblemError, match="^no keypoint or object blocks survive filtering$"):
+            build_problem(FrameSet([Frame(0), Frame(1)], [small]), [], SolverConfig())
 
     def test_object_observation_below_min_pairs_dropped(self):
         rng = np.random.default_rng(2)
         fs, matches, *_ = object_only_fs(rng, n=18)  # ~12 visible per frame < 15
         with pytest.raises(UnsolvableProblemError):
-            build_problem(fs, matches)
+            build_problem(fs, matches, SolverConfig())
 
     def test_match_without_fit_gives_no_block(self):
         """Match 0's frame-0 observation has too few NOC pairs for a fit, so
@@ -141,12 +154,12 @@ class TestBuildProblem:
         fs = FrameSet(fs.frames, [], [obs0, few, obs1, replace(obs1, detection_id=1)])
         matches = [PairMatch(1, 1, 0.0), PairMatch(0, 0, 0.0)]
         assert few.noc_fit is None
-        problem = build_problem(fs, matches)
+        problem = build_problem(fs, matches, SolverConfig())
         assert [blk.track_id for blk in problem.object_blocks] == [1]
         report = gauss_newton_solve(problem)
         assert report.track_ids == [1]
         assert [s["track_id"] for s in report.block_stats] == [1]
-        alone = gauss_newton_solve(build_problem(fs, matches[1:]))
+        alone = gauss_newton_solve(build_problem(fs, matches[1:], SolverConfig()))
         assert alone.track_ids == [0]
         assert report.camera_poses[1].to_matrix().tobytes() == alone.camera_poses[1].to_matrix().tobytes()
         assert pose_error(report.camera_poses[1], cam1)[1] < 1e-6
@@ -160,16 +173,96 @@ class TestBuildProblem:
         def forbidden(*_):
             raise AssertionError("build_problem filtered a set it rejects")
 
-        monkeypatch.setattr(joint_solver, "kabsch_filter", forbidden)
+        monkeypatch.setattr(joint_solver, "kabsch_filter_sets", forbidden)
         with pytest.raises(ValueError, match="exactly 2 frames"):
-            build_problem(fs3, [])
+            build_problem(fs3, [], SolverConfig())
+
+
+def fitted_scene(**overrides):
+    """A noisy synthetic scene with its NOC fits cached."""
+    cfg = dict(num_frames=2, num_objects=3, orbit_span=np.pi / 6, keypoints_per_pair=40,
+               noise_sigma_depth=0.003, rng_seed=13)
+    fs, _ = generate(SynthConfig(**{**cfg, **overrides}))
+    fit_noc(fs.observations)
+    return fs
+
+
+class TestPairPlan:
+    """A plan entry's matches are a MatchConfig, which matches the pair, or
+    the pair's given PairMatch list."""
+
+    def test_given_matches_used_as_is(self, monkeypatch):
+        fs = fitted_scene()
+        given = match_pair(fs.observations_in_frame(0), fs.observations_in_frame(1), MatchConfig(top_k=0), True)
+        assert len(given) > 1  # more than the default MatchConfig keeps
+        requests = []
+        monkeypatch.setattr(
+            joint_solver, "match_pairs",
+            lambda obs, frames, reqs: requests.extend(reqs) or match_pairs(obs, frames, reqs),
+        )
+        (setup,) = build_problems(PairIndex(fs), {(0, 1): (given, KEYPOINT_FILTER)}, SolverConfig()).values()
+        assert setup.matches is given and requests == []
+        assert [b.track_id for b in setup.problem.object_blocks] == list(range(len(given)))
+        obs_a, obs_b = fs.observations_in_frame(0), fs.observations_in_frame(1)
+        for m, blk in zip(given, setup.problem.object_blocks):
+            assert blk.init_pose.rotation is obs_a[m.index_a].noc_fit.pose.rotation
+            assert blk.noc_points[1].tobytes() == obs_b[m.index_b].noc_points[obs_b[m.index_b].noc_fit.inlier_flags].tobytes()
+
+    def test_no_given_matches_no_object_blocks(self):
+        fs = fitted_scene()
+        index, cfg = PairIndex(fs), SolverConfig()
+        (matched,) = build_problems(index, {(0, 1): (MatchConfig(), KEYPOINT_FILTER)}, cfg).values()
+        (setup,) = build_problems(index, {(0, 1): ([], KEYPOINT_FILTER)}, cfg).values()
+        assert matched.matches and matched.problem.object_blocks
+        assert setup.matches == [] and setup.problem.object_blocks == []
+        assert setup.problem.keypoints.points_i.tobytes() == matched.problem.keypoints.points_i.tobytes()
+
+    def test_mixed_plan_equals_each_pair_alone(self):
+        """Each pair of a plan that mixes matched and given-match pairs, ICP
+        on some, gets what a plan holding it alone gives it: the same
+        problem, bit for bit, and the same solve up to the rounding of the
+        lockstep batch (as in ``test_pairs_equal_lone_solves``)."""
+        fs = fitted_scene(num_frames=5, num_objects=2, trajectory="line", orbit_radius=1.8,
+                          keypoints_per_pair=20, rng_seed=8)
+        index = PairIndex(fs)
+        (wide,) = match_pairs(fs.observations, index.frames, [(1, 3, MatchConfig(top_k=0), True)])
+        plan = {(i, i + 1): (MatchConfig(), ODOMETRY_KEYPOINT_FILTER) for i in range(4)}
+        plan[(0, 2)] = ([], LOOP_KEYPOINT_FILTER)
+        plan[(1, 3)] = (wide, LOOP_KEYPOINT_FILTER)
+        plan[(2, 4)] = (MatchConfig(embed_threshold=0.04), LOOP_KEYPOINT_FILTER)
+        icp = [(0, 1), (2, 3), (1, 3)]
+        scfg = SolverConfig()
+        setups = build_problems(index, plan, scfg)
+        results = register_pairs(fs, plan, scfg, icp)
+        assert list(results) == list(plan) and results[(1, 3)].matches is wide
+        for pair, got in results.items():
+            (alone,) = build_problems(index, {pair: plan[pair]}, scfg).values()
+            assert setups[pair].matches == alone.matches == got.matches
+            assert problem_bits(setups[pair].problem) == problem_bits(alone.problem)
+            (want,) = register_pairs(fs, {pair: plan[pair]}, scfg, [pair] if pair in icp else []).values()
+            assert got.success and want.success
+            g, w = got.report, want.report
+            assert (g.iterations, g.pruned_count, g.track_ids) == (w.iterations, w.pruned_count, w.track_ids)
+            for p, q in zip(g.camera_poses + g.object_poses, w.camera_poses + w.object_poses):
+                assert np.abs(p.rotation - q.rotation).max() <= 1e-9
+                assert np.abs(p.translation - q.translation).max() <= 1e-9
+
+
+def problem_bits(problem):
+    """Exact bytes of a problem's blocks and initial values."""
+    arrays = [problem.initial_camera.to_matrix()]
+    if problem.keypoints is not None:
+        arrays += [problem.keypoints.points_i, problem.keypoints.points_j]
+    for blk in problem.object_blocks:
+        arrays += [*blk.noc_points, *blk.depth_points, blk.init_pose.rotation, blk.init_pose.scale]
+    return [blk.track_id for blk in problem.object_blocks], [a.tobytes() for a in arrays]
 
 
 class TestGaussNewton:
     def test_object_only_noiseless_recovery(self):
         rng = np.random.default_rng(4)
         fs, matches, cam1, obj_world, scale = object_only_fs(rng)
-        problem = build_problem(fs, matches)
+        problem = build_problem(fs, matches, SolverConfig())
         report = gauss_newton_solve(problem)
         rot, trans = pose_error(report.camera_poses[1], cam1)
         assert trans < 1e-6 and np.deg2rad(rot) < 1e-6
@@ -179,7 +272,7 @@ class TestGaussNewton:
     def test_keypoints_only_matches_kabsch(self):
         rng = np.random.default_rng(5)
         fs, gt = keypoint_only_fs(rng, noise=0.002)
-        problem = build_problem(fs, [])
+        problem = build_problem(fs, [], SolverConfig())
         report = gauss_newton_solve(problem)
         km = fs.keypoint_matches[0]
         closed = kabsch_solve(km.points_j, km.points_i).pose
@@ -197,7 +290,7 @@ class TestGaussNewton:
             apply_rigid(invert(cam1), world_kp) + rng.normal(0, 0.005, world_kp.shape),
         )
         both = FrameSet(fs.frames, [km], fs.observations)
-        report = gauss_newton_solve(build_problem(both, matches))
+        report = gauss_newton_solve(build_problem(both, matches, SolverConfig()))
         rot, trans = pose_error(report.camera_poses[1], cam1)
         assert rot < 1.0 and trans < 0.03
         kinds = {s["kind"] for s in report.block_stats}
@@ -211,7 +304,7 @@ class TestGaussNewton:
         dirs = rng.normal(size=(8, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         km.points_j[:8] += dirs * rng.uniform(0.16, 0.19, 8)[:, None]
-        problem = build_problem(fs, [])
+        problem = build_problem(fs, [], SolverConfig())
         report = gauss_newton_solve(problem)
         assert report.pruned_count >= 6
         rot, trans = pose_error(report.camera_poses[1], gt)
@@ -254,7 +347,7 @@ class TestGaussNewton:
     def test_cost_nonnegative_and_stats_present(self):
         rng = np.random.default_rng(10)
         fs, matches, *_ = object_only_fs(rng, noise=0.01)
-        report = gauss_newton_solve(build_problem(fs, matches))
+        report = gauss_newton_solve(build_problem(fs, matches, SolverConfig()))
         assert report.final_cost >= 0
         kinds = {s["kind"] for s in report.block_stats}
         assert kinds == {"object"}
@@ -272,7 +365,7 @@ class TestJacobian:
                 apply_rigid(invert(cam1), wk) + rng.normal(0, 0.01, wk.shape),
             )
             both = FrameSet(fs.frames, [km], fs.observations)
-            problem = build_problem(both, matches)
+            problem = build_problem(both, matches, SolverConfig())
             assert numeric_jacobian_check(problem) < 1e-5
 
     @pytest.mark.parametrize("objects", [0, 1, 2])
@@ -395,7 +488,7 @@ def tracked_problem(seed, objects=2):
     )
     per_frame = [fs.observations_in_frame(f) for f in range(2)]
     assert all(len(obs) == max(objects, 1) for obs in per_frame)  # detection id = object
-    return build_problem(fs, [PairMatch(t, t, 0.0) for t in range(objects)])
+    return build_problem(fs, [PairMatch(t, t, 0.0) for t in range(objects)], SolverConfig())
 
 
 class TestAssemble:
@@ -448,7 +541,7 @@ class TestAssemble:
 
     def test_object_only(self):
         fs, matches, *_ = object_only_fs(np.random.default_rng(5), noise=0.01)
-        problem = build_problem(fs, matches)
+        problem = build_problem(fs, matches, SolverConfig())
         _, poses = single(problem)
         moved = poses.retract(np.random.default_rng(2).normal(0, 0.05, (1, 15)))
         self.check(problem, *self.all_active(problem), [poses, moved])
@@ -488,7 +581,7 @@ def outlier_problem(seed):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts_j[rng.permutation(100)[:30]] += dirs * rng.uniform(0.16, 0.19, 30)[:, None]
     fs = FrameSet([Frame(0), Frame(1)], [KeypointMatch(0, 1, pts_i, pts_j)])
-    return build_problem(fs, [])
+    return build_problem(fs, [], SolverConfig())
 
 
 class TestPruneFromResidual:
@@ -699,6 +792,33 @@ class TestRegisterPair:
         assert solve_bits(got) == solve_bits(want)
         assert got.report.final_cost == want.report.final_cost
 
+    @pytest.mark.parametrize("icp", [True, False])
+    def test_one_pair_stage(self, monkeypatch, icp):
+        """register_pair runs the pair stage on its one pair: one PairIndex,
+        one build_problems and one gauss_newton_solve_batch call, one
+        icp_polish call only with ICP, and none of the one-pair wrappers."""
+        fs, _ = generate(
+            SynthConfig(num_frames=2, num_objects=2, orbit_span=np.pi / 6,
+                        noise_sigma_depth=0.005, rng_seed=13)
+        )
+        calls = []
+
+        def counted(name):
+            fn = getattr(joint_solver, name)
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        def forbidden(*_, **__):
+            raise AssertionError("register_pair called a one-pair wrapper")
+
+        stage = ["PairIndex", "build_problems", "gauss_newton_solve_batch", "icp_polish"]
+        for name in stage:
+            monkeypatch.setattr(joint_solver, name, counted(name))
+        for name in ("build_problem", "match_pair", "kabsch_filter", "gauss_newton_solve"):
+            monkeypatch.setattr(joint_solver, name, forbidden)
+        result = register_pair(fs, icp=icp)
+        assert result.success and result.matches
+        assert calls == stage[: 4 if icp else 3]
+
     def test_icp_does_not_hurt(self):
         fs, gt = generate(
             SynthConfig(num_frames=2, num_objects=1, orbit_span=np.pi / 8,
@@ -883,17 +1003,17 @@ def mixed_batch():
     -> problem."""
     rng = np.random.default_rng(40)
     fs, _ = keypoint_only_fs(rng, noise=0.002)
-    kp_only = build_problem(fs, [])
+    kp_only = build_problem(fs, [], SolverConfig())
     fs, matches, *_ = object_only_fs(rng, noise=0.004)
-    singular = build_problem(keypoint_only_fs(rng, noise=0.003)[0], [])
+    singular = build_problem(keypoint_only_fs(rng, noise=0.003)[0], [], SolverConfig())
     return {
         "keypoint only": kp_only,
-        "object only": build_problem(fs, matches),
+        "object only": build_problem(fs, matches, SolverConfig()),
         "one object": tracked_problem(seed=21, objects=1),
         "two objects": tracked_problem(seed=22, objects=2),
         "three objects": tracked_problem(seed=23, objects=3),
         "outliers": outlier_problem(401),
-        "zero cost": build_problem(keypoint_only_fs(rng)[0], []),
+        "zero cost": build_problem(keypoint_only_fs(rng)[0], [], SolverConfig()),
         "singular": replace(singular, config=SolverConfig(residual_prune=MARK)),
         "no weighted block": replace(kp_only, config=SolverConfig(w_c=0.0)),
     }

@@ -138,7 +138,7 @@ class TestMatchPair:
     def test_identical_embeddings_matched(self):
         a = [make_obs(0, 0, embed=np.zeros(8))]
         b = [make_obs(1, 0, embed=np.zeros(8))]
-        out = match_pair(a, b)
+        out = match_pair(a, b, MatchConfig(), False)
         assert len(out) == 1 and (out[0].index_a, out[0].index_b) == (0, 0)
         assert out[0].surviving_pairs > 0
 
@@ -147,33 +147,33 @@ class TestMatchPair:
         for _ in range(50):
             a = [make_obs(0, d, cls=int(rng.integers(0, 3)), embed=np.zeros(8), rng=rng) for d in range(3)]
             b = [make_obs(1, d, cls=int(rng.integers(0, 3)), embed=np.zeros(8), rng=rng) for d in range(3)]
-            for m in match_pair(a, b):
+            for m in match_pair(a, b, MatchConfig(), False):
                 assert a[m.index_a].class_label == b[m.index_b].class_label
 
     def test_scale_ratio_gate(self):
         a = [make_obs(0, 0, embed=np.zeros(8), scale=(1.0, 1.0, 1.0))]
         b = [make_obs(1, 0, embed=np.zeros(8), scale=(1.0, 1.6, 1.0))]
-        assert match_pair(a, b) == []
+        assert match_pair(a, b, MatchConfig(), False) == []
         b_ok = [make_obs(1, 0, embed=np.zeros(8), scale=(1.0, 1.4, 1.0))]
-        assert len(match_pair(a, b_ok)) == 1
+        assert len(match_pair(a, b_ok, MatchConfig(), False)) == 1
 
     def test_symmetric_dropped(self):
         a = [make_obs(0, 0, embed=np.zeros(8), symmetry="round")]
         b = [make_obs(1, 0, embed=np.zeros(8), symmetry="round")]
-        assert match_pair(a, b) == []
+        assert match_pair(a, b, MatchConfig(), False) == []
         cfg = MatchConfig(drop_symmetric=False, top_k=5)
-        assert len(match_pair(a, b, cfg)) == 1
+        assert len(match_pair(a, b, cfg, False)) == 1
 
     def test_strict_threshold(self):
         a = [make_obs(0, 0, embed=np.zeros(8))]
         b = [make_obs(1, 0, embed=np.full(8, 0.03))]  # distance ~0.085
-        assert match_pair(a, b, keypoints_present=True) == []
+        assert match_pair(a, b, MatchConfig(), keypoints_present=True) == []
 
     def test_fallback_only_without_keypoints(self):
         a = [make_obs(0, 0, embed=np.zeros(8))]
         b = [make_obs(1, 0, embed=np.full(8, 0.03))]  # 0.05 < d < 0.15
-        assert len(match_pair(a, b, keypoints_present=False)) == 1
-        assert match_pair(a, b, keypoints_present=True) == []
+        assert len(match_pair(a, b, MatchConfig(), keypoints_present=False)) == 1
+        assert match_pair(a, b, MatchConfig(), keypoints_present=True) == []
 
     def test_fallback_reuses_one_assignment_per_class(self, monkeypatch):
         """The fallback threshold re-gates the strict pass's candidates: the
@@ -190,7 +190,7 @@ class TestMatchPair:
             return hungarian(cost)
 
         monkeypatch.setattr(matching, "hungarian", counted)
-        out = match_pair(a, b, keypoints_present=False)
+        out = match_pair(a, b, MatchConfig(), keypoints_present=False)
         assert [(m.index_a, m.index_b) for m in out] == [(0, 0)]
         assert calls == [(1, 1), (1, 1)]
 
@@ -199,7 +199,7 @@ class TestMatchPair:
         far = make_obs(0, 1, embed=np.full(8, 0.2))
         b = [make_obs(1, 0, embed=np.zeros(8)), make_obs(1, 1, embed=np.full(8, 0.235))]
         cfg = MatchConfig(top_k=5)
-        out = match_pair([near, far], b, cfg)
+        out = match_pair([near, far], b, cfg, False)
         # far<->b[1] distance ~0.1 passes fallback only; strict match exists
         assert [(m.index_a, m.index_b) for m in out] == [(0, 0)]
 
@@ -210,13 +210,13 @@ class TestMatchPair:
         bad_a = make_obs(0, 1, cls=0, embed=np.full(8, 0.5), clean=False)
         good_b = make_obs(1, 0, cls=0, embed=np.zeros(8), clean=True)
         bad_b = make_obs(1, 1, cls=0, embed=np.full(8, 0.5), clean=False)
-        out = match_pair([good_a, bad_a], [good_b, bad_b], MatchConfig(top_k=1))
+        out = match_pair([good_a, bad_a], [good_b, bad_b], MatchConfig(top_k=1), False)
         assert len(out) == 1
         assert (out[0].index_a, out[0].index_b) == (0, 0)
 
     def test_empty_inputs(self):
-        assert match_pair([], []) == []
-        assert match_pair([make_obs(0, 0)], []) == []
+        assert match_pair([], [], MatchConfig(), False) == []
+        assert match_pair([make_obs(0, 0)], [], MatchConfig(), False) == []
 
 
 def match_one_pair(frame_a_obs, frame_b_obs, cfg, keypoints_present):

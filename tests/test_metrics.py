@@ -138,6 +138,14 @@ class TestAteRmse:
         with pytest.raises(ValueError):
             ate_rmse(a, b)
 
+    @pytest.mark.parametrize("empty_side", ["est", "gt"])
+    def test_empty_trajectory(self, empty_side):
+        """An empty trajectory on either side has no associations."""
+        full, empty = circle_trajectory(5), Trajectory(np.zeros(0), [])
+        sides = (empty, full) if empty_side == "est" else (full, empty)
+        with pytest.raises(ValueError, match=r"only 0 timestamp associations \(need >= 2\)"):
+            ate_rmse(*sides)
+
     def test_association_window(self):
         # shifted by 15 ms still associates; 25 ms does not
         gt = circle_trajectory(10)

@@ -697,15 +697,15 @@ def seq_fs():
 
 
 def counted_batches(mp):
-    """Patch register_sequence's batched solve to record the problems of
-    each call; returns the list of calls."""
+    """Patch the pair stage's batched solve to record the problems of each
+    call; returns the list of calls."""
     calls = []
 
     def solve(problems):
         calls.append(problems)
         return gauss_newton_solve_batch(problems)
 
-    mp.setattr(posegraph, "gauss_newton_solve_batch", solve)
+    mp.setattr(joint_solver, "gauss_newton_solve_batch", solve)
     return calls
 
 
@@ -804,7 +804,7 @@ class TestRegisterSequence:
         fs.frames[2].timestamp = fs.frames[1].timestamp
         built = []
         monkeypatch.setattr(
-            posegraph, "build_problems", lambda *a, **k: built.append(a) or build_problems(*a, **k)
+            joint_solver, "build_problems", lambda *a, **k: built.append(a) or build_problems(*a, **k)
         )
         calls = counted_batches(monkeypatch)
         with pytest.raises(ValidationError, match="frame 2"):
@@ -1094,7 +1094,7 @@ class TestSequenceBatch:
             built.append((failed, setups[failed].matches))
             return setups
 
-        monkeypatch.setattr(posegraph, "build_problems", planted)
+        monkeypatch.setattr(joint_solver, "build_problems", planted)
         result = register_sequence(fs)
         loop_pairs = [p for p in base.pair_results if p[1] > p[0] + 1]
         failed = loop_pairs[0]
