@@ -65,7 +65,7 @@ def skew(v) -> np.ndarray:
     """Cross-product matrices [v]x of (..., 3) vectors, shape (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
     ext = np.concatenate([v, 0.0 * v], axis=-1)
-    return (ext[..., _SKEW_A] - ext[..., _SKEW_B]).reshape(v.shape[:-1] + (3, 3))
+    return (ext.take(_SKEW_A, axis=-1) - ext.take(_SKEW_B, axis=-1)).reshape(v.shape[:-1] + (3, 3))
 
 
 _EYE3 = np.eye(3)
@@ -76,15 +76,20 @@ def so3_exp(phi) -> np.ndarray:
 
     Rodrigues' formula ``I + a [phi]x + b [phi]x^2`` with ``a = sin(t) / t``
     and ``b = (1 - cos t) / t^2 = 2 (sin(t / 2) / t)^2``, t = |phi|; below
-    1e-4 rad both come from their Taylor series.
+    1e-4 rad both come from their Taylor series. A batch with no angle that
+    small skips the series (and the ``where`` calls that pick it).
     """
     phi = np.asarray(phi, dtype=float)
     t2 = np.add.reduce(phi * phi, axis=-1)[..., None, None]
     small = t2 < 1e-8
-    t = np.sqrt(np.where(small, 1.0, t2))
-    a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
+    series = small.any()
+    t = np.sqrt(np.where(small, 1.0, t2) if series else t2)
+    a = np.sin(t) / t
     half = np.sin(0.5 * t) / t
-    b = np.where(small, 0.5 - t2 / 24.0, 2.0 * half * half)
+    b = 2.0 * half * half
+    if series:
+        a = np.where(small, 1.0 - t2 / 6.0, a)
+        b = np.where(small, 0.5 - t2 / 24.0, b)
     k = skew(phi)
     return _EYE3 + a * k + b * (k @ k)
 
@@ -94,6 +99,13 @@ def so3_exp(phi) -> np.ndarray:
 # [1 - tr + 2 R00, 1 - tr + 2 R11, 1 - tr + 2 R22, R01 + R10, R02 + R20,
 #  R12 + R21, R21 - R12, R02 - R20, R10 - R01, 1 + tr]
 _MARKLEY = np.array([[0, 3, 4, 6], [3, 1, 5, 7], [4, 5, 2, 8], [6, 7, 8, 9]])
+# Those ten entries as a + s b, a and b gathered from the 12-vector
+# (R00, R01, ..., R22, 1 - tr, 1 + tr, 0 tr) by these indices: (-1) b and
+# 1 b are exact, so each entry has the bits of the sum or difference written
+# above, and 1 + tr plus a zero is 1 + tr (never -0).
+_LOG_A = np.array([9, 9, 9, 1, 2, 5, 7, 2, 3, 10])
+_LOG_B = np.array([0, 4, 8, 3, 6, 7, 5, 6, 1, 11])
+_LOG_S = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
 
 
 def so3_log(rot) -> np.ndarray:
@@ -101,33 +113,39 @@ def so3_log(rot) -> np.ndarray:
 
     The unit quaternion (x, y, z, w >= 0) of R comes from Markley's method,
     which builds it from the largest of the trace and the three diagonal
-    entries. With ``angle = 2 atan2(|xyz|, w)`` the result is
-    ``xyz * angle / sin(angle / 2)``, that factor taken from its Taylor
-    series at or below 1e-3 rad.
+    entries: one signed gather makes the ten candidate entries, a second
+    picks each row's four (a batch whose traces all win, such as small
+    rotations, takes its four directly). With ``angle = 2 atan2(|xyz|, w)``
+    the result is ``xyz * angle / sin(angle / 2)``, that factor taken from
+    its Taylor series at or below 1e-3 rad (skipped when no angle is that
+    small).
     """
     rot = np.asarray(rot, dtype=float)
     m = rot.reshape(-1, 9)
     diag = m[:, ::4]
-    trace = diag.sum(axis=1, keepdims=True)
-    entries = np.concatenate(
-        [
-            1.0 - trace + 2.0 * diag,
-            m[:, [1, 2, 5]] + m[:, [3, 6, 7]],
-            m[:, [7, 2, 3]] - m[:, [5, 6, 1]],
-            1.0 + trace,
-        ],
-        axis=1,
-    )
-    choice = np.concatenate([diag, trace], axis=1).argmax(axis=1)
-    quat = np.take_along_axis(entries, _MARKLEY[choice], axis=1)
-    norm = np.sqrt(np.add.reduce(quat * quat, axis=1, keepdims=True))
-    quat /= np.where(quat[:, 3:] < 0, -norm, norm)  # unit, w >= 0
+    trace = np.add.reduce(diag, axis=1, keepdims=True)
+    if (trace > diag).all():
+        # Markley's last row everywhere, as argmax picks it; the traces then
+        # exceed 0, so every w = 1 + tr is positive
+        vee = m.take(_LOG_A[6:9], axis=1) - m.take(_LOG_B[6:9], axis=1)
+        quat = np.concatenate([vee, 1.0 + trace], axis=1)
+        quat /= np.sqrt(np.add.reduce(quat * quat, axis=1, keepdims=True))
+    else:
+        ext = np.concatenate([m, 1.0 - trace, 1.0 + trace, 0.0 * trace], axis=1)
+        entries = ext.take(_LOG_A, axis=1) + _LOG_S * ext.take(_LOG_B, axis=1)
+        choice = np.concatenate([diag, trace], axis=1).argmax(axis=1)
+        quat = entries.take(_MARKLEY.take(choice, axis=0) + np.arange(0, entries.size, 10)[:, None])
+        norm = np.sqrt(np.add.reduce(quat * quat, axis=1, keepdims=True))
+        quat /= np.where(quat[:, 3:] < 0, -norm, norm)  # unit, w >= 0
     xyz = quat[:, :3]
     angle = 2.0 * np.arctan2(np.sqrt(np.add.reduce(xyz * xyz, axis=1)), quat[:, 3])
     small = angle <= 1e-3
-    a2 = angle * angle
-    series = 2.0 + a2 / 12.0 + 7.0 * a2 * a2 / 2880.0
-    scale = np.where(small, series, angle / np.sin(np.where(small, 1.0, angle / 2.0)))
+    if small.any():
+        a2 = angle * angle
+        series = 2.0 + a2 / 12.0 + 7.0 * a2 * a2 / 2880.0
+        scale = np.where(small, series, angle / np.sin(np.where(small, 1.0, angle / 2.0)))
+    else:
+        scale = angle / np.sin(angle / 2.0)
     return (scale[:, None] * xyz).reshape(rot.shape[:-2] + (3,))
 
 
@@ -152,7 +170,7 @@ def _squared_norms(v) -> np.ndarray:
     """Each row of ``v`` (..., D) dotted with itself, as a 1-D ``row @ row``
     is, bit for bit."""
     v = v[..., None, :]
-    return (v @ np.swapaxes(v, -1, -2))[..., 0, 0]
+    return (v @ v.swapaxes(-1, -2))[..., 0, 0]
 
 
 def _norms(v) -> np.ndarray:

@@ -4,6 +4,7 @@ switches (Choi-style), and the result is a gauge-fixed trajectory."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -15,8 +16,8 @@ from .geometry import (
     _is_int,
     _is_real,
     _squared_norms,
+    _EYE3,
     apply_rigid,
-    compose,
     invert,
     skew,
     so3_exp,
@@ -61,6 +62,9 @@ ODOMETRY_KEYPOINT_FILTER = FilterConfig(0.30, min_pairs=MIN_KEYPOINT_PAIRS)
 LOOP_KEYPOINT_FILTER = FilterConfig(0.15, min_pairs=MIN_KEYPOINT_PAIRS)
 
 
+_EDGE_KINDS = ("odometry", "loop_closure")
+
+
 @dataclass(slots=True)
 class GraphEdge:
     i: int
@@ -71,10 +75,22 @@ class GraphEdge:
     kind: str  # "odometry" | "loop_closure"
 
     def __post_init__(self):
-        if not 0 <= self.i < self.j:
-            raise ValueError(f"edge ({self.i}, {self.j}): nodes must satisfy 0 <= i < j")
-        if not (np.isfinite(self.information_weight) and self.information_weight >= 0):
-            raise ValueError(f"edge ({self.i}, {self.j}): information_weight must be finite, >= 0")
+        i, j, weight = self.i, self.j, self.information_weight
+        if not (_is_int(i) and _is_int(j)):
+            problem = f"nodes must be ints, got {type(i).__name__} and {type(j).__name__}"
+        elif not 0 <= i < j:
+            problem = "nodes must satisfy 0 <= i < j"
+        elif not (_is_real(weight) and math.isfinite(weight) and weight >= 0):
+            problem = f"information_weight must be a finite real >= 0, got {weight!r}"
+        elif not isinstance(self.uncertain, (bool, np.bool_)):
+            problem = f"uncertain must be a bool, got {self.uncertain!r}"
+        elif self.kind not in _EDGE_KINDS:
+            problem = f"kind must be one of {_EDGE_KINDS}, got {self.kind!r}"
+        elif not isinstance(self.relative_pose, RigidPose):
+            problem = f"relative_pose must be a RigidPose, got {type(self.relative_pose).__name__}"
+        else:
+            return
+        raise ValueError(f"edge ({i!r}, {j!r}): {problem}")
 
 
 @dataclass
@@ -113,11 +129,17 @@ class PoseGraph:
     num_nodes: int
     edges: list[GraphEdge]
 
+    def __post_init__(self):
+        if not (_is_int(self.num_nodes) and self.num_nodes >= 1):
+            raise ValueError(f"num_nodes must be an int >= 1, got {self.num_nodes!r}")
 
-@dataclass(eq=False)  # compares by identity: a field-wise == of arrays raises
+
+@dataclass(eq=False, slots=True)  # compares by identity: a field-wise == of arrays raises
 class GraphSolution:
     """The optimized node poses as read-only arrays, node 0 the identity,
-    with each uncertain edge's final switch and the pruned edges."""
+    with each uncertain edge's final switch and the pruned edges. Slotted:
+    without an instance dict a 30-node ring's solution takes ~3.7 KB, not
+    ~4.0 KB, which adds up for callers that keep many."""
 
     rotations: np.ndarray  # (n, 3, 3)
     translations: np.ndarray  # (n, 3)
@@ -246,43 +268,51 @@ def _band_order(num_nodes: int, ii, jj) -> list[int]:
 
 class _EdgeTable:
     """One robust solve's edges as arrays aligned with ``graph.edges``: node
-    indices, relative poses (with R_delta^T and [t_delta]x, which the
-    Jacobians read), weights ``max(information_weight, 1)``, the
-    uncertain mask, and how the ``size`` normal equations over nodes 1..n-1
-    are laid out as a symmetric band matrix.
+    indices (``ij``, rows i and j), relative poses (with R_delta^T and
+    [t_delta]x, which the Jacobians read), weights ``max(information_weight,
+    1)``, the uncertain mask, and how the ``size`` normal equations over
+    nodes 1..n-1 are laid out as a symmetric band matrix.
 
     ``order`` lists nodes 1..n-1 in :func:`_band_order`; node ``order[p]``
-    owns unknowns ``6p .. 6p + 5``, (phi, dt). Its bandwidth is ``band =
-    6 max |p_i - p_j| + 5`` over the edges between nodes 1..n-1 (5, the
-    diagonal blocks, without such edges). ``h_index`` and ``g_index``
-    scatter each edge's (12, 12) J^T W J and (12,) J^T W e blocks, columns
-    (phi, dt) of node i and then of node j, into the lower band storage
-    ``(band + 1, size)`` (entry (r, c), r >= c, at ``[r - c, c]``) and the
-    (size,) gradient, both raveled; entries above the diagonal and entries
-    on node 0 go to one bin past the end."""
+    owns unknowns ``6p .. 6p + 5``, (phi, dt), and ``step_index`` gathers
+    node k's six from a tangent vector at row k - 1. The bandwidth is
+    ``band = 6 max |p_i - p_j| + 5`` over the edges between nodes 1..n-1 (5,
+    the diagonal blocks, without such edges). ``index`` scatters each edge's
+    (12, 12) J^T W J block and then each edge's (12,) J^T W e block, columns
+    (phi, dt) of node i and then of node j, into one vector: the lower band
+    storage ``(band + 1, size)`` raveled (entry (r, c), r >= c, at
+    ``[r - c, c]``), then the (size,) gradient. It covers only the entries
+    that ``used`` picks from those blocks raveled: entries above the
+    diagonal and entries on node 0 are left out."""
 
     def __init__(self, graph: PoseGraph):
-        self.ii = np.array([e.i for e in graph.edges], dtype=int)
-        self.jj = np.array([e.j for e in graph.edges], dtype=int)
-        self.d_rot = np.array([e.relative_pose.rotation for e in graph.edges]).reshape(-1, 3, 3)
-        self.d_trans = np.array([e.relative_pose.translation for e in graph.edges]).reshape(-1, 3)
-        self.d_rot_t, self.d_skew = np.swapaxes(self.d_rot, 1, 2), skew(self.d_trans)
-        self.weight = np.array([max(e.information_weight, 1.0) for e in graph.edges])
-        self.uncertain = np.array([e.uncertain for e in graph.edges], dtype=bool)
+        edges = graph.edges
+        self.ij = np.array([(e.i, e.j) for e in edges], dtype=int).reshape(-1, 2).T
+        self.ii, self.jj = self.ij
+        self.d_rot = np.array([e.relative_pose.rotation for e in edges]).reshape(-1, 3, 3)
+        self.d_trans = np.array([e.relative_pose.translation for e in edges]).reshape(-1, 3)
+        self.d_rot_t, self.d_skew = self.d_rot.swapaxes(1, 2), skew(self.d_trans)
+        self.weight = np.array([max(e.information_weight, 1.0) for e in edges])
+        self.uncertain = np.array([e.uncertain for e in edges], dtype=bool)
         self.size = size = 6 * (graph.num_nodes - 1)
         self.order = np.array(_band_order(graph.num_nodes, self.ii, self.jj), dtype=int)
         pos = np.zeros(graph.num_nodes, dtype=int)
         pos[self.order] = np.arange(len(self.order))
+        self.step_index = 6 * pos[1:, None] + np.arange(6)
         inner = self.ii > 0
         gaps = np.abs(pos[self.ii[inner]] - pos[self.jj[inner]])
         self.band = band = 6 * int(gaps.max(initial=0)) + 5
-        node = np.repeat(np.stack([self.ii, self.jj], axis=1), 6, axis=1)  # (E, 12)
+        self.h_size = h_size = (band + 1) * size
+        node = np.repeat(self.ij.T, 6, axis=1)  # (E, 12)
         coord = 6 * pos[node] + np.tile(np.arange(6), 2)
         gauge = node == 0
-        below = coord[:, :, None] - coord[:, None, :]  # row - column
+        # row - column, below 0 above the diagonal and on node 0's rows and
+        # columns (whose coordinates become -size and size)
+        below = np.where(gauge, -size, coord)[:, :, None] - np.where(gauge, size, coord)[:, None, :]
         h_index = below * size + coord[:, None, :]
-        h_index[(below < 0) | gauge[:, :, None] | gauge[:, None, :]] = (band + 1) * size
-        self.h_index, self.g_index = h_index.ravel(), np.where(gauge, size, coord).ravel()
+        index = np.concatenate([h_index.ravel(), coord.ravel() + h_size])
+        self.used = np.flatnonzero(np.concatenate([below.ravel() >= 0, ~gauge.ravel()]))
+        self.index = index.take(self.used)
 
 
 def _edge_errors(rot, trans, table: _EdgeTable):
@@ -293,19 +323,20 @@ def _edge_errors(rot, trans, table: _EdgeTable):
     (E, 6) array, together with the (E, 3, 3) stacks that
     :func:`_edge_jacobians` reads: the error rotations, R_j^T and R_j^T R_i.
     """
-    ii, jj = table.ii, table.jj
-    rj_t = np.swapaxes(rot[jj], 1, 2)
-    rel_rot = rj_t @ rot[ii]
+    rot_i, rot_j = rot.take(table.ij, axis=0)
+    trans_i, trans_j = trans.take(table.ij, axis=0)
+    rj_t = rot_j.swapaxes(1, 2)
+    rel_rot = rj_t @ rot_i
     err_rot = rel_rot @ table.d_rot
-    moved = (rot[ii] @ table.d_trans[:, :, None])[:, :, 0] + trans[ii] - trans[jj]
+    moved = (rot_i @ table.d_trans[:, :, None])[:, :, 0] + trans_i - trans_j
     err_trans = (rj_t @ moved[:, :, None])[:, :, 0]
-    return np.hstack([so3_log(err_rot), err_trans]), err_rot, rj_t, rel_rot
+    return np.concatenate([so3_log(err_rot), err_trans], axis=1), err_rot, rj_t, rel_rot
 
 
 def _edge_jacobians(table: _EdgeTable, err, err_rot, rj_t, rel_rot):
-    """Closed-form (E, 6, 6) derivatives of the edge errors with respect to
-    (phi, dt) of node i and of node j, for the retraction
-    ``R <- R Exp(phi), t <- t + dt``.
+    """Closed-form derivatives of the edge errors with respect to (phi, dt)
+    of node i and then of node j, for the retraction
+    ``R <- R Exp(phi), t <- t + dt``, as one (E, 6, 12) array.
 
     With rho = Log(E_R) and tau the translation error:
     d rho/d phi_i = J_r^-1(rho) R_delta^T, d rho/d phi_j = -J_r^-1(rho) E_R^T,
@@ -313,35 +344,40 @@ def _edge_jacobians(table: _EdgeTable, err, err_rot, rj_t, rel_rot):
     d tau/d t_i = R_j^T = -d tau/d t_j.
     The arguments after ``table`` are what :func:`_edge_errors` returns.
     """
-    rho, tau = err[:, :3], err[:, 3:]
-    # J_r^-1 = I + [rho]x / 2 + c [rho]x^2, with c -> 1/12 as theta -> 0
-    theta = np.linalg.norm(rho, axis=1)
-    big = np.where(theta < 1e-4, 1.0, theta)
-    c = np.where(theta < 1e-4, 1 / 12, 1 / big**2 - np.cos(big / 2) / (2 * big * np.sin(big / 2)))
-    k = skew(rho)
-    jr_inv = np.eye(3) + 0.5 * k + c[:, None, None] * (k @ k)
-    jac_i, jac_j = np.zeros((2, len(err), 6, 6))
-    jac_i[:, :3, :3] = jr_inv @ table.d_rot_t
-    jac_j[:, :3, :3] = -jr_inv @ np.swapaxes(err_rot, 1, 2)
-    jac_i[:, 3:, :3] = -(rel_rot @ table.d_skew)
-    jac_j[:, 3:, :3] = skew(tau)
-    jac_i[:, 3:, 3:] = rj_t
-    jac_j[:, 3:, 3:] = -rj_t
-    return jac_i, jac_j
+    k, k_tau = skew(err.reshape(-1, 2, 3)).swapaxes(0, 1)  # [rho]x, [tau]x
+    # J_r^-1 = I + [rho]x / 2 + c [rho]x^2, with c -> 1/12 as theta -> 0;
+    # theta = |rho| as np.linalg.norm takes it
+    rho = err[:, :3]
+    theta = np.sqrt(np.add.reduce(rho * rho, axis=1))
+    small = theta < 1e-4
+    series = small.any()  # the limit, only where some theta needs it
+    big = np.where(small, 1.0, theta) if series else theta
+    half = big / 2
+    c = 1 / big**2 - np.cos(half) / (2 * big * np.sin(half))
+    if series:
+        c = np.where(small, 1 / 12, c)
+    jr_inv = _EYE3 + 0.5 * k + c[:, None, None] * (k @ k)
+    jac = np.zeros((len(err), 6, 12))
+    np.matmul(jr_inv, table.d_rot_t, out=jac[:, :3, :3])
+    np.matmul(-jr_inv, err_rot.swapaxes(1, 2), out=jac[:, :3, 6:9])
+    np.negative(np.matmul(rel_rot, table.d_skew, out=jac[:, 3:, :3]), out=jac[:, 3:, :3])
+    jac[:, 3:, 3:6] = rj_t
+    jac[:, 3:, 6:9] = k_tau
+    np.negative(rj_t, out=jac[:, 3:, 9:])
+    return jac
 
 
-def _normal_equations(jac_i, jac_j, err, w, table: _EdgeTable):
+def _normal_equations(jac, err, w, table: _EdgeTable):
     """``(J^T W J, J^T W e)`` over nodes 1..n-1 in the table's band order,
     J^T W J as its lower band storage ``(table.band + 1, table.size)``,
-    summed one edge at a time: edge k adds ``[A B]^T w_k [A B]`` and
-    ``[A B]^T w_k e_k`` for its blocks A = ``jac_i[k]``, B = ``jac_j[k]``,
-    scattered by the table's indices."""
-    size, rows = table.size, table.band + 1
-    jac = np.concatenate([jac_i, jac_j], axis=2)  # (E, 6, 12)
-    jac_tw = np.swapaxes(jac, 1, 2) * w[:, None, None]
-    h = np.bincount(table.h_index, (jac_tw @ jac).ravel(), rows * size + 1)[:-1]
-    g = np.bincount(table.g_index, (jac_tw @ err[:, :, None]).ravel(), size + 1)[:-1]
-    return h.reshape(rows, size), g
+    summed one edge at a time: edge k adds ``J_k^T w_k J_k`` and
+    ``J_k^T w_k e_k`` for its (6, 12) block J_k = ``jac[k]``, the used
+    entries of both scattered by the table's one index in a single
+    ``bincount`` (their bins are disjoint)."""
+    jac_tw = jac.swapaxes(1, 2) * w[:, None, None]
+    values = np.concatenate([(jac_tw @ jac).ravel(), (jac_tw @ err[:, :, None]).ravel()])
+    hg = np.bincount(table.index, values.take(table.used), table.h_size + table.size)
+    return hg[: table.h_size].reshape(table.band + 1, table.size), hg[table.h_size :]
 
 
 def damped_step(ab, jtr, lam, cost, trial, tries):
@@ -355,28 +391,34 @@ def damped_step(ab, jtr, lam, cost, trial, tries):
 
     The damping is added to ``ab`` in place: pass a temporary, whose
     diagonal is overwritten."""
-    diag = ab[0].copy()
+    diag, rhs = ab[0].copy(), -jtr
     for _ in range(tries):
         ab[0] = diag + lam
-        _, delta, info = dpbsv(ab, -jtr, lower=1)
+        _, delta, info = dpbsv(ab, rhs, lower=1)
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
         if info > 0:  # not positive definite: solveh_banded's LinAlgError
             lam *= 10
             continue
         candidate, cost_new = trial(delta)
-        if np.isfinite(cost_new) and cost_new <= cost + ACCEPT_SLACK:
+        if math.isfinite(cost_new) and cost_new <= cost + ACCEPT_SLACK:
             return candidate, cost_new, max(lam / 10, LAMBDA_FLOOR)
         lam *= 10
     return None, None, lam
 
 
-def _chain_odometry(graph: PoseGraph) -> list[RigidPose]:
-    poses = [RigidPose.identity() for _ in range(graph.num_nodes)]
-    odo = {(e.i, e.j): e for e in graph.edges if e.kind == "odometry"}
+def _chain_odometry(graph: PoseGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Node poses (rotations (n, 3, 3), translations (n, 3)) from composing
+    the odometry edges from node 0, the identity: T_{i+1} = T_i T_delta."""
+    odo = {(e.i, e.j): e.relative_pose for e in graph.edges if e.kind == "odometry"}
+    r, t = _EYE3, np.zeros(3)
+    rot, trans = [r], [t]
     for i in range(graph.num_nodes - 1):
-        poses[i + 1] = compose(poses[i], odo[(i, i + 1)].relative_pose)
-    return poses
+        step = odo[(i, i + 1)]
+        r, t = r @ step.rotation, r @ step.translation + t
+        rot.append(r)
+        trans.append(t)
+    return np.array(rot), np.array(trans)
 
 
 def _update_switches(table: _EdgeTable, err, cfg) -> np.ndarray:
@@ -464,13 +506,13 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
 
         # both read the loop's current poses and weights
         def cost_of(err):
-            r = (sqrt_w[:, None] * err).ravel()
+            r = (sqrt_w * err).ravel()
             return float(r @ r)
 
         def trial(delta):
-            step = np.zeros((len(rot), 6))  # node 0 stays put
-            step[table.order] = delta.reshape(-1, 6)
-            rot_new, trans_new = rot @ so3_exp(step[:, :3]), trans + step[:, 3:]
+            step = delta.take(table.step_index)  # nodes 1..n-1; node 0 stays put
+            rot_new = np.concatenate([rot[:1], rot[1:] @ so3_exp(step[:, :3])])
+            trans_new = np.concatenate([trans[:1], trans[1:] + step[:, 3:]])
             edge_new = _edge_errors(rot_new, trans_new, table)
             return (rot_new, trans_new, edge_new), cost_of(edge_new[0])
 
@@ -481,8 +523,8 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
         lam, cost = LAMBDA_START, np.inf
         for _ in range(MAX_ITERATIONS):
             w = scale * switches
-            sqrt_w = np.sqrt(w)
-            h, grad = _normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
+            sqrt_w = np.sqrt(w)[:, None]
+            h, grad = _normal_equations(_edge_jacobians(table, *edge), edge[0], w, table)
             new, new_cost, lam = damped_step(h, grad, lam, cost_of(edge[0]), trial, DAMPING_TRIES)
             if new is None:
                 break
@@ -493,9 +535,7 @@ def optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None) -> GraphSol
             cost = new_cost
         return rot, trans, switches, table
 
-    init = _chain_odometry(graph)
-    rot, trans = np.array([p.rotation for p in init]), np.array([p.translation for p in init])
-    rot, trans, switches, table = robust_solve(graph, rot, trans)
+    rot, trans, switches, table = robust_solve(graph, *_chain_odometry(graph))
 
     keep = ~(table.uncertain & (switches < cfg.edge_prune_threshold))
     pruned = [(e.i, e.j) for e, kept in zip(graph.edges, keep) if not kept]

@@ -3,9 +3,10 @@ The package itself does not use them: the closed-form Kabsch alignment of
 one point set, the object transform of canonical points, the distance of two
 embeddings, the joint solver's normal equations against finite differences,
 its reports built one problem at a time, the ICP polish accepting pair by
-pair, dense forms of the pose graph's band-stored normal equations, the
-robust pose graph solve as alternating loops, and acceptance criterion 08's
-ring graphs."""
+pair, dense forms of the pose graph's band-stored normal equations, the pose
+graph step's kernels in their first, plainer forms (which the package's must
+match bit for bit), the robust pose graph solve as alternating loops on
+those kernels, and acceptance criterion 08's ring graphs."""
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from objreg.geometry import (
     apply_rigid,
     compose,
     invert,
-    so3_exp,
 )
 from objreg.joint_solver import (
     _GAUGE,
@@ -39,10 +39,7 @@ from objreg.posegraph import (
     PoseGraph,
     _chain_odometry,
     _check_graph,
-    _edge_errors,
-    _edge_jacobians,
     _EdgeTable,
-    _normal_equations as _graph_normal_equations,
     damped_step,
 )
 from objreg.procrustes import (
@@ -231,6 +228,130 @@ def node_order_system(ab, g, table):
     return h, g_nodes
 
 
+# The pose graph step's kernels as first written: every Taylor ``where``
+# taken, one gather per operand, the Jacobian as two (E, 6, 6) halves, and
+# two scatters into the band. The package's leaner kernels must give the
+# same bytes.
+
+
+def ref_skew(v):
+    """[v]x by ``np.cross``, whose signed zeros ``geometry.skew`` keeps."""
+    v = np.asarray(v, dtype=float)
+    return np.cross(np.eye(3), v[..., None, :])
+
+
+def ref_so3_exp(phi):
+    phi = np.asarray(phi, dtype=float)
+    t2 = np.add.reduce(phi * phi, axis=-1)[..., None, None]
+    small = t2 < 1e-8
+    t = np.sqrt(np.where(small, 1.0, t2))
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
+    half = np.sin(0.5 * t) / t
+    b = np.where(small, 0.5 - t2 / 24.0, 2.0 * half * half)
+    k = ref_skew(phi)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+_MARKLEY = np.array([[0, 3, 4, 6], [3, 1, 5, 7], [4, 5, 2, 8], [6, 7, 8, 9]])
+
+
+def ref_so3_log(rot):
+    rot = np.asarray(rot, dtype=float)
+    m = rot.reshape(-1, 9)
+    diag = m[:, ::4]
+    trace = diag.sum(axis=1, keepdims=True)
+    entries = np.concatenate(
+        [
+            1.0 - trace + 2.0 * diag,
+            m[:, [1, 2, 5]] + m[:, [3, 6, 7]],
+            m[:, [7, 2, 3]] - m[:, [5, 6, 1]],
+            1.0 + trace,
+        ],
+        axis=1,
+    )
+    choice = np.concatenate([diag, trace], axis=1).argmax(axis=1)
+    quat = np.take_along_axis(entries, _MARKLEY[choice], axis=1)
+    norm = np.sqrt(np.add.reduce(quat * quat, axis=1, keepdims=True))
+    quat /= np.where(quat[:, 3:] < 0, -norm, norm)
+    xyz = quat[:, :3]
+    angle = 2.0 * np.arctan2(np.sqrt(np.add.reduce(xyz * xyz, axis=1)), quat[:, 3])
+    small = angle <= 1e-3
+    a2 = angle * angle
+    series = 2.0 + a2 / 12.0 + 7.0 * a2 * a2 / 2880.0
+    scale = np.where(small, series, angle / np.sin(np.where(small, 1.0, angle / 2.0)))
+    return (scale[:, None] * xyz).reshape(rot.shape[:-2] + (3,))
+
+
+def ref_edge_errors(rot, trans, table):
+    """``(err, err_rot, rj_t, rel_rot)`` as ``posegraph._edge_errors`` returns them."""
+    ii, jj = table.ii, table.jj
+    rj_t = np.swapaxes(rot[jj], 1, 2)
+    rel_rot = rj_t @ rot[ii]
+    err_rot = rel_rot @ table.d_rot
+    moved = (rot[ii] @ table.d_trans[:, :, None])[:, :, 0] + trans[ii] - trans[jj]
+    err_trans = (rj_t @ moved[:, :, None])[:, :, 0]
+    return np.hstack([ref_so3_log(err_rot), err_trans]), err_rot, rj_t, rel_rot
+
+
+def ref_edge_jacobians(table, err, err_rot, rj_t, rel_rot):
+    """The (E, 6, 6) halves (node i, node j) of ``posegraph._edge_jacobians``."""
+    rho, tau = err[:, :3], err[:, 3:]
+    theta = np.linalg.norm(rho, axis=1)
+    big = np.where(theta < 1e-4, 1.0, theta)
+    c = np.where(theta < 1e-4, 1 / 12, 1 / big**2 - np.cos(big / 2) / (2 * big * np.sin(big / 2)))
+    k = ref_skew(rho)
+    jr_inv = np.eye(3) + 0.5 * k + c[:, None, None] * (k @ k)
+    jac_i, jac_j = np.zeros((2, len(err), 6, 6))
+    jac_i[:, :3, :3] = jr_inv @ table.d_rot_t
+    jac_j[:, :3, :3] = -jr_inv @ np.swapaxes(err_rot, 1, 2)
+    jac_i[:, 3:, :3] = -(rel_rot @ table.d_skew)
+    jac_j[:, 3:, :3] = ref_skew(tau)
+    jac_i[:, 3:, 3:] = rj_t
+    jac_j[:, 3:, 3:] = -rj_t
+    return jac_i, jac_j
+
+
+def band_indices(table):
+    """Where each edge's (12, 12) J^T W J and (12,) J^T W e entries go in the
+    raveled band storage and gradient of a table's system: entries above the
+    diagonal and on node 0 to one bin past the end of each."""
+    size, band = table.size, table.band
+    pos = np.zeros(size // 6 + 1, dtype=int)
+    pos[table.order] = np.arange(len(table.order))
+    node = np.repeat(np.stack([table.ii, table.jj], axis=1), 6, axis=1)
+    coord = 6 * pos[node] + np.tile(np.arange(6), 2)
+    gauge = node == 0
+    below = coord[:, :, None] - coord[:, None, :]
+    h_index = below * size + coord[:, None, :]
+    h_index[(below < 0) | gauge[:, :, None] | gauge[:, None, :]] = (band + 1) * size
+    return h_index.ravel(), np.where(gauge, size, coord).ravel()
+
+
+def ref_normal_equations(jac_i, jac_j, err, w, table):
+    """``posegraph._normal_equations`` from the Jacobian's two halves."""
+    size, rows = table.size, table.band + 1
+    h_index, g_index = band_indices(table)
+    jac = np.concatenate([jac_i, jac_j], axis=2)
+    jac_tw = np.swapaxes(jac, 1, 2) * w[:, None, None]
+    h = np.bincount(h_index, (jac_tw @ jac).ravel(), rows * size + 1)[:-1]
+    g = np.bincount(g_index, (jac_tw @ err[:, :, None]).ravel(), size + 1)[:-1]
+    return h.reshape(rows, size), g
+
+
+def chained_poses(graph):
+    """``posegraph._chain_odometry``'s node poses as ``RigidPose`` objects."""
+    return [RigidPose.from_rotation(r, t) for r, t in zip(*_chain_odometry(graph))]
+
+
+def ref_chain_odometry(graph):
+    """The odometry edges composed from node 0, one ``RigidPose`` per node."""
+    poses = [RigidPose.identity() for _ in range(graph.num_nodes)]
+    odo = {(e.i, e.j): e for e in graph.edges if e.kind == "odometry"}
+    for i in range(graph.num_nodes - 1):
+        poses[i + 1] = compose(poses[i], odo[(i, i + 1)].relative_pose)
+    return poses
+
+
 # the alternating solve's limits: up to MAX_OUTER_ITERATIONS rounds of
 # {solve the poses with the switches fixed, update the switches}, each pose
 # solve taking up to MAX_INNER_ITERATIONS damped Gauss-Newton steps
@@ -254,8 +375,8 @@ def solve_poses(table, rot, trans, edge, switches):
     """Damped GN over node poses with fixed per-edge ``switches``; node 0
     pinned, each solve starting from lam = 1e-6 and stopping once a step
     lowers the cost by a relative 1e-10 or less. ``edge`` is what
-    ``_edge_errors`` returns at ``(rot, trans)``. Returns the final poses,
-    their cost and their ``edge``."""
+    ``ref_edge_errors`` returns at ``(rot, trans)``. Returns the final
+    poses, their cost and their ``edge``."""
     if not len(table.weight):  # a lone node, pinned
         return rot, trans, 0.0, edge
     w = table.weight / table.weight.mean() * switches
@@ -268,14 +389,14 @@ def solve_poses(table, rot, trans, edge, switches):
     def trial(delta):
         step = np.zeros((len(rot), 6))  # node 0 stays put
         step[table.order] = delta.reshape(-1, 6)
-        rot_new, trans_new = rot @ so3_exp(step[:, :3]), trans + step[:, 3:]
-        edge_new = _edge_errors(rot_new, trans_new, table)
+        rot_new, trans_new = rot @ ref_so3_exp(step[:, :3]), trans + step[:, 3:]
+        edge_new = ref_edge_errors(rot_new, trans_new, table)
         return (rot_new, trans_new, edge_new), cost_of(edge_new[0])
 
     lam = 1e-6
     cost = cost_of(edge[0])
     for _ in range(MAX_INNER_ITERATIONS):
-        h, g = _graph_normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
+        h, g = ref_normal_equations(*ref_edge_jacobians(table, *edge), edge[0], w, table)
         new, cost_new, lam = damped_step(h, g, lam, cost, trial, 8)
         if new is None:
             break
@@ -290,13 +411,13 @@ def alternating_optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None)
     """``optimize_graph`` as the line process of Choi, Zhou and Koltun (CVPR
     2015) states it: solve the poses to convergence with the switches fixed,
     update the switches, repeat until the cost stops changing; then prune
-    and re-solve the same way."""
+    and re-solve the same way. It runs on the ``ref_`` kernels above."""
     cfg = cfg or GraphConfig()
     _check_graph(graph)
 
     def robust_solve(g: PoseGraph, rot, trans):
         table = _EdgeTable(g)
-        edge = _edge_errors(rot, trans, table)
+        edge = ref_edge_errors(rot, trans, table)
         switches = update_switches(table, edge[0], cfg)
         cost = np.inf
         for _ in range(MAX_OUTER_ITERATIONS):
@@ -307,7 +428,7 @@ def alternating_optimize_graph(graph: PoseGraph, cfg: GraphConfig | None = None)
             cost = new_cost
         return rot, trans, switches, table
 
-    init = _chain_odometry(graph)
+    init = ref_chain_odometry(graph)
     rot, trans = np.array([p.rotation for p in init]), np.array([p.translation for p in init])
     rot, trans, switches, table = robust_solve(graph, rot, trans)
 

@@ -1,14 +1,19 @@
-"""Print where a ``loop40`` op spends its time, stage by stage, in-process.
+"""Print where a benchmark op spends its time, stage by stage, in-process.
 
-    PYTHONPATH=src python3 tests/stage_times.py [--runs 40] [--seed 3]
+    PYTHONPATH=src python3 tests/stage_times.py [--workload loop40] [--runs N] [--seed 3]
 
-Builds the benchmark's ``loop40`` scene (``--seed`` is its scene seed, 3 as
-in the benchmark), writes it as a problem file, then runs ``--runs`` ops of
-``load_problem`` + ``register_sequence`` after one warm-up op. Each stage's
-function is wrapped where the sequence path looks it up, and the wrapper
-adds its wall time; a stage's row is its time per op, min / median over the
-runs. Rows marked "in" are part of the row above them. The bench's tracer
-cannot see the pair stage, so this is where its cost shows.
+``--workload loop40`` (the default) builds the benchmark's ``loop40`` scene
+(``--seed`` is its scene seed, 3 as in the benchmark), writes it as a
+problem file, then runs ``--runs`` ops (default 40) of ``load_problem`` +
+``register_sequence``. ``--workload ring30`` builds the benchmark's 20
+criterion-08 rings and runs ``--runs`` ops (default 200) of its op, one
+ring's ``optimize_graph`` clean and then with the planted false closure, the
+rings taken in turn; its rows are the kernels of the robust pose-graph
+step. One warm-up op comes first. Each stage's function is wrapped where
+the path looks it up, and the wrapper adds its wall time; a stage's
+row is its time per op, min / median over the runs. Rows marked "in" are
+part of the row above them. The bench's tracer sees neither the pair stage
+nor the graph kernels, so this is where their cost shows.
 
 Not a test module: pytest collects only ``test_*.py``.
 """
@@ -27,13 +32,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
+import numpy as np  # noqa: E402
 import run as bench  # noqa: E402  (the benchmark's scenes; puts src/ on the path)
 
 from objreg import joint_solver, observations, posegraph, synth  # noqa: E402
 
 # (row label, owner, attribute): each wrapped where register_sequence, the
 # pair stage (joint_solver.register_pairs) or the stage above it looks it up
-STAGES = [
+LOOP40_STAGES = [
     ("validate", observations.FrameSet, "validate"),
     ("fit_noc", joint_solver, "fit_noc"),
     ("build_problems", joint_solver, "build_problems"),
@@ -46,6 +52,18 @@ STAGES = [
     ("  in: icp_refine_sets", joint_solver, "icp_refine_sets"),
     ("build_graph", posegraph, "build_graph"),
     ("optimize_graph", posegraph, "optimize_graph"),
+]
+# the robust pose-graph kernels, each wrapped where optimize_graph looks it up
+RING30_STAGES = [
+    ("_chain_odometry", posegraph, "_chain_odometry"),
+    ("_EdgeTable", posegraph._EdgeTable, "__init__"),
+    ("_edge_errors", posegraph, "_edge_errors"),
+    ("  in: so3_log", posegraph, "so3_log"),
+    ("_edge_jacobians", posegraph, "_edge_jacobians"),
+    ("_normal_equations", posegraph, "_normal_equations"),
+    ("dpbsv", posegraph, "dpbsv"),
+    ("so3_exp", posegraph, "so3_exp"),
+    ("_update_switches", posegraph, "_update_switches"),
 ]
 
 
@@ -61,10 +79,10 @@ def timed(fn, label, spent):
     return wrapper
 
 
-def patch(spent) -> list:
+def patch(stages, spent) -> list:
     """Wrap every stage; returns what restores them."""
     undo = []
-    for label, owner, attr in STAGES:
+    for label, owner, attr in stages:
         raw = owner.__dict__[attr]
         if isinstance(raw, classmethod):
             new = classmethod(timed(raw.__func__, label, spent))
@@ -75,34 +93,67 @@ def patch(spent) -> list:
     return undo
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=bench.LOOP40_SCENE_SEED)
-    args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-    fs, _ = synth.generate(synth.SynthConfig(**bench.LOOP40, rng_seed=args.seed))
+def timed_ops(stages, op, runs, load=None) -> list:
+    """Per run after one warm-up op, the seconds spent in each stage, in
+    ``load()`` (unwrapped, as ``"load_problem"``) and in the whole op:
+    ``op(load())``, or ``op(k)`` in the k-th op without ``load``."""
     per_run = []
+    for k in range(runs + 1):  # op 0 warms up
+        spent = defaultdict(float)
+        t0 = time.perf_counter()
+        arg = k if load is None else load()
+        spent["load_problem"] = time.perf_counter() - t0
+        undo = patch(stages, spent)
+        try:
+            op(arg)
+        finally:
+            for owner, attr, raw in undo:
+                setattr(owner, attr, raw)
+        spent["whole op"] = time.perf_counter() - t0
+        if k:
+            per_run.append(spent)
+    return per_run
+
+
+def loop40(runs, seed) -> list:
+    fs, _ = synth.generate(synth.SynthConfig(**bench.LOOP40, rng_seed=seed))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "loop40.json"
         observations.save_problem(fs, path)
-        for run in range(args.runs + 1):  # run 0 warms up
-            spent = defaultdict(float)
-            t0 = time.perf_counter()
-            loaded = observations.load_problem(path)
-            spent["load_problem"] = time.perf_counter() - t0
-            undo = patch(spent)
-            try:
-                posegraph.register_sequence(loaded)
-            finally:
-                for owner, attr, raw in undo:
-                    setattr(owner, attr, raw)
-            spent["whole op"] = time.perf_counter() - t0
-            if run:
-                per_run.append(spent)
-    print(f"loop40 scene seed {args.seed}, {args.runs} runs: ms per op, min / median")
-    labels = ["load_problem"] + [label for label, _, _ in STAGES] + ["whole op"]
+        return timed_ops(
+            LOOP40_STAGES, posegraph.register_sequence, runs, lambda: observations.load_problem(path)
+        )
+
+
+def ring30(runs) -> list:
+    rings = [bench.ring_graph(np.random.default_rng(800 + k)) for k in range(bench.Ring30.RINGS)]
+
+    def op(k):
+        clean, with_false, _ = rings[k % len(rings)]
+        posegraph.optimize_graph(clean)
+        posegraph.optimize_graph(with_false)
+
+    return timed_ops(RING30_STAGES, op, runs)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=("loop40", "ring30"), default="loop40")
+    parser.add_argument("--runs", type=int, help="ops timed (default 40 for loop40, 200 for ring30)")
+    parser.add_argument("--seed", type=int, default=bench.LOOP40_SCENE_SEED,
+                        help="loop40's scene seed")
+    args = parser.parse_args()
+    runs = args.runs if args.runs is not None else {"loop40": 40, "ring30": 200}[args.workload]
+    if runs < 1:
+        parser.error("--runs must be at least 1")
+    if args.workload == "loop40":
+        per_run = loop40(runs, args.seed)
+        print(f"loop40 scene seed {args.seed}, {runs} runs: ms per op, min / median")
+        labels = ["load_problem"] + [label for label, _, _ in LOOP40_STAGES] + ["whole op"]
+    else:
+        per_run = ring30(runs)
+        print(f"ring30, {runs} runs: ms per op, min / median")
+        labels = [label for label, _, _ in RING30_STAGES] + ["whole op"]
     width = max(map(len, labels))
     for label in labels:
         ms = [1e3 * spent[label] for spent in per_run]

@@ -28,7 +28,7 @@ from objreg.matching import MatchConfig
 from objreg.metrics import RecallThreshold
 from objreg.posegraph import GraphConfig
 from objreg.procrustes import FilterConfig
-from reference import apply_object
+from reference import apply_object, ref_so3_exp, ref_so3_log
 
 RNG = np.random.default_rng(42)
 
@@ -338,6 +338,56 @@ class TestSO3:
             for rot in Rotation.from_rotvec(self.axes(34) * angle).as_matrix():
                 assert abs(rotation_angle(rot) - angle) <= 4e-16 * max(angle, 1.0), angle
         assert rotation_angle(np.eye(3)) == 0.0
+
+    # angles on both sides of the series thresholds (1e-4 rad for Exp, 1e-3
+    # for Log), near pi, and zero
+    EDGE_ANGLES = [
+        0.0,
+        np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+        np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0),
+        np.pi - 1e-6, np.nextafter(np.pi, 0.0), np.pi,
+    ]
+
+    def bitwise_cases(self):
+        """Rotation vectors: seeded batches over many scales, each edge angle
+        alone, mixed with large angles, and with signed zeros."""
+        rng = np.random.default_rng(35)
+        cases = []
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            cases.append(self.axes(rng.integers(1 << 30), n) * 10 ** rng.uniform(-7, 0.5, (n, 1)))
+        for angle in self.EDGE_ANGLES:
+            cases.append(self.axes(36, 20) * angle)
+            cases.append(np.vstack([self.axes(37, 5) * angle, rng.uniform(-2, 2, (5, 3))]))
+        signed = rng.normal(size=(30, 3))
+        signed.flat[::4] = 0.0
+        signed.flat[1::5] = -0.0
+        cases += [signed, signed * 1e-5, np.array([-0.0, 0.0, -0.0]), rng.normal(size=(4, 5, 3))]
+        return cases
+
+    def test_exp_bitwise_equal_to_plain_form(self):
+        # reference.ref_so3_exp takes every Taylor where; so3_exp skips them
+        # when no angle needs them
+        for phi in self.bitwise_cases():
+            assert so3_exp(phi).tobytes() == ref_so3_exp(phi).tobytes(), phi
+
+    def test_log_bitwise_equal_to_plain_form(self):
+        # reference.ref_so3_log builds all ten Markley entries and takes every
+        # Taylor where; so3_log gathers them signed, takes the trace row
+        # directly when every row picks it, and skips the series when it can
+        rng = np.random.default_rng(38)
+        signed_zero_rotations = np.array([
+            [[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]],
+            [[-1.0, 0.0, -0.0], [-0.0, -1.0, 0.0], [0.0, -0.0, 1.0]],
+            [[1.0, 0.0, -0.0], [-0.0, -1.0, -0.0], [0.0, 0.0, -1.0]],
+            [[-1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [-0.0, 0.0, -1.0]],
+        ])
+        for phi in self.bitwise_cases():
+            rot = ref_so3_exp(phi)
+            products = rot @ ref_so3_exp(rng.normal(size=phi.shape))
+            turned = signed_zero_rotations @ rot.reshape(-1, 3, 3)[0]
+            for r in (rot, products, signed_zero_rotations, turned):
+                assert so3_log(r).tobytes() == ref_so3_log(r).tobytes(), r
 
     def test_batched_shapes_and_axis_oracle(self):
         w = np.array([[0.0, 0.0, np.pi / 2], [0.3, -0.2, 0.1]])

@@ -56,8 +56,13 @@ from objreg.procrustes import icp_refine_sets
 from objreg.synth import SynthConfig, generate
 from reference import (
     alternating_optimize_graph,
+    chained_poses,
     node_coordinates,
     node_order_system,
+    ref_chain_odometry,
+    ref_edge_errors,
+    ref_edge_jacobians,
+    ref_normal_equations,
     ring_graph,
     update_switches,
     with_false_closure,
@@ -305,9 +310,9 @@ class TestOptimizeGraph:
         monkeypatch.setattr(posegraph, "dpbsv", lambda ab, b, lower: (ab, b, 1))
         graph, _ = ring_graph(np.random.default_rng(800))
         sol = optimize_graph(graph)
-        chained = _chain_odometry(graph)
-        assert np.array_equal(sol.rotations, [p.rotation for p in chained])
-        assert np.array_equal(sol.translations, [p.translation for p in chained])
+        rot, trans = _chain_odometry(graph)
+        assert np.array_equal(sol.rotations, rot)
+        assert np.array_equal(sol.translations, trans)
 
     def test_disconnected_certain_subgraph_rejected(self):
         edges = [GraphEdge(0, 1, RigidPose.identity(), 1.0, True, "odometry")]
@@ -334,6 +339,30 @@ class TestOptimizeGraph:
     def test_malformed_graph_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             optimize_graph(build())
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda e: replace(e, information_weight=True), r"edge \(0, 1\): information_weight"),
+            (lambda e: replace(e, information_weight="1"), r"edge \(0, 1\): information_weight"),
+            (lambda e: replace(e, i=0.0, j=1.0), r"edge \(0.0, 1.0\): nodes must be ints"),
+            (lambda e: replace(e, i=False, j=True), r"edge \(False, True\): nodes must be ints"),
+            (lambda e: replace(e, kind="loop"), r"edge \(0, 1\): kind must be one of"),
+            (lambda e: replace(e, relative_pose="notapose"), r"edge \(0, 1\): relative_pose"),
+            (lambda e: replace(e, uncertain=1), r"edge \(0, 1\): uncertain must be a bool"),
+            (lambda e: PoseGraph(0, []), r"num_nodes must be an int >= 1, got 0"),
+            (lambda e: PoseGraph(2.0, [e]), r"num_nodes must be an int >= 1, got 2.0"),
+            (lambda e: PoseGraph(True, []), r"num_nodes must be an int >= 1, got True"),
+        ],
+        ids=["bool_weight", "str_weight", "float_nodes", "bool_nodes", "unknown_kind",
+             "pose_not_rigid", "int_uncertain", "no_nodes", "float_num_nodes", "bool_num_nodes"],
+    )
+    def test_malformed_fields_rejected(self, build, message):
+        edge = path_edge(0, 1)
+        with pytest.raises(ValueError, match=message):
+            build(edge)
+        # numpy ints and bools are accepted where ints and bools are
+        PoseGraph(np.int64(2), [replace(edge, i=np.int64(0), j=np.int32(1), uncertain=np.True_)])
 
     def test_single_node_graph_is_identity(self):
         sol = optimize_graph(PoseGraph(1, []))
@@ -378,7 +407,7 @@ class TestOptimizeGraph:
             return err, cost_of(err)
 
         cost = cost_of(edge[0])
-        ab, g = _normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
+        ab, g = _normal_equations(_edge_jacobians(table, *edge), edge[0], w, table)
         new, cost_new, _ = damped_step(ab, g, 1e-6, cost, trial, 8)
         assert new is None or cost - cost_new < 1e-12 * max(cost, 1.0)
 
@@ -469,7 +498,7 @@ class TestEdgeJacobian:
                 n, [GraphEdge(i, j, d, 1.0, False, "odometry") for (i, j), d in zip(pairs, rel)]
             )
             table = _EdgeTable(graph)
-            jac_i, jac_j = _edge_jacobians(table, *_edge_errors(rot, trans, table))
+            jac_i, jac_j = np.split(_edge_jacobians(table, *_edge_errors(rot, trans, table)), 2, axis=2)
             analytic = np.zeros((6 * m, 6 * n))
             for k, (i, j) in enumerate(pairs):
                 analytic[6 * k : 6 * k + 6, 6 * i : 6 * i + 6] = jac_i[k]
@@ -523,8 +552,9 @@ class TestNormalEquations:
             table = _EdgeTable(graph)
             edge = _edge_errors(rot, trans, table)
             err = edge[0]
-            jac_i, jac_j = _edge_jacobians(table, *edge)
-            ab, g = _normal_equations(jac_i, jac_j, err, w, table)
+            edge_jac = _edge_jacobians(table, *edge)
+            jac_i, jac_j = np.split(edge_jac, 2, axis=2)
+            ab, g = _normal_equations(edge_jac, err, w, table)
             assert ab.shape == (table.band + 1, table.size) and g.shape == (table.size,)
             for d in range(1, table.band + 1):  # each row's tail lies outside the matrix
                 assert not ab[d, table.size - d :].any()
@@ -545,6 +575,84 @@ class TestNormalEquations:
                 float(np.abs(g - g_ref).max() / np.abs(g_ref).max()),
             )
         assert worst <= 1e-12
+
+
+class TestKernelsBitwise:
+    """The step's kernels give the bytes of their first, plainer forms
+    (``reference.ref_*``) on random graphs, on criterion 08's rings at the
+    chained start (every odometry error zero) and at the solution, near pi,
+    on both sides of the Jacobian's 1e-4 series threshold and with signed
+    zeros."""
+
+    def states(self):
+        """(graph, node rotations, node translations) to check at."""
+        rng = np.random.default_rng(975)
+        for seed in range(10):
+            n = int(rng.integers(2, 12))
+            pairs = [(i, i + 1) for i in range(n - 1)]
+            pairs += [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(n)]
+            graph = random_graph(rng, n, sorted(set(pairs)))
+            yield graph, random_rotations(rng, n), rng.uniform(-2, 2, (n, 3))
+            # relative rotations near pi, nodes at the identity
+            axes = rng.normal(size=(len(graph.edges), 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            near_pi = so3_exp(axes * np.nextafter(np.pi, 0.0))
+            graph = PoseGraph(n, [replace(e, relative_pose=RigidPose.from_rotation(r, e.relative_pose.translation))
+                                  for e, r in zip(graph.edges, near_pi)])
+            yield graph, np.broadcast_to(np.eye(3), (n, 3, 3)).copy(), np.zeros((n, 3))
+        for seed in (800, 805):
+            graph, gt = ring_graph(np.random.default_rng(seed))
+            for g in (graph, with_false_closure(graph, gt)):
+                yield g, *_chain_odometry(g)
+                sol = optimize_graph(g)
+                yield g, sol.rotations, sol.translations
+        # exact zeros everywhere: identity nodes, translations signed zeros
+        graph = path_graph(5, extra=[path_edge(0, 3), path_edge(1, 4, x=-0.0)])
+        trans = np.zeros((5, 3))
+        trans[1::2] = -0.0
+        yield graph, np.broadcast_to(np.eye(3), (5, 3, 3)).copy(), trans
+
+    def test_edge_errors_jacobians_and_normal_equations(self):
+        rng = np.random.default_rng(976)
+        for graph, rot, trans in self.states():
+            table = _EdgeTable(graph)
+            edge = _edge_errors(rot, trans, table)
+            for got, want in zip(edge, ref_edge_errors(rot, trans, table), strict=True):
+                assert got.tobytes() == want.tobytes()
+            jac = _edge_jacobians(table, *edge)
+            halves = ref_edge_jacobians(table, *edge)
+            assert jac.tobytes() == np.concatenate(halves, axis=2).tobytes()
+            w = table.weight / table.weight.mean() * rng.uniform(0.01, 1, len(table.weight))
+            for got, want in zip(_normal_equations(jac, edge[0], w, table),
+                                 ref_normal_equations(*halves, edge[0], w, table), strict=True):
+                assert got.tobytes() == want.tobytes()
+
+    def test_jacobians_at_series_threshold(self):
+        # rotation errors just below, at and just above 1e-4 rad, alone and
+        # mixed with larger ones; the other inputs random rotations
+        rng = np.random.default_rng(977)
+        graph, _ = ring_graph(np.random.default_rng(801))
+        table = _EdgeTable(graph)
+        m = len(graph.edges)
+        for theta in (0.0, np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)):
+            for mixed in (False, True):
+                # one nonzero coordinate per row, so that |rho| is theta exactly
+                rho = np.zeros((m, 3))
+                rho[np.arange(m), rng.integers(0, 3, m)] = theta * rng.choice([-1.0, 1.0], m)
+                if mixed:
+                    rho[::3] = random_rotations(rng, m)[::3, 0]
+                err = np.hstack([rho, rng.normal(size=(m, 3))])
+                args = (err, so3_exp(rho), *random_rotations(rng, 2 * m).reshape(2, m, 3, 3))
+                halves = ref_edge_jacobians(table, *args)
+                assert _edge_jacobians(table, *args).tobytes() == np.concatenate(halves, axis=2).tobytes()
+
+    def test_chain_odometry(self):
+        for seed in (800, 805):
+            graph, gt = ring_graph(np.random.default_rng(seed))
+            rot, trans = _chain_odometry(with_false_closure(graph, gt))
+            poses = ref_chain_odometry(graph)
+            assert rot.tobytes() == np.array([p.rotation for p in poses]).tobytes()
+            assert trans.tobytes() == np.array([p.translation for p in poses]).tobytes()
 
 
 # graphs whose banded steps are checked: (name, nodes, edges)
@@ -569,7 +677,7 @@ class TestBandedSolve:
         trans = rng.uniform(-2, 2, (n, 3))
         edge = _edge_errors(rot, trans, table)
         w = table.weight / table.weight.mean() * rng.uniform(0.1, 1, len(table.weight))
-        ab, g = _normal_equations(*_edge_jacobians(table, *edge), edge[0], w, table)
+        ab, g = _normal_equations(_edge_jacobians(table, *edge), edge[0], w, table)
         h_dense, g_dense = node_order_system(ab, g, table)
         dense = np.linalg.solve(h_dense + lam * np.eye(table.size), -g_dense)
         tried = []
@@ -780,7 +888,7 @@ class TestRegisterSequence:
         ground truth than chaining its own odometry edges."""
         gt, result, _ = loop40
         assert result.diagnostics["num_loop_edges"] >= 1
-        chained = graph_ate(_chain_odometry(result.graph), gt)
+        chained = graph_ate(chained_poses(result.graph), gt)
         assert graph_ate(result.trajectory.poses, gt) < chained
 
     def test_icp_on_odometry_pairs_only(self, monkeypatch):
