@@ -99,13 +99,6 @@ def so3_exp(phi) -> np.ndarray:
 # [1 - tr + 2 R00, 1 - tr + 2 R11, 1 - tr + 2 R22, R01 + R10, R02 + R20,
 #  R12 + R21, R21 - R12, R02 - R20, R10 - R01, 1 + tr]
 _MARKLEY = np.array([[0, 3, 4, 6], [3, 1, 5, 7], [4, 5, 2, 8], [6, 7, 8, 9]])
-# Those ten entries as a + s b, a and b gathered from the 12-vector
-# (R00, R01, ..., R22, 1 - tr, 1 + tr, 0 tr) by these indices: (-1) b and
-# 1 b are exact, so each entry has the bits of the sum or difference written
-# above, and 1 + tr plus a zero is 1 + tr (never -0).
-_LOG_A = np.array([9, 9, 9, 1, 2, 5, 7, 2, 3, 10])
-_LOG_B = np.array([0, 4, 8, 3, 6, 7, 5, 6, 1, 11])
-_LOG_S = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
 
 
 def so3_log(rot) -> np.ndarray:
@@ -113,28 +106,27 @@ def so3_log(rot) -> np.ndarray:
 
     The unit quaternion (x, y, z, w >= 0) of R comes from Markley's method,
     which builds it from the largest of the trace and the three diagonal
-    entries: one signed gather makes the ten candidate entries, a second
-    picks each row's four (a batch whose traces all win, such as small
-    rotations, takes its four directly). With ``angle = 2 atan2(|xyz|, w)``
-    the result is ``xyz * angle / sin(angle / 2)``, that factor taken from
-    its Taylor series at or below 1e-3 rad (skipped when no angle is that
-    small).
+    entries; a batch whose traces all win, such as small rotations, takes
+    that row's four entries directly. With ``angle = 2 atan2(|xyz|, w)`` the
+    result is ``xyz * angle / sin(angle / 2)``, that factor taken from its
+    Taylor series at or below 1e-3 rad (skipped when no angle is that small).
     """
     rot = np.asarray(rot, dtype=float)
     m = rot.reshape(-1, 9)
     diag = m[:, ::4]
     trace = np.add.reduce(diag, axis=1, keepdims=True)
+    vee = m[:, [7, 2, 3]] - m[:, [5, 6, 1]]
     if (trace > diag).all():
         # Markley's last row everywhere, as argmax picks it; the traces then
         # exceed 0, so every w = 1 + tr is positive
-        vee = m.take(_LOG_A[6:9], axis=1) - m.take(_LOG_B[6:9], axis=1)
         quat = np.concatenate([vee, 1.0 + trace], axis=1)
         quat /= np.sqrt(np.add.reduce(quat * quat, axis=1, keepdims=True))
     else:
-        ext = np.concatenate([m, 1.0 - trace, 1.0 + trace, 0.0 * trace], axis=1)
-        entries = ext.take(_LOG_A, axis=1) + _LOG_S * ext.take(_LOG_B, axis=1)
+        entries = np.concatenate(
+            [1.0 - trace + 2.0 * diag, m[:, [1, 2, 5]] + m[:, [3, 6, 7]], vee, 1.0 + trace], axis=1
+        )
         choice = np.concatenate([diag, trace], axis=1).argmax(axis=1)
-        quat = entries.take(_MARKLEY.take(choice, axis=0) + np.arange(0, entries.size, 10)[:, None])
+        quat = np.take_along_axis(entries, _MARKLEY[choice], axis=1)
         norm = np.sqrt(np.add.reduce(quat * quat, axis=1, keepdims=True))
         quat /= np.where(quat[:, 3:] < 0, -norm, norm)  # unit, w >= 0
     xyz = quat[:, :3]

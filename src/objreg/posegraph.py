@@ -134,12 +134,10 @@ class PoseGraph:
             raise ValueError(f"num_nodes must be an int >= 1, got {self.num_nodes!r}")
 
 
-@dataclass(eq=False, slots=True)  # compares by identity: a field-wise == of arrays raises
+@dataclass(eq=False)  # compares by identity: a field-wise == of arrays raises
 class GraphSolution:
     """The optimized node poses as read-only arrays, node 0 the identity,
-    with each uncertain edge's final switch and the pruned edges. Slotted:
-    without an instance dict a 30-node ring's solution takes ~3.7 KB, not
-    ~4.0 KB, which adds up for callers that keep many."""
+    with each uncertain edge's final switch and the pruned edges."""
 
     rotations: np.ndarray  # (n, 3, 3)
     translations: np.ndarray  # (n, 3)

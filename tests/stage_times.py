@@ -5,15 +5,16 @@
 ``--workload loop40`` (the default) builds the benchmark's ``loop40`` scene
 (``--seed`` is its scene seed, 3 as in the benchmark), writes it as a
 problem file, then runs ``--runs`` ops (default 40) of ``load_problem`` +
-``register_sequence``. ``--workload ring30`` builds the benchmark's 20
-criterion-08 rings and runs ``--runs`` ops (default 200) of its op, one
-ring's ``optimize_graph`` clean and then with the planted false closure, the
-rings taken in turn; its rows are the kernels of the robust pose-graph
-step. One warm-up op comes first. Each stage's function is wrapped where
-the path looks it up, and the wrapper adds its wall time; a stage's
-row is its time per op, min / median over the runs. Rows marked "in" are
-part of the row above them. The bench's tracer sees neither the pair stage
-nor the graph kernels, so this is where their cost shows.
+``register_sequence``. ``--workload ring30`` sets up the benchmark's
+``ring30`` workload (its 20 criterion-08 rings) and runs ``--runs`` ops
+(default 200) of its own op, one ring's ``optimize_graph`` clean and then
+with the planted false closure, the rings taken in turn; its rows are the
+kernels of the robust pose-graph step. One warm-up op comes first. Each
+stage's function is wrapped where the path looks it up, and the wrapper
+adds its wall time; a stage's row is its time per op, min / median over
+the runs. Rows marked "in" are part of the row above them. The bench's
+tracer sees neither the pair stage nor the graph kernels, so this is where
+their cost shows.
 
 Not a test module: pytest collects only ``test_*.py``.
 """
@@ -32,7 +33,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-import numpy as np  # noqa: E402
 import run as bench  # noqa: E402  (the benchmark's scenes; puts src/ on the path)
 
 from objreg import joint_solver, observations, posegraph, synth  # noqa: E402
@@ -126,14 +126,9 @@ def loop40(runs, seed) -> list:
 
 
 def ring30(runs) -> list:
-    rings = [bench.ring_graph(np.random.default_rng(800 + k)) for k in range(bench.Ring30.RINGS)]
-
-    def op(k):
-        clean, with_false, _ = rings[k % len(rings)]
-        posegraph.optimize_graph(clean)
-        posegraph.optimize_graph(with_false)
-
-    return timed_ops(RING30_STAGES, op, runs)
+    workload = bench.Ring30(1, None)  # its rings are the same for every seed
+    workload.setup()
+    return timed_ops(RING30_STAGES, workload.op, runs)
 
 
 def main() -> int:

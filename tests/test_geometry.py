@@ -373,8 +373,8 @@ class TestSO3:
 
     def test_log_bitwise_equal_to_plain_form(self):
         # reference.ref_so3_log builds all ten Markley entries and takes every
-        # Taylor where; so3_log gathers them signed, takes the trace row
-        # directly when every row picks it, and skips the series when it can
+        # Taylor where; so3_log takes the trace row directly when every row
+        # picks it, and skips the series when it can
         rng = np.random.default_rng(38)
         signed_zero_rotations = np.array([
             [[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]],
