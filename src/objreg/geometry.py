@@ -172,6 +172,14 @@ def _norms(v) -> np.ndarray:
     return np.sqrt(_squared_norms(v))
 
 
+def _squares(d) -> np.ndarray:
+    """Each row's |d|^2 for rows of 3, (...,): ``d0^2 + d1^2 + d2^2`` added
+    left to right, as ``np.add.reduce(d * d, axis=-1)`` adds them, bit for
+    bit, without the cost of a sum over a trailing axis of 3."""
+    sq = d * d
+    return sq[..., 0] + sq[..., 1] + sq[..., 2]
+
+
 def euler_from_rotation(rot: np.ndarray) -> np.ndarray:
     """Inverse of :func:`rotation_from_euler`.
 

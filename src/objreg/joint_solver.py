@@ -28,11 +28,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import (
+    _EYE3,
     ObjectPose,
     RigidPose,
     _is_real,
     _norms,
     _pose_builders,
+    _squares,
     compose,
     invert,
     rotation_angle,
@@ -217,25 +219,27 @@ class PairIndex:
         return np.vstack(pts) if pts else np.zeros((0, 3))
 
 
-def _problem(keypoints, fit, matched, cfg: SolverConfig, inliers: dict) -> RegistrationProblem:
+def _problem(keypoints, fit, camera, matched, cfg: SolverConfig, inliers: dict) -> RegistrationProblem:
     """A pair's problem from its stacked keypoint pairs ``(pi, pj)``, their
-    filter's ``fit`` (or None) and its object matches as (observation in
-    frame 0, observation in frame 1): the fit's inliers give the keypoint
-    block (dropped below 5), match t gives object block t from the inliers
-    of both observations' ``noc_fit`` (no block when either is None).
-    Camera 1 starts at the keypoint block's Kabsch pose, else at the pose
-    the first object block's two fits imply; each object starts at its fit
-    in frame 0, with the observation's scale estimate. The fit is finite
-    and the estimate validated, so that pose is built unchecked. Raises
-    UnsolvableProblemError when no block survives.
+    filter's ``fit`` (or None), ``camera``, the inverse of the fit's pose
+    when the fit keeps at least 5 pairs (else None), and its object matches
+    as (observation in frame 0, observation in frame 1): the fit's inliers
+    give the keypoint block (none without ``camera``), match t gives object
+    block t from the inliers of both observations' ``noc_fit`` (no block
+    when either is None). Camera 1 starts at ``camera``, the keypoint
+    block's Kabsch pose, else at the pose the first object block's two fits
+    imply; each object starts at its fit in frame 0, with the observation's
+    scale estimate. The fit is finite and the estimate validated, so that
+    pose is built unchecked. Raises UnsolvableProblemError when no block
+    survives.
 
     ``inliers`` maps ``id(observation)`` to its fit's inlier (NOC, depth)
     points; missing ones are added, so that the pairs of one build share
     each observation's arrays."""
-    block, cam1 = None, None
-    if fit is not None and fit.num_inliers >= MIN_KEYPOINT_PAIRS:
+    block, cam1 = None, camera
+    if camera is not None:
         keep = fit.inlier_flags
-        block, cam1 = KeypointBlock(keypoints[0][keep], keypoints[1][keep]), invert(fit.pose)
+        block = KeypointBlock(keypoints[0][keep], keypoints[1][keep])
     obj_blocks = []
     for t, (a, b) in enumerate(matched):
         fa, fb = a.noc_fit, b.noc_fit
@@ -320,13 +324,28 @@ def build_problems(
         fits = kabsch_filter_sets([pi for pi, _ in kps], [pj for _, pj in kps], setting)
         for (setup, _, _, _), fit in zip(group, fits):
             setup.keypoint_fit = None if isinstance(fit, DegenerateAlignmentError) else fit
+    # camera 1 starts at the inverse of each keypoint fit that keeps a block
+    fits = [s.keypoint_fit for s, *_ in todo if s.keypoint_fit is not None]
+    fits = [fit for fit in fits if fit.num_inliers >= MIN_KEYPOINT_PAIRS]
+    cameras = dict(zip(map(id, fits), _inverses([fit.pose for fit in fits])))
     inliers = {}
     for setup, kp, matched, _ in todo:
+        fit = setup.keypoint_fit
         try:
-            setup.problem = _problem(kp, setup.keypoint_fit, matched, cfg, inliers)
+            setup.problem = _problem(kp, fit, cameras.get(id(fit)), matched, cfg, inliers)
         except UnsolvableProblemError as e:
             setup.reason = str(e)
     return setups
+
+
+def _inverses(poses: list[RigidPose]) -> list[RigidPose]:
+    """``geometry.invert`` of each pose, computed together: the stacked
+    ``-R^T t`` has the bits of the lone one."""
+    if not poses:
+        return []
+    rot_t = np.array([p.rotation for p in poses]).swapaxes(1, 2)
+    trans = (-rot_t @ np.array([p.translation for p in poses])[..., None])[..., 0]
+    return [RigidPose._of(r, t) for r, t in zip(rot_t.copy(), trans)]
 
 
 class _Stack:
@@ -350,7 +369,9 @@ class _Stack:
     ``segment`` numbers the keypoint block and each object block's frames
     across the batch, padding rows in the last segment; ``floor`` is each
     segment's pruning minimum, and ``first[k]`` problem k's first segment.
-    ``pad`` is 1 on the tangent entries of padded object slots. Only the
+    ``pad`` is 1 on the tangent entries of padded object slots, None when
+    every problem fills every slot. ``lin`` holds :func:`_jacobian_map`'s
+    entries that no pose changes, which each call fills in around. Only the
     points are copied block by block; every other field is gathered from
     per-segment values in one pass."""
 
@@ -401,24 +422,32 @@ class _Stack:
         self.a = weight[self.segment]
         self.floor = floor
         self.threshold = np.array([p.config.residual_prune for p in problems])
-        blocks = np.array([len(p.object_blocks) for p in problems])
-        self.pad = (np.arange(6 + 9 * slots) >= 6 + 9 * blocks[:, None]).astype(float)
-        self.weigh()
+        blocks = [len(p.object_blocks) for p in problems]
+        self.pad = None
+        if min(blocks) < slots:
+            self.pad = (np.arange(6 + 9 * slots) >= 6 + 9 * np.array(blocks)[:, None]).astype(float)
+        self.lin = np.repeat(_constant_map(slots)[None], num, axis=0)
+        self.moments = self._moments()  # a is 0 on the padding rows, the only inactive ones
 
     def weigh(self):
         """Zero ``a`` off the active rows and refresh the moments."""
         self.a[~self.active] = 0.0
-        self.moments = np.swapaxes(self.features * self.a[..., None], 1, 2) @ self.features
+        self.moments = self._moments()
+
+    def _moments(self) -> np.ndarray:
+        """``sum a f f^T`` of each problem's rows, (K, F, F)."""
+        return (self.features * self.a[..., None]).swapaxes(1, 2) @ self.features
 
 
 @functools.cache
-def _tangent_index(slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where a tangent vector holds each pose's (phi, dt), (1 + M, 6), and
-    each object's d log s, (M, 3)."""
+def _tangent_index(slots: int) -> np.ndarray:
+    """Where a tangent vector holds each pose's (phi, dt), 6 (1 + M) entries,
+    then each object's d log s, 3 M entries."""
     rigid = np.vstack([np.arange(6), 6 + 9 * np.arange(slots)[:, None] + np.arange(6)])
     stretch = 12 + 9 * np.arange(slots)[:, None] + np.arange(3)
-    rigid.flags.writeable = stretch.flags.writeable = False  # shared by every caller
-    return rigid, stretch
+    index = np.concatenate([rigid.ravel(), stretch.ravel()])
+    index.flags.writeable = False  # shared by every caller
+    return index
 
 
 class _Poses:
@@ -440,23 +469,25 @@ class _Poses:
     def initial(cls, problems: list[RegistrationProblem]) -> "_Poses":
         """Each problem's initial values; padded slots at the identity."""
         slots = max(len(p.object_blocks) for p in problems)
-        rot = np.tile(np.eye(3), (len(problems), slots + 1, 1, 1))
+        rot = np.empty((len(problems), slots + 1, 3, 3))
+        rot[:] = _EYE3
         trans = np.zeros((len(problems), slots + 1, 3))
-        logs = np.zeros((len(problems), slots, 3))
+        scale = np.ones((len(problems), slots, 3))  # log 1 = 0 on padded slots
         for k, problem in enumerate(problems):
             rot[k, 0], trans[k, 0] = problem.initial_camera.rotation, problem.initial_camera.translation
             for b, blk in enumerate(problem.object_blocks, 1):
                 pose = blk.init_pose
-                rot[k, b], trans[k, b], logs[k, b - 1] = pose.rotation, pose.translation, np.log(pose.scale)
-        return cls(rot, trans, logs)
+                rot[k, b], trans[k, b], scale[k, b - 1] = pose.rotation, pose.translation, pose.scale
+        return cls(rot, trans, np.log(scale))
 
     def retract(self, delta) -> "_Poses":
-        rigid, stretch = _tangent_index(self.logs.shape[1])
-        step = delta[:, rigid]  # (K, 1 + M, 6)
+        num, slots = self.logs.shape[:2]
+        step = delta[:, _tangent_index(slots)]  # (phi, dt) per pose, then d log s per slot
+        rigid = step[:, : 6 * slots + 6].reshape(num, slots + 1, 6)
         return _Poses(
-            self.rot @ so3_exp(step[:, :, :3]),
-            self.trans + step[:, :, 3:],
-            np.maximum(self.logs + delta[:, stretch], _LOG_SCALE_FLOOR),
+            self.rot @ so3_exp(rigid[:, :, :3]),
+            self.trans + rigid[:, :, 3:],
+            np.maximum(self.logs + step[:, 6 * slots + 6 :].reshape(num, slots, 3), _LOG_SCALE_FLOOR),
         )
 
     def take(self, idx) -> "_Poses":
@@ -479,22 +510,18 @@ def _residual(stack: _Stack, poses: _Poses) -> np.ndarray:
     num, slots = poses.logs.shape[:2]
     coef = np.empty((num, slots + 1, 4, 3))
     coef[:, :, 0] = poses.trans
-    coef[:, 0, 1:] = np.swapaxes(poses.rot[:, 0], -1, -2)
-    coef[:, 1:, 1:] = np.swapaxes(poses.rot[:, 1:] * poses.scale[:, :, None], -1, -2)
+    coef[:, :, 1:] = poses.rot.swapaxes(-1, -2)
+    coef[:, 1:, 1:] *= poses.scale[..., None]  # row v of R_b^T times s_bv
     coef[:, 1:] *= -1.0
     d = stack.features @ coef.reshape(num, -1, 3)
     d += stack.fixed
     return d
 
 
-def _squares(d) -> np.ndarray:
-    """Each row's |d|^2, (K, N); a sum over a trailing axis of 3 is slow."""
-    return d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
-
-
-def _cost(stack: _Stack, d) -> np.ndarray:
-    """Each problem's cost ``sum a |d|^2`` over its rows."""
-    return (_squares(d) * stack.a).sum(axis=-1)
+def _cost(stack: _Stack, sq) -> np.ndarray:
+    """Each problem's cost ``sum a |d|^2`` over its rows, from ``sq``, the
+    rows' |d|^2 (``geometry._squares`` of the rows)."""
+    return (sq * stack.a).sum(axis=-1)
 
 
 # [e_u]x as a (3, 9) matrix: column 3u + i holds column i of [e_u]x
@@ -513,7 +540,11 @@ def _constant_map(slots: int) -> np.ndarray:
     return lin
 
 
-def _jacobian_map(poses: _Poses) -> np.ndarray:
+# -I spread over (v, r, u) as -[u == v], the stretch entries' pattern
+_NEG_DIAG = -_EYE3[:, None, :]
+
+
+def _jacobian_map(stack: _Stack, poses: _Poses) -> np.ndarray:
     """The (K, P, 3, F) map L, P = 6 + 9M tangent entries and F = 4 + 4M
     features, with ``dd_r / dx_p = sum_u L[p, r, u] f_u`` on every row of
     :class:`_Stack`. With d(R Exp(phi) p)/dphi = -R [p]x and [p]x =
@@ -522,9 +553,12 @@ def _jacobian_map(poses: _Poses) -> np.ndarray:
     - camera 1: dd/dphi_c = -R_c [cam]x, dd/dt_c = alpha I;
     - object b: dd/dphi_b = R_b [s_b * noc_b]x, dd/dt_b = -slot_b I, and
       dd/d log(s_b)_v = -s_bv noc_bv R_b[:, v].
+
+    It is the stack's ``lin``, with the entries that the poses set written
+    over the last call's.
     """
     num, slots = poses.logs.shape[:2]
-    lin = np.repeat(_constant_map(slots)[None], num, axis=0)
+    lin = stack.lin
     # turn[k, s, r, u, i] = (R_s [e_u]x)[r, i], scaled by -1 for the camera
     # and by s_u for an object, then ordered [k, s, i, r, u]
     turn = (poses.rot @ _SKEW_BASIS).reshape(num, slots + 1, 3, 3, 3)
@@ -532,8 +566,8 @@ def _jacobian_map(poses: _Poses) -> np.ndarray:
     turn[:, 1:] *= poses.scale[:, :, None, :, None]
     turn = turn.transpose(0, 1, 4, 2, 3)
     # stretch[k, b, v, r, u] = -s_v R_b[r, v] where u == v
-    stretch = np.swapaxes(poses.rot[:, 1:] * poses.scale[:, :, None, :], -1, -2)
-    stretch = -stretch[..., None] * np.eye(3)[:, None, :]
+    stretch = (poses.rot[:, 1:] * poses.scale[:, :, None, :]).swapaxes(-1, -2)
+    stretch = stretch[..., None] * _NEG_DIAG
     lin[:, :3, :, 1:4] = turn[:, 0]
     for b in range(slots):
         p, f = 6 + 9 * b, 4 + 4 * b
@@ -548,26 +582,27 @@ def _normal_equations(stack: _Stack, poses: _Poses, d) -> tuple[np.ndarray, np.n
     from the feature moments, ``sum_r L_r A L_r^T`` per problem; J^T W r
     from the rows, as ``sum_r L_r (a d_r f)``, since its moment form
     cancels near convergence. Padded slots get an identity block."""
-    lin = _jacobian_map(poses)
+    lin = _jacobian_map(stack, poses)
     num, size, _, width = lin.shape
     flat = lin.reshape(num, size, 3 * width)
     hess = (lin.reshape(num, 3 * size, width) @ stack.moments).reshape(num, size, -1)
-    hess = hess @ np.swapaxes(flat, 1, 2)
-    grad = flat @ (np.swapaxes(d * stack.a[..., None], 1, 2) @ stack.features).reshape(num, -1, 1)
-    hess.reshape(num, -1)[:, :: size + 1] += stack.pad
+    hess = hess @ flat.swapaxes(1, 2)
+    grad = flat @ ((d * stack.a[..., None]).swapaxes(1, 2) @ stack.features).reshape(num, -1, 1)
+    if stack.pad is not None:
+        hess.reshape(num, -1)[:, :: size + 1] += stack.pad
     return hess, grad[..., 0]
 
 
-def _prune(stack: _Stack, d) -> np.ndarray:
+def _prune(stack: _Stack, sq) -> np.ndarray:
     """Deactivate active rows whose residual norm exceeds their problem's
-    threshold, reading the norms from ``d``, the rows :func:`_residual`
-    gave at the current poses. A keypoint block, or an object block's frame,
-    that would drop below its minimum keeps all of its pairs. Returns the
-    number newly pruned per problem; active sets are monotone, and the
-    moments are refreshed when any row is pruned."""
-    over = stack.active & (np.sqrt(_squares(d)) > stack.threshold[:, None])
+    threshold, reading the norms from ``sq``, the |d|^2 of the rows
+    :func:`_residual` gave at the current poses. A keypoint block, or an
+    object block's frame, that would drop below its minimum keeps all of its
+    pairs. Returns the number newly pruned per problem; active sets are
+    monotone, and the moments are refreshed when any row is pruned."""
+    over = stack.active & (np.sqrt(sq) > stack.threshold[:, None])
     if not over.any():
-        return np.zeros(len(d), dtype=int)
+        return np.zeros(len(sq), dtype=int)
     bins = len(stack.floor)
     bad = np.bincount(stack.segment[over], minlength=bins)
     kept = np.bincount(stack.segment[stack.active], minlength=bins) - bad
@@ -593,7 +628,15 @@ def _solve_each(mats, rhs) -> tuple[np.ndarray, np.ndarray]:
         return out, ok
 
 
-def _damped_steps(stack: _Stack, poses: _Poses, d, hess, grad, lam, cost, search):
+@functools.cache
+def _eye(size: int) -> np.ndarray:
+    """The (size, size) identity."""
+    eye = np.eye(size)
+    eye.flags.writeable = False  # shared by every caller
+    return eye
+
+
+def _damped_steps(stack: _Stack, poses: _Poses, d, sq, hess, grad, lam, cost, search):
     """One Levenberg-damped Gauss-Newton step of each problem in ``search``
     (indices), in lockstep. Per problem, up to DAMPING_TRIES times: solve
     ``(J^T J + lam I) delta = -J^T r`` and update lam by the damping rule
@@ -601,28 +644,33 @@ def _damped_steps(stack: _Stack, poses: _Poses, d, hess, grad, lam, cost, search
     updated in place. Each try evaluates the whole stack, the problems not
     tried at a zero step, and the next try is made by the problems whose
     try was rejected, from their values before it. Returns the accepted
-    mask and the poses, residual rows ``d`` and costs after the step."""
+    mask and the poses, residual rows ``d``, their ``sq`` (|d|^2) and the
+    costs after the step. A try of every problem reads and writes whole
+    arrays instead of gathering and scattering its problems' entries."""
     accepted = np.zeros(len(cost), dtype=bool)
-    eye = np.eye(hess.shape[1])
+    eye = _eye(hess.shape[1])
     for _ in range(DAMPING_TRIES):
         if not len(search):
             break
-        step, ok = _solve_each(hess[search] + lam[search, None, None] * eye, -grad[search])
+        tried = slice(None) if len(search) == len(cost) else search
+        step, ok = _solve_each(hess[tried] + lam[tried, None, None] * eye, -grad[tried])
         delta = np.zeros(grad.shape)
-        delta[search] = step
+        delta[tried] = step
         with np.errstate(over="ignore", invalid="ignore"):
             trial = poses.retract(delta)
             rows = _residual(stack, trial)
-            trial_cost = _cost(stack, rows)
-        good = ok & np.isfinite(trial_cost[search]) & (trial_cost[search] <= cost[search] + ACCEPT_SLACK)
-        lam[search] = np.where(good, np.maximum(lam[search] / 10, LAMBDA_FLOOR), lam[search] * 10)
-        accepted[search[good]] = True
+            trial_sq = _squares(rows)
+            trial_cost = _cost(stack, trial_sq)
+        new = trial_cost[tried]
+        good = ok & np.isfinite(new) & (new <= cost[tried] + ACCEPT_SLACK)
+        lam[tried] = np.where(good, np.maximum(lam[tried] / 10, LAMBDA_FLOOR), lam[tried] * 10)
+        accepted[tried] = good  # a problem is tried until its first accepted try
         lost = search[~good]
         if len(lost):
             trial.put(lost, poses.take(lost))
-            rows[lost], trial_cost[lost] = d[lost], cost[lost]
-        poses, d, cost, search = trial, rows, trial_cost, lost
-    return accepted, poses, d, cost
+            rows[lost], trial_sq[lost], trial_cost[lost] = d[lost], sq[lost], cost[lost]
+        poses, d, sq, cost, search = trial, rows, trial_sq, trial_cost, lost
+    return accepted, poses, d, sq, cost
 
 
 def _weighted_blocks(problem: RegistrationProblem) -> RegistrationProblem:
@@ -679,7 +727,8 @@ def _lockstep(problems: list[RegistrationProblem]) -> list[SolveReport]:
     lam = np.full(len(problems), LAMBDA_START)
     pruned = np.zeros(len(problems), dtype=int)
     d = _residual(stack, poses)
-    cost = _cost(stack, d)
+    sq = _squares(d)
+    cost = _cost(stack, sq)
     reports = [None] * len(problems)
     iterations = 0
     while True:
@@ -687,21 +736,21 @@ def _lockstep(problems: list[RegistrationProblem]) -> list[SolveReport]:
             stop = running
         else:
             iterations += 1
-            newly = _prune(stack, d)
+            newly = _prune(stack, sq)
             if newly.any():
                 pruned += newly
-                cost = _cost(stack, d)
+                cost = _cost(stack, sq)
             stop = running & (cost < 1e-28)
             hess, grad = _normal_equations(stack, poses, d)
             before = cost
-            accepted, poses, d, cost = _damped_steps(
-                stack, poses, d, hess, grad, lam, cost, np.flatnonzero(running & ~stop)
+            accepted, poses, d, sq, cost = _damped_steps(
+                stack, poses, d, sq, hess, grad, lam, cost, (running & ~stop).nonzero()[0]
             )
             converged = before - cost <= CONVERGENCE_TOL * np.maximum(before, 1e-30)
             stop |= running & (~accepted | converged)
-        idx = np.flatnonzero(stop)
+        idx = stop.nonzero()[0]
         if len(idx):
-            for j, report in zip(idx, _reports(problems, stack, poses, d, idx, iterations, cost, pruned)):
+            for j, report in zip(idx, _reports(problems, stack, poses, sq, idx, iterations, cost, pruned)):
                 reports[j] = report
         running = running & ~stop
         if not running.any():
@@ -709,12 +758,12 @@ def _lockstep(problems: list[RegistrationProblem]) -> list[SolveReport]:
         stack.threshold[stop] = np.inf
 
 
-def _reports(problems, stack: _Stack, poses: _Poses, d, idx, iterations, cost, pruned) -> list[SolveReport]:
-    """The reports of the stack's problems ``idx``, built together; ``d``
-    holds their final rows. One test over the values of every pose of the
-    stack picks the pose builders: unchecked when all are finite (a scale,
-    the exponential of a log-scale, is then positive), else the checked
-    constructors, which raise as for a lone pose. Each pose owns copies of
+def _reports(problems, stack: _Stack, poses: _Poses, sq, idx, iterations, cost, pruned) -> list[SolveReport]:
+    """The reports of the stack's problems ``idx``, built together; ``sq``
+    holds the |d|^2 of their final rows. One test over the values of every
+    pose of the stack picks the pose builders: unchecked when all are finite
+    (a scale, the exponential of a log-scale, is then positive), else the
+    checked constructors, which raise as for a lone pose. Each pose owns copies of
     its slot's arrays: a report outlives the batch, and a view would keep
     the batch's buffer alive at the cost of a whole array object. Each
     block's rms is the root mean square of its active rows' residual norms,
@@ -725,9 +774,12 @@ def _reports(problems, stack: _Stack, poses: _Poses, d, idx, iterations, cost, p
     # by segment, so the squared norms of the active rows of problems
     # ``idx``, gathered in order, hold each block's as one run
     held = np.bincount(stack.segment[stack.active], minlength=len(stack.floor)).tolist()
-    chosen = np.zeros(len(stack.active), dtype=bool)
-    chosen[idx] = True
-    norms = np.sqrt(_squares(d)[stack.active & chosen[:, None]])
+    rows = stack.active
+    if len(idx) < len(rows):  # else every problem is reported: no mask
+        chosen = np.zeros(len(rows), dtype=bool)
+        chosen[idx] = True
+        rows = rows & chosen[:, None]
+    norms = np.sqrt(sq[rows])
     squares = norms * norms
     end = 0
 
@@ -782,10 +834,11 @@ def icp_polish(
     done = [(report, res.pose) for (_, _, report), res in zip(sets, results) if res.converged]
     if not done:
         return
-    after = [pose for _, pose in done]
-    before = [report.camera_poses[1] for report, _ in done]
-    rot = np.array([p.rotation for p in after]).swapaxes(1, 2) @ np.array([p.rotation for p in before])
-    shift = _norms(np.array([p.translation for p in after]) - np.array([p.translation for p in before]))
+    # each converged pair's (after, before) rotations and translations
+    rots = np.array([(pose.rotation, report.camera_poses[1].rotation) for report, pose in done])
+    trans = np.array([(pose.translation, report.camera_poses[1].translation) for report, pose in done])
+    rot = rots[:, 0].swapaxes(1, 2) @ rots[:, 1]
+    shift = _norms(trans[:, 0] - trans[:, 1])
     close = (shift <= scfg.residual_prune) & (np.degrees(rotation_angle(rot)) <= 10.0)
     for (report, pose), keep in zip(done, close.tolist()):
         if keep:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RigidPose, _is_int, _is_real, _norms, _pose_builders, rotation_angle
+from .geometry import RigidPose, _is_int, _is_real, _norms, _pose_builders, _squares, rotation_angle
 
 __all__ = [
     "AlignmentResult",
@@ -73,13 +73,21 @@ def _kabsch(source, target, weights=None):
     """Rotation/translation minimizing sum w_i ||R s_i + t - t_i||^2, for one
     (N, 3) point set or a stack (..., N, 3) of them, with weights (..., N),
     all ones when None."""
-    w = np.ones(source.shape[:-1]) if weights is None else np.asarray(weights, dtype=float)
-    # all-zero weights give a zero (rank-deficient) fit, not NaN
-    wsum = np.maximum(w.sum(axis=-1), _TINY)[..., None]
-    w = w[..., None]
-    mu_s = (w * source).sum(axis=-2) / wsum
-    mu_t = (w * target).sum(axis=-2) / wsum
-    cov = np.swapaxes(w * (target - mu_t[..., None, :]), -1, -2) @ (source - mu_s[..., None, :])
+    if weights is None:
+        # a unit weight leaves each product as it is: the weighted form's bits
+        wsum = max(float(source.shape[-2]), _TINY)
+        mu_s = source.sum(axis=-2) / wsum
+        mu_t = target.sum(axis=-2) / wsum
+        centred = target - mu_t[..., None, :]
+    else:
+        w = np.asarray(weights, dtype=float)
+        # all-zero weights give a zero (rank-deficient) fit, not NaN
+        wsum = np.maximum(w.sum(axis=-1), _TINY)[..., None]
+        w = w[..., None]
+        mu_s = (w * source).sum(axis=-2) / wsum
+        mu_t = (w * target).sum(axis=-2) / wsum
+        centred = w * (target - mu_t[..., None, :])
+    cov = centred.swapaxes(-1, -2) @ (source - mu_s[..., None, :])
     u, s, vt = np.linalg.svd(cov)
     u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]  # u @ diag(1, 1, d)
     rot = u @ vt
@@ -87,15 +95,21 @@ def _kabsch(source, target, weights=None):
     return rot, t, s
 
 
-def _padded(sets) -> tuple[np.ndarray, np.ndarray]:
-    """(N_k, 3) point sets as one zero-padded (K, N, 3) stack, N the largest
-    N_k, and its (K, N) mask of each set's rows."""
-    sizes = np.array([len(s) for s in sets])
-    rows = np.arange(sizes.max()) < sizes[:, None]
-    stack = np.zeros(rows.shape + (3,))
-    for k, s in enumerate(sets):
-        stack[k, : len(s)] = s
-    return stack, rows
+def _padded(sources, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Paired (N_k, 3) point sets as two zero-padded (K, N, 3) stacks, N the
+    largest N_k, and their (K, N) mask of each set's rows, or None when every
+    set has N rows. The stacks and the mask are stored point by point, as
+    (N, K, 3) and (N, K) arrays: a sum over each set's points, or a set's
+    points less its mean, then runs over whole rows of K x 3 values, and
+    adds in the same order as over a (K, N, 3) array."""
+    sizes = [len(s) for s in sources]
+    n = max(sizes)
+    stack = np.zeros((2, n, len(sizes), 3))
+    for k, (s, t) in enumerate(zip(sources, targets)):
+        stack[0, : len(s), k] = s
+        stack[1, : len(t), k] = t
+    rows = None if min(sizes) == n else (np.arange(n)[:, None] < np.array(sizes)).T
+    return stack[0].transpose(1, 0, 2), stack[1].transpose(1, 0, 2), rows
 
 
 def _rank_deficient(svals):
@@ -131,13 +145,15 @@ def kabsch_filter_sets(
     if not sizes:
         return []
     num = len(sizes)
-    src, inliers = _padded(sources)
-    tgt, _ = _padded(targets)
+    src, tgt, rows = _padded(sources, targets)
+    # with no set padded, the first round weighs every row as unit weights would
+    inliers = np.ones(src.shape[:2], dtype=bool) if rows is None else rows
+    weights = None if rows is None else inliers
     count = np.array(sizes)
     out: list = [None] * num
     live = np.ones(num, dtype=bool)  # neither failed nor at a fixed point
     for _ in range(FILTER_MAX_ROUNDS):
-        rot, trans, svals = _kabsch(src, tgt, inliers)
+        rot, trans, svals = _kabsch(src, tgt, weights)
         short = count < cfg.min_pairs
         failed = live & (short | _rank_deficient(svals))
         if failed.any():
@@ -146,8 +162,13 @@ def kabsch_filter_sets(
                     _too_few(count[k], cfg) if short[k] else DegenerateAlignmentError(_COLLINEAR)
                 )
             live &= ~failed
-        res = np.linalg.norm(src @ np.swapaxes(rot, -1, -2) + trans[:, None] - tgt, axis=-1)
+        # each set's residual rows, stored point by point like the sets
+        res = np.matmul(src, rot.swapaxes(-1, -2), out=np.empty_like(src))
+        res += trans[:, None]
+        res -= tgt
+        res = np.sqrt(_squares(res))  # np.linalg.norm(..., axis=-1), bit for bit
         inliers &= res <= cfg.distance_threshold
+        weights = inliers
         kept = inliers.sum(axis=1)
         live &= kept < count
         count = kept
@@ -156,7 +177,8 @@ def kabsch_filter_sets(
     for k in np.flatnonzero(live & (count < cfg.min_pairs)):  # out of rounds
         out[k] = _too_few(count[k], cfg)
     fitted = [k for k in range(num) if out[k] is None]
-    rigid, _ = _pose_builders(rot[fitted], trans[fitted])
+    at = slice(None) if len(fitted) == num else fitted
+    rigid, _ = _pose_builders(rot[at], trans[at])
     for k in fitted:
         flags = inliers[k, : sizes[k]].copy()
         # summed over this set alone, in the order np.mean of it sums
@@ -225,29 +247,36 @@ def icp_refine_sets(sources, targets, inits, max_corr_dist: float) -> list[Align
             if count < 3:
                 unmatched[k] = best_rms[k] == math.inf
                 continue
+            if count < len(dist):  # else every point is matched: no copies
+                dist, moved, idx = dist[matched], moved[matched], idx[matched]
             # summed as np.mean of the squared distances sums them
-            rms = math.sqrt((dist[matched] ** 2).sum() / count)
+            rms = math.sqrt((dist**2).sum() / count)
             if rms > best_rms[k] - 1e-12:
                 continue  # the last update did not help: keep the best pose
             history[k].append(rms)
             best_rms[k], flags[k] = rms, matched
             stepping.append(k)
-            src.append(moved[matched])
-            tgt.append(targets[k][idx[matched]])
+            src.append(moved)
+            tgt.append(targets[k][idx])
         if not stepping:
             break
-        (src, weights), (tgt, _) = _padded(src), _padded(tgt)
-        upd_rot, upd_trans, svals = _kabsch(src, tgt, weights)
-        best_rot[stepping], best_trans[stepping] = rot[stepping], trans[stepping]
-        rot[stepping] = upd_rot @ rot[stepping]
-        trans[stepping] = (upd_rot @ trans[stepping][..., None])[..., 0] + upd_trans
+        upd_rot, upd_trans, svals = _kabsch(*_padded(src, tgt))
+        at = slice(None) if len(stepping) == num else np.array(stepping)  # every set steps: no gathers
+        best_rot[at], best_trans[at] = rot[at], trans[at]
+        rot[at] = upd_rot @ rot[at]
+        trans[at] = (upd_rot @ trans[at][..., None])[..., 0] + upd_trans
         # a rank-deficient update stops its set at its best pose, a tiny one
         # at the updated pose
         degenerate = _rank_deficient(svals)
-        done = rotation_angle(upd_rot) + _norms(upd_trans) < 1e-6
-        tiny = np.array(stepping)[done & ~degenerate]
-        best_rot[tiny], best_trans[tiny] = rot[tiny], trans[tiny]
-        live = [k for k, stop in zip(stepping, done | degenerate) if not stop]
+        shift = _norms(upd_trans)
+        done = shift < 1e-6  # a longer shift is no tiny update, whatever its angle
+        if done.any():
+            done = rotation_angle(upd_rot) + shift < 1e-6
+        tiny = done & ~degenerate
+        if tiny.any():
+            at = np.array(stepping)[tiny]
+            best_rot[at], best_trans[at] = rot[at], trans[at]
+        live = [k for k, stop in zip(stepping, (done | degenerate).tolist()) if not stop]
     out = []
     rigid, _ = _pose_builders(best_rot, best_trans)
     # own copies: a refined pose may outlive every other result of the batch

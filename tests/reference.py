@@ -6,28 +6,38 @@ its reports built one problem at a time, the ICP polish accepting pair by
 pair, dense forms of the pose graph's band-stored normal equations, the pose
 graph step's kernels in their first, plainer forms (which the package's must
 match bit for bit), the robust pose graph solve as alternating loops on
-those kernels, and acceptance criterion 08's ring graphs."""
+those kernels, acceptance criterion 08's ring graphs, and the pair path's
+kernels (Kabsch filter, ICP, the joint solver's lockstep Gauss-Newton) in
+their first forms, which the package's must also match bit for bit."""
+
+import math
 
 import numpy as np
 
-from objreg import joint_solver
+from objreg import joint_solver, procrustes
 from objreg.geometry import (
     ObjectPose,
     RigidPose,
     _frozen,
+    _norms,
+    _pose_builders,
+    _squares,
     apply_rigid,
     compose,
     invert,
+    rotation_angle,
+    so3_exp,
 )
 from objreg.joint_solver import (
     _GAUGE,
     RegistrationProblem,
     SolveReport,
+    UnsolvableProblemError,
     _normal_equations,
     _Poses,
     _prune,
     _residual,
-    _squares,
+    _solve_each,
     _Stack,
     _weighted_blocks,
 )
@@ -44,9 +54,11 @@ from objreg.posegraph import (
 )
 from objreg.procrustes import (
     _COLLINEAR,
+    _TINY,
     AlignmentResult,
     DegenerateAlignmentError,
     _rank_deficient,
+    _too_few,
 )
 
 
@@ -107,7 +119,7 @@ def numeric_jacobian_check(problem: RegistrationProblem) -> float:
     stack = _Stack([problem])
     poses = _Poses.initial([problem])
     d = _residual(stack, poses)
-    _prune(stack, d)
+    _prune(stack, _squares(d))
     hess, grad = (x[0] for x in _normal_equations(stack, poses, d))
     weight = np.sqrt(stack.a[0, stack.active[0]])[:, None]
 
@@ -132,10 +144,11 @@ def numeric_jacobian_check(problem: RegistrationProblem) -> float:
     return float(max(e.max() for e in errors))
 
 
-def report(problem, stack: _Stack, poses: _Poses, d, j, iterations, cost, pruned) -> SolveReport:
+def report(problem, stack: _Stack, poses: _Poses, sq, j, iterations, cost, pruned) -> SolveReport:
     """Problem ``j`` of the stack's report, built alone, each pose by its
-    checked constructor from its own copy; ``d`` holds its final rows."""
-    norms = np.sqrt(_squares(d[j]))
+    checked constructor from its own copy; ``sq`` holds the |d|^2 of its
+    final rows."""
+    norms = np.sqrt(sq[j])
     active = stack.active[j]
     # a block's rows: the keypoint pairs have alpha = -1, object b's slot_b = 1
     blocks = []
@@ -472,3 +485,418 @@ def with_false_closure(graph, gt):
     )
     bad = GraphEdge(4, 19, false_rel, 1000.0, True, "loop_closure")
     return PoseGraph(graph.num_nodes, graph.edges + [bad])
+
+
+# The pair path's kernels as first written: each set padded on its own into a
+# (K, N, 3) stack, unit weights multiplied in, gathers and scatters of the
+# problems or sets that take part even when all do, the row norms recomputed
+# wherever they are read, and each constant built per call. The package's
+# leaner kernels must give the same bytes.
+
+
+def ref_kabsch(source, target, weights=None):
+    """``procrustes._kabsch``: weights (..., N), all ones when None."""
+    w = np.ones(source.shape[:-1]) if weights is None else np.asarray(weights, dtype=float)
+    wsum = np.maximum(w.sum(axis=-1), _TINY)[..., None]
+    w = w[..., None]
+    mu_s = (w * source).sum(axis=-2) / wsum
+    mu_t = (w * target).sum(axis=-2) / wsum
+    cov = np.swapaxes(w * (target - mu_t[..., None, :]), -1, -2) @ (source - mu_s[..., None, :])
+    u, s, vt = np.linalg.svd(cov)
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    rot = u @ vt
+    t = mu_t - (rot @ mu_s[..., None])[..., 0]
+    return rot, t, s
+
+
+def ref_padded(sets):
+    """(N_k, 3) sets as a zero-padded (K, N, 3) stack and its (K, N) row mask."""
+    sizes = np.array([len(s) for s in sets])
+    rows = np.arange(sizes.max()) < sizes[:, None]
+    stack = np.zeros(rows.shape + (3,))
+    for k, s in enumerate(sets):
+        stack[k, : len(s)] = s
+    return stack, rows
+
+
+def ref_kabsch_filter_sets(sources, targets, cfg):
+    """``procrustes.kabsch_filter_sets``."""
+    sources = [np.asarray(s, dtype=float).reshape(-1, 3) for s in sources]
+    targets = [np.asarray(t, dtype=float).reshape(-1, 3) for t in targets]
+    sizes = [len(s) for s in sources]
+    if not sizes:
+        return []
+    num = len(sizes)
+    src, inliers = ref_padded(sources)
+    tgt, _ = ref_padded(targets)
+    count = np.array(sizes)
+    out = [None] * num
+    live = np.ones(num, dtype=bool)
+    for _ in range(procrustes.FILTER_MAX_ROUNDS):
+        rot, trans, svals = ref_kabsch(src, tgt, inliers)
+        short = count < cfg.min_pairs
+        failed = live & (short | _rank_deficient(svals))
+        if failed.any():
+            for k in np.flatnonzero(failed):
+                out[k] = _too_few(count[k], cfg) if short[k] else DegenerateAlignmentError(_COLLINEAR)
+            live &= ~failed
+        res = np.linalg.norm(src @ np.swapaxes(rot, -1, -2) + trans[:, None] - tgt, axis=-1)
+        inliers &= res <= cfg.distance_threshold
+        kept = inliers.sum(axis=1)
+        live &= kept < count
+        count = kept
+        if not live.any():
+            break
+    for k in np.flatnonzero(live & (count < cfg.min_pairs)):
+        out[k] = _too_few(count[k], cfg)
+    fitted = [k for k in range(num) if out[k] is None]
+    rigid, _ = _pose_builders(rot[fitted], trans[fitted])
+    for k in fitted:
+        flags = inliers[k, : sizes[k]].copy()
+        sq = res[k, : sizes[k]][flags] ** 2
+        rms = math.sqrt(sq.sum() / len(sq))
+        out[k] = AlignmentResult(rigid(rot[k], trans[k]), rms, flags)
+    return out
+
+
+def ref_icp_refine_sets(sources, targets, inits, max_corr_dist):
+    """``procrustes.icp_refine_sets``."""
+    from scipy.spatial import cKDTree
+
+    sources = [np.asarray(s, dtype=float).reshape(-1, 3) for s in sources]
+    targets = [np.asarray(t, dtype=float).reshape(-1, 3) for t in targets]
+    num = len(sources)
+    trees = [cKDTree(t) for t in targets]
+    inits = [init or RigidPose.identity() for init in inits]
+    rot = np.array([p.rotation for p in inits])
+    trans = np.array([p.translation for p in inits])
+    best_rot, best_trans = rot.copy(), trans.copy()
+    best_rms = [math.inf] * num
+    flags = [np.zeros(len(s), dtype=bool) for s in sources]
+    history = [[] for _ in range(num)]
+    unmatched = [False] * num
+    live = list(range(num))
+    for _ in range(procrustes.ICP_MAX_ITERATIONS):
+        stepping, src, tgt = [], [], []
+        for k in live:
+            moved = sources[k] @ rot[k].T + trans[k]
+            dist, idx = trees[k].query(moved, distance_upper_bound=max_corr_dist)
+            matched = np.isfinite(dist)
+            count = np.count_nonzero(matched)
+            if count < 3:
+                unmatched[k] = best_rms[k] == math.inf
+                continue
+            rms = math.sqrt((dist[matched] ** 2).sum() / count)
+            if rms > best_rms[k] - 1e-12:
+                continue
+            history[k].append(rms)
+            best_rms[k], flags[k] = rms, matched
+            stepping.append(k)
+            src.append(moved[matched])
+            tgt.append(targets[k][idx[matched]])
+        if not stepping:
+            break
+        (src, weights), (tgt, _) = ref_padded(src), ref_padded(tgt)
+        upd_rot, upd_trans, svals = ref_kabsch(src, tgt, weights)
+        best_rot[stepping], best_trans[stepping] = rot[stepping], trans[stepping]
+        rot[stepping] = upd_rot @ rot[stepping]
+        trans[stepping] = (upd_rot @ trans[stepping][..., None])[..., 0] + upd_trans
+        degenerate = _rank_deficient(svals)
+        done = rotation_angle(upd_rot) + _norms(upd_trans) < 1e-6
+        tiny = np.array(stepping)[done & ~degenerate]
+        best_rot[tiny], best_trans[tiny] = rot[tiny], trans[tiny]
+        live = [k for k, stop in zip(stepping, done | degenerate) if not stop]
+    out = []
+    rigid, _ = _pose_builders(best_rot, best_trans)
+    for k in range(num):
+        pose = rigid(best_rot[k].copy(), best_trans[k].copy())
+        if unmatched[k]:
+            out.append(AlignmentResult(pose, np.inf, flags[k], converged=False))
+        else:
+            out.append(AlignmentResult(pose, best_rms[k], flags[k], rms_history=history[k]))
+    return out
+
+
+class RefStack:
+    """``joint_solver._Stack``'s fields: features, fixed, segment, active,
+    a, floor, first, threshold, pad (zeros when no slot is padded) and
+    moments."""
+
+    def __init__(self, problems):
+        num = len(problems)
+        slots = max(len(p.object_blocks) for p in problems)
+        rows = max(
+            len(p.keypoints or ()) + sum(b.total_pairs() for b in p.object_blocks) for p in problems
+        )
+        self.features = np.zeros((num, rows, 4 + 4 * slots))
+        self.fixed = np.zeros((num, rows, 3))
+        segs, runs, self.first = [], [], []
+        for k, problem in enumerate(problems):
+            cfg, start = problem.config, 0
+            features, fixed = self.features[k], self.fixed[k]
+            self.first.append(len(segs))
+            blk = problem.keypoints
+            if blk is not None:
+                start = len(blk)
+                features[:start, 1:4], fixed[:start] = -blk.points_j, blk.points_i
+                runs.append((len(segs), start))
+                segs.append((-1.0, -1, cfg.w_c / start, joint_solver.MIN_KEYPOINT_PAIRS))
+            for b, blk in enumerate(problem.object_blocks):
+                col = 5 + 4 * b
+                for alpha, noc, depth in zip((0.0, 1.0), blk.noc_points, blk.depth_points):
+                    span = slice(start, start + len(noc))
+                    if alpha:
+                        features[span, 1:4] = depth
+                    else:
+                        fixed[span] = depth
+                    features[span, col : col + 3] = noc
+                    runs.append((len(segs), len(noc)))
+                    segs.append((alpha, b, cfg.w_o / blk.total_pairs(), joint_solver.NOC_FILTER.min_pairs))
+                    start = span.stop
+            runs.append((-1, rows - start))
+        alpha, slot, weight, floor = (np.array(c) for c in zip(*segs, (0.0, -1, 0.0, rows + 1)))
+        ids, sizes = np.array(runs).T
+        ids[ids < 0] = len(segs)
+        self.segment = np.repeat(ids, sizes).reshape(num, rows)
+        self.active = self.segment < len(segs)
+        self.features[..., 0] = alpha[self.segment]
+        slot = slot[self.segment]
+        for b in range(slots):
+            self.features[..., 4 + 4 * b] = slot == b
+        self.a = weight[self.segment]
+        self.floor = floor
+        self.threshold = np.array([p.config.residual_prune for p in problems])
+        blocks = np.array([len(p.object_blocks) for p in problems])
+        self.pad = (np.arange(6 + 9 * slots) >= 6 + 9 * blocks[:, None]).astype(float)
+        self.weigh()
+
+    def weigh(self):
+        self.a[~self.active] = 0.0
+        self.moments = np.swapaxes(self.features * self.a[..., None], 1, 2) @ self.features
+
+
+def ref_initial_poses(problems) -> _Poses:
+    """``joint_solver._Poses.initial``."""
+    slots = max(len(p.object_blocks) for p in problems)
+    rot = np.tile(np.eye(3), (len(problems), slots + 1, 1, 1))
+    trans = np.zeros((len(problems), slots + 1, 3))
+    logs = np.zeros((len(problems), slots, 3))
+    for k, problem in enumerate(problems):
+        rot[k, 0], trans[k, 0] = problem.initial_camera.rotation, problem.initial_camera.translation
+        for b, blk in enumerate(problem.object_blocks, 1):
+            pose = blk.init_pose
+            rot[k, b], trans[k, b], logs[k, b - 1] = pose.rotation, pose.translation, np.log(pose.scale)
+    return _Poses(rot, trans, logs)
+
+
+def ref_retract(poses: _Poses, delta) -> _Poses:
+    """``joint_solver._Poses.retract``."""
+    slots = poses.logs.shape[1]
+    rigid = np.vstack([np.arange(6), 6 + 9 * np.arange(slots)[:, None] + np.arange(6)])
+    stretch = 12 + 9 * np.arange(slots)[:, None] + np.arange(3)
+    step = delta[:, rigid]
+    return _Poses(
+        poses.rot @ so3_exp(step[:, :, :3]),
+        poses.trans + step[:, :, 3:],
+        np.maximum(poses.logs + delta[:, stretch], joint_solver._LOG_SCALE_FLOOR),
+    )
+
+
+def ref_residual(stack, poses: _Poses):
+    """``joint_solver._residual``."""
+    num, slots = poses.logs.shape[:2]
+    coef = np.empty((num, slots + 1, 4, 3))
+    coef[:, :, 0] = poses.trans
+    coef[:, 0, 1:] = np.swapaxes(poses.rot[:, 0], -1, -2)
+    coef[:, 1:, 1:] = np.swapaxes(poses.rot[:, 1:] * poses.scale[:, :, None], -1, -2)
+    coef[:, 1:] *= -1.0
+    d = stack.features @ coef.reshape(num, -1, 3)
+    d += stack.fixed
+    return d
+
+
+def ref_cost(stack, d):
+    """``joint_solver._cost`` of residual rows."""
+    return (_squares(d) * stack.a).sum(axis=-1)
+
+
+def ref_jacobian_map(poses: _Poses):
+    """``joint_solver._jacobian_map``, a fresh array."""
+    num, slots = poses.logs.shape[:2]
+    lin = np.repeat(joint_solver._constant_map(slots)[None], num, axis=0)
+    turn = (poses.rot @ joint_solver._SKEW_BASIS).reshape(num, slots + 1, 3, 3, 3)
+    turn[:, 0] *= -1.0
+    turn[:, 1:] *= poses.scale[:, :, None, :, None]
+    turn = turn.transpose(0, 1, 4, 2, 3)
+    stretch = np.swapaxes(poses.rot[:, 1:] * poses.scale[:, :, None, :], -1, -2)
+    stretch = -stretch[..., None] * np.eye(3)[:, None, :]
+    lin[:, :3, :, 1:4] = turn[:, 0]
+    for b in range(slots):
+        p, f = 6 + 9 * b, 4 + 4 * b
+        lin[:, p : p + 3, :, f + 1 : f + 4] = turn[:, b + 1]
+        lin[:, p + 6 : p + 9, :, f + 1 : f + 4] = stretch[:, b]
+    return lin
+
+
+def ref_pair_normal_equations(stack, poses: _Poses, d):
+    """``joint_solver._normal_equations``."""
+    lin = ref_jacobian_map(poses)
+    num, size, _, width = lin.shape
+    flat = lin.reshape(num, size, 3 * width)
+    hess = (lin.reshape(num, 3 * size, width) @ stack.moments).reshape(num, size, -1)
+    hess = hess @ np.swapaxes(flat, 1, 2)
+    grad = flat @ (np.swapaxes(d * stack.a[..., None], 1, 2) @ stack.features).reshape(num, -1, 1)
+    hess.reshape(num, -1)[:, :: size + 1] += stack.pad
+    return hess, grad[..., 0]
+
+
+def ref_prune(stack, d):
+    """``joint_solver._prune`` of residual rows."""
+    over = stack.active & (np.sqrt(_squares(d)) > stack.threshold[:, None])
+    if not over.any():
+        return np.zeros(len(d), dtype=int)
+    bins = len(stack.floor)
+    bad = np.bincount(stack.segment[over], minlength=bins)
+    kept = np.bincount(stack.segment[stack.active], minlength=bins) - bad
+    drop = over & ((bad > 0) & (kept >= stack.floor))[stack.segment]
+    stack.active &= ~drop
+    stack.weigh()
+    return drop.sum(axis=1)
+
+
+def ref_damped_steps(stack, poses: _Poses, d, hess, grad, lam, cost, search):
+    """``joint_solver._damped_steps``: (accepted, poses, d, cost)."""
+    accepted = np.zeros(len(cost), dtype=bool)
+    eye = np.eye(hess.shape[1])
+    for _ in range(joint_solver.DAMPING_TRIES):
+        if not len(search):
+            break
+        step, ok = _solve_each(hess[search] + lam[search, None, None] * eye, -grad[search])
+        delta = np.zeros(grad.shape)
+        delta[search] = step
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = ref_retract(poses, delta)
+            rows = ref_residual(stack, trial)
+            trial_cost = ref_cost(stack, rows)
+        good = ok & np.isfinite(trial_cost[search]) & (trial_cost[search] <= cost[search] + joint_solver.ACCEPT_SLACK)
+        lam[search] = np.where(good, np.maximum(lam[search] / 10, joint_solver.LAMBDA_FLOOR), lam[search] * 10)
+        accepted[search[good]] = True
+        lost = search[~good]
+        if len(lost):
+            trial.put(lost, poses.take(lost))
+            rows[lost], trial_cost[lost] = d[lost], cost[lost]
+        poses, d, cost, search = trial, rows, trial_cost, lost
+    return accepted, poses, d, cost
+
+
+def ref_reports(problems, stack, poses: _Poses, d, idx, iterations, cost, pruned):
+    """``joint_solver._reports`` from the final residual rows ``d``."""
+    rot, trans, scale = poses.rot, poses.trans, poses.scale
+    rigid, placed = _pose_builders(rot, trans, scale)
+    held = np.bincount(stack.segment[stack.active], minlength=len(stack.floor)).tolist()
+    chosen = np.zeros(len(stack.active), dtype=bool)
+    chosen[idx] = True
+    norms = np.sqrt(_squares(d)[stack.active & chosen[:, None]])
+    squares = norms * norms
+    end = 0
+
+    def block_rms(n):
+        nonlocal end
+        end += n
+        return math.sqrt(float(np.add.reduce(squares[end - n : end])) / n) if n else 0.0
+
+    out = []
+    for j, final, total in zip(idx, cost[idx].tolist(), pruned[idx].tolist()):
+        problem, seg, stats = problems[j], stack.first[j], []
+        if problem.keypoints is not None:
+            n, seg = held[seg], seg + 1
+            stats.append({"kind": "keypoint", "frames": (0, 1), "active": n,
+                          "total": len(problem.keypoints), "rms": block_rms(n)})
+        for blk in problem.object_blocks:
+            n, seg = held[seg] + held[seg + 1], seg + 2
+            stats.append({"kind": "object", "track_id": blk.track_id, "frames": (0, 1),
+                          "active": n, "total": blk.total_pairs(), "rms": block_rms(n)})
+        slots = range(1, len(problem.object_blocks) + 1)
+        cameras = [_GAUGE, rigid(rot[j, 0].copy(), trans[j, 0].copy())]
+        objects = [placed(rot[j, b].copy(), trans[j, b].copy(), scale[j, b - 1].copy()) for b in slots]
+        track_ids = [blk.track_id for blk in problem.object_blocks]
+        out.append(SolveReport(cameras, objects, track_ids, iterations, final, total, stats))
+    return out
+
+
+def ref_lockstep(problems):
+    """``joint_solver._lockstep`` on the kernels above."""
+    stack = RefStack(problems)
+    poses = ref_initial_poses(problems)
+    running = np.ones(len(problems), dtype=bool)
+    lam = np.full(len(problems), joint_solver.LAMBDA_START)
+    pruned = np.zeros(len(problems), dtype=int)
+    d = ref_residual(stack, poses)
+    cost = ref_cost(stack, d)
+    reports = [None] * len(problems)
+    iterations = 0
+    while True:
+        if iterations == joint_solver.MAX_ITERATIONS:
+            stop = running
+        else:
+            iterations += 1
+            newly = ref_prune(stack, d)
+            if newly.any():
+                pruned += newly
+                cost = ref_cost(stack, d)
+            stop = running & (cost < 1e-28)
+            hess, grad = ref_pair_normal_equations(stack, poses, d)
+            before = cost
+            accepted, poses, d, cost = ref_damped_steps(
+                stack, poses, d, hess, grad, lam, cost, np.flatnonzero(running & ~stop)
+            )
+            converged = before - cost <= joint_solver.CONVERGENCE_TOL * np.maximum(before, 1e-30)
+            stop |= running & (~accepted | converged)
+        idx = np.flatnonzero(stop)
+        if len(idx):
+            for j, rep in zip(idx, ref_reports(problems, stack, poses, d, idx, iterations, cost, pruned)):
+                reports[j] = rep
+        running = running & ~stop
+        if not running.any():
+            return reports
+        stack.threshold[stop] = np.inf
+
+
+def ref_gauss_newton_solve_batch(problems):
+    """``joint_solver.gauss_newton_solve_batch`` on :func:`ref_lockstep`."""
+    problems = [_weighted_blocks(p) for p in problems]
+    out = [
+        None if p.keypoints is not None or p.object_blocks else UnsolvableProblemError("problem has no blocks")
+        for p in problems
+    ]
+    todo = [k for k, entry in enumerate(out) if entry is None]
+    for start in range(0, len(todo), joint_solver.LOCKSTEP_GROUP):
+        chunk = todo[start : start + joint_solver.LOCKSTEP_GROUP]
+        for k, rep in zip(chunk, ref_lockstep([problems[k] for k in chunk])):
+            out[k] = rep
+    return out
+
+
+def ref_icp_polish(index, pairs, reports, scfg) -> None:
+    """``joint_solver.icp_polish``, every converged correction tested in one
+    pass over four stacked pose arrays."""
+    sets = []
+    for (i, j), rep in zip(pairs, reports):
+        src, tgt = index.frame_points(j, (i, j)), index.frame_points(i, (i, j))
+        if len(src) and len(tgt):
+            sets.append((src, tgt, rep))
+    results = joint_solver.icp_refine_sets(
+        [s for s, _, _ in sets], [t for _, t, _ in sets],
+        [r.camera_poses[1] for _, _, r in sets], scfg.residual_prune,
+    )
+    done = [(rep, res.pose) for (_, _, rep), res in zip(sets, results) if res.converged]
+    if not done:
+        return
+    after = [pose for _, pose in done]
+    before = [rep.camera_poses[1] for rep, _ in done]
+    rot = np.array([p.rotation for p in after]).swapaxes(1, 2) @ np.array([p.rotation for p in before])
+    shift = _norms(np.array([p.translation for p in after]) - np.array([p.translation for p in before]))
+    close = (shift <= scfg.residual_prune) & (np.degrees(rotation_angle(rot)) <= 10.0)
+    for (rep, pose), keep in zip(done, close.tolist()):
+        if keep:
+            rep.camera_poses[1] = pose

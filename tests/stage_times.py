@@ -1,15 +1,20 @@
 """Print where a benchmark op spends its time, stage by stage, in-process.
 
-    PYTHONPATH=src python3 tests/stage_times.py [--workload loop40] [--runs N] [--seed 3]
+    PYTHONPATH=src python3 tests/stage_times.py [--workload loop40] [--runs N] [--seed S]
 
 ``--workload loop40`` (the default) builds the benchmark's ``loop40`` scene
 (``--seed`` is its scene seed, 3 as in the benchmark), writes it as a
 problem file, then runs ``--runs`` ops (default 40) of ``load_problem`` +
-``register_sequence``. ``--workload ring30`` sets up the benchmark's
-``ring30`` workload (its 20 criterion-08 rings) and runs ``--runs`` ops
-(default 200) of its own op, one ring's ``optimize_graph`` clean and then
-with the planted false closure, the rings taken in turn; its rows are the
-kernels of the robust pose-graph step. One warm-up op comes first. Each
+``register_sequence``. ``--workload pairs`` sets up the benchmark's
+``pairs`` workload (``--seed`` its workload seed, default 1) and runs
+``--runs`` ops (default 1280) of its own op, ``load_problem`` +
+``register_pair`` of its 64 scenes in turn; ``validate`` counts both of an
+op's passes, the one in ``load_problem`` and the one in ``register_pair``.
+``--workload ring30`` sets up the benchmark's ``ring30`` workload (its 20
+criterion-08 rings) and runs ``--runs`` ops (default 200) of its own op,
+one ring's ``optimize_graph`` clean and then with the planted false
+closure, the rings taken in turn; its rows are the kernels of the robust
+pose-graph step. One warm-up op comes first. Each
 stage's function is wrapped where the path looks it up, and the wrapper
 adds its wall time; a stage's row is its time per op, min / median over
 the runs. Rows marked "in" are part of the row above them. The bench's
@@ -52,6 +57,23 @@ LOOP40_STAGES = [
     ("  in: icp_refine_sets", joint_solver, "icp_refine_sets"),
     ("build_graph", posegraph, "build_graph"),
     ("optimize_graph", posegraph, "optimize_graph"),
+]
+# the pair stage of one register_pair, each wrapped where it is looked up
+PAIRS_STAGES = [
+    ("load_problem", observations, "load_problem"),
+    ("validate", observations.FrameSet, "validate"),
+    ("fit_noc", joint_solver, "fit_noc"),
+    ("build_problems", joint_solver, "build_problems"),
+    ("  in: match_pairs", joint_solver, "match_pairs"),
+    ("  in: kabsch_filter_sets", joint_solver, "kabsch_filter_sets"),
+    ("  in: _problem", joint_solver, "_problem"),
+    ("gauss_newton_solve_batch", joint_solver, "gauss_newton_solve_batch"),
+    ("  in: _Stack", joint_solver._Stack, "__init__"),
+    ("  in: _normal_equations", joint_solver, "_normal_equations"),
+    ("  in: _damped_steps", joint_solver, "_damped_steps"),
+    ("  in: _reports", joint_solver, "_reports"),
+    ("icp_polish", joint_solver, "icp_polish"),
+    ("  in: icp_refine_sets", joint_solver, "icp_refine_sets"),
 ]
 # the robust pose-graph kernels, each wrapped where optimize_graph looks it up
 RING30_STAGES = [
@@ -101,8 +123,10 @@ def timed_ops(stages, op, runs, load=None) -> list:
     for k in range(runs + 1):  # op 0 warms up
         spent = defaultdict(float)
         t0 = time.perf_counter()
-        arg = k if load is None else load()
-        spent["load_problem"] = time.perf_counter() - t0
+        arg = k
+        if load is not None:
+            arg = load()
+            spent["load_problem"] = time.perf_counter() - t0
         undo = patch(stages, spent)
         try:
             op(arg)
@@ -125,6 +149,13 @@ def loop40(runs, seed) -> list:
         )
 
 
+def pairs(runs, seed) -> list:
+    with tempfile.TemporaryDirectory() as tmp:
+        workload = bench.Pairs(seed, Path(tmp))
+        workload.setup()
+        return timed_ops(PAIRS_STAGES, workload.op, runs)
+
+
 def ring30(runs) -> list:
     workload = bench.Ring30(1, None)  # its rings are the same for every seed
     workload.setup()
@@ -133,18 +164,26 @@ def ring30(runs) -> list:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=("loop40", "ring30"), default="loop40")
-    parser.add_argument("--runs", type=int, help="ops timed (default 40 for loop40, 200 for ring30)")
-    parser.add_argument("--seed", type=int, default=bench.LOOP40_SCENE_SEED,
-                        help="loop40's scene seed")
+    parser.add_argument("--workload", choices=("loop40", "pairs", "ring30"), default="loop40")
+    parser.add_argument("--runs", type=int,
+                        help="ops timed (default 40 for loop40, 1280 for pairs, 200 for ring30)")
+    parser.add_argument("--seed", type=int,
+                        help=f"loop40's scene seed (default {bench.LOOP40_SCENE_SEED}) or pairs' "
+                        "workload seed (default 1)")
     args = parser.parse_args()
-    runs = args.runs if args.runs is not None else {"loop40": 40, "ring30": 200}[args.workload]
+    runs = args.runs if args.runs is not None else {"loop40": 40, "pairs": 1280, "ring30": 200}[args.workload]
     if runs < 1:
         parser.error("--runs must be at least 1")
     if args.workload == "loop40":
-        per_run = loop40(runs, args.seed)
-        print(f"loop40 scene seed {args.seed}, {runs} runs: ms per op, min / median")
+        seed = bench.LOOP40_SCENE_SEED if args.seed is None else args.seed
+        per_run = loop40(runs, seed)
+        print(f"loop40 scene seed {seed}, {runs} runs: ms per op, min / median")
         labels = ["load_problem"] + [label for label, _, _ in LOOP40_STAGES] + ["whole op"]
+    elif args.workload == "pairs":
+        seed = 1 if args.seed is None else args.seed
+        per_run = pairs(runs, seed)
+        print(f"pairs seed {seed}, {runs} runs: ms per op, min / median")
+        labels = [label for label, _, _ in PAIRS_STAGES] + ["whole op"]
     else:
         per_run = ring30(runs)
         print(f"ring30, {runs} runs: ms per op, min / median")

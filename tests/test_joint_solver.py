@@ -8,6 +8,7 @@ from objreg import geometry, joint_solver
 from objreg.geometry import RigidPose, apply_rigid, compose, invert
 from objreg.joint_solver import (
     KEYPOINT_FILTER,
+    LAMBDA_START,
     MAX_ITERATIONS,
     PairIndex,
     PairResult,
@@ -22,7 +23,9 @@ from objreg.joint_solver import (
     _reports,
     _residual,
     _solve_each,
+    _squares,
     _Stack,
+    _weighted_blocks,
     build_problem,
     build_problems,
     gauss_newton_solve,
@@ -376,7 +379,7 @@ class TestJacobian:
         problem = replace(problem, config=replace(problem.config, residual_prune=0.006))
         pruned = []
         monkeypatch.setattr(
-            reference, "_prune", lambda stack, d: pruned.append(_prune(stack, d).sum()) or pruned[-1]
+            reference, "_prune", lambda stack, sq: pruned.append(_prune(stack, sq).sum()) or pruned[-1]
         )
         assert numeric_jacobian_check(problem) < 1e-5
         assert pruned[0] > 0
@@ -525,7 +528,7 @@ class TestAssemble:
         stack, poses = single(problem)
         moved = poses.retract(np.random.default_rng(0).normal(0, 0.02, (1, 6 + 9 * 2)))
         stack.threshold[:] = 0.05
-        assert _prune(stack, _residual(stack, moved))[0] > 0
+        assert _prune(stack, _squares(_residual(stack, moved)))[0] > 0
         active_kp, active_obj = split_rows(problem, stack.active[0])
         masks = active_kp + [m for block in active_obj for m in block]
         assert any(0 < m.sum() < len(m) for m in masks)
@@ -593,9 +596,9 @@ class TestPruneFromResidual:
     def solve_checked(self, problem, monkeypatch):
         pending, counts = [], []
 
-        def prune(stack, d):
+        def prune(stack, sq):
             before = stack.active[0].copy()
-            got = _prune(stack, d)
+            got = _prune(stack, sq)
             pending.append((before, stack.active[0].copy(), int(got[0])))
             return got
 
@@ -649,8 +652,8 @@ class TestBlockStats:
         """The report and the final row mask."""
         masks = []
 
-        def prune(stack, d):
-            got = _prune(stack, d)
+        def prune(stack, sq):
+            got = _prune(stack, sq)
             masks[:] = [stack.active[0].copy()]
             return got
 
@@ -987,8 +990,8 @@ def rejected_first_try(monkeypatch):
         finally:
             first.clear()
 
-    def cost(stack, d):
-        out = _cost(stack, d)
+    def cost(stack, sq):
+        out = _cost(stack, sq)
         if first:
             first.clear()
             out[stack.threshold == MARK] = np.nan
@@ -1151,11 +1154,11 @@ def reports_beside_reference(monkeypatch, solve):
     sizes."""
     pairs, sizes = [], []
 
-    def both(problems, stack, poses, d, idx, iterations, cost, pruned):
-        got = _reports(problems, stack, poses, d, idx, iterations, cost, pruned)
+    def both(problems, stack, poses, sq, idx, iterations, cost, pruned):
+        got = _reports(problems, stack, poses, sq, idx, iterations, cost, pruned)
         sizes.append(len(idx))
         for j, batched in zip(idx, got):
-            want = reference.report(problems[j], stack, poses, d, j, iterations, cost[j], pruned[j])
+            want = reference.report(problems[j], stack, poses, sq, j, iterations, cost[j], pruned[j])
             pairs.append((report_values(batched), report_values(want)))
         return got
 
@@ -1225,12 +1228,12 @@ class TestBatchedReports:
         problems = [tracked_problem(seed=21, objects=1), tracked_problem(seed=22, objects=2)]
         slot = 1 if field == "rot" else 0  # object 1's rotation, camera 1's translation, object 1's scale
 
-        def planted(problems, stack, poses, d, idx, iterations, cost, pruned):
+        def planted(problems, stack, poses, sq, idx, iterations, cost, pruned):
             j = idx[-1]
             getattr(poses, field)[j, slot] = np.nan
             with pytest.raises(ValueError, match=message):
-                reference.report(problems[j], stack, poses, d, j, iterations, cost[j], pruned[j])
-            return _reports(problems, stack, poses, d, idx, iterations, cost, pruned)
+                reference.report(problems[j], stack, poses, sq, j, iterations, cost[j], pruned[j])
+            return _reports(problems, stack, poses, sq, idx, iterations, cost, pruned)
 
         monkeypatch.setattr(joint_solver, "_reports", planted)
         with pytest.raises(ValueError, match=message):
@@ -1260,9 +1263,187 @@ def test_icp_acceptance_equals_pose_error_pair_by_pair(monkeypatch):
         def reports():
             return [SolveReport([RigidPose.identity(), start], [], [], 1, 0.0, 0, []) for _ in moves]
 
-        got, want = reports(), reports()
+        got, want, first = reports(), reports(), reports()
         icp_polish(PairIndex(fs), [(0, 1)] * len(moves), got, scfg)
         reference.icp_polish(PairIndex(fs), [(0, 1)] * len(moves), want, scfg)
+        reference.ref_icp_polish(PairIndex(fs), [(0, 1)] * len(moves), first, scfg)
         kept = [g.camera_poses[1] is res.pose for g, res in zip(got, results)]
         assert kept == [w.camera_poses[1] is res.pose for w, res in zip(want, results)]
+        assert kept == [f.camera_poses[1] is res.pose for f, res in zip(first, results)]
         assert 0 < sum(kept) < sum(res.converged for res in results)
+
+
+def tangent_size(stack):
+    """6 + 9M, the length of a stacked problem's tangent vector."""
+    return 6 + 9 * (stack.features.shape[2] // 4 - 1)
+
+
+def stack_fields(stack):
+    """A stack's fields by name, the padding identity as zeros when None."""
+    pad = stack.pad if stack.pad is not None else np.zeros((len(stack.threshold), tangent_size(stack)))
+    fields = {name: getattr(stack, name) for name in ("features", "fixed", "segment", "active", "a", "floor",
+                                                      "threshold", "moments")}
+    return {**fields, "pad": pad, "first": np.array(stack.first)}
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_poses(got: _Poses, want: _Poses):
+    for name in _Poses.FIELDS:
+        assert same_bytes(getattr(got, name), getattr(want, name)), name
+
+
+def kernel_batches():
+    """The mixed batch solved together and each of its problems alone, with
+    the problem that has no weighted block left out."""
+    problems = [_weighted_blocks(p) for name, p in mixed_batch().items() if name != "no weighted block"]
+    return [problems] + [[p] for p in problems]
+
+
+class TestPairKernelsBitwise:
+    """The lockstep solve's kernels give the bytes of their first forms
+    (``reference.ref_*``, ``reference.RefStack``) on one problem and on the
+    mixed batch (keypoints only, objects only, 1 to 3 objects, planted
+    outliers, a zero cost), at the initial poses, after random steps and
+    after steps of exact zeros; the whole solve does too, with a singular
+    damped system planted and on the 102 problems of a 40-frame loop."""
+
+    def states(self, problems, rng):
+        """(stack, reference stack, poses) at the initial poses and after two
+        random steps, one with some problems' steps exactly zero."""
+        stack, ref = _Stack(problems), reference.RefStack(problems)
+        poses = _Poses.initial(problems)
+        yield stack, ref, poses
+        for scale in (0.01, 0.1):
+            delta = rng.normal(0, scale, (len(problems), tangent_size(stack)))
+            delta[::2] = 0.0
+            yield stack, ref, poses.retract(delta)
+
+    def test_stack_and_initial_poses(self):
+        for problems in kernel_batches():
+            got, want = stack_fields(_Stack(problems)), stack_fields(reference.RefStack(problems))
+            for name in want:
+                assert same_bytes(got[name], want[name]), name
+            assert_same_poses(_Poses.initial(problems), reference.ref_initial_poses(problems))
+
+    def test_retract_residual_normal_equations_and_prune(self):
+        rng = np.random.default_rng(60)
+        for problems in kernel_batches():
+            for stack, ref, poses in self.states(problems, rng):
+                delta = rng.normal(0, 0.05, (len(problems), tangent_size(stack)))
+                delta[1::3] = 0.0
+                assert_same_poses(poses.retract(delta), reference.ref_retract(poses, delta))
+                d = _residual(stack, poses)
+                assert same_bytes(d, reference.ref_residual(ref, poses))
+                sq = _squares(d)
+                assert same_bytes(_cost(stack, sq), reference.ref_cost(ref, d))
+                for got, want in zip(_normal_equations(stack, poses, d),
+                                     reference.ref_pair_normal_equations(ref, poses, d), strict=True):
+                    assert same_bytes(got, want)
+                stack.threshold[:] = ref.threshold[:] = rng.choice([0.002, 0.01, 0.15], len(problems))
+                assert same_bytes(_prune(stack, sq), reference.ref_prune(ref, d))
+                for name in ("active", "a", "moments"):
+                    assert same_bytes(getattr(stack, name), getattr(ref, name)), name
+
+    def test_damped_steps(self):
+        """Steps of every problem, of some, and of a batch where one damped
+        system is singular at its first try."""
+        rng = np.random.default_rng(61)
+        for problems in kernel_batches():
+            stack, ref = _Stack(problems), reference.RefStack(problems)
+            poses = _Poses.initial(problems)
+            d = _residual(stack, poses)
+            hess, grad = _normal_equations(stack, poses, d)
+            cost = _cost(stack, _squares(d))
+            num = len(problems)
+            searches = [np.arange(num), np.arange(0, num, 2), np.arange(num)]
+            for n, search in enumerate(searches):
+                h = hess.copy()
+                if n == 2:  # problem 0 singular at lam = 1e-6
+                    h[0, 0, :] = h[0, :, 0] = 0.0
+                    h[0, 0, 0] = -1e-6
+                lam = np.full(num, LAMBDA_START) * rng.choice([1.0, 10.0], num)
+                lam_ref = lam.copy()
+                got = _damped_steps(stack, poses, d, _squares(d), h, grad, lam, cost, search)
+                want = reference.ref_damped_steps(ref, poses, d, h, grad, lam_ref, cost, search)
+                accepted, trial, rows, sq, trial_cost = got
+                assert same_bytes(accepted, want[0]) and same_bytes(lam, lam_ref)
+                assert_same_poses(trial, want[1])
+                assert same_bytes(rows, want[2]) and same_bytes(trial_cost, want[3])
+                assert same_bytes(sq, _squares(rows))
+
+    def assert_same_reports(self, got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if isinstance(w, UnsolvableProblemError):
+                assert isinstance(g, UnsolvableProblemError) and str(g) == str(w)
+            else:
+                assert report_values(g) == report_values(w)
+
+    def test_solve_batch_equals_reference(self):
+        problems = list(mixed_batch().values())
+        self.assert_same_reports(gauss_newton_solve_batch(problems), reference.ref_gauss_newton_solve_batch(problems))
+        for p in problems:
+            self.assert_same_reports(gauss_newton_solve_batch([p]), reference.ref_gauss_newton_solve_batch([p]))
+
+    def test_singular_system_equals_reference(self, monkeypatch):
+        """The marked problem's damped system is singular at every first try,
+        in both solves."""
+
+        def singular(normal_equations):
+            def planted(stack, poses, d):
+                hess, grad = normal_equations(stack, poses, d)
+                for k in np.flatnonzero(stack.threshold == MARK):
+                    hess[k, 0, :] = hess[k, :, 0] = 0.0
+                    hess[k, 0, 0], grad[k, 0] = -1e-6, 0.0
+                return hess, grad
+
+            return planted
+
+        monkeypatch.setattr(joint_solver, "_normal_equations", singular(_normal_equations))
+        monkeypatch.setattr(reference, "ref_pair_normal_equations", singular(reference.ref_pair_normal_equations))
+        problems = list(mixed_batch().values())
+        self.assert_same_reports(gauss_newton_solve_batch(problems), reference.ref_gauss_newton_solve_batch(problems))
+        singular_alone = [mixed_batch()["singular"]]
+        self.assert_same_reports(gauss_newton_solve_batch(singular_alone),
+                                 reference.ref_gauss_newton_solve_batch(singular_alone))
+
+    def test_loop40_equals_reference(self, monkeypatch):
+        batches = []
+
+        def both(problems):
+            got = gauss_newton_solve_batch(problems)
+            self.assert_same_reports(got, reference.ref_gauss_newton_solve_batch(problems))
+            batches.append(len(problems))
+            return got
+
+        monkeypatch.setattr(joint_solver, "gauss_newton_solve_batch", both)
+        register_sequence(loop40_scene())
+        assert batches == [102]
+
+
+def test_batched_inverses_keep_invert_bits():
+    """The initial camera of every pair with a keypoint block is its fit's
+    pose inverted together with the others, bit for bit as ``invert``
+    gives it alone; so are random poses, one at a time and 40 at once."""
+    rng = np.random.default_rng(62)
+    poses = [RigidPose(rng.uniform(-np.pi, np.pi, 3), rng.normal(0, 10.0 ** rng.uniform(-3, 2), 3))
+             for _ in range(40)]
+    for batch in ([poses[0]], poses):
+        for got, pose in zip(joint_solver._inverses(batch), batch, strict=True):
+            want = invert(pose)
+            assert same_bytes(got.rotation, want.rotation) and same_bytes(got.translation, want.translation)
+    fs = loop40_scene()
+    fit_noc(fs.observations)
+    plan = {(i, i + 1): (MatchConfig(), ODOMETRY_KEYPOINT_FILTER) for i in range(fs.num_frames - 1)}
+    plan.update({(i, i + 5): (MatchConfig(), LOOP_KEYPOINT_FILTER) for i in range(fs.num_frames - 5)})
+    checked = 0
+    for setup in build_problems(PairIndex(fs), plan, SolverConfig()).values():
+        if setup.problem is not None and setup.problem.keypoints is not None:
+            want = invert(setup.keypoint_fit.pose)
+            got = setup.problem.initial_camera
+            assert same_bytes(got.rotation, want.rotation) and same_bytes(got.translation, want.translation)
+            checked += 1
+    assert checked > 40

@@ -19,6 +19,7 @@ from objreg.procrustes import (
     kabsch_filter_sets,
 )
 from objreg.metrics import pose_error
+import reference
 from reference import kabsch_solve
 
 
@@ -385,6 +386,100 @@ class TestIcpRefineSets:
         assert icp_refine_sets([], [], [], 0.1) == []
         with pytest.raises(ValueError, match="empty point set"):
             icp_refine_sets([pts, pts], [pts, np.zeros((0, 3))], [None, None], 0.1)
+
+
+def same_result(got, want) -> bool:
+    """Equal results bit for bit: poses, rms, flags, history and the
+    convergence flag; equal errors by type and message."""
+    if isinstance(want, DegenerateAlignmentError):
+        return type(got) is type(want) and str(got) == str(want)
+    return (
+        got.pose.rotation.tobytes() == want.pose.rotation.tobytes()
+        and got.pose.translation.tobytes() == want.pose.translation.tobytes()
+        and np.float64(got.rms_residual).tobytes() == np.float64(want.rms_residual).tobytes()
+        and got.inlier_flags.tobytes() == want.inlier_flags.tobytes()
+        and got.rms_history == want.rms_history
+        and got.converged == want.converged
+    )
+
+
+def equal_sized_sets(rng, k=5, n=60):
+    """Sets of one size, none padded: noisy rigid copies with outliers, one
+    of them planar with signed zeros."""
+    sources, targets = [], []
+    for _ in range(k):
+        src = rng.uniform(-0.5, 0.5, (n, 3))
+        tgt = apply_rigid(random_pose(rng), src) + rng.normal(0, 0.01, (n, 3))
+        bad = rng.random(n) < 0.2
+        tgt[bad] += rng.uniform(-0.6, 0.6, (bad.sum(), 3))
+        sources.append(src)
+        targets.append(tgt)
+    sources[-1][:, 2] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    return sources, targets
+
+
+class TestKernelsBitwise:
+    """The filter, ICP and Kabsch kernels give the bytes of their first
+    forms (``reference.ref_*``): one set at a time, sets of mixed sizes
+    (gross outliers, collinear, too few pairs), sets of one size (no
+    padding) and ICP sets that stop for every reason."""
+
+    def test_kabsch(self):
+        rng = np.random.default_rng(70)
+        src, tgt = rng.normal(size=(2, 7, 40, 3))
+        flags = rng.random((7, 40)) < 0.8
+        cases = [(src[0], tgt[0], None), (src, tgt, None), (src, tgt, flags),
+                 (src, tgt, flags.astype(float)), (src, tgt, rng.uniform(0, 2, (7, 40)))]
+        padded = procrustes._padded(list(src[:4]) + [s[:30] for s in src[4:]],
+                                    list(tgt[:4]) + [t[:30] for t in tgt[4:]])
+        assert padded[2] is not None
+        cases.append(padded)
+        padded = procrustes._padded(list(src), list(tgt))
+        assert padded[2] is None
+        cases.append(padded)
+        for source, target, weights in cases:
+            for got, want in zip(_kabsch(source, target, weights), reference.ref_kabsch(source, target, weights),
+                                 strict=True):
+                assert got.tobytes() == want.tobytes()
+
+    def test_padded(self):
+        rng = np.random.default_rng(71)
+        for sizes in ([5], [5, 5, 5], [3, 9, 1], [0, 4]):
+            sources, targets = ([rng.normal(size=(n, 3)) for n in sizes] for _ in range(2))
+            src, tgt, rows = procrustes._padded(sources, targets)
+            (want_src, want_rows), (want_tgt, _) = reference.ref_padded(sources), reference.ref_padded(targets)
+            assert np.array_equal(src, want_src) and np.array_equal(tgt, want_tgt)
+            assert np.array_equal(want_rows if rows is None else rows, want_rows)
+            assert (rows is None) == bool(want_rows.all())
+
+    @pytest.mark.parametrize("rounds", [FILTER_MAX_ROUNDS, 1])
+    def test_kabsch_filter_sets(self, monkeypatch, rounds):
+        monkeypatch.setattr(procrustes, "FILTER_MAX_ROUNDS", rounds)
+        for seed in range(3):
+            rng = np.random.default_rng(72 + seed)
+            batches = [mixed_sets(rng), equal_sized_sets(rng)]
+            batches += [([s], [t]) for sources, targets in batches[:] for s, t in zip(sources, targets)]
+            for sources, targets in batches:
+                for cfg in (FilterConfig(0.20, 15), FilterConfig(0.05, 5), FilterConfig()):
+                    got = kabsch_filter_sets(sources, targets, cfg)
+                    want = reference.ref_kabsch_filter_sets(sources, targets, cfg)
+                    assert all(same_result(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_icp_refine_sets(self):
+        for seed in range(3):
+            rng = np.random.default_rng(75 + seed)
+            batches = [icp_batch(rng)]
+            # sets of one size, every point matched at the start
+            sources = [TestIcpRefine().surface(rng, 80) for _ in range(3)]
+            gts = [random_pose(rng, 0.3, 0.3) for _ in sources]
+            batches.append((sources, [apply_rigid(g, s) for g, s in zip(gts, sources)],
+                            [RigidPose(g.angles + 0.01, g.translation + 0.005) for g in gts]))
+            batches += [([s], [t], [i]) for batch in batches[:] for s, t, i in zip(*batch)]
+            for sources, targets, inits in batches:
+                for radius in (0.1, 0.5):
+                    got = icp_refine_sets(sources, targets, inits, radius)
+                    want = reference.ref_icp_refine_sets(sources, targets, inits, radius)
+                    assert all(same_result(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_filter_config_validation():
