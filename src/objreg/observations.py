@@ -278,10 +278,45 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _hex(a: np.ndarray) -> str:
-    """An array field as written: the hex of its row-major little-endian
-    float64 bytes, each value first rounded by ``_fmt``."""
-    return np.array([_fmt(v) for v in a.ravel().tolist()], "<f8").tobytes().hex()
+_POW10 = np.array([float(10**n) for n in range(23)])  # each an exact double
+
+
+def _rounded(values: np.ndarray) -> np.ndarray:
+    """``_fmt`` of every value of a float array, bit for bit, in one
+    vectorized pass. With k = 8 - floor(log10|x|) and |k| <= 22, 10**|k| is
+    exact, so s = |x| * 10**k (or |x| / 10**-k) is one rounding from the
+    exact scaled value, within 6e-8 of it below 1e9. ``rint(s)`` is then the
+    correctly rounded 9-digit mantissa d unless s's fraction is near .5,
+    and d / 10**k (or d * 10**-k) is the double nearest the decimal, as
+    ``float`` of the text is. Ties within 1e-6, |k| > 22, zeros, non-finite
+    values and a log10 off by one (s or d outside [1e8, 1e9)) go through
+    ``_fmt`` itself."""
+    x = np.asarray(values, dtype=float)
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 8 - np.floor(np.log10(ax))
+        k_abs = np.abs(k)
+        exact = k_abs <= 22  # false for 0 (k = inf) and non-finite x
+        up = k >= 0
+        p = _POW10[np.where(exact, k_abs, 0).astype(np.intp)]
+        s = np.where(up, ax * p, ax / p)
+        d = np.rint(s)
+        out = np.copysign(np.where(up, d / p, d * p), x)
+        fast = exact & (s >= 1e8) & (d < 1e9) & (np.abs(s - np.floor(s) - 0.5) > 1e-6)
+    for i in np.flatnonzero(~fast):
+        out.flat[i] = _fmt(x.flat[i])
+    return out
+
+
+def _hexes(arrays) -> list[str]:
+    """Each array field as written: the hex of its row-major little-endian
+    float64 bytes, each value first rounded by ``_fmt``. All of the fields
+    are rounded in one ``_rounded`` pass and hexed as one buffer."""
+    if not arrays:
+        return []
+    text = _rounded(np.concatenate(arrays, axis=None)).astype("<f8").tobytes().hex()
+    ends = (16 * np.cumsum([a.size for a in arrays])).tolist()  # 16 hex digits per value
+    return [text[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _pose_dict(pose: RigidPose) -> dict:
@@ -298,6 +333,10 @@ def _pose_from_dict(rec: dict) -> RigidPose:
 
 
 def _frameset_to_dict(fs: FrameSet) -> dict:
+    kms, obs = fs.keypoint_matches, fs.observations
+    fields = [a for km in kms for a in (km.points_i, km.points_j)]
+    fields += [a for o in obs for a in (o.noc_points, o.depth_points, o.scale_estimate, o.embedding)]
+    hexes = iter(_hexes(fields))  # taken in the order of ``fields``
     doc = {
         "schema": SCHEMA_VERSION,
         "frames": [
@@ -325,23 +364,23 @@ def _frameset_to_dict(fs: FrameSet) -> dict:
             {
                 "frame_i": km.frame_i,
                 "frame_j": km.frame_j,
-                "points_i": _hex(km.points_i),
-                "points_j": _hex(km.points_j),
+                "points_i": next(hexes),
+                "points_j": next(hexes),
             }
-            for km in fs.keypoint_matches
+            for km in kms
         ],
         "observations": [
             {
                 "frame": o.frame,
                 "detection_id": o.detection_id,
                 "class_label": o.class_label,
-                "noc_points": _hex(o.noc_points),
-                "depth_points": _hex(o.depth_points),
-                "scale_estimate": _hex(o.scale_estimate),
-                "embedding": _hex(o.embedding),
+                "noc_points": next(hexes),
+                "depth_points": next(hexes),
+                "scale_estimate": next(hexes),
+                "embedding": next(hexes),
                 "symmetry": o.symmetry,
             }
-            for o in fs.observations
+            for o in obs
         ],
     }
     if fs.ground_truth is not None:

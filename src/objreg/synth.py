@@ -166,18 +166,19 @@ def _symmetry_rotation(rng, symmetry: str) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _visible(world_pts, normals_world, cam: RigidPose, k: Intrinsics) -> np.ndarray:
-    local = apply_rigid(_euler_exact(invert(cam)), world_pts)
+def _visible(world_pts, normals_world, cam: RigidPose, to_cam: RigidPose, k: Intrinsics) -> np.ndarray:
+    """Which world points camera ``cam`` sees: in front of it, inside the
+    image and facing it. ``to_cam`` is its world-to-camera pose,
+    ``_euler_exact(invert(cam))``."""
+    local = apply_rigid(to_cam, world_pts)
     z = local[:, 2]
     ok = z > 0.1
     with np.errstate(divide="ignore", invalid="ignore"):
         u = k.fx * local[:, 0] / z + k.cx
         v = k.fy * local[:, 1] / z + k.cy
     ok &= (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
-    if normals_world is not None:
-        view = cam.translation - world_pts
-        ok &= np.sum(normals_world * view, axis=1) > 0
-    return ok
+    view = cam.translation - world_pts
+    return ok & (np.sum(normals_world * view, axis=1) > 0)
 
 
 def _background_shell(rng, cfg: SynthConfig):
@@ -240,23 +241,23 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     bg_pts, bg_normals = _background_shell(rng, cfg)
 
-    t0_inv = _euler_exact(invert(cams_abs[0]))
-    gt_rel = [_euler_exact(compose(t0_inv, c)) for c in cams_abs]
+    to_cams = [_euler_exact(invert(c)) for c in cams_abs]  # world-to-camera, once per camera
+    gt_rel = [_euler_exact(compose(to_cams[0], c)) for c in cams_abs]
 
     frames = [Frame(i, intr, float(i)) for i in range(cfg.num_frames)]
     observations = []
     outlier_masks = {}
     obj_seen = [False] * cfg.num_objects
-    for i, cam in enumerate(cams_abs):
+    for i, (cam, to_cam) in enumerate(zip(cams_abs, to_cams)):
         det = 0
         for o, rec in enumerate(obj_world):
-            vis = _visible(rec["world"], rec["normals_world"], cam, intr)
+            vis = _visible(rec["world"], rec["normals_world"], cam, to_cam, intr)
             if vis.sum() < 15:
                 continue
             obj_seen[o] = True
             world = rec["world"][vis]
             noc = rec["canonical"][vis] @ _symmetry_rotation(rng, rec["symmetry"]).T
-            depth = apply_rigid(_euler_exact(invert(cam)), world)
+            depth = apply_rigid(to_cam, world)
             if cfg.noise_sigma_noc > 0:
                 noc = np.clip(noc + rng.normal(0, cfg.noise_sigma_noc, noc.shape), -0.5, 0.5)
             if cfg.noise_sigma_depth > 0:
@@ -282,17 +283,15 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     matches = []
     if cfg.keypoints_per_pair > 0:
+        bg_vis = [_visible(bg_pts, bg_normals, c, t, intr) for c, t in zip(cams_abs, to_cams)]
         for i in range(cfg.num_frames):
             for j in range(i + 1, cfg.num_frames):
-                vis = _visible(bg_pts, bg_normals, cams_abs[i], intr) & _visible(
-                    bg_pts, bg_normals, cams_abs[j], intr
-                )
-                idx = np.nonzero(vis)[0]
+                idx = np.nonzero(bg_vis[i] & bg_vis[j])[0]
                 if len(idx) < 5:
                     continue
                 pick = rng.choice(idx, min(cfg.keypoints_per_pair, len(idx)), replace=False)
-                pi = apply_rigid(_euler_exact(invert(cams_abs[i])), bg_pts[pick])
-                pj = apply_rigid(_euler_exact(invert(cams_abs[j])), bg_pts[pick])
+                pi = apply_rigid(to_cams[i], bg_pts[pick])
+                pj = apply_rigid(to_cams[j], bg_pts[pick])
                 if cfg.noise_sigma_depth > 0:
                     pi = pi + rng.normal(0, cfg.noise_sigma_depth, pi.shape)
                     pj = pj + rng.normal(0, cfg.noise_sigma_depth, pj.shape)

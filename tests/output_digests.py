@@ -18,7 +18,10 @@ every output byte. It digests:
   graph, solution arrays, switches, pruned edges, diagnostics and every
   pair result);
 - ``optimize_graph`` on acceptance criterion 08's 20 rings, clean and with
-  the planted false closure.
+  the planted false closure;
+- ``synth.generate`` and ``save_problem`` on the configurations of
+  ``SCENES`` (the bytes of the problem file, the outlier masks and the
+  ground-truth poses of each).
 
 Floats are digested by their exact bits, and every value by its type name
 too. Not a test module: pytest collects only ``test_*.py``.
@@ -53,6 +56,21 @@ from reference import ring_graph, with_false_closure  # noqa: E402
 PAIR_SEEDS = (1, 7919)
 SEQUENCE_SEEDS = (1, 3, 7919)
 RINGS = 20
+# generator configurations whose problem files are digested
+SCENES = {
+    **{f"loop40 seed {seed}": dict(bench.LOOP40, rng_seed=seed) for seed in SEQUENCE_SEEDS},
+    "16-frame 1-object loop, no keypoints": dict(
+        num_frames=16, trajectory="loop", num_objects=1, keypoints_per_pair=0, rng_seed=2
+    ),
+    "symmetric, NOC noise and outliers": dict(
+        num_frames=4, num_objects=3, symmetries=("round", "square", "rectangle"),
+        noise_sigma_noc=0.01, noise_sigma_depth=0.003, outlier_fraction=0.2, rng_seed=5,
+    ),
+    "line trajectory": dict(num_frames=6, trajectory="line", num_objects=2, rng_seed=4),
+    "look-alike loop40": dict(
+        bench.LOOP40, num_classes=1, embed_inter_separation=0.0, rng_seed=bench.LOOP40_SCENE_SEED
+    ),
+}
 
 
 def feed(h, obj):
@@ -61,6 +79,8 @@ def feed(h, obj):
     if isinstance(obj, np.ndarray):
         h.update(f"{obj.dtype}{obj.shape}".encode())
         h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, bytes):
+        h.update(obj)
     elif isinstance(obj, (float, np.floating)):
         h.update(float(obj).hex().encode())
     elif obj is None or isinstance(obj, (bool, int, str, np.integer, np.bool_)):
@@ -140,6 +160,13 @@ def main() -> int:
         false.append(posegraph.optimize_graph(with_false_closure(graph, gt)))
     print(f"criterion 08 rings clean: {digest(clean)}")
     print(f"criterion 08 rings with false closure: {digest(false)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        for name, kwargs in SCENES.items():
+            result = synth.generate(synth.SynthConfig(**kwargs))
+            observations.save_problem(result.frameset, path)
+            written = [path.read_bytes(), result.outlier_masks, result.gt_poses]
+            print(f"problem file {name}: {digest(written)}")
     return 0
 
 

@@ -8,7 +8,8 @@ graph step's kernels in their first, plainer forms (which the package's must
 match bit for bit), the robust pose graph solve as alternating loops on
 those kernels, acceptance criterion 08's ring graphs, and the pair path's
 kernels (Kabsch filter, ICP, the joint solver's lockstep Gauss-Newton) in
-their first forms, which the package's must also match bit for bit."""
+their first forms, which the package's must also match bit for bit, and the
+problem writer's array field rounded one value at a time."""
 
 import math
 
@@ -42,6 +43,7 @@ from objreg.joint_solver import (
     _weighted_blocks,
 )
 from objreg.metrics import pose_error
+from objreg.observations import _fmt
 from objreg.posegraph import (
     GraphConfig,
     GraphEdge,
@@ -900,3 +902,10 @@ def ref_icp_polish(index, pairs, reports, scfg) -> None:
     for (rep, pose), keep in zip(done, close.tolist()):
         if keep:
             rep.camera_poses[1] = pose
+
+
+def ref_hex(a: np.ndarray) -> str:
+    """An array field as ``save_problem`` writes it, in its first form: the
+    hex of its row-major little-endian float64 bytes, each value first
+    rounded by ``_fmt`` on its own."""
+    return np.array([_fmt(v) for v in a.ravel().tolist()], "<f8").tobytes().hex()

@@ -14,7 +14,12 @@ op's passes, the one in ``load_problem`` and the one in ``register_pair``.
 criterion-08 rings) and runs ``--runs`` ops (default 200) of its own op,
 one ring's ``optimize_graph`` clean and then with the planted false
 closure, the rings taken in turn; its rows are the kernels of the robust
-pose-graph step. One warm-up op comes first. Each
+pose-graph step. ``--workload setup`` times the set-up that the benchmark
+folds into ``setup_s``: ``--runs`` rounds (default 5) of the ``loop40``
+workload's set-up and of the ``pairs`` workload's (``--seed`` its workload
+seed, default 1), each as the benchmark makes it (generation, problem-file
+writes, warm-up); its rows are ``generate``, ``save_problem`` and
+``load_problem`` per round. One warm-up op (or round) comes first. Each
 stage's function is wrapped where the path looks it up, and the wrapper
 adds its wall time; a stage's row is its time per op, min / median over
 the runs. Rows marked "in" are part of the row above them. The bench's
@@ -86,6 +91,14 @@ RING30_STAGES = [
     ("dpbsv", posegraph, "dpbsv"),
     ("so3_exp", posegraph, "so3_exp"),
     ("_update_switches", posegraph, "_update_switches"),
+]
+
+
+# the set-up stages, each wrapped where the benchmark's set-up looks it up
+SETUP_STAGES = [
+    ("generate", synth, "generate"),
+    ("save_problem", observations, "save_problem"),
+    ("load_problem", observations, "load_problem"),
 ]
 
 
@@ -162,16 +175,36 @@ def ring30(runs) -> list:
     return timed_ops(RING30_STAGES, workload.op, runs)
 
 
+def setup(runs, seed) -> dict:
+    """Per workload, the per-run stage times of its set-up rounds."""
+    per_workload = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, make in (("loop40", bench.Loop40), ("pairs", bench.Pairs)):
+            per_workload[name] = timed_ops(
+                SETUP_STAGES, lambda k: make(seed, Path(tmp)).setup(), runs
+            )
+    return per_workload
+
+
+def print_rows(labels, per_run) -> None:
+    width = max(map(len, labels))
+    for label in labels:
+        ms = [1e3 * spent[label] for spent in per_run]
+        print(f"{label:<{width}}  {min(ms):7.2f} / {statistics.median(ms):7.2f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=("loop40", "pairs", "ring30"), default="loop40")
+    parser.add_argument("--workload", choices=("loop40", "pairs", "ring30", "setup"), default="loop40")
     parser.add_argument("--runs", type=int,
-                        help="ops timed (default 40 for loop40, 1280 for pairs, 200 for ring30)")
+                        help="ops timed (default 40 for loop40, 1280 for pairs, 200 for ring30, "
+                        "5 set-up rounds for setup)")
     parser.add_argument("--seed", type=int,
                         help=f"loop40's scene seed (default {bench.LOOP40_SCENE_SEED}) or pairs' "
-                        "workload seed (default 1)")
+                        "workload seed (default 1, also for setup)")
     args = parser.parse_args()
-    runs = args.runs if args.runs is not None else {"loop40": 40, "pairs": 1280, "ring30": 200}[args.workload]
+    default_runs = {"loop40": 40, "pairs": 1280, "ring30": 200, "setup": 5}
+    runs = args.runs if args.runs is not None else default_runs[args.workload]
     if runs < 1:
         parser.error("--runs must be at least 1")
     if args.workload == "loop40":
@@ -179,6 +212,14 @@ def main() -> int:
         per_run = loop40(runs, seed)
         print(f"loop40 scene seed {seed}, {runs} runs: ms per op, min / median")
         labels = ["load_problem"] + [label for label, _, _ in LOOP40_STAGES] + ["whole op"]
+    elif args.workload == "setup":
+        seed = 1 if args.seed is None else args.seed
+        labels = [label for label, _, _ in SETUP_STAGES] + ["whole op"]
+        for name, per_run in setup(runs, seed).items():
+            scene = f"scene seed {bench.LOOP40_SCENE_SEED}" if name == "loop40" else f"seed {seed}"
+            print(f"{name} set-up ({scene}), {runs} rounds: ms per round (op), min / median")
+            print_rows(labels, per_run)
+        return 0
     elif args.workload == "pairs":
         seed = 1 if args.seed is None else args.seed
         per_run = pairs(runs, seed)
@@ -188,10 +229,7 @@ def main() -> int:
         per_run = ring30(runs)
         print(f"ring30, {runs} runs: ms per op, min / median")
         labels = [label for label, _, _ in RING30_STAGES] + ["whole op"]
-    width = max(map(len, labels))
-    for label in labels:
-        ms = [1e3 * spent[label] for spent in per_run]
-        print(f"{label:<{width}}  {min(ms):7.2f} / {statistics.median(ms):7.2f}")
+    print_rows(labels, per_run)
     return 0
 
 

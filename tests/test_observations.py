@@ -20,11 +20,13 @@ from objreg.observations import (
     ObjectObservation,
     ValidationError,
     _fmt,
+    _rounded,
     load_problem,
     save_problem,
 )
 from objreg.posegraph import register_sequence
 from objreg.synth import SynthConfig, generate
+from reference import ref_hex
 
 
 def make_obs(frame=0, det=0, cls=1, n=20, rng=None, **kwargs):
@@ -752,6 +754,20 @@ class TestFormats:
             assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
         assert _fmt(1234567885.0) == 1234567880.0 and _fmt(9999999995.0) == 1e10
 
+    def test_fields_equal_reference_hex(self, tmp_path):
+        """Each array field of a saved file is its per-value reference hex."""
+        rng = np.random.default_rng(5)
+        for fs in [extreme_frameset(), valid_pair()] + [random_frameset(rng) for _ in range(5)]:
+            path = tmp_path / "p.json"
+            save_problem(fs, path)
+            doc = json.loads(path.read_text())
+            records = {"keypoint_matches": fs.keypoint_matches, "observations": fs.observations}
+            for key, fields in ARRAY_FIELDS.items():
+                assert len(doc[key]) == len(records[key])
+                for rec, orig in zip(doc[key], records[key]):
+                    for f in fields:
+                        assert rec[f] == ref_hex(getattr(orig, f))
+
     def test_v1_and_v2_load_identical(self, tmp_path):
         """The objreg-problem/1 and /2 files of one FrameSet load to
         bit-identical arrays."""
@@ -792,6 +808,92 @@ class TestFormats:
             docs.append(json.loads(report.read_text()))
         assert docs[0]["success"] and docs[0]["problem"] != docs[1]["problem"]
         assert {**docs[0], "problem": None} == {**docs[1], "problem": None}
+
+
+def assert_rounded_equals_fmt(values):
+    x = np.asarray(values, dtype=float)
+    want = np.array([_fmt(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    got = _rounded(x)
+    assert got.shape == x.shape
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert not bad.size, [(x.flat[i], got.flat[i], want.flat[i]) for i in bad[:5]]
+
+
+def near(values, steps=3):
+    """``values`` and their ``steps`` nearest doubles on either side."""
+    out = [np.asarray(values, dtype=float)]
+    for direction in (np.inf, -np.inf):
+        v = out[0]
+        for _ in range(steps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+class TestRounded:
+    """``_rounded`` is ``_fmt`` of each value, bit for bit."""
+
+    def test_ties(self):
+        ties = [1234567885.0, 9999999995.0, 1234567895.0, 12345678.25, 0.125, 1.5e-5, 2.5e13]
+        assert_rounded_equals_fmt(near(np.concatenate([ties, np.negative(ties)])))
+
+    def test_scaled_fractions_near_half(self):
+        """Values whose scaled mantissa is within about 1e-5 of a .5 tie,
+        on both sides of the 1e-6 guard, at many decades."""
+        rng = np.random.default_rng(3)
+        mantissa = rng.integers(10**8, 10**9, 200) + 0.5
+        offsets = np.array([0.0, 1e-8, 1e-7, 5e-7, 9e-7, 1e-6, 1.1e-6, 2e-6, 5e-6, 1e-5])
+        scaled = (mantissa[:, None] + np.concatenate([offsets, -offsets])).ravel()
+        for k in range(-14, 23):
+            values = scaled / 10.0**k if k >= 0 else scaled * 10.0**-k
+            assert_rounded_equals_fmt(values)
+
+    def test_decade_edges(self):
+        edges = [9.9999999995, 999999999.5, 1e8, 1e9, 1e22, 1e23, 99999999.95, 0.99999999995]
+        powers = [10.0**e for e in range(-30, 31)]
+        values = near(np.concatenate([edges, powers]))
+        assert_rounded_equals_fmt(np.concatenate([values, -values]))
+
+    @pytest.mark.parametrize("off", [-1.0, 1.0])
+    def test_log10_off_by_one(self, monkeypatch, off):
+        """A log10 one decade off, either way, still gives ``_fmt``: the
+        values it misplaces go through ``_fmt`` itself."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + off)
+        rng = np.random.default_rng(12)
+        values = np.exp(rng.uniform(np.log(1e-12), np.log(1e12), 2000))
+        assert_rounded_equals_fmt(near(np.concatenate([values, [10.0**e for e in range(-12, 13)]])))
+
+    def test_extremes(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e30, 1e-30, -1e30, -1e-30, 2.2250738585072014e-308]
+        assert_rounded_equals_fmt(values)
+        assert np.signbit(_rounded(np.array([-0.0])))[0]
+
+    def test_non_finite(self):
+        got = _rounded(np.array([np.inf, -np.inf, np.nan]))
+        assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2])
+
+    def test_random_values(self):
+        rng = np.random.default_rng(11)
+        n = 100_000
+        values = np.exp(rng.uniform(np.log(1e-12), np.log(1e12), n)) * rng.choice([-1.0, 1.0], n)
+        assert_rounded_equals_fmt(values.reshape(-1, 4))
+        assert_rounded_equals_fmt(extreme_values())
+
+    def test_empty(self):
+        assert _rounded(np.zeros(0)).shape == (0,)
+
+    def test_generated_scene_needs_no_fallback(self, monkeypatch):
+        """Every array value of a generated scene takes the vectorized path:
+        ``_rounded`` calls ``_fmt`` for none of them."""
+        fs = generate(SynthConfig(num_frames=3, num_objects=2, noise_sigma_depth=0.003,
+                                  outlier_fraction=0.1, rng_seed=3)).frameset
+        values = np.concatenate(array_fields(fs), axis=None)
+        calls = []
+        monkeypatch.setattr(observations, "_fmt", lambda v: calls.append(v) or _fmt(v))
+        assert_rounded_equals_fmt(values)
+        assert calls == []
 
 
 # corruptions of a saved problem document, made to its arrays as nested

@@ -135,6 +135,34 @@ class TestGenerate:
                 SynthConfig(**{name: value})
 
 
+class TestVisibility:
+    def test_once_per_camera_and_object(self, monkeypatch):
+        """``_visible`` runs once per frame for each object and once per frame
+        for the background keypoints, not once per frame pair."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return visible(*args)
+
+        visible = synth._visible
+        monkeypatch.setattr(synth, "_visible", counted)
+        cfg = base_cfg(num_frames=6, num_objects=3, trajectory="loop", keypoints_per_pair=20)
+        fs, _ = generate(cfg)
+        assert fs.keypoint_matches
+        assert len(calls) == cfg.num_frames * (cfg.num_objects + 1)
+
+    def test_takes_world_to_camera_pose(self):
+        """With the camera's own world-to-camera pose, ``_visible`` keeps the
+        points in front of the camera, inside its image and facing it."""
+        cam = synth._look_at((2.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        to_cam = synth._euler_exact(invert(cam))
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
+        normals = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        vis = synth._visible(pts, normals, cam, to_cam, synth.DEFAULT_INTRINSICS)
+        assert vis.tolist() == [True, False, False, False]
+
+
 class TestEulerExactScenes:
     """Problem files are generated from poses whose rotation is exactly
     ``rotation_from_euler(angles)``: a change in how poses compose or invert
