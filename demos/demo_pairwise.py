@@ -49,8 +49,8 @@ def main():
 
     print("\nPer-block residual statistics:")
     for stat in report.block_stats:
-        print(f"  {stat['kind']:9s} active {stat['active']:4d}/{stat['total']:4d}  "
-              f"rms {stat['rms'] * 1000:.2f} mm")
+        print(f"  {stat.kind:9s} active {stat.active:4d}/{stat.total:4d}  "
+              f"rms {stat.rms * 1000:.2f} mm")
 
 
 if __name__ == "__main__":

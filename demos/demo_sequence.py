@@ -1,11 +1,12 @@
 """Sequence registration with object-supported loop closures.
 
 Registers an 8-frame trajectory: consecutive pairs give odometry edges
-(joint solve, then ICP polish), non-consecutive pairs are tested as
-loop-closure candidates (stricter matching threshold, joint solve without
-ICP, plausibility rejection; pairs whose matched objects are all out of
-depth range are screened out before solving), and a robust pose graph with
-a line process down-weights and prunes inconsistent closures.
+(joint solve), non-consecutive pairs are tested as loop-closure candidates
+(stricter matching threshold, joint solve, plausibility rejection; pairs
+whose matched objects are all out of depth range are screened out before
+solving), and a robust pose graph with a line process down-weights and
+prunes inconsistent closures. No pair is ICP-polished: each edge keeps its
+joint solve's pose.
 
 The demo then poisons the graph with a fabricated loop closure displaced
 by one meter and shows the line process pruning it while the trajectory

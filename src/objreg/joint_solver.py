@@ -57,6 +57,7 @@ __all__ = [
     "SolverConfig",
     "RegistrationProblem",
     "SolveReport",
+    "BlockStat",
     "PairResult",
     "UnsolvableProblemError",
     "PairSetup",
@@ -104,6 +105,12 @@ class UnsolvableProblemError(ValueError):
 
 @dataclass
 class SolverConfig:
+    """The pair energy's block weights ``w_c`` (keypoints) and ``w_o``
+    (objects), and ``residual_prune``: the distance in metres beyond which
+    Gauss-Newton prunes a row, the depth margin of a sequence's loop-pair
+    screen, and, on the pair path alone (:func:`register_pair` with
+    ``icp``), ICP's correspondence radius and acceptance bound."""
+
     w_c: float = 1.0
     w_o: float = 1.0
     residual_prune: float = 0.15
@@ -148,6 +155,20 @@ class RegistrationProblem:
 
 
 @dataclass(slots=True)
+class BlockStat:
+    """One constraint block of a solved pair: its kind (``"keypoint"`` or
+    ``"object"``), its object match's index (None on the keypoint block),
+    its active and total rows, and the root mean square of its active rows'
+    residual norms."""
+
+    kind: str
+    track_id: int | None
+    active: int
+    total: int
+    rms: float
+
+
+@dataclass(slots=True)
 class SolveReport:
     camera_poses: list[RigidPose]
     object_poses: list[ObjectPose]
@@ -155,7 +176,7 @@ class SolveReport:
     iterations: int
     final_cost: float
     pruned_count: int
-    block_stats: list[dict]
+    block_stats: list[BlockStat]
 
 
 @dataclass(slots=True)
@@ -793,12 +814,10 @@ def _reports(problems, stack: _Stack, poses: _Poses, sq, idx, iterations, cost, 
         problem, seg, stats = problems[j], stack.first[j], []
         if problem.keypoints is not None:
             n, seg = held[seg], seg + 1
-            stats.append({"kind": "keypoint", "frames": (0, 1), "active": n,
-                          "total": len(problem.keypoints), "rms": rms(n)})
+            stats.append(BlockStat("keypoint", None, n, len(problem.keypoints), rms(n)))
         for blk in problem.object_blocks:
             n, seg = held[seg] + held[seg + 1], seg + 2
-            stats.append({"kind": "object", "track_id": blk.track_id, "frames": (0, 1),
-                          "active": n, "total": blk.total_pairs(), "rms": rms(n)})
+            stats.append(BlockStat("object", blk.track_id, n, blk.total_pairs(), rms(n)))
         slots = range(1, len(problem.object_blocks) + 1)
         cameras = [_GAUGE, rigid(rot[j, 0].copy(), trans[j, 0].copy())]
         objects = [placed(rot[j, b].copy(), trans[j, b].copy(), scale[j, b - 1].copy()) for b in slots]
@@ -812,7 +831,8 @@ def icp_polish(
 ) -> None:
     """Polish camera 1 of each pair's report by ICP, in one
     :func:`icp_refine_sets` call: pair (i, j)'s frame-j points onto its
-    frame-i points, within ``scfg.residual_prune``. A frame's points are
+    frame-i points, within ``scfg.residual_prune``. This is the pair path's
+    last step; a sequence's pairs keep their joint pose. A frame's points are
     its observations' depth points, then its side of the pair's keypoint
     matches (``FrameSet.frame_points`` of the pair's 2-frame set). The
     refinement replaces the pose when ICP converges no further than that
@@ -849,24 +869,25 @@ def register_pairs(
     fs: FrameSet,
     plan: dict[tuple[int, int], tuple[MatchConfig | list[PairMatch], FilterConfig]],
     scfg: SolverConfig,
-    icp: list[tuple[int, int]],
+    icp: bool,
     screen=None,
 ) -> dict[tuple[int, int], PairResult]:
     """The pair stage: every pair of ``plan`` (see :func:`build_problems`)
     registered by one :func:`build_problems`, one
-    :func:`gauss_newton_solve_batch` and, for the solved pairs listed in
-    ``icp``, one :func:`icp_polish` call, on one :class:`PairIndex` of the
-    set. Fits every observation's ``noc_fit`` not yet cached first, in one
-    batch. Results follow the plan's order; a screened pair gets no entry,
-    and a pair that cannot be built or solved a failed result with its
-    reason."""
+    :func:`gauss_newton_solve_batch` and, if ``icp``, one :func:`icp_polish`
+    call over every solved pair, on one :class:`PairIndex` of the set.
+    :func:`register_pair` polishes its one pair; a sequence keeps each
+    pair's joint pose. Fits every observation's ``noc_fit`` not yet cached
+    first, in one batch. Results follow the plan's order; a screened pair
+    gets no entry, and a pair that cannot be built or solved a failed
+    result with its reason."""
     fit_noc(fs.observations)
     index = PairIndex(fs)
     setups = build_problems(index, plan, scfg, screen)
     built = [pair for pair, setup in setups.items() if setup.problem is not None]
     # a SolveReport, or the batch's UnsolvableProblemError
     reports = dict(zip(built, gauss_newton_solve_batch([setups[pair].problem for pair in built])))
-    polish = [p for p in icp if isinstance(reports.get(p), SolveReport)]
+    polish = [p for p in built if isinstance(reports[p], SolveReport)] if icp else []
     if polish:
         icp_polish(index, polish, [reports[p] for p in polish], scfg)
     results = {}
@@ -896,4 +917,4 @@ def register_pair(
     if fs.num_frames != 2:
         raise ValueError("register_pair expects exactly 2 frames")
     plan = {(0, 1): ((mcfg or MatchConfig()) if use_objects else [], KEYPOINT_FILTER)}
-    return register_pairs(fs, plan, scfg or SolverConfig(), [(0, 1)] if icp else [])[(0, 1)]
+    return register_pairs(fs, plan, scfg or SolverConfig(), icp)[(0, 1)]

@@ -192,7 +192,7 @@ def reject_loop_closure(
 
 
 def _edge_weight(report: SolveReport) -> float:
-    return float(sum(s["active"] for s in report.block_stats))
+    return float(sum(s.active for s in report.block_stats))
 
 
 def build_graph(
@@ -587,12 +587,13 @@ def register_sequence(
     jobs: int = 1,
 ) -> SequenceResult:
     """Register a sequence: pairwise solves on consecutive pairs
-    (``ODOMETRY_KEYPOINT_FILTER``, ICP-polished) and candidate loop pairs
+    (``ODOMETRY_KEYPOINT_FILTER``) and candidate loop pairs
     (``LOOP_KEYPOINT_FILTER``, object matches at
-    ``mcfg.sequence_loop_threshold``, no ICP: at its radius ICP slides
-    wide-baseline pairs by cm and the graph then loses to chaining its own
-    odometry), then robust graph optimization. Loop candidates pair at most
-    ``MAX_KEYFRAMES`` keyframes (:func:`candidate_loop_pairs`): for 40
+    ``mcfg.sequence_loop_threshold``), then robust graph optimization. No
+    pair is ICP-polished: every edge keeps its joint Gauss-Newton pose, as
+    the paper registers a pair, because ICP within ``scfg.residual_prune``
+    made the pair poses and the trajectory worse. Loop candidates pair at
+    most ``MAX_KEYFRAMES`` keyframes (:func:`candidate_loop_pairs`): for 40
     frames, the 91 pairs of keyframes 0, 3, ..., 39. A loop pair whose
     matched objects are all out of depth range by ``scfg.residual_prune`` on
     their cached ``noc_fit`` poses (:func:`_screened_out`) is not
@@ -606,12 +607,11 @@ def register_sequence(
 
     Every pair goes through one pair stage, :func:`register_pairs`, which
     ``register_pair`` runs on its one pair: one batched call each matches
-    every pair, screens the loop pairs and builds the problems, solves them
-    in lockstep, and refines the odometry pairs by ICP, each pair getting
-    what it would get alone. A pair whose problem cannot be built or solved
-    keeps its own failed result and reason.
-    ``jobs`` is accepted for compatibility and has no effect: a thread pool
-    over the pairs was slower than a serial loop on 2 cores."""
+    every pair, screens the loop pairs and builds the problems, and solves
+    them in lockstep, each pair getting what it would get alone. A pair
+    whose problem cannot be built or solved keeps its own failed result and
+    reason. ``jobs`` is accepted for compatibility and has no effect: a
+    thread pool over the pairs was slower than a serial loop on 2 cores."""
     fs.validate()
     if fs.num_frames < 2:
         raise ValueError("need at least 2 frames")
@@ -637,7 +637,7 @@ def register_sequence(
     plan = {pair: (mcfg, ODOMETRY_KEYPOINT_FILTER) for pair in odo_pairs}
     plan.update({pair: (loop_mcfg, LOOP_KEYPOINT_FILTER) for pair in loop_pairs})
     results = register_pairs(
-        fs, plan, scfg, odo_pairs, screen=lambda pair, fits: _screened_out(pair, fits, scfg, gcfg)
+        fs, plan, scfg, False, screen=lambda pair, fits: _screened_out(pair, fits, scfg, gcfg)
     )
     screened = [pair for pair in plan if pair not in results]
 

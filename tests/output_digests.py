@@ -9,7 +9,8 @@ every output byte. It digests:
   for seeds 1 and 7919, each read from its problem file: with the defaults,
   with ``icp=False``, with ``use_objects=False`` and on the scene with its
   keypoint matches stripped (poses, object poses, iterations, cost, prune
-  count, block stats and matches of every result);
+  count, block stats, each ``BlockStat`` by its fields, and matches of
+  every result);
 - ``build_problem`` on the same scenes, with ``match_pair``'s matches under
   the default configs, then ``gauss_newton_solve`` (the matches, the problem
   and the report, or the reason no problem was solved);

@@ -31,6 +31,7 @@ from objreg.geometry import (
 )
 from objreg.joint_solver import (
     _GAUGE,
+    BlockStat,
     RegistrationProblem,
     SolveReport,
     UnsolvableProblemError,
@@ -164,12 +165,10 @@ def report(problem, stack: _Stack, poses: _Poses, sq, j, iterations, cost, prune
     for kind, blk, rows in blocks:
         mask = active & rows
         if kind == "keypoint":
-            stats.append({"kind": kind, "frames": (0, 1), "active": int(mask.sum()),
-                          "total": len(blk), "rms": rms(norms[mask])})
+            stats.append(BlockStat(kind, None, int(mask.sum()), len(blk), rms(norms[mask])))
         else:
-            stats.append({"kind": kind, "track_id": blk.track_id, "frames": (0, 1),
-                          "active": int(mask.sum()), "total": blk.total_pairs(),
-                          "rms": rms(norms[mask])})
+            stats.append(BlockStat(kind, blk.track_id, int(mask.sum()), blk.total_pairs(),
+                                   rms(norms[mask])))
     rot, trans, scale = poses.rot[j], poses.trans[j].copy(), poses.scale[j].copy()
     cameras = [_GAUGE, RigidPose.from_rotation(rot[0], trans[0])]
     objects = [
@@ -812,12 +811,10 @@ def ref_reports(problems, stack, poses: _Poses, d, idx, iterations, cost, pruned
         problem, seg, stats = problems[j], stack.first[j], []
         if problem.keypoints is not None:
             n, seg = held[seg], seg + 1
-            stats.append({"kind": "keypoint", "frames": (0, 1), "active": n,
-                          "total": len(problem.keypoints), "rms": block_rms(n)})
+            stats.append(BlockStat("keypoint", None, n, len(problem.keypoints), block_rms(n)))
         for blk in problem.object_blocks:
             n, seg = held[seg] + held[seg + 1], seg + 2
-            stats.append({"kind": "object", "track_id": blk.track_id, "frames": (0, 1),
-                          "active": n, "total": blk.total_pairs(), "rms": block_rms(n)})
+            stats.append(BlockStat("object", blk.track_id, n, blk.total_pairs(), block_rms(n)))
         slots = range(1, len(problem.object_blocks) + 1)
         cameras = [_GAUGE, rigid(rot[j, 0].copy(), trans[j, 0].copy())]
         objects = [placed(rot[j, b].copy(), trans[j, b].copy(), scale[j, b - 1].copy()) for b in slots]

@@ -1,6 +1,7 @@
 """Print where a benchmark op spends its time, stage by stage, in-process.
 
     PYTHONPATH=src python3 tests/stage_times.py [--workload loop40] [--runs N] [--seed S]
+    PYTHONPATH=src python3 tests/stage_times.py [--workload loop40] --retained N
 
 ``--workload loop40`` (the default) builds the benchmark's ``loop40`` scene
 (``--seed`` is its scene seed, 3 as in the benchmark), writes it as a
@@ -26,6 +27,14 @@ the runs. Rows marked "in" are part of the row above them. The bench's
 tracer sees neither the pair stage nor the graph kernels, so this is where
 their cost shows.
 
+``--retained N`` times nothing: it sets up the benchmark's ``pairs``,
+``loop40`` or ``ring30`` workload as the benchmark does (``--seed`` its
+workload seed, default 1), runs one warm-up op, then N ops whose outputs it
+keeps, as the benchmark keeps every op's output, and prints the growth of
+the process's peak RSS (``ru_maxrss``) per kept op. A faster op keeps more
+outputs in a benchmark run of fixed length, so this sizes a change's
+``peak_rss_mb`` before the benchmark runs.
+
 Not a test module: pytest collects only ``test_*.py``.
 """
 
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import resource
 import statistics
 import sys
 import tempfile
@@ -58,8 +68,6 @@ LOOP40_STAGES = [
     ("  in: _Stack", joint_solver._Stack, "__init__"),
     ("  in: _Poses.initial", joint_solver._Poses, "initial"),
     ("  in: reports", joint_solver, "_reports"),
-    ("icp_polish", joint_solver, "icp_polish"),
-    ("  in: icp_refine_sets", joint_solver, "icp_refine_sets"),
     ("build_graph", posegraph, "build_graph"),
     ("optimize_graph", posegraph, "optimize_graph"),
 ]
@@ -186,6 +194,19 @@ def setup(runs, seed) -> dict:
     return per_workload
 
 
+def retained(name, n, seed) -> float:
+    """KB of peak-RSS growth per op output kept, over ``n`` kept ops of the
+    benchmark's workload ``name`` after one warm-up op."""
+    with tempfile.TemporaryDirectory() as tmp:
+        workload = bench.WORKLOADS[name](seed, Path(tmp))
+        workload.setup()
+        workload.op(0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KB on Linux
+        kept = [workload.op(k) for k in range(1, n + 1)]  # alive while the peak is read
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    return grown / n
+
+
 def print_rows(labels, per_run) -> None:
     width = max(map(len, labels))
     for label in labels:
@@ -202,7 +223,20 @@ def main() -> int:
     parser.add_argument("--seed", type=int,
                         help=f"loop40's scene seed (default {bench.LOOP40_SCENE_SEED}) or pairs' "
                         "workload seed (default 1, also for setup)")
+    parser.add_argument("--retained", type=int, metavar="N",
+                        help="keep N op outputs and print the peak-RSS growth per kept op "
+                        "(pairs, loop40 or ring30) instead of stage times")
     args = parser.parse_args()
+    if args.retained is not None:
+        if args.retained < 1:
+            parser.error("--retained must be at least 1")
+        if args.workload == "setup":
+            parser.error("--retained needs a workload with ops: pairs, loop40 or ring30")
+        seed = 1 if args.seed is None else args.seed
+        per_op = retained(args.workload, args.retained, seed)
+        print(f"{args.workload} workload seed {seed}, {args.retained} ops kept: "
+              f"ru_maxrss growth {per_op:.1f} KB per kept op")
+        return 0
     default_runs = {"loop40": 40, "pairs": 1280, "ring30": 200, "setup": 5}
     runs = args.runs if args.runs is not None else default_runs[args.workload]
     if runs < 1:

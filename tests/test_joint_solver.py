@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -161,7 +161,7 @@ class TestBuildProblem:
         assert [blk.track_id for blk in problem.object_blocks] == [1]
         report = gauss_newton_solve(problem)
         assert report.track_ids == [1]
-        assert [s["track_id"] for s in report.block_stats] == [1]
+        assert [s.track_id for s in report.block_stats] == [1]
         alone = gauss_newton_solve(build_problem(fs, matches[1:], SolverConfig()))
         assert alone.track_ids == [0]
         assert report.camera_poses[1].to_matrix().tobytes() == alone.camera_poses[1].to_matrix().tobytes()
@@ -221,10 +221,10 @@ class TestPairPlan:
         assert setup.problem.keypoints.points_i.tobytes() == matched.problem.keypoints.points_i.tobytes()
 
     def test_mixed_plan_equals_each_pair_alone(self):
-        """Each pair of a plan that mixes matched and given-match pairs, ICP
-        on some, gets what a plan holding it alone gives it: the same
-        problem, bit for bit, and the same solve up to the rounding of the
-        lockstep batch (as in ``test_pairs_equal_lone_solves``)."""
+        """Each pair of a plan that mixes matched and given-match pairs, with
+        ICP on every pair or on none, gets what a plan holding it alone
+        gives it: the same problem, bit for bit, and the same solve up to the
+        rounding of the lockstep batch (as in ``test_pairs_equal_lone_solves``)."""
         fs = fitted_scene(num_frames=5, num_objects=2, trajectory="line", orbit_radius=1.8,
                           keypoints_per_pair=20, rng_seed=8)
         index = PairIndex(fs)
@@ -233,22 +233,22 @@ class TestPairPlan:
         plan[(0, 2)] = ([], LOOP_KEYPOINT_FILTER)
         plan[(1, 3)] = (wide, LOOP_KEYPOINT_FILTER)
         plan[(2, 4)] = (MatchConfig(embed_threshold=0.04), LOOP_KEYPOINT_FILTER)
-        icp = [(0, 1), (2, 3), (1, 3)]
         scfg = SolverConfig()
         setups = build_problems(index, plan, scfg)
-        results = register_pairs(fs, plan, scfg, icp)
-        assert list(results) == list(plan) and results[(1, 3)].matches is wide
-        for pair, got in results.items():
-            (alone,) = build_problems(index, {pair: plan[pair]}, scfg).values()
-            assert setups[pair].matches == alone.matches == got.matches
-            assert problem_bits(setups[pair].problem) == problem_bits(alone.problem)
-            (want,) = register_pairs(fs, {pair: plan[pair]}, scfg, [pair] if pair in icp else []).values()
-            assert got.success and want.success
-            g, w = got.report, want.report
-            assert (g.iterations, g.pruned_count, g.track_ids) == (w.iterations, w.pruned_count, w.track_ids)
-            for p, q in zip(g.camera_poses + g.object_poses, w.camera_poses + w.object_poses):
-                assert np.abs(p.rotation - q.rotation).max() <= 1e-9
-                assert np.abs(p.translation - q.translation).max() <= 1e-9
+        for icp in (False, True):
+            results = register_pairs(fs, plan, scfg, icp)
+            assert list(results) == list(plan) and results[(1, 3)].matches is wide
+            for pair, got in results.items():
+                (alone,) = build_problems(index, {pair: plan[pair]}, scfg).values()
+                assert setups[pair].matches == alone.matches == got.matches
+                assert problem_bits(setups[pair].problem) == problem_bits(alone.problem)
+                (want,) = register_pairs(fs, {pair: plan[pair]}, scfg, icp).values()
+                assert got.success and want.success
+                g, w = got.report, want.report
+                assert (g.iterations, g.pruned_count, g.track_ids) == (w.iterations, w.pruned_count, w.track_ids)
+                for p, q in zip(g.camera_poses + g.object_poses, w.camera_poses + w.object_poses):
+                    assert np.abs(p.rotation - q.rotation).max() <= 1e-9
+                    assert np.abs(p.translation - q.translation).max() <= 1e-9
 
 
 def problem_bits(problem):
@@ -296,7 +296,7 @@ class TestGaussNewton:
         report = gauss_newton_solve(build_problem(both, matches, SolverConfig()))
         rot, trans = pose_error(report.camera_poses[1], cam1)
         assert rot < 1.0 and trans < 0.03
-        kinds = {s["kind"] for s in report.block_stats}
+        kinds = {s.kind for s in report.block_stats}
         assert kinds == {"keypoint", "object"}
 
     def test_residual_pruning_removes_planted_outliers(self):
@@ -352,7 +352,7 @@ class TestGaussNewton:
         fs, matches, *_ = object_only_fs(rng, noise=0.01)
         report = gauss_newton_solve(build_problem(fs, matches, SolverConfig()))
         assert report.final_cost >= 0
-        kinds = {s["kind"] for s in report.block_stats}
+        kinds = {s.kind for s in report.block_stats}
         assert kinds == {"object"}
 
 
@@ -679,7 +679,7 @@ class TestBlockStats:
             ])
             active = int(sum(m.sum() for m in frame_masks))
             expected.append(("object", active, blk.total_pairs(), rms_of(rows)))
-        got = [(s["kind"], s["active"], s["total"], s["rms"]) for s in report.block_stats]
+        got = [(s.kind, s.active, s.total, s.rms) for s in report.block_stats]
         assert [g[:3] for g in got] == [e[:3] for e in expected]
         assert max(abs(g[3] - e[3]) / e[3] for g, e in zip(got, expected)) <= 1e-12
         return report
@@ -695,7 +695,7 @@ class TestBlockStats:
         problem = replace(problem, config=replace(problem.config, residual_prune=0.01))
         report = self.check(problem, monkeypatch)
         assert report.pruned_count > 0
-        assert {s["kind"] for s in report.block_stats} == {"keypoint", "object"}
+        assert {s.kind for s in report.block_stats} == {"keypoint", "object"}
 
     @pytest.mark.parametrize("weights, kind", [({"w_c": 0.0}, "object"), ({"w_o": 0.0}, "keypoint")])
     def test_one_weight_zero(self, monkeypatch, weights, kind):
@@ -707,7 +707,7 @@ class TestBlockStats:
             object_blocks=problem.object_blocks if kind == "object" else [],
         )
         report = self.check(problem, monkeypatch, blocks=stripped)
-        assert {s["kind"] for s in report.block_stats} == {kind}
+        assert {s.kind for s in report.block_stats} == {kind}
 
 
 class TestRegisterPair:
@@ -1051,8 +1051,8 @@ def assert_same_solve(got, want):
     )
     assert len(got.block_stats) == len(want.block_stats)
     for a, b in zip(got.block_stats, want.block_stats):
-        assert {**a, "rms": 0} == {**b, "rms": 0}
-        assert a["rms"] == pytest.approx(b["rms"], rel=1e-12, abs=1e-15)
+        assert replace(a, rms=0) == replace(b, rms=0)
+        assert a.rms == pytest.approx(b.rms, rel=1e-12, abs=1e-15)
     assert got.final_cost == pytest.approx(want.final_cost, rel=1e-9, abs=1e-25)
     for p, q in zip(got.camera_poses + got.object_poses, want.camera_poses + want.object_poses):
         assert np.abs(p.rotation - q.rotation).max() <= 1e-9
@@ -1137,12 +1137,12 @@ class TestLockstep:
 
 def report_values(report):
     """A report's values, each with its type: poses by their bytes, block
-    stats key by key."""
+    stats field by field."""
     poses = [(p.rotation.tobytes(), p.translation.tobytes()) for p in report.camera_poses]
     poses += [
         (p.rotation.tobytes(), p.translation.tobytes(), p.scale.tobytes()) for p in report.object_poses
     ]
-    stats = [{k: (type(v), v) for k, v in s.items()} for s in report.block_stats]
+    stats = [[(type(v), v) for v in astuple(s)] for s in report.block_stats]
     scalars = [(type(v), v) for v in (report.iterations, report.final_cost, report.pruned_count)]
     return poses, report.track_ids, scalars, stats
 
